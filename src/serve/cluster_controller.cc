@@ -31,11 +31,10 @@ ClusterController::start(int expected)
     stats_.enabled = true;
 
     // Priority classes are the first ctrl-stream draws — one uniform per
-    // request in id order, consumed at *generation* time (see
-    // generateRequestStream pass 4 / RequestSource) so the lazy and
-    // materialized paths stamp identical classes. Burn those draws here
-    // so every dispatch-time draw continues from the position it has
-    // always had.
+    // request in id order, consumed at *generation* time by the
+    // RequestSource's own copy of the stream. Burn those draws here so
+    // every dispatch-time draw continues from the position it has always
+    // had.
     if (config_.ctrl.priority.enabled())
         for (int i = 0; i < expected; ++i)
             rng_.uniform();

@@ -1,7 +1,6 @@
 #include "serve/inference_workload.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,25 +8,6 @@
 #include "train/system_builder.h"
 
 namespace smartinf::serve {
-
-namespace {
-
-bool g_force_materialized = false;
-
-bool
-materializedGenerationForced()
-{
-    return g_force_materialized ||
-           std::getenv("SMARTINF_MATERIALIZED_STREAM") != nullptr;
-}
-
-} // namespace
-
-void
-InferenceWorkload::forceMaterializedGeneration(bool on)
-{
-    g_force_materialized = on;
-}
 
 InferenceWorkload::InferenceWorkload(const train::ModelSpec &model,
                                      ServeConfig config)
@@ -42,20 +22,11 @@ void
 InferenceWorkload::issueSpec(train::SimContext &ctx, RequestSpec request,
                              Seconds at)
 {
-    // Stamp the actual issue time (for closed loop it is reactive) so the
-    // record's queueDelay/latency measure from submission.
+    // Stamp the actual issue time (it is reactive) so the record's
+    // queueDelay/latency measure from submission. The replica is chosen
+    // when the event fires, against the fleet's state at that moment.
     request.arrival = at;
-    if (config_.fault.enabled || ctrl_) {
-        // Failover / control-plane front door: the replica choice must see
-        // the fleet's state *at submission time* (a pre-bound scheduler
-        // could be dead, drained, or the longest queue by then).
-        ctx.sim.at(at,
-                   [this, &ctx, request]() { dispatch(ctx, request); });
-        return;
-    }
-    BatchScheduler *scheduler =
-        schedulers_[request.id % schedulers_.size()].get();
-    ctx.sim.at(at, [scheduler, request] { scheduler->submit(request); });
+    ctx.sim.at(at, [this, &ctx, request]() { dispatch(ctx, request); });
 }
 
 void
@@ -64,19 +35,13 @@ InferenceWorkload::scheduleNextArrival(train::SimContext &ctx)
     if (source_->done())
         return;
     const RequestSpec request = source_->next();
-    // One timed event per arrival, exactly like the materialized
-    // pre-scheduled loop — the callback chains the next arrival before
-    // delivering this one, so at most one undelivered spec exists at any
-    // simulated moment.
+    // One timed event per arrival. The callback chains the next arrival
+    // before delivering this one, so an exactly-tied successor still fires
+    // ahead of anything the delivery schedules, and at most one undelivered
+    // spec exists at any simulated moment.
     ctx.sim.at(request.arrival, [this, &ctx, request]() {
         scheduleNextArrival(ctx);
-        if (config_.fault.enabled || ctrl_) {
-            dispatch(ctx, request);
-        } else {
-            schedulers_[static_cast<std::size_t>(request.id) %
-                        schedulers_.size()]
-                ->submit(request);
-        }
+        dispatch(ctx, request);
     });
 }
 
@@ -111,9 +76,7 @@ InferenceWorkload::onRetire(train::SimContext &ctx,
         return; // this client's slice is exhausted
     client_next_[client] = next + clients;
     const Seconds at = record.finish + config_.think_time;
-    issueSpec(ctx,
-              streaming_ ? takeSpec(static_cast<int>(next)) : stream_[next],
-              at);
+    issueSpec(ctx, takeSpec(static_cast<int>(next)), at);
 }
 
 bool
@@ -158,10 +121,11 @@ InferenceWorkload::applyLinkFactor(train::SimContext &ctx, net::Link &link,
 }
 
 void
-InferenceWorkload::shed(train::SimContext &ctx, const RequestSpec &request)
+InferenceWorkload::turnAway(train::SimContext &ctx,
+                            const RequestSpec &request, TurnAway why)
 {
     const Seconds now = ctx.sim.now();
-    ++fault_stats_.requests_shed;
+    const bool rejected = why == TurnAway::Reject;
     train::RequestRecord record;
     record.id = request.id;
     record.node = -1; // no replica served it
@@ -174,49 +138,25 @@ InferenceWorkload::shed(train::SimContext &ctx, const RequestSpec &request)
     record.retries = request.attempt;
     record.priority = request.priority;
     record.deferrals = request.deferrals;
-    record.shed = true;
-    ++shed_count_;
+    record.shed = !rejected;
+    record.rejected = rejected;
+    ++turned_away_count_;
     if (cap_records_)
         streaming_stats_.note(record);
     if (keepRecord())
-        shed_.push_back(record);
-    if (ctrl_)
-        ctrl_->noteShed();
-    if (ctx.obs)
-        ctx.obs->recoveryAction("shed", request.id, now);
-    // A closed-loop client moves on when its request is rejected, exactly
-    // as it would on completion — otherwise shedding would deadlock the
-    // population.
-    if (config_.client_mode == ClientMode::ClosedLoop)
-        onRetire(ctx, record);
-}
-
-void
-InferenceWorkload::reject(train::SimContext &ctx,
-                          const RequestSpec &request)
-{
-    const Seconds now = ctx.sim.now();
-    train::RequestRecord record;
-    record.id = request.id;
-    record.node = -1; // no replica served it
-    record.prompt_tokens = request.prompt_tokens;
-    record.output_tokens = 0; // nothing was delivered
-    record.arrival = request.arrival;
-    record.start = now;
-    record.first_token = now;
-    record.finish = now;
-    record.retries = request.attempt;
-    record.priority = request.priority;
-    record.deferrals = request.deferrals;
-    record.rejected = true;
-    ++rejected_count_;
-    if (cap_records_)
-        streaming_stats_.note(record);
-    if (keepRecord())
-        rejected_.push_back(record);
-    ctrl_->noteRejected(request, now);
-    // Like shedding, a rejection releases the closed-loop client — the
-    // population must not deadlock on a turned-away request.
+        turned_away_.push_back(record);
+    if (rejected) {
+        ctrl_->noteRejected(request, now);
+    } else {
+        ++fault_stats_.requests_shed;
+        if (ctrl_)
+            ctrl_->noteShed();
+        if (ctx.obs)
+            ctx.obs->recoveryAction("shed", request.id, now);
+    }
+    // A closed-loop client moves on when its request is turned away,
+    // exactly as it would on completion — otherwise the population would
+    // deadlock.
     if (config_.client_mode == ClientMode::ClosedLoop)
         onRetire(ctx, record);
 }
@@ -240,9 +180,9 @@ InferenceWorkload::dispatch(train::SimContext &ctx,
     const Seconds now = ctx.sim.now();
     if (config_.fault.enabled) {
         if (request.attempt > f.retry_limit)
-            return shed(ctx, request);
+            return turnAway(ctx, request, TurnAway::Shed);
         if (request.attempt > 0 && now - request.arrival > f.retry_timeout)
-            return shed(ctx, request);
+            return turnAway(ctx, request, TurnAway::Shed);
     }
 
     std::size_t chosen;
@@ -281,14 +221,14 @@ InferenceWorkload::dispatch(train::SimContext &ctx,
     // in recovered load is rejected (graceful degradation).
     if (config_.fault.enabled && request.attempt > 0 &&
         schedulers_[chosen]->load() >= f.shed_queue_depth)
-        return shed(ctx, request);
+        return turnAway(ctx, request, TurnAway::Shed);
     // SLO admission (first attempts only — a retry already survived the
     // failover path's own shedding rules).
     if (ctrl_ && request.attempt == 0) {
         const ctrl::AdmissionDecision verdict =
             ctrl_->admit(now, request, static_cast<int>(chosen));
         if (verdict == ctrl::AdmissionDecision::Reject)
-            return reject(ctx, request);
+            return turnAway(ctx, request, TurnAway::Reject);
         if (verdict == ctrl::AdmissionDecision::Defer) {
             RequestSpec deferred = request;
             deferred.deferrals += 1;
@@ -390,14 +330,10 @@ InferenceWorkload::build(train::SimContext &ctx)
     SI_ASSERT(builders_.empty(), "InferenceWorkload::build called twice");
     const int nodes = ctx.system.num_nodes;
     stream_total_ = config_.streamSize();
-    // Streaming by default; trace mode keeps the materialized path (the
-    // arrival vector already exists in the config, and pre-scheduling
-    // preserves the insertion order of any exactly-tied trace arrivals).
-    streaming_ = config_.trace.empty() && !materializedGenerationForced();
-    if (streaming_)
-        source_ = std::make_unique<RequestSource>(config_);
-    else
-        stream_ = generateRequestStream(config_);
+    source_ = std::make_unique<RequestSource>(config_);
+    // Serving never reads per-task times, so the graph always trims its
+    // completed prefix: memory is O(in-flight tasks), not O(run length).
+    ctx.graph.enableTrim();
 
     for (int i = 0; i < nodes; ++i) {
         const std::string prefix = nodes > 1 ? train::nodePrefix(i) : "";
@@ -436,9 +372,8 @@ InferenceWorkload::build(train::SimContext &ctx)
     }
 
     // Record cap: bound the retained records (one cluster-wide gate over
-    // every scheduler plus the shed/reject paths), fold every disposition
-    // into the streaming aggregates instead, and let the task graph trim
-    // its completed prefix — the three O(total-requests) memory walls.
+    // every scheduler plus the turn-away path) and fold every disposition
+    // into the streaming aggregates instead.
     if (config_.record_cap > 0) {
         cap_records_ = true;
         streaming_stats_.enabled = true;
@@ -452,7 +387,6 @@ InferenceWorkload::build(train::SimContext &ctx)
             obs::CounterSampler(config_.stream_window_s);
         for (auto &scheduler : schedulers_)
             scheduler->setRecordGate([this]() { return keepRecord(); });
-        ctx.graph.enableTrim();
     }
 
     // Retirement feeds: the control plane's SLO-attainment / drain
@@ -472,7 +406,8 @@ InferenceWorkload::build(train::SimContext &ctx)
                         onRetire(ctx, record);
                 });
 
-    // Deterministic front door: request i goes to replica i % N. The
+    // One front door: every arrival goes through dispatch(), whose
+    // fault-free, ctrl-free scan sends request i to replica i % N. The
     // graph itself starts empty for this workload and grows reactively.
     if (closed_loop) {
         // Client c owns requests {i : i ≡ c (mod concurrency)}, in id
@@ -484,19 +419,12 @@ InferenceWorkload::build(train::SimContext &ctx)
         client_next_.assign(clients, 0);
         for (std::size_t c = 0; c < clients; ++c) {
             client_next_[c] = c + clients;
-            issueSpec(ctx,
-                      streaming_ ? takeSpec(static_cast<int>(c))
-                                 : stream_[c],
-                      0.0);
+            issueSpec(ctx, takeSpec(static_cast<int>(c)), 0.0);
         }
-    } else if (streaming_) {
-        // Open loop, streaming: chain arrivals one ahead — the arrival
-        // event for request i schedules request i+1's before submitting.
-        scheduleNextArrival(ctx);
     } else {
-        // Open loop / trace, materialized: pre-scheduled timed events.
-        for (std::size_t i = 0; i < stream_.size(); ++i)
-            issueSpec(ctx, stream_[i], stream_[i].arrival);
+        // Open loop and trace: chain arrivals one ahead — the arrival
+        // event for request i schedules request i+1's before dispatching.
+        scheduleNextArrival(ctx);
     }
 }
 
@@ -535,17 +463,16 @@ InferenceWorkload::collect(const train::SimContext &ctx,
     }
     // Shed and rejected requests are first-class records: every stream
     // entry ends up served (a scheduler record), shed, or rejected —
-    // exactly once.
-    out.requests.insert(out.requests.end(), shed_.begin(), shed_.end());
-    out.requests.insert(out.requests.end(), rejected_.begin(),
-                        rejected_.end());
+    // exactly once. Ids are unique, so the sort fixes the merged order.
+    out.requests.insert(out.requests.end(), turned_away_.begin(),
+                        turned_away_.end());
     std::sort(out.requests.begin(), out.requests.end(),
               [](const train::RequestRecord &a,
                  const train::RequestRecord &b) { return a.id < b.id; });
     // Disposition accounting is count-based: with a record cap the stored
     // records are a prefix of the dispositions, but every request must
     // still have been served, shed, or rejected exactly once.
-    SI_ASSERT(retired_total + shed_count_ + rejected_count_ ==
+    SI_ASSERT(retired_total + turned_away_count_ ==
                   static_cast<std::int64_t>(stream_total_),
               "not every request was served, shed, or rejected");
     SI_ASSERT(cap_records_ ||

@@ -2,25 +2,23 @@
  * @file
  * Inference serving as a Workload: a finite request stream served by
  * 1..N data-parallel replicas of the storage-offload substrate, all inside
- * one SimContext. Requests are sharded round-robin over the replicas (a
- * deterministic front door); each replica runs its own BatchScheduler and
- * InferenceBuilder with node-prefixed links, so N-node serving measures
- * true replica contention-free scaling while every node's internal PCIe
- * contention is still modeled. Runs on any engine via Engine::run() —
- * makeEngine's num_nodes dispatch works unchanged.
+ * one SimContext. Every request enters through one front door, dispatch():
+ * with faults and the control plane off its skip-dead scan shards requests
+ * round-robin (request i to replica i % N). Each replica runs its own
+ * BatchScheduler and InferenceBuilder with node-prefixed links, so N-node
+ * serving measures true replica contention-free scaling while every node's
+ * internal PCIe contention is still modeled. Runs on any engine via
+ * Engine::run() — makeEngine's num_nodes dispatch works unchanged.
  *
- * Request generation is *streaming* by default: specs are drawn lazily
- * from the RequestSource (bit-identical to generateRequestStream by the
- * oracle tests), so memory is O(in-flight) rather than O(stream) — the
- * 10^5–10^6-request scenarios depend on this. Trace mode (the arrivals
- * already exist as a vector) and the SMARTINF_MATERIALIZED_STREAM /
- * forceMaterializedGeneration() overrides keep the materialized path,
- * which CI byte-compares against the streaming one.
+ * Request generation is always streaming: specs are drawn lazily from the
+ * RequestSource, and the task graph trims its completed prefix, so memory
+ * is O(in-flight) rather than O(stream) in every mode — the
+ * 10^5–10^6-request scenarios depend on this.
  *
  * Client modes:
- *  - OpenLoop: arrivals are timed events that submit into the schedulers
- *    regardless of server state (pre-scheduled when materialized; chained
- *    one-ahead when streaming — one timed event per arrival either way).
+ *  - OpenLoop (generated or trace arrivals): arrivals are timed events
+ *    that dispatch regardless of server state, chained one ahead — each
+ *    arrival event schedules the next before dispatching its own request.
  *  - ClosedLoop: a fixed population of config.concurrency clients, each
  *    owning the requests whose id ≡ client (mod concurrency), issues one
  *    request at a time: the scheduler's retire hook (which fires inside
@@ -62,42 +60,46 @@ class InferenceWorkload final : public train::Workload
 
     const ServeConfig &config() const { return config_; }
 
-    /**
-     * Test/CI hook: force the next builds to pre-materialize the request
-     * stream (generateRequestStream) instead of drawing lazily from the
-     * RequestSource. Result-inert by the oracle contract — both paths are
-     * bit-identical — so it never joins the RunSpec hash; the
-     * SMARTINF_MATERIALIZED_STREAM environment variable has the same
-     * effect (CI byte-compares the two). Process-global; tests restore it.
-     */
-    static void forceMaterializedGeneration(bool on);
-
   private:
-    /** Issue @p request at simulated time @p at (stamps the record's
-     *  arrival and routes to the round-robin replica, or — with the
-     *  control plane or faults enabled — through dispatch()). */
+    /** Why a request was turned away without service. */
+    enum class TurnAway { Shed, Reject };
+
+    /** Closed loop: issue @p request at simulated time @p at (stamps the
+     *  record's arrival, then dispatch() when the event fires). */
     void issueSpec(train::SimContext &ctx, RequestSpec request, Seconds at);
-    /** Streaming open loop: draw the next request and arm its arrival
-     *  event, which first chains the one after it (one timed event per
-     *  arrival, exactly like the materialized pre-scheduled loop). */
+    /** Open loop: draw the next request and arm its arrival event, which
+     *  first chains the one after it (one timed event per arrival). */
     void scheduleNextArrival(train::SimContext &ctx);
-    /** Streaming closed loop: the spec with @p id, drawing the source
-     *  forward (parking other clients' specs in pending_) as needed. */
+    /** Closed loop: the spec with @p id, drawing the source forward
+     *  (parking other clients' specs in pending_) as needed. */
     RequestSpec takeSpec(int id);
     /** Closed-loop retirement: schedule the owning client's next request
      *  think_time after @p record.finish. */
     void onRetire(train::SimContext &ctx,
                   const train::RequestRecord &record);
-    /** Record-cap gate, shared by every scheduler and the shed/reject
-     *  paths: true while the cluster-wide retained count is below
-     *  config.record_cap (always true when the cap is 0/off). */
+    /** Record-cap gate, shared by every scheduler and turnAway(): true
+     *  while the cluster-wide retained count is below config.record_cap
+     *  (always true when the cap is 0/off). */
     bool keepRecord();
-
-    /** @name Control plane (config.ctrl.enabled only). @{ */
-    /** SLO admission rejected @p request: a first-class rejection record
-     *  (disposition, deferrals, and the decision time). */
-    void reject(train::SimContext &ctx, const RequestSpec &request);
-    /** @} */
+    /**
+     * Dispose of @p request now without serving it: failover shedding or
+     * SLO-admission rejection. Either way it is a first-class record
+     * (disposition, retries, deferrals, and the decision time) that feeds
+     * the streaming aggregates, honours the record gate, and releases a
+     * closed-loop client.
+     */
+    void turnAway(train::SimContext &ctx, const RequestSpec &request,
+                  TurnAway why);
+    /**
+     * Route @p request to a live replica. Selection: the control plane's
+     * dispatch policy when enabled, else the deterministic skip-dead scan
+     * from (id + attempt) % N. Faults add retry-limit / retry-timeout /
+     * admission-depth shedding for retries; the control plane adds SLO
+     * admission (reject/defer) for first attempts. Whole-fleet-down falls
+     * back to another backoff round (bounded by the retry limit). Every
+     * arrival, retry, and deferral enters here: the single dispatch seam.
+     */
+    void dispatch(train::SimContext &ctx, const RequestSpec &request);
 
     /** @name Failover path (config.fault.enabled only). @{ */
     /** Arm one pre-drawn fault event as a timed simulator event. */
@@ -105,22 +107,9 @@ class InferenceWorkload final : public train::Workload
     /** Apply @p event now: crash/degrade/stall, plus the matching restore
      *  event at time + duration. */
     void onFault(train::SimContext &ctx, const fault::FaultEvent &event);
-    /**
-     * Route @p request to a live replica. Selection: the control plane's
-     * dispatch policy when enabled, else the deterministic skip-dead scan
-     * from (id + attempt) % N. Faults add retry-limit / retry-timeout /
-     * admission-depth shedding for retries; the control plane adds SLO
-     * admission (reject/defer) for first attempts. Whole-fleet-down falls
-     * back to another backoff round (bounded by the retry limit). Shared
-     * by both front doors — it is also the single dispatch seam.
-     */
-    void dispatch(train::SimContext &ctx, const RequestSpec &request);
     /** Re-dispatch a displaced request: bump attempt, wait the linear
      *  backoff, then dispatch(). */
     void redispatch(train::SimContext &ctx, RequestSpec request);
-    /** Reject @p request now: a first-class shed record (disposition,
-     *  retries, and the shed decision time). */
-    void shed(train::SimContext &ctx, const RequestSpec &request);
     /** Multiply a link's capacity factor by @p mult (restore=false) or
      *  take that multiplier back out (restore=true); overlapping episodes
      *  compose exactly. */
@@ -133,25 +122,21 @@ class InferenceWorkload final : public train::Workload
 
     train::ModelSpec model_;
     ServeConfig config_;
-    /** Materialized request list (trace mode and the materialized
-     *  override only; empty in streaming runs). */
-    std::vector<RequestSpec> stream_;
-    /** Lazy generator (streaming runs only; null when materialized). */
+    /** Lazy generator: the only source of request specs. */
     std::unique_ptr<RequestSource> source_;
     /** Total requests this run disposes (== ServeConfig::streamSize()). */
     int stream_total_ = 0;
-    bool streaming_ = false;
-    /** Streaming closed loop: specs drawn past a slow client's cursor,
-     *  parked until that client asks for them (bounded by the spread
-     *  between the fastest and slowest client, not the stream). */
+    /** Closed loop: specs drawn past a slow client's cursor, parked until
+     *  that client asks for them (bounded by the spread between the
+     *  fastest and slowest client, not the stream). */
     std::map<int, RequestSpec> pending_;
     std::vector<std::unique_ptr<InferenceBuilder>> builders_;
     std::vector<std::unique_ptr<BatchScheduler>> schedulers_;
     /** The cluster control plane (null unless config.ctrl.enabled). */
     std::unique_ptr<ClusterController> ctrl_;
-    /** Requests SLO admission rejected (first-class records). */
-    std::vector<train::RequestRecord> rejected_;
-    std::int64_t rejected_count_ = 0;
+    /** Shed and rejected requests (first-class records, record-gated). */
+    std::vector<train::RequestRecord> turned_away_;
+    std::int64_t turned_away_count_ = 0;
     /** Closed loop: per-client cursor into its id-strided request slice. */
     std::vector<std::size_t> client_next_;
 
@@ -163,8 +148,6 @@ class InferenceWorkload final : public train::Workload
 
     /** @name Failover state (empty/zero in fault-free runs). @{ */
     std::vector<fault::FaultEvent> fault_events_;
-    std::vector<train::RequestRecord> shed_;
-    std::int64_t shed_count_ = 0;
     train::FaultStats fault_stats_;
     /** Active capacity multipliers per degraded link (an episode pushes
      *  its factor, the matching restore removes it; the link's factor is

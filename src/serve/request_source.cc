@@ -28,7 +28,7 @@ RequestSource::next()
     request.prompt_tokens = config_.prompt_tokens;
     request.output_tokens = config_.output_tokens;
 
-    // The four per-request draws, in the materialized generator's pass
+    // The four per-request draws, in the reference generator's pass
     // order. Each pass owns an independent derived stream, so per-request
     // interleaving across passes still consumes every stream in exactly
     // the per-pass order — the whole bit-identity argument in one line.

@@ -1,14 +1,15 @@
 /**
  * @file
- * Lazy request generation: a pull iterator over the same derived PRNG
- * streams generateRequestStream() materializes. Because each generation
- * pass (arrivals, lengths, prefixes, priorities) draws from its *own*
- * seeded Rng, drawing all four per-request — in id order, one request at
- * a time — consumes each stream in exactly the order the materialized
- * passes do, so the sequence of RequestSpecs is bit-identical to the
- * vector by construction (and pinned by the test_request_source oracle
- * suite). This is what lets serving runs scale to 10^5–10^6 requests with
- * O(in-flight) memory: no pre-materialized stream vector exists at all.
+ * Lazy request generation, and the only way a serving run obtains its
+ * requests: a pull iterator over the derived PRNG streams. Because each
+ * generation pass (arrivals, lengths, prefixes, priorities) draws from
+ * its *own* seeded Rng, drawing all four per-request — in id order, one
+ * request at a time — consumes each stream in exactly the order the
+ * reference generateRequestStream() passes do, so the sequence of
+ * RequestSpecs is bit-identical to that vector by construction (and
+ * pinned by the test_request_source oracle suite). This is what lets
+ * serving runs scale to 10^5–10^6 requests with O(in-flight) memory: no
+ * stream vector exists at all, in open-loop, trace, or closed-loop mode.
  */
 #ifndef SMARTINF_SERVE_REQUEST_SOURCE_H
 #define SMARTINF_SERVE_REQUEST_SOURCE_H
@@ -20,10 +21,9 @@ namespace smartinf::serve {
 /**
  * Draws the finite request stream of @p config one RequestSpec at a time.
  * next() must be called exactly streamSize() times, in order; each call
- * returns the spec the materialized generator would have placed at that
- * id. Trace arrivals are read from the config's trace verbatim;
- * closed-loop arrivals are 0 (reactive issue times, stamped by the
- * workload), exactly as in the materialized path.
+ * returns the spec generateRequestStream() would have placed at that id.
+ * Trace arrivals are read from the config's trace verbatim; closed-loop
+ * arrivals are 0 (reactive issue times, stamped by the workload).
  */
 class RequestSource
 {

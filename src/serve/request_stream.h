@@ -1,12 +1,15 @@
 /**
  * @file
- * Deterministic request generation. A request stream expands a ServeConfig
- * into the concrete request list *before* the simulation runs — all
- * randomness comes from the config's seeded xoshiro PRNGs (open-loop
- * exponential interarrivals; sampled prompt/output lengths) or from the
- * explicit trace, which is what makes serving runs a pure function of
- * their spec: same seed + spec => bit-identical request list =>
- * bit-identical latency records.
+ * Deterministic request generation. All randomness comes from the
+ * config's seeded xoshiro PRNGs (open-loop exponential interarrivals;
+ * sampled prompt/output lengths) or from the explicit trace, which is
+ * what makes serving runs a pure function of their spec: same seed +
+ * spec => bit-identical request list => bit-identical latency records.
+ *
+ * Serving runs draw their requests lazily from RequestSource
+ * (request_source.h). generateRequestStream() expands a whole ServeConfig
+ * into the concrete request list at once; it is the test reference the
+ * oracle suite compares RequestSource against, spec by spec.
  *
  * Two independent PRNG streams derive from ServeConfig::seed: arrivals
  * draw from Rng(seed) (exactly the pre-mix behavior), lengths from
@@ -111,8 +114,8 @@ class ArrivalProcess
 /**
  * One sample from @p dist: the @p fixed_tokens scalar for Fixed (drawing
  * nothing from @p rng), otherwise an integer in
- * [dist.min_tokens, dist.max_tokens]. Pre-sim randomness only — callers
- * are generateRequestStream() and tests.
+ * [dist.min_tokens, dist.max_tokens]. Callers are RequestSource,
+ * generateRequestStream(), and tests.
  */
 int sampleLength(Rng &rng, const LengthDistribution &dist, int fixed_tokens);
 

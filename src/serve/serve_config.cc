@@ -1,5 +1,7 @@
 #include "serve/serve_config.h"
 
+#include <cmath>
+
 #include "common/enum_names.h"
 #include "common/validation.h"
 
@@ -198,9 +200,12 @@ ServeConfig::validate() const
                      "arrival_rate must be positive", arrival_rate);
     } else {
         for (std::size_t i = 0; i < trace.size(); ++i) {
-            if (trace[i] < 0.0 || (i > 0 && trace[i] < trace[i - 1])) {
+            // A NaN slips past both comparisons and +inf past all of them;
+            // either would reach the event queue as a simulated time.
+            if (!std::isfinite(trace[i]) || trace[i] < 0.0 ||
+                (i > 0 && trace[i] < trace[i - 1])) {
                 errors.push_back(
-                    "trace arrivals must be non-negative and "
+                    "trace arrivals must be finite, non-negative and "
                     "non-decreasing");
                 break;
             }

@@ -118,8 +118,9 @@ class TaskGraph
      * The trade: finishTime()/startTime()/labelString()/abandoned() must
      * not be asked about trimmed ids (they assert), and dependsOn() on a
      * trimmed dependency counts as already satisfied. Must be enabled
-     * before tasks complete; training engines (which read per-task finish
-     * times after the run) simply never enable it.
+     * before tasks complete. Every serving run enables it (serving never
+     * reads per-task times); training never does, because it reads
+     * per-task finish times after the run.
      */
     void enableTrim() { trim_enabled_ = true; }
 

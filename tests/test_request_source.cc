@@ -1,12 +1,11 @@
 /**
  * @file
  * Oracle tests of the streaming request pipeline: the lazy RequestSource
- * must be bit-identical to the materialized generateRequestStream() —
- * spec by spec at the generator level, and record by record (plus event
- * count and simulated makespan) when a whole serving run draws lazily
- * versus pre-materializing. Every generation-consuming feature is
- * toggled across the suite: sampled lengths, shared prefixes, priority
- * draws, faults, the control plane, closed loop, and arrival modulation.
+ * must be bit-identical, spec by spec, to the reference
+ * generateRequestStream(). Every generation-consuming feature is toggled
+ * across the suite: sampled lengths, shared prefixes, priority draws,
+ * trace arrivals, closed loop, and arrival modulation. The record cap is
+ * exercised through whole serving runs.
  */
 #include <gtest/gtest.h>
 
@@ -100,21 +99,6 @@ expectRecordsBitIdentical(const std::vector<train::RequestRecord> &a,
     }
 }
 
-/** Run @p config streaming and materialized; the whole results must be
- *  bit-identical (records, event count, simulated seconds). */
-void
-expectStreamingMatchesMaterialized(const ServeConfig &config, int nodes = 1)
-{
-    ASSERT_TRUE(config.validate().empty());
-    const train::WorkloadResult lazy = runServe(config, nodes);
-    InferenceWorkload::forceMaterializedGeneration(true);
-    const train::WorkloadResult materialized = runServe(config, nodes);
-    InferenceWorkload::forceMaterializedGeneration(false);
-    expectRecordsBitIdentical(lazy.requests, materialized.requests);
-    EXPECT_EQ(lazy.events_executed, materialized.events_executed);
-    EXPECT_EQ(lazy.iteration_time, materialized.iteration_time);
-}
-
 // ---- generator-level oracle -------------------------------------------------
 
 TEST(RequestSource, MatchesMaterializedGeneratorExactly)
@@ -203,70 +187,6 @@ TEST(RequestSource, SingleRequestStream)
     EXPECT_GT(only.arrival, 0.0);
     EXPECT_TRUE(source.done());
     expectSpecsBitIdentical({only}, generateRequestStream(config));
-}
-
-// ---- end-to-end oracle: streaming run == materialized run -------------------
-
-TEST(RequestSource, EndToEndOpenLoop)
-{
-    expectStreamingMatchesMaterialized(smallServe());
-}
-
-TEST(RequestSource, EndToEndClosedLoop)
-{
-    ServeConfig config = smallServe();
-    config.client_mode = ClientMode::ClosedLoop;
-    config.concurrency = 3;
-    config.think_time = 0.2;
-    expectStreamingMatchesMaterialized(config);
-}
-
-TEST(RequestSource, EndToEndWithFaults)
-{
-    ServeConfig config = smallServe();
-    config.num_requests = 32;
-    config.arrival_rate = 2.0;
-    config.fault.enabled = true;
-    config.fault.node_mtbf = 20.0;
-    config.fault.repair_time = 10.0;
-    config.fault.horizon = 120.0;
-    expectStreamingMatchesMaterialized(config, 2);
-}
-
-TEST(RequestSource, EndToEndWithControlPlane)
-{
-    ServeConfig config = smallServe();
-    config.num_requests = 32;
-    config.arrival_rate = 2.0;
-    config.ctrl.enabled = true;
-    config.ctrl.policy = ctrl::DispatchPolicy::JoinShortestQueue;
-    config.ctrl.priority.high_fraction = 0.25;
-    expectStreamingMatchesMaterialized(config, 2);
-}
-
-TEST(RequestSource, EndToEndWithSharedPrefixes)
-{
-    ServeConfig config = smallServe();
-    config.kv.enabled = true;
-    config.kv.layout = KvLayout::Paged;
-    config.kv.prefix.share_fraction = 0.5;
-    config.kv.prefix.num_prefixes = 2;
-    config.kv.prefix.prefix_tokens = 32;
-    expectStreamingMatchesMaterialized(config);
-}
-
-TEST(RequestSource, EndToEndWithModulation)
-{
-    ServeConfig config = smallServe();
-    config.num_requests = 48;
-    config.arrival_rate = 4.0;
-    config.modulation.enabled = true;
-    config.modulation.diurnal_amplitude = 0.5;
-    config.modulation.diurnal_period_s = 30.0;
-    config.modulation.burst_rate_multiplier = 3.0;
-    config.modulation.burst_mean_gap_s = 10.0;
-    config.modulation.burst_mean_duration_s = 2.0;
-    expectStreamingMatchesMaterialized(config);
 }
 
 // ---- record cap -------------------------------------------------------------

@@ -1,6 +1,9 @@
 /** @file Tests of deterministic request-arrival generation. */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "serve/request_stream.h"
 
 namespace smartinf::serve {
@@ -83,6 +86,12 @@ TEST(RequestStream, ValidationCatchesBadConfigs)
 
     ServeConfig bad_trace;
     bad_trace.trace = {1.0, 0.5}; // decreasing
+    EXPECT_FALSE(bad_trace.validate().empty());
+    // NaN passes both ordering comparisons; a trailing +inf passes them
+    // too. Either would reach the event queue as a simulated time.
+    bad_trace.trace = {0.0, std::nan(""), 1.0};
+    EXPECT_FALSE(bad_trace.validate().empty());
+    bad_trace.trace = {0.0, 1.0, std::numeric_limits<double>::infinity()};
     EXPECT_FALSE(bad_trace.validate().empty());
 
     ServeConfig bad_tokens;

@@ -1,6 +1,7 @@
 /** @file Tests for the dependency task graph. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/task_graph.h"
@@ -206,6 +207,71 @@ TEST(TaskGraph, DynamicGrowthFromCompletionCallbackSurvivesReallocation)
     EXPECT_TRUE(g.done());
     EXPECT_EQ(hops, 200);
     EXPECT_EQ(g.taskCount(), 200u);
+}
+
+TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
+{
+    // Serving streams tasks through a trimming graph: one short task per
+    // simulated second, so completed prefixes are reclaimed in
+    // 1024-task chunks while ids, makespan, dependencies on trimmed ids,
+    // and revocation of later domains keep working.
+    constexpr int kStream = 3000;  // > 2 x the 1024-task trim chunk
+    constexpr int kLongTask = 1500; // finishes last, after everything
+    Simulator sim;
+    TaskGraph g(sim);
+    g.enableTrim();
+    g.start();
+
+    Seconds latest = 0.0;
+    for (int i = 0; i < kStream; ++i) {
+        const Seconds duration = i == kLongTask ? 5000.0 : 0.5;
+        sim.at(i, [&, duration] {
+            const auto id = g.add([&, duration](std::function<void()> done) {
+                sim.after(duration, [&, done] {
+                    latest = std::max(latest, sim.now());
+                    done();
+                });
+            });
+            g.release(id);
+        });
+    }
+
+    Seconds late_launch = -1.0;
+    TaskGraph::TaskId late = TaskGraph::kInvalidTask;
+    TaskGraph::Domain domain = TaskGraph::kNoDomain;
+    TaskGraph::TaskId head = 0, tail = 0, bystander = 0;
+    sim.at(2000.25, [&] {
+        // Ids [0, 1024) were reclaimed at the first chunk boundary.
+        EXPECT_THROW(g.finishTime(0), std::logic_error);
+        late = g.add([&](std::function<void()> done) {
+            late_launch = sim.now();
+            done();
+        });
+        g.dependsOn(late, 0); // trimmed: already satisfied
+        g.release(late);
+
+        domain = g.openDomain();
+        g.setCurrentDomain(domain);
+        head = g.delay(100.0);
+        tail = g.delay(1.0);
+        g.dependsOn(tail, head);
+        g.setCurrentDomain(TaskGraph::kNoDomain);
+        bystander = g.delay(100.0);
+        g.releaseRange(head, g.taskCount());
+    });
+    sim.at(2050.25, [&] {
+        EXPECT_EQ(g.revokeDomain(domain), 2u);
+        EXPECT_TRUE(g.abandoned(head));
+        EXPECT_TRUE(g.abandoned(tail));
+        EXPECT_FALSE(g.abandoned(bystander));
+    });
+    sim.run();
+
+    EXPECT_DOUBLE_EQ(late_launch, 2000.25);
+    EXPECT_TRUE(g.done());
+    EXPECT_EQ(g.taskCount(), static_cast<std::size_t>(kStream) + 4);
+    EXPECT_DOUBLE_EQ(latest, kLongTask + 5000.0);
+    EXPECT_DOUBLE_EQ(g.makespan(), latest);
 }
 
 TEST(TaskGraph, ReleaseBeforeStartIsFatal)
