@@ -109,10 +109,27 @@ StreamingPercentiles::merge(const StreamingPercentiles &other)
     }
 }
 
+std::vector<double>
+StreamingPercentiles::sortedSamples() const
+{
+    std::vector<double> sorted(samples_);
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+}
+
 double
 StreamingPercentiles::mean() const
 {
-    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
+    if (count_ == 0)
+        return 0.0;
+    if (!exact_)
+        return sum_ / static_cast<double>(count_);
+    // Ascending-order sum: a function of the population alone, so the
+    // mean does not depend on the order the samples were folded in.
+    double sum = 0.0;
+    for (const double v : sortedSamples())
+        sum += v;
+    return sum / static_cast<double>(count_);
 }
 
 double
@@ -120,15 +137,13 @@ StreamingPercentiles::percentile(double pct) const
 {
     if (count_ == 0)
         return 0.0;
-    // Nearest rank, exactly as serve::percentileSorted clamps it.
+    // Nearest rank, clamped into [1, count] so tiny populations and
+    // rounding at pct near 0 or 100 never index out of range.
     const double raw = std::ceil(pct / 100.0 * static_cast<double>(count_));
     const std::int64_t rank = std::clamp<std::int64_t>(
         static_cast<std::int64_t>(std::max(raw, 1.0)), 1, count_);
-    if (exact_) {
-        std::vector<double> sorted(samples_);
-        std::sort(sorted.begin(), sorted.end());
-        return sorted[static_cast<std::size_t>(rank) - 1];
-    }
+    if (exact_)
+        return sortedSamples()[static_cast<std::size_t>(rank) - 1];
     std::int64_t seen = 0;
     for (std::size_t i = 0; i < bins_.size(); ++i) {
         seen += bins_[i];

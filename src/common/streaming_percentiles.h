@@ -1,15 +1,17 @@
 /**
  * @file
  * Streaming order statistics with a fixed memory bound: a geometric-bin
- * histogram plus an exact buffer for small populations. Below the exact
- * cap, percentiles are nearest-rank on the recorded samples — identical
- * to serve::summarizeLatencies. Above it the exact buffer is dropped and
+ * histogram plus an exact buffer for small populations. Up to the exact
+ * cap, percentiles are nearest-rank on the recorded samples (an actual
+ * sample, never an interpolation) and the mean sums them in ascending
+ * order, so both are functions of the population alone, not of the order
+ * it arrived in. Above the cap the exact buffer is dropped and
  * percentiles come from the histogram: the estimate for a value in
  * [kMinValue, kMaxValue) is the geometric midpoint of its bin, so the
  * relative error is at most sqrt(kGrowth) - 1 (< 2%), and values below
  * kMinValue report 0 with absolute error < kMinValue (one microsecond
- * for latency populations). Count, sum (hence mean), min, and max stay
- * exact at every size.
+ * for latency populations). Count, min, and max stay exact at every
+ * size; above the cap the mean is the running sum over the count.
  *
  * merge() is a commutative, associative fold (bins add; exactness is a
  * function of the combined count only), the same semigroup contract as
@@ -56,21 +58,24 @@ class StreamingPercentiles
     bool exact() const { return exact_; }
 
     std::int64_t count() const { return count_; }
-    /** Exact at every population size (0 when empty). */
+    /** Arithmetic mean (0 when empty). Up to the cap the samples are
+     *  summed in ascending order; above it, in the order recorded. */
     double mean() const;
     double minValue() const { return count_ > 0 ? min_ : 0.0; }
     double maxValue() const { return count_ > 0 ? max_ : 0.0; }
 
     /**
      * Nearest-rank percentile (@p pct in [0, 100]; empty population =>
-     * 0.0, matching summarizeLatencies). Exact below the cap; the binned
-     * estimate of the nearest-rank sample above it.
+     * 0.0, a single sample => that sample). Exact below the cap; the
+     * binned estimate of the nearest-rank sample above it.
      */
     double percentile(double pct) const;
 
   private:
     static int binIndex(double value);
     static double binEstimate(int bin);
+    /** Exact mode: a sorted copy of the population. */
+    std::vector<double> sortedSamples() const;
 
     int exact_cap_;
     bool exact_ = true;

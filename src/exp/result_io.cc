@@ -357,12 +357,12 @@ writeRecordJson(std::ostream &os, const RunRecord &record)
                << ",\"priority\":" << r.priority << "}";
         }
         os << "]";
-        // Streaming summary (record_cap runs only): the record array
-        // above is a truncated prefix, so the whole-stream aggregates
-        // and their provenance ride along. Uncapped records keep their
+        // Streaming provenance (record_cap runs only): the record array
+        // above is a truncated prefix, so the cap, the sketch exactness,
+        // and the windowed rates ride along. Uncapped records keep their
         // exact historic shape.
         const train::StreamingServeStats &ss = record.result.streaming;
-        if (ss.enabled) {
+        if (record.spec.serve.record_cap > 0) {
             os << ",\"streaming\":{\"record_cap\":"
                << record.spec.serve.record_cap
                << ",\"records_retained\":" << ss.records_retained

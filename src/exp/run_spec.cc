@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "serve/metrics.h"
+
 namespace smartinf::exp {
 
 namespace {
@@ -440,7 +442,7 @@ RunRecord::tokensPerSecond() const
     if (result.iteration_time <= 0.0)
         return 0.0;
     if (result.kind == train::WorkloadKind::Serving)
-        return result.totalOutputTokens() / result.iteration_time;
+        return serve::summarize(result).output_tokens_per_sec;
     return spec.train.tokensPerIteration() * spec.system.num_nodes /
            result.iteration_time;
 }

@@ -71,7 +71,9 @@ struct RunRecord {
     /**
      * Cluster token throughput. Training: consumed tokens/iteration
      * (data parallelism multiplies the batch) over the iteration time.
-     * Serving: output tokens generated over the workload makespan.
+     * Serving: output tokens generated over the workload makespan
+     * (serve::summarize's output_tokens_per_sec, whole stream even when
+     * record_cap truncates the records).
      */
     double tokensPerSecond() const;
 };

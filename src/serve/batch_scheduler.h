@@ -70,9 +70,9 @@ class BatchScheduler
      *  Must be called from a simulator event at request.arrival. */
     void submit(const RequestSpec &request);
 
-    /** Install the per-request retirement hook (closed-loop clients,
-     *  control plane). Must be set before the simulation starts, or
-     *  never. */
+    /** Install the per-request retirement hook (streaming aggregates,
+     *  closed-loop clients, control plane). Must be set before the
+     *  simulation starts, or never. */
     void setRetireHook(RetireHook hook) { retire_hook_ = std::move(hook); }
 
     /** Install the step-duration hook (control plane only; unset in every

@@ -1,6 +1,7 @@
 #include "serve/inference_workload.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -82,7 +83,7 @@ InferenceWorkload::onRetire(train::SimContext &ctx,
 bool
 InferenceWorkload::keepRecord()
 {
-    if (!cap_records_)
+    if (config_.record_cap == 0)
         return true;
     if (retained_records_ >= config_.record_cap)
         return false;
@@ -141,8 +142,7 @@ InferenceWorkload::turnAway(train::SimContext &ctx,
     record.shed = !rejected;
     record.rejected = rejected;
     ++turned_away_count_;
-    if (cap_records_)
-        streaming_stats_.note(record);
+    streaming_stats_.note(record);
     if (keepRecord())
         turned_away_.push_back(record);
     if (rejected) {
@@ -371,40 +371,39 @@ InferenceWorkload::build(train::SimContext &ctx)
         ctrl_->start(stream_total_);
     }
 
-    // Record cap: bound the retained records (one cluster-wide gate over
-    // every scheduler plus the turn-away path) and fold every disposition
-    // into the streaming aggregates instead.
+    // Every disposition folds into the streaming aggregates, the one
+    // source of the serving metrics. Their sketches stay exact up to
+    // record_cap (for the whole stream when it is 0); a cap also bounds
+    // the retained records with one cluster-wide gate over every
+    // scheduler plus the turn-away path.
+    const int exact_cap = config_.record_cap > 0
+                              ? config_.record_cap
+                              : std::numeric_limits<int>::max();
+    streaming_stats_.latency = StreamingPercentiles(exact_cap);
+    streaming_stats_.ttft = StreamingPercentiles(exact_cap);
+    streaming_stats_.queue_delay = StreamingPercentiles(exact_cap);
+    streaming_stats_.shed_wait = StreamingPercentiles(exact_cap);
+    streaming_stats_.reject_wait = StreamingPercentiles(exact_cap);
     if (config_.record_cap > 0) {
-        cap_records_ = true;
-        streaming_stats_.enabled = true;
-        const int cap = config_.record_cap;
-        streaming_stats_.latency = StreamingPercentiles(cap);
-        streaming_stats_.ttft = StreamingPercentiles(cap);
-        streaming_stats_.queue_delay = StreamingPercentiles(cap);
-        streaming_stats_.shed_wait = StreamingPercentiles(cap);
-        streaming_stats_.reject_wait = StreamingPercentiles(cap);
         streaming_stats_.windows =
             obs::CounterSampler(config_.stream_window_s);
         for (auto &scheduler : schedulers_)
             scheduler->setRecordGate([this]() { return keepRecord(); });
     }
 
-    // Retirement feeds: the control plane's SLO-attainment / drain
-    // tracking, the closed loop's next-issue chaining, and the streaming
-    // aggregates. All fire inside the deterministic retirement event.
+    // Retirement feeds: the streaming aggregates, the control plane's
+    // SLO-attainment / drain tracking, and the closed loop's next-issue
+    // chaining. All fire inside the deterministic retirement event.
     const bool closed_loop = config_.client_mode == ClientMode::ClosedLoop;
-    if (ctrl_ || closed_loop || cap_records_)
-        for (auto &scheduler : schedulers_)
-            scheduler->setRetireHook(
-                [this, &ctx,
-                 closed_loop](const train::RequestRecord &record) {
-                    if (cap_records_)
-                        streaming_stats_.note(record);
-                    if (ctrl_)
-                        ctrl_->noteRetired(record, ctx.sim.now());
-                    if (closed_loop)
-                        onRetire(ctx, record);
-                });
+    for (auto &scheduler : schedulers_)
+        scheduler->setRetireHook(
+            [this, &ctx, closed_loop](const train::RequestRecord &record) {
+                streaming_stats_.note(record);
+                if (ctrl_)
+                    ctrl_->noteRetired(record, ctx.sim.now());
+                if (closed_loop)
+                    onRetire(ctx, record);
+            });
 
     // One front door: every arrival goes through dispatch(), whose
     // fault-free, ctrl-free scan sends request i to replica i % N. The
@@ -475,13 +474,11 @@ InferenceWorkload::collect(const train::SimContext &ctx,
     SI_ASSERT(retired_total + turned_away_count_ ==
                   static_cast<std::int64_t>(stream_total_),
               "not every request was served, shed, or rejected");
-    SI_ASSERT(cap_records_ ||
+    SI_ASSERT(config_.record_cap > 0 ||
                   static_cast<int>(out.requests.size()) == stream_total_,
               "uncapped run lost request records");
-    if (cap_records_) {
-        streaming_stats_.records_retained = retained_records_;
-        out.streaming = std::move(streaming_stats_);
-    }
+    streaming_stats_.records_retained = static_cast<int>(out.requests.size());
+    out.streaming = std::move(streaming_stats_);
     out.fault = fault_stats_;
     if (ctrl_) {
         out.ctrl = ctrl_->stats();

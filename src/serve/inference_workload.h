@@ -140,11 +140,10 @@ class InferenceWorkload final : public train::Workload
     /** Closed loop: per-client cursor into its id-strided request slice. */
     std::vector<std::size_t> client_next_;
 
-    /** @name Record-cap state (record_cap > 0 runs only). @{ */
-    bool cap_records_ = false;
+    /** Records kept so far under record_cap (0 when the cap is off). */
     int retained_records_ = 0;
+    /** Every disposition, folded in as it happens (metrics source). */
     train::StreamingServeStats streaming_stats_;
-    /** @} */
 
     /** @name Failover state (empty/zero in fault-free runs). @{ */
     std::vector<fault::FaultEvent> fault_events_;

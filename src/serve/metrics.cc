@@ -1,31 +1,10 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace smartinf::serve {
 
 namespace {
-
-/**
- * Nearest-rank percentile of a sorted population. Edge cases are part of
- * the contract (pinned by tests/test_serve_metrics.cc): an empty
- * population yields 0.0, and a single-element population yields that
- * element for every percentile. The rank is clamped into [1, size] so
- * tiny populations and floating rounding at the extremes (pct near 0 or
- * 100) can never index out of range.
- */
-double
-percentileSorted(const std::vector<double> &sorted, double pct)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double raw =
-        std::ceil(pct / 100.0 * static_cast<double>(sorted.size()));
-    const std::size_t rank = std::clamp<std::size_t>(
-        static_cast<std::size_t>(std::max(raw, 1.0)), 1, sorted.size());
-    return sorted[rank - 1];
-}
 
 /** Summary of a streaming sketch: percentiles from the sketch (exact
  *  below its cap), mean/max from its exact scalars. */
@@ -41,15 +20,13 @@ summarizeSketch(const StreamingPercentiles &p)
     return out;
 }
 
-/** Metrics from the streaming aggregates (record_cap runs: the record
- *  vector is a truncated prefix, so the whole-stream summary must come
- *  from what the retire/shed/reject feeds folded in). */
+} // namespace
+
 ServingMetrics
-summarizeStreaming(const train::WorkloadResult &result)
+summarize(const train::WorkloadResult &result)
 {
     const train::StreamingServeStats &s = result.streaming;
     ServingMetrics m;
-    m.streaming = true;
     m.percentiles_exact = s.percentilesExact();
     m.num_requests = static_cast<int>(s.total_requests);
     m.makespan = result.iteration_time;
@@ -84,98 +61,6 @@ summarizeStreaming(const train::WorkloadResult &result)
     if (m.makespan > 0.0) {
         m.requests_per_sec = m.num_requests / m.makespan;
         m.output_tokens_per_sec = s.output_tokens / m.makespan;
-        m.goodput = m.num_served / m.makespan;
-    }
-    return m;
-}
-
-} // namespace
-
-LatencySummary
-summarizeLatencies(std::vector<double> values)
-{
-    LatencySummary out;
-    if (values.empty())
-        return out;
-    std::sort(values.begin(), values.end());
-    out.p50 = percentileSorted(values, 50.0);
-    out.p95 = percentileSorted(values, 95.0);
-    out.p99 = percentileSorted(values, 99.0);
-    out.max = values.back();
-    double sum = 0.0;
-    for (const double v : values)
-        sum += v;
-    out.mean = sum / static_cast<double>(values.size());
-    return out;
-}
-
-ServingMetrics
-summarize(const train::WorkloadResult &result)
-{
-    if (result.streaming.enabled)
-        return summarizeStreaming(result);
-    ServingMetrics m;
-    m.num_requests = static_cast<int>(result.requests.size());
-    m.makespan = result.iteration_time;
-    m.peak_queue_depth = result.peak_queue_depth;
-    if (m.makespan > 0.0)
-        m.mean_queue_depth = result.queue_depth_time_integral / m.makespan;
-
-    std::vector<double> latency, ttft, queue_delay, shed_wait, reject_wait;
-    latency.reserve(result.requests.size());
-    ttft.reserve(result.requests.size());
-    queue_delay.reserve(result.requests.size());
-    double output_tokens = 0.0;
-    for (const train::RequestRecord &r : result.requests) {
-        m.total_retries += r.retries;
-        m.total_deferrals += r.deferrals;
-        if (r.deferrals > 0)
-            ++m.num_deferred;
-        if (r.shed) {
-            ++m.num_shed;
-            shed_wait.push_back(r.finish - r.arrival);
-            continue;
-        }
-        if (r.rejected) {
-            ++m.num_rejected;
-            reject_wait.push_back(r.finish - r.arrival);
-            continue;
-        }
-        ++m.num_served;
-        if (r.retries > 0)
-            ++m.num_retried;
-        if (r.node >= 0) {
-            if (static_cast<std::size_t>(r.node) >=
-                m.replica_requests.size())
-                m.replica_requests.resize(
-                    static_cast<std::size_t>(r.node) + 1, 0);
-            ++m.replica_requests[static_cast<std::size_t>(r.node)];
-        }
-        latency.push_back(r.latency());
-        ttft.push_back(r.timeToFirstToken());
-        queue_delay.push_back(r.queueDelay());
-        output_tokens += r.output_tokens;
-    }
-    if (!m.replica_requests.empty()) {
-        const int peak = *std::max_element(m.replica_requests.begin(),
-                                           m.replica_requests.end());
-        const double mean =
-            static_cast<double>(m.num_served) /
-            static_cast<double>(m.replica_requests.size());
-        if (mean > 0.0)
-            m.load_imbalance = static_cast<double>(peak) / mean;
-    }
-    m.latency = summarizeLatencies(std::move(latency));
-    m.ttft = summarizeLatencies(std::move(ttft));
-    m.queue_delay = summarizeLatencies(std::move(queue_delay));
-    m.shed_wait = summarizeLatencies(std::move(shed_wait));
-    m.reject_wait = summarizeLatencies(std::move(reject_wait));
-    if (m.num_requests > 0)
-        m.success_rate = static_cast<double>(m.num_served) /
-                         static_cast<double>(m.num_requests);
-    if (m.makespan > 0.0) {
-        m.requests_per_sec = m.num_requests / m.makespan;
-        m.output_tokens_per_sec = output_tokens / m.makespan;
         m.goodput = m.num_served / m.makespan;
     }
     return m;

@@ -1,11 +1,10 @@
 /**
  * @file
- * Serving-result summarization: percentile latency (nearest-rank, so the
- * numbers are exact functions of the deterministic records — no
- * interpolation), throughput, and queue statistics derived from a
- * WorkloadResult's request records. Every serving scenario and the JSON
- * emitters report through these helpers so the metric definitions live in
- * exactly one place.
+ * Serving-result summarization: percentile latency, throughput, and queue
+ * statistics derived from a WorkloadResult's streaming aggregates, which
+ * every serving run folds each disposition into. Every serving scenario
+ * and the JSON emitters report through summarize() so the metric
+ * definitions live in exactly one place.
  */
 #ifndef SMARTINF_SERVE_METRICS_H
 #define SMARTINF_SERVE_METRICS_H
@@ -16,7 +15,12 @@
 
 namespace smartinf::serve {
 
-/** Order statistics of one latency population (seconds). */
+/**
+ * Order statistics of one latency population (seconds). Well-defined for
+ * every population size: empty => all zeros; a single element => every
+ * field is that element. Percentiles are nearest-rank (an actual sample,
+ * no interpolation) while the population fits the sketch's exact buffer.
+ */
 struct LatencySummary {
     double p50 = 0.0;
     double p95 = 0.0;
@@ -25,28 +29,18 @@ struct LatencySummary {
     double max = 0.0;
 };
 
-/**
- * Nearest-rank percentile summary of @p values. Well-defined for every
- * population size: empty => all zeros; a single element => every field is
- * that element (a 1-request run reports its one latency as p50 = p95 =
- * p99 = mean = max, never an out-of-range read or a spurious zero).
- * Deterministic: nearest-rank selects an actual sample, so the summary is
- * an exact function of the (bit-identical) records — no interpolation.
- */
-LatencySummary summarizeLatencies(std::vector<double> values);
-
 /** Everything a serving table reports about one run. */
 struct ServingMetrics {
-    int num_requests = 0; ///< total records (served + shed)
+    int num_requests = 0; ///< every disposition (served + shed + rejected)
     Seconds makespan = 0.0;
     /** @name Successful-disposition populations.
      *
-     * Latency/ttft/queue-delay summarize *successful* records only — a
+     * Latency/ttft/queue-delay summarize *successful* requests only — a
      * shed request has no meaningful completion latency, and mixing its
-     * rejection timestamp into p99 would reward shedding. With no shed
-     * records (every fault-free run) the populations are identical to
-     * summarizing everything. Each population is well-defined at 0 and 1
-     * elements (see summarizeLatencies).
+     * rejection timestamp into p99 would reward shedding. With no shed or
+     * rejected requests (every fault-free, ctrl-free run) the populations
+     * cover everything. Each population is well-defined at 0 and 1
+     * elements (see LatencySummary).
      * @{ */
     LatencySummary latency;     ///< request completion (arrival -> finish)
     LatencySummary ttft;        ///< time to first token
@@ -61,7 +55,7 @@ struct ServingMetrics {
      *  num_served == num_requests, success_rate 1, goodput ==
      *  requests_per_sec, and empty shed/retry populations. @{ */
     int num_served = 0;  ///< successful records
-    int num_shed = 0;    ///< rejected records
+    int num_shed = 0;    ///< records shed by the failover path
     int num_retried = 0; ///< served records with >= 1 failed attempt
     int total_retries = 0; ///< failed attempts across all records
     /** num_served / num_requests (0 for an empty result). */
@@ -92,24 +86,19 @@ struct ServingMetrics {
     double load_imbalance = 0.0;
     /** @} */
 
-    /** @name Streaming provenance (record_cap runs only). @{ */
-    /** True when these metrics came from the streaming aggregates (the
-     *  record vector was capped) rather than the full record vector. */
-    bool streaming = false;
-    /** True when every percentile above is still nearest-rank exact
-     *  (always true for non-streaming metrics; for streaming metrics,
-     *  true while each population fit its exact buffer — above that the
-     *  histogram estimates carry <2% relative error, see
-     *  StreamingPercentiles). */
+    /** True when every percentile above is nearest-rank exact: always
+     *  with record_cap 0, and with a cap while each population fits its
+     *  exact buffer — above that the histogram estimates carry <2%
+     *  relative error (see StreamingPercentiles). */
     bool percentiles_exact = true;
-    /** @} */
 };
 
 /**
- * Derive the serving metrics from @p result's request records. A pure
- * function of the records (which are themselves bit-identical across
- * repeats, `--jobs` counts, and build types), so the derived metrics are
- * jobs-invariant too. Zero-request results produce all-zero metrics.
+ * Derive the serving metrics from @p result's streaming aggregates
+ * (result.streaming), never from the retained records, which record_cap
+ * may truncate. The aggregates fold every disposition in and are
+ * bit-identical across repeats, `--jobs` counts, and build types, so the
+ * derived metrics are too. Zero-request results produce all-zero metrics.
  */
 ServingMetrics summarize(const train::WorkloadResult &result);
 

@@ -348,14 +348,14 @@ struct ServeConfig {
     ArrivalModulationConfig modulation;
     /**
      * Most per-request latency records retained across the whole run.
-     * 0 (the default) keeps every record — today's exact behavior. A
-     * positive cap bounds result memory independent of stream length:
-     * the first record_cap retirement records are kept verbatim (the
-     * JSON "requests" array truncates with them) and summary metrics come
-     * from the streaming aggregates (exact counts/means; percentiles
-     * exact while the population fits the histogram's exact buffer,
-     * bounded-relative-error above it). Changes the result, so it joins
-     * the RunSpec hash when set.
+     * 0 (the default) keeps every record. A positive cap bounds result
+     * memory independent of stream length: the first record_cap
+     * retirement records are kept verbatim (the JSON "requests" array
+     * truncates with them). Summary metrics always come from the
+     * streaming aggregates, whose percentile sketches stay exact up to
+     * the cap (always, when it is 0) and carry bounded relative error
+     * above it. Changes the result, so it joins the RunSpec hash when
+     * set.
      */
     int record_cap = 0;
     /**

@@ -62,13 +62,4 @@ StreamingServeStats::note(const RequestRecord &record)
     windows.record("latency_s", record.finish, record.latency());
 }
 
-double
-WorkloadResult::totalOutputTokens() const
-{
-    double tokens = 0.0;
-    for (const RequestRecord &r : requests)
-        tokens += r.output_tokens;
-    return tokens;
-}
-
 } // namespace smartinf::train

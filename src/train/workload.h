@@ -56,9 +56,10 @@ struct PhaseBreakdown {
 
 /**
  * Lifecycle timestamps of one served request (simulated seconds). The
- * serving scheduler emits one per request; percentile latency and
- * throughput reporting derive from these records, which are part of the
- * deterministic contract: same seed + spec => bit-identical records.
+ * serving scheduler emits one per request and folds it into the run's
+ * StreamingServeStats, from which percentile latency and throughput
+ * reporting derive. Records are part of the deterministic contract: same
+ * seed + spec => bit-identical records.
  */
 struct RequestRecord {
     int id = 0;             ///< stream position (global across nodes)
@@ -75,8 +76,8 @@ struct RequestRecord {
     /** True when the request was rejected (retries exhausted, timed out,
      *  or admission-shed into an overloaded recovering fleet) instead of
      *  served. Shed records keep their arrival and stamp finish with the
-     *  shed decision time; their token counts are what was *requested*,
-     *  not produced. */
+     *  shed decision time; they keep the requested prompt_tokens and
+     *  report output_tokens 0 (nothing was delivered). */
     bool shed = false;
     /** Priority class (control-plane priority mix; 0 otherwise). */
     int priority = 0;
@@ -86,7 +87,7 @@ struct RequestRecord {
     /** True when SLO admission control turned the request away: its
      *  predicted completion missed the latency target. Like shed records,
      *  rejected records keep their arrival, stamp finish with the decision
-     *  time, and report requested (not produced) token counts. */
+     *  time, and report output_tokens 0. */
     bool rejected = false;
 
     Seconds queueDelay() const { return start - arrival; }
@@ -166,19 +167,19 @@ struct KvCacheStats {
 };
 
 /**
- * Streaming serving aggregates, populated only when ServeConfig::record_cap
- * bounds the retained per-request records (enabled=false — and every field
- * zero — otherwise). Mirrors exactly what serve::summarize derives from the
- * full record vector, but folds each record in at retirement time through
- * bounded-memory primitives: StreamingPercentiles sketches for the latency
- * populations (exact below the cap, <2% relative error above) and an
- * obs::CounterSampler for windowed arrival/retirement time-series — so a
- * 10^6-request run reports p50/p95/p99 without ever holding 10^6 records.
+ * Streaming serving aggregates: every serving run folds each disposition
+ * in at its decision time, and serve::summarize derives all serving
+ * metrics from them (all zero for training). Bounded-memory primitives:
+ * StreamingPercentiles sketches for the latency populations (exact up to
+ * ServeConfig::record_cap, or always with record_cap 0; <2% relative
+ * error above the cap) and an obs::CounterSampler for windowed
+ * arrival/retirement time-series — so a 10^6-request capped run reports
+ * p50/p95/p99 without ever holding 10^6 records.
  */
 struct StreamingServeStats {
-    bool enabled = false;
     /** Records kept verbatim in WorkloadResult::requests (== min(cap,
-     *  disposed)); every count below covers the *whole* stream. */
+     *  disposed) with a cap, else every disposition); every count below
+     *  covers the *whole* stream. */
     int records_retained = 0;
     std::int64_t total_requests = 0; ///< served + shed + rejected
     std::int64_t num_served = 0;
@@ -244,18 +245,15 @@ struct WorkloadResult {
     /** Control-plane statistics (enabled=false and all-zero unless the
      *  run enabled the control plane). */
     CtrlStats ctrl;
-    /** Streaming aggregates (enabled only when record_cap > 0 bounded the
-     *  retained records; requests then holds the first record_cap records
-     *  and these carry the whole-stream summary). */
+    /** Streaming aggregates: the whole-stream summary every serving
+     *  metric derives from (with record_cap > 0, requests holds only the
+     *  first record_cap records). */
     StreamingServeStats streaming;
     /** @} */
 
     /** Fault/recovery statistics (enabled=false and all-zero unless the
      *  run injected faults). */
     FaultStats fault;
-
-    /** Output tokens generated across all requests (0 for training). */
-    double totalOutputTokens() const;
 };
 
 /**

@@ -11,6 +11,7 @@
 
 #include <cmath>
 
+#include "exp/run_spec.h"
 #include "serve/inference_workload.h"
 #include "serve/metrics.h"
 #include "serve/request_source.h"
@@ -207,7 +208,6 @@ TEST(RequestSource, RecordCapBoundsRetainedRecordsOnly)
     EXPECT_EQ(full.iteration_time, capped.iteration_time);
     ASSERT_EQ(full.requests.size(), 48u);
     ASSERT_EQ(capped.requests.size(), 8u);
-    EXPECT_TRUE(capped.streaming.enabled);
     EXPECT_EQ(capped.streaming.total_requests, 48);
     EXPECT_EQ(capped.streaming.records_retained, 8);
     EXPECT_EQ(capped.streaming.num_served, 48);
@@ -217,12 +217,32 @@ TEST(RequestSource, RecordCapBoundsRetainedRecordsOnly)
         {full.requests.begin(), full.requests.begin() + 8});
 }
 
+TEST(RequestSource, RecordCapKeepsWholeStreamTokenThroughput)
+{
+    // tokens_per_s counts every output token of the stream, not only the
+    // tokens of the records the cap retained.
+    ServeConfig config = smallServe();
+    config.num_requests = 48;
+    config.arrival_rate = 4.0;
+    exp::RunRecord full;
+    full.result = runServe(config);
+    config.record_cap = 8;
+    exp::RunRecord capped;
+    capped.result = runServe(config);
+
+    ASSERT_EQ(capped.result.requests.size(), 8u);
+    EXPECT_GT(full.tokensPerSecond(), 0.0);
+    EXPECT_EQ(capped.tokensPerSecond(), full.tokensPerSecond());
+    EXPECT_EQ(full.tokensPerSecond(),
+              48.0 * config.output_tokens / full.result.iteration_time);
+}
+
 TEST(RequestSource, RecordCapSummaryMatchesExactWhilePopulationFits)
 {
     // With the population inside the sketch's exact buffer (cap above
-    // the stream size), the streaming summary must reproduce the
-    // record-vector summary exactly — same percentile definition, same
-    // populations.
+    // the stream size), the capped summary must reproduce the uncapped
+    // one exactly — same percentile definition, same populations, same
+    // summation order for the mean.
     ServeConfig config = smallServe();
     const train::WorkloadResult full = runServe(config);
     ServeConfig capped_config = config;
@@ -231,8 +251,7 @@ TEST(RequestSource, RecordCapSummaryMatchesExactWhilePopulationFits)
 
     const serve::ServingMetrics exact = serve::summarize(full);
     const serve::ServingMetrics streamed = serve::summarize(capped);
-    EXPECT_FALSE(exact.streaming);
-    EXPECT_TRUE(streamed.streaming);
+    EXPECT_TRUE(exact.percentiles_exact);
     EXPECT_TRUE(streamed.percentiles_exact);
     EXPECT_EQ(exact.num_requests, streamed.num_requests);
     EXPECT_EQ(exact.num_served, streamed.num_served);
@@ -241,7 +260,7 @@ TEST(RequestSource, RecordCapSummaryMatchesExactWhilePopulationFits)
     EXPECT_EQ(exact.latency.p99, streamed.latency.p99);
     EXPECT_EQ(exact.ttft.p99, streamed.ttft.p99);
     EXPECT_EQ(exact.queue_delay.p99, streamed.queue_delay.p99);
-    EXPECT_NEAR(exact.latency.mean, streamed.latency.mean, 1e-12);
+    EXPECT_EQ(exact.latency.mean, streamed.latency.mean);
     EXPECT_EQ(exact.requests_per_sec, streamed.requests_per_sec);
     EXPECT_EQ(exact.replica_requests, streamed.replica_requests);
 }

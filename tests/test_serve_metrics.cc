@@ -1,10 +1,13 @@
 /**
  * @file
- * Regression tests for serve::summarize / summarizeLatencies edge cases:
- * nearest-rank percentiles must be well-defined for 0-, 1-, and
- * 2-element populations (a 1-request run reports its one latency as
- * every percentile; an empty result is all zeros, never a crash or an
- * out-of-range read).
+ * Regression tests for serve::summarize edge cases. Every result is built
+ * the way a serving run builds it: each record folds into the streaming
+ * aggregates through StreamingServeStats::note, and summarize reads only
+ * those. Populations must be well-defined at 0 and 1 elements (a
+ * 1-request run reports its one latency as every percentile; an empty
+ * result is all zeros, never a crash or an out-of-range read), and the
+ * served/shed dispositions must split. The percentile-sketch edge cases
+ * themselves live in tests/test_streaming_percentiles.cc.
  */
 #include <gtest/gtest.h>
 
@@ -13,79 +16,49 @@
 namespace smartinf::serve {
 namespace {
 
-TEST(ServeMetrics, EmptyPopulationIsAllZeros)
+/** A serving result over @p makespan whose aggregates saw @p records. */
+train::WorkloadResult
+foldedResult(Seconds makespan,
+             const std::vector<train::RequestRecord> &records)
 {
-    const LatencySummary s = summarizeLatencies({});
-    EXPECT_EQ(s.p50, 0.0);
-    EXPECT_EQ(s.p95, 0.0);
-    EXPECT_EQ(s.p99, 0.0);
-    EXPECT_EQ(s.mean, 0.0);
-    EXPECT_EQ(s.max, 0.0);
-}
-
-TEST(ServeMetrics, SingleElementIsEveryPercentile)
-{
-    const LatencySummary s = summarizeLatencies({3.25});
-    EXPECT_EQ(s.p50, 3.25);
-    EXPECT_EQ(s.p95, 3.25);
-    EXPECT_EQ(s.p99, 3.25);
-    EXPECT_EQ(s.mean, 3.25);
-    EXPECT_EQ(s.max, 3.25);
-}
-
-TEST(ServeMetrics, TwoElementsSplitAtTheMedianRank)
-{
-    // Nearest-rank: p50 of {1, 9} is rank ceil(0.5*2) = 1 => the smaller
-    // sample; p95/p99 are rank 2 => the larger.
-    const LatencySummary s = summarizeLatencies({9.0, 1.0});
-    EXPECT_EQ(s.p50, 1.0);
-    EXPECT_EQ(s.p95, 9.0);
-    EXPECT_EQ(s.p99, 9.0);
-    EXPECT_EQ(s.mean, 5.0);
-    EXPECT_EQ(s.max, 9.0);
-}
-
-TEST(ServeMetrics, PercentilesSelectActualSamples)
-{
-    std::vector<double> values;
-    for (int i = 100; i >= 1; --i)
-        values.push_back(static_cast<double>(i));
-    const LatencySummary s = summarizeLatencies(std::move(values));
-    EXPECT_EQ(s.p50, 50.0);
-    EXPECT_EQ(s.p95, 95.0);
-    EXPECT_EQ(s.p99, 99.0);
-    EXPECT_EQ(s.max, 100.0);
+    train::WorkloadResult result;
+    result.kind = train::WorkloadKind::Serving;
+    result.iteration_time = makespan;
+    for (const train::RequestRecord &r : records)
+        result.streaming.note(r);
+    result.requests = records;
+    return result;
 }
 
 TEST(ServeMetrics, ZeroRequestResultSummarizesToZeros)
 {
-    train::WorkloadResult result;
-    result.kind = train::WorkloadKind::Serving;
-    const ServingMetrics m = summarize(result);
+    const ServingMetrics m = summarize(foldedResult(0.0, {}));
     EXPECT_EQ(m.num_requests, 0);
     EXPECT_EQ(m.latency.p99, 0.0);
+    EXPECT_EQ(m.latency.mean, 0.0);
+    EXPECT_EQ(m.latency.max, 0.0);
     EXPECT_EQ(m.requests_per_sec, 0.0);
     EXPECT_EQ(m.output_tokens_per_sec, 0.0);
     EXPECT_EQ(m.mean_queue_depth, 0.0);
+    EXPECT_TRUE(m.percentiles_exact);
 }
 
 TEST(ServeMetrics, OneRequestResultIsWellDefined)
 {
-    train::WorkloadResult result;
-    result.kind = train::WorkloadKind::Serving;
-    result.iteration_time = 4.0;
     train::RequestRecord r;
     r.arrival = 1.0;
     r.start = 1.5;
     r.first_token = 2.0;
     r.finish = 4.0;
     r.output_tokens = 8;
-    result.requests.push_back(r);
 
-    const ServingMetrics m = summarize(result);
+    const ServingMetrics m = summarize(foldedResult(4.0, {r}));
     EXPECT_EQ(m.num_requests, 1);
     EXPECT_EQ(m.latency.p50, 3.0);
+    EXPECT_EQ(m.latency.p95, 3.0);
     EXPECT_EQ(m.latency.p99, 3.0);
+    EXPECT_EQ(m.latency.mean, 3.0);
+    EXPECT_EQ(m.latency.max, 3.0);
     EXPECT_EQ(m.ttft.p95, 1.0);
     EXPECT_EQ(m.queue_delay.p50, 0.5);
     EXPECT_EQ(m.requests_per_sec, 0.25);
@@ -96,11 +69,8 @@ TEST(ServeMetrics, FaultFreeResultHasFullSuccessRate)
 {
     // Regression anchor for the disposition split: with no shed records
     // the success rate is exactly 1, goodput equals requests_per_sec, and
-    // the latency populations are the full record set — bit-identical to
-    // the pre-disposition summarize().
-    train::WorkloadResult result;
-    result.kind = train::WorkloadKind::Serving;
-    result.iteration_time = 10.0;
+    // the latency populations are the full record set.
+    std::vector<train::RequestRecord> records;
     for (int i = 0; i < 4; ++i) {
         train::RequestRecord r;
         r.id = i;
@@ -109,9 +79,9 @@ TEST(ServeMetrics, FaultFreeResultHasFullSuccessRate)
         r.first_token = r.arrival + 1.0;
         r.finish = r.arrival + 2.0;
         r.output_tokens = 4;
-        result.requests.push_back(r);
+        records.push_back(r);
     }
-    const ServingMetrics m = summarize(result);
+    const ServingMetrics m = summarize(foldedResult(10.0, records));
     EXPECT_EQ(m.num_requests, 4);
     EXPECT_EQ(m.num_served, 4);
     EXPECT_EQ(m.num_shed, 0);
@@ -126,10 +96,8 @@ TEST(ServeMetrics, FaultFreeResultHasFullSuccessRate)
 
 TEST(ServeMetrics, ShedRecordsSplitTheDispositions)
 {
-    train::WorkloadResult result;
-    result.kind = train::WorkloadKind::Serving;
-    result.iteration_time = 10.0;
     // Two served (one after a retry), two shed.
+    std::vector<train::RequestRecord> records;
     for (int i = 0; i < 4; ++i) {
         train::RequestRecord r;
         r.id = i;
@@ -142,9 +110,9 @@ TEST(ServeMetrics, ShedRecordsSplitTheDispositions)
         r.shed = i >= 2;
         if (r.shed)
             r.retries = 3;
-        result.requests.push_back(r);
+        records.push_back(r);
     }
-    const ServingMetrics m = summarize(result);
+    const ServingMetrics m = summarize(foldedResult(10.0, records));
     EXPECT_EQ(m.num_requests, 4);
     EXPECT_EQ(m.num_served, 2);
     EXPECT_EQ(m.num_shed, 2);
@@ -169,9 +137,6 @@ TEST(ServeMetrics, SingleShedRecordIsWellDefined)
     // Disposition populations at size 1/0: one shed record, zero served —
     // every served-population percentile is 0, the shed population is its
     // one element, and the rates are exact.
-    train::WorkloadResult result;
-    result.kind = train::WorkloadKind::Serving;
-    result.iteration_time = 8.0;
     train::RequestRecord r;
     r.arrival = 1.0;
     r.start = 2.0;
@@ -179,8 +144,7 @@ TEST(ServeMetrics, SingleShedRecordIsWellDefined)
     r.finish = 2.0;
     r.shed = true;
     r.retries = 1;
-    result.requests.push_back(r);
-    const ServingMetrics m = summarize(result);
+    const ServingMetrics m = summarize(foldedResult(8.0, {r}));
     EXPECT_EQ(m.num_served, 0);
     EXPECT_EQ(m.num_shed, 1);
     EXPECT_DOUBLE_EQ(m.success_rate, 0.0);

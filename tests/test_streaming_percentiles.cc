@@ -1,7 +1,9 @@
 /**
  * @file
- * Property and stress tests of the bounded-memory percentile sketch:
- * exact-mode equivalence with the nearest-rank reference, the histogram
+ * Property and stress tests of the bounded-memory percentile sketch (the
+ * one source of serving latency summaries): 0-, 1- and 2-sample edge
+ * cases, exact-mode equivalence with the nearest-rank reference, an
+ * order-independent exact-mode mean, the histogram
  * mode's asserted relative-error bound across heavy-tailed populations,
  * and the merge semigroup (commutative, associative, shard-invariant).
  */
@@ -17,7 +19,8 @@
 namespace smartinf {
 namespace {
 
-/** Nearest-rank reference, the serve::summarizeLatencies definition. */
+/** Nearest-rank reference: the sorted sample at rank ceil(pct% * n),
+ *  clamped into [1, n]. */
 double
 nearestRank(std::vector<double> values, double pct)
 {
@@ -60,6 +63,13 @@ TEST(StreamingPercentiles, ExactModeMatchesNearestRankBitForBit)
     ASSERT_TRUE(p.exact());
     for (const double pct : kPcts)
         EXPECT_EQ(p.percentile(pct), nearestRank(values, pct));
+    // The mean sums the population in ascending order, whatever order it
+    // was recorded in.
+    std::sort(values.begin(), values.end());
+    double sum = 0.0;
+    for (const double v : values)
+        sum += v;
+    EXPECT_EQ(p.mean(), sum / static_cast<double>(values.size()));
 }
 
 TEST(StreamingPercentiles, SingleSamplePopulation)
@@ -71,6 +81,49 @@ TEST(StreamingPercentiles, SingleSamplePopulation)
     EXPECT_EQ(p.mean(), 0.125);
     EXPECT_EQ(p.minValue(), 0.125);
     EXPECT_EQ(p.maxValue(), 0.125);
+}
+
+TEST(StreamingPercentiles, TwoSamplesSplitAtTheMedianRank)
+{
+    // Nearest-rank: p50 of {1, 9} is rank ceil(0.5*2) = 1 => the smaller
+    // sample; p95/p99 are rank 2 => the larger.
+    StreamingPercentiles p;
+    p.record(9.0);
+    p.record(1.0);
+    EXPECT_EQ(p.percentile(50.0), 1.0);
+    EXPECT_EQ(p.percentile(95.0), 9.0);
+    EXPECT_EQ(p.percentile(99.0), 9.0);
+    EXPECT_EQ(p.mean(), 5.0);
+    EXPECT_EQ(p.maxValue(), 9.0);
+}
+
+TEST(StreamingPercentiles, PercentilesSelectActualSamples)
+{
+    StreamingPercentiles p;
+    for (int i = 100; i >= 1; --i)
+        p.record(static_cast<double>(i));
+    EXPECT_EQ(p.percentile(50.0), 50.0);
+    EXPECT_EQ(p.percentile(95.0), 95.0);
+    EXPECT_EQ(p.percentile(99.0), 99.0);
+    EXPECT_EQ(p.maxValue(), 100.0);
+}
+
+TEST(StreamingPercentiles, ExactModeMeanSumsInAscendingOrder)
+{
+    // 1 + 1e-16 rounds back to 1, so summing in insertion order loses
+    // both small samples; summing ascending keeps them (2e-16 rounds up to
+    // one ulp of 1). The exact-mode mean is the ascending-order one.
+    const double big = 1.0, tiny = 1e-16;
+    const double inserted = ((big + tiny) + tiny) / 3.0;
+    const double ascending = ((tiny + tiny) + big) / 3.0;
+    ASSERT_NE(inserted, ascending);
+
+    StreamingPercentiles p;
+    p.record(big);
+    p.record(tiny);
+    p.record(tiny);
+    ASSERT_TRUE(p.exact());
+    EXPECT_EQ(p.mean(), ascending);
 }
 
 TEST(StreamingPercentiles, HistogramModeHonorsTheRelativeErrorBound)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "serve/inference_workload.h"
+#include "serve/metrics.h"
 #include "serve/serve_config.h"
 #include "train/engine.h"
 #include "train/training_workload.h"
@@ -145,7 +146,8 @@ TEST(WorkloadApi, ServingWorkloadRunsOnAnyEngine)
         EXPECT_GT(result.iteration_time, 0.0);
         EXPECT_GT(result.events_executed, 0u);
         EXPECT_GT(result.traffic.shared_param_up, 0.0);
-        EXPECT_DOUBLE_EQ(result.totalOutputTokens(), 16.0);
+        EXPECT_DOUBLE_EQ(serve::summarize(result).output_tokens_per_sec,
+                         16.0 / result.iteration_time);
         for (const train::RequestRecord &r : result.requests) {
             EXPECT_GE(r.start, r.arrival);
             EXPECT_GE(r.first_token, r.start);
