@@ -1,6 +1,6 @@
 #include "exp/experiment.h"
 
-#include <iterator>
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,6 +8,20 @@
 namespace smartinf::exp {
 
 ExperimentBuilder::ExperimentBuilder() = default;
+
+template <typename T, typename Field>
+ExperimentBuilder &
+ExperimentBuilder::sweep(Slot slot, const char *name, std::vector<T> values,
+                         Field field)
+{
+    const std::size_t n = values.size();
+    axes_[slot] = {name, n,
+                   [values = std::move(values), field](RunSpec &spec,
+                                                       std::size_t i) {
+                       field(spec) = values[i];
+                   }};
+    return *this;
+}
 
 ExperimentBuilder &
 ExperimentBuilder::base(const train::SystemConfig &system)
@@ -19,15 +33,14 @@ ExperimentBuilder::base(const train::SystemConfig &system)
 ExperimentBuilder &
 ExperimentBuilder::train(const train::TrainConfig &tc)
 {
-    trains_ = {tc};
-    return *this;
+    return trains({tc});
 }
 
 ExperimentBuilder &
 ExperimentBuilder::trains(std::vector<train::TrainConfig> tcs)
 {
-    trains_ = std::move(tcs);
-    return *this;
+    return sweep(kTrains, "trains", std::move(tcs),
+                 [](RunSpec &s) -> auto & { return s.train; });
 }
 
 ExperimentBuilder &
@@ -48,200 +61,207 @@ ExperimentBuilder::serving(const serve::ServeConfig &config)
 ExperimentBuilder &
 ExperimentBuilder::model(const train::ModelSpec &m)
 {
-    models_ = {m};
-    return *this;
+    return models({m});
 }
 
 ExperimentBuilder &
 ExperimentBuilder::models(std::vector<train::ModelSpec> ms)
 {
-    models_ = std::move(ms);
-    return *this;
+    return sweep(kModels, "models", std::move(ms),
+                 [](RunSpec &s) -> auto & { return s.model; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::strategy(train::Strategy s)
 {
-    strategies_ = {s};
-    return *this;
+    return strategies({s});
 }
 
 ExperimentBuilder &
 ExperimentBuilder::strategies(std::vector<train::Strategy> ss)
 {
-    strategies_ = std::move(ss);
-    return *this;
+    return sweep(kStrategies, "strategies", std::move(ss),
+                 [](RunSpec &s) -> auto & { return s.system.strategy; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::devices(int n)
 {
-    devices_ = {n};
-    return *this;
+    return devices(std::vector<int>{n});
 }
 
 ExperimentBuilder &
 ExperimentBuilder::devices(std::vector<int> ns)
 {
-    devices_ = std::move(ns);
-    return *this;
+    return sweep(kDevices, "devices", std::move(ns),
+                 [](RunSpec &s) -> auto & { return s.system.num_devices; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::deviceRange(int lo, int hi)
 {
     SI_REQUIRE(lo >= 1 && hi >= lo, "bad device range");
-    devices_.clear();
+    std::vector<int> ns;
     for (int n = lo; n <= hi; ++n)
-        devices_.push_back(n);
-    return *this;
+        ns.push_back(n);
+    return devices(std::move(ns));
 }
 
 ExperimentBuilder &
 ExperimentBuilder::gpu(train::GpuGrade g)
 {
-    gpus_ = {g};
-    return *this;
+    return gpus({g});
 }
 
 ExperimentBuilder &
 ExperimentBuilder::gpus(std::vector<train::GpuGrade> gs)
 {
-    gpus_ = std::move(gs);
-    return *this;
+    return sweep(kGpus, "gpus", std::move(gs),
+                 [](RunSpec &s) -> auto & { return s.system.gpu; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::numGpus(std::vector<int> ns)
 {
-    num_gpus_ = std::move(ns);
-    return *this;
+    return sweep(kNumGpus, "numGpus", std::move(ns),
+                 [](RunSpec &s) -> auto & { return s.system.num_gpus; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::nodes(int n)
 {
-    nodes_ = {n};
-    return *this;
+    return nodes(std::vector<int>{n});
 }
 
 ExperimentBuilder &
 ExperimentBuilder::nodes(std::vector<int> ns)
 {
-    nodes_ = std::move(ns);
-    return *this;
+    return sweep(kNodes, "nodes", std::move(ns),
+                 [](RunSpec &s) -> auto & { return s.system.num_nodes; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::optimizers(std::vector<optim::OptimizerKind> ks)
 {
-    optimizers_ = std::move(ks);
-    return *this;
+    return sweep(kOptimizers, "optimizers", std::move(ks),
+                 [](RunSpec &s) -> auto & { return s.system.optimizer; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::compressionFractions(std::vector<double> fs)
 {
-    comp_fractions_ = std::move(fs);
-    return *this;
+    return sweep(kCompressionFractions, "compressionFractions", std::move(fs),
+                 [](RunSpec &s) -> auto & {
+                     return s.system.compression_wire_fraction;
+                 });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::overlapGradSync(std::vector<bool> vs)
 {
-    overlap_ = std::move(vs);
-    return *this;
+    return sweep(kOverlapGradSync, "overlapGradSync", std::move(vs),
+                 [](RunSpec &s) -> auto & {
+                     return s.system.overlap_grad_sync;
+                 });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::calibrations(std::vector<train::Calibration> cs)
 {
-    calibs_ = std::move(cs);
-    return *this;
+    return sweep(kCalibrations, "calibrations", std::move(cs),
+                 [](RunSpec &s) -> auto & { return s.system.calib; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::schedulers(std::vector<serve::SchedulerPolicy> ps)
 {
-    schedulers_ = std::move(ps);
-    return *this;
+    return sweep(kSchedulers, "schedulers", std::move(ps),
+                 [](RunSpec &s) -> auto & { return s.serve.scheduler; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::arrivalRates(std::vector<double> rs)
 {
-    arrival_rates_ = std::move(rs);
-    return *this;
+    return sweep(kArrivalRates, "arrivalRates", std::move(rs),
+                 [](RunSpec &s) -> auto & { return s.serve.arrival_rate; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::maxBatches(std::vector<int> bs)
 {
-    max_batches_ = std::move(bs);
-    return *this;
+    return sweep(kMaxBatches, "maxBatches", std::move(bs),
+                 [](RunSpec &s) -> auto & { return s.serve.max_batch; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::weightWireFractions(std::vector<double> fs)
 {
-    weight_fractions_ = std::move(fs);
-    return *this;
+    return sweep(kWeightWireFractions, "weightWireFractions", std::move(fs),
+                 [](RunSpec &s) -> auto & {
+                     return s.serve.weight_wire_fraction;
+                 });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::outputTokenCounts(std::vector<int> ts)
 {
-    output_token_counts_ = std::move(ts);
-    return *this;
+    return sweep(kOutputTokenCounts, "outputTokenCounts", std::move(ts),
+                 [](RunSpec &s) -> auto & { return s.serve.output_tokens; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::hbmBudgets(std::vector<double> bs)
 {
-    hbm_budgets_ = std::move(bs);
-    return *this;
+    return sweep(kHbmBudgets, "hbmBudgets", std::move(bs),
+                 [](RunSpec &s) -> auto & { return s.serve.kv.hbm_budget; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::concurrencies(std::vector<int> cs)
 {
-    concurrencies_ = std::move(cs);
-    return *this;
+    return sweep(kConcurrencies, "concurrencies", std::move(cs),
+                 [](RunSpec &s) -> auto & { return s.serve.concurrency; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::blockTokens(std::vector<int> ts)
 {
-    block_tokens_ = std::move(ts);
-    return *this;
+    return sweep(kBlockTokens, "blockTokens", std::move(ts),
+                 [](RunSpec &s) -> auto & { return s.serve.kv.block_tokens; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::prefixShareFractions(std::vector<double> fs)
 {
-    prefix_share_fractions_ = std::move(fs);
-    return *this;
+    return sweep(kPrefixShareFractions, "prefixShareFractions", std::move(fs),
+                 [](RunSpec &s) -> auto & {
+                     return s.serve.kv.prefix.share_fraction;
+                 });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::dispatchPolicies(std::vector<ctrl::DispatchPolicy> ps)
 {
-    dispatch_policies_ = std::move(ps);
-    return *this;
+    return sweep(kDispatchPolicies, "dispatchPolicies", std::move(ps),
+                 [](RunSpec &s) -> auto & { return s.serve.ctrl.policy; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::admissionModes(std::vector<ctrl::AdmissionMode> ms)
 {
-    admission_modes_ = std::move(ms);
-    return *this;
+    return sweep(kAdmissionModes, "admissionModes", std::move(ms),
+                 [](RunSpec &s) -> auto & {
+                     return s.serve.ctrl.slo.admission;
+                 });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::sloTargets(std::vector<double> ts)
 {
-    slo_targets_ = std::move(ts);
-    return *this;
+    return sweep(kSloTargets, "sloTargets", std::move(ts),
+                 [](RunSpec &s) -> auto & {
+                     return s.serve.ctrl.slo.target_p99_s;
+                 });
 }
 
 ExperimentBuilder &
@@ -254,22 +274,24 @@ ExperimentBuilder::faults(const fault::FaultConfig &config)
 ExperimentBuilder &
 ExperimentBuilder::mtbfs(std::vector<double> ms)
 {
-    mtbfs_ = std::move(ms);
-    return *this;
+    return sweep(kMtbfs, "mtbfs", std::move(ms),
+                 [](RunSpec &s) -> auto & { return s.fault.node_mtbf; });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::checkpointIntervals(std::vector<int> ks)
 {
-    checkpoint_intervals_ = std::move(ks);
-    return *this;
+    return sweep(kCheckpointIntervals, "checkpointIntervals", std::move(ks),
+                 [](RunSpec &s) -> auto & {
+                     return s.fault.checkpoint_interval;
+                 });
 }
 
 ExperimentBuilder &
 ExperimentBuilder::retryPolicies(std::vector<int> limits)
 {
-    retry_limits_ = std::move(limits);
-    return *this;
+    return sweep(kRetryPolicies, "retryPolicies", std::move(limits),
+                 [](RunSpec &s) -> auto & { return s.fault.retry_limit; });
 }
 
 ExperimentBuilder &
@@ -279,254 +301,63 @@ ExperimentBuilder::congested(bool on)
     return *this;
 }
 
-namespace {
-
-/** An untouched axis contributes one implicit value (the base config's). */
-template <typename T>
-std::size_t
-axisSize(const std::vector<T> &axis)
-{
-    return axis.empty() ? 1 : axis.size();
-}
-
-} // namespace
-
 std::size_t
 ExperimentBuilder::size() const
 {
-    if (models_.empty())
+    if (axes_[kModels].size == 0)
         return 0; // build() refuses a model-less builder
-    return models_.size() * axisSize(trains_) * axisSize(strategies_) *
-           axisSize(devices_) * axisSize(gpus_) * axisSize(num_gpus_) *
-           axisSize(optimizers_) * axisSize(comp_fractions_) *
-           axisSize(nodes_) * axisSize(overlap_) * axisSize(calibs_) *
-           axisSize(schedulers_) * axisSize(arrival_rates_) *
-           axisSize(max_batches_) * axisSize(weight_fractions_) *
-           axisSize(output_token_counts_) * axisSize(hbm_budgets_) *
-           axisSize(concurrencies_) * axisSize(block_tokens_) *
-           axisSize(prefix_share_fractions_) *
-           axisSize(dispatch_policies_) * axisSize(admission_modes_) *
-           axisSize(slo_targets_) * axisSize(mtbfs_) *
-           axisSize(checkpoint_intervals_) * axisSize(retry_limits_);
+    std::size_t total = 1;
+    for (const Axis &axis : axes_)
+        total *= std::max<std::size_t>(axis.size, 1);
+    return total;
 }
 
 std::vector<RunSpec>
 ExperimentBuilder::build() const
 {
-    SI_REQUIRE(!models_.empty(),
+    SI_REQUIRE(axes_[kModels].size > 0,
                "ExperimentBuilder needs at least one model");
-    // Serving axes on a training sweep would expand duplicate specs (the
-    // hash normalizes serving knobs out of training runs) — refuse early.
-    SI_REQUIRE(workload_ == train::WorkloadKind::Serving ||
-                   (schedulers_.empty() && arrival_rates_.empty() &&
-                    max_batches_.empty() && weight_fractions_.empty() &&
-                    output_token_counts_.empty() && hbm_budgets_.empty() &&
-                    concurrencies_.empty() && block_tokens_.empty() &&
-                    prefix_share_fractions_.empty() &&
-                    dispatch_policies_.empty() &&
-                    admission_modes_.empty() && slo_targets_.empty()),
-               "serving axes set on a training sweep; call serving() (or "
-               "workload(WorkloadKind::Serving)) first");
-    // Same duplicate-hash failure mode, per axis: the hash normalizes
-    // these knobs out when their enabling mode is off, so sweeping them
-    // would expand N identically-hashed specs and the cache would hand
-    // back one aliased result per row. Refuse early instead.
-    SI_REQUIRE(concurrencies_.empty() ||
-                   serve_base_.client_mode ==
-                       serve::ClientMode::ClosedLoop,
-               "concurrencies() axis needs a closed-loop serving() base "
-               "config (set client_mode = ClientMode::ClosedLoop)");
-    SI_REQUIRE(hbm_budgets_.empty() || serve_base_.kv.enabled,
-               "hbmBudgets() axis needs KV modeling enabled on the "
-               "serving() base config (set kv.enabled = true)");
-    SI_REQUIRE(block_tokens_.empty() || serve_base_.kv.paged(),
-               "blockTokens() axis needs the paged KV layout on the "
-               "serving() base config (set kv.enabled = true and "
-               "kv.layout = KvLayout::Paged)");
-    SI_REQUIRE(prefix_share_fractions_.empty() || serve_base_.kv.paged(),
-               "prefixShareFractions() axis needs the paged KV layout on "
-               "the serving() base config (set kv.enabled = true and "
-               "kv.layout = KvLayout::Paged)");
-    SI_REQUIRE(dispatch_policies_.empty() || serve_base_.ctrl.enabled,
-               "dispatchPolicies() axis needs the control plane enabled "
-               "on the serving() base config (set ctrl.enabled = true)");
-    SI_REQUIRE(admission_modes_.empty() ||
-                   (serve_base_.ctrl.enabled &&
-                    serve_base_.ctrl.slo.target_p99_s > 0.0),
-               "admissionModes() axis needs the control plane enabled and "
-               "a positive ctrl.slo.target_p99_s on the serving() base "
-               "config (the non-Off modes cannot validate without one)");
-    SI_REQUIRE(slo_targets_.empty() || serve_base_.ctrl.slo.enabled(),
-               "sloTargets() axis needs SLO admission armed on the "
-               "serving() base config (set ctrl.slo.admission to Reject "
-               "or Defer) — the target is normalized out otherwise");
-    // The fault axes are normalized out of the hash whenever their
-    // enabling condition is off — sweeping them would expand N
-    // identically-hashed (aliased) specs. Refuse early.
-    SI_REQUIRE((mtbfs_.empty() && checkpoint_intervals_.empty() &&
-                retry_limits_.empty()) ||
-                   fault_base_.enabled,
-               "fault axes (mtbfs/checkpointIntervals/retryPolicies) need "
-               "an enabled faults() base config (set enabled = true)");
-    SI_REQUIRE(checkpoint_intervals_.empty() ||
-                   workload_ == train::WorkloadKind::Training,
-               "checkpointIntervals() axis is training-only (checkpoint "
-               "knobs are normalized out of serving hashes)");
-    SI_REQUIRE(retry_limits_.empty() ||
-                   (workload_ == train::WorkloadKind::Serving &&
-                    (fault_base_.nodeFaults() || !mtbfs_.empty())),
-               "retryPolicies() axis needs a serving sweep with an armed "
-               "crash process (set faults().node_mtbf or the mtbfs() "
-               "axis) — the failover path is unreachable without one");
-
-    const std::vector<train::TrainConfig> trains =
-        trains_.empty() ? std::vector<train::TrainConfig>{{}} : trains_;
-    const std::vector<train::Strategy> strategies =
-        strategies_.empty() ? std::vector<train::Strategy>{base_.strategy}
-                            : strategies_;
-    const std::vector<int> devices =
-        devices_.empty() ? std::vector<int>{base_.num_devices} : devices_;
-    const std::vector<train::GpuGrade> gpus =
-        gpus_.empty() ? std::vector<train::GpuGrade>{base_.gpu} : gpus_;
-    const std::vector<int> num_gpus =
-        num_gpus_.empty() ? std::vector<int>{base_.num_gpus} : num_gpus_;
-    const std::vector<optim::OptimizerKind> optimizers =
-        optimizers_.empty()
-            ? std::vector<optim::OptimizerKind>{base_.optimizer}
-            : optimizers_;
-    const std::vector<double> fractions =
-        comp_fractions_.empty()
-            ? std::vector<double>{base_.compression_wire_fraction}
-            : comp_fractions_;
-    const std::vector<int> nodes =
-        nodes_.empty() ? std::vector<int>{base_.num_nodes} : nodes_;
-    const std::vector<bool> overlaps =
-        overlap_.empty() ? std::vector<bool>{base_.overlap_grad_sync}
-                         : overlap_;
-    const std::vector<train::Calibration> calibs =
-        calibs_.empty() ? std::vector<train::Calibration>{base_.calib}
-                        : calibs_;
-    const std::vector<serve::SchedulerPolicy> schedulers =
-        schedulers_.empty()
-            ? std::vector<serve::SchedulerPolicy>{serve_base_.scheduler}
-            : schedulers_;
-    const std::vector<double> rates =
-        arrival_rates_.empty()
-            ? std::vector<double>{serve_base_.arrival_rate}
-            : arrival_rates_;
-    const std::vector<int> batches =
-        max_batches_.empty() ? std::vector<int>{serve_base_.max_batch}
-                             : max_batches_;
-    const std::vector<double> weight_fractions =
-        weight_fractions_.empty()
-            ? std::vector<double>{serve_base_.weight_wire_fraction}
-            : weight_fractions_;
-    const std::vector<int> output_tokens =
-        output_token_counts_.empty()
-            ? std::vector<int>{serve_base_.output_tokens}
-            : output_token_counts_;
-    const std::vector<double> hbm_budgets =
-        hbm_budgets_.empty()
-            ? std::vector<double>{serve_base_.kv.hbm_budget}
-            : hbm_budgets_;
-    const std::vector<int> concurrencies =
-        concurrencies_.empty() ? std::vector<int>{serve_base_.concurrency}
-                               : concurrencies_;
-    const std::vector<int> block_tokens =
-        block_tokens_.empty()
-            ? std::vector<int>{serve_base_.kv.block_tokens}
-            : block_tokens_;
-    const std::vector<double> prefix_shares =
-        prefix_share_fractions_.empty()
-            ? std::vector<double>{serve_base_.kv.prefix.share_fraction}
-            : prefix_share_fractions_;
-    const std::vector<ctrl::DispatchPolicy> dispatch_policies =
-        dispatch_policies_.empty()
-            ? std::vector<ctrl::DispatchPolicy>{serve_base_.ctrl.policy}
-            : dispatch_policies_;
-    const std::vector<ctrl::AdmissionMode> admission_modes =
-        admission_modes_.empty()
-            ? std::vector<ctrl::AdmissionMode>{serve_base_.ctrl.slo
-                                                   .admission}
-            : admission_modes_;
-    const std::vector<double> slo_targets =
-        slo_targets_.empty()
-            ? std::vector<double>{serve_base_.ctrl.slo.target_p99_s}
-            : slo_targets_;
-    const std::vector<double> mtbfs =
-        mtbfs_.empty() ? std::vector<double>{fault_base_.node_mtbf}
-                       : mtbfs_;
-    const std::vector<int> ckpt_intervals =
-        checkpoint_intervals_.empty()
-            ? std::vector<int>{fault_base_.checkpoint_interval}
-            : checkpoint_intervals_;
-    const std::vector<int> retry_limits =
-        retry_limits_.empty() ? std::vector<int>{fault_base_.retry_limit}
-                              : retry_limits_;
-
-    // Odometer expansion: decompose the flat index with the last axis
-    // fastest, which fixes the deterministic nesting order documented in
-    // the header.
-    const std::size_t sizes[] = {
-        models_.size(),    trains.size(),    strategies.size(),
-        devices.size(),    gpus.size(),      num_gpus.size(),
-        optimizers.size(), fractions.size(), nodes.size(),
-        overlaps.size(),   calibs.size(),    schedulers.size(),
-        rates.size(),      batches.size(),   weight_fractions.size(),
-        output_tokens.size(), hbm_budgets.size(), concurrencies.size(),
-        block_tokens.size(),  prefix_shares.size(),
-        dispatch_policies.size(), admission_modes.size(),
-        slo_targets.size(), mtbfs.size(),
-        ckpt_intervals.size(), retry_limits.size()};
-    constexpr int kAxes = static_cast<int>(std::size(sizes));
-    std::size_t total = 1;
-    for (const std::size_t s : sizes)
-        total *= s;
-
+    const std::size_t total = size();
     std::vector<RunSpec> specs;
+    std::vector<std::uint64_t> hashes;
     specs.reserve(total);
+    hashes.reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
-        std::size_t idx[kAxes];
-        std::size_t rest = i;
-        for (int a = kAxes - 1; a >= 0; --a) {
-            idx[a] = rest % sizes[a];
-            rest /= sizes[a];
-        }
         RunSpec spec;
         spec.workload = workload_;
-        spec.model = models_[idx[0]];
-        spec.train = trains[idx[1]];
         spec.serve = serve_base_;
         spec.system = base_;
         if (congested_.has_value())
             spec.system.congested_topology = *congested_;
-        spec.system.strategy = strategies[idx[2]];
-        spec.system.num_devices = devices[idx[3]];
-        spec.system.gpu = gpus[idx[4]];
-        spec.system.num_gpus = num_gpus[idx[5]];
-        spec.system.optimizer = optimizers[idx[6]];
-        spec.system.compression_wire_fraction = fractions[idx[7]];
-        spec.system.num_nodes = nodes[idx[8]];
-        spec.system.overlap_grad_sync = overlaps[idx[9]];
-        spec.system.calib = calibs[idx[10]];
-        spec.serve.scheduler = schedulers[idx[11]];
-        spec.serve.arrival_rate = rates[idx[12]];
-        spec.serve.max_batch = batches[idx[13]];
-        spec.serve.weight_wire_fraction = weight_fractions[idx[14]];
-        spec.serve.output_tokens = output_tokens[idx[15]];
-        spec.serve.kv.hbm_budget = hbm_budgets[idx[16]];
-        spec.serve.concurrency = concurrencies[idx[17]];
-        spec.serve.kv.block_tokens = block_tokens[idx[18]];
-        spec.serve.kv.prefix.share_fraction = prefix_shares[idx[19]];
-        spec.serve.ctrl.policy = dispatch_policies[idx[20]];
-        spec.serve.ctrl.slo.admission = admission_modes[idx[21]];
-        spec.serve.ctrl.slo.target_p99_s = slo_targets[idx[22]];
         spec.fault = fault_base_;
-        spec.fault.node_mtbf = mtbfs[idx[23]];
-        spec.fault.checkpoint_interval = ckpt_intervals[idx[24]];
-        spec.fault.retry_limit = retry_limits[idx[25]];
+        // Odometer expansion, last slot fastest: the nesting order
+        // documented in the header.
+        std::size_t rest = i;
+        for (std::size_t a = kSlots; a-- > 0;) {
+            if (axes_[a].size == 0)
+                continue;
+            axes_[a].apply(spec, rest % axes_[a].size);
+            rest /= axes_[a].size;
+        }
+        hashes.push_back(spec.hash());
         spec.label = spec.describe();
         specs.push_back(std::move(spec));
+    }
+    // An axis matters iff some value changes some spec's hash relative to
+    // its sibling at value 0 on that axis. A wholly inert axis would hand
+    // back one aliased cached result per row — refuse it.
+    std::size_t stride = 1;
+    for (std::size_t a = kSlots; a-- > 0;) {
+        const std::size_t n = std::max<std::size_t>(axes_[a].size, 1);
+        bool matters = n < 2;
+        for (std::size_t i = 0; i < total && !matters; ++i)
+            matters = hashes[i] != hashes[i - i / stride % n * stride];
+        SI_REQUIRE(matters, axes_[a].name,
+                   "() axis is inert: no value changes RunSpec::hash(), "
+                   "so every row would alias one result. Enable what "
+                   "consumes the field on the base config (serving(), "
+                   "client mode, kv, ctrl or faults()) or drop the axis");
+        stride *= n;
     }
     return specs;
 }

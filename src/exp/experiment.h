@@ -13,6 +13,8 @@
 #ifndef SMARTINF_EXP_EXPERIMENT_H
 #define SMARTINF_EXP_EXPERIMENT_H
 
+#include <array>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -20,7 +22,19 @@
 
 namespace smartinf::exp {
 
-/** Fluent cross-product sweep builder. */
+/**
+ * Fluent cross-product sweep builder.
+ *
+ * RunSpec::hash() is the one judge of which fields matter: build() hashes
+ * every expanded spec and refuses an axis with two or more values when no
+ * value changes any spec's hash (e.g. a serving axis on a training sweep,
+ * concurrencies() on an open-loop stream, a fault axis while faults are
+ * disabled) — such a sweep would hand back one aliased cached result per
+ * row. A partly inert axis still expands: compressionFractions() over
+ * BASE and SU+O+C gives one BASE spec per ratio, and those alias.
+ * Config validation is not the builder's job; it happens when the
+ * workload or engine is constructed.
+ */
 class ExperimentBuilder
 {
   public:
@@ -69,48 +83,36 @@ class ExperimentBuilder
     ExperimentBuilder &arrivalRates(std::vector<double> rs);
     ExperimentBuilder &maxBatches(std::vector<int> bs);
     ExperimentBuilder &weightWireFractions(std::vector<double> fs);
-    /** Sweep serve.output_tokens (sequence-length studies). Only
-     *  meaningful while output_lengths stays Fixed. */
+    /** Sweep serve.output_tokens (sequence-length studies). */
     ExperimentBuilder &outputTokenCounts(std::vector<int> ts);
-    /** Sweep serve.kv.hbm_budget (bytes). The serving() base config must
-     *  have kv.enabled set, or the axis cannot affect results. */
+    /** Sweep serve.kv.hbm_budget (bytes). */
     ExperimentBuilder &hbmBudgets(std::vector<double> bs);
-    /** Sweep serve.concurrency (closed-loop client population). The
-     *  serving() base config must be in ClosedLoop mode. */
+    /** Sweep serve.concurrency (closed-loop client population). */
     ExperimentBuilder &concurrencies(std::vector<int> cs);
-    /** Sweep serve.kv.block_tokens (paged-KV page size). The serving()
-     *  base config must use kv.layout = Paged, or the axis is inert. */
+    /** Sweep serve.kv.block_tokens (paged-KV page size). */
     ExperimentBuilder &blockTokens(std::vector<int> ts);
-    /** Sweep serve.kv.prefix.share_fraction (shared-prompt mix). The
-     *  serving() base config must use kv.layout = Paged. */
+    /** Sweep serve.kv.prefix.share_fraction (shared-prompt mix). */
     ExperimentBuilder &prefixShareFractions(std::vector<double> fs);
-    /** Sweep serve.ctrl.policy (request dispatch policy). The serving()
-     *  base config must have ctrl.enabled set, or the axis is inert. */
+    /** Sweep serve.ctrl.policy (request dispatch policy). */
     ExperimentBuilder &
     dispatchPolicies(std::vector<ctrl::DispatchPolicy> ps);
-    /** Sweep serve.ctrl.slo.admission (SLO admission mode). The serving()
-     *  base config must have ctrl.enabled and a positive
-     *  ctrl.slo.target_p99_s, or the non-Off modes cannot validate. */
+    /** Sweep serve.ctrl.slo.admission (SLO admission mode). */
     ExperimentBuilder &admissionModes(std::vector<ctrl::AdmissionMode> ms);
-    /** Sweep serve.ctrl.slo.target_p99_s (latency SLO, seconds). The
-     *  serving() base config must have SLO admission armed
-     *  (ctrl.slo.admission != Off), or the axis is inert. */
+    /** Sweep serve.ctrl.slo.target_p99_s (latency SLO, seconds). */
     ExperimentBuilder &sloTargets(std::vector<double> ts);
     /** @} */
     /** @name Fault axes (sweep fields of the faults() base config). @{ */
     /**
      * Seed the fault/recovery model for every generated spec (the
      * non-axis fields of RunSpec::fault). The fault axes below override
-     * their own field and require @p config to have enabled set, or the
-     * axis cannot affect results.
+     * their own field.
      */
     ExperimentBuilder &faults(const fault::FaultConfig &config);
     /** Sweep fault.node_mtbf (mean time between node crashes, seconds). */
     ExperimentBuilder &mtbfs(std::vector<double> ms);
-    /** Sweep fault.checkpoint_interval (training sweeps only). */
+    /** Sweep fault.checkpoint_interval. */
     ExperimentBuilder &checkpointIntervals(std::vector<int> ks);
-    /** Sweep fault.retry_limit (serving sweeps only; needs an armed crash
-     *  process — the failover path is unreachable without one). */
+    /** Sweep fault.retry_limit. */
     ExperimentBuilder &retryPolicies(std::vector<int> limits);
     /** @} */
     /** @} */
@@ -136,37 +138,37 @@ class ExperimentBuilder
     std::vector<RunSpec> build() const;
 
   private:
+    /** Axis slots, in the nesting order documented on build(). */
+    enum Slot : std::size_t {
+        kModels, kTrains, kStrategies, kDevices, kGpus, kNumGpus,
+        kOptimizers, kCompressionFractions, kNodes, kOverlapGradSync,
+        kCalibrations, kSchedulers, kArrivalRates, kMaxBatches,
+        kWeightWireFractions, kOutputTokenCounts, kHbmBudgets,
+        kConcurrencies, kBlockTokens, kPrefixShareFractions,
+        kDispatchPolicies, kAdmissionModes, kSloTargets, kMtbfs,
+        kCheckpointIntervals, kRetryPolicies, kSlots
+    };
+    /** One sweep axis. size 0 means untouched: the spec keeps its base
+     *  value and the axis counts as one value. */
+    struct Axis {
+        const char *name = nullptr;
+        std::size_t size = 0;
+        /** Write value @p i of the axis into @p spec. */
+        std::function<void(RunSpec &spec, std::size_t i)> apply;
+    };
+
+    /** Store @p values in @p slot; @p field maps a spec to the field the
+     *  axis writes. */
+    template <typename T, typename Field>
+    ExperimentBuilder &sweep(Slot slot, const char *name,
+                             std::vector<T> values, Field field);
+
     train::SystemConfig base_;
     train::WorkloadKind workload_ = train::WorkloadKind::Training;
     serve::ServeConfig serve_base_;
-    std::vector<train::TrainConfig> trains_;
-    std::vector<train::ModelSpec> models_;
-    std::vector<train::Strategy> strategies_;
-    std::vector<int> devices_;
-    std::vector<train::GpuGrade> gpus_;
-    std::vector<int> num_gpus_;
-    std::vector<int> nodes_;
-    std::vector<optim::OptimizerKind> optimizers_;
-    std::vector<double> comp_fractions_;
-    std::vector<bool> overlap_;
-    std::vector<train::Calibration> calibs_;
-    std::vector<serve::SchedulerPolicy> schedulers_;
-    std::vector<double> arrival_rates_;
-    std::vector<int> max_batches_;
-    std::vector<double> weight_fractions_;
-    std::vector<int> output_token_counts_;
-    std::vector<double> hbm_budgets_;
-    std::vector<int> concurrencies_;
-    std::vector<int> block_tokens_;
-    std::vector<double> prefix_share_fractions_;
-    std::vector<ctrl::DispatchPolicy> dispatch_policies_;
-    std::vector<ctrl::AdmissionMode> admission_modes_;
-    std::vector<double> slo_targets_;
     fault::FaultConfig fault_base_;
-    std::vector<double> mtbfs_;
-    std::vector<int> checkpoint_intervals_;
-    std::vector<int> retry_limits_;
     std::optional<bool> congested_;
+    std::array<Axis, kSlots> axes_;
 };
 
 } // namespace smartinf::exp

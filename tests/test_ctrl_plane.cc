@@ -189,9 +189,11 @@ TEST(CtrlPlane, DeferParksAndRejudgesBeforeRejecting)
     EXPECT_GT(m.total_deferrals, 0);
     EXPECT_EQ(result.ctrl.deferrals, m.total_deferrals);
     // A request is only rejected after exhausting its defer budget.
-    for (const train::RequestRecord &r : result.requests)
-        if (r.rejected)
+    for (const train::RequestRecord &r : result.requests) {
+        if (r.rejected) {
             EXPECT_EQ(r.deferrals, 2);
+        }
+    }
     const auto repeat =
         runServe(overloadedServe(ctrl::AdmissionMode::Defer));
     expectIdenticalRecords(result, repeat);

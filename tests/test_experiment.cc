@@ -306,6 +306,103 @@ TEST(ExperimentBuilder, FaultAxesNeedTheirModeEnabled)
               2u);
 }
 
+/** The one inert-axis rule: a swept axis whose every value leaves every
+ *  spec's hash unchanged would hand back one aliased result per row, so
+ *  build() refuses it and names the axis. None of these sweeps had a
+ *  hand-written guard of its own. */
+TEST(ExperimentBuilder, InertAxesAreRefused)
+{
+    const auto gpt2 = ModelSpec::gpt2(0.5);
+    serve::ServeConfig closed;
+    closed.client_mode = serve::ClientMode::ClosedLoop;
+    serve::ServeConfig uniform_out;
+    uniform_out.output_lengths.kind = serve::LengthDistKind::Uniform;
+    struct Case {
+        const char *axis;
+        ExperimentBuilder builder;
+    };
+    const std::vector<Case> cases = {
+        // The stored-weight ratio only shapes SU+O+C serving.
+        {"weightWireFractions",
+         ExperimentBuilder()
+             .model(gpt2)
+             .serving(serve::ServeConfig{})
+             .strategy(Strategy::SmartUpdateOpt)
+             .weightWireFractions({0.25, 0.5})},
+        // The gradient ratio only shapes SU+O+C training.
+        {"compressionFractions",
+         ExperimentBuilder()
+             .model(gpt2)
+             .strategy(Strategy::Baseline)
+             .compressionFractions({0.02, 0.10})},
+        // One node exchanges no gradients.
+        {"overlapGradSync",
+         ExperimentBuilder().model(gpt2).overlapGradSync({true, false})},
+        // Closed-loop arrivals are reactive.
+        {"arrivalRates",
+         ExperimentBuilder().model(gpt2).serving(closed).arrivalRates(
+             {0.05, 0.1})},
+        // A Uniform output distribution ignores the fixed token count.
+        {"outputTokenCounts",
+         ExperimentBuilder()
+             .model(gpt2)
+             .serving(uniform_out)
+             .outputTokenCounts({16, 32})},
+        // Serving runs no optimizer.
+        {"optimizers",
+         ExperimentBuilder()
+             .model(gpt2)
+             .serving(serve::ServeConfig{})
+             .optimizers({optim::OptimizerKind::Adam,
+                          optim::OptimizerKind::SgdMomentum})},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.axis);
+        EXPECT_EQ(c.builder.size(), 2u);
+        try {
+            c.builder.build();
+            ADD_FAILURE() << "an inert " << c.axis << " axis expanded";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(c.axis), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/** The converse: an axis the hash consumes expands, even when only some
+ *  of its values matter (partly inert axes alias only where they must). */
+TEST(ExperimentBuilder, AxesTheHashConsumesExpand)
+{
+    // The p99 target is consumed by autoscaling on attainment even with
+    // admission Off.
+    serve::ServeConfig attainment;
+    attainment.ctrl.enabled = true;
+    attainment.ctrl.autoscale.enabled = true;
+    attainment.ctrl.autoscale.min_attainment = 0.9;
+    const auto slo = ExperimentBuilder()
+                         .model(ModelSpec::gpt2(0.5))
+                         .serving(attainment)
+                         .sloTargets({0.5, 1.0})
+                         .build();
+    ASSERT_EQ(slo.size(), 2u);
+    EXPECT_NE(slo[0].hash(), slo[1].hash());
+
+    // Fig 16's shape: the ratio axis matters for SU+O+C only, so the two
+    // BASE rows share one hash.
+    const auto fig16 =
+        ExperimentBuilder()
+            .model(ModelSpec::gpt2(0.5))
+            .strategies({Strategy::Baseline, Strategy::SmartUpdateOptComp})
+            .compressionFractions({0.02, 0.10})
+            .build();
+    ASSERT_EQ(fig16.size(), 4u);
+    std::set<std::uint64_t> hashes;
+    for (const auto &spec : fig16)
+        hashes.insert(spec.hash());
+    EXPECT_EQ(hashes.size(), 3u);
+    EXPECT_EQ(fig16[0].hash(), fig16[1].hash());
+}
+
 TEST(RunSpec, DescribeNamesTheInterestingFields)
 {
     RunSpec spec;

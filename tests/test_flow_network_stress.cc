@@ -49,9 +49,10 @@ expectMatchesOracle(FlowNetwork &net,
         const bool carried =
             std::any_of(snap.link_rates.begin(), snap.link_rates.end(),
                         [&](const auto &lr) { return lr.first == link; });
-        if (!carried)
+        if (!carried) {
             EXPECT_EQ(net.linkAggregateRate(link), 0.0)
                 << "idle link " << link->name();
+        }
     }
 }
 

@@ -3,6 +3,8 @@
  *  caching with run-count accounting, and input-order preservation. */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "exp/experiment.h"
 #include "exp/sweep_runner.h"
 
@@ -151,6 +153,77 @@ TEST(SweepRunner, InvalidSpecPropagatesTheError)
     specs[3].system.num_devices = 0;
     SweepRunner runner(SweepRunner::Options{.jobs = 4, .cache = true});
     EXPECT_THROW(runner.run(specs), std::runtime_error);
+}
+
+/** The builder trusts RunSpec::hash() to decide which axes alias, so
+ *  equal hashes must mean equal results — checked uncached, so every
+ *  aliased spec really runs its own engine. */
+TEST(SweepRunner, AliasedSpecsAreBitIdenticalUncached)
+{
+    // Fig 16's shape: the two BASE rows alias across the ratio axis.
+    auto specs =
+        ExperimentBuilder()
+            .model(ModelSpec::gpt2(0.34))
+            .strategies({Strategy::Baseline, Strategy::SmartUpdateOptComp})
+            .devices({2})
+            .compressionFractions({0.02, 0.10})
+            .build();
+    // Serving: the stored-weight ratio only shapes SU+O+C, so the two
+    // SU+O rows alias.
+    const auto serving =
+        ExperimentBuilder()
+            .model(ModelSpec::gpt2(0.34))
+            .serving(serve::ServeConfig{})
+            .strategies(
+                {Strategy::SmartUpdateOpt, Strategy::SmartUpdateOptComp})
+            .devices({2})
+            .weightWireFractions({0.25, 0.5})
+            .build();
+    specs.insert(specs.end(), serving.begin(), serving.end());
+
+    SweepRunner runner(SweepRunner::Options{.jobs = 4, .cache = false});
+    const auto records = runner.run(specs);
+    EXPECT_EQ(runner.executedRuns(), specs.size());
+
+    std::map<std::uint64_t, std::vector<const RunRecord *>> groups;
+    for (const auto &rec : records)
+        groups[rec.spec_hash].push_back(&rec);
+    std::size_t aliased = 0;
+    for (const auto &[hash, group] : groups) {
+        aliased += group.size() > 1;
+        for (const RunRecord *rec : group) {
+            expectBitIdentical(*group.front(), *rec);
+            EXPECT_EQ(group.front()->tokensPerSecond(),
+                      rec->tokensPerSecond());
+        }
+    }
+    EXPECT_EQ(aliased, 2u);
+}
+
+/** Config validation lives with the workload, not the builder: an
+ *  admission axis over a config with no SLO target builds, and the run
+ *  refuses it with the offending field named. */
+TEST(SweepRunner, AdmissionWithoutATargetFailsAtRunTime)
+{
+    serve::ServeConfig config;
+    config.ctrl.enabled = true;
+    config.ctrl.slo.target_p99_s = 0.0;
+    const auto specs = ExperimentBuilder()
+                           .model(ModelSpec::gpt2(0.34))
+                           .serving(config)
+                           .admissionModes({ctrl::AdmissionMode::Off,
+                                            ctrl::AdmissionMode::Reject})
+                           .build();
+    ASSERT_EQ(specs.size(), 2u);
+    SweepRunner runner(SweepRunner::Options{.jobs = 1, .cache = true});
+    try {
+        runner.run(specs);
+        ADD_FAILURE() << "Reject admission ran without a p99 target";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("ctrl.slo.target_p99_s"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
