@@ -1,8 +1,10 @@
 #include "compress/topk.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -25,6 +27,88 @@ TopKCompressor::keepCount(std::size_t n) const
     return std::clamp<std::size_t>(k, 1, n);
 }
 
+namespace {
+
+/**
+ * Sort key of a value's magnitude: the float's bits without the sign. For
+ * non-NaN floats it orders exactly as |x|; +inf sits above every finite
+ * magnitude and NaN (by payload) above +inf, so non-finite gradients (an
+ * overflowed step) get a defined, deterministic rank.
+ */
+inline uint32_t
+magnitudeKey(float x)
+{
+    return std::bit_cast<uint32_t>(x) & 0x7fffffffu;
+}
+
+/**
+ * Radix-select the k-th largest magnitude key of value_at(0..n-1): three
+ * histogram passes over the key's top 11, middle 12 and low 8 bits, each
+ * counting only the elements that match the digits fixed so far. On
+ * return @p k holds how many elements equal to the key complete the top k.
+ */
+template <typename ValueAt>
+uint32_t
+kthLargestKey(const ValueAt &value_at, std::size_t n, std::size_t &k)
+{
+    struct Digit {
+        int shift;
+        int bits;
+    };
+    constexpr Digit kDigits[] = {{20, 11}, {8, 12}, {0, 8}};
+    std::array<uint32_t, 1u << 12> count;
+    uint32_t prefix = 0, prefix_mask = 0;
+    for (const Digit &digit : kDigits) {
+        const uint32_t radix_mask = (1u << digit.bits) - 1;
+        std::fill_n(count.begin(), radix_mask + 1, 0u);
+        for (std::size_t i = 0; i < n; ++i) {
+            const uint32_t key = magnitudeKey(value_at(i));
+            if ((key & prefix_mask) == prefix)
+                ++count[(key >> digit.shift) & radix_mask];
+        }
+        uint32_t d = radix_mask;
+        for (; count[d] < k; --d)
+            k -= count[d];
+        prefix |= d << digit.shift;
+        prefix_mask |= radix_mask << digit.shift;
+    }
+    return prefix;
+}
+
+/**
+ * Keep the top k of value_at(0..n-1) by magnitude: every key above the
+ * k-th largest, then the lowest-index keys equal to it. One ascending pass,
+ * so the wire layout comes out sorted by index (monotone scatter addresses
+ * for a streaming FPGA decompressor). With @p residual, also store each
+ * dropped value there and zero each kept one (error feedback).
+ */
+template <typename ValueAt>
+void
+selectTopK(const ValueAt &value_at, std::size_t n, std::size_t k,
+           SparseGradient &out, float *residual)
+{
+    std::size_t ties = k;
+    const uint32_t threshold = kthLargestKey(value_at, n, ties);
+    out.indices.reserve(k);
+    out.values.reserve(k);
+    for (std::size_t i = 0; i < n; ++i) {
+        const float value = value_at(i);
+        const uint32_t key = magnitudeKey(value);
+        const bool keep = key > threshold || (key == threshold && ties > 0);
+        if (keep) {
+            ties -= key == threshold;
+            out.indices.push_back(static_cast<uint32_t>(i));
+            out.values.push_back(value);
+        }
+        if (residual != nullptr)
+            residual[i] = keep ? 0.0f : value;
+    }
+    SI_ASSERT(out.indices.size() == k, "Top-K kept ", out.indices.size(),
+              " of ", k);
+}
+
+} // namespace
+
 SparseGradient
 TopKCompressor::compress(const float *grad, std::size_t n)
 {
@@ -32,43 +116,25 @@ TopKCompressor::compress(const float *grad, std::size_t n)
     out.dense_size = n;
     if (n == 0)
         return out;
-
-    // With error feedback the working vector is grad + residual; otherwise
-    // it is the raw gradient.
-    std::vector<float> work(grad, grad + n);
-    if (error_feedback_) {
-        if (residual_.empty())
-            residual_.assign(n, 0.0f);
-        SI_REQUIRE(residual_.size() == n,
-                   "error-feedback gradient size changed: ", residual_.size(),
-                   " -> ", n);
-        for (std::size_t i = 0; i < n; ++i)
-            work[i] += residual_[i];
-    }
+    SI_REQUIRE(n <= UINT32_MAX, "Top-K shard of ", n,
+               " elements exceeds 32-bit indices");
 
     const std::size_t k = keepCount(n);
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0u);
-    std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return std::fabs(work[a]) > std::fabs(work[b]);
-                     });
-    order.resize(k);
-    // Deterministic wire layout: ascending index order (this is also what a
-    // streaming FPGA decompressor prefers — monotone scatter addresses).
-    std::sort(order.begin(), order.end());
-
-    out.indices = std::move(order);
-    out.values.reserve(k);
-    for (uint32_t idx : out.indices)
-        out.values.push_back(work[idx]);
-
-    if (error_feedback_) {
-        // Residual = work - selected.
-        residual_.assign(work.begin(), work.end());
-        for (uint32_t idx : out.indices)
-            residual_[idx] = 0.0f;
+    if (!error_feedback_) {
+        selectTopK([grad](std::size_t i) { return grad[i]; }, n, k, out,
+                   nullptr);
+        return out;
     }
+    // With error feedback the working vector is grad + residual, formed on
+    // the fly; the residual keeps what was dropped.
+    if (residual_.empty())
+        residual_.assign(n, 0.0f);
+    SI_REQUIRE(residual_.size() == n, "error-feedback gradient size changed: ",
+               residual_.size(), " -> ", n);
+    float *residual = residual_.data();
+    selectTopK(
+        [grad, residual](std::size_t i) { return grad[i] + residual[i]; }, n,
+        k, out, residual);
     return out;
 }
 

@@ -61,8 +61,11 @@ class TopKCompressor
                             bool error_feedback = false);
 
     /**
-     * Compress @p n gradients. With error feedback enabled, the residual
-     * state persists across calls and @p n must stay constant.
+     * Compress @p n gradients (n < 2^32). Keeps the k = keepCount(n)
+     * largest magnitudes; on a tie at the k-th magnitude the lowest indices
+     * win. Magnitude is |x|, with +-inf above every finite value and NaN
+     * above +-inf. Indices come out ascending. With error feedback enabled,
+     * the residual state persists across calls and @p n must stay constant.
      */
     SparseGradient compress(const float *grad, std::size_t n);
 
@@ -80,6 +83,9 @@ class TopKCompressor
 
     /** Residual L2^2 currently held by error feedback (0 when disabled). */
     double residualEnergy() const;
+    /** The dropped remainder error feedback re-adds next call (empty when
+     *  disabled or before the first call). */
+    const std::vector<float> &residual() const { return residual_; }
 
   private:
     double keep_fraction_;

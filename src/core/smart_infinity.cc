@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
+#include <semaphore>
+#include <thread>
 
 #include "common/logging.h"
 #include "compress/topk.h"
@@ -39,6 +42,19 @@ ClusterConfig::validate() const
     return errors;
 }
 
+/**
+ * A parked thread that runs one shard per step: step() releases start,
+ * the worker runs stepShard() and releases done. An exception is kept in
+ * error and rethrown by step() on the calling thread.
+ */
+struct SmartInfinityCluster::Worker {
+    std::binary_semaphore start{0};
+    std::binary_semaphore done{0};
+    bool stop = false;
+    std::exception_ptr error;
+    std::thread thread;
+};
+
 SmartInfinityCluster::SmartInfinityCluster(const ClusterConfig &config)
     : config_(config)
 {
@@ -47,7 +63,43 @@ SmartInfinityCluster::SmartInfinityCluster(const ClusterConfig &config)
                train::joinErrors(errors));
 }
 
-SmartInfinityCluster::~SmartInfinityCluster() = default;
+SmartInfinityCluster::~SmartInfinityCluster()
+{
+    stopWorkers();
+}
+
+void
+SmartInfinityCluster::startWorkers()
+{
+    for (std::size_t d = 1; d < csds_.size(); ++d) {
+        auto worker = std::make_unique<Worker>();
+        worker->thread = std::thread([this, d, w = worker.get()]() {
+            for (;;) {
+                w->start.acquire();
+                if (w->stop)
+                    return;
+                try {
+                    stepShard(d);
+                } catch (...) {
+                    w->error = std::current_exception();
+                }
+                w->done.release();
+            }
+        });
+        workers_.push_back(std::move(worker));
+    }
+}
+
+void
+SmartInfinityCluster::stopWorkers()
+{
+    for (auto &worker : workers_) {
+        worker->stop = true;
+        worker->start.release();
+        worker->thread.join();
+    }
+    workers_.clear();
+}
 
 std::size_t
 SmartInfinityCluster::shardOffset(int idx) const
@@ -68,9 +120,12 @@ void
 SmartInfinityCluster::initialize(const float *params, std::size_t n)
 {
     SI_REQUIRE(n > 0, "cannot initialize with zero parameters");
+    stopWorkers();
+    initialized_ = false;
+    // Handlers hold device buffers of their CSD, so they go first.
+    handlers_.clear();
     csds_.clear();
     layouts_.clear();
-    handlers_.clear();
     master_cache_.assign(params, params + n);
 
     const int aux = optim::auxStateCount(config_.optimizer);
@@ -112,6 +167,8 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
         offset += len;
     }
     SI_ASSERT(offset == n, "shard partition does not cover all parameters");
+    shard_wire_bytes_.assign(csds_.size(), 0.0);
+    startWorkers();
     initialized_ = true;
 }
 
@@ -127,29 +184,54 @@ SmartInfinityCluster::step(const float *grads, std::size_t n, uint64_t t)
     requireInitialized();
     SI_REQUIRE(n == master_cache_.size(), "gradient size mismatch: ", n,
                " vs ", master_cache_.size());
-    last_wire_bytes_ = 0.0;
 
-    std::size_t offset = 0;
-    for (std::size_t d = 0; d < csds_.size(); ++d) {
-        const std::size_t len = layouts_[d].elems;
-        if (config_.compression) {
-            // SmartComp: the GPU compresses each owner shard's gradients;
-            // only the index+value pairs cross the interconnect, and the
-            // FPGA decompressor rebuilds the dense vector (Fig 6).
-            compress::TopKCompressor compressor(config_.keep_fraction);
-            const auto sparse = compressor.compress(grads + offset, len);
-            last_wire_bytes_ += static_cast<double>(sparse.wireBytes());
-            handlers_[d]->runUpdateCompressed(sparse, t,
-                                              master_cache_.data() + offset);
-        } else {
-            // Dense gradients are offloaded to the owner CSD's SSD during
-            // the backward pass (Fig 1(b) step 4).
-            csds_[d]->ssd().writeFloats(grads + offset, len,
-                                        layouts_[d].gradOffset());
-            last_wire_bytes_ += static_cast<double>(len) * sizeof(float);
-            handlers_[d]->runUpdate(t, master_cache_.data() + offset);
-        }
-        offset += len;
+    // Every CSD updates its shard at once (§IV-D): release the workers,
+    // run shard 0 here, then wait for all of them.
+    step_grads_ = grads;
+    step_t_ = t;
+    for (auto &worker : workers_)
+        worker->start.release();
+    std::exception_ptr error;
+    try {
+        stepShard(0);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    for (auto &worker : workers_) {
+        worker->done.acquire();
+        if (!error)
+            error = worker->error;
+        worker->error = nullptr;
+    }
+    if (error)
+        std::rethrow_exception(error);
+
+    last_wire_bytes_ = 0.0;
+    for (double bytes : shard_wire_bytes_)
+        last_wire_bytes_ += bytes;
+}
+
+void
+SmartInfinityCluster::stepShard(std::size_t d)
+{
+    const std::size_t offset = shardOffset(static_cast<int>(d));
+    const std::size_t len = layouts_[d].elems;
+    const float *grads = step_grads_ + offset;
+    float *master = master_cache_.data() + offset;
+    if (config_.compression) {
+        // SmartComp: the GPU compresses each owner shard's gradients; only
+        // the index+value pairs cross the interconnect, and the FPGA
+        // decompressor rebuilds the dense vector (Fig 6).
+        compress::TopKCompressor compressor(config_.keep_fraction);
+        const auto sparse = compressor.compress(grads, len);
+        shard_wire_bytes_[d] = static_cast<double>(sparse.wireBytes());
+        handlers_[d]->runUpdateCompressed(sparse, step_t_, master);
+    } else {
+        // Dense gradients are offloaded to the owner CSD's SSD during the
+        // backward pass (Fig 1(b) step 4).
+        csds_[d]->ssd().writeFloats(grads, len, layouts_[d].gradOffset());
+        shard_wire_bytes_[d] = static_cast<double>(len) * sizeof(float);
+        handlers_[d]->runUpdate(step_t_, master);
     }
 }
 

@@ -65,14 +65,23 @@ struct ClusterConfig {
 };
 
 /**
- * A functional multi-CSD Smart-Infinity deployment. Thread-compatible (one
- * step at a time); internally uses the two-thread transfer handler.
+ * A functional multi-CSD Smart-Infinity deployment. Every CSD updates its
+ * own shard at the same time, as the paper's devices do: initialize()
+ * parks one persistent worker thread per CSD after the first, and step()
+ * runs shard 0 on the calling thread while the workers run the others,
+ * each through its own two-thread transfer handler with preallocated
+ * device buffers. Shards are disjoint, so the result is bit-identical to
+ * stepping them one after another. Thread-compatible: one step() at a
+ * time.
  */
 class SmartInfinityCluster final : public nn::UpdateBackend
 {
   public:
     explicit SmartInfinityCluster(const ClusterConfig &config);
     ~SmartInfinityCluster() override;
+    /** Workers hold the cluster's address. */
+    SmartInfinityCluster(const SmartInfinityCluster &) = delete;
+    SmartInfinityCluster &operator=(const SmartInfinityCluster &) = delete;
 
     /** @name nn::UpdateBackend @{ */
     void initialize(const float *params, std::size_t n) override;
@@ -103,13 +112,26 @@ class SmartInfinityCluster final : public nn::UpdateBackend
     const ClusterConfig &config() const { return config_; }
 
   private:
+    struct Worker;
+
     void requireInitialized() const;
+    /** Compress (or write densely) and update shard @p d for step_. */
+    void stepShard(std::size_t d);
+    void startWorkers();
+    void stopWorkers();
 
     ClusterConfig config_;
     std::vector<std::unique_ptr<csd::Csd>> csds_;
     std::vector<train::ShardLayout> layouts_;
     std::vector<std::unique_ptr<train::TransferHandler>> handlers_;
     std::vector<float> master_cache_;
+    /** Workers for shards 1..num_csds-1; shard 0 runs on the caller. */
+    std::vector<std::unique_ptr<Worker>> workers_;
+    /** Arguments of the step in flight, published before the release. */
+    const float *step_grads_ = nullptr;
+    uint64_t step_t_ = 0;
+    /** Wire bytes of each shard on the last step, summed in shard order. */
+    std::vector<double> shard_wire_bytes_;
     double last_wire_bytes_ = 0.0;
     bool initialized_ = false;
 };

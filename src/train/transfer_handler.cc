@@ -10,24 +10,6 @@
 
 namespace smartinf::train {
 
-namespace {
-
-/** Number of buffer slots: double buffering when optimized. */
-int
-slotCount(bool optimized)
-{
-    return optimized ? 2 : 1;
-}
-
-} // namespace
-
-/** One slot's device buffers: gradients + master + aux states. */
-struct TransferHandler::Buffers {
-    csd::DeviceBuffer grad;
-    csd::DeviceBuffer master;
-    std::vector<csd::DeviceBuffer> aux;
-};
-
 TransferHandler::TransferHandler(csd::Csd &csd, const ShardLayout &layout,
                                  const Config &config)
     : csd_(csd), layout_(layout), config_(config)
@@ -36,6 +18,23 @@ TransferHandler::TransferHandler(csd::Csd &csd, const ShardLayout &layout,
     SI_REQUIRE(config.subgroup_elems > 0, "subgroup size must be positive");
     SI_REQUIRE(csd.ssd().capacity() >= layout.totalBytes(),
                "CSD functional capacity too small for shard");
+
+    // Pre-allocate the device buffers once (the paper's buffer
+    // pre-allocation: no per-tasklet or per-step allocation, and a fixed
+    // device-memory footprint). Double buffering when optimized.
+    const std::size_t bytes = config.subgroup_elems * sizeof(float);
+    slots_.resize(config.optimized ? 2 : 1);
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+        Buffers &slot = slots_[k];
+        const std::string tag = "slot" + std::to_string(k);
+        slot.grad = csd_.fpgaMemory().allocate(bytes, tag + ".grad");
+        slot.master = csd_.fpgaMemory().allocate(bytes, tag + ".master");
+        for (int a = 0; a < layout.aux_states; ++a) {
+            slot.aux.push_back(csd_.fpgaMemory().allocate(
+                bytes, tag + ".aux" + std::to_string(a)));
+            slot.states.push_back(slot.aux.back().floats());
+        }
+    }
 }
 
 std::size_t
@@ -74,22 +73,7 @@ TransferHandler::process(const compress::SparseGradient *sparse,
 
     const std::size_t chunk = config_.subgroup_elems;
     const std::size_t groups = subgroupCount();
-    const int slots = slotCount(config_.optimized);
-
-    // Pre-allocate device buffers once (the paper's buffer pre-allocation:
-    // avoids per-tasklet allocation and bounds device-memory use).
-    std::vector<Buffers> buffers(slots);
-    for (int k = 0; k < slots; ++k) {
-        const std::string tag = "slot" + std::to_string(k);
-        buffers[k].grad =
-            csd_.fpgaMemory().allocate(chunk * sizeof(float), tag + ".grad");
-        buffers[k].master = csd_.fpgaMemory().allocate(chunk * sizeof(float),
-                                                       tag + ".master");
-        for (int a = 0; a < aux; ++a) {
-            buffers[k].aux.push_back(csd_.fpgaMemory().allocate(
-                chunk * sizeof(float), tag + ".aux" + std::to_string(a)));
-        }
-    }
+    const std::size_t slots = slots_.size();
 
     auto elems_of = [&](std::size_t s) {
         return std::min(chunk, layout_.elems - s * chunk);
@@ -123,11 +107,8 @@ TransferHandler::process(const compress::SparseGradient *sparse,
             csd_.decompressor()->decompressSubgroup(*sparse, elem_off,
                                                     buf.grad.floats(), n);
         }
-        std::vector<float *> states;
-        for (int a = 0; a < aux; ++a)
-            states.push_back(buf.aux[a].floats());
         updater->processSubgroup(buf.master.floats(), buf.grad.floats(),
-                                 states.data(), n, step);
+                                 buf.states.data(), n, step);
 
         // Urgent: master parameters back to SSD and up to the host.
         csd_.ssd().writeFloats(buf.master.floats(), n,
@@ -148,8 +129,8 @@ TransferHandler::process(const compress::SparseGradient *sparse,
     if (!config_.optimized) {
         // Naive handler (Fig 5a): strictly sequential tasklets.
         for (std::size_t s = 0; s < groups; ++s) {
-            load_subgroup(s, buffers[0]);
-            compute_subgroup(s, buffers[0]);
+            load_subgroup(s, slots_[0]);
+            compute_subgroup(s, slots_[0]);
         }
         return;
     }
@@ -162,14 +143,14 @@ TransferHandler::process(const compress::SparseGradient *sparse,
     std::thread loader([&]() {
         for (std::size_t s = 0; s < groups; ++s) {
             free_slots.acquire();
-            load_subgroup(s, buffers[s % slots]);
+            load_subgroup(s, slots_[s % slots]);
             ready_slots.release();
         }
     });
 
     for (std::size_t s = 0; s < groups; ++s) {
         ready_slots.acquire();
-        compute_subgroup(s, buffers[s % slots]);
+        compute_subgroup(s, slots_[s % slots]);
         free_slots.release();
     }
     loader.join();

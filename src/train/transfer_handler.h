@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "compress/topk.h"
 #include "csd/csd.h"
@@ -56,8 +57,12 @@ class TransferHandler
     };
 
     /**
+     * Allocates the FPGA buffer slots (two when optimized, one when naive)
+     * once, here; every runUpdate call reuses them (the paper's buffer
+     * pre-allocation). fatal() if they do not fit in device memory.
      * @param csd target device; must have an updater installed (and a
-     *        decompressor when compressed gradients are used)
+     *        decompressor when compressed gradients are used), and must
+     *        outlive the handler
      * @param layout shard layout on the CSD's SSD
      */
     TransferHandler(csd::Csd &csd, const ShardLayout &layout,
@@ -90,7 +95,14 @@ class TransferHandler
     }
 
   private:
-    struct Buffers;
+    /** One slot's device buffers: gradients + master + aux states. */
+    struct Buffers {
+        csd::DeviceBuffer grad;
+        csd::DeviceBuffer master;
+        std::vector<csd::DeviceBuffer> aux;
+        /** aux[a].floats(), in the form the updater kernel takes. */
+        std::vector<float *> states;
+    };
 
     void process(const compress::SparseGradient *sparse, uint64_t step,
                  float *host_params_out);
@@ -98,6 +110,7 @@ class TransferHandler
     csd::Csd &csd_;
     ShardLayout layout_;
     Config config_;
+    std::vector<Buffers> slots_;
 };
 
 } // namespace smartinf::train

@@ -1,8 +1,10 @@
 /** @file Tests for the SmartInfinityCluster functional backend. */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
+#include "compress/topk.h"
 #include "core/smart_infinity.h"
 
 namespace smartinf {
@@ -127,6 +129,68 @@ TEST(Cluster, CompressionApproximatesDenseUpdate)
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(comp.masterParams()[i], host.masterParams()[i],
                     1.05 * lr);
+    }
+}
+
+/**
+ * The shards run concurrently, each on its own worker; that must change
+ * nothing. A stepped cluster equals a host backend fed each shard's Top-K
+ * gradients, bit for bit, and so does the same cluster re-initialized
+ * (which restarts its workers) and stepped again.
+ */
+TEST(Cluster, CompressedStepMatchesPerShardHostReference)
+{
+    const std::size_t n = 10007; // divisible by none of the CSD counts
+    const double keep = 0.05;
+    for (int csds : {1, 3, 4, 7}) {
+        for (bool optimized : {true, false}) {
+            for (auto kind : {optim::OptimizerKind::Adam,
+                              optim::OptimizerKind::SgdMomentum}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "csds=" << csds << " optimized=" << optimized
+                             << " " << optim::optimizerName(kind));
+                ClusterConfig config;
+                config.num_csds = csds;
+                config.optimizer = kind;
+                config.optimized_handler = optimized;
+                config.compression = true;
+                config.keep_fraction = keep;
+                config.subgroup_elems = 500;
+                SmartInfinityCluster cluster(config);
+
+                for (uint64_t init_seed : {20, 21}) {
+                    const auto params = randomVector(n, init_seed);
+                    cluster.initialize(params.data(), n);
+                    nn::HostBackend host(kind, optim::Hyperparams{});
+                    host.initialize(params.data(), n);
+
+                    for (uint64_t t = 1; t <= 3; ++t) {
+                        const auto grads = randomVector(n, 30 + t, 0.01);
+                        std::vector<float> dense(n);
+                        double wire = 0.0;
+                        for (int d = 0; d < csds; ++d) {
+                            const std::size_t off = cluster.shardOffset(d);
+                            const std::size_t len = cluster.shardLength(d);
+                            const auto sparse =
+                                compress::TopKCompressor(keep).compress(
+                                    grads.data() + off, len);
+                            compress::TopKCompressor::decompress(
+                                sparse, dense.data() + off, len);
+                            wire += static_cast<double>(sparse.wireBytes());
+                        }
+                        cluster.step(grads.data(), n, t);
+                        host.step(dense.data(), n, t);
+                        ASSERT_EQ(cluster.lastGradWireBytes(), wire);
+                        for (std::size_t i = 0; i < n; ++i)
+                            ASSERT_EQ(
+                                std::bit_cast<uint32_t>(
+                                    cluster.masterParams()[i]),
+                                std::bit_cast<uint32_t>(host.masterParams()[i]))
+                                << "step " << t << " param " << i;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/random.h"
@@ -116,6 +119,149 @@ TEST(TopK, InvalidKeepFractionIsFatal)
 {
     EXPECT_THROW(TopKCompressor(0.0), std::runtime_error);
     EXPECT_THROW(TopKCompressor(1.5), std::runtime_error);
+}
+
+/**
+ * The selection Top-K made before the radix select, kept as the reference:
+ * copy the working vector, nth_element an index array by fabs, sort the
+ * survivors. On tie-free inputs it defines the selection uniquely.
+ */
+struct NthElementTopK {
+    double keep_fraction;
+    bool error_feedback;
+    std::vector<float> residual;
+
+    SparseGradient
+    compress(const float *grad, std::size_t n)
+    {
+        SparseGradient out;
+        out.dense_size = n;
+        std::vector<float> work(grad, grad + n);
+        if (error_feedback) {
+            residual.resize(n, 0.0f);
+            for (std::size_t i = 0; i < n; ++i)
+                work[i] += residual[i];
+        }
+        const std::size_t k =
+            TopKCompressor(keep_fraction, error_feedback).keepCount(n);
+        std::vector<uint32_t> order(n);
+        std::iota(order.begin(), order.end(), 0u);
+        std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
+                         [&](uint32_t a, uint32_t b) {
+                             return std::fabs(work[a]) > std::fabs(work[b]);
+                         });
+        order.resize(k);
+        std::sort(order.begin(), order.end());
+        out.indices = order;
+        for (uint32_t idx : order)
+            out.values.push_back(work[idx]);
+        if (error_feedback) {
+            residual = work;
+            for (uint32_t idx : order)
+                residual[idx] = 0.0f;
+        }
+        return out;
+    }
+};
+
+/** 1..n times 2^-10 in a random order with random signs: no two elements
+ *  share a magnitude. */
+std::vector<float>
+shuffledMagnitudes(std::size_t n, Rng &rng)
+{
+    std::vector<float> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<float>(i + 1) * 0x1.0p-10f;
+    for (std::size_t i = n; i > 1; --i)
+        std::swap(v[i - 1], v[rng.uniformInt(i)]);
+    for (auto &x : v)
+        x = rng.uniform() < 0.5 ? -x : x;
+    return v;
+}
+
+std::vector<uint32_t>
+bitsOf(const std::vector<float> &v)
+{
+    std::vector<uint32_t> bits(v.size());
+    std::transform(v.begin(), v.end(), bits.begin(),
+                   [](float x) { return std::bit_cast<uint32_t>(x); });
+    return bits;
+}
+
+TEST(TopK, MatchesNthElementReferenceWithoutTies)
+{
+    Rng rng(2024);
+    for (std::size_t n : {1, 2, 7, 50, 99, 100, 101, 1000, 4097, 65539}) {
+        for (double keep : {0.001, 0.01, 0.1, 0.25, 0.5, 1.0}) {
+            for (bool feedback : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " keep=" << keep
+                             << " feedback=" << feedback);
+                TopKCompressor comp(keep, feedback);
+                NthElementTopK reference{keep, feedback, {}};
+                for (int round = 0; round < 3; ++round) {
+                    // Draw the working vector tie-free, then subtract the
+                    // residual to get the gradient. Multiples of 2^-10
+                    // below 2^8 make every sum and difference exact.
+                    std::vector<float> work = shuffledMagnitudes(n, rng);
+                    std::vector<float> g = work;
+                    for (std::size_t i = 0; i < reference.residual.size();
+                         ++i)
+                        g[i] -= reference.residual[i];
+
+                    const auto got = comp.compress(g.data(), n);
+                    const auto want = reference.compress(g.data(), n);
+                    ASSERT_EQ(got.dense_size, n);
+                    ASSERT_EQ(got.indices, want.indices);
+                    ASSERT_EQ(bitsOf(got.values), bitsOf(want.values));
+                    ASSERT_EQ(bitsOf(comp.residual()),
+                              bitsOf(reference.residual));
+                }
+            }
+        }
+    }
+}
+
+TEST(TopK, TiesBreakByLowestIndex)
+{
+    // |x| = 1 is the 3rd largest magnitude and four elements share it:
+    // 3.0 and 2.0 are kept, then the lowest-index 1.0 (index 2).
+    std::vector<float> g{0.5f, 2.0f, -1.0f, 1.0f, 3.0f, -1.0f, 1.0f};
+    TopKCompressor comp(3.0 / 7.0);
+    const auto sparse = comp.compress(g.data(), g.size());
+    EXPECT_EQ(sparse.indices, (std::vector<uint32_t>{1, 2, 4}));
+    EXPECT_EQ(sparse.values, (std::vector<float>{2.0f, -1.0f, 3.0f}));
+
+    // All equal magnitudes: the first k indices win.
+    std::vector<float> flat(100);
+    for (std::size_t i = 0; i < flat.size(); ++i)
+        flat[i] = i % 2 == 0 ? 0.25f : -0.25f;
+    const auto first = TopKCompressor(0.1).compress(flat.data(), flat.size());
+    std::vector<uint32_t> want(10);
+    std::iota(want.begin(), want.end(), 0u);
+    EXPECT_EQ(first.indices, want);
+}
+
+TEST(TopK, NonFiniteRanksAboveFinite)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> g{1.0f, -inf, 3e38f, nan, -2.0f, inf, 0.0f, -nan};
+    auto keep = [&](std::size_t k) {
+        TopKCompressor comp(static_cast<double>(k) / g.size());
+        const auto sparse = comp.compress(g.data(), g.size());
+        EXPECT_EQ(sparse.indices.size(), k);
+        return sparse.indices;
+    };
+    // NaN (either sign) ranks above +-inf, which rank above every finite
+    // magnitude; equal ranks break by index.
+    EXPECT_EQ(keep(1), (std::vector<uint32_t>{3}));
+    EXPECT_EQ(keep(2), (std::vector<uint32_t>{3, 7}));
+    EXPECT_EQ(keep(3), (std::vector<uint32_t>{1, 3, 7}));
+    EXPECT_EQ(keep(4), (std::vector<uint32_t>{1, 3, 5, 7}));
+    EXPECT_EQ(keep(5), (std::vector<uint32_t>{1, 2, 3, 5, 7}));
+    // Deterministic: the same input always gives the same selection.
+    EXPECT_EQ(keep(4), keep(4));
 }
 
 /** Property: compression preserves the top-k energy of the gradient. */

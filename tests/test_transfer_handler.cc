@@ -133,6 +133,26 @@ TEST(TransferHandler, DeviceMemoryBoundedByPreallocation)
     EXPECT_GT(handler.peakDeviceMemory(), 0u);
 }
 
+TEST(TransferHandler, BuffersAllocatedOnceAndReused)
+{
+    // The paper's pre-allocation: the slots exist from construction and
+    // every update reuses them, so device memory never moves.
+    for (bool optimized : {true, false}) {
+        Fixture fx(100000);
+        const std::size_t chunk = 4096;
+        const std::size_t slots = optimized ? 2 : 1;
+        // grad + master + 2 Adam states per slot.
+        const std::size_t footprint = slots * 4 * chunk * sizeof(float);
+        TransferHandler handler(fx.device, fx.layout, {chunk, optimized});
+        EXPECT_EQ(fx.device.fpgaMemory().allocated(), footprint);
+        for (uint64_t t = 1; t <= 3; ++t) {
+            handler.runUpdate(t, nullptr);
+            EXPECT_EQ(fx.device.fpgaMemory().allocated(), footprint);
+        }
+        EXPECT_EQ(handler.peakDeviceMemory(), footprint);
+    }
+}
+
 TEST(TransferHandler, CompressedPathMatchesReferenceDecompression)
 {
     const std::size_t n = 8192;
