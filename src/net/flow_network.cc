@@ -250,9 +250,9 @@ void
 FlowNetwork::markComponent(const std::vector<uint32_t> &seeds)
 {
     // Flood-fill the "shares a link" relation from the seed flows. Work is
-    // proportional to the component (plus an O(c log c) sort downstream),
-    // so a flow that shares no links costs O(route length), independent of
-    // how many other flows are active.
+    // proportional to the component (plus a sort of its few links
+    // downstream), so a flow that shares no links costs O(route length),
+    // independent of how many other flows are active.
     const uint64_t epoch = ++epoch_;
     bfs_stack_.clear();
     comp_links_.clear();
@@ -303,48 +303,59 @@ FlowNetwork::recomputeComponent(Seconds now)
             observer_->linkRateChanged(*link_states_[li].link, 0.0, now);
     }
 
-    // Order the component's surviving flows by ascending id (markComponent
-    // collected them in flood-fill order) and settle their progress to now.
+    // Drop retired seeds and settle the survivors' progress to now. Each
+    // flow settles on its own, so the flows stay in flood-fill order.
     comp_flows_.erase(std::remove_if(comp_flows_.begin(), comp_flows_.end(),
                                      [this](uint32_t s) {
                                          return !slots_[s].active;
                                      }),
                       comp_flows_.end());
-    std::sort(comp_flows_.begin(), comp_flows_.end(),
-              [this](uint32_t a, uint32_t b) {
-                  return slots_[a].id < slots_[b].id;
-              });
     for (uint32_t s : comp_flows_)
         settleFlow(slots_[s], now);
 
-    // Re-key the component's links in first-touch order under the id-ordered
-    // flow scan (the order the full-recompute oracle uses) and initialise
-    // the epoch-stamped water-fill scratch. Multiplicity counts: a route
-    // listing a link twice claims two shares, as the original full
-    // recompute did.
-    const uint64_t fill_epoch = ++epoch_;
-    const std::size_t n_links = comp_links_.size();
-    comp_links_.clear();
-    comp_links_.reserve(n_links);
-    for (uint32_t s : comp_flows_) {
-        for (uint32_t li : slots_[s].links) {
-            LinkState &ls = link_states_[li];
-            if (ls.mark != fill_epoch) {
-                ls.mark = fill_epoch;
-                ls.residual = ls.capacity;
-                ls.unfixed = 0;
-                comp_links_.push_back(li);
-            }
-            ++ls.unfixed;
-        }
+    // Re-key the component's links and initialise the water-fill scratch.
+    // Each link's flow list holds exactly its active flows, one entry per
+    // route occurrence (a route listing a link twice claims two shares), so
+    // it gives the unfixed count directly; links whose last flow retired
+    // drop out. The oracle scans links in first-touch order (walking flows
+    // by ascending id, each route in order). A link is first touched by
+    // its lowest-id flow, the front of its id-ordered list, at its first
+    // position in that flow's route, so sorting on that pair reproduces the
+    // order without sorting the flows.
+    std::size_t n_links = 0;
+    for (uint32_t li : comp_links_) {
+        LinkState &ls = link_states_[li];
+        if (ls.flows.empty())
+            continue;
+        const FlowSlot &first = slots_[ls.flows.front()];
+        ls.residual = ls.capacity;
+        ls.unfixed = static_cast<int>(ls.flows.size());
+        ls.touch_id = first.id;
+        ls.touch_pos = static_cast<uint32_t>(
+            std::find(first.links.begin(), first.links.end(), li) -
+            first.links.begin());
+        comp_links_[n_links++] = li;
     }
+    comp_links_.resize(n_links);
+    std::sort(comp_links_.begin(), comp_links_.end(),
+              [this](uint32_t a, uint32_t b) {
+                  const LinkState &la = link_states_[a];
+                  const LinkState &lb = link_states_[b];
+                  if (la.touch_id != lb.touch_id)
+                      return la.touch_id < lb.touch_id;
+                  return la.touch_pos < lb.touch_pos;
+              });
 
     // Progressive water-filling over the component. Repeatedly find the
     // most-constrained link (smallest residual capacity per unfixed flow),
     // freeze its flows at that fair share, and release their capacity
-    // claims elsewhere.
-    unfixed_ = comp_flows_;
-    while (!unfixed_.empty()) {
+    // claims elsewhere. The bottleneck's own id-ordered list names exactly
+    // the flows to freeze, in the ascending-id order the oracle freezes
+    // them; flows frozen in an earlier round, and the repeat entries of a
+    // route that lists the link twice, carry this recompute's stamp.
+    const uint64_t fill_epoch = ++epoch_;
+    std::size_t n_unfixed = comp_flows_.size();
+    while (n_unfixed > 0) {
         uint32_t bottleneck = kNoSlot;
         double best_share = std::numeric_limits<double>::infinity();
         for (uint32_t li : comp_links_) {
@@ -360,17 +371,14 @@ FlowNetwork::recomputeComponent(Seconds now)
         SI_ASSERT(bottleneck != kNoSlot, "no bottleneck among active flows");
 
         // Freeze every unfixed flow crossing the bottleneck at best_share.
-        std::size_t kept = 0;
-        for (uint32_t s : unfixed_) {
+        const std::size_t before = n_unfixed;
+        for (uint32_t s : link_states_[bottleneck].flows) {
             FlowSlot &flow = slots_[s];
-            const bool crosses =
-                std::find(flow.links.begin(), flow.links.end(), bottleneck) !=
-                flow.links.end();
-            if (!crosses) {
-                unfixed_[kept++] = s;
+            if (flow.mark == fill_epoch)
                 continue;
-            }
+            flow.mark = fill_epoch;
             flow.rate = best_share;
+            --n_unfixed;
             for (uint32_t li : flow.links) {
                 LinkState &ls = link_states_[li];
                 ls.residual -= best_share;
@@ -379,9 +387,7 @@ FlowNetwork::recomputeComponent(Seconds now)
                 --ls.unfixed;
             }
         }
-        SI_ASSERT(kept < unfixed_.size(),
-                  "water-filling failed to make progress");
-        unfixed_.resize(kept);
+        SI_ASSERT(n_unfixed < before, "water-filling failed to make progress");
     }
 
     // Refresh per-link aggregate rates (summed in id order so the oracle
@@ -400,6 +406,12 @@ FlowNetwork::recomputeComponent(Seconds now)
     }
 
     if (observer_) {
+        // Witnesses see rate changes by ascending id, as the oracle lists
+        // them; unobserved runs skip the sort.
+        std::sort(comp_flows_.begin(), comp_flows_.end(),
+                  [this](uint32_t a, uint32_t b) {
+                      return slots_[a].id < slots_[b].id;
+                  });
         for (uint32_t li : comp_links_)
             observer_->linkRateChanged(*link_states_[li].link,
                                        link_states_[li].agg_rate, now);

@@ -188,7 +188,7 @@ class FlowNetwork
         Seconds settled_at = 0.0; ///< time @c remaining refers to
         std::function<void()> done;
         uint32_t stamp = 0;   ///< bumped on rate change/retire; guards heap
-        uint64_t mark = 0;    ///< closure-visit epoch
+        uint64_t mark = 0;    ///< closure-visit / water-fill freeze epoch
         bool active = false;  ///< in bulk phase (delayed/free slots: false)
         bool cancelled = false; ///< revoked while in its latency phase
         Bytes pending_bytes = 0.0; ///< bulk size while in latency phase
@@ -204,6 +204,8 @@ class FlowNetwork
         uint64_t mark = 0;           ///< closure/scratch epoch
         double residual = 0.0;       ///< water-fill scratch
         int unfixed = 0;             ///< water-fill scratch
+        FlowId touch_id = 0;   ///< first-touch key: lowest crossing flow id
+        uint32_t touch_pos = 0; ///< ... and the link's first route position
     };
 
     struct HeapEntry {
@@ -261,7 +263,6 @@ class FlowNetwork
     // nothing).
     std::vector<uint32_t> comp_links_;
     std::vector<uint32_t> comp_flows_;
-    std::vector<uint32_t> unfixed_;
     std::vector<uint32_t> bfs_stack_;
     std::vector<uint32_t> retiring_;
     std::vector<std::function<void()>> callbacks_;

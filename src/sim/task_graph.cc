@@ -29,7 +29,7 @@ TaskGraph::task(TaskId id)
 {
     SI_ASSERT(id >= base_, "task ", id, " was trimmed");
     SI_ASSERT(id < total_added_, "bad task id");
-    return tasks_[id - base_];
+    return blocks_[(id - base_) >> kBlockShift][id & (kBlockSize - 1)];
 }
 
 const TaskGraph::Task &
@@ -37,7 +37,7 @@ TaskGraph::task(TaskId id) const
 {
     SI_ASSERT(id >= base_, "task ", id, " was trimmed");
     SI_ASSERT(id < total_added_, "bad task id");
-    return tasks_[id - base_];
+    return blocks_[(id - base_) >> kBlockShift][id & (kBlockSize - 1)];
 }
 
 TaskGraph::TaskId
@@ -45,9 +45,13 @@ TaskGraph::add(Action action, TaskLabel label)
 {
     // Post-start additions stay dormant (released == false) until the
     // caller wires their dependencies and calls release().
-    tasks_.push_back(Task{std::move(action), label, {}, 0, false, false,
-                          false, false, current_domain_, -1.0, -1.0});
-    return total_added_++;
+    if ((total_added_ & (kBlockSize - 1)) == 0)
+        blocks_.push_back(spare_block_ ? std::move(spare_block_)
+                                       : std::make_unique<Task[]>(kBlockSize));
+    const TaskId id = total_added_++;
+    task(id) = Task{std::move(action), label, {}, 0, false, false,
+                    false, false, current_domain_, -1.0, -1.0};
+    return id;
 }
 
 TaskGraph::TaskId
@@ -88,8 +92,8 @@ TaskGraph::dependsOn(TaskId task_id, TaskId dep)
 {
     SI_ASSERT(task_id < total_added_ && dep < total_added_, "bad task id");
     SI_ASSERT(task_id != dep, "task cannot depend on itself");
-    SI_ASSERT(!task(task_id).launched,
-              "cannot add a dependency to a launched task");
+    Task &t = task(task_id);
+    SI_ASSERT(!t.launched, "cannot add a dependency to a launched task");
     // A trimmed dependency was completed (or abandoned with its whole
     // closed sub-graph) long ago — satisfied, exactly like the completed
     // branch below.
@@ -97,12 +101,13 @@ TaskGraph::dependsOn(TaskId task_id, TaskId dep)
         SI_ASSERT(started_, "completed dependency before start()");
         return;
     }
-    if (task(dep).completed) {
+    Task &d = task(dep);
+    if (d.completed) {
         SI_ASSERT(started_, "completed dependency before start()");
         return; // already satisfied
     }
-    task(dep).dependents.push_back(task_id);
-    ++task(task_id).pending_deps;
+    d.dependents.push_back(task_id);
+    ++t.pending_deps;
 }
 
 void
@@ -122,8 +127,9 @@ TaskGraph::start()
     // only the pre-start prefix is released here.
     const TaskId static_tasks = total_added_;
     for (TaskId id = 0; id < static_tasks; ++id) {
-        task(id).released = true;
-        if (task(id).pending_deps == 0)
+        Task &t = task(id);
+        t.released = true;
+        if (t.pending_deps == 0)
             launch(id);
     }
 }
@@ -132,9 +138,10 @@ void
 TaskGraph::release(TaskId id)
 {
     SI_REQUIRE(started_, "release() before start() (start releases all)");
-    SI_ASSERT(!task(id).released, "task ", id, " released twice");
-    task(id).released = true;
-    if (task(id).pending_deps == 0)
+    Task &t = task(id);
+    SI_ASSERT(!t.released, "task ", id, " released twice");
+    t.released = true;
+    if (t.pending_deps == 0)
         launch(id);
 }
 
@@ -150,21 +157,21 @@ TaskGraph::releaseRange(TaskId first, TaskId end)
 void
 TaskGraph::launch(TaskId id)
 {
-    SI_ASSERT(!task(id).launched, "task ", id, " launched twice");
-    SI_ASSERT(!task(id).abandoned, "launching revoked task ", id);
-    task(id).launched = true;
-    task(id).start_time = sim_.now();
+    Task &t = task(id);
+    SI_ASSERT(!t.launched, "task ", id, " launched twice");
+    SI_ASSERT(!t.abandoned, "launching revoked task ", id);
+    t.launched = true;
+    t.start_time = sim_.now();
     obs::Profiler::instance().countTaskLaunch();
     if (SimObserver *observer = sim_.observer())
-        observer->taskStarted(id, task(id).label, sim_.now());
-    if (!task(id).action) {
+        observer->taskStarted(id, t.label, sim_.now());
+    if (!t.action) {
         complete(id);
         return;
     }
-    // Move the action out before invoking it: a dynamic-mode action may
-    // add tasks and reallocate tasks_, which would otherwise move the
-    // std::function out from under its own call frame.
-    Action action = std::move(task(id).action);
+    // Move the action out before invoking it, so the task drops the
+    // closure (and whatever it captured) as soon as it has run.
+    Action action = std::move(t.action);
     const TaskId prev_launching = launching_;
     launching_ = id;
     ++callback_depth_;
@@ -176,33 +183,33 @@ TaskGraph::launch(TaskId id)
 void
 TaskGraph::complete(TaskId id)
 {
-    if (task(id).abandoned)
+    // Adding tasks never moves one, and trim waits for the outermost
+    // frame, so this reference holds while dependents launch below.
+    Task &t = task(id);
+    if (t.abandoned)
         return; // A revoked task's work drains as a discarded no-op.
-    SI_ASSERT(!task(id).completed, "task ", id, " completed twice");
+    SI_ASSERT(!t.completed, "task ", id, " completed twice");
     const obs::Profiler::Scoped probe(obs::Section::TaskComplete);
     ++callback_depth_;
-    task(id).completed = true;
-    task(id).finish_time = sim_.now();
-    max_finish_ = std::max(max_finish_, task(id).finish_time);
+    t.completed = true;
+    t.finish_time = sim_.now();
+    max_finish_ = std::max(max_finish_, t.finish_time);
     if (!cancellers_.empty())
         cancellers_.erase(id);
     if (SimObserver *observer = sim_.observer())
-        observer->taskFinished(id, task(id).label, sim_.now());
+        observer->taskFinished(id, t.label, sim_.now());
     ++completed_;
     // A completed task's dependent list is frozen (dependsOn on a
-    // completed dep is a no-op), but launching a dependent may append
-    // tasks and reallocate tasks_ — re-index on every access.
-    const std::size_t n = task(id).dependents.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TaskId dep_id = task(id).dependents[i];
-        SI_ASSERT(task(dep_id).pending_deps > 0, "dependency underflow");
-        if (--task(dep_id).pending_deps == 0 && task(dep_id).released &&
-            !task(dep_id).abandoned)
+    // completed dep is a no-op).
+    for (const TaskId dep_id : t.dependents) {
+        Task &dep = task(dep_id);
+        SI_ASSERT(dep.pending_deps > 0, "dependency underflow");
+        if (--dep.pending_deps == 0 && dep.released && !dep.abandoned)
             launch(dep_id);
     }
     --callback_depth_;
-    // Trim only at the outermost frame: a nested trim would shift the
-    // storage an outer complete()'s dependent loop is still indexing.
+    // Trim only at the outermost frame: a nested trim would free the
+    // storage an outer complete()'s dependent loop is still reading.
     if (trim_enabled_ && callback_depth_ == 0 &&
         completed_ - trim_checkpoint_ >= kTrimChunk)
         maybeTrim();
@@ -212,16 +219,16 @@ void
 TaskGraph::maybeTrim()
 {
     trim_checkpoint_ = completed_;
-    std::size_t front = 0;
-    const std::size_t stored = tasks_.size();
-    while (front < stored &&
-           (tasks_[front].completed || tasks_[front].abandoned))
-        ++front;
-    if (front < kTrimChunk)
-        return; // Not worth an erase yet; re-scan after the next chunk.
-    tasks_.erase(tasks_.begin(),
-                 tasks_.begin() + static_cast<std::ptrdiff_t>(front));
-    base_ += front;
+    // Completion is final, so the done prefix only grows.
+    while (trim_front_ < total_added_ &&
+           (task(trim_front_).completed || task(trim_front_).abandoned))
+        ++trim_front_;
+    const std::size_t whole = (trim_front_ - base_) >> kBlockShift;
+    if (whole > 0)
+        spare_block_ = std::move(blocks_[whole - 1]);
+    blocks_.erase(blocks_.begin(),
+                  blocks_.begin() + static_cast<std::ptrdiff_t>(whole));
+    base_ += whole << kBlockShift;
 }
 
 void

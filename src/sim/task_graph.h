@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,7 +115,8 @@ class TaskGraph
      * (or abandoned) prefix of tasks is periodically reclaimed, so a
      * dynamic workload that appends tasks forever — the streaming serving
      * scenarios run millions — holds O(live tasks) memory instead of
-     * O(total tasks). Task ids stay global and stable; only storage moves.
+     * O(total tasks). Task ids stay global and stable; storage is freed a
+     * whole block at a time.
      * The trade: finishTime()/startTime()/labelString()/abandoned() must
      * not be asked about trimmed ids (they assert), and dependsOn() on a
      * trimmed dependency counts as already satisfied. Must be enabled
@@ -183,6 +185,10 @@ class TaskGraph
     /** Materialised label of a task (debugging/tracing). */
     std::string labelString(TaskId id) const;
 
+    /** A task's stored label. The reference stays valid until the task is
+     *  trimmed: adding tasks never moves a task already added. */
+    const TaskLabel &label(TaskId id) const { return task(id).label; }
+
   private:
     struct Task {
         Action action;
@@ -202,18 +208,29 @@ class TaskGraph
 
     void launch(TaskId id);
     void complete(TaskId id);
-    /** Storage slot for global id @p id (trim shifts storage by base_). */
+    /** Storage slot for global id @p id. */
     Task &task(TaskId id);
     const Task &task(TaskId id) const;
-    /** Reclaim the completed/abandoned prefix. Only called from the
-     *  outermost complete() frame (callback_depth_ == 1): a nested trim
-     *  would shift storage out from under an outer frame's dependent
-     *  loop. Amortized O(1): scans only once per kTrimChunk completions
-     *  and erases in chunks. */
+    /** Free every leading block whose tasks are all completed/abandoned.
+     *  Only called from the outermost complete() frame (callback_depth_ ==
+     *  0): a nested trim would free storage an outer frame's dependent
+     *  loop is still reading. Amortized O(1): scans only once per
+     *  kTrimChunk completions, resuming where the last scan stopped. */
     void maybeTrim();
 
     Simulator &sim_;
-    std::vector<Task> tasks_; ///< storage for ids [base_, total_added_)
+    /** Tasks live in fixed blocks of kBlockSize, so a growing graph never
+     *  reallocates or moves a task. One big doubling array would copy the
+     *  whole graph on every growth step, and its large freed buffers
+     *  fragment the heap, so peak RSS would creep with every graph built
+     *  in one process. blocks_[0] holds ids [base_, base_ + kBlockSize). */
+    static constexpr std::size_t kBlockShift = 10;
+    static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
+    std::vector<std::unique_ptr<Task[]>> blocks_;
+    /** The last block trim freed, kept for the next append: a streaming
+     *  graph then cycles through warm memory instead of allocating and
+     *  constructing a fresh block every kBlockSize tasks. */
+    std::unique_ptr<Task[]> spare_block_;
     std::size_t completed_ = 0;
     std::size_t total_added_ = 0; ///< size of the global id space
     bool started_ = false;
@@ -221,8 +238,9 @@ class TaskGraph
     /** @name Trim mode (enableTrim()); all zero-cost when disabled. @{ */
     static constexpr std::size_t kTrimChunk = 1024;
     bool trim_enabled_ = false;
-    std::size_t base_ = 0; ///< first untrimmed id; 0 unless trimming
+    std::size_t base_ = 0; ///< first untrimmed id (a block boundary)
     std::size_t trim_checkpoint_ = 0; ///< completed_ at the last scan
+    std::size_t trim_front_ = 0; ///< ids below this are completed/abandoned
     int callback_depth_ = 0; ///< launch/complete nesting depth
     /** @} */
     /** Latest finish_time seen so far; == makespan() once done(). Kept

@@ -140,6 +140,76 @@ TEST(FlowNetworkStress, IncrementalMatchesOracleAfterEveryEvent)
     EXPECT_NEAR(net.totalBytesDelivered(), requested, completed * 2.0);
 }
 
+TEST(FlowNetworkStress, TiedSharesAndLateLowIdsMatchOracle)
+{
+    // Every link has the same capacity, so bottleneck shares tie and the
+    // first-touch link order decides which link freezes first. Start
+    // latencies are mixed, and shrink with the id within each burst, so a
+    // link's lowest-id flow often arrives after its higher ids. Routes
+    // list their links in random order (sometimes one twice), so a link's
+    // first route position varies between flows. Equal sizes make
+    // completions coincide too.
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    std::vector<Link *> links;
+    for (int i = 0; i < 8; ++i)
+        links.push_back(&topo.addLink("l" + std::to_string(i), 64.0));
+
+    Rng rng(20261017);
+    int completed = 0;
+    int started = 0;
+    int churn_budget = 300;
+
+    auto random_route = [&]() {
+        Route route;
+        const int len = 1 + static_cast<int>(rng.uniformInt(4));
+        while (static_cast<int>(route.size()) < len) {
+            Link *l = links[rng.uniformInt(links.size())];
+            if (std::find(route.begin(), route.end(), l) == route.end())
+                route.push_back(l);
+        }
+        if (rng.uniform() < 0.1) // Claim two shares on one link.
+            route.push_back(route[rng.uniformInt(route.size())]);
+        return route;
+    };
+
+    std::function<void(int)> burst = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            const double bytes = 64.0 * (1 + rng.uniformInt(4));
+            // Later ids in a burst tend to start first; a quarter start at
+            // once, on top of whatever else starts at this instant.
+            const double stagger = 0.125 * (n - i + rng.uniformInt(3));
+            const double latency = rng.uniform() < 0.25 ? 0.0 : stagger;
+            ++started;
+            net.startFlow(random_route(), bytes,
+                          [&]() {
+                              ++completed;
+                              if (churn_budget > 0) {
+                                  const int more = std::min(
+                                      churn_budget,
+                                      1 + static_cast<int>(rng.uniformInt(3)));
+                                  churn_budget -= more;
+                                  burst(more);
+                              }
+                          },
+                          latency);
+        }
+    };
+
+    burst(40);
+    expectMatchesOracle(net, links);
+    int events = 0;
+    while (stepOne(sim)) {
+        ++events;
+        expectMatchesOracle(net, links);
+        ASSERT_LT(events, 200000) << "simulation failed to drain";
+    }
+    EXPECT_EQ(net.activeFlows(), 0u);
+    EXPECT_EQ(completed, started);
+    EXPECT_EQ(started, 40 + 300);
+}
+
 TEST(FlowNetworkStress, DuplicateLinkRouteMatchesOracle)
 {
     // A route listing the same link twice claims two shares on it; the

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "sim/task_graph.h"
@@ -187,7 +188,7 @@ TEST(TaskGraph, DynamicGrowthFromCompletionCallbackSurvivesReallocation)
 {
     // A chain grown one link at a time from inside task actions: each
     // action appends the next task while complete() is iterating its
-    // dependents, exercising the reallocation-safety of the tasks_ store.
+    // dependents, exercising the growth-safety of the task storage.
     Simulator sim;
     TaskGraph g(sim);
     int hops = 0;
@@ -207,6 +208,69 @@ TEST(TaskGraph, DynamicGrowthFromCompletionCallbackSurvivesReallocation)
     EXPECT_TRUE(g.done());
     EXPECT_EQ(hops, 200);
     EXPECT_EQ(g.taskCount(), 200u);
+}
+
+TEST(TaskGraph, StorageNeverMovesATaskAcrossGrowthAndTrim)
+{
+    // A one-second chain far longer than a storage block: the first part
+    // is added before start(), the rest one task at a time from inside
+    // completion callbacks, wired to the still-running predecessor. With
+    // and without trimming, every task keeps its id, its times and its
+    // address while it is stored; adding tasks never relocates one.
+    constexpr int kStatic = 2500;
+    constexpr int kTotal = 5000;
+    for (const bool trim : {false, true}) {
+        SCOPED_TRACE(trim ? "trim" : "no trim");
+        Simulator sim;
+        TaskGraph g(sim);
+        if (trim)
+            g.enableTrim();
+        std::vector<const TaskLabel *> stored;
+        int moved = 0;
+        std::function<void(std::function<void()>)> step;
+        auto add = [&](int i) {
+            const TaskGraph::TaskId id = g.add(step, {"chain", i});
+            EXPECT_EQ(id, static_cast<TaskGraph::TaskId>(i));
+            stored.push_back(&g.label(id));
+            if (i > 0)
+                g.dependsOn(id, id - 1);
+            return id;
+        };
+        step = [&](std::function<void()> done) {
+            const auto id = g.launchingTask();
+            sim.after(1.0, [&, id, done] {
+                const int i = static_cast<int>(id);
+                if (&g.label(id) != stored[id] || g.label(id).a != i)
+                    ++moved;
+                EXPECT_DOUBLE_EQ(g.startTime(id), i);
+                if (!trim && i > 0) {
+                    EXPECT_DOUBLE_EQ(g.finishTime(id - 1), i);
+                }
+                if (static_cast<int>(g.taskCount()) < kTotal)
+                    g.release(add(static_cast<int>(g.taskCount())));
+                done();
+            });
+        };
+        for (int i = 0; i < kStatic; ++i)
+            add(i);
+        g.start();
+        sim.run();
+
+        EXPECT_EQ(moved, 0);
+        EXPECT_TRUE(g.done());
+        EXPECT_EQ(g.taskCount(), static_cast<std::size_t>(kTotal));
+        EXPECT_DOUBLE_EQ(g.makespan(), kTotal);
+        if (trim) {
+            EXPECT_THROW(g.finishTime(0), std::logic_error);
+            continue;
+        }
+        for (int i = 0; i < kTotal; ++i) {
+            const auto id = static_cast<TaskGraph::TaskId>(i);
+            ASSERT_EQ(&g.label(id), stored[id]) << "task " << i;
+            EXPECT_DOUBLE_EQ(g.startTime(id), i);
+            EXPECT_DOUBLE_EQ(g.finishTime(id), i + 1);
+        }
+    }
 }
 
 TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
