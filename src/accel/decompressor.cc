@@ -26,18 +26,24 @@ class TopKDecompressor final : public DecompressorModule
         std::fill(out, out + n, 0.0f);
 
         // 2.-4. Stream (index, value) pairs in batches of S, routing each
-        // value that targets this subgroup's partition.
-        const std::size_t total = sparse.indices.size();
-        SI_ASSERT(total == sparse.values.size(), "ragged sparse gradient");
-        for (std::size_t batch = 0; batch < total;
-             batch += geometry_.batch_pairs) {
+        // value to this subgroup's partition. Indices ascend (wire
+        // format), so the pairs this subgroup owns form one window.
+        SI_ASSERT(sparse.indices.size() == sparse.values.size(),
+                  "ragged sparse gradient");
+        const auto begin = sparse.indices.begin();
+        const auto first =
+            std::lower_bound(begin, sparse.indices.end(), subgroup_base);
+        const auto last =
+            std::lower_bound(first, sparse.indices.end(), subgroup_base + n);
+        const std::size_t total = static_cast<std::size_t>(last - begin);
+        for (std::size_t batch = static_cast<std::size_t>(first - begin);
+             batch < total; batch += geometry_.batch_pairs) {
             const std::size_t end =
                 std::min(batch + geometry_.batch_pairs, total);
             for (std::size_t j = batch; j < end; ++j) {
-                const std::size_t idx = sparse.indices[j];
-                if (idx < subgroup_base || idx >= subgroup_base + n)
-                    continue; // Owned by another subgroup/CSD.
-                out[idx - subgroup_base] = sparse.values[j];
+                const std::size_t offset = sparse.indices[j] - subgroup_base;
+                SI_ASSERT(offset < n, "sparse indices out of order");
+                out[offset] = sparse.values[j];
             }
         }
     }

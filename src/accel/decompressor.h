@@ -37,6 +37,8 @@ class DecompressorModule
      * global indices [subgroup_base, subgroup_base + n). Entries of
      * @p sparse outside that range are ignored (they belong to other
      * subgroups / other CSDs). @p out is fully overwritten.
+     * @pre @p sparse's indices ascend (the SparseGradient wire format);
+     *      the subgroup's pairs are found by binary search.
      */
     virtual void decompressSubgroup(const compress::SparseGradient &sparse,
                                     std::size_t subgroup_base, float *out,

@@ -48,18 +48,19 @@ class AdamUpdater final : public UpdaterModule
     {
         float *mmt = states[0];
         float *var = states[1];
+        const optim::Hyperparams hp = hp_;
+        const optim::AdamStep at = optim::adamStep(hp, step);
         forEachChunk(n, geometry_.chunk_elems,
                      [&](std::size_t base, std::size_t len) {
-                         for (std::size_t i = base; i < base + len; ++i) {
-                             if (decoupled_decay_) {
+                         const std::size_t end = base + len;
+                         if (decoupled_decay_) {
+                             for (std::size_t i = base; i < end; ++i)
                                  optim::adamwElement(master[i], grad[i],
-                                                     mmt[i], var[i], hp_,
-                                                     step);
-                             } else {
+                                                     mmt[i], var[i], hp, at);
+                         } else {
+                             for (std::size_t i = base; i < end; ++i)
                                  optim::adamElement(master[i], grad[i],
-                                                    mmt[i], var[i], hp_,
-                                                    step);
-                             }
+                                                    mmt[i], var[i], hp, at);
                          }
                      });
     }
@@ -111,11 +112,12 @@ class SgdUpdater final : public UpdaterModule
                     std::size_t n, uint64_t /*step*/) const override
     {
         float *mmt = states[0];
+        const optim::Hyperparams hp = hp_;
         forEachChunk(n, geometry_.chunk_elems,
                      [&](std::size_t base, std::size_t len) {
                          for (std::size_t i = base; i < base + len; ++i)
                              optim::sgdMomentumElement(master[i], grad[i],
-                                                       mmt[i], hp_);
+                                                       mmt[i], hp);
                      });
     }
 
@@ -154,11 +156,12 @@ class AdaGradUpdater final : public UpdaterModule
                     std::size_t n, uint64_t /*step*/) const override
     {
         float *accum = states[0];
+        const optim::Hyperparams hp = hp_;
         forEachChunk(n, geometry_.chunk_elems,
                      [&](std::size_t base, std::size_t len) {
                          for (std::size_t i = base; i < base + len; ++i)
                              optim::adagradElement(master[i], grad[i],
-                                                   accum[i], hp_);
+                                                   accum[i], hp);
                      });
     }
 

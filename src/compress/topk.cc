@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -41,35 +42,59 @@ magnitudeKey(float x)
     return std::bit_cast<uint32_t>(x) & 0x7fffffffu;
 }
 
+/** Walk @p count down from the top digit, consuming @p k, and return the
+ *  digit that holds the k-th largest; @p k becomes its rank within it. */
+inline uint32_t
+pickDigit(const std::array<uint32_t, 1u << 12> &count, uint32_t radix_mask,
+          std::size_t &k)
+{
+    uint32_t d = radix_mask;
+    for (; count[d] < k; --d)
+        k -= count[d];
+    return d;
+}
+
 /**
- * Radix-select the k-th largest magnitude key of value_at(0..n-1): three
- * histogram passes over the key's top 11, middle 12 and low 8 bits, each
- * counting only the elements that match the digits fixed so far. On
- * return @p k holds how many elements equal to the key complete the top k.
+ * Radix-select the k-th largest magnitude key of value_at(0..n-1). One
+ * pass histograms the key's top 11 bits over the shard; a second gathers
+ * the keys of the bucket that holds the k-th largest. The middle 12 and
+ * low 8 bits are then resolved over that bucket only, each pass counting
+ * the keys that match the digits fixed so far. On return @p k holds how
+ * many elements equal to the key complete the top k.
  */
 template <typename ValueAt>
 uint32_t
 kthLargestKey(const ValueAt &value_at, std::size_t n, std::size_t &k)
 {
+    constexpr int kTopShift = 20;
+    std::array<uint32_t, 1u << 12> count;
+    std::fill_n(count.begin(), 1u << 11, 0u);
+    for (std::size_t i = 0; i < n; ++i)
+        ++count[magnitudeKey(value_at(i)) >> kTopShift];
+    const uint32_t top = pickDigit(count, (1u << 11) - 1, k);
+
+    std::vector<uint32_t> bucket;
+    bucket.reserve(count[top]);
+    for (std::size_t i = 0; i < n; ++i) {
+        const uint32_t key = magnitudeKey(value_at(i));
+        if ((key >> kTopShift) == top)
+            bucket.push_back(key);
+    }
+
     struct Digit {
         int shift;
         int bits;
     };
-    constexpr Digit kDigits[] = {{20, 11}, {8, 12}, {0, 8}};
-    std::array<uint32_t, 1u << 12> count;
-    uint32_t prefix = 0, prefix_mask = 0;
-    for (const Digit &digit : kDigits) {
+    constexpr Digit kLowDigits[] = {{8, 12}, {0, 8}};
+    uint32_t prefix = top << kTopShift;
+    uint32_t prefix_mask = ~0u << kTopShift;
+    for (const Digit &digit : kLowDigits) {
         const uint32_t radix_mask = (1u << digit.bits) - 1;
         std::fill_n(count.begin(), radix_mask + 1, 0u);
-        for (std::size_t i = 0; i < n; ++i) {
-            const uint32_t key = magnitudeKey(value_at(i));
+        for (const uint32_t key : bucket)
             if ((key & prefix_mask) == prefix)
                 ++count[(key >> digit.shift) & radix_mask];
-        }
-        uint32_t d = radix_mask;
-        for (; count[d] < k; --d)
-            k -= count[d];
-        prefix |= d << digit.shift;
+        prefix |= pickDigit(count, radix_mask, k) << digit.shift;
         prefix_mask |= radix_mask << digit.shift;
     }
     return prefix;

@@ -18,7 +18,12 @@
 
 namespace smartinf::compress {
 
-/** A compressed gradient shard: parallel index/value lists. */
+/**
+ * A compressed gradient shard: parallel index/value lists. Indices strictly
+ * ascend; that is part of the wire format (monotone scatter addresses), and
+ * consumers such as the FPGA decompressor rely on it to find a subgroup's
+ * pairs by binary search.
+ */
 struct SparseGradient {
     std::vector<uint32_t> indices;
     std::vector<float> values;

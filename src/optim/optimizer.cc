@@ -52,8 +52,10 @@ class AdamOptimizer final : public Optimizer
     {
         float *mmt = states[0];
         float *var = states[1];
+        const Hyperparams hp = hp_;
+        const AdamStep at = adamStep(hp, step);
         for (std::size_t i = 0; i < n; ++i)
-            adamElement(master[i], grad[i], mmt[i], var[i], hp_, step);
+            adamElement(master[i], grad[i], mmt[i], var[i], hp, at);
     }
 };
 
@@ -69,8 +71,10 @@ class AdamWOptimizer final : public Optimizer
     {
         float *mmt = states[0];
         float *var = states[1];
+        const Hyperparams hp = hp_;
+        const AdamStep at = adamStep(hp, step);
         for (std::size_t i = 0; i < n; ++i)
-            adamwElement(master[i], grad[i], mmt[i], var[i], hp_, step);
+            adamwElement(master[i], grad[i], mmt[i], var[i], hp, at);
     }
 };
 
@@ -85,8 +89,9 @@ class SgdMomentumOptimizer final : public Optimizer
          std::size_t n, uint64_t /*step*/) const override
     {
         float *mmt = states[0];
+        const Hyperparams hp = hp_;
         for (std::size_t i = 0; i < n; ++i)
-            sgdMomentumElement(master[i], grad[i], mmt[i], hp_);
+            sgdMomentumElement(master[i], grad[i], mmt[i], hp);
     }
 };
 
@@ -101,8 +106,9 @@ class AdaGradOptimizer final : public Optimizer
          std::size_t n, uint64_t /*step*/) const override
     {
         float *accum = states[0];
+        const Hyperparams hp = hp_;
         for (std::size_t i = 0; i < n; ++i)
-            adagradElement(master[i], grad[i], accum[i], hp_);
+            adagradElement(master[i], grad[i], accum[i], hp);
     }
 };
 

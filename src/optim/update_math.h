@@ -7,7 +7,9 @@
  *
  * Every rule is phrased in terms of AXPBY-style moving averages
  * (out = alpha*a + beta*b), mirroring the SIMD AXPBY units of the paper's
- * updater microarchitecture (Fig 7).
+ * updater microarchitecture (Fig 7). Callers pass the hyperparameters as
+ * a local copy: the element stores are float stores that could alias a
+ * member's float fields and force a reload per element.
  */
 #ifndef SMARTINF_OPTIM_UPDATE_MATH_H
 #define SMARTINF_OPTIM_UPDATE_MATH_H
@@ -35,20 +37,40 @@ struct Hyperparams {
     bool bias_correction = true;
 };
 
+/**
+ * Adam's per-step constants: the bias-correction divisors 1 - beta^t
+ * depend only on the step, so the updater holds them in registers rather
+ * than recomputing them per element. Built once per step by adamStep();
+ * the floats are the same as a per-element evaluation would give.
+ */
+struct AdamStep {
+    float bc1 = 1.0f;
+    float bc2 = 1.0f;
+    bool corrected = false;
+};
+
+/** The per-step constants for 1-based step @p step. */
+inline AdamStep
+adamStep(const Hyperparams &hp, uint64_t step)
+{
+    if (!hp.bias_correction)
+        return {};
+    return {1.0f - std::pow(hp.beta1, static_cast<float>(step)),
+            1.0f - std::pow(hp.beta2, static_cast<float>(step)), true};
+}
+
 /** Adam (Kingma & Ba): two moving averages + bias-corrected step. */
 inline void
 adamElement(float &param, float grad, float &mmt, float &var,
-            const Hyperparams &hp, uint64_t step)
+            const Hyperparams &hp, const AdamStep &at)
 {
     mmt = axpby(hp.beta1, mmt, 1.0f - hp.beta1, grad);
     var = axpby(hp.beta2, var, 1.0f - hp.beta2, grad * grad);
     float m_hat = mmt;
     float v_hat = var;
-    if (hp.bias_correction) {
-        const float bc1 = 1.0f - std::pow(hp.beta1, static_cast<float>(step));
-        const float bc2 = 1.0f - std::pow(hp.beta2, static_cast<float>(step));
-        m_hat /= bc1;
-        v_hat /= bc2;
+    if (at.corrected) {
+        m_hat /= at.bc1;
+        v_hat /= at.bc2;
     }
     param -= hp.lr * m_hat / (std::sqrt(v_hat) + hp.epsilon);
 }
@@ -56,10 +78,10 @@ adamElement(float &param, float grad, float &mmt, float &var,
 /** AdamW (Loshchilov & Hutter): decoupled weight decay before Adam. */
 inline void
 adamwElement(float &param, float grad, float &mmt, float &var,
-             const Hyperparams &hp, uint64_t step)
+             const Hyperparams &hp, const AdamStep &at)
 {
     param -= hp.lr * hp.weight_decay * param;
-    adamElement(param, grad, mmt, var, hp, step);
+    adamElement(param, grad, mmt, var, hp, at);
 }
 
 /** SGD with (heavy-ball) momentum: one moving average. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <semaphore>
 #include <thread>
 #include <vector>
@@ -58,6 +59,10 @@ TransferHandler::runUpdateCompressed(const compress::SparseGradient &sparse,
                "no decompressor installed on ", csd_.name());
     SI_REQUIRE(sparse.dense_size == layout_.elems,
                "sparse gradient sized for a different shard");
+    const bool ascending =
+        std::adjacent_find(sparse.indices.begin(), sparse.indices.end(),
+                           std::greater_equal<>()) == sparse.indices.end();
+    SI_REQUIRE(ascending, "sparse gradient indices must strictly ascend");
     process(&sparse, step, host_params_out);
 }
 

@@ -80,7 +80,8 @@ class TransferHandler
     /**
      * SmartComp variant: the gradients arrive compressed. The FPGA's
      * decompressor reconstructs each subgroup's dense slice before the
-     * updater runs. @p sparse indices are global within the shard.
+     * updater runs. @p sparse indices are global within the shard and
+     * must strictly ascend, as TopKCompressor emits them (checked).
      */
     void runUpdateCompressed(const compress::SparseGradient &sparse,
                              uint64_t step, float *host_params_out);

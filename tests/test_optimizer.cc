@@ -1,7 +1,9 @@
 /** @file Tests for the host reference optimizers. */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "optim/optimizer.h"
@@ -48,6 +50,76 @@ TEST(Optimizer, AdamBiasCorrectionTogglable)
     opt_with->step(&p1, &grad, s1, 1, 1);
     opt_without->step(&p2, &grad, s2, 1, 1);
     EXPECT_NE(p1, p2); // Correction changes the first step materially.
+}
+
+/** Adam/AdamW as written before the per-step constants were hoisted:
+ *  1 - beta^t evaluated inside every element update. */
+void
+perElementAdam(float &param, float grad, float &mmt, float &var,
+               const Hyperparams &hp, uint64_t step, bool decoupled)
+{
+    if (decoupled)
+        param -= hp.lr * hp.weight_decay * param;
+    mmt = hp.beta1 * mmt + (1.0f - hp.beta1) * grad;
+    var = hp.beta2 * var + (1.0f - hp.beta2) * (grad * grad);
+    float m_hat = mmt;
+    float v_hat = var;
+    if (hp.bias_correction) {
+        m_hat /= 1.0f - std::pow(hp.beta1, static_cast<float>(step));
+        v_hat /= 1.0f - std::pow(hp.beta2, static_cast<float>(step));
+    }
+    param -= hp.lr * m_hat / (std::sqrt(v_hat) + hp.epsilon);
+}
+
+TEST(Optimizer, HoistedStepConstantsMatchPerElementFormula)
+{
+    const std::vector<float> grads{0.5f,  -0.25f, 1e-3f,  -3e-4f,
+                                   2.0f,  0.0f,   -1e-7f, 7.5f};
+    // Steps 1..5000, then steps where 0.9^t and 0.999^t underflow to 0
+    // and where float(t) is no longer exact.
+    std::vector<uint64_t> steps(5000);
+    for (uint64_t t = 0; t < steps.size(); ++t)
+        steps[t] = t + 1;
+    steps.insert(steps.end(), {200000, 1ull << 30, (1ull << 40) + 1});
+    for (bool decoupled : {false, true}) {
+        for (bool bias_correction : {true, false}) {
+            SCOPED_TRACE(::testing::Message() << "decoupled=" << decoupled
+                                              << " bias=" << bias_correction);
+            Hyperparams hp;
+            hp.weight_decay = decoupled ? 0.01f : 0.0f;
+            hp.bias_correction = bias_correction;
+            const std::size_t n = grads.size();
+            std::vector<float> p(n, 0.5f), m(n, 0.0f), v(n, 0.0f);
+            std::vector<float> p_ref = p, m_ref = m, v_ref = v;
+            for (uint64_t t : steps) {
+                const AdamStep at = adamStep(hp, t);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const float g = grads[i] * (1.0f + 1e-4f * (t % 7));
+                    if (decoupled)
+                        adamwElement(p[i], g, m[i], v[i], hp, at);
+                    else
+                        adamElement(p[i], g, m[i], v[i], hp, at);
+                    perElementAdam(p_ref[i], g, m_ref[i], v_ref[i], hp, t,
+                                   decoupled);
+                    ASSERT_EQ(std::bit_cast<uint32_t>(p[i]),
+                              std::bit_cast<uint32_t>(p_ref[i]))
+                        << "t=" << t << " i=" << i;
+                    ASSERT_EQ(std::bit_cast<uint32_t>(m[i]),
+                              std::bit_cast<uint32_t>(m_ref[i]));
+                    ASSERT_EQ(std::bit_cast<uint32_t>(v[i]),
+                              std::bit_cast<uint32_t>(v_ref[i]));
+                }
+            }
+            if (bias_correction) {
+                const AdamStep late = adamStep(hp, steps.back());
+                EXPECT_TRUE(late.corrected);
+                EXPECT_EQ(late.bc1, 1.0f); // beta^t underflowed
+                EXPECT_EQ(late.bc2, 1.0f);
+            } else {
+                EXPECT_FALSE(adamStep(hp, 1).corrected);
+            }
+        }
+    }
 }
 
 TEST(Optimizer, SgdMomentumAccumulates)

@@ -264,6 +264,94 @@ TEST(TopK, NonFiniteRanksAboveFinite)
     EXPECT_EQ(keep(4), keep(4));
 }
 
+/**
+ * The nth_element reference made total for ties: rank by magnitude key
+ * (|x|'s bits, so +-inf above finite and NaN above +-inf), then by lowest
+ * index, which is Top-K's documented order. The selection is unique.
+ */
+SparseGradient
+rankedTopK(const std::vector<float> &g, std::size_t k)
+{
+    auto key = [&](uint32_t i) {
+        return std::bit_cast<uint32_t>(g[i]) & 0x7fffffffu;
+    };
+    std::vector<uint32_t> order(g.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return key(a) != key(b) ? key(a) > key(b) : a < b;
+                     });
+    order.resize(k);
+    std::sort(order.begin(), order.end());
+    SparseGradient out;
+    out.dense_size = g.size();
+    out.indices = order;
+    for (uint32_t i : order)
+        out.values.push_back(g[i]);
+    return out;
+}
+
+/** Floats from raw bit patterns. */
+std::vector<float>
+fromBits(const std::vector<uint32_t> &bits)
+{
+    std::vector<float> v(bits.size());
+    std::transform(bits.begin(), bits.end(), v.begin(),
+                   [](uint32_t b) { return std::bit_cast<float>(b); });
+    return v;
+}
+
+/**
+ * Shards whose magnitudes crowd into one top-11-bit bucket (or a few), so
+ * the gathered bucket is most or all of the shard and ties are everywhere.
+ * Every k from 1 to n must select exactly what the reference selects.
+ */
+TEST(TopK, OneBucketShardsMatchRankedReference)
+{
+    Rng rng(77);
+    const std::size_t n = 997;
+    std::vector<std::pair<const char *, std::vector<float>>> shards;
+    shards.emplace_back("all equal", std::vector<float>(n, -0.375f));
+    std::vector<uint32_t> low(n), lowest(n), zeros(n), denormal(n),
+        nonfinite(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const uint32_t sign = rng.uniform() < 0.5 ? 0x80000000u : 0u;
+        // 1.5 with random low 20 mantissa bits: one top bucket.
+        low[i] = sign | 0x3fc00000u | static_cast<uint32_t>(rng.next() & 0xfffffu);
+        // Only the low 4 bits differ: one middle digit too, many ties.
+        lowest[i] = sign | 0x3fc00000u | static_cast<uint32_t>(rng.next() & 0xfu);
+        // Mostly +-0 with a few ones: k runs past the nonzero count.
+        zeros[i] = sign | (rng.uniform() < 0.05 ? 0x3f800000u : 0u);
+        // Denormals: exponent 0, random mantissa.
+        denormal[i] = sign | static_cast<uint32_t>(rng.next() & 0x7fffffu);
+        // inf, NaNs of several payloads, and a few finite values.
+        const double u = rng.uniform();
+        nonfinite[i] = sign | (u < 0.4   ? 0x7f800000u
+                               : u < 0.6 ? 0x7fc00000u
+                               : u < 0.8 ? 0x7f800001u + static_cast<uint32_t>(
+                                                             rng.next() & 0x3u)
+                                         : 0x40000000u);
+    }
+    shards.emplace_back("low mantissa bits", fromBits(low));
+    shards.emplace_back("lowest mantissa bits", fromBits(lowest));
+    shards.emplace_back("+-0 mix", fromBits(zeros));
+    shards.emplace_back("denormals", fromBits(denormal));
+    shards.emplace_back("NaN/inf heavy", fromBits(nonfinite));
+
+    for (const auto &[name, g] : shards) {
+        for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{50},
+                              std::size_t{498}, n - 1, n}) {
+            SCOPED_TRACE(::testing::Message() << name << " k=" << k);
+            TopKCompressor comp(static_cast<double>(k) / n);
+            ASSERT_EQ(comp.keepCount(n), k);
+            const auto got = comp.compress(g.data(), n);
+            const auto want = rankedTopK(g, k);
+            ASSERT_EQ(got.indices, want.indices);
+            ASSERT_EQ(bitsOf(got.values), bitsOf(want.values));
+        }
+    }
+}
+
 /** Property: compression preserves the top-k energy of the gradient. */
 class TopKRatio : public ::testing::TestWithParam<double>
 {

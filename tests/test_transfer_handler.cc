@@ -1,6 +1,7 @@
 /** @file Tests for the internal data transfer handler (paper SIV-B). */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "accel/hls_module.h"
@@ -178,6 +179,32 @@ TEST(TransferHandler, CompressedWithoutDecompressorIsFatal)
     sparse.dense_size = 256;
     EXPECT_THROW(handler.runUpdateCompressed(sparse, 1, nullptr),
                  std::runtime_error);
+}
+
+TEST(TransferHandler, UnsortedSparseGradientIsRefused)
+{
+    // Ascending indices are part of the wire format: the decompressor
+    // finds each subgroup's pairs by binary search, so a shuffled or
+    // repeated index list is refused before any subgroup runs.
+    Fixture fx(256);
+    fx.device.installDecompressor(accel::makeTopKDecompressor());
+    TransferHandler handler(fx.device, fx.layout, {64, true});
+    for (const std::vector<uint32_t> &indices :
+         {std::vector<uint32_t>{10, 200, 70},
+          std::vector<uint32_t>{10, 70, 70}}) {
+        compress::SparseGradient sparse;
+        sparse.dense_size = 256;
+        sparse.indices = indices;
+        sparse.values = {1.0f, 2.0f, 3.0f};
+        try {
+            handler.runUpdateCompressed(sparse, 1, nullptr);
+            ADD_FAILURE() << "unsorted sparse gradient was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("strictly ascend"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TransferHandler, MismatchedUpdaterStateCountIsFatal)
