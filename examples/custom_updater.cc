@@ -22,10 +22,7 @@ namespace {
 class SignSgdUpdater final : public accel::UpdaterModule
 {
   public:
-    explicit SignSgdUpdater(const optim::Hyperparams &hp)
-        : UpdaterModule(accel::UpdaterGeometry{}), hp_(hp)
-    {
-    }
+    explicit SignSgdUpdater(const optim::Hyperparams &hp) : hp_(hp) {}
 
     // Reuse the SGD family so shard layouts allocate one aux state.
     optim::OptimizerKind

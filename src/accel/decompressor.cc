@@ -11,12 +11,6 @@ namespace {
 class TopKDecompressor final : public DecompressorModule
 {
   public:
-    explicit TopKDecompressor(const DecompressorGeometry &geometry)
-        : geometry_(geometry)
-    {
-        SI_REQUIRE(geometry.batch_pairs > 0, "batch size must be positive");
-    }
-
     void
     decompressSubgroup(const compress::SparseGradient &sparse,
                        std::size_t subgroup_base, float *out,
@@ -25,9 +19,9 @@ class TopKDecompressor final : public DecompressorModule
         // 1. Gradient buffer initialized with zero (Fig 7 step 1).
         std::fill(out, out + n, 0.0f);
 
-        // 2.-4. Stream (index, value) pairs in batches of S, routing each
-        // value to this subgroup's partition. Indices ascend (wire
-        // format), so the pairs this subgroup owns form one window.
+        // 2.-4. Stream (index, value) pairs, routing each value to this
+        // subgroup's partition. Indices ascend (wire format), so the pairs
+        // this subgroup owns form one window.
         SI_ASSERT(sparse.indices.size() == sparse.values.size(),
                   "ragged sparse gradient");
         const auto begin = sparse.indices.begin();
@@ -35,16 +29,12 @@ class TopKDecompressor final : public DecompressorModule
             std::lower_bound(begin, sparse.indices.end(), subgroup_base);
         const auto last =
             std::lower_bound(first, sparse.indices.end(), subgroup_base + n);
-        const std::size_t total = static_cast<std::size_t>(last - begin);
-        for (std::size_t batch = static_cast<std::size_t>(first - begin);
-             batch < total; batch += geometry_.batch_pairs) {
-            const std::size_t end =
-                std::min(batch + geometry_.batch_pairs, total);
-            for (std::size_t j = batch; j < end; ++j) {
-                const std::size_t offset = sparse.indices[j] - subgroup_base;
-                SI_ASSERT(offset < n, "sparse indices out of order");
-                out[offset] = sparse.values[j];
-            }
+        const std::size_t end = static_cast<std::size_t>(last - begin);
+        for (std::size_t j = static_cast<std::size_t>(first - begin); j < end;
+             ++j) {
+            const std::size_t offset = sparse.indices[j] - subgroup_base;
+            SI_ASSERT(offset < n, "sparse indices out of order");
+            out[offset] = sparse.values[j];
         }
     }
 
@@ -63,17 +53,14 @@ class TopKDecompressor final : public DecompressorModule
         // Fig 14: decompressor slightly surpasses SSD read (~3.2 GB/s).
         return GBps(3.6);
     }
-
-  private:
-    DecompressorGeometry geometry_;
 };
 
 } // namespace
 
 std::unique_ptr<DecompressorModule>
-makeTopKDecompressor(const DecompressorGeometry &geometry)
+makeTopKDecompressor()
 {
-    return std::make_unique<TopKDecompressor>(geometry);
+    return std::make_unique<TopKDecompressor>();
 }
 
 } // namespace smartinf::accel

@@ -1,11 +1,12 @@
 /**
  * @file
  * Behavioral model of the Smart-Infinity general decompressor (paper Fig 7,
- * §V-B): the Top-K decompressor streams S-sized batches of (index, value)
- * pairs from accelerator memory, routes each value to its position within
- * the current subgroup's gradient buffer, and leaves the rest zero. It
- * contains no arithmetic — just routing — which is why its footprint is
- * tiny (Table III adds only ~0.5% LUTs over the bare Adam updater).
+ * §V-B): the Top-K decompressor streams (index, value) pairs from
+ * accelerator memory, routes each value to its position within the current
+ * subgroup's gradient buffer, and leaves the rest zero. It contains no
+ * arithmetic — just routing — which is why its footprint is tiny (Table III
+ * adds only ~0.5% LUTs over the bare Adam updater). The hardware's batch
+ * size S is not modeled: it changes no value.
  */
 #ifndef SMARTINF_ACCEL_DECOMPRESSOR_H
 #define SMARTINF_ACCEL_DECOMPRESSOR_H
@@ -19,12 +20,6 @@
 #include "compress/topk.h"
 
 namespace smartinf::accel {
-
-/** Shape of the decompressor pipeline. */
-struct DecompressorGeometry {
-    /** (index, value) pairs per streamed batch (the paper's S). */
-    std::size_t batch_pairs = 4096;
-};
 
 /** A synthesized decompressor kernel. */
 class DecompressorModule
@@ -51,8 +46,7 @@ class DecompressorModule
 };
 
 /** Build the Top-K scatter decompressor. */
-std::unique_ptr<DecompressorModule>
-makeTopKDecompressor(const DecompressorGeometry &geometry = {});
+std::unique_ptr<DecompressorModule> makeTopKDecompressor();
 
 } // namespace smartinf::accel
 

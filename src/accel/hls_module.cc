@@ -1,7 +1,9 @@
 #include "accel/hls_module.h"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "common/logging.h"
@@ -18,6 +20,39 @@ fillGradients(std::vector<float> &v, Rng &rng)
 {
     for (auto &x : v)
         x = static_cast<float>(rng.normal(0.0, 1e-2));
+}
+
+/**
+ * Fold the bit-pattern differences of @p dev against @p ref into
+ * @p report. A NaN diff is kept, not dropped: it never compares greater.
+ */
+void
+compareBits(const std::vector<float> &ref, const std::vector<float> &dev,
+            SanityReport &report)
+{
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (std::bit_cast<uint32_t>(ref[i]) == std::bit_cast<uint32_t>(dev[i]))
+            continue;
+        ++report.mismatches;
+        const double diff =
+            std::fabs(static_cast<double>(ref[i]) - dev[i]);
+        if (std::isnan(diff) || diff > report.max_abs_diff)
+            report.max_abs_diff = diff;
+    }
+}
+
+/** Set passed/detail from the folded mismatches. */
+void
+finish(SanityReport &report, const char *pass_detail,
+       const char *fail_detail)
+{
+    report.passed = report.mismatches == 0;
+    report.detail = report.passed
+                        ? pass_detail
+                        : std::string(fail_detail) + ": " +
+                              std::to_string(report.mismatches) +
+                              " floats differ, max |diff| " +
+                              std::to_string(report.max_abs_diff);
 }
 
 } // namespace
@@ -58,15 +93,11 @@ sanityCheckUpdater(const UpdaterModule &module, std::size_t n, unsigned steps,
                                dev_ptrs.data(), n, t);
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const double diff =
-            std::fabs(static_cast<double>(master_ref[i]) - master_dev[i]);
-        report.max_abs_diff = std::max(report.max_abs_diff, diff);
-    }
-    report.passed = (report.max_abs_diff == 0.0);
-    report.detail = report.passed
-                        ? "bit-identical to host reference"
-                        : "diverges from host reference";
+    compareBits(master_ref, master_dev, report);
+    for (int s = 0; s < aux; ++s)
+        compareBits(states_ref[s], states_dev[s], report);
+    finish(report, "bit-identical to host reference",
+           "diverges from host reference");
     return report;
 }
 
@@ -88,14 +119,8 @@ sanityCheckDecompressor(const DecompressorModule &module, double keep_fraction,
     compress::TopKCompressor::decompress(sparse, reference.data(), n);
     module.decompressSubgroup(sparse, 0, device.data(), n);
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const double diff =
-            std::fabs(static_cast<double>(reference[i]) - device[i]);
-        report.max_abs_diff = std::max(report.max_abs_diff, diff);
-    }
-    report.passed = (report.max_abs_diff == 0.0);
-    report.detail = report.passed ? "scatter matches reference"
-                                  : "scatter mismatch";
+    compareBits(reference, device, report);
+    finish(report, "scatter matches reference", "scatter mismatch");
     return report;
 }
 

@@ -25,7 +25,12 @@ namespace smartinf::accel {
 struct SanityReport {
     bool passed = false;
     std::size_t elements_checked = 0;
-    /** Maximum absolute divergence observed (0 for bit-identical). */
+    /** Output floats whose bit pattern differs from the reference. */
+    std::size_t mismatches = 0;
+    /**
+     * Maximum absolute divergence over the mismatches (0 for
+     * bit-identical); NaN or infinity when a mismatch is non-finite.
+     */
     double max_abs_diff = 0.0;
     std::string detail;
 };
@@ -42,14 +47,15 @@ struct PerfReport {
 
 /**
  * Verify an updater module against the host reference optimizer over
- * @p steps random update steps of @p n elements. Passes only on
- * bit-identical results (the design guarantees shared arithmetic).
+ * @p steps random update steps of @p n elements. Passes only when the
+ * master parameters and every state array are bit-identical (the built-ins
+ * run the reference's own step).
  */
 SanityReport sanityCheckUpdater(const UpdaterModule &module,
                                 std::size_t n = 1 << 14,
                                 unsigned steps = 4, uint64_t seed = 1234);
 
-/** Verify a decompressor against the reference scatter. */
+/** Verify a decompressor against the reference scatter, bit for bit. */
 SanityReport sanityCheckDecompressor(const DecompressorModule &module,
                                      double keep_fraction = 0.01,
                                      std::size_t n = 1 << 14,

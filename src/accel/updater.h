@@ -2,10 +2,11 @@
  * @file
  * Behavioral model of the Smart-Infinity general updater (paper Fig 7,
  * §V-A): parallel updater PEs built from SIMD AXPBY units stream subgroups
- * of (gradient, optimizer states, target parameters) through BRAM-sized
- * chunks. The arithmetic is exactly optim/update_math.h, so results are
- * bit-identical to the host reference regardless of chunking — a property
- * the test suite asserts.
+ * of (gradient, optimizer states, target parameters) through BRAM. The
+ * built-in kernels run the host optimizer's own step() (optim/optimizer.h),
+ * so they are bit-identical to the host reference by construction (§VII-J);
+ * what they add is the synthesis footprint and modeled throughput. The
+ * hardware's PE/lane/chunk shape is not modeled: it changes no value.
  */
 #ifndef SMARTINF_ACCEL_UPDATER_H
 #define SMARTINF_ACCEL_UPDATER_H
@@ -20,19 +21,10 @@
 
 namespace smartinf::accel {
 
-/** Microarchitectural shape of the updater (Fig 7). */
-struct UpdaterGeometry {
-    /** Processing elements working in parallel. */
-    unsigned num_pes = 4;
-    /** AXPBY lanes per PE. */
-    unsigned lanes_per_pe = 16;
-    /** Elements per BRAM chunk (the paper's S). */
-    std::size_t chunk_elems = 4096;
-};
-
 /**
- * A synthesized updater kernel for one optimizer family. The behavioral
- * path (processSubgroup) computes real values; footprint() and
+ * A synthesized updater kernel for one optimizer family — the §VI
+ * extension point user kernels subclass. The behavioral path
+ * (processSubgroup) computes real values; footprint() and
  * modelThroughput() feed the resource table and the timing model.
  */
 class UpdaterModule
@@ -47,8 +39,8 @@ class UpdaterModule
 
     /**
      * Update a subgroup in accelerator memory. Semantics identical to
-     * Optimizer::step but processed chunk-by-chunk like the hardware
-     * pipeline. @p step is the 1-based global step (bias correction).
+     * Optimizer::step. @p step is the 1-based global step (bias
+     * correction).
      */
     virtual void processSubgroup(float *master, const float *grad,
                                  float *const *states, std::size_t n,
@@ -62,21 +54,11 @@ class UpdaterModule
      * second. The paper measures > 7 GB/s for the Adam updater (Fig 14).
      */
     virtual BytesPerSec modelThroughput() const = 0;
-
-    const UpdaterGeometry &geometry() const { return geometry_; }
-
-  protected:
-    explicit UpdaterModule(const UpdaterGeometry &geometry)
-        : geometry_(geometry)
-    {
-    }
-    UpdaterGeometry geometry_;
 };
 
-/** Build the updater kernel for @p kind with hyperparameters @p hp. */
+/** Build the built-in updater kernel for @p kind with hyperparameters @p hp. */
 std::unique_ptr<UpdaterModule> makeUpdater(optim::OptimizerKind kind,
-                                           const optim::Hyperparams &hp,
-                                           const UpdaterGeometry &geometry = {});
+                                           const optim::Hyperparams &hp);
 
 } // namespace smartinf::accel
 

@@ -1,17 +1,12 @@
 /**
  * @file
- * Lightweight statistics primitives used across the simulator: counters,
- * running mean/min/max accumulators, and a registry so components can dump a
- * coherent snapshot after a run.
+ * The named counter the simulator's resources and devices accumulate into.
  */
 #ifndef SMARTINF_COMMON_STATS_H
 #define SMARTINF_COMMON_STATS_H
 
-#include <cstdint>
-#include <limits>
-#include <map>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace smartinf {
 
@@ -32,77 +27,6 @@ class Counter
   private:
     std::string name_;
     double value_ = 0.0;
-};
-
-/** Streaming summary statistics (count / mean / min / max / stddev). */
-class RunningStats
-{
-  public:
-    void
-    add(double sample)
-    {
-        ++count_;
-        const double delta = sample - mean_;
-        mean_ += delta / static_cast<double>(count_);
-        m2_ += delta * (sample - mean_);
-        if (sample < min_)
-            min_ = sample;
-        if (sample > max_)
-            max_ = sample;
-        sum_ += sample;
-    }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        mean_ = m2_ = sum_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-    uint64_t count() const { return count_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    /** Sample variance (n-1 denominator); 0 with fewer than two samples. */
-    double
-    variance() const
-    {
-        return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-    }
-    double stddev() const;
-
-  private:
-    uint64_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * A flat name -> value map components append to when asked to report.
- * Keys use '.'-separated paths, e.g. "link.host_pcie.bytes".
- */
-class StatSnapshot
-{
-  public:
-    void set(const std::string &key, double value) { values_[key] = value; }
-    /** Returns 0 for unknown keys (convenient in report printers). */
-    double
-    get(const std::string &key) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? 0.0 : it->second;
-    }
-    bool has(const std::string &key) const { return values_.count(key) != 0; }
-    const std::map<std::string, double> &values() const { return values_; }
-
-  private:
-    std::map<std::string, double> values_;
 };
 
 } // namespace smartinf

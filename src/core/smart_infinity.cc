@@ -11,22 +11,6 @@
 
 namespace smartinf {
 
-namespace {
-
-const char *
-updaterNameFor(optim::OptimizerKind kind)
-{
-    switch (kind) {
-      case optim::OptimizerKind::Adam: return "adam";
-      case optim::OptimizerKind::AdamW: return "adamw";
-      case optim::OptimizerKind::SgdMomentum: return "sgd";
-      case optim::OptimizerKind::AdaGrad: return "adagrad";
-    }
-    panic("unknown optimizer kind");
-}
-
-} // namespace
-
 std::vector<std::string>
 ClusterConfig::validate() const
 {
@@ -131,7 +115,6 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
     const int aux = optim::auxStateCount(config_.optimizer);
     const std::size_t per_csd =
         (n + config_.num_csds - 1) / config_.num_csds;
-    auto &registry = accel::ModuleRegistry::instance();
 
     std::size_t offset = 0;
     for (int d = 0; d < config_.num_csds; ++d) {
@@ -143,10 +126,10 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
         auto device = std::make_unique<csd::Csd>(
             "csd" + std::to_string(d), config_.csd_spec, layout.totalBytes());
         // Install the "device binary" (Fig 8): updater + decompressor.
-        device->installUpdater(registry.makeUpdater(
-            updaterNameFor(config_.optimizer), config_.hyperparams));
+        device->installUpdater(
+            accel::makeUpdater(config_.optimizer, config_.hyperparams));
         if (config_.compression)
-            device->installDecompressor(registry.makeDecompressor("topk"));
+            device->installDecompressor(accel::makeTopKDecompressor());
 
         // Optimizer states are initially stored in the storage (Fig 1):
         // master parameters at offset 0, aux states zeroed behind them.

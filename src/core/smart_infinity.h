@@ -5,21 +5,22 @@
  * Two coupled layers (see DESIGN.md):
  *  - SmartInfinityCluster — the *functional* system: N emulated SmartSSDs
  *    holding flattened parameter shards and optimizer states, FPGA-side
- *    updater/decompressor kernels, the two-thread internal transfer
- *    handler, and optional SmartComp Top-K compression. It implements
- *    nn::UpdateBackend, so any model training loop can run its optimizer
- *    steps "near storage" exactly as the paper's DeepSpeed integration
- *    does.
+ *    updater/decompressor kernels (the built-in updater runs the host
+ *    optimizer's own step, so both paths share one update rule), the
+ *    two-thread internal transfer handler, and optional SmartComp Top-K
+ *    compression. It implements nn::UpdateBackend, so any model training
+ *    loop can run its optimizer steps "near storage" exactly as the
+ *    paper's DeepSpeed integration does.
  *  - The *performance* layer (train::makeEngine / runWithSpeedup) — the
  *    calibrated discrete-event model reproducing the paper's timing
  *    results. Re-exported here for one-stop consumption.
  *
  * Multi-node data-parallel scale-out lives one layer up in src/dist/:
  * dist::DataParallelCluster replicates a SmartInfinityCluster per node
- * behind the same nn::UpdateBackend seam, and train::makeEngine extends
- * the performance model across servers (num_nodes > 1 dispatches to
- * dist::DistributedEngine) with ring-collective gradient sync over the
- * NIC fabric. Declarative sweeps over either layer live in src/exp/
+ * behind the same nn::UpdateBackend seam. The one train::Engine extends
+ * the performance model across servers when num_nodes > 1, with
+ * ring-collective gradient sync (dist/collective.h) over the NIC fabric.
+ * Declarative sweeps over either layer live in src/exp/
  * (ExperimentBuilder, SweepRunner, the scenario registry driving the
  * smartinf_bench CLI).
  */

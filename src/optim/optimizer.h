@@ -1,9 +1,10 @@
 /**
  * @file
- * Host reference optimizers over flat FP32 arrays. These are the CPU-side
- * updaters of the ZeRO-Infinity baseline (DeepSpeed's AVX CPU-Adam analog);
- * the accel/ module implements the same algorithms as behavioral FPGA
- * pipelines using the shared update_math.h rules.
+ * The optimizer over flat FP32 arrays: one class for the whole family,
+ * selected by OptimizerKind. It is the CPU-side updater of the ZeRO-Infinity
+ * baseline (DeepSpeed's AVX CPU-Adam analog), and the accel/ built-in
+ * updater kernels run this same step(), so the host and FPGA paths share
+ * one implementation of the update_math.h rules.
  */
 #ifndef SMARTINF_OPTIM_OPTIMIZER_H
 #define SMARTINF_OPTIM_OPTIMIZER_H
@@ -41,11 +42,14 @@ double optimizerStateVolumeInM(OptimizerKind kind);
 class Optimizer
 {
   public:
-    virtual ~Optimizer() = default;
+    Optimizer(OptimizerKind kind, const Hyperparams &hp)
+        : kind_(kind), hp_(hp)
+    {
+    }
 
-    virtual OptimizerKind kind() const = 0;
+    OptimizerKind kind() const { return kind_; }
     /** Number of entries expected in the @c states array of step(). */
-    int stateCount() const { return auxStateCount(kind()); }
+    int stateCount() const { return auxStateCount(kind_); }
 
     /**
      * Apply one update step over @p n contiguous elements.
@@ -55,13 +59,13 @@ class Optimizer
      * @param n element count
      * @param step 1-based global step number (bias correction)
      */
-    virtual void step(float *master, const float *grad, float *const *states,
-                      std::size_t n, uint64_t step) const = 0;
+    void step(float *master, const float *grad, float *const *states,
+              std::size_t n, uint64_t step) const;
 
     const Hyperparams &hyperparams() const { return hp_; }
 
-  protected:
-    explicit Optimizer(const Hyperparams &hp) : hp_(hp) {}
+  private:
+    OptimizerKind kind_;
     Hyperparams hp_;
 };
 

@@ -1,7 +1,6 @@
 #include "train/engine.h"
 
 #include "common/logging.h"
-#include "dist/distributed_engine.h"
 #include "obs/observation.h"
 #include "train/sim_context.h"
 #include "train/training_workload.h"
@@ -86,45 +85,20 @@ engineDisplayName(Strategy strategy)
     return std::string("Smart-Infinity (") + strategyName(strategy) + ")";
 }
 
-namespace {
-
-/** Engine wrapper for the baseline strategy. */
-class BaselineEngine final : public Engine
+std::string
+Engine::name() const
 {
-  public:
-    using Engine::Engine;
-
-    std::string name() const override
-    {
-        return engineDisplayName(system_.strategy);
-    }
-};
-
-/** Engine wrapper for the Smart-Infinity strategies. */
-class SmartEngine final : public Engine
-{
-  public:
-    using Engine::Engine;
-
-    std::string
-    name() const override
-    {
-        return engineDisplayName(system_.strategy);
-    }
-};
-
-} // namespace
+    std::string label = engineDisplayName(system_.strategy);
+    if (system_.num_nodes > 1)
+        label += " x" + std::to_string(system_.num_nodes) + " nodes";
+    return label;
+}
 
 std::unique_ptr<Engine>
 makeEngine(const ModelSpec &model, const TrainConfig &train,
            const SystemConfig &system)
 {
-    if (system.num_nodes > 1)
-        return std::make_unique<dist::DistributedEngine>(model, train,
-                                                         system);
-    if (system.strategy == Strategy::Baseline)
-        return std::make_unique<BaselineEngine>(model, train, system);
-    return std::make_unique<SmartEngine>(model, train, system);
+    return std::make_unique<Engine>(model, train, system);
 }
 
 SpeedupResult

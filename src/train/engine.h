@@ -8,12 +8,15 @@
  * workload (TrainingWorkload); runIteration() is the training shorthand
  * and produces bit-identical results to the pre-Workload engines.
  *
- * BaselineEngine reproduces the ZeRO-Infinity dataflow (Fig 1): block-wise
- * FW/BW with gradient offload to a software RAID0, then a CPU update phase
- * streaming optimizer states over the shared interconnect. SmartEngine
- * implements Smart-Infinity (Fig 4/6): per-CSD near-storage updates over
- * internal P2P links, with the naive or optimized transfer handler (Fig 5)
- * and optional SmartComp compression.
+ * One concrete Engine covers every strategy and node count; the variants
+ * differ only in SystemConfig data. Strategy::Baseline reproduces the
+ * ZeRO-Infinity dataflow (Fig 1): block-wise FW/BW with gradient offload to
+ * a software RAID0, then a CPU update phase streaming optimizer states over
+ * the shared interconnect. The Smart-Infinity strategies (Fig 4/6) run
+ * per-CSD near-storage updates over internal P2P links, with the naive or
+ * optimized transfer handler (Fig 5) and optional SmartComp compression.
+ * num_nodes > 1 builds a data-parallel cluster of identical servers into
+ * the same simulation; TrainingWorkload stitches the ring all-reduce.
  *
  * One workload is expressed as a task graph of compute jobs (GPU, CPU,
  * FPGA) and fluid flows (PCIe links); overlap and contention fall out of
@@ -39,13 +42,12 @@ namespace smartinf::train {
  */
 using IterationResult = WorkloadResult;
 
-/** Common interface of both engines. */
+/** The engine for one system shape (strategy, devices, nodes). */
 class Engine
 {
   public:
     Engine(const ModelSpec &model, const TrainConfig &train,
            const SystemConfig &system);
-    virtual ~Engine() = default;
 
     /**
      * THE execution entry point: build @p workload into a fresh
@@ -60,15 +62,19 @@ class Engine
      * run(TrainingWorkload) with this engine's model and train config.
      * Deterministic.
      */
-    virtual IterationResult runIteration();
+    IterationResult runIteration();
 
-    virtual std::string name() const = 0;
+    /**
+     * engineDisplayName(strategy), suffixed " x<N> nodes" when
+     * num_nodes > 1 (RunRecord "engine" labels, trace run labels).
+     */
+    std::string name() const;
 
     const ModelSpec &model() const { return model_; }
     const SystemConfig &system() const { return system_; }
     const TrainConfig &train() const { return train_; }
 
-  protected:
+  private:
     ModelSpec model_;
     TrainConfig train_;
     SystemConfig system_;
@@ -78,11 +84,8 @@ class Engine
 std::string engineDisplayName(Strategy strategy);
 
 /**
- * The one engine factory: instantiate the engine matching
- * @c system.strategy, dispatching to the multi-node
- * dist::DistributedEngine when @c system.num_nodes > 1. Callers never
- * need to name src/dist/ types — the node count alone selects the
- * scale-out path.
+ * The engine factory: one Engine for any strategy and node count (the node
+ * count alone selects the scale-out path).
  */
 std::unique_ptr<Engine> makeEngine(const ModelSpec &model,
                                    const TrainConfig &train,

@@ -55,7 +55,6 @@ TrainingWorkload::buildDistributed(SimContext &ctx)
     // Gradient sync: ring all-reduce of the dense FP32 gradients. (SmartComp
     // compresses the host->CSD wire only; inter-node reduction stays dense
     // so the data-parallel math matches the single-node run bit for bit.)
-    sync_tx_per_node_ = 0.0;
     TaskId sync_done = TaskGraph::kInvalidTask;
     if (ctx.system.overlap_grad_sync) {
         // One bucket per transformer block, gated on every node having
@@ -74,7 +73,6 @@ TrainingWorkload::buildDistributed(SimContext &ctx)
             for (int i = 0; i < nodes; ++i)
                 ctx.graph.dependsOn(builders_[i]->gradOffloadGateTask(b),
                                     cs.done);
-            sync_tx_per_node_ += cs.tx_bytes_per_node;
         }
     } else {
         // Ablation: one monolithic all-reduce strictly after backward.
@@ -83,7 +81,6 @@ TrainingWorkload::buildDistributed(SimContext &ctx)
             ctx, dist::CollectiveKind::AllReduce, nodes,
             model_.gradientBytes(), deps, {"sync.all"});
         sync_done = cs.done;
-        sync_tx_per_node_ = cs.tx_bytes_per_node;
     }
 
     // Each node updates its full optimizer-state replica near storage,

@@ -31,13 +31,6 @@ class TrainingWorkload final : public Workload
     void build(SimContext &ctx) override;
     void collect(const SimContext &ctx, WorkloadResult &out) override;
 
-    /**
-     * NIC egress bytes one node contributed to gradient sync in the last
-     * build (== ringAllReduceTxBytesPerNode of the gradients; 0 for
-     * single-node runs).
-     */
-    Bytes syncTxBytesPerNode() const { return sync_tx_per_node_; }
-
   private:
     void buildDistributed(SimContext &ctx);
 
@@ -45,7 +38,6 @@ class TrainingWorkload final : public Workload
     TrainConfig train_;
     std::vector<std::unique_ptr<IterationBuilder>> builders_;
     std::vector<sim::TaskGraph::TaskId> fw_, bw_;
-    Bytes sync_tx_per_node_ = 0.0;
 };
 
 } // namespace smartinf::train

@@ -1,6 +1,9 @@
 /** @file Tests for the behavioral FPGA Top-K decompressor. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "accel/decompressor.h"
@@ -63,22 +66,42 @@ TEST(Decompressor, PartitionsReassembleTheDenseVector)
     EXPECT_EQ(tiled, reference);
 }
 
-/** Batch size S must not affect results. */
-class DecompressorBatch : public ::testing::TestWithParam<std::size_t>
+/** A user kernel that writes quiet-NaN over the whole subgroup. */
+class NanDecompressor final : public DecompressorModule
 {
+  public:
+    void
+    decompressSubgroup(const compress::SparseGradient & /*sparse*/,
+                       std::size_t /*subgroup_base*/, float *out,
+                       std::size_t n) const override
+    {
+        std::fill(out, out + n, std::numeric_limits<float>::quiet_NaN());
+    }
+    ModuleFootprint footprint() const override { return {}; }
+    BytesPerSec modelThroughput() const override { return 0.0; }
 };
 
-TEST_P(DecompressorBatch, BatchSizeInvariant)
+TEST(Decompressor, SanityCheckerFailsNanOutput)
 {
-    DecompressorGeometry geom;
-    geom.batch_pairs = GetParam();
-    auto module = makeTopKDecompressor(geom);
-    const auto report = sanityCheckDecompressor(*module, 0.02, 4096, 31);
-    EXPECT_TRUE(report.passed) << "batch=" << GetParam();
+    const NanDecompressor module;
+    const auto report = sanityCheckDecompressor(module, 0.01, 4096, 9);
+    EXPECT_FALSE(report.passed) << report.detail;
+    EXPECT_EQ(report.mismatches, 4096u);
+    EXPECT_TRUE(std::isnan(report.max_abs_diff));
 }
 
-INSTANTIATE_TEST_SUITE_P(Batches, DecompressorBatch,
-                         ::testing::Values(1, 3, 64, 1024, 100000));
+TEST(Decompressor, FootprintAndThroughputArePinned)
+{
+    // Table III and Fig 14 calibration constants.
+    auto module = makeTopKDecompressor();
+    const ModuleFootprint fp = module->footprint();
+    EXPECT_EQ(fp.name, "decompressor.topk");
+    EXPECT_EQ(fp.luts, 2404u);
+    EXPECT_EQ(fp.brams, 0u);
+    EXPECT_EQ(fp.urams, 2u);
+    EXPECT_EQ(fp.dsps, 0u);
+    EXPECT_EQ(module->modelThroughput(), GBps(3.6));
+}
 
 TEST(Decompressor, FootprintIsTinyRouting)
 {

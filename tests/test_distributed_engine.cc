@@ -1,11 +1,11 @@
-/** @file Tests for the performance-layer DistributedEngine: degenerate
- *  single-node equivalence, ring all-reduce wire accounting against the
+/** @file Tests for the multi-node performance engine (train::Engine at
+ *  num_nodes > 1): degenerate single-node equivalence, ring all-reduce wire accounting against the
  *  analytic formula, scale-out efficiency bands, and the sync-overlap
  *  ablation. */
 #include <gtest/gtest.h>
 
 #include "dist/collective.h"
-#include "dist/distributed_engine.h"
+#include "train/engine.h"
 
 namespace smartinf::dist {
 namespace {
@@ -31,7 +31,7 @@ IterationResult
 run(const ModelSpec &model, const SystemConfig &sc)
 {
     TrainConfig tc;
-    return makeDistributedEngine(model, tc, sc)->runIteration();
+    return train::makeEngine(model, tc, sc)->runIteration();
 }
 
 TEST(DistributedEngine, OneNodeMatchesTheSingleNodeEngine)
@@ -40,7 +40,7 @@ TEST(DistributedEngine, OneNodeMatchesTheSingleNodeEngine)
     TrainConfig tc;
     const SystemConfig sc = config(Strategy::SmartUpdateOpt, 1, 6);
 
-    DistributedEngine dist(m, tc, sc);
+    train::Engine dist(m, tc, sc);
     const auto d = dist.runIteration();
     const auto s = train::makeEngine(m, tc, sc)->runIteration();
     EXPECT_DOUBLE_EQ(d.iteration_time, s.iteration_time);
@@ -55,26 +55,11 @@ TEST(DistributedEngine, FactoryDispatchesOnNodeCount)
     const auto m = ModelSpec::gpt2(1.0);
     TrainConfig tc;
     const auto single =
-        makeDistributedEngine(m, tc, config(Strategy::SmartUpdateOpt, 1, 4));
+        train::makeEngine(m, tc, config(Strategy::SmartUpdateOpt, 1, 4));
     EXPECT_EQ(single->name(), "Smart-Infinity (SU+O)");
     const auto multi =
-        makeDistributedEngine(m, tc, config(Strategy::SmartUpdateOpt, 4, 4));
-    EXPECT_NE(multi->name().find("x4"), std::string::npos);
-}
-
-TEST(DistributedEngine, UnifiedFactoryDispatchesToDistributedEngine)
-{
-    // The redesigned train::makeEngine covers the full node range: callers
-    // select scale-out with num_nodes alone, never naming src/dist/ types.
-    const auto m = ModelSpec::gpt2(1.0);
-    TrainConfig tc;
-    const auto multi =
         train::makeEngine(m, tc, config(Strategy::SmartUpdateOpt, 4, 4));
-    EXPECT_NE(dynamic_cast<DistributedEngine *>(multi.get()), nullptr);
     EXPECT_NE(multi->name().find("x4"), std::string::npos);
-    const auto single =
-        train::makeEngine(m, tc, config(Strategy::SmartUpdateOpt, 1, 4));
-    EXPECT_EQ(dynamic_cast<DistributedEngine *>(single.get()), nullptr);
 }
 
 TEST(DistributedEngine, RingAllReduceWireBytesMatchFormula)
@@ -85,14 +70,11 @@ TEST(DistributedEngine, RingAllReduceWireBytesMatchFormula)
         for (bool overlap : {true, false}) {
             const SystemConfig sc =
                 config(Strategy::SmartUpdateOpt, nodes, 4, overlap);
-            DistributedEngine engine(m, tc, sc);
+            train::Engine engine(m, tc, sc);
             const auto r = engine.runIteration();
 
             const Bytes per_node =
                 ringAllReduceTxBytesPerNode(m.gradientBytes(), nodes);
-            EXPECT_NEAR(engine.lastSyncTxBytesPerNode() / per_node, 1.0,
-                        1e-9)
-                << nodes << " overlap=" << overlap;
             EXPECT_NEAR(r.traffic.internode_tx / (nodes * per_node), 1.0,
                         1e-9)
                 << nodes << " overlap=" << overlap;
@@ -202,24 +184,15 @@ TEST(DistributedEngine, SmartInfinityStillBeatsBaselineAtScale)
     EXPECT_GT(base / smart, 1.3);
 }
 
-TEST(DistributedEngine, ClusterTokensScaleWithNodes)
-{
-    TrainConfig tc;
-    DistributedEngine engine(ModelSpec::gpt2(1.0), tc,
-                             config(Strategy::SmartUpdateOpt, 4, 4));
-    EXPECT_DOUBLE_EQ(engine.clusterTokensPerIteration(),
-                     4.0 * tc.tokensPerIteration());
-}
-
 TEST(DistributedEngine, InvalidConfigsAreFatal)
 {
     TrainConfig tc;
     SystemConfig sc = config(Strategy::SmartUpdateOpt, 0, 4);
-    EXPECT_THROW(DistributedEngine(ModelSpec::gpt2(1.0), tc, sc),
+    EXPECT_THROW(train::Engine(ModelSpec::gpt2(1.0), tc, sc),
                  std::runtime_error);
     SystemConfig bad_nic = config(Strategy::SmartUpdateOpt, 2, 4);
     bad_nic.nic_bandwidth = 0.0;
-    EXPECT_THROW(DistributedEngine(ModelSpec::gpt2(1.0), tc, bad_nic),
+    EXPECT_THROW(train::Engine(ModelSpec::gpt2(1.0), tc, bad_nic),
                  std::runtime_error);
 }
 

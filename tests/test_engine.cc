@@ -2,6 +2,9 @@
  *  paper's qualitative anchors (Figs 3, 9, 10, 11, 12, 17). */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "train/engine.h"
 
 namespace smartinf::train {
@@ -269,6 +272,29 @@ TEST(Engine, InvalidConfigsAreFatal)
     sc2.compression_wire_fraction = 0.0;
     EXPECT_THROW(makeEngine(ModelSpec::gpt2(1.0), tc, sc2),
                  std::runtime_error);
+}
+
+TEST(Engine, NamesArePinned)
+{
+    // The names reach RunRecord "engine" JSON and trace run labels.
+    const std::pair<Strategy, std::string> bases[] = {
+        {Strategy::Baseline, "ZeRO-Infinity (RAID0)"},
+        {Strategy::SmartUpdate, "Smart-Infinity (SU)"},
+        {Strategy::SmartUpdateOpt, "Smart-Infinity (SU+O)"},
+        {Strategy::SmartUpdateOptComp, "Smart-Infinity (SU+O+C)"},
+    };
+    const std::pair<int, std::string> suffixes[] = {
+        {1, ""}, {2, " x2 nodes"}, {4, " x4 nodes"}};
+    TrainConfig tc;
+    for (const auto &[strategy, base] : bases) {
+        for (const auto &[nodes, suffix] : suffixes) {
+            SystemConfig sc;
+            sc.strategy = strategy;
+            sc.num_nodes = nodes;
+            EXPECT_EQ(makeEngine(ModelSpec::gpt2(1.0), tc, sc)->name(),
+                      base + suffix);
+        }
+    }
 }
 
 } // namespace

@@ -1,7 +1,5 @@
-/** @file Tests for counters and running statistics. */
+/** @file Tests for the named counter. */
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "common/stats.h"
 
@@ -19,71 +17,6 @@ TEST(Counter, AccumulatesAndResets)
     EXPECT_EQ(c.name(), "bytes");
     c.reset();
     EXPECT_EQ(c.value(), 0.0);
-}
-
-TEST(RunningStats, EmptyIsZero)
-{
-    RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.min(), 0.0);
-    EXPECT_EQ(s.max(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MeanMinMaxSum)
-{
-    RunningStats s;
-    for (double v : {4.0, 1.0, 7.0, 2.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 7.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 14.0);
-}
-
-TEST(RunningStats, VarianceMatchesDirectFormula)
-{
-    RunningStats s;
-    const double vals[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-    double mean = 0.0;
-    for (double v : vals)
-        mean += v;
-    mean /= 8.0;
-    double var = 0.0;
-    for (double v : vals)
-        var += (v - mean) * (v - mean);
-    var /= 7.0; // Sample variance.
-    for (double v : vals)
-        s.add(v);
-    EXPECT_NEAR(s.variance(), var, 1e-12);
-    EXPECT_NEAR(s.stddev(), std::sqrt(var), 1e-12);
-}
-
-TEST(RunningStats, ResetClearsEverything)
-{
-    RunningStats s;
-    s.add(5.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    s.add(-2.0);
-    EXPECT_DOUBLE_EQ(s.min(), -2.0);
-    EXPECT_DOUBLE_EQ(s.max(), -2.0);
-}
-
-TEST(StatSnapshot, SetGetHas)
-{
-    StatSnapshot snap;
-    EXPECT_FALSE(snap.has("a.b"));
-    EXPECT_EQ(snap.get("a.b"), 0.0);
-    snap.set("a.b", 3.5);
-    EXPECT_TRUE(snap.has("a.b"));
-    EXPECT_DOUBLE_EQ(snap.get("a.b"), 3.5);
-    snap.set("a.b", 4.0); // Overwrite.
-    EXPECT_DOUBLE_EQ(snap.get("a.b"), 4.0);
-    EXPECT_EQ(snap.values().size(), 1u);
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 /** @file Tests for the behavioral FPGA updater modules. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "accel/hls_module.h"
@@ -60,41 +63,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, UpdaterBitExact,
                                            OptimizerKind::SgdMomentum,
                                            OptimizerKind::AdaGrad));
 
-/** Chunk size must not affect results (hardware S is an implementation
- *  detail). */
-class UpdaterChunking : public ::testing::TestWithParam<std::size_t>
-{
-};
-
-TEST_P(UpdaterChunking, ChunkSizeInvariant)
-{
-    optim::Hyperparams hp;
-    UpdaterGeometry geom;
-    geom.chunk_elems = GetParam();
-    auto module = makeUpdater(OptimizerKind::Adam, hp, geom);
-    UpdaterGeometry big;
-    big.chunk_elems = 1 << 20;
-    auto wide = makeUpdater(OptimizerKind::Adam, hp, big);
-
-    const std::size_t n = 5000;
-    Rng rng(13);
-    std::vector<float> m1(n), m2(n), grad(n);
-    std::vector<float> mmt1(n, 0), var1(n, 0), mmt2(n, 0), var2(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        m1[i] = m2[i] = static_cast<float>(rng.normal());
-        grad[i] = static_cast<float>(rng.normal(0.0, 0.01));
-    }
-    float *s1[] = {mmt1.data(), var1.data()};
-    float *s2[] = {mmt2.data(), var2.data()};
-    module->processSubgroup(m1.data(), grad.data(), s1, n, 1);
-    wide->processSubgroup(m2.data(), grad.data(), s2, n, 1);
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(m1[i], m2[i]);
-}
-
-INSTANTIATE_TEST_SUITE_P(ChunkSizes, UpdaterChunking,
-                         ::testing::Values(1, 7, 64, 1000, 4096));
-
 TEST(UpdaterModule, SanityCheckerPassesBuiltins)
 {
     for (auto kind :
@@ -105,6 +73,95 @@ TEST(UpdaterModule, SanityCheckerPassesBuiltins)
         EXPECT_TRUE(report.passed) << optim::optimizerName(kind) << ": "
                                    << report.detail;
         EXPECT_EQ(report.max_abs_diff, 0.0);
+    }
+}
+
+/** A user kernel that computes the reference and then corrupts one array:
+ *  the master parameters (@p state < 0) or aux state @p state. */
+class CorruptingUpdater final : public UpdaterModule
+{
+  public:
+    CorruptingUpdater(OptimizerKind kind, int state, float value)
+        : reference_(kind, optim::Hyperparams{}), state_(state), value_(value)
+    {
+    }
+
+    OptimizerKind kind() const override { return reference_.kind(); }
+    const optim::Hyperparams &
+    hyperparams() const override
+    {
+        return reference_.hyperparams();
+    }
+
+    void
+    processSubgroup(float *master, const float *grad, float *const *states,
+                    std::size_t n, uint64_t step) const override
+    {
+        reference_.step(master, grad, states, n, step);
+        float *target = state_ < 0 ? master : states[state_];
+        std::fill(target, target + n, value_);
+    }
+
+    ModuleFootprint footprint() const override { return {}; }
+    BytesPerSec modelThroughput() const override { return 0.0; }
+
+  private:
+    optim::Optimizer reference_;
+    int state_;
+    float value_;
+};
+
+TEST(UpdaterModule, SanityCheckerFailsNanOutput)
+{
+    const CorruptingUpdater nan_master(
+        OptimizerKind::Adam, -1, std::numeric_limits<float>::quiet_NaN());
+    const auto report = sanityCheckUpdater(nan_master, 1024, 2, 3);
+    EXPECT_FALSE(report.passed) << report.detail;
+    EXPECT_EQ(report.mismatches, 1024u);
+    EXPECT_TRUE(std::isnan(report.max_abs_diff));
+}
+
+TEST(UpdaterModule, SanityCheckerComparesEveryStateArray)
+{
+    // One step: the master parameters still match, only the state differs.
+    for (int state : {0, 1}) {
+        const CorruptingUpdater bad_state(OptimizerKind::Adam, state, 0.5f);
+        const auto report = sanityCheckUpdater(bad_state, 1024, 1, 3);
+        EXPECT_FALSE(report.passed) << "state " << state;
+        EXPECT_EQ(report.mismatches, 1024u) << "state " << state;
+        EXPECT_GT(report.max_abs_diff, 0.0) << "state " << state;
+    }
+}
+
+TEST(UpdaterModule, BuiltinFootprintsAndThroughputsArePinned)
+{
+    // Table III and Fig 14 calibration constants; Adam's reach the table3
+    // and fig14 scenario output.
+    struct Pin {
+        OptimizerKind kind;
+        ModuleFootprint fp;
+        BytesPerSec throughput;
+    };
+    const Pin pins[] = {
+        {OptimizerKind::Adam, {"updater.adam", 175947, 267, 44, 217},
+         GBps(7.2)},
+        {OptimizerKind::AdamW, {"updater.adamw", 178847, 267, 44, 225},
+         GBps(7.0)},
+        {OptimizerKind::SgdMomentum, {"updater.sgd", 108000, 190, 28, 132},
+         GBps(8.4)},
+        {OptimizerKind::AdaGrad, {"updater.adagrad", 126000, 205, 30, 168},
+         GBps(7.9)},
+    };
+    for (const Pin &pin : pins) {
+        const auto module = makeUpdater(pin.kind, optim::Hyperparams{});
+        const ModuleFootprint fp = module->footprint();
+        const char *name = optim::optimizerName(pin.kind);
+        EXPECT_EQ(fp.name, pin.fp.name) << name;
+        EXPECT_EQ(fp.luts, pin.fp.luts) << name;
+        EXPECT_EQ(fp.brams, pin.fp.brams) << name;
+        EXPECT_EQ(fp.urams, pin.fp.urams) << name;
+        EXPECT_EQ(fp.dsps, pin.fp.dsps) << name;
+        EXPECT_EQ(module->modelThroughput(), pin.throughput) << name;
     }
 }
 

@@ -71,7 +71,7 @@ TEST(WorkloadApi, RunTrainingWorkloadMatchesRunIterationMultiNode)
     train::TrainingWorkload workload(model, tc);
     const train::WorkloadResult via_run = engine->run(workload);
     expectBitIdentical(via_iteration, via_run);
-    EXPECT_GT(workload.syncTxBytesPerNode(), 0.0);
+    EXPECT_GT(via_run.traffic.internode_tx, 0.0);
 }
 
 TEST(WorkloadApi, RepeatedRunsOfOneEngineAreBitIdentical)
