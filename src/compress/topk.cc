@@ -5,7 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -54,32 +54,57 @@ pickDigit(const std::array<uint32_t, 1u << 12> &count, uint32_t radix_mask,
     return d;
 }
 
+/** A Top-K candidate: an element's index and its working value. */
+struct Candidate {
+    uint32_t index;
+    float value;
+};
+
 /**
- * Radix-select the k-th largest magnitude key of value_at(0..n-1). One
- * pass histograms the key's top 11 bits over the shard; a second gathers
- * the keys of the bucket that holds the k-th largest. The middle 12 and
- * low 8 bits are then resolved over that bucket only, each pass counting
- * the keys that match the digits fixed so far. On return @p k holds how
- * many elements equal to the key complete the top k.
+ * Keep the top k of value_at(0..n-1) by magnitude: every key above the
+ * k-th largest, then the lowest-index keys equal to it. With @p residual,
+ * also store each dropped value there and zero each kept one (error
+ * feedback).
+ *
+ * A radix select over the magnitude keys in two full passes. Pass 1
+ * histograms the keys' top 11 bits and picks the digit that holds the k-th
+ * largest. Every element whose top digit is at least that digit is a
+ * candidate, and the histogram says how many there are. Pass 2 writes each
+ * index with its value to a candidate list of that size plus one spare slot:
+ * every element is written at the cursor, which advances only for
+ * candidates, so the loop has no branch. The middle 12 and low 8 bits of
+ * the k-th largest key are then resolved over the candidates of its top
+ * digit, and one walk of the list emits the survivors. The list is in index
+ * order, so the wire layout comes out sorted by index (monotone scatter
+ * addresses for a streaming FPGA decompressor). Nothing reads value_at
+ * after pass 2, which is where the residual is written.
  */
 template <typename ValueAt>
-uint32_t
-kthLargestKey(const ValueAt &value_at, std::size_t n, std::size_t &k)
+void
+selectTopK(const ValueAt &value_at, std::size_t n, std::size_t k,
+           SparseGradient &out, float *residual)
 {
     constexpr int kTopShift = 20;
     std::array<uint32_t, 1u << 12> count;
     std::fill_n(count.begin(), 1u << 11, 0u);
     for (std::size_t i = 0; i < n; ++i)
         ++count[magnitudeKey(value_at(i)) >> kTopShift];
-    const uint32_t top = pickDigit(count, (1u << 11) - 1, k);
+    std::size_t ties = k;
+    const uint32_t top = pickDigit(count, (1u << 11) - 1, ties);
+    const std::size_t candidates = k - ties + count[top];
 
-    std::vector<uint32_t> bucket;
-    bucket.reserve(count[top]);
+    const auto list = std::make_unique_for_overwrite<Candidate[]>(
+        candidates + 1);
+    std::size_t size = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const uint32_t key = magnitudeKey(value_at(i));
-        if ((key >> kTopShift) == top)
-            bucket.push_back(key);
+        const float value = value_at(i);
+        list[size] = {static_cast<uint32_t>(i), value};
+        size += (magnitudeKey(value) >> kTopShift) >= top;
+        if (residual != nullptr)
+            residual[i] = value;
     }
+    SI_ASSERT(size == candidates, "Top-K listed ", size, " of ", candidates,
+              " candidates");
 
     struct Digit {
         int shift;
@@ -91,42 +116,30 @@ kthLargestKey(const ValueAt &value_at, std::size_t n, std::size_t &k)
     for (const Digit &digit : kLowDigits) {
         const uint32_t radix_mask = (1u << digit.bits) - 1;
         std::fill_n(count.begin(), radix_mask + 1, 0u);
-        for (const uint32_t key : bucket)
+        for (std::size_t j = 0; j < size; ++j) {
+            const uint32_t key = magnitudeKey(list[j].value);
             if ((key & prefix_mask) == prefix)
                 ++count[(key >> digit.shift) & radix_mask];
-        prefix |= pickDigit(count, radix_mask, k) << digit.shift;
+        }
+        prefix |= pickDigit(count, radix_mask, ties) << digit.shift;
         prefix_mask |= radix_mask << digit.shift;
     }
-    return prefix;
-}
 
-/**
- * Keep the top k of value_at(0..n-1) by magnitude: every key above the
- * k-th largest, then the lowest-index keys equal to it. One ascending pass,
- * so the wire layout comes out sorted by index (monotone scatter addresses
- * for a streaming FPGA decompressor). With @p residual, also store each
- * dropped value there and zero each kept one (error feedback).
- */
-template <typename ValueAt>
-void
-selectTopK(const ValueAt &value_at, std::size_t n, std::size_t k,
-           SparseGradient &out, float *residual)
-{
-    std::size_t ties = k;
-    const uint32_t threshold = kthLargestKey(value_at, n, ties);
+    // The k-th largest key; ties = how many keys equal to it complete
+    // the top k.
+    const uint32_t threshold = prefix;
     out.indices.reserve(k);
     out.values.reserve(k);
-    for (std::size_t i = 0; i < n; ++i) {
-        const float value = value_at(i);
+    for (std::size_t j = 0; j < size; ++j) {
+        const auto [index, value] = list[j];
         const uint32_t key = magnitudeKey(value);
-        const bool keep = key > threshold || (key == threshold && ties > 0);
-        if (keep) {
+        if (key > threshold || (key == threshold && ties > 0)) {
             ties -= key == threshold;
-            out.indices.push_back(static_cast<uint32_t>(i));
+            out.indices.push_back(index);
             out.values.push_back(value);
+            if (residual != nullptr)
+                residual[index] = 0.0f;
         }
-        if (residual != nullptr)
-            residual[i] = keep ? 0.0f : value;
     }
     SI_ASSERT(out.indices.size() == k, "Top-K kept ", out.indices.size(),
               " of ", k);

@@ -1,5 +1,8 @@
 #include "optim/optimizer.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/logging.h"
 
 namespace smartinf::optim {
@@ -38,6 +41,73 @@ optimizerStateVolumeInM(OptimizerKind kind)
     return 2.0 * (1 + auxStateCount(kind));
 }
 
+namespace {
+
+/** Elements per block of sqrtBlocks(): the roots live in a stack buffer
+ *  of this many floats between the passes. */
+constexpr std::size_t kBlock = 256;
+
+/**
+ * Run a rule split around its square root over blocks of kBlock elements,
+ * three passes per block: @p radicand(i) updates element i's state and
+ * returns the value to root, std::sqrt roots the block buffer, and
+ * @p apply(i, root) updates the parameter. The first and last passes
+ * vectorize; the root pass stays scalar, as std::sqrt sets errno on a
+ * negative input.
+ */
+template <typename Radicand, typename Apply>
+void
+sqrtBlocks(std::size_t n, const Radicand &radicand, const Apply &apply)
+{
+    float root[kBlock];
+    for (std::size_t base = 0; base < n; base += kBlock) {
+        const std::size_t len = std::min(kBlock, n - base);
+        for (std::size_t j = 0; j < len; ++j)
+            root[j] = radicand(base + j);
+        for (std::size_t j = 0; j < len; ++j)
+            root[j] = std::sqrt(root[j]);
+        for (std::size_t j = 0; j < len; ++j)
+            apply(base + j, root[j]);
+    }
+}
+
+/** Adam or AdamW; the template arguments fix the branches once per call,
+ *  outside the element loops. */
+template <bool Corrected, bool Decoupled>
+void
+adamBlocks(float *master, const float *grad, float *mmt, float *var,
+           std::size_t n, const Hyperparams &hp, AdamStep at)
+{
+    at.corrected = Corrected;
+    sqrtBlocks(
+        n,
+        [&](std::size_t i) {
+            return adamMoments(grad[i], mmt[i], var[i], hp, at);
+        },
+        [&](std::size_t i, float root) {
+            if constexpr (Decoupled)
+                decoupledDecay(master[i], hp);
+            adamApply(master[i], mmt[i], root, hp, at);
+        });
+}
+
+/** Adam or AdamW, dispatched once on bias correction. */
+template <bool Decoupled>
+void
+adamStepAll(float *master, const float *grad, float *const *states,
+            std::size_t n, const Hyperparams &hp, uint64_t step)
+{
+    const AdamStep at = adamStep(hp, step);
+    if (at.corrected)
+        adamBlocks<true, Decoupled>(master, grad, states[0], states[1], n,
+                                    hp, at);
+    else
+        adamBlocks<false, Decoupled>(master, grad, states[0], states[1], n,
+                                     hp, at);
+}
+
+} // namespace
+
 void
 Optimizer::step(float *master, const float *grad, float *const *states,
                 std::size_t n, uint64_t step) const
@@ -45,22 +115,12 @@ Optimizer::step(float *master, const float *grad, float *const *states,
     // One switch per call, outside the element loops.
     const Hyperparams hp = hp_;
     switch (kind_) {
-      case OptimizerKind::Adam: {
-        float *mmt = states[0];
-        float *var = states[1];
-        const AdamStep at = adamStep(hp, step);
-        for (std::size_t i = 0; i < n; ++i)
-            adamElement(master[i], grad[i], mmt[i], var[i], hp, at);
+      case OptimizerKind::Adam:
+        adamStepAll<false>(master, grad, states, n, hp, step);
         return;
-      }
-      case OptimizerKind::AdamW: {
-        float *mmt = states[0];
-        float *var = states[1];
-        const AdamStep at = adamStep(hp, step);
-        for (std::size_t i = 0; i < n; ++i)
-            adamwElement(master[i], grad[i], mmt[i], var[i], hp, at);
+      case OptimizerKind::AdamW:
+        adamStepAll<true>(master, grad, states, n, hp, step);
         return;
-      }
       case OptimizerKind::SgdMomentum: {
         float *mmt = states[0];
         for (std::size_t i = 0; i < n; ++i)
@@ -69,8 +129,12 @@ Optimizer::step(float *master, const float *grad, float *const *states,
       }
       case OptimizerKind::AdaGrad: {
         float *accum = states[0];
-        for (std::size_t i = 0; i < n; ++i)
-            adagradElement(master[i], grad[i], accum[i], hp);
+        sqrtBlocks(
+            n,
+            [&](std::size_t i) { return adagradAccumulate(grad[i], accum[i]); },
+            [&](std::size_t i, float root) {
+                adagradApply(master[i], grad[i], root, hp);
+            });
         return;
       }
     }

@@ -10,6 +10,21 @@
  * updater microarchitecture (Fig 7). Callers pass the hyperparameters as
  * a local copy: the element stores are float stores that could alias a
  * member's float fields and force a reload per element.
+ *
+ * The rules that take a square root are split into pieces around it:
+ *   - Adam/AdamW: adamMoments() updates mmt/var and returns v_hat;
+ *     std::sqrt(v_hat) is the root; decoupledDecay() (AdamW only) and
+ *     adamApply() then update the parameter.
+ *   - AdaGrad: adagradAccumulate() returns the new accumulator;
+ *     adagradApply() takes its root.
+ * adamElement()/adamwElement()/adagradElement() are those pieces composed
+ * for one element. Optimizer::step() runs the same pieces over a block of
+ * elements, one piece per pass (moments, then roots, then apply), so that
+ * the passes without sqrt vectorize: std::sqrt must set errno on a
+ * negative input, which keeps any loop calling it scalar. Each element
+ * still sees the same float operations in the same order, so both paths
+ * give the same bits. (AdamW's decay reads and writes only the parameter,
+ * which the moments never read, so moving it after them changes nothing.)
  */
 #ifndef SMARTINF_OPTIM_UPDATE_MATH_H
 #define SMARTINF_OPTIM_UPDATE_MATH_H
@@ -59,20 +74,40 @@ adamStep(const Hyperparams &hp, uint64_t step)
             1.0f - std::pow(hp.beta2, static_cast<float>(step)), true};
 }
 
+/** Adam's moving averages for one element; returns v_hat, the
+ *  (bias-corrected) variance whose root scales the step. */
+inline float
+adamMoments(float grad, float &mmt, float &var, const Hyperparams &hp,
+            const AdamStep &at)
+{
+    mmt = axpby(hp.beta1, mmt, 1.0f - hp.beta1, grad);
+    var = axpby(hp.beta2, var, 1.0f - hp.beta2, grad * grad);
+    return at.corrected ? var / at.bc2 : var;
+}
+
+/** Adam's parameter update from the new momentum and sqrt(v_hat). */
+inline void
+adamApply(float &param, float mmt, float root, const Hyperparams &hp,
+          const AdamStep &at)
+{
+    const float m_hat = at.corrected ? mmt / at.bc1 : mmt;
+    param -= hp.lr * m_hat / (root + hp.epsilon);
+}
+
+/** AdamW's decoupled weight decay (reads and writes only the param). */
+inline void
+decoupledDecay(float &param, const Hyperparams &hp)
+{
+    param -= hp.lr * hp.weight_decay * param;
+}
+
 /** Adam (Kingma & Ba): two moving averages + bias-corrected step. */
 inline void
 adamElement(float &param, float grad, float &mmt, float &var,
             const Hyperparams &hp, const AdamStep &at)
 {
-    mmt = axpby(hp.beta1, mmt, 1.0f - hp.beta1, grad);
-    var = axpby(hp.beta2, var, 1.0f - hp.beta2, grad * grad);
-    float m_hat = mmt;
-    float v_hat = var;
-    if (at.corrected) {
-        m_hat /= at.bc1;
-        v_hat /= at.bc2;
-    }
-    param -= hp.lr * m_hat / (std::sqrt(v_hat) + hp.epsilon);
+    const float v_hat = adamMoments(grad, mmt, var, hp, at);
+    adamApply(param, mmt, std::sqrt(v_hat), hp, at);
 }
 
 /** AdamW (Loshchilov & Hutter): decoupled weight decay before Adam. */
@@ -80,7 +115,7 @@ inline void
 adamwElement(float &param, float grad, float &mmt, float &var,
              const Hyperparams &hp, const AdamStep &at)
 {
-    param -= hp.lr * hp.weight_decay * param;
+    decoupledDecay(param, hp);
     adamElement(param, grad, mmt, var, hp, at);
 }
 
@@ -93,13 +128,27 @@ sgdMomentumElement(float &param, float grad, float &mmt,
     param -= hp.lr * mmt;
 }
 
+/** AdaGrad's accumulated squared gradients; returns the new sum. */
+inline float
+adagradAccumulate(float grad, float &accum)
+{
+    accum = axpby(1.0f, accum, 1.0f, grad * grad);
+    return accum;
+}
+
+/** AdaGrad's parameter update from sqrt(accum). */
+inline void
+adagradApply(float &param, float grad, float root, const Hyperparams &hp)
+{
+    param -= hp.lr * grad / (root + hp.epsilon);
+}
+
 /** AdaGrad (Duchi et al.): accumulated squared gradients. */
 inline void
 adagradElement(float &param, float grad, float &accum,
                const Hyperparams &hp)
 {
-    accum = axpby(1.0f, accum, 1.0f, grad * grad);
-    param -= hp.lr * grad / (std::sqrt(accum) + hp.epsilon);
+    adagradApply(param, grad, std::sqrt(adagradAccumulate(grad, accum)), hp);
 }
 
 } // namespace smartinf::optim

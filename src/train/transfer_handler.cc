@@ -1,7 +1,9 @@
 #include "train/transfer_handler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <semaphore>
 #include <thread>
@@ -142,23 +144,49 @@ TransferHandler::process(const compress::SparseGradient *sparse,
 
     // Optimized handler (Fig 5b): thread 1 loads subgroup s+1 while
     // thread 0 computes/writes subgroup s, alternating over two slots.
+    // If either side throws, it sets `failed` and releases the semaphore
+    // the other side may be blocked on; that side stops at its next
+    // acquire, and the exception is rethrown here after the join.
     std::counting_semaphore<2> free_slots(slots);
     std::counting_semaphore<2> ready_slots(0);
+    std::atomic<bool> failed{false};
+    std::exception_ptr loader_error;
 
     std::thread loader([&]() {
-        for (std::size_t s = 0; s < groups; ++s) {
-            free_slots.acquire();
-            load_subgroup(s, slots_[s % slots]);
+        try {
+            for (std::size_t s = 0; s < groups; ++s) {
+                free_slots.acquire();
+                if (failed)
+                    return;
+                load_subgroup(s, slots_[s % slots]);
+                ready_slots.release();
+            }
+        } catch (...) {
+            loader_error = std::current_exception();
+            failed = true;
             ready_slots.release();
         }
     });
 
-    for (std::size_t s = 0; s < groups; ++s) {
-        ready_slots.acquire();
-        compute_subgroup(s, slots_[s % slots]);
+    std::exception_ptr error;
+    try {
+        for (std::size_t s = 0; s < groups; ++s) {
+            ready_slots.acquire();
+            if (failed)
+                break;
+            compute_subgroup(s, slots_[s % slots]);
+            free_slots.release();
+        }
+    } catch (...) {
+        error = std::current_exception();
+        failed = true;
         free_slots.release();
     }
     loader.join();
+    if (!error)
+        error = loader_error;
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace smartinf::train

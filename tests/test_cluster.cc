@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "compress/topk.h"
@@ -287,6 +289,53 @@ TEST(Cluster, FunctionalStepBitsArePinned)
     }
     EXPECT_EQ(wire, std::vector<double>(10, 5256.0));
     EXPECT_EQ(fnv1a(cluster.masterParams(), n), 0x152bf20066eddafeull);
+}
+
+/** An updater kernel that always throws. */
+class FaultyUpdater final : public accel::UpdaterModule
+{
+  public:
+    optim::OptimizerKind kind() const override
+    {
+        return optim::OptimizerKind::Adam;
+    }
+    const optim::Hyperparams &hyperparams() const override { return hp_; }
+    void
+    processSubgroup(float *, const float *, float *const *, std::size_t,
+                    uint64_t) const override
+    {
+        throw std::runtime_error("kernel fault");
+    }
+    accel::ModuleFootprint footprint() const override { return {}; }
+    BytesPerSec modelThroughput() const override { return 0.0; }
+
+  private:
+    optim::Hyperparams hp_;
+};
+
+TEST(Cluster, WorkerKernelExceptionIsRethrownOnTheCaller)
+{
+    // A kernel fault on a worker's shard reaches step()'s caller in both
+    // handler modes; the workers stay parked, so later steps run and the
+    // cluster destructs cleanly.
+    const std::size_t n = 3000;
+    const auto params = randomVector(n, 21);
+    const auto grads = randomVector(n, 22, 0.01);
+    for (bool optimized : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "optimized=" << optimized);
+        ClusterConfig config;
+        config.num_csds = 3;
+        config.optimized_handler = optimized;
+        config.subgroup_elems = 256;
+        SmartInfinityCluster cluster(config);
+        cluster.initialize(params.data(), n);
+        cluster.csd(2).installUpdater(std::make_unique<FaultyUpdater>());
+        EXPECT_THROW(cluster.step(grads.data(), n, 1), std::runtime_error);
+        EXPECT_THROW(cluster.step(grads.data(), n, 2), std::runtime_error);
+        cluster.csd(2).installUpdater(
+            accel::makeUpdater(config.optimizer, config.hyperparams));
+        cluster.step(grads.data(), n, 3);
+    }
 }
 
 TEST(Cluster, UsageErrorsAreFatal)

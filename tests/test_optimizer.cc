@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "optim/optimizer.h"
@@ -117,6 +118,112 @@ TEST(Optimizer, HoistedStepConstantsMatchPerElementFormula)
                 EXPECT_EQ(late.bc2, 1.0f);
             } else {
                 EXPECT_FALSE(adamStep(hp, 1).corrected);
+            }
+        }
+    }
+}
+
+/** Bit patterns of @p v, so NaN payloads and signed zeros compare too. */
+std::vector<uint32_t>
+bitsOf(const std::vector<float> &v)
+{
+    std::vector<uint32_t> bits(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        bits[i] = std::bit_cast<uint32_t>(v[i]);
+    return bits;
+}
+
+/** The update rule one element at a time: the *Element functions. */
+void
+perElementStep(OptimizerKind kind, const Hyperparams &hp, float *master,
+               const float *grad, float *const *states, std::size_t n,
+               uint64_t step)
+{
+    const AdamStep at = adamStep(hp, step);
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (kind) {
+          case OptimizerKind::Adam:
+            adamElement(master[i], grad[i], states[0][i], states[1][i], hp,
+                        at);
+            break;
+          case OptimizerKind::AdamW:
+            adamwElement(master[i], grad[i], states[0][i], states[1][i], hp,
+                         at);
+            break;
+          case OptimizerKind::SgdMomentum:
+            sgdMomentumElement(master[i], grad[i], states[0][i], hp);
+            break;
+          case OptimizerKind::AdaGrad:
+            adagradElement(master[i], grad[i], states[0][i], hp);
+            break;
+        }
+    }
+}
+
+/**
+ * step() walks Adam/AdamW and AdaGrad in blocks, one piece of the rule per
+ * pass. Every kind must give the same bits as the per-element rule, on
+ * the master and on every state, for sizes around the block length and
+ * for inputs with +-0, +-inf, NaN, subnormals and negative states (a
+ * negative variance makes sqrt return NaN).
+ */
+TEST(Optimizer, BlockedStepMatchesPerElementRule)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const std::vector<float> specials{0.0f,  -0.0f, inf,    -inf,  nan,
+                                      tiny,  -tiny, 1e-39f, -2.5f, 1e30f,
+                                      -1e-3f, 3e-8f, 0.75f};
+    // Every array cycles through the specials at its own stride and fills
+    // the other slots with ordinary values of both signs.
+    auto fill = [&](std::size_t n, std::size_t stride, float scale) {
+        std::vector<float> v(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            v[i] = i % stride == 0
+                       ? specials[(i / stride) % specials.size()]
+                       : scale * static_cast<float>(
+                                     static_cast<int>(i * 2654435761u % 2001) -
+                                     1000);
+        }
+        return v;
+    };
+    Hyperparams base;
+    base.weight_decay = 0.01f;
+    for (OptimizerKind kind :
+         {OptimizerKind::Adam, OptimizerKind::AdamW,
+          OptimizerKind::SgdMomentum, OptimizerKind::AdaGrad}) {
+        for (std::size_t n : {0, 1, 255, 256, 257, 16387}) {
+            for (bool bias_correction : {true, false}) {
+                for (uint64_t t : {uint64_t{1}, uint64_t{1} << 30}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << optimizerName(kind) << " n=" << n
+                                 << " bias=" << bias_correction
+                                 << " t=" << t);
+                    Hyperparams hp = base;
+                    hp.bias_correction = bias_correction;
+                    const Optimizer opt(kind, hp);
+                    const auto grad = fill(n, 3, 1e-3f);
+                    std::vector<float> master = fill(n, 5, 1e-2f);
+                    std::vector<std::vector<float>> states;
+                    for (int a = 0; a < opt.stateCount(); ++a)
+                        states.push_back(fill(n, 7 + 4 * a, 1e-4f));
+                    std::vector<float> ref_master = master;
+                    auto ref_states = states;
+
+                    std::vector<float *> ptrs, ref_ptrs;
+                    for (int a = 0; a < opt.stateCount(); ++a) {
+                        ptrs.push_back(states[a].data());
+                        ref_ptrs.push_back(ref_states[a].data());
+                    }
+                    opt.step(master.data(), grad.data(), ptrs.data(), n, t);
+                    perElementStep(kind, hp, ref_master.data(), grad.data(),
+                                   ref_ptrs.data(), n, t);
+                    ASSERT_EQ(bitsOf(master), bitsOf(ref_master));
+                    for (int a = 0; a < opt.stateCount(); ++a)
+                        ASSERT_EQ(bitsOf(states[a]), bitsOf(ref_states[a]))
+                            << "state " << a;
+                }
             }
         }
     }

@@ -352,6 +352,117 @@ TEST(TopK, OneBucketShardsMatchRankedReference)
     }
 }
 
+/** rankedTopK with error feedback: select over grad + residual, keep the
+ *  dropped remainder. */
+struct RankedFeedbackTopK {
+    std::vector<float> residual;
+
+    SparseGradient
+    compress(const std::vector<float> &g, std::size_t k)
+    {
+        std::vector<float> work = g;
+        residual.resize(g.size(), 0.0f);
+        for (std::size_t i = 0; i < g.size(); ++i)
+            work[i] = g[i] + residual[i];
+        SparseGradient out = rankedTopK(work, k);
+        residual = work;
+        for (uint32_t i : out.indices)
+            residual[i] = 0.0f;
+        return out;
+    }
+};
+
+/**
+ * Top-K lists every element whose top 11 key bits reach the k-th largest's
+ * into a candidate list sized from the histogram, plus one spare slot for
+ * the cursor's last unconditional write. Shards at that list's edges:
+ * every element a candidate, a non-candidate last element (the spare slot
+ * taken), keep fraction 1.0, and a threshold digit that holds only ties.
+ */
+TEST(TopK, CandidateListEdgesMatchRankedReference)
+{
+    const std::size_t n = 600;
+    std::vector<std::pair<const char *, std::vector<float>>> shards;
+    std::vector<float> equal(n);
+    for (std::size_t i = 0; i < n; ++i)
+        equal[i] = i % 3 == 0 ? -0.375f : 0.375f;
+    shards.emplace_back("every magnitude equal", equal);
+    // Every element but the last is a candidate for every k < n.
+    std::vector<float> last_small = equal;
+    last_small.back() = 1e-3f;
+    shards.emplace_back("last element below", last_small);
+    // 40 distinct magnitudes in higher top digits, 200 ties at 0.375 in
+    // the threshold digit, the rest far below: for 40 < k <= 240 the
+    // threshold digit holds only ties.
+    std::vector<float> tie_digit(n, 1e-6f);
+    for (std::size_t i = 0; i < 40; ++i)
+        tie_digit[i * 15 + 7] = static_cast<float>(i + 1) * 4.0f;
+    for (std::size_t i = 0, placed = 0; placed < 200; i += 3) {
+        if (tie_digit[i] == 1e-6f) {
+            tie_digit[i] = placed % 2 == 0 ? 0.375f : -0.375f;
+            ++placed;
+        }
+    }
+    shards.emplace_back("threshold digit only ties", tie_digit);
+
+    for (const auto &[name, g] : shards) {
+        for (std::size_t k : {std::size_t{1}, std::size_t{39}, std::size_t{41},
+                              std::size_t{140}, std::size_t{240},
+                              std::size_t{241}, n - 1, n}) {
+            SCOPED_TRACE(::testing::Message() << name << " k=" << k);
+            TopKCompressor comp(static_cast<double>(k) / n);
+            ASSERT_EQ(comp.keepCount(n), k);
+            const auto got = comp.compress(g.data(), n);
+            const auto want = rankedTopK(g, k);
+            ASSERT_EQ(got.indices, want.indices);
+            ASSERT_EQ(bitsOf(got.values), bitsOf(want.values));
+        }
+    }
+
+    // keep_fraction 1.0 keeps the whole shard in order, ties and all.
+    for (const auto &[name, g] : shards) {
+        const auto all = TopKCompressor(1.0).compress(g.data(), n);
+        std::vector<uint32_t> every(n);
+        std::iota(every.begin(), every.end(), 0u);
+        EXPECT_EQ(all.indices, every) << name;
+        EXPECT_EQ(bitsOf(all.values), bitsOf(g)) << name;
+    }
+}
+
+/**
+ * Error feedback over several calls whose candidate sets differ: the
+ * selection and the residual must match the ranked reference bit for bit,
+ * including ties that the residual creates and the keep-all case.
+ */
+TEST(TopK, ErrorFeedbackTracksRankedReferenceAcrossCalls)
+{
+    Rng rng(31);
+    const std::size_t n = 1031;
+    for (double keep : {0.01, 0.1, 0.5, 1.0}) {
+        SCOPED_TRACE(::testing::Message() << "keep=" << keep);
+        TopKCompressor comp(keep, /*error_feedback=*/true);
+        RankedFeedbackTopK reference;
+        const std::size_t k = comp.keepCount(n);
+        for (int call = 0; call < 6; ++call) {
+            SCOPED_TRACE(::testing::Message() << "call=" << call);
+            // Quantized values (multiples of 1/8 up to 4) tie often; a
+            // moving hot spot changes which elements are candidates.
+            std::vector<float> g(n);
+            for (std::size_t i = 0; i < n; ++i)
+                g[i] = static_cast<float>(
+                           static_cast<int>(rng.uniformInt(65)) - 32) /
+                       8.0f;
+            for (std::size_t i = 0; i < 20; ++i)
+                g[(call * 173 + i * 7) % n] = 64.0f + static_cast<float>(i);
+            const auto got = comp.compress(g.data(), n);
+            const auto want = reference.compress(g, k);
+            ASSERT_EQ(got.indices, want.indices);
+            ASSERT_EQ(bitsOf(got.values), bitsOf(want.values));
+            ASSERT_EQ(bitsOf(comp.residual()), bitsOf(reference.residual));
+        }
+    }
+}
+
 /** Property: compression preserves the top-k energy of the gradient. */
 class TopKRatio : public ::testing::TestWithParam<double>
 {

@@ -1,6 +1,8 @@
 /** @file Tests for the internal data transfer handler (paper SIV-B). */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -216,6 +218,78 @@ TEST(TransferHandler, MismatchedUpdaterStateCountIsFatal)
         optim::OptimizerKind::SgdMomentum, optim::Hyperparams{}));
     TransferHandler handler(device, layout, {64, true});
     EXPECT_THROW(handler.runUpdate(1, nullptr), std::runtime_error);
+}
+
+/** An Adam kernel that throws on its @p fail_at-th subgroup (0-based). */
+class ThrowingUpdater final : public accel::UpdaterModule
+{
+  public:
+    explicit ThrowingUpdater(std::size_t fail_at)
+        : reference_(optim::OptimizerKind::Adam, optim::Hyperparams{}),
+          fail_at_(fail_at)
+    {
+    }
+
+    optim::OptimizerKind kind() const override { return reference_.kind(); }
+    const optim::Hyperparams &
+    hyperparams() const override
+    {
+        return reference_.hyperparams();
+    }
+
+    void
+    processSubgroup(float *master, const float *grad, float *const *states,
+                    std::size_t n, uint64_t step) const override
+    {
+        if (calls_++ == fail_at_)
+            throw std::runtime_error("kernel fault");
+        reference_.step(master, grad, states, n, step);
+    }
+
+    accel::ModuleFootprint footprint() const override { return {}; }
+    BytesPerSec modelThroughput() const override { return 0.0; }
+
+  private:
+    optim::Optimizer reference_;
+    std::size_t fail_at_;
+    mutable std::size_t calls_ = 0;
+};
+
+TEST(TransferHandler, KernelExceptionReachesTheCaller)
+{
+    // A throwing kernel must surface as an exception on the caller, in
+    // both modes. Unwinding past a joinable std::thread terminates the
+    // process, so the optimized handler must stop and join its loader
+    // first. Subgroups are written back in order, so exactly the ones
+    // before the fault are updated.
+    const std::size_t n = 512, chunk = 64;
+    for (bool optimized : {true, false}) {
+        for (std::size_t fail_at : {0, 1, 4, 7}) {
+            SCOPED_TRACE(::testing::Message() << "optimized=" << optimized
+                                              << " fail_at=" << fail_at);
+            Fixture fx(n);
+            fx.device.installUpdater(
+                std::make_unique<ThrowingUpdater>(fail_at));
+            TransferHandler handler(fx.device, fx.layout, {chunk, optimized});
+            EXPECT_THROW(handler.runUpdate(1, nullptr), std::runtime_error);
+
+            std::vector<float> master(n);
+            fx.device.ssd().readFloats(master.data(), n,
+                                       fx.layout.masterOffset());
+            const auto want = hostReference(fx.init_params, fx.grads);
+            const std::size_t done = fail_at * chunk;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(master[i], i < done ? want[i] : fx.init_params[i])
+                    << i;
+
+            // The handler stays usable with a healthy kernel.
+            fx.device.installUpdater(accel::makeUpdater(
+                optim::OptimizerKind::Adam, optim::Hyperparams{}));
+            handler.runUpdate(2, nullptr);
+            EXPECT_EQ(fx.device.fpgaMemory().allocated(),
+                      (optimized ? 2 : 1) * 4 * chunk * sizeof(float));
+        }
+    }
 }
 
 /** Property: results are invariant to subgroup size (tasklet boundary). */
