@@ -43,67 +43,39 @@ optimizerStateVolumeInM(OptimizerKind kind)
 
 namespace {
 
-/** Elements per block of sqrtBlocks(): the roots live in a stack buffer
+/** Elements per block of adamBlocks(): the roots live in a stack buffer
  *  of this many floats between the passes. */
 constexpr std::size_t kBlock = 256;
 
 /**
- * Run a rule split around its square root over blocks of kBlock elements,
- * three passes per block: @p radicand(i) updates element i's state and
- * returns the value to root, std::sqrt roots the block buffer, and
- * @p apply(i, root) updates the parameter. The first and last passes
- * vectorize; the root pass stays scalar, as std::sqrt sets errno on a
- * negative input.
+ * Adam or AdamW over blocks of kBlock elements, three passes per block:
+ * adamMoments() updates mmt/var and leaves v_hat in the block buffer,
+ * std::sqrt roots the buffer, and the decay (AdamW only) and adamApply()
+ * update the parameter. The first and last passes vectorize; the root pass
+ * stays scalar, as std::sqrt sets errno on a negative input. @p at is
+ * taken by value so the float stores cannot alias it.
  */
-template <typename Radicand, typename Apply>
-void
-sqrtBlocks(std::size_t n, const Radicand &radicand, const Apply &apply)
-{
-    float root[kBlock];
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        const std::size_t len = std::min(kBlock, n - base);
-        for (std::size_t j = 0; j < len; ++j)
-            root[j] = radicand(base + j);
-        for (std::size_t j = 0; j < len; ++j)
-            root[j] = std::sqrt(root[j]);
-        for (std::size_t j = 0; j < len; ++j)
-            apply(base + j, root[j]);
-    }
-}
-
-/** Adam or AdamW; the template arguments fix the branches once per call,
- *  outside the element loops. */
-template <bool Corrected, bool Decoupled>
+template <bool Decoupled>
 void
 adamBlocks(float *master, const float *grad, float *mmt, float *var,
            std::size_t n, const Hyperparams &hp, AdamStep at)
 {
-    at.corrected = Corrected;
-    sqrtBlocks(
-        n,
-        [&](std::size_t i) {
-            return adamMoments(grad[i], mmt[i], var[i], hp, at);
-        },
-        [&](std::size_t i, float root) {
+    float root[kBlock];
+    for (std::size_t base = 0; base < n; base += kBlock) {
+        const std::size_t len = std::min(kBlock, n - base);
+        for (std::size_t j = 0; j < len; ++j) {
+            const std::size_t i = base + j;
+            root[j] = adamMoments(grad[i], mmt[i], var[i], hp, at);
+        }
+        for (std::size_t j = 0; j < len; ++j)
+            root[j] = std::sqrt(root[j]);
+        for (std::size_t j = 0; j < len; ++j) {
+            const std::size_t i = base + j;
             if constexpr (Decoupled)
                 decoupledDecay(master[i], hp);
-            adamApply(master[i], mmt[i], root, hp, at);
-        });
-}
-
-/** Adam or AdamW, dispatched once on bias correction. */
-template <bool Decoupled>
-void
-adamStepAll(float *master, const float *grad, float *const *states,
-            std::size_t n, const Hyperparams &hp, uint64_t step)
-{
-    const AdamStep at = adamStep(hp, step);
-    if (at.corrected)
-        adamBlocks<true, Decoupled>(master, grad, states[0], states[1], n,
-                                    hp, at);
-    else
-        adamBlocks<false, Decoupled>(master, grad, states[0], states[1], n,
-                                     hp, at);
+            adamApply(master[i], mmt[i], root[j], hp, at);
+        }
+    }
 }
 
 } // namespace
@@ -116,10 +88,12 @@ Optimizer::step(float *master, const float *grad, float *const *states,
     const Hyperparams hp = hp_;
     switch (kind_) {
       case OptimizerKind::Adam:
-        adamStepAll<false>(master, grad, states, n, hp, step);
+        adamBlocks<false>(master, grad, states[0], states[1], n, hp,
+                          adamStep(hp, step));
         return;
       case OptimizerKind::AdamW:
-        adamStepAll<true>(master, grad, states, n, hp, step);
+        adamBlocks<true>(master, grad, states[0], states[1], n, hp,
+                         adamStep(hp, step));
         return;
       case OptimizerKind::SgdMomentum: {
         float *mmt = states[0];
@@ -129,12 +103,8 @@ Optimizer::step(float *master, const float *grad, float *const *states,
       }
       case OptimizerKind::AdaGrad: {
         float *accum = states[0];
-        sqrtBlocks(
-            n,
-            [&](std::size_t i) { return adagradAccumulate(grad[i], accum[i]); },
-            [&](std::size_t i, float root) {
-                adagradApply(master[i], grad[i], root, hp);
-            });
+        for (std::size_t i = 0; i < n; ++i)
+            adagradElement(master[i], grad[i], accum[i], hp);
         return;
       }
     }

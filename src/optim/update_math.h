@@ -11,20 +11,17 @@
  * a local copy: the element stores are float stores that could alias a
  * member's float fields and force a reload per element.
  *
- * The rules that take a square root are split into pieces around it:
- *   - Adam/AdamW: adamMoments() updates mmt/var and returns v_hat;
- *     std::sqrt(v_hat) is the root; decoupledDecay() (AdamW only) and
- *     adamApply() then update the parameter.
- *   - AdaGrad: adagradAccumulate() returns the new accumulator;
- *     adagradApply() takes its root.
- * adamElement()/adamwElement()/adagradElement() are those pieces composed
- * for one element. Optimizer::step() runs the same pieces over a block of
- * elements, one piece per pass (moments, then roots, then apply), so that
- * the passes without sqrt vectorize: std::sqrt must set errno on a
- * negative input, which keeps any loop calling it scalar. Each element
- * still sees the same float operations in the same order, so both paths
- * give the same bits. (AdamW's decay reads and writes only the parameter,
- * which the moments never read, so moving it after them changes nothing.)
+ * Adam/AdamW is split into pieces around its square root: adamMoments()
+ * updates mmt/var and returns v_hat; std::sqrt(v_hat) is the root;
+ * decoupledDecay() (AdamW only) and adamApply() then update the parameter.
+ * adamElement()/adamwElement() are those pieces composed for one element.
+ * Optimizer::step() runs the same pieces over a block of elements, one
+ * piece per pass (moments, then roots, then apply), so that the passes
+ * without sqrt vectorize: std::sqrt must set errno on a negative input,
+ * which keeps any loop calling it scalar. Each element still sees the same
+ * float operations in the same order, so both paths give the same bits.
+ * (AdamW's decay reads and writes only the parameter, which the moments
+ * never read, so moving it after them changes nothing.)
  */
 #ifndef SMARTINF_OPTIM_UPDATE_MATH_H
 #define SMARTINF_OPTIM_UPDATE_MATH_H
@@ -128,27 +125,13 @@ sgdMomentumElement(float &param, float grad, float &mmt,
     param -= hp.lr * mmt;
 }
 
-/** AdaGrad's accumulated squared gradients; returns the new sum. */
-inline float
-adagradAccumulate(float grad, float &accum)
-{
-    accum = axpby(1.0f, accum, 1.0f, grad * grad);
-    return accum;
-}
-
-/** AdaGrad's parameter update from sqrt(accum). */
-inline void
-adagradApply(float &param, float grad, float root, const Hyperparams &hp)
-{
-    param -= hp.lr * grad / (root + hp.epsilon);
-}
-
 /** AdaGrad (Duchi et al.): accumulated squared gradients. */
 inline void
 adagradElement(float &param, float grad, float &accum,
                const Hyperparams &hp)
 {
-    adagradApply(param, grad, std::sqrt(adagradAccumulate(grad, accum)), hp);
+    accum = axpby(1.0f, accum, 1.0f, grad * grad);
+    param -= hp.lr * grad / (std::sqrt(accum) + hp.epsilon);
 }
 
 } // namespace smartinf::optim

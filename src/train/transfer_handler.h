@@ -72,7 +72,9 @@ class TransferHandler
      * Run the update for the whole shard. Dense FP32 gradients must already
      * reside at layout.gradOffset() on the SSD. An exception from the
      * kernel or an SSD access, on either handler thread, stops both and is
-     * rethrown here; subgroups written back before it stay written.
+     * rethrown here. Subgroups already written back stay written: after a
+     * kernel fault, exactly those before the faulting one; after a loader
+     * fault in the optimized handler, which ones depends on timing.
      * @param step 1-based global step (bias correction)
      * @param host_params_out optional FP32 buffer of layout.elems receiving
      *        the updated master parameters (the "upstream" transfer)

@@ -161,10 +161,9 @@ perElementStep(OptimizerKind kind, const Hyperparams &hp, float *master,
 }
 
 /**
- * step() walks Adam/AdamW and AdaGrad in blocks, one piece of the rule per
- * pass. Every kind must give the same bits as the per-element rule, on
- * the master and on every state, for sizes around the block length and
- * for inputs with +-0, +-inf, NaN, subnormals and negative states (a
+ * step() walks Adam/AdamW in blocks, one piece of the rule per pass. Every
+ * kind must give the same bits as the per-element rule, on the master and
+ * on every state, for sizes around the block length and for inputs with +-0, +-inf, NaN, subnormals and negative states (a
  * negative variance makes sqrt return NaN).
  */
 TEST(Optimizer, BlockedStepMatchesPerElementRule)

@@ -292,6 +292,38 @@ TEST(TransferHandler, KernelExceptionReachesTheCaller)
     }
 }
 
+TEST(TransferHandler, LoaderExceptionReachesTheCaller)
+{
+    // An SSD read that fails on the loader side must also reach the
+    // caller, in both modes. The layout claims 2^62 + 512 elements: its
+    // offsets wrap modulo 2^64 to those of the fixture's 512-element shard,
+    // so the capacity check passes and subgroups 0-7 load real data, but
+    // the dense-gradient read of subgroup 8 runs past the end of the SSD.
+    // Which subgroups the optimized handler wrote back before it stopped
+    // depends on timing, so only the exception and reuse are checked.
+    const std::size_t n = 512, chunk = 64;
+    const ShardLayout wrapped{(std::size_t{1} << 62) + n, 2};
+    for (bool optimized : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "optimized=" << optimized);
+        Fixture fx(n);
+        ASSERT_EQ(wrapped.gradOffset(), fx.layout.gradOffset());
+        ASSERT_EQ(wrapped.totalBytes(), fx.layout.totalBytes());
+        TransferHandler handler(fx.device, wrapped, {chunk, optimized});
+        const std::size_t allocated = fx.device.fpgaMemory().allocated();
+        for (uint64_t step : {1, 2}) {
+            try {
+                handler.runUpdate(step, nullptr);
+                ADD_FAILURE() << "step " << step << " did not throw";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("exceeds capacity"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        EXPECT_EQ(fx.device.fpgaMemory().allocated(), allocated);
+    }
+}
+
 /** Property: results are invariant to subgroup size (tasklet boundary). */
 class HandlerChunking : public ::testing::TestWithParam<std::size_t>
 {
