@@ -234,22 +234,4 @@ ModuleRegistry::makeDecompressor(const std::string &name) const
     return it->second();
 }
 
-std::vector<std::string>
-ModuleRegistry::updaterNames() const
-{
-    std::vector<std::string> names;
-    for (const auto &[name, factory] : updaters_)
-        names.push_back(name);
-    return names;
-}
-
-std::vector<std::string>
-ModuleRegistry::decompressorNames() const
-{
-    std::vector<std::string> names;
-    for (const auto &[name, factory] : decompressors_)
-        names.push_back(name);
-    return names;
-}
-
 } // namespace smartinf::accel

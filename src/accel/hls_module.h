@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "accel/decompressor.h"
 #include "accel/updater.h"
@@ -95,9 +94,6 @@ class ModuleRegistry
                                                const optim::Hyperparams &hp) const;
     std::unique_ptr<DecompressorModule>
     makeDecompressor(const std::string &name) const;
-
-    std::vector<std::string> updaterNames() const;
-    std::vector<std::string> decompressorNames() const;
 
   private:
     ModuleRegistry();

@@ -81,7 +81,6 @@ class TopKCompressor
     /** Elements kept for a given dense size (at least 1). */
     std::size_t keepCount(std::size_t n) const;
 
-    double keepFraction() const { return keep_fraction_; }
     /** Wire volume as a fraction of the dense FP32 volume (= 2*keep). */
     double wireFraction() const { return 2.0 * keep_fraction_; }
     bool errorFeedback() const { return error_feedback_; }

@@ -15,10 +15,8 @@
  *    calibrated discrete-event model reproducing the paper's timing
  *    results. Re-exported here for one-stop consumption.
  *
- * Multi-node data-parallel scale-out lives one layer up in src/dist/:
- * dist::DataParallelCluster replicates a SmartInfinityCluster per node
- * behind the same nn::UpdateBackend seam. The one train::Engine extends
- * the performance model across servers when num_nodes > 1, with
+ * Multi-node data-parallel scale-out is performance-layer only: the one
+ * train::Engine extends the model across servers when num_nodes > 1, with
  * ring-collective gradient sync (dist/collective.h) over the NIC fabric.
  * Declarative sweeps over either layer live in src/exp/
  * (ExperimentBuilder, SweepRunner, the scenario registry driving the

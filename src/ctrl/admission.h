@@ -20,8 +20,8 @@ enum class AdmissionDecision { Admit, Defer, Reject };
 
 /**
  * The latency-SLO admission model of SloConfig: predicted latency is
- * (now - arrival) + (load + 1 + output_tokens) * stepEstimate(), where the
- * step estimate is an EWMA over observed scheduler step durations (alpha
+ * (now - arrival) + (load + 1 + output_tokens) * s, where the step
+ * estimate s is an EWMA over observed scheduler step durations (alpha
  * 1/4 — heavy enough smoothing to ride out the prefill/decode step-time
  * bimodality, light enough to track load shifts within a few steps).
  */
@@ -36,9 +36,6 @@ class SloAdmission {
             observed_ ? 0.75 * step_estimate_ + 0.25 * dt : dt;
         observed_ = true;
     }
-
-    /** Current EWMA service-time-per-step estimate (0 until observed). */
-    Seconds stepEstimate() const { return observed_ ? step_estimate_ : 0.0; }
 
     /**
      * Decide a request's fate at dispatch time.

@@ -1,6 +1,5 @@
 #include "dist/collective.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -129,66 +128,6 @@ scheduleRingCollective(train::SimContext &ctx, CollectiveKind kind, int nodes,
     ctx.traffic.internode_tx += nodes * out.tx_bytes_per_node;
     ctx.traffic.internode_rx += nodes * out.tx_bytes_per_node;
     return out;
-}
-
-// ---- functional layer: deterministic in-memory rings ------------------------
-
-std::pair<std::size_t, std::size_t>
-shardRange(std::size_t n, int nodes, int shard)
-{
-    SI_REQUIRE(nodes >= 1 && shard >= 0 && shard < nodes, "bad shard index");
-    const std::size_t base = n / nodes;
-    const std::size_t rem = n % nodes;
-    const std::size_t s = static_cast<std::size_t>(shard);
-    const std::size_t begin = s * base + std::min(s, rem);
-    const std::size_t len = base + (s < rem ? 1 : 0);
-    return {begin, begin + len};
-}
-
-void
-functionalRingReduceScatter(const std::vector<float *> &replicas,
-                            std::size_t n, bool average)
-{
-    const int nodes = static_cast<int>(replicas.size());
-    SI_REQUIRE(nodes >= 1, "need at least one replica");
-    const float inv = 1.0f / static_cast<float>(nodes);
-    for (int s = 0; s < nodes; ++s) {
-        const auto [begin, end] = shardRange(n, nodes, s);
-        // Shard s circulates the ring starting at node s+1 and ends fully
-        // reduced on its owner, node s. Accumulating in exactly that order
-        // makes the owner's result a single well-defined bit pattern.
-        float *owner = replicas[s];
-        for (std::size_t e = begin; e < end; ++e) {
-            float acc = replicas[(s + 1) % nodes][e];
-            for (int k = 2; k <= nodes; ++k)
-                acc += replicas[(s + k) % nodes][e];
-            owner[e] = average ? acc * inv : acc;
-        }
-    }
-}
-
-void
-functionalRingAllGather(const std::vector<float *> &replicas, std::size_t n)
-{
-    const int nodes = static_cast<int>(replicas.size());
-    SI_REQUIRE(nodes >= 1, "need at least one replica");
-    for (int s = 0; s < nodes; ++s) {
-        const auto [begin, end] = shardRange(n, nodes, s);
-        const float *owner = replicas[s];
-        for (int i = 0; i < nodes; ++i) {
-            if (i == s)
-                continue;
-            std::copy(owner + begin, owner + end, replicas[i] + begin);
-        }
-    }
-}
-
-void
-functionalRingAllReduce(const std::vector<float *> &replicas, std::size_t n,
-                        bool average)
-{
-    functionalRingReduceScatter(replicas, n, average);
-    functionalRingAllGather(replicas, n);
 }
 
 } // namespace smartinf::dist

@@ -1,18 +1,11 @@
 /**
  * @file
- * Collective communication primitives for data-parallel scale-out, in the
- * same two coupled layers as the rest of the reproduction (see DESIGN.md):
- *
- *  - The *functional* layer: deterministic ring reduce-scatter / all-gather
- *    over in-memory replica buffers. Every shard is reduced in one fixed
- *    ring order and the result copied verbatim to all replicas, so replicas
- *    end bit-identical by construction — the property DataParallelCluster
- *    asserts.
- *  - The *performance* layer: the same ring schedules expressed as flow
- *    tasks over net::Topology NIC links ("n<i>.nic.tx"/"n<i>.nic.rx" from
- *    train::buildNicLinks). Each hop also traverses the endpoint nodes'
- *    shared host interconnect, so collective traffic contends with PCIe
- *    storage-offload traffic in the same max-min fluid-flow model.
+ * Collective communication for data-parallel scale-out, in performance form
+ * only: ring reduce-scatter / all-gather / all-reduce expressed as flow
+ * tasks over net::Topology NIC links ("n<i>.nic.tx"/"n<i>.nic.rx" from
+ * train::buildNicLinks). Each hop also traverses the endpoint nodes' shared
+ * host interconnect, so collective traffic contends with PCIe
+ * storage-offload traffic in the same max-min fluid-flow model.
  *
  * Wire-byte accounting is analytic and checkable: a ring all-reduce moves
  * 2(N-1)/N * buffer bytes out of every node (reduce-scatter and all-gather
@@ -21,7 +14,6 @@
 #ifndef SMARTINF_DIST_COLLECTIVE_H
 #define SMARTINF_DIST_COLLECTIVE_H
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -73,32 +65,6 @@ scheduleRingCollective(train::SimContext &ctx, CollectiveKind kind, int nodes,
                        Bytes bytes,
                        const std::vector<sim::TaskGraph::TaskId> &deps,
                        sim::TaskLabel label);
-
-// ---- functional layer: deterministic in-memory rings ------------------------
-
-/**
- * Ring reduce-scatter over @p replicas (each a buffer of @p n floats):
- * shard s ends up fully reduced on replica s % N, accumulated in the fixed
- * ring order (s+1, s+2, ..., s+N) mod N. When @p average, the reduced shard
- * is divided by the replica count.
- */
-void functionalRingReduceScatter(const std::vector<float *> &replicas,
-                                 std::size_t n, bool average);
-
-/** Ring all-gather: broadcast each shard from its owner to all replicas. */
-void functionalRingAllGather(const std::vector<float *> &replicas,
-                             std::size_t n);
-
-/**
- * Ring all-reduce == reduce-scatter + all-gather. Afterwards every replica
- * holds the bit-identical (averaged) reduction of all inputs.
- */
-void functionalRingAllReduce(const std::vector<float *> &replicas,
-                             std::size_t n, bool average);
-
-/** Element range [begin, end) of shard @p shard when @p n splits @p nodes ways. */
-std::pair<std::size_t, std::size_t> shardRange(std::size_t n, int nodes,
-                                               int shard);
 
 } // namespace smartinf::dist
 

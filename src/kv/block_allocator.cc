@@ -17,7 +17,6 @@ BlockAllocator::allocate()
         slot = span_++;
     }
     ++used_;
-    ++allocations_;
     peak_used_ = std::max(peak_used_, used_);
     peak_span_ = std::max(peak_span_, span_);
     return slot;

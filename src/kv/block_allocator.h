@@ -72,7 +72,6 @@ class BlockAllocator
      */
     double fragmentationRatio() const;
 
-    std::uint64_t allocations() const { return allocations_; }
     std::uint64_t frees() const { return frees_; }
 
   private:
@@ -82,7 +81,6 @@ class BlockAllocator
     int peak_span_ = 0;
     int peak_used_ = 0;
     double peak_frag_ = 1.0;
-    std::uint64_t allocations_ = 0;
     std::uint64_t frees_ = 0;
 };
 

@@ -35,7 +35,6 @@ class Link
      * FlowNetwork::linkCapacityChanged() so in-flight rates are recomputed.
      * @{
      */
-    double capacityFactor() const { return factor_; }
     void setCapacityFactor(double factor) { factor_ = factor; }
     BytesPerSec effectiveCapacity() const { return capacity_ * factor_; }
     /** @} */

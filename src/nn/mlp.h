@@ -55,13 +55,7 @@ class Mlp
     /** Classification accuracy over a labelled set. */
     double accuracy(const Matrix &inputs, const std::vector<int> &labels);
 
-    const std::vector<std::size_t> &layerDims() const { return dims_; }
-
   private:
-    /** Weight/bias offsets of layer l within the flat vector. */
-    std::size_t weightOffset(std::size_t l) const { return w_offsets_[l]; }
-    std::size_t biasOffset(std::size_t l) const { return b_offsets_[l]; }
-
     void forward(const Matrix &inputs, std::vector<Matrix> &pre,
                  std::vector<Matrix> &post);
 

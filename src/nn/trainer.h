@@ -4,9 +4,7 @@
  * UpdateBackend abstraction is the seam Smart-Infinity plugs into: the host
  * backend is the ZeRO-Infinity-style CPU update; the CSD backend (core/)
  * runs the same step through the FPGA updater pipeline, optionally with
- * Top-K-compressed gradients (SmartComp); the data-parallel backend
- * (dist::DataParallelCluster) reduces gradients across replicated CSD
- * clusters before the near-storage step. Table IV's accuracy rows are
+ * Top-K-compressed gradients (SmartComp). Table IV's accuracy rows are
  * produced by swapping backends under an otherwise identical loop.
  */
 #ifndef SMARTINF_NN_TRAINER_H

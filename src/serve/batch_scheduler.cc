@@ -239,7 +239,6 @@ void
 BatchScheduler::onStepDone()
 {
     const Seconds now = ctx_.sim.now();
-    ++steps_executed_;
     step_in_flight_ = false;
     if (ctx_.obs)
         ctx_.obs->schedulerStepFinished(node_, now);

@@ -106,8 +106,6 @@ class BatchScheduler
     double queueDepthIntegral() const { return queue_depth_integral_; }
     /** Largest instantaneous waiting-queue depth observed. */
     int peakQueueDepth() const { return peak_queue_depth_; }
-    /** Forward-pass steps executed. */
-    int stepsExecuted() const { return steps_executed_; }
 
     /** This node's paged-KV statistics (all-zero under the contiguous
      *  layout, where no KvSpace exists). */
@@ -206,7 +204,6 @@ class BatchScheduler
     bool step_in_flight_ = false;
     Seconds step_began_ = 0.0; ///< begin time of the in-flight step
     int next_step_index_ = 0;
-    int steps_executed_ = 0;
     int preemptions_ = 0;
 
     /** @name Fault state (inert defaults in fault-free runs). @{ */

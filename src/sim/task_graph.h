@@ -151,7 +151,6 @@ class TaskGraph
 
     /** Tasks added from now on are stamped with @p d (kNoDomain = none). */
     void setCurrentDomain(Domain d) { current_domain_ = d; }
-    Domain currentDomain() const { return current_domain_; }
 
     /**
      * Register a revocation hook for @p id, called (at most once) if the

@@ -1,36 +1,14 @@
 /** @file Tests for the dist/ collective primitives: analytic wire-byte
- *  formulas, the flow-schedule performance layer, and the deterministic
- *  functional rings. */
+ *  formulas and the flow-schedule performance layer. */
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
-#include "common/random.h"
 #include "dist/collective.h"
 #include "train/system_builder.h"
 
 namespace smartinf::dist {
 namespace {
-
-std::vector<float>
-randomVector(std::size_t n, uint64_t seed, double scale = 1.0)
-{
-    Rng rng(seed);
-    std::vector<float> v(n);
-    for (auto &x : v)
-        x = static_cast<float>(rng.normal(0.0, scale));
-    return v;
-}
-
-std::vector<float *>
-pointers(std::vector<std::vector<float>> &replicas)
-{
-    std::vector<float *> out;
-    for (auto &r : replicas)
-        out.push_back(r.data());
-    return out;
-}
 
 // ---- analytic formulas ------------------------------------------------------
 
@@ -76,96 +54,6 @@ TEST(CollectiveBytes, KindDispatch)
         collectiveTxBytesPerNode(CollectiveKind::AllGather, buffer, 4),
         ringAllGatherTxBytesPerNode(buffer, 4));
     EXPECT_STREQ(collectiveName(CollectiveKind::AllReduce), "all-reduce");
-}
-
-// ---- shard ranges -----------------------------------------------------------
-
-TEST(Collective, ShardRangesPartitionTheBuffer)
-{
-    for (std::size_t n : {100u, 101u, 7u}) {
-        for (int nodes : {1, 2, 3, 4}) {
-            std::size_t covered = 0;
-            std::size_t expected_begin = 0;
-            for (int s = 0; s < nodes; ++s) {
-                const auto [begin, end] = shardRange(n, nodes, s);
-                EXPECT_EQ(begin, expected_begin);
-                covered += end - begin;
-                expected_begin = end;
-            }
-            EXPECT_EQ(covered, n) << n << " over " << nodes;
-        }
-    }
-}
-
-// ---- functional layer -------------------------------------------------------
-
-TEST(Collective, FunctionalAllReduceMatchesNaiveSum)
-{
-    const std::size_t n = 1003;
-    const int nodes = 3;
-    std::vector<std::vector<float>> replicas;
-    for (int i = 0; i < nodes; ++i)
-        replicas.push_back(randomVector(n, 10 + i));
-    const auto originals = replicas;
-
-    auto ptrs = pointers(replicas);
-    functionalRingAllReduce(ptrs, n, /*average=*/false);
-
-    for (std::size_t e = 0; e < n; ++e) {
-        double sum = 0.0;
-        for (int i = 0; i < nodes; ++i)
-            sum += originals[i][e];
-        // Float ring accumulation vs double naive sum: small tolerance.
-        EXPECT_NEAR(replicas[0][e], sum, 1e-4) << e;
-    }
-}
-
-TEST(Collective, FunctionalAllReduceLeavesReplicasBitIdentical)
-{
-    const std::size_t n = 777;
-    for (int nodes : {2, 3, 5}) {
-        std::vector<std::vector<float>> replicas;
-        for (int i = 0; i < nodes; ++i)
-            replicas.push_back(randomVector(n, 50 + i));
-        auto ptrs = pointers(replicas);
-        functionalRingAllReduce(ptrs, n, /*average=*/true);
-        for (int i = 1; i < nodes; ++i) {
-            EXPECT_EQ(0, std::memcmp(replicas[0].data(), replicas[i].data(),
-                                     n * sizeof(float)))
-                << nodes << " nodes, replica " << i;
-        }
-    }
-}
-
-TEST(Collective, AllReduceEqualsReduceScatterThenAllGather)
-{
-    const std::size_t n = 512;
-    const int nodes = 4;
-    std::vector<std::vector<float>> a, b;
-    for (int i = 0; i < nodes; ++i) {
-        a.push_back(randomVector(n, 90 + i));
-        b.push_back(a.back());
-    }
-    auto pa = pointers(a);
-    auto pb = pointers(b);
-    functionalRingAllReduce(pa, n, /*average=*/true);
-    functionalRingReduceScatter(pb, n, /*average=*/true);
-    functionalRingAllGather(pb, n);
-    for (int i = 0; i < nodes; ++i)
-        EXPECT_EQ(0, std::memcmp(a[i].data(), b[i].data(), n * sizeof(float)))
-            << i;
-}
-
-TEST(Collective, AveragingDividesByNodeCount)
-{
-    const std::size_t n = 16;
-    const int nodes = 2;
-    std::vector<std::vector<float>> replicas(nodes,
-                                             std::vector<float>(n, 3.0f));
-    auto ptrs = pointers(replicas);
-    functionalRingAllReduce(ptrs, n, /*average=*/true);
-    for (std::size_t e = 0; e < n; ++e)
-        EXPECT_FLOAT_EQ(replicas[0][e], 3.0f);
 }
 
 // ---- performance layer ------------------------------------------------------
