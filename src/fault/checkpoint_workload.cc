@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "dist/collective.h"
 #include "obs/observation.h"
-#include "train/system_builder.h"
 #include "train/system_config.h"
 
 namespace smartinf::fault {
@@ -34,13 +32,7 @@ CheckpointedTrainingWorkload::build(train::SimContext &ctx)
               "CheckpointedTrainingWorkload::build called twice");
     ctx_ = &ctx;
     const int nodes = ctx.system.num_nodes;
-    if (nodes > 1)
-        train::buildNicLinks(ctx.topo, ctx.system);
-    builders_.reserve(nodes);
-    for (int i = 0; i < nodes; ++i)
-        builders_.push_back(std::make_unique<train::IterationBuilder>(
-            model_, train_, ctx.system, ctx,
-            nodes > 1 ? train::nodePrefix(i) : std::string{}));
+    builders_ = train::makeNodeBuilders(model_, train_, ctx);
 
     if (fault_.enabled) {
         // Arm the fault machinery (flow cancellers, revocation domains)
@@ -48,6 +40,7 @@ CheckpointedTrainingWorkload::build(train::SimContext &ctx)
         // is that the machinery itself never perturbs a timestamp.
         stats_.enabled = true;
         ctx.faults_armed = true;
+        links_.emplace(ctx);
         events_ = generateFaultSchedule(fault_, fault_.seed, nodes,
                                         ctx.system.num_devices);
         for (const FaultEvent &event : events_)
@@ -84,51 +77,7 @@ CheckpointedTrainingWorkload::beginIteration()
         ctx.graph.setCurrentDomain(iter_domain_);
     }
     const TaskId first = ctx.graph.taskCount();
-    const int nodes = ctx.system.num_nodes;
-
-    std::vector<TaskId> fw(nodes), bw(nodes);
-    for (int i = 0; i < nodes; ++i)
-        fw[i] = builders_[i]->buildForward();
-    for (int i = 0; i < nodes; ++i)
-        bw[i] = builders_[i]->buildBackward(fw[i]);
-
-    if (nodes > 1) {
-        // Same gradient-sync stitch as TrainingWorkload::buildDistributed,
-        // rebuilt per iteration.
-        TaskId sync_done = TaskGraph::kInvalidTask;
-        if (ctx.system.overlap_grad_sync) {
-            const Bytes bucket =
-                model_.num_params / model_.num_layers * kBytesFp32;
-            for (int b = 0; b < model_.num_layers; ++b) {
-                std::vector<TaskId> deps(nodes);
-                for (int i = 0; i < nodes; ++i)
-                    deps[i] = builders_[i]->gradToHostTask(b);
-                const dist::CollectiveSchedule cs =
-                    dist::scheduleRingCollective(
-                        ctx, dist::CollectiveKind::AllReduce, nodes, bucket,
-                        deps, {"sync.done", b});
-                for (int i = 0; i < nodes; ++i)
-                    ctx.graph.dependsOn(
-                        builders_[i]->gradOffloadGateTask(b), cs.done);
-            }
-        } else {
-            const dist::CollectiveSchedule cs = dist::scheduleRingCollective(
-                ctx, dist::CollectiveKind::AllReduce, nodes,
-                model_.gradientBytes(), bw, {"sync.all"});
-            sync_done = cs.done;
-        }
-        for (int i = 0; i < nodes; ++i) {
-            TaskId ready = bw[i];
-            if (sync_done != TaskGraph::kInvalidTask) {
-                ready = ctx.graph.barrier({"upd.ready", i});
-                ctx.graph.dependsOn(ready, bw[i]);
-                ctx.graph.dependsOn(ready, sync_done);
-            }
-            builders_[i]->buildUpdate(ready);
-        }
-    } else {
-        builders_[0]->buildUpdate(bw[0]);
-    }
+    train::stageIteration(ctx, builders_);
 
     const TaskId sentinel = ctx.graph.add(
         [this](std::function<void()> done) {
@@ -242,36 +191,6 @@ CheckpointedTrainingWorkload::beginRestore()
     ctx.graph.releaseRange(first, ctx.graph.taskCount());
 }
 
-net::Link &
-CheckpointedTrainingWorkload::nodeLink(int node,
-                                       const std::string &name) const
-{
-    const std::string prefix =
-        ctx_->system.num_nodes > 1 ? train::nodePrefix(node) : "";
-    return ctx_->topo.link(prefix + name);
-}
-
-void
-CheckpointedTrainingWorkload::applyLinkFactor(net::Link &link, double mult,
-                                              bool restore)
-{
-    std::vector<double> &mults = link_mults_[&link];
-    if (restore) {
-        const auto it = std::find(mults.begin(), mults.end(), mult);
-        SI_ASSERT(it != mults.end(), "restoring an episode never applied");
-        mults.erase(it);
-    } else {
-        mults.push_back(mult);
-    }
-    // Recompute the factor as the exact product of the surviving episodes
-    // (never divide: x * f / f is not guaranteed to round-trip in IEEE).
-    double factor = 1.0;
-    for (const double m : mults)
-        factor *= m;
-    link.setCapacityFactor(factor);
-    ctx_->net.linkCapacityChanged(&link);
-}
-
 void
 CheckpointedTrainingWorkload::onFault(const FaultEvent &event)
 {
@@ -311,14 +230,9 @@ CheckpointedTrainingWorkload::onFault(const FaultEvent &event)
         // The failed device's media links run at the rebuild rate until it
         // is repaired; parameter/gradient/checkpoint flows crossing it
         // re-share mid-flight.
-        const std::string ssd = "ssd" + std::to_string(event.device);
-        net::Link *rd = &nodeLink(event.node, ssd + ".read");
-        net::Link *wr = &nodeLink(event.node, ssd + ".write");
-        applyLinkFactor(*rd, event.factor, false);
-        applyLinkFactor(*wr, event.factor, false);
-        ctx.sim.at(now + event.duration, [this, event, rd, wr]() {
-            applyLinkFactor(*rd, event.factor, true);
-            applyLinkFactor(*wr, event.factor, true);
+        links_->begin(event);
+        ctx.sim.at(now + event.duration, [this, event]() {
+            links_->end(event);
             if (ctx_->obs)
                 ctx_->obs->recoveryAction("csd-restore", event.node,
                                           ctx_->sim.now());
@@ -327,13 +241,9 @@ CheckpointedTrainingWorkload::onFault(const FaultEvent &event)
       }
       case FaultKind::LinkDegrade: {
         ++stats_.link_degrades;
-        net::Link *up = &nodeLink(event.node, "host.up");
-        net::Link *down = &nodeLink(event.node, "host.down");
-        applyLinkFactor(*up, event.factor, false);
-        applyLinkFactor(*down, event.factor, false);
-        ctx.sim.at(now + event.duration, [this, event, up, down]() {
-            applyLinkFactor(*up, event.factor, true);
-            applyLinkFactor(*down, event.factor, true);
+        links_->begin(event);
+        ctx.sim.at(now + event.duration, [this, event]() {
+            links_->end(event);
             if (ctx_->obs)
                 ctx_->obs->recoveryAction("link-restore", event.node,
                                           ctx_->sim.now());

@@ -2,8 +2,9 @@
  * @file
  * Checkpoint/restart training under deterministic fault injection. The
  * plain train::TrainingWorkload builds one static iteration; this workload
- * runs a *job* of N iterations reactively (one revocation domain per
- * iteration) with a periodic checkpoint stream and a crash recovery model:
+ * runs a *job* of N iterations reactively, staging each with the same
+ * train::stageIteration (one revocation domain per iteration), with a
+ * periodic checkpoint stream and a crash recovery model:
  *
  *  - Every checkpoint_interval iterations the job snapshots its GPU-resident
  *    replica as real scheduled flows — GPU->host then RAID0-striped CSD
@@ -18,8 +19,8 @@
  *    iterations are recomputed. Restart latency is therefore an emergent
  *    cost: repair + read-back + replay.
  *  - CSD failures and link degradation multiply link capacities for the
- *    repair/episode window (the incremental max-min scheduler re-shares
- *    mid-flow); stalls defer the next iteration.
+ *    repair/episode window (fault::LinkEpisodes; the incremental max-min
+ *    scheduler re-shares mid-flow); stalls defer the next iteration.
  *
  * Determinism: the fault schedule is drawn pre-sim from the fourth derived
  * stream (fault::faultSeed(FaultConfig::seed) — training runs have no client
@@ -29,15 +30,12 @@
 #ifndef SMARTINF_FAULT_CHECKPOINT_WORKLOAD_H
 #define SMARTINF_FAULT_CHECKPOINT_WORKLOAD_H
 
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "fault/fault_schedule.h"
-#include "net/link.h"
-#include "train/iteration_builder.h"
-#include "train/workload.h"
+#include "train/training_workload.h"
 
 namespace smartinf::fault {
 
@@ -72,15 +70,13 @@ class CheckpointedTrainingWorkload final : public train::Workload
     void beginCheckpoint(int snapshot_iter);
     void beginRestore();
     void onFault(const FaultEvent &event);
-    void applyLinkFactor(net::Link &link, double mult, bool restore);
-    net::Link &nodeLink(int node, const std::string &name) const;
 
     const train::ModelSpec model_;
     const train::TrainConfig train_;
     const FaultConfig fault_;
 
     train::SimContext *ctx_ = nullptr;
-    std::vector<std::unique_ptr<train::IterationBuilder>> builders_;
+    train::NodeBuilders builders_;
     std::vector<FaultEvent> events_;
 
     // -- job progress ------------------------------------------------------
@@ -99,9 +95,8 @@ class CheckpointedTrainingWorkload final : public train::Workload
     bool dead_ = false; ///< crashed; repair + read-back in progress
     Seconds stall_until_ = 0.0;
     train::FaultStats stats_;
-    /** Active capacity multipliers per degraded link; the factor is
-     *  recomputed as their exact product (never divided back out). */
-    std::map<net::Link *, std::vector<double>> link_mults_;
+    /** CSD-failure and link-degradation episodes (set when enabled). */
+    std::optional<LinkEpisodes> links_;
 };
 
 } // namespace smartinf::fault

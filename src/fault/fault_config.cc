@@ -1,5 +1,7 @@
 #include "fault/fault_config.h"
 
+#include <cmath>
+
 #include "common/validation.h"
 
 namespace smartinf::fault {
@@ -11,9 +13,9 @@ FaultConfig::validate() const
     if (!enabled)
         return errors; // every field is inert while disabled
 
-    requireField(errors, horizon > 0.0,
-                 "fault.horizon must be positive (the window fault events "
-                 "are drawn over)",
+    requireField(errors, std::isfinite(horizon) && horizon > 0.0,
+                 "fault.horizon must be finite and positive (the window "
+                 "fault events are drawn over)",
                  horizon);
     requireField(errors, node_mtbf > 0.0,
                  "fault.node_mtbf must be positive (use FaultConfig::kNever "

@@ -45,7 +45,8 @@ struct FaultConfig {
     bool enabled = false;
 
     // -- fault process --------------------------------------------------------
-    /** Fault events are drawn over [0, horizon) simulated seconds. */
+    /** Fault events are drawn over [0, horizon) simulated seconds (finite:
+     *  an armed category draws events until the horizon). */
     Seconds horizon = 600.0;
     /**
      * Base seed of the fault stream for *training* runs (which have no

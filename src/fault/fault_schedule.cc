@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "train/sim_context.h"
+#include "train/system_builder.h"
 
 namespace smartinf::fault {
 
@@ -98,6 +101,43 @@ generateFaultSchedule(const FaultConfig &config, std::uint64_t seed,
                          return a.device < b.device;
                      });
     return events;
+}
+
+std::array<net::Link *, 2>
+LinkEpisodes::targets(const FaultEvent &event) const
+{
+    const std::string prefix =
+        train::linkPrefix(event.node, ctx_.system.num_nodes);
+    if (event.kind == FaultKind::CsdFailure) {
+        const std::string ssd = prefix + "ssd" + std::to_string(event.device);
+        return {&ctx_.topo.link(ssd + ".read"),
+                &ctx_.topo.link(ssd + ".write")};
+    }
+    SI_ASSERT(event.kind == FaultKind::LinkDegrade,
+              "only CSD failures and link degradation degrade links");
+    return {&ctx_.topo.link(prefix + "host.up"),
+            &ctx_.topo.link(prefix + "host.down")};
+}
+
+void
+LinkEpisodes::change(const FaultEvent &event, bool restore)
+{
+    for (net::Link *link : targets(event)) {
+        std::vector<double> &mults = mults_[link];
+        if (restore) {
+            const auto it =
+                std::find(mults.begin(), mults.end(), event.factor);
+            SI_ASSERT(it != mults.end(), "restoring an episode never applied");
+            mults.erase(it);
+        } else {
+            mults.push_back(event.factor);
+        }
+        double factor = 1.0;
+        for (const double m : mults)
+            factor *= m;
+        link->setCapacityFactor(factor);
+        ctx_.net.linkCapacityChanged(link);
+    }
 }
 
 } // namespace smartinf::fault

@@ -7,14 +7,27 @@
  * tests: enabling faults never moves an arrival, a sampled length, or a
  * prefix assignment, and each fault *category* draws from its own derived
  * sub-stream, so arming stalls never moves a node crash.
+ *
+ * Also the link side of a fault episode, shared by the training and
+ * serving fault paths: LinkEpisodes degrades the links a CSD failure or a
+ * link degradation targets and restores them when the episode ends.
  */
 #ifndef SMARTINF_FAULT_FAULT_SCHEDULE_H
 #define SMARTINF_FAULT_FAULT_SCHEDULE_H
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "fault/fault_config.h"
+
+namespace smartinf::net {
+class Link;
+}
+namespace smartinf::train {
+struct SimContext;
+}
 
 namespace smartinf::fault {
 
@@ -59,6 +72,33 @@ std::uint64_t faultSeed(std::uint64_t seed);
 std::vector<FaultEvent> generateFaultSchedule(const FaultConfig &config,
                                               std::uint64_t seed,
                                               int num_nodes, int num_devices);
+
+/**
+ * The capacity multipliers of the fault episodes active on one run's links.
+ * A CsdFailure degrades its device's media links (ssd<d>.read/.write), a
+ * LinkDegrade its node's host interconnect (host.up/host.down), each by
+ * event.factor until the matching end(). Episodes may overlap on a link and
+ * end in any order: the link's factor is always the exact product of the
+ * active multipliers (never divided back out: x * f / f need not round-trip
+ * in IEEE), and the flow network re-shares in-flight flows on every change.
+ */
+class LinkEpisodes
+{
+  public:
+    explicit LinkEpisodes(train::SimContext &ctx) : ctx_(ctx) {}
+
+    void begin(const FaultEvent &event) { change(event, false); }
+    void end(const FaultEvent &event) { change(event, true); }
+
+  private:
+    /** The node-prefixed links @p event degrades. */
+    std::array<net::Link *, 2> targets(const FaultEvent &event) const;
+    /** Push (or, on @p restore, remove) event.factor on each target. */
+    void change(const FaultEvent &event, bool restore);
+
+    train::SimContext &ctx_;
+    std::map<net::Link *, std::vector<double>> mults_;
+};
 
 } // namespace smartinf::fault
 

@@ -91,36 +91,6 @@ InferenceWorkload::keepRecord()
     return true;
 }
 
-net::Link &
-InferenceWorkload::nodeLink(train::SimContext &ctx, int node,
-                            const std::string &name) const
-{
-    const std::string prefix =
-        ctx.system.num_nodes > 1 ? train::nodePrefix(node) : "";
-    return ctx.topo.link(prefix + name);
-}
-
-void
-InferenceWorkload::applyLinkFactor(train::SimContext &ctx, net::Link &link,
-                                   double mult, bool restore)
-{
-    std::vector<double> &mults = link_mults_[&link];
-    if (restore) {
-        const auto it = std::find(mults.begin(), mults.end(), mult);
-        SI_ASSERT(it != mults.end(), "restoring an episode never applied");
-        mults.erase(it);
-    } else {
-        mults.push_back(mult);
-    }
-    // Recompute the factor as the exact product of the surviving episodes
-    // (never divide: x * f / f is not guaranteed to round-trip in IEEE).
-    double factor = 1.0;
-    for (const double m : mults)
-        factor *= m;
-    link.setCapacityFactor(factor);
-    ctx.net.linkCapacityChanged(&link);
-}
-
 void
 InferenceWorkload::turnAway(train::SimContext &ctx,
                             const RequestSpec &request, TurnAway why)
@@ -272,16 +242,11 @@ InferenceWorkload::onFault(train::SimContext &ctx,
         // The failed device's media links degrade to the rebuild rate,
         // and the KV pages resident on that tier are gone: the node's
         // running batch re-prefills from scratch.
-        const std::string ssd = "ssd" + std::to_string(event.device);
-        net::Link *rd = &nodeLink(ctx, event.node, ssd + ".read");
-        net::Link *wr = &nodeLink(ctx, event.node, ssd + ".write");
-        applyLinkFactor(ctx, *rd, event.factor, false);
-        applyLinkFactor(ctx, *wr, event.factor, false);
+        fault_links_->begin(event);
         fault_stats_.reprefills +=
             schedulers_[event.node]->forceReprefill();
-        ctx.sim.at(now + event.duration, [this, &ctx, event, rd, wr]() {
-            applyLinkFactor(ctx, *rd, event.factor, true);
-            applyLinkFactor(ctx, *wr, event.factor, true);
+        ctx.sim.at(now + event.duration, [this, &ctx, event]() {
+            fault_links_->end(event);
             if (ctx.obs)
                 ctx.obs->recoveryAction("csd-restore", event.node,
                                         ctx.sim.now());
@@ -293,19 +258,13 @@ InferenceWorkload::onFault(train::SimContext &ctx,
         // The node's host interconnect (the trunk every storage and KV
         // flow crosses) runs at a fraction of its capacity for a while;
         // the incremental max-min scheduler re-shares mid-flow.
-        net::Link *up = &nodeLink(ctx, event.node, "host.up");
-        net::Link *down = &nodeLink(ctx, event.node, "host.down");
-        applyLinkFactor(ctx, *up, event.factor, false);
-        applyLinkFactor(ctx, *down, event.factor, false);
-        ctx.sim.at(now + event.duration,
-                   [this, &ctx, event, up, down]() {
-                       applyLinkFactor(ctx, *up, event.factor, true);
-                       applyLinkFactor(ctx, *down, event.factor, true);
-                       if (ctx.obs)
-                           ctx.obs->recoveryAction("link-restore",
-                                                   event.node,
-                                                   ctx.sim.now());
-                   });
+        fault_links_->begin(event);
+        ctx.sim.at(now + event.duration, [this, &ctx, event]() {
+            fault_links_->end(event);
+            if (ctx.obs)
+                ctx.obs->recoveryAction("link-restore", event.node,
+                                        ctx.sim.now());
+        });
         break;
       }
       case fault::FaultKind::Stall: {
@@ -336,9 +295,8 @@ InferenceWorkload::build(train::SimContext &ctx)
     ctx.graph.enableTrim();
 
     for (int i = 0; i < nodes; ++i) {
-        const std::string prefix = nodes > 1 ? train::nodePrefix(i) : "";
         builders_.push_back(std::make_unique<InferenceBuilder>(
-            model_, ctx.system, config_, ctx, prefix));
+            model_, ctx.system, config_, ctx, train::linkPrefix(i, nodes)));
         schedulers_.push_back(std::make_unique<BatchScheduler>(
             ctx, *builders_.back(), config_, i));
     }
@@ -351,6 +309,7 @@ InferenceWorkload::build(train::SimContext &ctx)
     if (config_.fault.enabled) {
         ctx.faults_armed = true;
         fault_stats_.enabled = true;
+        fault_links_.emplace(ctx);
         fault_events_ = fault::generateFaultSchedule(
             config_.fault, config_.seed, nodes, ctx.system.num_devices);
         for (const fault::FaultEvent &event : fault_events_)

@@ -31,6 +31,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,14 +111,6 @@ class InferenceWorkload final : public train::Workload
     /** Re-dispatch a displaced request: bump attempt, wait the linear
      *  backoff, then dispatch(). */
     void redispatch(train::SimContext &ctx, RequestSpec request);
-    /** Multiply a link's capacity factor by @p mult (restore=false) or
-     *  take that multiplier back out (restore=true); overlapping episodes
-     *  compose exactly. */
-    void applyLinkFactor(train::SimContext &ctx, net::Link &link,
-                         double mult, bool restore);
-    /** The node-prefixed link (prefix empty on single-node runs). */
-    net::Link &nodeLink(train::SimContext &ctx, int node,
-                        const std::string &name) const;
     /** @} */
 
     train::ModelSpec model_;
@@ -148,10 +141,8 @@ class InferenceWorkload final : public train::Workload
     /** @name Failover state (empty/zero in fault-free runs). @{ */
     std::vector<fault::FaultEvent> fault_events_;
     train::FaultStats fault_stats_;
-    /** Active capacity multipliers per degraded link (an episode pushes
-     *  its factor, the matching restore removes it; the link's factor is
-     *  always the exact product of the active episodes). */
-    std::map<net::Link *, std::vector<double>> link_mults_;
+    /** CSD-failure and link-degradation episodes (set when enabled). */
+    std::optional<fault::LinkEpisodes> fault_links_;
     /** @} */
 };
 

@@ -5,8 +5,7 @@
  * single- or multi-node) and executes *workloads* on it: run(Workload&) is
  * the single execution entry point — it owns the SimContext lifecycle
  * (build, simulate, collect) for any workload. Training is one such
- * workload (TrainingWorkload); runIteration() is the training shorthand
- * and produces bit-identical results to the pre-Workload engines.
+ * workload (TrainingWorkload); runIteration() is the training shorthand.
  *
  * One concrete Engine covers every strategy and node count; the variants
  * differ only in SystemConfig data. Strategy::Baseline reproduces the

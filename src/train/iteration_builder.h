@@ -4,10 +4,10 @@
  * primitives (train/phase_builders.h) into one server's training iteration
  * — block parameter loads, GPU compute, gradient offloads, CSD-internal
  * swaps, FPGA updates — as tasks in a SimContext's shared task graph.
- * TrainingWorkload drives one builder per node in the *same* SimContext and
- * stitches inter-node gradient-sync collectives between their backward and
- * update phases, so NIC traffic contends with PCIe offload traffic in one
- * fluid-flow model.
+ * stageIteration() (train/training_workload.h) drives one builder per node
+ * in the *same* SimContext and stitches inter-node gradient-sync
+ * collectives between their backward and update phases, so NIC traffic
+ * contends with PCIe offload traffic in one fluid-flow model.
  */
 #ifndef SMARTINF_TRAIN_ITERATION_BUILDER_H
 #define SMARTINF_TRAIN_ITERATION_BUILDER_H
@@ -24,9 +24,9 @@ namespace smartinf::train {
  * Builds one node's training iteration into a shared SimContext.
  *
  * The build is staged so callers can interpose between phases: the
- * distributed training workload hangs each block's gradient offload off
- * that block's inter-node all-reduce by adding dependencies to
- * gradOffloadGateTask(b) before the graph starts.
+ * iteration stitch hangs each block's gradient offload off that block's
+ * inter-node all-reduce by adding dependencies to gradOffloadGateTask(b)
+ * before the graph starts.
  */
 class IterationBuilder : public PhaseBuilder
 {
@@ -51,7 +51,7 @@ class IterationBuilder : public PhaseBuilder
     /**
      * Per-block task gating the block's offload transfers: adding a
      * dependency here (before start()) holds the actual flows back — the
-     * distributed training workload points it at the block's reduced
+     * iteration stitch points it at the block's reduced
      * all-reduce bucket. For the baseline's striped offload this is a
      * barrier in front of the per-device parts; for Smart-Infinity it is
      * the single offload transfer itself.

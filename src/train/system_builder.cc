@@ -8,6 +8,12 @@ nodePrefix(int node)
     return "n" + std::to_string(node) + ".";
 }
 
+std::string
+linkPrefix(int node, int num_nodes)
+{
+    return num_nodes > 1 ? nodePrefix(node) : std::string{};
+}
+
 void
 buildNodeLinks(net::Topology &topo, const SystemConfig &system,
                const std::string &prefix)

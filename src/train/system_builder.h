@@ -26,6 +26,10 @@ namespace smartinf::train {
 /** Link-name prefix of node @p node in a multi-node topology. */
 std::string nodePrefix(int node);
 
+/** Link-name prefix of node @p node in a run of @p num_nodes nodes:
+ *  nodePrefix(node) on a cluster, "" on a single node. */
+std::string linkPrefix(int node, int num_nodes);
+
 /**
  * Add one server's intra-node links (shared host interconnect, GPU link,
  * per-device SSD media + external links, optional congested TP fabric).

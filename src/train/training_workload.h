@@ -1,11 +1,12 @@
 /**
  * @file
  * Training expressed as a Workload: one steady-state data-parallel training
- * iteration (the paper's workload) on 1..N nodes. Single-node runs build
- * one IterationBuilder; multi-node runs build one per node in the shared
- * SimContext and stitch the ring all-reduce gradient sync between backward
- * and update — exactly the dataflow the engines produced before the
- * Workload API, bit for bit.
+ * iteration (the paper's workload) on 1..N nodes, built by the one
+ * iteration stitch below. makeNodeBuilders() creates one IterationBuilder
+ * per node in the shared SimContext; stageIteration() stages forward,
+ * backward, the ring all-reduce gradient sync (2+ nodes) and the update
+ * over them. fault::CheckpointedTrainingWorkload stages the same iteration
+ * once per job iteration.
  */
 #ifndef SMARTINF_TRAIN_TRAINING_WORKLOAD_H
 #define SMARTINF_TRAIN_TRAINING_WORKLOAD_H
@@ -18,6 +19,27 @@
 #include "train/workload.h"
 
 namespace smartinf::train {
+
+using NodeBuilders = std::vector<std::unique_ptr<IterationBuilder>>;
+
+/**
+ * One IterationBuilder per node of ctx.system, each namespaced by
+ * linkPrefix(). A cluster (num_nodes > 1) gets its NIC links first.
+ */
+NodeBuilders makeNodeBuilders(const ModelSpec &model,
+                              const TrainConfig &train, SimContext &ctx);
+
+/** Each node's forward and backward completion tasks of one iteration. */
+struct IterationEnds {
+    std::vector<sim::TaskGraph::TaskId> forward, backward;
+};
+
+/**
+ * Stage one training iteration over @p builders: every node's forward,
+ * then every node's backward, then (2+ nodes) the ring all-reduce of the
+ * dense FP32 gradients, then every node's update.
+ */
+IterationEnds stageIteration(SimContext &ctx, const NodeBuilders &builders);
 
 /** One steady-state training iteration on ctx.system.num_nodes nodes. */
 class TrainingWorkload final : public Workload
@@ -32,12 +54,10 @@ class TrainingWorkload final : public Workload
     void collect(const SimContext &ctx, WorkloadResult &out) override;
 
   private:
-    void buildDistributed(SimContext &ctx);
-
     ModelSpec model_;
     TrainConfig train_;
-    std::vector<std::unique_ptr<IterationBuilder>> builders_;
-    std::vector<sim::TaskGraph::TaskId> fw_, bw_;
+    NodeBuilders builders_;
+    IterationEnds ends_;
 };
 
 } // namespace smartinf::train

@@ -6,7 +6,8 @@
  * includes the repair window and the read-back flows), stalls and link
  * degradation only ever delay, and every fault-mode run is bit-identical
  * across repeats. Also pins the inertness contract: arming the fault
- * machinery with no fault category enabled changes nothing.
+ * machinery with no fault category enabled changes nothing, and a one-
+ * iteration job stages exactly the iteration runIteration() simulates.
  */
 #include <gtest/gtest.h>
 
@@ -31,14 +32,23 @@ baseFault()
     return config;
 }
 
-train::WorkloadResult
-runJob(const fault::FaultConfig &config, int nodes = 1)
+train::SystemConfig
+smallSystem(int nodes,
+            train::Strategy strategy = train::Strategy::SmartUpdateOptComp)
 {
     train::SystemConfig system;
-    system.strategy = train::Strategy::SmartUpdateOptComp;
+    system.strategy = strategy;
     system.num_devices = 4;
     system.num_nodes = nodes;
-    auto engine = train::makeEngine(smallModel(), {}, system);
+    return system;
+}
+
+train::WorkloadResult
+runJob(const fault::FaultConfig &config, int nodes = 1,
+       train::Strategy strategy = train::Strategy::SmartUpdateOptComp)
+{
+    auto engine =
+        train::makeEngine(smallModel(), {}, smallSystem(nodes, strategy));
     fault::CheckpointedTrainingWorkload workload(smallModel(), {}, config);
     return engine->run(workload);
 }
@@ -77,6 +87,54 @@ TEST(CheckpointRestart, ArmedButUnusedFaultMachineryIsInert)
     EXPECT_EQ(off.fault.checkpoints_written, on.fault.checkpoints_written);
     EXPECT_FALSE(off.fault.enabled);
     EXPECT_TRUE(on.fault.enabled);
+}
+
+TEST(CheckpointRestart, OneIterationJobMatchesRunIteration)
+{
+    // The checkpointed job and the plain training workload stage the same
+    // iteration. A one-iteration job with no checkpoint due (interval 2)
+    // and no fault drawn must reproduce runIteration() exactly; its only
+    // extra event is the t=0 event that builds the first iteration.
+    for (const train::Strategy strategy : train::allStrategies())
+        for (const int nodes : {1, 2, 4})
+            for (const bool overlap : {true, false}) {
+                train::SystemConfig system = smallSystem(nodes, strategy);
+                system.overlap_grad_sync = overlap;
+                const auto engine = train::makeEngine(smallModel(), {}, system);
+                const auto plain = engine->runIteration();
+                for (const bool enabled : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << train::strategyName(strategy) << " x"
+                                 << nodes << " overlap=" << overlap
+                                 << " enabled=" << enabled);
+                    fault::FaultConfig config;
+                    config.enabled = enabled; // every MTBF stays kNever
+                    config.num_iterations = 1;
+                    config.checkpoint_interval = 2;
+                    ASSERT_TRUE(config.validate().empty());
+                    fault::CheckpointedTrainingWorkload job(smallModel(), {},
+                                                            config);
+                    const auto result = engine->run(job);
+
+                    EXPECT_EQ(result.iteration_time, plain.iteration_time);
+                    EXPECT_EQ(result.events_executed,
+                              plain.events_executed + 1);
+                    EXPECT_EQ(result.fault.checkpoints_written, 0);
+                    const train::TrafficLedger &a = result.traffic;
+                    const train::TrafficLedger &b = plain.traffic;
+                    EXPECT_EQ(a.shared_opt_read, b.shared_opt_read);
+                    EXPECT_EQ(a.shared_opt_write, b.shared_opt_write);
+                    EXPECT_EQ(a.shared_grad_read, b.shared_grad_read);
+                    EXPECT_EQ(a.shared_grad_write, b.shared_grad_write);
+                    EXPECT_EQ(a.shared_param_up, b.shared_param_up);
+                    EXPECT_EQ(a.internal_read, b.internal_read);
+                    EXPECT_EQ(a.internal_write, b.internal_write);
+                    EXPECT_EQ(a.internode_tx, b.internode_tx);
+                    EXPECT_EQ(a.internode_rx, b.internode_rx);
+                    EXPECT_EQ(a.kv_spill_read, b.kv_spill_read);
+                    EXPECT_EQ(a.kv_spill_write, b.kv_spill_write);
+                }
+            }
 }
 
 TEST(CheckpointRestart, CrashRewindsToDurableCheckpointAndReplays)
@@ -175,6 +233,31 @@ TEST(CheckpointRestart, StallsAndDegradationOnlyEverDelay)
     // No work is ever lost to a stall or a slow link: same checkpoints.
     EXPECT_EQ(result.fault.checkpoints_written,
               clean.fault.checkpoints_written);
+}
+
+TEST(CheckpointRestart, CsdFailureSlowsTheJobButLosesNoWork)
+{
+    // A failed CSD runs its media links at the rebuild rate until repair:
+    // every iteration and checkpoint crossing it slows down, but nothing
+    // is revoked or replayed. The MTBF is dense enough that failures land
+    // inside the job (at clean/2 the first one arrives after it ends).
+    const auto clean = runJob(baseFault(), 1, train::Strategy::Baseline);
+    fault::FaultConfig config = baseFault();
+    config.enabled = true;
+    config.csd_mtbf = clean.iteration_time / 8.0;
+    config.horizon = 20.0 * clean.iteration_time;
+    const auto result = runJob(config, 1, train::Strategy::Baseline);
+    EXPECT_GE(result.fault.csd_failures, 1);
+    EXPECT_EQ(result.fault.restarts, 0);
+    EXPECT_EQ(result.fault.iterations_replayed, 0);
+    EXPECT_EQ(result.fault.checkpoints_written,
+              clean.fault.checkpoints_written);
+    EXPECT_GT(result.iteration_time, clean.iteration_time);
+
+    const auto repeat = runJob(config, 1, train::Strategy::Baseline);
+    EXPECT_EQ(result.iteration_time, repeat.iteration_time);
+    EXPECT_EQ(result.events_executed, repeat.events_executed);
+    EXPECT_EQ(result.fault.csd_failures, repeat.fault.csd_failures);
 }
 
 TEST(CheckpointRestart, DistributedJobSurvivesCrashes)

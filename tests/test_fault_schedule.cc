@@ -202,6 +202,9 @@ TEST(FaultConfigValidate, RejectsNonsensicalKnobs)
     c = armedConfig();
     c.horizon = 0.0;
     EXPECT_NE(firstError(c).find("horizon"), std::string::npos);
+    // An infinite horizon would draw an armed category's events forever.
+    c.horizon = FaultConfig::kNever;
+    EXPECT_NE(firstError(c).find("horizon"), std::string::npos);
 
     c = armedConfig();
     c.shed_queue_depth = 0;

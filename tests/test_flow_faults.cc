@@ -4,17 +4,22 @@
  * revocation. The acceptance bar is the PR 3 oracle pattern — after EVERY
  * event, including each mid-run capacity degrade/restore and each
  * cancellation, the incremental scheduler must match oracleRates() bit for
- * bit. A capacity factor of exactly 1.0 must be a perfect no-op.
+ * bit. A capacity factor of exactly 1.0 must be a perfect no-op, and
+ * overlapping fault episodes (fault::LinkEpisodes) must restore a link to
+ * exactly its nominal capacity whatever order they end in.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "fault/fault_schedule.h"
 #include "net/flow_network.h"
 #include "net/topology.h"
+#include "train/sim_context.h"
 
 namespace smartinf::net {
 namespace {
@@ -145,6 +150,71 @@ TEST(FlowFaults, DegradeSlowsAndRestoreSpeedsCompletion)
     // 12 s (the flow was always backlogged).
     EXPECT_NEAR(link.busyIntegral(), 12.0, 1e-9);
     EXPECT_NEAR(link.bytesCarried(), 1000.0, 1.0);
+}
+
+TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
+{
+    // Two link-degradation episodes overlap on node 1's host interconnect
+    // while a CSD failure degrades one of its devices. The factor is the
+    // exact product of the active episodes, so ending them in either
+    // order leaves every link at exactly its nominal capacity (dividing
+    // the factors back out would not: 0.1 * 0.3 / 0.1 != 0.3 in IEEE).
+    const double cap = 123.456789;
+    for (const bool first_in_first_out : {true, false}) {
+        train::SystemConfig system;
+        system.num_nodes = 2;
+        train::SimContext ctx(system);
+        FlowNetwork &net = ctx.net;
+        Topology &topo = ctx.topo;
+        for (const char *node : {"n0.", "n1."}) {
+            const std::string n = node;
+            topo.addLink(n + "host.up", cap);
+            topo.addLink(n + "host.down", cap);
+            for (const char *ssd : {"ssd0", "ssd1"}) {
+                topo.addLink(n + ssd + ".read", cap);
+                topo.addLink(n + ssd + ".write", cap);
+            }
+        }
+        Link &up = topo.link("n1.host.up");
+        net.startFlow({&up}, 1000.0, []() {});
+        const double rate = net.currentRate(0);
+
+        fault::LinkEpisodes episodes(ctx);
+        fault::FaultEvent a;
+        a.kind = fault::FaultKind::LinkDegrade;
+        a.node = 1;
+        a.factor = 0.1;
+        fault::FaultEvent b = a;
+        b.factor = 0.3;
+        fault::FaultEvent csd;
+        csd.kind = fault::FaultKind::CsdFailure;
+        csd.node = 1;
+        csd.device = 1;
+        csd.factor = 0.2;
+        episodes.begin(a);
+        episodes.begin(b);
+        episodes.begin(csd);
+
+        EXPECT_EQ(up.effectiveCapacity(), cap * (0.1 * 0.3));
+        EXPECT_EQ(topo.link("n1.host.down").effectiveCapacity(),
+                  cap * (0.1 * 0.3));
+        EXPECT_EQ(topo.link("n1.ssd1.read").effectiveCapacity(), cap * 0.2);
+        EXPECT_EQ(topo.link("n1.ssd1.write").effectiveCapacity(), cap * 0.2);
+        EXPECT_EQ(topo.link("n1.ssd0.read").effectiveCapacity(), cap);
+        EXPECT_EQ(topo.link("n0.host.up").effectiveCapacity(), cap);
+        expectMatchesOracle(net);
+
+        episodes.end(first_in_first_out ? a : b);
+        EXPECT_EQ(up.effectiveCapacity(),
+                  cap * (first_in_first_out ? 0.3 : 0.1));
+        episodes.end(first_in_first_out ? b : a);
+        episodes.end(csd);
+        expectMatchesOracle(net);
+        for (const char *name : {"n1.host.up", "n1.host.down",
+                                 "n1.ssd1.read", "n1.ssd1.write"})
+            EXPECT_EQ(topo.link(name).effectiveCapacity(), cap) << name;
+        EXPECT_EQ(net.currentRate(0), rate);
+    }
 }
 
 TEST(FlowFaults, CancelBulkFlowDropsCallbackAndSpeedsSurvivor)
