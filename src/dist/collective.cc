@@ -82,29 +82,39 @@ scheduleRingCollective(train::SimContext &ctx, CollectiveKind kind, int nodes,
     out.steps = kind == CollectiveKind::AllReduce ? 2 * (nodes - 1)
                                                   : nodes - 1;
     const Bytes chunk = bytes / nodes;
-    const Seconds latency = ctx.system.nic_latency;
 
-    // One flow per (step, sender). The route crosses the sender's shared
-    // host interconnect (gradients live in host DRAM), its NIC egress, the
-    // receiver's NIC ingress, and the receiver's host interconnect — so
-    // collective traffic and storage-offload traffic contend end to end.
+    // One flow per (step, sender) over the sender's hop route. It crosses
+    // the sender's shared host interconnect (gradients live in host DRAM),
+    // its NIC egress, the receiver's NIC ingress, and the receiver's host
+    // interconnect — so collective traffic and storage-offload traffic
+    // contend end to end. The hops are resolved once per context.
+    if (ctx.ring_routes.empty()) {
+        for (int i = 0; i < nodes; ++i) {
+            const std::string src = train::nodePrefix(i);
+            const std::string dst = train::nodePrefix((i + 1) % nodes);
+            ctx.ring_routes.push_back(
+                {&ctx,
+                 {&ctx.topo.link(src + "host.down"),
+                  &ctx.topo.link(src + "nic.tx"),
+                  &ctx.topo.link(dst + "nic.rx"),
+                  &ctx.topo.link(dst + "host.up")}});
+        }
+    }
+    SI_REQUIRE(static_cast<int>(ctx.ring_routes.size()) == nodes,
+               "a context holds one ring: ", ctx.ring_routes.size(),
+               " nodes, not ", nodes);
     std::vector<TaskId> prev_step(nodes, sim::TaskGraph::kInvalidTask);
     std::vector<TaskId> cur_step(nodes, sim::TaskGraph::kInvalidTask);
     for (int s = 0; s < out.steps; ++s) {
         for (int i = 0; i < nodes; ++i) {
-            const int j = (i + 1) % nodes;
-            const std::string src = train::nodePrefix(i);
-            const std::string dst = train::nodePrefix(j);
-            net::Route route = {&ctx.topo.link(src + "host.down"),
-                                &ctx.topo.link(src + "nic.tx"),
-                                &ctx.topo.link(dst + "nic.rx"),
-                                &ctx.topo.link(dst + "host.up")};
             // Hop labels carry (step, sender); which collective they
             // belong to is the enclosing label's concern.
             TaskId hop = ctx.graph.add(
-                [&ctx, route = std::move(route), chunk,
-                 latency](std::function<void()> done) {
-                    ctx.net.startFlow(route, chunk, std::move(done), latency);
+                [route = &ctx.ring_routes[i],
+                 chunk](std::function<void()> done) {
+                    train::SimContext &c = *route->ctx;
+                    c.net.startFlow(route->links, chunk, std::move(done),
+                                    c.system.nic_latency);
                 },
                 {"sync.hop", s, i});
             if (s == 0) {

@@ -34,10 +34,10 @@ void
 FlowNetwork::freeSlot(uint32_t slot)
 {
     FlowSlot &f = slots_[slot];
-    id_to_slot_.erase(f.id);
     f.route.clear();
     f.links.clear();
     f.done = nullptr;
+    f.live = false;
     f.active = false;
     f.cancelled = false;
     ++f.stamp; // Invalidate any heap entries still referencing the slot.
@@ -45,25 +45,45 @@ FlowNetwork::freeSlot(uint32_t slot)
 }
 
 uint32_t
-FlowNetwork::linkIndex(Link *link)
+FlowNetwork::findSlot(FlowId id) const
 {
-    auto [it, inserted] =
-        link_index_.emplace(link, static_cast<uint32_t>(link_states_.size()));
-    if (inserted) {
-        LinkState ls;
-        ls.link = link;
-        ls.capacity = link->effectiveCapacity();
-        ls.accounted_at = sim_.now();
-        link_states_.push_back(std::move(ls));
-    }
-    return it->second;
+    for (uint32_t s = 0; s < slots_.size(); ++s)
+        if (slots_[s].live && slots_[s].id == id)
+            return s;
+    return kNoSlot;
+}
+
+const FlowNetwork::LinkState *
+FlowNetwork::seenLink(const Link *link) const
+{
+    const uint32_t id = link->id();
+    if (id >= link_states_.size() || link_states_[id].link == nullptr)
+        return nullptr;
+    SI_ASSERT(link_states_[id].link == link, "links ",
+              link_states_[id].link->name(), " and ", link->name(),
+              " share id ", id, ": one network carries links of one topology");
+    return &link_states_[id];
+}
+
+void
+FlowNetwork::trackLink(Link *link)
+{
+    if (seenLink(link) != nullptr)
+        return;
+    const uint32_t id = link->id();
+    if (id >= link_states_.size())
+        link_states_.resize(id + 1);
+    LinkState &ls = link_states_[id];
+    ls.link = link;
+    ls.capacity = link->effectiveCapacity();
+    ls.accounted_at = sim_.now();
 }
 
 // ---- public API -------------------------------------------------------------
 
 FlowId
-FlowNetwork::startFlow(Route route, Bytes bytes, std::function<void()> done,
-                       Seconds latency)
+FlowNetwork::startFlow(const Route &route, Bytes bytes,
+                       std::function<void()> done, Seconds latency)
 {
     SI_REQUIRE(bytes >= 0.0, "negative transfer size");
     const FlowId id = next_id_++;
@@ -79,11 +99,11 @@ FlowNetwork::startFlow(Route route, Bytes bytes, std::function<void()> done,
     const uint32_t slot = allocSlot();
     FlowSlot &f = slots_[slot];
     f.id = id;
-    f.route = std::move(route);
+    f.route.assign(route.begin(), route.end());
     f.done = std::move(done);
     f.rate = 0.0;
     f.pending_bytes = bytes;
-    id_to_slot_.emplace(id, slot);
+    f.live = true;
 
     if (latency > 0.0) {
         // Model propagation/setup latency as a delay before bandwidth
@@ -119,9 +139,10 @@ FlowNetwork::beginBulk(uint32_t slot)
     f.remaining = f.pending_bytes;
     f.settled_at = now;
     f.links.clear();
-    f.links.reserve(f.route.size());
-    for (Link *link : f.route)
-        f.links.push_back(linkIndex(link));
+    for (Link *link : f.route) {
+        trackLink(link);
+        f.links.push_back(link->id());
+    }
 
     // Register in the id-ordered indexes. A latency-delayed flow can carry
     // a smaller id than already-active flows, so insert sorted.
@@ -137,7 +158,7 @@ FlowNetwork::beginBulk(uint32_t slot)
     if (observer_)
         observer_->flowStarted(id, f.route, f.remaining, now);
 
-    markComponent({slot});
+    markComponent({&slot, 1});
     recomputeComponent(now);
     rescheduleCompletionEvent();
 }
@@ -145,11 +166,12 @@ FlowNetwork::beginBulk(uint32_t slot)
 bool
 FlowNetwork::cancelFlow(FlowId id)
 {
-    const auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end())
+    const uint32_t slot = findSlot(id);
+    if (slot == kNoSlot)
         return false; // Completed (or degenerate): nothing to revoke.
-    const uint32_t slot = it->second;
     FlowSlot &f = slots_[slot];
+    if (f.cancelled)
+        return false; // Revoked in its latency phase already.
     const Seconds now = sim_.now();
 
     if (!f.active) {
@@ -165,7 +187,7 @@ FlowNetwork::cancelFlow(FlowId id)
     // Bulk phase: settle what actually moved (aborted transfers keep their
     // partial delivery), then retire the flow exactly like a completion —
     // component marked before detaching — except the callback is dropped.
-    markComponent({slot});
+    markComponent({&slot, 1});
     settleFlow(f, now);
     f.rate = 0.0;
     if (observer_)
@@ -186,10 +208,9 @@ FlowNetwork::cancelFlow(FlowId id)
 void
 FlowNetwork::linkCapacityChanged(Link *link)
 {
-    const auto it = link_index_.find(link);
-    if (it == link_index_.end())
-        return; // Never carried a flow; linkIndex() reads the new capacity.
-    LinkState &ls = link_states_[it->second];
+    if (seenLink(link) == nullptr)
+        return; // Never carried a flow; trackLink() reads the new capacity.
+    LinkState &ls = link_states_[link->id()];
     const double effective = link->effectiveCapacity();
     if (ls.capacity == effective)
         return;
@@ -208,15 +229,15 @@ FlowNetwork::linkCapacityChanged(Link *link)
 BytesPerSec
 FlowNetwork::currentRate(FlowId id) const
 {
-    auto it = id_to_slot_.find(id);
-    return it == id_to_slot_.end() ? 0.0 : slots_[it->second].rate;
+    const uint32_t slot = findSlot(id);
+    return slot == kNoSlot ? 0.0 : slots_[slot].rate;
 }
 
 BytesPerSec
 FlowNetwork::linkAggregateRate(const Link *link) const
 {
-    auto it = link_index_.find(link);
-    return it == link_index_.end() ? 0.0 : link_states_[it->second].agg_rate;
+    const LinkState *ls = seenLink(link);
+    return ls == nullptr ? 0.0 : ls->agg_rate;
 }
 
 // ---- lazy settlement --------------------------------------------------------
@@ -247,7 +268,7 @@ FlowNetwork::flushLink(LinkState &ls, Seconds now)
 // ---- incremental scheduling -------------------------------------------------
 
 void
-FlowNetwork::markComponent(const std::vector<uint32_t> &seeds)
+FlowNetwork::markComponent(std::span<const uint32_t> seeds)
 {
     // Flood-fill the "shares a link" relation from the seed flows. Work is
     // proportional to the component (plus a sort of its few links

@@ -14,9 +14,12 @@
  * rates, their progress is settled lazily, and per-link statistics are
  * accumulated from a per-link aggregate rate instead of a per-flow sweep.
  * A flow whose route shares no link with any active flow is a component of
- * size one, so the "no contention" fast path costs O(route length). All
- * scratch state is epoch-stamped and reused across events — steady-state
- * scheduling performs no heap allocation.
+ * size one, so the "no contention" fast path costs O(route length). Link
+ * state is a vector indexed by Link::id(), flow slots keep their route
+ * buffers across reuse, and all scratch state is epoch-stamped and reused
+ * across events, so starting or retiring a flow allocates only while a
+ * buffer grows past its high-water mark (tests/test_hot_path_allocs.cc
+ * pins the whole serving event loop below 0.1 allocations per event).
  *
  * Determinism: water-filling freezes flows in ascending FlowId order and
  * scans candidate bottleneck links in first-touch order (the order links are
@@ -30,7 +33,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -117,8 +120,8 @@ class FlowNetwork
      * returned id tracks the flow through the delay phase (rate 0) and into
      * the bulk phase.
      */
-    FlowId startFlow(Route route, Bytes bytes, std::function<void()> done,
-                     Seconds latency = 0.0);
+    FlowId startFlow(const Route &route, Bytes bytes,
+                     std::function<void()> done, Seconds latency = 0.0);
 
     /**
      * Revoke an in-flight transfer (fault injection). Progress up to now is
@@ -126,7 +129,8 @@ class FlowNetwork
      * recomputed, and the completion callback is dropped — it never runs.
      * Latency-phase flows are cancelled before ever contending. Returns
      * false if the flow already completed (its callback ran or is already
-     * scheduled).
+     * scheduled) or was already revoked. Scans the live slots, which are
+     * bounded by the peak number of concurrent flows.
      */
     bool cancelFlow(FlowId id);
 
@@ -136,7 +140,7 @@ class FlowNetwork
      * flushed at the old capacity, then the contention component crossing
      * the link is recomputed under the new one — incremental rates must
      * keep matching oracleRates() bit for bit after every such event. A
-     * link the network has never seen needs no notification.
+     * link that never carried a flow needs no notification.
      */
     void linkCapacityChanged(Link *link);
 
@@ -145,7 +149,7 @@ class FlowNetwork
     std::size_t activeFlows() const { return active_.size(); }
 
     /** Instantaneous rate of a flow; 0 if completed or still in its
-     *  latency phase. */
+     *  latency phase. Scans the live slots (tests and diagnostics). */
     BytesPerSec currentRate(FlowId id) const;
 
     /** Aggregate bytes completed through the network. Settled lazily: only
@@ -181,19 +185,22 @@ class FlowNetwork
 
     struct FlowSlot {
         FlowId id = 0;
-        Route route;
-        std::vector<uint32_t> links; ///< link_states_ index per route entry
+        Route route; ///< copied in; the buffer is kept across slot reuse
+        std::vector<uint32_t> links; ///< Link::id() per route entry
         Bytes remaining = 0.0;
         BytesPerSec rate = 0.0;
         Seconds settled_at = 0.0; ///< time @c remaining refers to
         std::function<void()> done;
         uint32_t stamp = 0;   ///< bumped on rate change/retire; guards heap
         uint64_t mark = 0;    ///< closure-visit / water-fill freeze epoch
+        bool live = false;    ///< allocated to a flow (free slots: false)
         bool active = false;  ///< in bulk phase (delayed/free slots: false)
         bool cancelled = false; ///< revoked while in its latency phase
         Bytes pending_bytes = 0.0; ///< bulk size while in latency phase
     };
 
+    /** Indexed by Link::id(); an entry whose link is null has never
+     *  carried a flow. */
     struct LinkState {
         Link *link = nullptr;
         double capacity = 0.0;
@@ -219,7 +226,12 @@ class FlowNetwork
 
     uint32_t allocSlot();
     void freeSlot(uint32_t slot);
-    uint32_t linkIndex(Link *link);
+    /** The live slot carrying flow @p id, or kNoSlot. */
+    uint32_t findSlot(FlowId id) const;
+    /** Fill @p link's state the first time the network sees it. */
+    void trackLink(Link *link);
+    /** @p link's state if it ever carried a flow, else nullptr. */
+    const LinkState *seenLink(const Link *link) const;
     /** Move a delayed flow into the bulk phase (shared with startFlow). */
     void beginBulk(uint32_t slot);
     /** Advance one flow's progress to @p now against its current rate. */
@@ -230,7 +242,7 @@ class FlowNetwork
      * Collect the contention component reachable from @p seeds (slot
      * indices) into comp_flows_ / comp_links_, in flood-fill order.
      */
-    void markComponent(const std::vector<uint32_t> &seeds);
+    void markComponent(std::span<const uint32_t> seeds);
     /**
      * Flush, settle, water-fill, and reschedule the collected component:
      * the core incremental step. Seeds retired after markComponent() (their
@@ -248,10 +260,8 @@ class FlowNetwork
     FlowObserver *observer_ = nullptr;
     std::vector<FlowSlot> slots_;
     std::vector<uint32_t> free_slots_;
-    std::unordered_map<FlowId, uint32_t> id_to_slot_;
     std::vector<uint32_t> active_; ///< bulk-phase slots, ascending id
-    std::vector<LinkState> link_states_;
-    std::unordered_map<const Link *, uint32_t> link_index_;
+    std::vector<LinkState> link_states_; ///< indexed by Link::id()
     std::vector<HeapEntry> completion_heap_; ///< min-heap on (when, id)
     uint64_t epoch_ = 0;
     FlowId next_id_ = 0;

@@ -8,6 +8,7 @@
 #ifndef SMARTINF_NET_LINK_H
 #define SMARTINF_NET_LINK_H
 
+#include <cstdint>
 #include <string>
 
 #include "common/units.h"
@@ -18,11 +19,14 @@ namespace smartinf::net {
 class Link
 {
   public:
-    Link(std::string name, BytesPerSec capacity)
-        : name_(std::move(name)), capacity_(capacity)
+    Link(uint32_t id, std::string name, BytesPerSec capacity)
+        : id_(id), name_(std::move(name)), capacity_(capacity)
     {
     }
 
+    /** Dense index within the owning Topology (0, 1, ... in add order);
+     *  FlowNetwork keys its per-link state by it. */
+    uint32_t id() const { return id_; }
     const std::string &name() const { return name_; }
     BytesPerSec capacity() const { return capacity_; }
 
@@ -73,6 +77,7 @@ class Link
     /** @} */
 
   private:
+    uint32_t id_;
     std::string name_;
     BytesPerSec capacity_;
     double factor_ = 1.0;

@@ -9,7 +9,7 @@ Topology::addLink(const std::string &name, BytesPerSec capacity)
 {
     SI_REQUIRE(capacity > 0.0, "link ", name, " needs positive capacity");
     SI_REQUIRE(!has(name), "duplicate link name: ", name);
-    links_.emplace_back(name, capacity);
+    links_.emplace_back(static_cast<uint32_t>(links_.size()), name, capacity);
     Link &link = links_.back();
     index_[name] = &link;
     return link;

@@ -27,7 +27,8 @@ struct DuplexLink {
 class Topology
 {
   public:
-    /** Create a unidirectional link. Names must be unique. */
+    /** Create a unidirectional link. Names must be unique; ids are dense,
+     *  0, 1, ... in add order. */
     Link &addLink(const std::string &name, BytesPerSec capacity);
 
     /** Create an ".up"/".down" pair with symmetric capacity. */

@@ -31,26 +31,30 @@ Resource::startNext()
         return;
     }
     busy_ = true;
-    Job job = std::move(queue_.front());
+    running_ = std::move(queue_.front());
     queue_.pop_front();
-    const Seconds duration = job_latency_ + job.work / rate_;
+    const Seconds duration = job_latency_ + running_.work / rate_;
     if (SimObserver *observer = sim_.observer())
-        observer->jobStarted(*this, job.work, sim_.now());
-    sim_.after(duration, [this, job = std::move(job), duration]() mutable {
-        work_done_.add(job.work);
-        busy_time_.add(duration);
-        ++jobs_done_;
-        // Report completion before the next job starts so observers see
-        // this occupancy slice closed before the next one opens.
-        if (SimObserver *observer = sim_.observer())
-            observer->jobFinished(*this, job.work, sim_.now());
-        // Complete before starting the next job so dependents observing
-        // idle() see a consistent state.
-        auto done = std::move(job.done);
-        startNext();
-        if (done)
-            done();
-    });
+        observer->jobStarted(*this, running_.work, sim_.now());
+    sim_.after(duration, [this, duration]() { finishRunning(duration); });
+}
+
+void
+Resource::finishRunning(Seconds duration)
+{
+    work_done_.add(running_.work);
+    busy_time_.add(duration);
+    ++jobs_done_;
+    // Report completion before the next job starts so observers see this
+    // occupancy slice closed before the next one opens.
+    if (SimObserver *observer = sim_.observer())
+        observer->jobFinished(*this, running_.work, sim_.now());
+    // Complete before starting the next job so dependents observing
+    // idle() see a consistent state.
+    auto done = std::move(running_.done);
+    startNext();
+    if (done)
+        done();
 }
 
 } // namespace smartinf::sim

@@ -57,12 +57,17 @@ class Resource
     };
 
     void startNext();
+    /** Account the running job, start the next, then run its callback. */
+    void finishRunning(Seconds duration);
 
     Simulator &sim_;
     std::string name_;
     double rate_;
     Seconds job_latency_;
     std::deque<Job> queue_;
+    /** The one job in service. Kept here, not in the completion event's
+     *  closure, so that closure fits std::function's inline buffer. */
+    Job running_{0.0, nullptr};
     bool busy_ = false;
     Counter work_done_;
     Counter busy_time_;

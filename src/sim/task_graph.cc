@@ -201,7 +201,8 @@ TaskGraph::complete(TaskId id)
     ++completed_;
     // A completed task's dependent list is frozen (dependsOn on a
     // completed dep is a no-op).
-    for (const TaskId dep_id : t.dependents) {
+    for (std::size_t i = 0; i < t.dependents.size(); ++i) {
+        const TaskId dep_id = t.dependents[i];
         Task &dep = task(dep_id);
         SI_ASSERT(dep.pending_deps > 0, "dependency underflow");
         if (--dep.pending_deps == 0 && dep.released && !dep.abandoned)
@@ -281,9 +282,12 @@ TaskGraph::revokeDomain(Domain d)
     for (TaskId id = base_; id < total_added_; ++id) {
         if (task(id).domain != d || !task(id).abandoned)
             continue;
-        for (TaskId dep_id : task(id).dependents)
-            SI_ASSERT(task(dep_id).abandoned || task(dep_id).completed,
-                      "revoked domain leaves dangling dependent ", dep_id);
+        const Dependents &dependents = task(id).dependents;
+        for (std::size_t i = 0; i < dependents.size(); ++i)
+            SI_ASSERT(task(dependents[i]).abandoned ||
+                          task(dependents[i]).completed,
+                      "revoked domain leaves dangling dependent ",
+                      dependents[i]);
     }
     return revoked;
 }

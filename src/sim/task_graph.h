@@ -189,10 +189,41 @@ class TaskGraph
     const TaskLabel &label(TaskId id) const { return task(id).label; }
 
   private:
+    /**
+     * A task's dependents in dependsOn() order. Almost every task has one
+     * or two, so the first two live inline and only a wider fan-out
+     * spills to the heap.
+     */
+    class Dependents
+    {
+      public:
+        std::size_t size() const { return count_; }
+        TaskId
+        operator[](std::size_t i) const
+        {
+            return i < kInline ? inline_[i] : spill_[i - kInline];
+        }
+        void
+        push_back(TaskId id)
+        {
+            if (count_ < kInline)
+                inline_[count_] = id;
+            else
+                spill_.push_back(id);
+            ++count_;
+        }
+
+      private:
+        static constexpr std::size_t kInline = 2;
+        TaskId inline_[kInline] = {};
+        std::size_t count_ = 0;
+        std::vector<TaskId> spill_;
+    };
+
     struct Task {
         Action action;
         TaskLabel label;
-        std::vector<TaskId> dependents;
+        Dependents dependents;
         std::size_t pending_deps = 0;
         bool launched = false;
         bool completed = false;

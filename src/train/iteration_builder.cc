@@ -18,7 +18,6 @@ IterationBuilder::IterationBuilder(const ModelSpec &model,
 {
     grad_to_host_.assign(model_.num_layers, sim::TaskGraph::kInvalidTask);
     grad_offload_gate_.assign(model_.num_layers, sim::TaskGraph::kInvalidTask);
-    grad_offload_.assign(model_.num_layers, sim::TaskGraph::kInvalidTask);
 }
 
 // ---- model slicing ----------------------------------------------------------
@@ -51,15 +50,6 @@ IterationBuilder::gradToHostTask(int block) const
     SI_ASSERT(grad_to_host_[block] != sim::TaskGraph::kInvalidTask,
               "buildBackward() not called yet");
     return grad_to_host_[block];
-}
-
-TaskId
-IterationBuilder::gradOffloadTask(int block) const
-{
-    SI_ASSERT(block >= 0 && block < model_.num_layers, "bad block index");
-    SI_ASSERT(grad_offload_[block] != sim::TaskGraph::kInvalidTask,
-              "buildBackward() not called yet");
-    return grad_offload_[block];
 }
 
 TaskId
@@ -108,7 +98,7 @@ IterationBuilder::tpAllReduce(TaskId after_compute, sim::TaskLabel label)
     if (!system_.congested_topology || system_.num_gpus <= 1)
         return;
     const double scale = 2.0 * (system_.num_gpus - 1) / system_.num_gpus;
-    TaskId ar = ctx_.transfer({link("tp.fabric")},
+    TaskId ar = ctx_.transfer(tpFabric(),
                               scale * activationBytesPerBlock() *
                                   system_.num_gpus,
                               label);
@@ -159,7 +149,6 @@ IterationBuilder::buildBackward(TaskId fw_done)
         const auto [gate, offload] = buildGradOffload(b);
         ctx_.graph.dependsOn(gate, to_host);
         grad_offload_gate_[b] = gate;
-        grad_offload_[b] = offload;
         ctx_.graph.dependsOn(bw_done, offload);
         ctx_.graph.dependsOn(bw_done, compute);
         prev_compute = compute;

@@ -45,9 +45,6 @@ class IterationBuilder : public PhaseBuilder
     /** Per-block task completing when the block's gradients reach host
      *  memory (wire format) — the natural anchor for gradient sync. */
     TaskId gradToHostTask(int block) const;
-    /** Per-block task completing when the block's gradients are offloaded
-     *  to storage. */
-    TaskId gradOffloadTask(int block) const;
     /**
      * Per-block task gating the block's offload transfers: adding a
      * dependency here (before start()) holds the actual flows back — the
@@ -75,7 +72,6 @@ class IterationBuilder : public PhaseBuilder
     const TrainConfig &train_;
     std::vector<TaskId> grad_to_host_;
     std::vector<TaskId> grad_offload_gate_;
-    std::vector<TaskId> grad_offload_;
 };
 
 } // namespace smartinf::train

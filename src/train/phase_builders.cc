@@ -13,7 +13,36 @@ PhaseBuilder::PhaseBuilder(const ModelSpec &model, const SystemConfig &system,
     : model_(model), system_(system), ctx_(ctx), prefix_(std::move(prefix))
 {
     buildNodeLinks(ctx_.topo, system_, prefix_);
+    resolveRoutes();
     buildResources();
+}
+
+void
+PhaseBuilder::resolveRoutes()
+{
+    // Every transfer this node starts takes one of these routes; resolving
+    // them here keeps link-name lookups off the per-flow path.
+    const auto route = [this](net::Route links) {
+        return ResolvedRoute{&ctx_, std::move(links)};
+    };
+    // Host memory <-> GPU. In the congested topology this shares the
+    // expansion trunk with storage traffic (Fig 17).
+    if (system_.congested_topology) {
+        gpu_down_ = route({link("host.down"), link("gpu.down")});
+        gpu_up_ = route({link("gpu.up"), link("host.up")});
+        if (system_.num_gpus > 1)
+            tp_fabric_ = route({link("tp.fabric")});
+    } else {
+        gpu_down_ = route({link("gpu.down")});
+        gpu_up_ = route({link("gpu.up")});
+    }
+    for (int d = 0; d < system_.num_devices; ++d) {
+        const std::string ssd = "ssd" + std::to_string(d);
+        ssd_write_.push_back(route(
+            {link("host.down"), link(ssd + ".down"), link(ssd + ".write")}));
+        ssd_read_.push_back(route(
+            {link(ssd + ".read"), link(ssd + ".up"), link("host.up")}));
+    }
 }
 
 void
@@ -50,38 +79,6 @@ PhaseBuilder::internalTransfer(int d, Bytes bytes, BytesPerSec p2p_rate,
 {
     const Seconds duration = bytes / std::min(p2p_rate, media_rate);
     return ctx_.graph.compute(*dma_[d], duration, label);
-}
-
-net::Route
-PhaseBuilder::gpuDown()
-{
-    // Host memory -> GPU. In the congested topology this shares the
-    // expansion trunk with storage traffic (Fig 17).
-    if (system_.congested_topology)
-        return {link("host.down"), link("gpu.down")};
-    return {link("gpu.down")};
-}
-
-net::Route
-PhaseBuilder::gpuUp()
-{
-    if (system_.congested_topology)
-        return {link("gpu.up"), link("host.up")};
-    return {link("gpu.up")};
-}
-
-net::Route
-PhaseBuilder::ssdWriteRoute(int d)
-{
-    const std::string ssd = "ssd" + std::to_string(d);
-    return {link("host.down"), link(ssd + ".down"), link(ssd + ".write")};
-}
-
-net::Route
-PhaseBuilder::ssdReadRoute(int d)
-{
-    const std::string ssd = "ssd" + std::to_string(d);
-    return {link(ssd + ".read"), link(ssd + ".up"), link("host.up")};
 }
 
 // ---- phase primitives -------------------------------------------------------

@@ -34,9 +34,12 @@ class PhaseBuilder
   public:
     using TaskId = sim::TaskGraph::TaskId;
 
-    /** Builds the node's links and resources into @p ctx. */
+    /** Builds the node's links, routes and resources into @p ctx. */
     PhaseBuilder(const ModelSpec &model, const SystemConfig &system,
                  SimContext &ctx, std::string prefix = {});
+    /** Transfer tasks point at this builder's routes, so it never moves. */
+    PhaseBuilder(const PhaseBuilder &) = delete;
+    PhaseBuilder &operator=(const PhaseBuilder &) = delete;
 
     /** @name Phase primitives. @{ */
     /** Host memory -> GPU transfer (parameter/activation loads). */
@@ -74,20 +77,18 @@ class PhaseBuilder
     double gpuRate() const { return gpu_->rate(); }
 
   protected:
-    std::string pfx(const std::string &name) const { return prefix_ + name; }
-    net::Link *link(const std::string &name)
-    {
-        return &ctx_.topo.link(pfx(name));
-    }
-
     /** Internal P2P transfer as work (seconds) on CSD @p d's DMA engine. */
     TaskId internalTransfer(int d, Bytes bytes, BytesPerSec p2p_rate,
                             BytesPerSec media_rate, sim::TaskLabel label);
 
-    net::Route gpuDown();
-    net::Route gpuUp();
-    net::Route ssdWriteRoute(int d);
-    net::Route ssdReadRoute(int d);
+    /** @name Routes, resolved once at construction. @{ */
+    const ResolvedRoute &gpuDown() const { return gpu_down_; }
+    const ResolvedRoute &gpuUp() const { return gpu_up_; }
+    const ResolvedRoute &ssdWriteRoute(int d) const { return ssd_write_[d]; }
+    const ResolvedRoute &ssdReadRoute(int d) const { return ssd_read_[d]; }
+    /** The tensor-parallel fabric (congested multi-GPU nodes only). */
+    const ResolvedRoute &tpFabric() const { return tp_fabric_; }
+    /** @} */
 
     const ModelSpec &model_;
     const SystemConfig &system_;
@@ -99,7 +100,19 @@ class PhaseBuilder
     std::vector<std::unique_ptr<sim::Resource>> dma_;
 
   private:
+    std::string pfx(const std::string &name) const { return prefix_ + name; }
+    net::Link *link(const std::string &name)
+    {
+        return &ctx_.topo.link(pfx(name));
+    }
+    void resolveRoutes();
     void buildResources();
+
+    ResolvedRoute gpu_down_;
+    ResolvedRoute gpu_up_;
+    ResolvedRoute tp_fabric_;
+    std::vector<ResolvedRoute> ssd_write_;
+    std::vector<ResolvedRoute> ssd_read_;
 };
 
 } // namespace smartinf::train

@@ -1,26 +1,30 @@
 #include "train/sim_context.h"
 
+#include "common/logging.h"
+
 namespace smartinf::train {
 
 sim::TaskGraph::TaskId
-SimContext::transfer(net::Route route, Bytes bytes, sim::TaskLabel label)
+SimContext::transfer(const ResolvedRoute &route, Bytes bytes,
+                     sim::TaskLabel label)
 {
-    const Seconds latency = system.calib.transfer_latency;
+    SI_ASSERT(route.ctx == this, "route resolved against another context");
     return graph.add(
-        [this, route = std::move(route), bytes,
-         latency](std::function<void()> done) {
-            if (faults_armed) {
+        [r = &route, bytes](std::function<void()> done) {
+            SimContext &ctx = *r->ctx;
+            const Seconds latency = ctx.system.calib.transfer_latency;
+            if (ctx.faults_armed) {
                 // Revocation seam: remember how to pull this flow back
                 // out of the network if the launching task's domain is
                 // revoked (node crash mid-transfer).
-                const sim::TaskGraph::TaskId tid = graph.launchingTask();
-                const net::FlowId fid =
-                    net.startFlow(route, bytes, std::move(done), latency);
-                graph.setCanceller(tid,
-                                   [this, fid]() { net.cancelFlow(fid); });
+                const sim::TaskGraph::TaskId tid = ctx.graph.launchingTask();
+                const net::FlowId fid = ctx.net.startFlow(
+                    r->links, bytes, std::move(done), latency);
+                ctx.graph.setCanceller(
+                    tid, [&ctx, fid]() { ctx.net.cancelFlow(fid); });
                 return;
             }
-            net.startFlow(route, bytes, std::move(done), latency);
+            ctx.net.startFlow(r->links, bytes, std::move(done), latency);
         },
         label);
 }

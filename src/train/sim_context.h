@@ -9,6 +9,8 @@
 #ifndef SMARTINF_TRAIN_SIM_CONTEXT_H
 #define SMARTINF_TRAIN_SIM_CONTEXT_H
 
+#include <vector>
+
 #include "net/flow_network.h"
 #include "net/topology.h"
 #include "sim/task_graph.h"
@@ -21,12 +23,29 @@ class RunObservation;
 
 namespace smartinf::train {
 
+struct SimContext;
+
+/**
+ * A route resolved once against a context's topology, for every transfer
+ * that takes it. Its owner (a PhaseBuilder, or the context for the
+ * inter-node ring) keeps it at a fixed address for the whole run, so a
+ * transfer task captures only {route, bytes} and its closure stays inside
+ * std::function's inline buffer.
+ */
+struct ResolvedRoute {
+    SimContext *ctx = nullptr;
+    net::Route links;
+};
+
 /** Shared simulation substrate for one workload run. */
 struct SimContext {
     explicit SimContext(const SystemConfig &system)
         : system(system), net(sim), graph(sim)
     {
     }
+    /** Routes and in-flight closures hold this context's address. */
+    SimContext(const SimContext &) = delete;
+    SimContext &operator=(const SimContext &) = delete;
 
     const SystemConfig &system;
     sim::Simulator sim;
@@ -53,8 +72,16 @@ struct SimContext {
      */
     bool faults_armed = false;
 
-    /** Add a flow-transfer task. */
-    sim::TaskGraph::TaskId transfer(net::Route route, Bytes bytes,
+    /**
+     * Hop routes of the inter-node ring (node i -> i + 1), resolved by the
+     * first ring collective scheduled on this context and reused by every
+     * later one (dist::scheduleRingCollective).
+     */
+    std::vector<ResolvedRoute> ring_routes;
+
+    /** Add a flow-transfer task over @p route, which must outlive the
+     *  run (see ResolvedRoute). */
+    sim::TaskGraph::TaskId transfer(const ResolvedRoute &route, Bytes bytes,
                                     sim::TaskLabel label = {});
 };
 

@@ -262,6 +262,35 @@ TEST(FlowFaults, CancelLatencyPhaseFlowNeverContends)
     EXPECT_EQ(net.totalBytesDelivered(), 0.0);
 }
 
+TEST(FlowFaults, SecondCancelOfLatencyPhaseFlowReportsNothing)
+{
+    // A latency-phase flow keeps its slot until its delayed start lands,
+    // but once revoked it cannot be revoked again: the second call
+    // returns false and the observer hears of one cancellation.
+    struct Cancels : FlowObserver {
+        int count = 0;
+        void flowCancelled(FlowId, Seconds) override { ++count; }
+    } cancels;
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    net.setObserver(&cancels);
+    Topology topo;
+    Link &link = topo.addLink("l", 100.0);
+
+    bool ran = false;
+    const FlowId id =
+        net.startFlow({&link}, 500.0, [&]() { ran = true; }, /*latency=*/5.0);
+    sim.at(1.0, [&]() {
+        EXPECT_TRUE(net.cancelFlow(id));
+        EXPECT_FALSE(net.cancelFlow(id));
+    });
+    sim.at(6.0, [&]() { EXPECT_FALSE(net.cancelFlow(id)); });
+    sim.run();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(cancels.count, 1);
+    EXPECT_EQ(net.totalBytesDelivered(), 0.0);
+}
+
 TEST(FlowFaults, CancelCompletedFlowReturnsFalse)
 {
     sim::Simulator sim;

@@ -1,6 +1,7 @@
 /** @file Tests for the max-min fair fluid-flow network. */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/flow_network.h"
@@ -154,6 +155,23 @@ TEST(FlowNetwork, DeliveredBytesAccumulate)
     net.startFlow({&link}, 77.0, nullptr);
     sim.run();
     EXPECT_NEAR(net.totalBytesDelivered(), 200.0, 2.0);
+}
+
+TEST(FlowNetwork, LinksOfTwoTopologiesDoNotShareState)
+{
+    // Link state is indexed by Link::id(), which is dense per topology:
+    // a second topology's link 0 must not silently reuse the first's
+    // state, so the network refuses it.
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology first, second;
+    Link &a = first.addLink("a", 100.0);
+    Link &b = second.addLink("b", 100.0);
+    ASSERT_EQ(a.id(), b.id());
+    net.startFlow({&a}, 500.0, []() {});
+    EXPECT_EQ(net.linkAggregateRate(&a), 100.0);
+    EXPECT_THROW(net.linkAggregateRate(&b), std::logic_error);
+    EXPECT_THROW(net.startFlow({&b}, 500.0, []() {}), std::logic_error);
 }
 
 TEST(FlowNetwork, UtilizationIntegralIsSane)

@@ -1,0 +1,114 @@
+/**
+ * @file
+ * The serving event loop's allocation budget. A transfer's setup must not
+ * touch the heap: its route is resolved once by its builder, link state is
+ * indexed by Link::id(), a flow slot keeps its route buffer across reuse,
+ * and every per-flow closure (transfer task, resource completion, task
+ * completion) fits std::function's inline buffer. This binary replaces the
+ * global operator new/delete with a counting pair, so it is a test of its
+ * own, and counts only the calls made inside Engine::run (build, run and
+ * collect) on a serve_stream_20k-shaped config of 1000 requests.
+ */
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+
+#include "serve/inference_workload.h"
+#include "train/engine.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    if (g_counting.load(std::memory_order_relaxed))
+        g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace smartinf::serve {
+namespace {
+
+TEST(HotPathAllocs, ServingEventLoopAllocatesUnderATenthPerEvent)
+{
+    const auto model = train::ModelSpec::gpt2(0.5);
+    train::SystemConfig system;
+    system.strategy = train::Strategy::SmartUpdateOptComp;
+    system.num_devices = 4;
+
+    ServeConfig config;
+    config.scheduler = SchedulerPolicy::Continuous;
+    config.num_requests = 1000;
+    config.arrival_rate = 8.0;
+    config.prompt_tokens = 64;
+    config.output_tokens = 4;
+    config.max_batch = 8;
+    config.record_cap = 4096;
+    config.stream_window_s = 60.0;
+
+    auto engine = train::makeEngine(model, {}, system);
+    InferenceWorkload workload(model, config);
+    g_allocations = 0;
+    g_counting = true;
+    const train::WorkloadResult result = engine->run(workload);
+    g_counting = false;
+
+    const std::size_t allocations = g_allocations;
+    ASSERT_GT(result.events_executed, 0u);
+    const double per_event = static_cast<double>(allocations) /
+                             static_cast<double>(result.events_executed);
+    std::cout << allocations << " allocations over "
+              << result.events_executed << " events = " << per_event
+              << " per event\n";
+    EXPECT_LT(per_event, 0.1);
+}
+
+} // namespace
+} // namespace smartinf::serve

@@ -338,6 +338,110 @@ TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
     EXPECT_DOUBLE_EQ(g.makespan(), latest);
 }
 
+TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
+{
+    // A task keeps its first two dependents inline and spills the rest;
+    // either way its dependents launch in the order dependsOn() named
+    // them. Fan-outs of 1, 2, 3 and 7 cross the boundary, in a static
+    // graph, in a trimming graph past its first reclaimed block, and in
+    // a revoked domain (where no dependent may be left dangling).
+    constexpr int kFanOuts[] = {1, 2, 3, 7};
+    // Dependents named out of id order, so launch order shows which
+    // order was kept.
+    const auto order = [](int n) {
+        std::vector<int> o;
+        for (int i = n - 1; i >= 0; i -= 2)
+            o.push_back(i);
+        for (int i = n % 2 == 0 ? 0 : 1; i < n; i += 2)
+            o.push_back(i);
+        return o;
+    };
+    for (const int n : kFanOuts) {
+        SCOPED_TRACE(n);
+        Simulator sim;
+        TaskGraph g(sim);
+        std::vector<TaskGraph::TaskId> launched;
+        const auto record = [&](std::function<void()> done) {
+            launched.push_back(g.launchingTask());
+            done();
+        };
+        const auto root = g.delay(1.0);
+        std::vector<TaskGraph::TaskId> deps;
+        for (int i = 0; i < n; ++i)
+            deps.push_back(g.add(record));
+        std::vector<TaskGraph::TaskId> expected;
+        for (const int i : order(n)) {
+            g.dependsOn(deps[i], root);
+            expected.push_back(deps[i]);
+        }
+        g.start();
+        sim.run();
+        EXPECT_TRUE(g.done());
+        EXPECT_EQ(launched, expected);
+    }
+
+    for (const int n : kFanOuts) {
+        SCOPED_TRACE(n);
+        Simulator sim;
+        TaskGraph g(sim);
+        g.enableTrim();
+        g.start();
+        // Push the graph past a trimmed block first, so the fan-out lives
+        // in reused storage.
+        for (int i = 0; i < 3000; ++i)
+            g.release(g.barrier());
+        EXPECT_THROW(g.finishTime(0), std::logic_error);
+        std::vector<TaskGraph::TaskId> launched;
+        const auto record = [&](std::function<void()> done) {
+            launched.push_back(g.launchingTask());
+            done();
+        };
+        const auto root = g.delay(1.0);
+        std::vector<TaskGraph::TaskId> deps;
+        for (int i = 0; i < n; ++i)
+            deps.push_back(g.add(record));
+        std::vector<TaskGraph::TaskId> expected;
+        for (const int i : order(n)) {
+            g.dependsOn(deps[i], root);
+            expected.push_back(deps[i]);
+        }
+        g.releaseRange(root, g.taskCount());
+        sim.run();
+        EXPECT_TRUE(g.done());
+        EXPECT_EQ(launched, expected);
+    }
+
+    for (const int n : kFanOuts) {
+        SCOPED_TRACE(n);
+        Simulator sim;
+        TaskGraph g(sim);
+        g.start();
+        const auto domain = g.openDomain();
+        g.setCurrentDomain(domain);
+        const auto root = g.delay(10.0);
+        int ran = 0;
+        std::vector<TaskGraph::TaskId> deps;
+        for (int i = 0; i < n; ++i) {
+            deps.push_back(g.add([&](std::function<void()> done) {
+                ++ran;
+                done();
+            }));
+            g.dependsOn(deps.back(), root);
+        }
+        g.setCurrentDomain(TaskGraph::kNoDomain);
+        g.releaseRange(root, g.taskCount());
+        sim.at(1.0, [&] {
+            EXPECT_EQ(g.revokeDomain(domain),
+                      static_cast<std::size_t>(n) + 1);
+        });
+        sim.run();
+        EXPECT_TRUE(g.done());
+        EXPECT_EQ(ran, 0);
+        for (const auto id : deps)
+            EXPECT_TRUE(g.abandoned(id));
+    }
+}
+
 TEST(TaskGraph, ReleaseBeforeStartIsFatal)
 {
     Simulator sim;

@@ -82,5 +82,22 @@ TEST(Topology, ForEachLinkVisitsAll)
     EXPECT_EQ(count, 2);
 }
 
+TEST(Topology, LinkIdsAreDenseInAddOrder)
+{
+    // FlowNetwork indexes its per-link state by Link::id(), so ids run
+    // 0, 1, ... in add order, duplex pairs included (".up" first).
+    Topology topo;
+    Link &a = topo.addLink("a", 1.0);
+    const DuplexLink d = topo.addDuplex("d", 2.0, 3.0);
+    Link &b = topo.addLink("b", 1.0);
+    EXPECT_EQ(a.id(), 0u);
+    EXPECT_EQ(d.up->id(), 1u);
+    EXPECT_EQ(d.down->id(), 2u);
+    EXPECT_EQ(b.id(), 3u);
+    uint32_t next = 0;
+    topo.forEachLink([&](const Link &link) { EXPECT_EQ(link.id(), next++); });
+    EXPECT_EQ(next, topo.linkCount());
+}
+
 } // namespace
 } // namespace smartinf::net
