@@ -179,21 +179,6 @@ writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
        << "}";
 }
 
-/** Peak per-second rate over one windowed counter series (0 when the
- *  series is absent or the window width is degenerate). */
-double
-peakWindowRate(const obs::CounterSampler &windows, const char *name)
-{
-    const obs::CounterSampler::Series *series = windows.find(name);
-    if (series == nullptr || windows.windowSeconds() <= 0.0)
-        return 0.0;
-    double peak = 0.0;
-    for (const obs::CounterSampler::Window &w : series->windows)
-        peak = std::max(peak, static_cast<double>(w.count) /
-                                  windows.windowSeconds());
-    return peak;
-}
-
 void
 writeSpecJson(std::ostream &os, const RunSpec &spec)
 {
@@ -374,9 +359,9 @@ writeRecordJson(std::ostream &os, const RunRecord &record)
                                  : StreamingPercentiles::maxRelativeError())
                << ",\"window_s\":" << jsonNumber(ss.windows.windowSeconds())
                << ",\"peak_arrivals_per_s\":"
-               << jsonNumber(peakWindowRate(ss.windows, "arrivals"))
+               << jsonNumber(ss.windows.peakRate("arrivals"))
                << ",\"peak_retirements_per_s\":"
-               << jsonNumber(peakWindowRate(ss.windows, "retirements"))
+               << jsonNumber(ss.windows.peakRate("retirements"))
                << "}";
         }
         os << "}";

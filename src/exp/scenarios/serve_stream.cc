@@ -16,7 +16,6 @@
  *    series exposes the peak arrival rate the modulation actually
  *    produced; the tail latencies show what the peaks cost.
  */
-#include <algorithm>
 #include <string>
 
 #include "exp/experiment.h"
@@ -41,20 +40,6 @@ streamServeBase()
     config.output_tokens = 4;
     config.max_batch = 8;
     return config;
-}
-
-/** Peak per-second rate over one windowed counter series. */
-double
-peakRate(const obs::CounterSampler &windows, const char *name)
-{
-    const obs::CounterSampler::Series *series = windows.find(name);
-    if (series == nullptr || windows.windowSeconds() <= 0.0)
-        return 0.0;
-    double peak = 0.0;
-    for (const auto &w : series->windows)
-        peak = std::max(peak, static_cast<double>(w.count) /
-                                  windows.windowSeconds());
-    return peak;
 }
 
 // ---- serve_stream_100k ------------------------------------------------------
@@ -98,7 +83,7 @@ runServeStream100k(ScenarioContext &ctx)
                       Table::num(m.latency.p95, 3),
                       Table::num(m.latency.p99, 3),
                       Table::num(m.requests_per_sec, 2),
-                      Table::num(peakRate(ss.windows, "arrivals"), 2),
+                      Table::num(ss.windows.peakRate("arrivals"), 2),
                       std::to_string(ss.records_retained),
                       m.percentiles_exact ? "exact" : "sketch"});
     }
@@ -163,7 +148,7 @@ runServeDiurnal(ScenarioContext &ctx)
         table.addRow({label, Table::num(m.latency.p50, 3),
                       Table::num(m.latency.p95, 3),
                       Table::num(m.latency.p99, 3),
-                      Table::num(peakRate(ss.windows, "arrivals"), 2),
+                      Table::num(ss.windows.peakRate("arrivals"), 2),
                       std::to_string(m.peak_queue_depth),
                       Table::num(m.requests_per_sec, 2)});
     };

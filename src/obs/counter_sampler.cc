@@ -84,6 +84,18 @@ CounterSampler::find(const std::string &name) const
     return it == id_by_name_.end() ? nullptr : &series_[it->second];
 }
 
+double
+CounterSampler::peakRate(const std::string &name) const
+{
+    const Series *s = find(name);
+    if (s == nullptr)
+        return 0.0;
+    double peak = 0.0;
+    for (const Window &w : s->windows)
+        peak = std::max(peak, static_cast<double>(w.count) / window_);
+    return peak;
+}
+
 void
 CounterSampler::merge(const CounterSampler &other)
 {

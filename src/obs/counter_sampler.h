@@ -75,6 +75,9 @@ class CounterSampler
     const std::vector<Series> &series() const { return series_; }
     /** Series for @p name, or nullptr. */
     const Series *find(const std::string &name) const;
+    /** Peak per-second sample count over @p name's windows (0 when the
+     *  series is absent). */
+    double peakRate(const std::string &name) const;
 
     /** Fold @p other into this sampler. Requires equal window widths.
      *  Counter names merge by name; windows merge by index. */

@@ -15,6 +15,25 @@ namespace smartinf::serve {
 using sim::TaskGraph;
 using TaskId = TaskGraph::TaskId;
 
+train::RequestRecord
+dispositionRecord(const RequestSpec &spec, int node, Seconds start,
+                  Seconds first_token, Seconds finish, int output_tokens)
+{
+    train::RequestRecord record;
+    record.id = spec.id;
+    record.node = node;
+    record.prompt_tokens = spec.prompt_tokens;
+    record.output_tokens = output_tokens;
+    record.arrival = spec.arrival;
+    record.start = start;
+    record.first_token = first_token;
+    record.finish = finish;
+    record.retries = spec.attempt;
+    record.priority = spec.priority;
+    record.deferrals = spec.deferrals;
+    return record;
+}
+
 BatchScheduler::BatchScheduler(train::SimContext &ctx,
                                InferenceBuilder &builder,
                                const ServeConfig &config, int node)
@@ -259,29 +278,16 @@ BatchScheduler::onStepDone()
         }
     }
 
-    // Retire finished requests (stable order keeps records — and the
-    // retire hook's firing order — deterministic).
+    // Retire finished requests (stable order keeps the retire hook's
+    // firing order, and so the disposition order, deterministic).
     auto finished = [](const Active &a) {
         return a.produced >= a.spec.output_tokens;
     };
     for (const Active &a : running_) {
         if (!finished(a))
             continue;
-        train::RequestRecord record;
-        record.id = a.spec.id;
-        record.node = node_;
-        record.prompt_tokens = a.spec.prompt_tokens;
-        record.output_tokens = a.produced;
-        record.arrival = a.spec.arrival;
-        record.start = a.start;
-        record.first_token = a.first_token;
-        record.finish = now;
-        record.retries = a.spec.attempt;
-        record.priority = a.spec.priority;
-        record.deferrals = a.spec.deferrals;
-        ++retired_;
-        if (!record_gate_ || record_gate_())
-            records_.push_back(record);
+        const train::RequestRecord record = dispositionRecord(
+            a.spec, node_, a.start, a.first_token, now, a.produced);
         if (ctx_.obs)
             ctx_.obs->requestRetired(node_, record.id, record.arrival,
                                      record.finish, now);
@@ -289,8 +295,7 @@ BatchScheduler::onStepDone()
         // closed-loop client's next submission sees the freed arena.
         if (kv_)
             kv_->retire(a.spec.id);
-        if (retire_hook_)
-            retire_hook_(record);
+        retire_hook_(record);
     }
     running_.erase(std::remove_if(running_.begin(), running_.end(), finished),
                    running_.end());
@@ -428,16 +433,15 @@ BatchScheduler::forceReprefill()
 }
 
 void
-BatchScheduler::finalize(Seconds end_time)
+BatchScheduler::finalize() const
 {
     // The queue drained before the graph did, so the depth integral is
-    // already closed: the interval [last_depth_change_, end_time] is all
-    // at depth zero. Fault bookkeeping (crash/repair events) may touch the
-    // depth clock *after* the last task finished; the queue is empty by
-    // then, so the tail past end_time contributes zero either way.
+    // already closed: everything after the last depth change is at depth
+    // zero. Fault bookkeeping (crash/repair events) may touch the depth
+    // clock *after* the last task finished; the queue is empty by then,
+    // so that tail contributes zero either way.
     SI_ASSERT(queue_.empty() && running_.empty() && !step_in_flight_,
               "scheduler finalized with unserved requests");
-    (void)end_time;
 }
 
 } // namespace smartinf::serve

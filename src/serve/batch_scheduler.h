@@ -20,6 +20,11 @@
  * order; closed-loop clients rely on this to schedule their next
  * submission reproducibly.
  *
+ * The scheduler stores and counts no records: each retirement builds one
+ * record (dispositionRecord) and hands it to the retire hook, the
+ * workload's single disposition path, which owns the record cap, the
+ * streaming aggregates, and the control-plane feed.
+ *
  * Paged layout (kv.layout=paged): the scheduler additionally drives a
  * kv::KvSpace — admission creates the request's block table (and resolves
  * its shared prefix, shrinking the prefill), each step's noteRead /
@@ -43,6 +48,17 @@
 
 namespace smartinf::serve {
 
+/**
+ * The record of @p spec's disposition at @p finish: served on @p node
+ * (admitted at @p start, first token at @p first_token, @p output_tokens
+ * delivered), or turned away (node -1, every stamp the decision time, no
+ * tokens; the caller marks shed/rejected). The one spec-to-record mapping
+ * of the retirement and turn-away paths.
+ */
+train::RequestRecord dispositionRecord(const RequestSpec &spec, int node,
+                                       Seconds start, Seconds first_token,
+                                       Seconds finish, int output_tokens);
+
 /** Per-node batch scheduler (see file comment). */
 class BatchScheduler
 {
@@ -57,10 +73,6 @@ class BatchScheduler
      *  (no queue, no running batch) — the control plane's
      *  drain-before-retire signal (autoscaling). */
     using IdleHook = std::function<void(int node)>;
-    /** Decides whether a retirement's record is *stored* (record_cap
-     *  runs share one cluster-wide gate). Storage only: the record is
-     *  built, counted, and fed to the retire hook either way. */
-    using RecordGate = std::function<bool()>;
 
     /** @p node is this replica's index (stamped into the records). */
     BatchScheduler(train::SimContext &ctx, InferenceBuilder &builder,
@@ -70,9 +82,9 @@ class BatchScheduler
      *  Must be called from a simulator event at request.arrival. */
     void submit(const RequestSpec &request);
 
-    /** Install the per-request retirement hook (streaming aggregates,
-     *  closed-loop clients, control plane). Must be set before the
-     *  simulation starts, or never. */
+    /** Install the per-request retirement hook: the workload's one
+     *  disposition path, which counts, stores, and forwards the record.
+     *  Must be set before the simulation starts. */
     void setRetireHook(RetireHook hook) { retire_hook_ = std::move(hook); }
 
     /** Install the step-duration hook (control plane only; unset in every
@@ -85,24 +97,11 @@ class BatchScheduler
     /** Install the drained hook (control-plane autoscaling only). */
     void setIdleHook(IdleHook hook) { idle_hook_ = std::move(hook); }
 
-    /** Install the record-storage gate (record_cap runs only; unset keeps
-     *  every record — today's exact behavior). */
-    void setRecordGate(RecordGate gate) { record_gate_ = std::move(gate); }
+    /** End of run: asserts every submitted request retired (the
+     *  queue-depth integral is then already closed at depth zero). */
+    void finalize() const;
 
-    /** Close the queue-depth integral at the workload's end time. */
-    void finalize(Seconds end_time);
-
-    /** One record per *stored* retired request, in retirement order (every
-     *  retired request without a record gate). */
-    const std::vector<train::RequestRecord> &records() const
-    {
-        return records_;
-    }
-
-    /** Requests retired on this node (counted past any record gate). */
-    std::int64_t retiredCount() const { return retired_; }
-
-    /** Integral of the waiting-queue depth over time (see finalize). */
+    /** Integral of the waiting-queue depth over time. */
     double queueDepthIntegral() const { return queue_depth_integral_; }
     /** Largest instantaneous waiting-queue depth observed. */
     int peakQueueDepth() const { return peak_queue_depth_; }
@@ -217,9 +216,6 @@ class BatchScheduler
     RetireHook retire_hook_;
     StepTimeHook step_time_hook_;
     IdleHook idle_hook_;
-    RecordGate record_gate_;
-    std::vector<train::RequestRecord> records_;
-    std::int64_t retired_ = 0;
     double queue_depth_integral_ = 0.0;
     Seconds last_depth_change_ = 0.0;
     int peak_queue_depth_ = 0;

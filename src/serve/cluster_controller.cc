@@ -101,34 +101,14 @@ ClusterController::admit(Seconds now, const RequestSpec &request,
 }
 
 void
-ClusterController::noteDeferred(const RequestSpec &request, Seconds now)
-{
-    ++stats_.deferrals;
-    if (ctx_.obs)
-        ctx_.obs->ctrlDecision("defer", request.id, now);
-}
-
-void
-ClusterController::noteRejected(const RequestSpec &request, Seconds now)
-{
-    ++stats_.rejected;
-    ++disposed_;
-    if (ctx_.obs)
-        ctx_.obs->ctrlDecision("reject", request.id, now);
-}
-
-void
-ClusterController::noteShed()
+ClusterController::noteDisposed(const train::RequestRecord &record,
+                                Seconds now)
 {
     ++disposed_;
-}
-
-void
-ClusterController::noteRetired(const train::RequestRecord &record,
-                               Seconds now)
-{
-    ++disposed_;
-    if (config_.ctrl.slo.target_p99_s > 0.0) {
+    if (record.rejected) {
+        if (ctx_.obs)
+            ctx_.obs->ctrlDecision("reject", record.id, now);
+    } else if (!record.shed && config_.ctrl.slo.target_p99_s > 0.0) {
         const bool attained =
             record.latency() <= config_.ctrl.slo.target_p99_s;
         if (config_.ctrl.autoscale.enabled)

@@ -63,20 +63,14 @@ class ClusterController
     ctrl::AdmissionDecision admit(Seconds now, const RequestSpec &request,
                                   int replica);
 
-    /** @name Disposition feed (tick termination + windowed signals). @{ */
-    /** A defer round was issued (the request stays un-disposed). */
-    void noteDeferred(const RequestSpec &request, Seconds now);
-    /** A request was rejected by SLO admission. */
-    void noteRejected(const RequestSpec &request, Seconds now);
-    /** A request was shed by the failover path. */
-    void noteShed();
-    /** A request retired off @p record.node (feeds SLO attainment and
-     *  drain tracking). */
-    void noteRetired(const train::RequestRecord &record, Seconds now);
-    /** @} */
+    /** One request was disposed (served, shed, or rejected) at @p now:
+     *  counts it toward tick termination, emits the reject instant, and
+     *  feeds a served request's latency to SLO attainment. */
+    void noteDisposed(const train::RequestRecord &record, Seconds now);
 
-    /** Control-plane counters for WorkloadResult (scheduler preemption
-     *  counts are collected separately by the workload). */
+    /** Control-plane counters for WorkloadResult. The workload fills the
+     *  disposition counts (rejected, deferrals) from its streaming
+     *  aggregates and sums the scheduler preemptions. */
     train::CtrlStats stats() const;
 
   private:

@@ -66,8 +66,8 @@ InferenceWorkload::takeSpec(int id)
 }
 
 void
-InferenceWorkload::onRetire(train::SimContext &ctx,
-                            const train::RequestRecord &record)
+InferenceWorkload::releaseClient(train::SimContext &ctx,
+                                 const train::RequestRecord &record)
 {
     const std::size_t clients = client_next_.size();
     const std::size_t client =
@@ -80,15 +80,21 @@ InferenceWorkload::onRetire(train::SimContext &ctx,
     issueSpec(ctx, takeSpec(static_cast<int>(next)), at);
 }
 
-bool
-InferenceWorkload::keepRecord()
+void
+InferenceWorkload::dispose(train::SimContext &ctx,
+                           const train::RequestRecord &record)
 {
-    if (config_.record_cap == 0)
-        return true;
-    if (retained_records_ >= config_.record_cap)
-        return false;
-    ++retained_records_;
-    return true;
+    streaming_stats_.note(record);
+    if (config_.record_cap == 0 ||
+        static_cast<int>(records_.size()) < config_.record_cap)
+        records_.push_back(record);
+    if (ctrl_)
+        ctrl_->noteDisposed(record, ctx.sim.now());
+    // A closed-loop client moves on when its request is turned away,
+    // exactly as it does on completion — otherwise the population would
+    // deadlock.
+    if (config_.client_mode == ClientMode::ClosedLoop)
+        releaseClient(ctx, record);
 }
 
 void
@@ -96,39 +102,13 @@ InferenceWorkload::turnAway(train::SimContext &ctx,
                             const RequestSpec &request, TurnAway why)
 {
     const Seconds now = ctx.sim.now();
-    const bool rejected = why == TurnAway::Reject;
-    train::RequestRecord record;
-    record.id = request.id;
-    record.node = -1; // no replica served it
-    record.prompt_tokens = request.prompt_tokens;
-    record.output_tokens = 0; // nothing was delivered
-    record.arrival = request.arrival;
-    record.start = now;
-    record.first_token = now;
-    record.finish = now;
-    record.retries = request.attempt;
-    record.priority = request.priority;
-    record.deferrals = request.deferrals;
-    record.shed = !rejected;
-    record.rejected = rejected;
-    ++turned_away_count_;
-    streaming_stats_.note(record);
-    if (keepRecord())
-        turned_away_.push_back(record);
-    if (rejected) {
-        ctrl_->noteRejected(request, now);
-    } else {
-        ++fault_stats_.requests_shed;
-        if (ctrl_)
-            ctrl_->noteShed();
-        if (ctx.obs)
-            ctx.obs->recoveryAction("shed", request.id, now);
-    }
-    // A closed-loop client moves on when its request is turned away,
-    // exactly as it would on completion — otherwise the population would
-    // deadlock.
-    if (config_.client_mode == ClientMode::ClosedLoop)
-        onRetire(ctx, record);
+    train::RequestRecord record =
+        dispositionRecord(request, -1, now, now, now, 0);
+    record.shed = why == TurnAway::Shed;
+    record.rejected = why == TurnAway::Reject;
+    if (record.shed && ctx.obs)
+        ctx.obs->recoveryAction("shed", request.id, now);
+    dispose(ctx, record);
 }
 
 void
@@ -202,7 +182,8 @@ InferenceWorkload::dispatch(train::SimContext &ctx,
         if (verdict == ctrl::AdmissionDecision::Defer) {
             RequestSpec deferred = request;
             deferred.deferrals += 1;
-            ctrl_->noteDeferred(deferred, now);
+            if (ctx.obs)
+                ctx.obs->ctrlDecision("defer", request.id, now);
             ctx.sim.at(now + config_.ctrl.slo.defer_delay_s,
                        [this, &ctx, deferred]() { dispatch(ctx, deferred); });
             return;
@@ -310,9 +291,8 @@ InferenceWorkload::build(train::SimContext &ctx)
         ctx.faults_armed = true;
         fault_stats_.enabled = true;
         fault_links_.emplace(ctx);
-        fault_events_ = fault::generateFaultSchedule(
-            config_.fault, config_.seed, nodes, ctx.system.num_devices);
-        for (const fault::FaultEvent &event : fault_events_)
+        for (const fault::FaultEvent &event : fault::generateFaultSchedule(
+                 config_.fault, config_.seed, nodes, ctx.system.num_devices))
             armFault(ctx, event);
     }
 
@@ -333,8 +313,7 @@ InferenceWorkload::build(train::SimContext &ctx)
     // Every disposition folds into the streaming aggregates, the one
     // source of the serving metrics. Their sketches stay exact up to
     // record_cap (for the whole stream when it is 0); a cap also bounds
-    // the retained records with one cluster-wide gate over every
-    // scheduler plus the turn-away path.
+    // the records dispose() keeps.
     const int exact_cap = config_.record_cap > 0
                               ? config_.record_cap
                               : std::numeric_limits<int>::max();
@@ -343,31 +322,22 @@ InferenceWorkload::build(train::SimContext &ctx)
     streaming_stats_.queue_delay = StreamingPercentiles(exact_cap);
     streaming_stats_.shed_wait = StreamingPercentiles(exact_cap);
     streaming_stats_.reject_wait = StreamingPercentiles(exact_cap);
-    if (config_.record_cap > 0) {
+    if (config_.record_cap > 0)
         streaming_stats_.windows =
             obs::CounterSampler(config_.stream_window_s);
-        for (auto &scheduler : schedulers_)
-            scheduler->setRecordGate([this]() { return keepRecord(); });
-    }
 
-    // Retirement feeds: the streaming aggregates, the control plane's
-    // SLO-attainment / drain tracking, and the closed loop's next-issue
-    // chaining. All fire inside the deterministic retirement event.
-    const bool closed_loop = config_.client_mode == ClientMode::ClosedLoop;
+    // Every retirement is a disposition, fired inside the deterministic
+    // retirement event.
     for (auto &scheduler : schedulers_)
         scheduler->setRetireHook(
-            [this, &ctx, closed_loop](const train::RequestRecord &record) {
-                streaming_stats_.note(record);
-                if (ctrl_)
-                    ctrl_->noteRetired(record, ctx.sim.now());
-                if (closed_loop)
-                    onRetire(ctx, record);
+            [this, &ctx](const train::RequestRecord &record) {
+                dispose(ctx, record);
             });
 
     // One front door: every arrival goes through dispatch(), whose
     // fault-free, ctrl-free scan sends request i to replica i % N. The
     // graph itself starts empty for this workload and grows reactively.
-    if (closed_loop) {
+    if (config_.client_mode == ClientMode::ClosedLoop) {
         // Client c owns requests {i : i ≡ c (mod concurrency)}, in id
         // order; each issues its first request at t = 0 and its next one
         // think_time after the previous finished (via the retire hook,
@@ -390,16 +360,11 @@ void
 InferenceWorkload::collect(const train::SimContext &ctx,
                            train::WorkloadResult &out)
 {
-    const Seconds end = ctx.graph.taskCount() > 0 ? ctx.graph.makespan() : 0.0;
-    out.iteration_time = end;
+    out.iteration_time =
+        ctx.graph.taskCount() > 0 ? ctx.graph.makespan() : 0.0;
 
-    std::int64_t retired_total = 0;
     for (const auto &scheduler : schedulers_) {
-        scheduler->finalize(end);
-        retired_total += scheduler->retiredCount();
-        const auto &records = scheduler->records();
-        out.requests.insert(out.requests.end(), records.begin(),
-                            records.end());
+        scheduler->finalize();
         out.queue_depth_time_integral += scheduler->queueDepthIntegral();
         out.peak_queue_depth =
             std::max(out.peak_queue_depth, scheduler->peakQueueDepth());
@@ -419,31 +384,31 @@ InferenceWorkload::collect(const train::SimContext &ctx,
         out.kv.peak_block_table_bytes = std::max(
             out.kv.peak_block_table_bytes, kv.peak_block_table_bytes);
     }
-    // Shed and rejected requests are first-class records: every stream
-    // entry ends up served (a scheduler record), shed, or rejected —
-    // exactly once. Ids are unique, so the sort fixes the merged order.
-    out.requests.insert(out.requests.end(), turned_away_.begin(),
-                        turned_away_.end());
-    std::sort(out.requests.begin(), out.requests.end(),
-              [](const train::RequestRecord &a,
-                 const train::RequestRecord &b) { return a.id < b.id; });
-    // Disposition accounting is count-based: with a record cap the stored
+    // Disposition accounting is count-based: with a record cap the kept
     // records are a prefix of the dispositions, but every request must
     // still have been served, shed, or rejected exactly once.
-    SI_ASSERT(retired_total + turned_away_count_ ==
-                  static_cast<std::int64_t>(stream_total_),
+    const train::StreamingServeStats &ss = streaming_stats_;
+    SI_ASSERT(ss.total_requests == static_cast<std::int64_t>(stream_total_),
               "not every request was served, shed, or rejected");
     SI_ASSERT(config_.record_cap > 0 ||
-                  static_cast<int>(out.requests.size()) == stream_total_,
+                  static_cast<int>(records_.size()) == stream_total_,
               "uncapped run lost request records");
-    streaming_stats_.records_retained = static_cast<int>(out.requests.size());
-    out.streaming = std::move(streaming_stats_);
+    // Ids are unique, so the sort fixes the order.
+    std::sort(records_.begin(), records_.end(),
+              [](const train::RequestRecord &a,
+                 const train::RequestRecord &b) { return a.id < b.id; });
+    out.requests = std::move(records_);
     out.fault = fault_stats_;
+    out.fault.requests_shed = static_cast<int>(ss.num_shed);
     if (ctrl_) {
         out.ctrl = ctrl_->stats();
+        out.ctrl.rejected = static_cast<int>(ss.num_rejected);
+        out.ctrl.deferrals = static_cast<int>(ss.total_deferrals);
         for (const auto &scheduler : schedulers_)
             out.ctrl.preemptions += scheduler->preemptions();
     }
+    streaming_stats_.records_retained = static_cast<int>(out.requests.size());
+    out.streaming = std::move(streaming_stats_);
 }
 
 } // namespace smartinf::serve

@@ -25,6 +25,12 @@
  *    the deterministic retirement event) schedules the client's next
  *    submission think_time later through the simulator — the reactive-
  *    graph protocol described in DESIGN.md "The Workload API".
+ *
+ * Every request leaves through one back door, dispose(): the schedulers'
+ * retire hook and the turn-away path (failover shedding, SLO rejection)
+ * both hand it the request's record, and it alone folds the record into
+ * the streaming aggregates, keeps it under the record cap, notifies the
+ * control plane, and releases a closed-loop client — in that order.
  */
 #ifndef SMARTINF_SERVE_INFERENCE_WORKLOAD_H
 #define SMARTINF_SERVE_INFERENCE_WORKLOAD_H
@@ -74,20 +80,21 @@ class InferenceWorkload final : public train::Workload
     /** Closed loop: the spec with @p id, drawing the source forward
      *  (parking other clients' specs in pending_) as needed. */
     RequestSpec takeSpec(int id);
-    /** Closed-loop retirement: schedule the owning client's next request
+    /** Closed loop: schedule the owning client's next request
      *  think_time after @p record.finish. */
-    void onRetire(train::SimContext &ctx,
-                  const train::RequestRecord &record);
-    /** Record-cap gate, shared by every scheduler and turnAway(): true
-     *  while the cluster-wide retained count is below config.record_cap
-     *  (always true when the cap is 0/off). */
-    bool keepRecord();
+    void releaseClient(train::SimContext &ctx,
+                       const train::RequestRecord &record);
+    /**
+     * The one disposition path (served, shed, or rejected): fold
+     * @p record into the streaming aggregates, keep it while fewer than
+     * config.record_cap records are kept (always when the cap is 0),
+     * notify the control plane, and release a closed-loop client.
+     */
+    void dispose(train::SimContext &ctx, const train::RequestRecord &record);
     /**
      * Dispose of @p request now without serving it: failover shedding or
      * SLO-admission rejection. Either way it is a first-class record
-     * (disposition, retries, deferrals, and the decision time) that feeds
-     * the streaming aggregates, honours the record gate, and releases a
-     * closed-loop client.
+     * (disposition, retries, deferrals, and the decision time).
      */
     void turnAway(train::SimContext &ctx, const RequestSpec &request,
                   TurnAway why);
@@ -127,19 +134,15 @@ class InferenceWorkload final : public train::Workload
     std::vector<std::unique_ptr<BatchScheduler>> schedulers_;
     /** The cluster control plane (null unless config.ctrl.enabled). */
     std::unique_ptr<ClusterController> ctrl_;
-    /** Shed and rejected requests (first-class records, record-gated). */
-    std::vector<train::RequestRecord> turned_away_;
-    std::int64_t turned_away_count_ = 0;
+    /** Every kept record, served or turned away, in disposition order
+     *  (the first config.record_cap dispositions when capped). */
+    std::vector<train::RequestRecord> records_;
     /** Closed loop: per-client cursor into its id-strided request slice. */
     std::vector<std::size_t> client_next_;
-
-    /** Records kept so far under record_cap (0 when the cap is off). */
-    int retained_records_ = 0;
     /** Every disposition, folded in as it happens (metrics source). */
     train::StreamingServeStats streaming_stats_;
 
     /** @name Failover state (empty/zero in fault-free runs). @{ */
-    std::vector<fault::FaultEvent> fault_events_;
     train::FaultStats fault_stats_;
     /** CSD-failure and link-degradation episodes (set when enabled). */
     std::optional<fault::LinkEpisodes> fault_links_;

@@ -59,7 +59,6 @@ StreamingServeStats::note(const RequestRecord &record)
     ttft.record(record.timeToFirstToken());
     queue_delay.record(record.queueDelay());
     output_tokens += record.output_tokens;
-    windows.record("latency_s", record.finish, record.latency());
 }
 
 } // namespace smartinf::train

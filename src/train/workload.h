@@ -112,7 +112,7 @@ struct FaultStats {
     /** @name Serving recovery. @{ */
     int requests_displaced = 0; ///< pulled off a failed replica mid-service
     int retries_dispatched = 0; ///< re-dispatch attempts issued
-    int requests_shed = 0;      ///< rejected (limit/timeout/admission)
+    int requests_shed = 0;      ///< num_shed (limit/timeout/admission)
     int reprefills = 0;         ///< re-prefills forced by lost KV tiers
     /** @} */
     /** @name Training recovery. @{ */
@@ -130,8 +130,8 @@ struct FaultStats {
  */
 struct CtrlStats {
     bool enabled = false;
-    int rejected = 0;    ///< requests SLO admission turned away
-    int deferrals = 0;   ///< defer rounds issued (one request may defer repeatedly)
+    int rejected = 0;    ///< streaming num_rejected (SLO admission)
+    int deferrals = 0;   ///< streaming total_deferrals (defer rounds)
     int preemptions = 0; ///< running requests evicted for a higher priority
     int scale_ups = 0;   ///< replica warm-ups initiated
     int scale_downs = 0; ///< replica drains initiated
@@ -201,12 +201,12 @@ struct StreamingServeStats {
     /** Served requests per replica (node-indexed, like the metrics). */
     std::vector<int> replica_requests;
     /** Windowed time-series: "arrivals" and "retirements" (one unit
-     *  sample each) plus "latency_s" (sampled at finish) — peak-window
-     *  rates derive from these. */
+     *  sample each per disposition) — peak-window rates derive from
+     *  these. */
     obs::CounterSampler windows{60.0};
 
-    /** Fold one disposed record in (the retire/shed/reject feeds call
-     *  this once per request, in disposition order). */
+    /** Fold one disposed record in (the serving workload's disposition
+     *  path calls this once per request, in disposition order). */
     void note(const RequestRecord &record);
 
     /** True when every percentile population is still exact. */

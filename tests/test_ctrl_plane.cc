@@ -3,11 +3,15 @@
  * Cluster control plane end-to-end: the round-robin oracle (ctrl enabled
  * with every feature off is bit-identical to the legacy id % N front
  * door), policy determinism across repeats, SLO admission dispositions
- * (reject/defer) as first-class records, queue-driven autoscaling with
- * real warm-up, priority preemption through the revocation-domain seam,
- * and the per-replica load accounting behind the imbalance statistic.
+ * (reject/defer) as first-class records under one cluster-wide record
+ * cap, queue-driven autoscaling with real warm-up, priority preemption
+ * through the revocation-domain seam, and the per-replica load accounting
+ * behind the imbalance statistic.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "serve/inference_workload.h"
 #include "serve/metrics.h"
@@ -197,6 +201,63 @@ TEST(CtrlPlane, DeferParksAndRejudgesBeforeRejecting)
     const auto repeat =
         runServe(overloadedServe(ctrl::AdmissionMode::Defer));
     expectIdenticalRecords(result, repeat);
+}
+
+TEST(CtrlPlane, RecordCapKeepsTheFirstDispositionsAcrossTurnAways)
+{
+    // One cluster-wide cap over served and rejected records alike: the
+    // capped run simulates exactly what the uncapped one does, keeps the
+    // first record_cap dispositions verbatim, and counts every one.
+    const auto full = runServe(overloadedServe(ctrl::AdmissionMode::Defer));
+    serve::ServeConfig capped_config =
+        overloadedServe(ctrl::AdmissionMode::Defer);
+    capped_config.record_cap = 8;
+    const auto capped = runServe(capped_config);
+
+    EXPECT_EQ(capped.events_executed, full.events_executed);
+    EXPECT_EQ(capped.iteration_time, full.iteration_time);
+    const train::StreamingServeStats &cs = capped.streaming;
+    const train::StreamingServeStats &fs = full.streaming;
+    EXPECT_EQ(cs.total_requests, fs.total_requests);
+    EXPECT_EQ(cs.num_served, fs.num_served);
+    EXPECT_EQ(cs.num_shed, fs.num_shed);
+    EXPECT_EQ(cs.num_rejected, fs.num_rejected);
+    EXPECT_EQ(cs.num_deferred, fs.num_deferred);
+    EXPECT_EQ(cs.total_deferrals, fs.total_deferrals);
+    EXPECT_EQ(cs.output_tokens, fs.output_tokens);
+    EXPECT_GT(fs.num_rejected, 0); // turn-aways really are in the stream
+
+    ASSERT_EQ(capped.requests.size(), 8u);
+    EXPECT_EQ(cs.records_retained, 8);
+    ASSERT_EQ(full.requests.size(), 32u);
+    std::vector<bool> kept(full.requests.size(), false);
+    Seconds latest_kept = 0.0;
+    for (const train::RequestRecord &r : capped.requests) {
+        ASSERT_GE(r.id, 0);
+        ASSERT_LT(r.id, 32);
+        const train::RequestRecord &u = full.requests[r.id];
+        ASSERT_EQ(u.id, r.id);
+        EXPECT_EQ(r.node, u.node);
+        EXPECT_EQ(r.prompt_tokens, u.prompt_tokens);
+        EXPECT_EQ(r.output_tokens, u.output_tokens);
+        EXPECT_EQ(r.arrival, u.arrival);
+        EXPECT_EQ(r.start, u.start);
+        EXPECT_EQ(r.first_token, u.first_token);
+        EXPECT_EQ(r.finish, u.finish);
+        EXPECT_EQ(r.retries, u.retries);
+        EXPECT_EQ(r.shed, u.shed);
+        EXPECT_EQ(r.priority, u.priority);
+        EXPECT_EQ(r.deferrals, u.deferrals);
+        EXPECT_EQ(r.rejected, u.rejected);
+        kept[static_cast<std::size_t>(r.id)] = true;
+        latest_kept = std::max(latest_kept, r.finish);
+    }
+    // Kept records are a prefix of the dispositions in time order.
+    for (const train::RequestRecord &u : full.requests) {
+        if (!kept[static_cast<std::size_t>(u.id)]) {
+            EXPECT_LE(latest_kept, u.finish) << "dropped id " << u.id;
+        }
+    }
 }
 
 // ---- autoscaling -----------------------------------------------------------
