@@ -481,34 +481,26 @@ FlowNetwork::compactCompletionHeap()
 void
 FlowNetwork::rescheduleCompletionEvent()
 {
-    // Drop superseded entries so the armed event always matches a live
+    // Drop superseded entries so the armed alarm always matches a live
     // completion (each tombstone is popped at most once, ever).
     while (!completion_heap_.empty() &&
            !heapEntryValid(completion_heap_.front())) {
         std::pop_heap(completion_heap_.begin(), completion_heap_.end(), heapLater);
         completion_heap_.pop_back();
     }
+    auto &queue = sim_.queue();
     if (completion_heap_.empty()) {
-        if (event_scheduled_) {
-            sim_.cancel(pending_event_);
-            event_scheduled_ = false;
-        }
+        queue.disarm();
         return;
     }
     const Seconds when = completion_heap_.front().when;
-    if (event_scheduled_ && pending_time_ == when)
-        return;
-    if (event_scheduled_)
-        sim_.cancel(pending_event_);
-    pending_event_ = sim_.at(when, [this]() { onCompletionEvent(); });
-    pending_time_ = when;
-    event_scheduled_ = true;
+    if (!queue.armedAt(when))
+        queue.arm(when, [this]() { onCompletionEvent(); });
 }
 
 void
 FlowNetwork::onCompletionEvent()
 {
-    event_scheduled_ = false;
     const Seconds now = sim_.now();
 
     retiring_.clear();

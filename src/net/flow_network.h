@@ -21,6 +21,11 @@
  * buffer grows past its high-water mark (tests/test_hot_path_allocs.cc
  * pins the whole serving event loop below 0.1 allocations per event).
  *
+ * Completions: the network keeps its own heap of projected completion times
+ * and mirrors the front into the event queue's single alarm, which it owns
+ * (sim/event_queue.h). When the front time moves, the alarm is re-armed in
+ * place.
+ *
  * Determinism: water-filling freezes flows in ascending FlowId order and
  * scans candidate bottleneck links in first-touch order (the order links are
  * first reached when walking flows by ascending id), so rates are a pure
@@ -106,7 +111,15 @@ class FlowObserver
 class FlowNetwork
 {
   public:
-    explicit FlowNetwork(sim::Simulator &sim) : sim_(sim) {}
+    /** Claims @p sim's event-queue alarm (see sim/event_queue.h): build
+     *  exactly one network per Simulator. */
+    explicit FlowNetwork(sim::Simulator &sim) : sim_(sim)
+    {
+        sim_.queue().claimAlarm();
+    }
+    /** The alarm's callback holds this network's address. */
+    FlowNetwork(const FlowNetwork &) = delete;
+    FlowNetwork &operator=(const FlowNetwork &) = delete;
 
     /** Attach/detach a passive observer (nullptr = none; observers add
      *  no events and never change rates or completion times). */
@@ -252,7 +265,8 @@ class FlowNetwork
     bool heapEntryValid(const HeapEntry &e) const;
     void pushCompletion(uint32_t slot, Seconds when);
     void compactCompletionHeap();
-    /** Re-arm the single pending simulator event at the heap front. */
+    /** Arm the queue's alarm at the heap front's time (disarm when no
+     *  completion is pending); re-arms only when that time moved. */
     void rescheduleCompletionEvent();
     void onCompletionEvent();
 
@@ -265,9 +279,6 @@ class FlowNetwork
     std::vector<HeapEntry> completion_heap_; ///< min-heap on (when, id)
     uint64_t epoch_ = 0;
     FlowId next_id_ = 0;
-    sim::EventId pending_event_ = 0;
-    Seconds pending_time_ = 0.0;
-    bool event_scheduled_ = false;
     Bytes total_delivered_ = 0.0;
     // Reused per-event scratch (never shrunk; steady state allocates
     // nothing).

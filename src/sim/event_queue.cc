@@ -14,133 +14,64 @@ EventQueue::entryLater(const Entry &a, const Entry &b)
     return a.seq > b.seq; // FIFO among simultaneous events.
 }
 
-uint32_t
-EventQueue::allocSlot()
-{
-    if (!free_.empty()) {
-        const uint32_t slot = free_.back();
-        free_.pop_back();
-        return slot;
-    }
-    slots_.emplace_back();
-    return static_cast<uint32_t>(slots_.size() - 1);
-}
-
 void
-EventQueue::releaseSlot(uint32_t slot)
-{
-    Slot &s = slots_[slot];
-    s.fn = nullptr;
-    s.pending = false;
-    s.cancelled = false;
-    ++s.gen; // Stale EventIds (already-run or recycled) now miss.
-    free_.push_back(slot);
-}
-
-EventId
 EventQueue::schedule(Seconds when, std::function<void()> fn)
 {
     SI_ASSERT(when >= 0.0, "event scheduled at negative time ", when);
-    const uint32_t slot = allocSlot();
-    Slot &s = slots_[slot];
-    s.fn = std::move(fn);
-    s.pending = true;
-    s.cancelled = false;
-    heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
+    uint32_t slot = static_cast<uint32_t>(slots_.size());
+    if (free_.empty()) {
+        slots_.push_back(std::move(fn));
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+        slots_[slot] = std::move(fn);
+    }
+    heap_.push_back(Entry{when, next_seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), entryLater);
-    ++live_;
-    return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
 void
-EventQueue::cancel(EventId id)
+EventQueue::claimAlarm()
 {
-    const uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu);
-    const uint32_t gen = static_cast<uint32_t>(id >> 32);
-    if (slot >= slots_.size())
-        return;
-    Slot &s = slots_[slot];
-    if (s.gen != gen || !s.pending || s.cancelled)
-        return; // Already ran, already cancelled, or slot recycled.
-    s.cancelled = true;
-    s.fn = nullptr; // Release the callback's captures immediately.
-    SI_ASSERT(live_ > 0, "cancel() with no live events");
-    --live_;
-    ++tombstones_;
-    // Compact once tombstones dominate: long cancel/reschedule churn (the
-    // flow network re-arms its completion event constantly) must not grow
-    // the heap beyond the live set.
-    if (tombstones_ > 64 && tombstones_ > heap_.size() / 2)
-        compact();
+    SI_REQUIRE(!alarm_claimed_,
+               "the event queue's alarm already has an owner (one "
+               "FlowNetwork per Simulator)");
+    alarm_claimed_ = true;
 }
 
 void
-EventQueue::compact()
+EventQueue::arm(Seconds when, std::function<void()> fn)
 {
-    auto dead = [this](const Entry &e) {
-        const Slot &s = slots_[e.slot];
-        return s.gen != e.gen || !s.pending || s.cancelled;
-    };
-    for (const Entry &e : heap_) {
-        const Slot &s = slots_[e.slot];
-        if (s.gen == e.gen && s.pending && s.cancelled)
-            releaseSlot(e.slot);
-    }
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), entryLater);
-    tombstones_ = 0;
-    SI_ASSERT(heap_.size() == live_,
-              "live accounting diverged from heap: ", live_, " vs ",
-              heap_.size());
-}
-
-void
-EventQueue::skipCancelled()
-{
-    while (!heap_.empty()) {
-        const Entry &top = heap_.front();
-        Slot &s = slots_[top.slot];
-        if (s.gen == top.gen && s.pending && !s.cancelled)
-            return;
-        // Tombstone (cancelled but not yet popped): recycle its slot now.
-        if (s.gen == top.gen && s.pending && s.cancelled) {
-            releaseSlot(top.slot);
-            SI_ASSERT(tombstones_ > 0, "tombstone accounting underflow");
-            --tombstones_;
-        }
-        std::pop_heap(heap_.begin(), heap_.end(), entryLater);
-        heap_.pop_back();
-    }
-}
-
-Seconds
-EventQueue::nextTime() const
-{
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipCancelled();
-    SI_ASSERT(!heap_.empty(), "nextTime() on empty queue");
-    return heap_.front().when;
+    SI_ASSERT(when >= 0.0, "alarm armed at negative time ", when);
+    alarm_ = Entry{when, next_seq_++, 0};
+    alarm_fn_ = std::move(fn);
+    alarm_armed_ = true;
 }
 
 bool
 EventQueue::runNext(Seconds &now)
 {
-    skipCancelled();
-    if (heap_.empty()) {
-        SI_ASSERT(live_ == 0, "empty heap but ", live_, " live events");
+    std::function<void()> fn;
+    Seconds when = 0.0;
+    if (alarm_armed_ &&
+        (heap_.empty() || entryLater(heap_.front(), alarm_))) {
+        // Moved out so the callback may re-arm the alarm while it runs.
+        alarm_armed_ = false;
+        when = alarm_.when;
+        fn = std::move(alarm_fn_);
+    } else if (!heap_.empty()) {
+        const Entry entry = heap_.front();
+        std::pop_heap(heap_.begin(), heap_.end(), entryLater);
+        heap_.pop_back();
+        when = entry.when;
+        fn = std::move(slots_[entry.slot]);
+        slots_[entry.slot] = nullptr;
+        free_.push_back(entry.slot);
+    } else {
         return false;
     }
-    const Entry entry = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), entryLater);
-    heap_.pop_back();
-    Slot &s = slots_[entry.slot];
-    std::function<void()> fn = std::move(s.fn);
-    releaseSlot(entry.slot); // A later cancel() of this id is now benign.
-    SI_ASSERT(live_ > 0, "runNext() live accounting underflow");
-    --live_;
-    SI_ASSERT(entry.when + 1e-12 >= now,
-              "event time ", entry.when, " precedes now ", now);
-    now = entry.when;
+    SI_ASSERT(when >= now, "event time ", when, " precedes now ", now);
+    now = when;
     fn();
     return true;
 }

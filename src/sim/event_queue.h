@@ -4,12 +4,17 @@
  * by insertion order so simulations are fully deterministic.
  *
  * Storage is allocation-light: heap entries are 24-byte PODs ordered on
- * (time, sequence); callbacks live in a recycled slot store addressed by
- * generation-tagged EventIds, so memory is bounded by the peak number of
- * outstanding events rather than the total ever scheduled. Cancellation is
- * lazy (tombstones are skipped on pop) but a cancelled event's callback is
- * released immediately and tombstones are compacted once they dominate the
- * heap.
+ * (time, sequence); callbacks live in a recycled slot store, so memory is
+ * bounded by the peak number of outstanding events rather than the total
+ * ever scheduled. Scheduled events always run; nothing is cancelled.
+ *
+ * Beside the heap the queue keeps one re-armable alarm, the flow network's
+ * next-completion event. arm() overwrites the alarm's (time, sequence) in
+ * place and draws its sequence number exactly as schedule() does, so an
+ * alarm re-armed after other events were scheduled runs after those of them
+ * that share its time. runNext() runs whichever of the heap top and the
+ * alarm comes first on (time, sequence). One owner claims the alarm for the
+ * queue's lifetime.
  */
 #ifndef SMARTINF_SIM_EVENT_QUEUE_H
 #define SMARTINF_SIM_EVENT_QUEUE_H
@@ -22,32 +27,37 @@
 
 namespace smartinf::sim {
 
-/** Handle used to cancel a scheduled event (opaque: slot + generation). */
-using EventId = uint64_t;
-
-/** A priority queue of (time, sequence, callback) events. */
+/** A priority queue of (time, sequence, callback) events plus one alarm. */
 class EventQueue
 {
   public:
-    /** Schedule @p fn at absolute time @p when. @return id for cancel(). */
-    EventId schedule(Seconds when, std::function<void()> fn);
+    /** Schedule @p fn at absolute time @p when. */
+    void schedule(Seconds when, std::function<void()> fn);
 
-    /** Cancel a previously scheduled event. Idempotent; ids of events that
-     *  already ran (or whose slot was recycled) are safely ignored. */
-    void cancel(EventId id);
+    /** Take ownership of the alarm. Fatal if another owner holds it. */
+    void claimAlarm();
 
-    /** True when no live events remain. */
-    bool empty() const { return live_ == 0; }
+    /** (Re)arm the alarm to run @p fn at @p when, replacing any armed one. */
+    void arm(Seconds when, std::function<void()> fn);
 
-    /** Number of live (non-cancelled) events. */
-    std::size_t size() const { return live_; }
+    /** Drop the armed alarm, if any. */
+    void disarm() { alarm_armed_ = false; }
 
-    /** Time of the earliest live event. @pre !empty(). */
-    Seconds nextTime() const;
+    /** True when the alarm is armed for exactly @p when. */
+    bool armedAt(Seconds when) const
+    {
+        return alarm_armed_ && alarm_.when == when;
+    }
+
+    /** True when no event is queued and the alarm is not armed. */
+    bool empty() const { return heap_.empty() && !alarm_armed_; }
+
+    /** Number of outstanding events, the armed alarm included. */
+    std::size_t size() const { return heap_.size() + (alarm_armed_ ? 1 : 0); }
 
     /**
-     * Pop and run the earliest live event, advancing @p now to its time.
-     * @return false when the queue was empty.
+     * Pop and run the earliest event (or the alarm), advancing @p now to its
+     * time. @return false when nothing was outstanding.
      */
     bool runNext(Seconds &now);
 
@@ -55,39 +65,26 @@ class EventQueue
      *  ever scheduled) — memory-bound introspection for tests. */
     std::size_t slotsAllocated() const { return slots_.size(); }
 
-    /** Heap entries currently stored, live plus tombstones. */
+    /** Heap entries currently stored (the alarm is never in the heap). */
     std::size_t heapSize() const { return heap_.size(); }
 
   private:
-    struct Slot {
-        std::function<void()> fn;
-        uint32_t gen = 0;       ///< bumped on release; stale ids miss
-        bool pending = false;   ///< has an entry in the heap
-        bool cancelled = false; ///< tombstoned, awaiting pop or compaction
-    };
     struct Entry {
         Seconds when;
-        uint64_t seq;  ///< FIFO among simultaneous events
+        uint64_t seq; ///< FIFO among simultaneous events
         uint32_t slot;
-        uint32_t gen;
     };
     /** std::push_heap builds a max-heap; invert (when, seq) for min-first. */
     static bool entryLater(const Entry &a, const Entry &b);
 
-    uint32_t allocSlot();
-    /** Return a slot to the free list, bumping its generation. */
-    void releaseSlot(uint32_t slot);
-    /** Drop tombstoned entries from the front of the heap. */
-    void skipCancelled();
-    /** Rebuild the heap without tombstones. */
-    void compact();
-
     std::vector<Entry> heap_; ///< min-heap on (when, seq)
-    std::vector<Slot> slots_;
+    std::vector<std::function<void()>> slots_;
     std::vector<uint32_t> free_;
     uint64_t next_seq_ = 0;
-    std::size_t live_ = 0;
-    std::size_t tombstones_ = 0; ///< cancelled entries still in heap_
+    Entry alarm_{0.0, 0, 0}; ///< slot unused
+    std::function<void()> alarm_fn_;
+    bool alarm_armed_ = false;
+    bool alarm_claimed_ = false;
 };
 
 } // namespace smartinf::sim

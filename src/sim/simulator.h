@@ -30,21 +30,18 @@ class Simulator
     Seconds now() const { return now_; }
 
     /** Schedule a callback @p delay seconds from now. */
-    EventId
+    void
     after(Seconds delay, std::function<void()> fn)
     {
-        return queue_.schedule(now_ + delay, std::move(fn));
+        queue_.schedule(now_ + delay, std::move(fn));
     }
 
     /** Schedule a callback at absolute time @p when (>= now). */
-    EventId
+    void
     at(Seconds when, std::function<void()> fn)
     {
-        return queue_.schedule(when, std::move(fn));
+        queue_.schedule(when, std::move(fn));
     }
-
-    /** Cancel a scheduled event. */
-    void cancel(EventId id) { queue_.cancel(id); }
 
     /** Run until no events remain. @return final simulated time. */
     Seconds run();

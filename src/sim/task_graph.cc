@@ -267,10 +267,10 @@ TaskGraph::revokeDomain(Domain d)
         ++revoked;
         const auto it = cancellers_.find(id);
         if (it != cancellers_.end()) {
-            std::function<void()> cancel = std::move(it->second);
+            std::function<void()> canceller = std::move(it->second);
             cancellers_.erase(it);
-            if (task(id).launched && cancel)
-                cancel();
+            if (task(id).launched && canceller)
+                canceller();
         }
         if (SimObserver *observer = sim_.observer()) {
             if (task(id).launched)

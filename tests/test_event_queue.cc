@@ -1,6 +1,8 @@
 /** @file Tests for the discrete-event queue and simulator clock. */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -35,38 +37,6 @@ TEST(EventQueue, SimultaneousEventsAreFifo)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CancelSkipsEvent)
-{
-    EventQueue q;
-    int fired = 0;
-    const EventId id = q.schedule(1.0, [&]() { ++fired; });
-    q.schedule(2.0, [&]() { ++fired; });
-    q.cancel(id);
-    EXPECT_EQ(q.size(), 1u);
-    Seconds now = 0.0;
-    while (q.runNext(now)) {
-    }
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelIsIdempotent)
-{
-    EventQueue q;
-    const EventId id = q.schedule(1.0, []() {});
-    q.cancel(id);
-    q.cancel(id);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled)
-{
-    EventQueue q;
-    const EventId early = q.schedule(1.0, []() {});
-    q.schedule(5.0, []() {});
-    q.cancel(early);
-    EXPECT_DOUBLE_EQ(q.nextTime(), 5.0);
-}
-
 TEST(EventQueue, EventsScheduledDuringRun)
 {
     EventQueue q;
@@ -82,72 +52,107 @@ TEST(EventQueue, EventsScheduledDuringRun)
     EXPECT_DOUBLE_EQ(now, 2.0);
 }
 
-TEST(EventQueue, CancelledIdOfRecycledSlotIsIgnored)
+TEST(EventQueue, AlarmTiesBreakOnArmOrder)
 {
-    // After an event runs, its slot is recycled for new events; cancelling
-    // the stale id must not kill the slot's new occupant.
+    // The alarm draws its sequence number when armed, like schedule(): an
+    // event scheduled at the same time before arm() runs first, one
+    // scheduled after it runs after.
     EventQueue q;
-    int fired = 0;
-    const EventId stale = q.schedule(1.0, [&]() { ++fired; });
+    std::vector<int> order;
+    q.schedule(1.0, [&]() { order.push_back(0); });
+    q.arm(1.0, [&]() { order.push_back(1); });
+    q.schedule(1.0, [&]() { order.push_back(2); });
+    q.schedule(0.5, [&]() { order.push_back(-1); });
     Seconds now = 0.0;
-    ASSERT_TRUE(q.runNext(now));
-    const EventId fresh = q.schedule(2.0, [&]() { fired += 10; });
-    q.cancel(stale); // Refers to an event that already ran.
-    EXPECT_EQ(q.size(), 1u);
     while (q.runNext(now)) {
     }
-    EXPECT_EQ(fired, 11);
-    (void)fresh;
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+    EXPECT_DOUBLE_EQ(now, 1.0);
 }
 
-TEST(EventQueue, ChurnKeepsStorageBounded)
+TEST(EventQueue, RearmingMovesTheAlarmBehindEventsScheduledInBetween)
 {
-    // One cancel+reschedule pair per "event" for 50k rounds — the flow
-    // network's completion-event pattern. Slot storage must track the peak
-    // number of outstanding events (a handful), not the total ever
-    // scheduled, and tombstone compaction must keep the heap flat.
     EventQueue q;
+    std::vector<int> order;
+    q.arm(1.0, [&]() { order.push_back(0); });
+    q.schedule(1.0, [&]() { order.push_back(1); });
+    q.arm(1.0, [&]() { order.push_back(2); }); // Replaces the first arm.
+    q.schedule(1.0, [&]() { order.push_back(3); });
+    EXPECT_EQ(q.size(), 3u);
     Seconds now = 0.0;
-    int fired = 0;
-    EventId pending = q.schedule(1.0, [&]() { ++fired; });
-    for (int i = 1; i <= 50000; ++i) {
-        q.cancel(pending);
-        pending = q.schedule(static_cast<Seconds>(i), [&]() { ++fired; });
-        EXPECT_EQ(q.size(), 1u);
-    }
-    // Slots stabilise at the compaction threshold (~65), not at 50k.
-    EXPECT_LE(q.slotsAllocated(), 80u);
-    EXPECT_LE(q.heapSize(), 256u);
     while (q.runNext(now)) {
     }
-    EXPECT_EQ(fired, 1); // Only the last survivor runs.
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, DisarmEmptiesTheQueueAndSizeCountsTheAlarm)
+{
+    EventQueue q;
+    EXPECT_TRUE(q.empty());
+    q.arm(2.0, []() {});
+    EXPECT_FALSE(q.empty());
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.heapSize(), 0u);
+    EXPECT_TRUE(q.armedAt(2.0));
+    EXPECT_FALSE(q.armedAt(1.0));
+    q.schedule(1.0, []() {});
+    EXPECT_EQ(q.size(), 2u);
+    q.disarm();
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_FALSE(q.armedAt(2.0));
+    Seconds now = 0.0;
+    ASSERT_TRUE(q.runNext(now));
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.runNext(now));
+    EXPECT_DOUBLE_EQ(now, 1.0);
+}
+
+TEST(EventQueue, RearmChurnKeepsStorageFlat)
+{
+    // The flow network's pattern: the alarm is re-armed on every rate
+    // change. Re-arming touches neither the heap nor the slot store, and
+    // only the last arm fires.
+    EventQueue q;
+    q.schedule(0.5, []() {});
+    Seconds now = 0.0;
+    ASSERT_TRUE(q.runNext(now));
+    const std::size_t slots = q.slotsAllocated();
+    int fired = 0;
+    for (int i = 1; i <= 50000; ++i) {
+        q.arm(static_cast<Seconds>(i), [&]() { ++fired; });
+        EXPECT_EQ(q.size(), 1u);
+    }
+    EXPECT_EQ(q.heapSize(), 0u);
+    EXPECT_EQ(q.slotsAllocated(), slots);
+    while (q.runNext(now)) {
+    }
+    EXPECT_EQ(fired, 1);
+    EXPECT_DOUBLE_EQ(now, 50000.0);
     EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, InterleavedCancelRescheduleMatchesReferenceOrder)
+TEST(EventQueue, AlarmRearmsItselfFromItsOwnCallback)
 {
-    // Heavy churn with tombstone compaction in the middle must not perturb
-    // time order or FIFO tie-breaks of the survivors.
     EventQueue q;
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 300; ++i) {
-        // Times collide in bands of three to exercise the FIFO tie-break.
-        ids.push_back(
-            q.schedule(static_cast<Seconds>(i / 3), [&order, i]() {
-                order.push_back(i);
-            }));
-    }
-    for (int i = 0; i < 300; ++i)
-        if (i % 3 != 1)
-            q.cancel(ids[i]);
-    EXPECT_EQ(q.size(), 100u);
+    std::vector<double> fired_at;
     Seconds now = 0.0;
+    std::function<void()> tick = [&]() {
+        fired_at.push_back(now);
+        if (fired_at.size() < 3)
+            q.arm(now + 1.0, tick);
+    };
+    q.arm(1.0, tick);
     while (q.runNext(now)) {
     }
-    ASSERT_EQ(order.size(), 100u);
-    for (std::size_t k = 0; k < order.size(); ++k)
-        EXPECT_EQ(order[k], static_cast<int>(3 * k + 1));
+    EXPECT_EQ(fired_at, (std::vector<double>{1.0, 2.0, 3.0}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, SecondAlarmOwnerIsRejected)
+{
+    EventQueue q;
+    q.claimAlarm();
+    EXPECT_THROW(q.claimAlarm(), std::runtime_error);
 }
 
 TEST(Simulator, AfterSchedulesRelative)

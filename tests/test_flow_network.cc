@@ -23,6 +23,16 @@ TEST(FlowNetwork, SingleFlowUsesFullCapacity)
     EXPECT_NEAR(link.bytesCarried(), 500.0, 1.0);
 }
 
+TEST(FlowNetwork, OneNetworkPerSimulator)
+{
+    // The network owns its simulator's completion alarm; a second network
+    // must fail loudly instead of silently taking the alarm over.
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    EXPECT_THROW(FlowNetwork second(sim), std::runtime_error);
+    EXPECT_TRUE(sim.queue().empty());
+}
+
 TEST(FlowNetwork, TwoFlowsShareFairly)
 {
     sim::Simulator sim;

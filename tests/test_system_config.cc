@@ -2,6 +2,9 @@
  *  config validation added with the unified experiment API. */
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/smart_infinity.h"
 #include "train/system_config.h"
 
@@ -81,6 +84,57 @@ TEST(SystemConfigValidate, ChecksNicSpecsOnlyForMultiNode)
     const auto errors = sc.validate();
     ASSERT_EQ(errors.size(), 1u);
     EXPECT_NE(errors[0].find("nic_bandwidth"), std::string::npos);
+}
+
+TEST(SystemConfigValidate, ChecksEveryCalibrationField)
+{
+    // Each hole here once passed validate() and then died inside the run
+    // (negative job latency, a resource panic, link construction) or
+    // returned an infinite iteration time.
+    struct Field {
+        const char *name;
+        double Calibration::*member;
+        bool zero_ok; ///< latencies may be 0
+    };
+    const Field fields[] = {
+        {"ssd_read", &Calibration::ssd_read, false},
+        {"ssd_write", &Calibration::ssd_write, false},
+        {"raid_efficiency", &Calibration::raid_efficiency, false},
+        {"device_link", &Calibration::device_link, false},
+        {"host_shared", &Calibration::host_shared, false},
+        {"host_memory", &Calibration::host_memory, false},
+        {"gpu_link", &Calibration::gpu_link, false},
+        {"p2p_read", &Calibration::p2p_read, false},
+        {"p2p_write", &Calibration::p2p_write, false},
+        {"cpu_update", &Calibration::cpu_update, false},
+        {"gpu_compress", &Calibration::gpu_compress, false},
+        {"fpga_updater", &Calibration::fpga_updater, false},
+        {"fpga_decomp", &Calibration::fpga_decomp, false},
+        {"transfer_latency", &Calibration::transfer_latency, true},
+        {"kernel_launch", &Calibration::kernel_launch, true},
+        {"fpga_dram_usable", &Calibration::fpga_dram_usable, false},
+    };
+    static_assert(sizeof(Calibration) == 16 * sizeof(double),
+                  "a Calibration field was added: list it here and in "
+                  "SystemConfig::validate()");
+    const double inf = std::numeric_limits<double>::infinity();
+    const double values[] = {std::numeric_limits<double>::quiet_NaN(), inf,
+                             -inf, 0.0, -1.0};
+    for (const Field &field : fields) {
+        for (double v : values) {
+            SystemConfig sc;
+            sc.calib.*field.member = v;
+            const auto errors = sc.validate();
+            if (v == 0.0 && field.zero_ok) {
+                EXPECT_TRUE(errors.empty()) << field.name << " = 0";
+                continue;
+            }
+            ASSERT_EQ(errors.size(), 1u) << field.name << " = " << v;
+            EXPECT_NE(errors[0].find(std::string("calib.") + field.name),
+                      std::string::npos)
+                << errors[0];
+        }
+    }
 }
 
 TEST(SystemConfigValidate, EngineConstructionRejectsInvalidConfigs)
