@@ -54,22 +54,13 @@ namespace {
 void
 writeCalibrationJson(std::ostream &os, const train::Calibration &c)
 {
-    os << "{\"ssd_read\":" << jsonNumber(c.ssd_read) << ",\"ssd_write\":"
-       << jsonNumber(c.ssd_write) << ",\"raid_efficiency\":"
-       << jsonNumber(c.raid_efficiency) << ",\"device_link\":"
-       << jsonNumber(c.device_link) << ",\"host_shared\":"
-       << jsonNumber(c.host_shared) << ",\"host_memory\":"
-       << jsonNumber(c.host_memory) << ",\"gpu_link\":"
-       << jsonNumber(c.gpu_link) << ",\"p2p_read\":"
-       << jsonNumber(c.p2p_read) << ",\"p2p_write\":"
-       << jsonNumber(c.p2p_write) << ",\"cpu_update\":"
-       << jsonNumber(c.cpu_update) << ",\"gpu_compress\":"
-       << jsonNumber(c.gpu_compress) << ",\"fpga_updater\":"
-       << jsonNumber(c.fpga_updater) << ",\"fpga_decomp\":"
-       << jsonNumber(c.fpga_decomp) << ",\"transfer_latency\":"
-       << jsonNumber(c.transfer_latency) << ",\"kernel_launch\":"
-       << jsonNumber(c.kernel_launch) << ",\"fpga_dram_usable\":"
-       << jsonNumber(c.fpga_dram_usable) << "}";
+    const char *sep = "{";
+    for (const train::CalibrationField &field : train::calibrationFields()) {
+        os << sep << '"' << field.name
+           << "\":" << jsonNumber(c.*field.member);
+        sep = ",";
+    }
+    os << "}";
 }
 
 void

@@ -82,11 +82,8 @@ class HashStream
 void
 hashAppend(HashStream &hs, const train::Calibration &c)
 {
-    hs << c.ssd_read << c.ssd_write << c.raid_efficiency << c.device_link
-       << c.host_shared << c.host_memory << c.gpu_link
-       << c.p2p_read << c.p2p_write << c.cpu_update << c.gpu_compress
-       << c.fpga_updater << c.fpga_decomp << c.transfer_latency
-       << c.kernel_launch << c.fpga_dram_usable;
+    for (const train::CalibrationField &field : train::calibrationFields())
+        hs << c.*field.member;
 }
 
 void

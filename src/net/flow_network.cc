@@ -88,14 +88,6 @@ FlowNetwork::startFlow(const Route &route, Bytes bytes,
     SI_REQUIRE(bytes >= 0.0, "negative transfer size");
     const FlowId id = next_id_++;
 
-    if (latency <= 0.0 && (bytes < kCompletionEpsilon || route.empty())) {
-        // Degenerate flows complete on the next event boundary so callers
-        // never observe re-entrant completion; no slot is registered.
-        sim_.after(0.0, std::move(done));
-        total_delivered_ += bytes;
-        return id;
-    }
-
     const uint32_t slot = allocSlot();
     FlowSlot &f = slots_[slot];
     f.id = id;
@@ -129,6 +121,8 @@ FlowNetwork::beginBulk(uint32_t slot)
         return;
     }
     if (f.pending_bytes < kCompletionEpsilon || f.route.empty()) {
+        // Degenerate flows complete on the next event boundary so callers
+        // never observe re-entrant completion; the slot is freed at once.
         total_delivered_ += f.pending_bytes;
         sim_.after(0.0, std::move(f.done));
         freeSlot(slot);

@@ -15,6 +15,16 @@ namespace {
 
 std::atomic<Observation *> g_current{nullptr};
 
+/**
+ * Minimum simulated-time spacing between successive *timeline* samples of
+ * one high-churn series (link utilization, per-flow rate). Every max-min
+ * recompute re-reports the whole contention component, so an unthrottled
+ * timeline is O(events x component size); throttling bounds it to
+ * O(duration / dt) per series, with sampled-counter semantics (sub-quantum
+ * churn aliases). The metrics CSV sees every exact sample regardless.
+ */
+constexpr Seconds kTraceSampleDt = 0.05;
+
 /** Compact numeric literal for rendered args ("%.10g" round-trips the
  *  values the timeline cares about without bloating the JSON). */
 std::string
@@ -58,11 +68,22 @@ routeName(const net::Route &route)
 // ---------------------------------------------------------------------------
 // RunObservation
 
+bool
+RunObservation::Throttle::admit(const std::string &rendered, Seconds now)
+{
+    if (emitted && (args == rendered || now - t < kTraceSampleDt))
+        return false; // no visible change, or churn inside the quantum
+    args = rendered;
+    t = now;
+    emitted = true;
+    return true;
+}
+
 RunObservation::RunObservation(std::string label,
                                const ObservationOptions &opts,
                                sim::Simulator &sim, net::FlowNetwork &net)
     : label_(std::move(label)), sim_(sim), net_(net),
-      counters_(opts.metrics_window), trace_sample_dt_(opts.trace_sample_dt)
+      counters_(opts.metrics_window)
 {
     pid_ = trace_.process(label_);
     SI_ASSERT(sim_.observer() == nullptr && net_.observer() == nullptr,
@@ -96,17 +117,8 @@ void
 RunObservation::traceCounter(const std::string &name, Seconds t,
                              std::string args_json)
 {
-    Throttle &th = counter_throttle_[name];
-    if (th.emitted) {
-        if (th.args == args_json)
-            return; // no visible change
-        if (t - th.t < trace_sample_dt_)
-            return; // churn inside the sampling quantum
-    }
-    th.args = args_json;
-    th.t = t;
-    th.emitted = true;
-    trace_.counter(pid_, name, t, std::move(args_json));
+    if (counter_throttle_[name].admit(args_json, t))
+        trace_.counter(pid_, name, t, std::move(args_json));
 }
 
 void
@@ -179,16 +191,8 @@ RunObservation::flowRateChanged(net::FlowId id, BytesPerSec rate,
     // component member's exact rate, which would otherwise make the
     // instant stream O(events × component size).
     std::string rendered = "\"rate_Bps\": " + coarse(rate);
-    Throttle &th = flow_rate_throttle_[id];
-    if (th.emitted) {
-        if (th.args == rendered)
-            return;
-        if (now - th.t < trace_sample_dt_)
-            return;
-    }
-    th.args = rendered;
-    th.t = now;
-    th.emitted = true;
+    if (!flow_rate_throttle_[id].admit(rendered, now))
+        return;
     auto name = flow_names_.find(id);
     trace_.asyncInstant(pid_, "flow",
                         name != flow_names_.end() ? name->second : "flow",

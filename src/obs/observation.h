@@ -47,16 +47,6 @@ struct ObservationOptions {
     std::string trace_path;   ///< Chrome-trace JSON out; "" = no timeline
     std::string metrics_path; ///< counter CSV out; "" = no time-series
     Seconds metrics_window = 1.0; ///< counter window width (sim seconds)
-    /**
-     * Minimum simulated-time spacing between successive *timeline* samples
-     * of one high-churn counter (link utilization, per-flow rate). Every
-     * max-min recompute re-reports the whole contention component, so an
-     * unthrottled timeline is O(events × component size); throttling bounds
-     * it to O(duration / dt) per counter, with sampled-counter semantics
-     * (sub-quantum churn aliases). The metrics CSV sees every exact sample
-     * regardless.
-     */
-    Seconds trace_sample_dt = 0.05;
 };
 
 class Observation;
@@ -125,7 +115,8 @@ class RunObservation final : public sim::SimObserver,
     void requestRetired(int node, int request_id, Seconds arrival,
                         Seconds finish, Seconds now);
     /** KV bytes resident per tier after a step's working set is laid out;
-     *  @p scope is the builder prefix ("" or "n<k>."). */
+     *  @p scope is "" (single-node contiguous) or "n<k>", naming the
+     *  series "kv[ scope].<tier>_bytes". */
     void kvOccupancy(const std::string &scope, Bytes hbm, Bytes host,
                      Bytes csd, Seconds now);
     /** Paged KV allocator gauges (per scheduler step, paged layout only):
@@ -164,18 +155,23 @@ class RunObservation final : public sim::SimObserver,
         std::string args;     ///< rendered args of the last emission
         Seconds t = 0.0;      ///< time of the last emission
         bool emitted = false; ///< false until the first sample
+
+        /** Records and admits @p rendered at @p now iff it is the first
+         *  sample, or it changed and a sampling quantum passed since the
+         *  last emission. */
+        bool admit(const std::string &rendered, Seconds now);
     };
 
     /** Intern a per-resource / per-scheduler duration track. */
     uint32_t track(const std::string &name);
     /**
-     * Emit a trace counter iff its rendered args changed AND at least
-     * trace_sample_dt passed since the series' last emission — sampled-
-     * counter semantics: fast 0<->busy toggling (a media link fetching one
-     * layer per step) aliases to ~1/dt points, and the displayed value can
-     * lag the true one by up to one quantum. The metrics sampler still
-     * sees every exact sample; this throttle only bounds *timeline*
-     * volume (see ObservationOptions).
+     * Emit a trace counter iff its rendered args changed AND at least one
+     * sampling quantum (kTraceSampleDt in observation.cc) passed since the
+     * series' last emission — sampled-counter semantics: fast 0<->busy
+     * toggling (a media link fetching one layer per step) aliases to
+     * ~1/dt points, and the displayed value can lag the true one by up to
+     * one quantum. The metrics sampler still sees every exact sample; this
+     * throttle only bounds *timeline* volume.
      */
     void traceCounter(const std::string &name, Seconds t,
                       std::string args_json);
@@ -188,7 +184,6 @@ class RunObservation final : public sim::SimObserver,
     TraceSink trace_;
     CounterSampler counters_;
     uint32_t pid_ = 0;
-    Seconds trace_sample_dt_;
 
     int faults_seen_ = 0; ///< running count behind the "faults" counter
 

@@ -1,6 +1,7 @@
 #include "serve/batch_scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -168,47 +169,33 @@ BatchScheduler::beginStep()
                                      prefills, now);
     }
 
-    // Step shape: full prefill for the newly admitted, one decode token
-    // per already-running request; the KV working set is the resident
-    // tokens before the step (all decode-owned — newly admitted requests
-    // hold no KV yet) plus what this step appends (prompt + first token
-    // for prefills, one token per decode).
-    //
-    // Paged layout: the same walk additionally drives the KvSpace step
-    // protocol — reads declare each request's pre-append resident pages
-    // (a prefill reads only when a prefix hit mapped shared pages), and
-    // appends allocate. A full-prefix hit still computes one token (the
-    // attention query over the shared KV that emits its first token).
+    // Step shape, one walk for both KV layouts: a newly admitted request
+    // computes and appends its prompt past any shared-prefix hit (plus
+    // the first token's KV; a full-prefix hit still computes one token,
+    // the attention query that emits it), a running one one decode token.
+    // Paged: the walk drives the KvSpace step protocol — reads declare
+    // each request's pre-append resident pages (a prefill reads only on
+    // a prefix hit), appends allocate. Contiguous: no sharing, and the
+    // admission-order working set is [0, resident) then
+    // [resident, resident + new) — newly admitted requests hold no KV.
     StepShape shape;
+    std::int64_t resident = 0, appended = 0;
     if (kv_)
         kv_->beginStep();
     for (const Active &a : running_) {
+        const int fresh = a.spec.prompt_tokens - a.shared_tokens;
+        const int appends = a.prefilled ? 1 : fresh + 1;
+        shape.compute_tokens += a.prefilled ? 1 : std::max(fresh, 1);
+        resident += a.kvTokens();
+        appended += appends;
         if (kv_) {
-            if (a.prefilled) {
-                shape.compute_tokens += 1.0;
+            if (a.prefilled || a.shared_tokens > 0)
                 kv_->noteRead(a.spec.id);
-                kv_->noteAppend(a.spec.id, 1);
-            } else {
-                shape.compute_tokens += std::max(
-                    static_cast<double>(a.spec.prompt_tokens -
-                                        a.shared_tokens),
-                    1.0);
-                if (a.shared_tokens > 0)
-                    kv_->noteRead(a.spec.id);
-                kv_->noteAppend(a.spec.id,
-                                a.spec.prompt_tokens + 1 - a.shared_tokens);
-            }
-            continue;
+            kv_->noteAppend(a.spec.id, appends);
         }
-        shape.compute_tokens +=
-            a.prefilled ? 1.0 : static_cast<double>(a.spec.prompt_tokens);
-        shape.kv_resident_tokens += a.kvTokens();
-        shape.kv_new_tokens +=
-            a.prefilled ? 1.0 : static_cast<double>(a.spec.prompt_tokens + 1);
     }
     if (kv_) {
         kv::KvStepPlan plan = kv_->finishStep();
-        shape.paged = true;
         shape.kv_reads = std::move(plan.reads);
         shape.kv_writes = std::move(plan.writes);
         if (ctx_.obs) {
@@ -224,6 +211,10 @@ BatchScheduler::beginStep()
                                   g.fragmentation, g.block_table_bytes,
                                   g.prefix_hit_rate, now);
         }
+    } else if (config_.kv.enabled) {
+        if (resident > 0)
+            shape.kv_reads.push_back({0, resident});
+        shape.kv_writes.push_back({resident, resident + appended});
     }
 
     // Build the pass reactively into the running graph (dynamic mode),

@@ -9,8 +9,11 @@
  * depending on the policy — admits queued requests before building the
  * next step. Requests complete individually (per-request output lengths,
  * so sampled mixes produce ragged batches), and every step's KV working
- * set is declared to the builder as a StepShape (admission-order layout:
- * decode-owned KV always precedes the just-admitted prefills' empty KV).
+ * set is declared to the builder as token ranges in a StepShape, by one
+ * per-request walk for both layouts. Contiguous layout (the default):
+ * admission order, decode-owned KV always preceding the just-admitted
+ * prefills' empty KV, so the step reads [0, resident) and writes
+ * [resident, resident + new).
  *
  * Determinism: every decision happens in an event callback of the
  * deterministic simulator, on state derived only from the (seeded) request
@@ -28,14 +31,15 @@
  * Paged layout (kv.layout=paged): the scheduler additionally drives a
  * kv::KvSpace — admission creates the request's block table (and resolves
  * its shared prefix, shrinking the prefill), each step's noteRead /
- * noteAppend calls happen in admission order, and the resulting KvStepPlan
- * rides to the builder inside the StepShape as arena token ranges.
+ * noteAppend calls happen in the same walk, in admission order, and the
+ * resulting KvStepPlan's arena token ranges are the StepShape's ranges.
  * Retirement returns the request's private pages to the allocator, so
  * ragged completions punch reusable holes into the arena.
  */
 #ifndef SMARTINF_SERVE_BATCH_SCHEDULER_H
 #define SMARTINF_SERVE_BATCH_SCHEDULER_H
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -172,11 +176,10 @@ class BatchScheduler
 
         /** KV tokens this request holds resident (prompt + generated;
          *  nothing before its prefill step completes). */
-        double kvTokens() const
+        std::int64_t kvTokens() const
         {
-            return prefilled
-                       ? static_cast<double>(spec.prompt_tokens + produced)
-                       : 0.0;
+            return prefilled ? std::int64_t{spec.prompt_tokens} + produced
+                             : 0;
         }
     };
 

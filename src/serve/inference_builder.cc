@@ -1,6 +1,7 @@
 #include "serve/inference_builder.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -73,42 +74,37 @@ InferenceBuilder::splitKvRange(Bytes lo, Bytes hi) const
     return split;
 }
 
+InferenceBuilder::KvTierSplit
+InferenceBuilder::splitRanges(const std::vector<kv::KvTokenRange> &ranges) const
+{
+    // Token counts are integers, so the int64 -> double conversion is
+    // exact. The upper end is lo plus the scaled extent, so the byte
+    // arguments (and with them every golden) are those the layouts have
+    // always priced; each range's split sums into the step's total.
+    const Bytes per_token = kvBytesPerToken();
+    KvTierSplit total;
+    for (const kv::KvTokenRange &r : ranges) {
+        const Bytes lo = static_cast<double>(r.lo) * per_token;
+        const Bytes hi = lo + static_cast<double>(r.hi - r.lo) * per_token;
+        const KvTierSplit s = splitKvRange(lo, hi);
+        total.hbm += s.hbm;
+        total.host += s.host;
+        total.csd += s.csd;
+    }
+    return total;
+}
+
 void
 InferenceBuilder::buildKvFlows(const StepShape &shape, int step_index,
                                TaskId after, std::vector<TaskId> &kv_tasks)
 {
-    const Bytes per_token = kvBytesPerToken();
     const int devices = system_.num_devices;
 
-    // Token ranges -> bytes. The conversion mirrors the contiguous
-    // scalar path expression-for-expression (lo scaled, extent scaled
-    // and *added*) so a paged plan whose merged ranges equal the
-    // contiguous layout's [0, resident) / [resident, resident+new)
-    // yields bit-identical split arguments — the oracle anchor.
-    const auto splitRanges =
-        [&](const std::vector<kv::KvTokenRange> &ranges) {
-            KvTierSplit total;
-            for (const kv::KvTokenRange &r : ranges) {
-                const Bytes lo = static_cast<double>(r.lo) * per_token;
-                const Bytes hi =
-                    lo + static_cast<double>(r.hi - r.lo) * per_token;
-                const KvTierSplit s = splitKvRange(lo, hi);
-                total.hbm += s.hbm;
-                total.host += s.host;
-                total.csd += s.csd;
-            }
-            return total;
-        };
-
-    // Decode attention re-reads every resident KV byte. Contiguous: the
-    // resident range is [0, resident) by the scheduler's admission-order
-    // layout. Paged: the working set is the step plan's read ranges —
-    // page positions encode placement, so holes left by retired requests
-    // (fragmentation) keep live pages in the spill tiers.
-    const KvTierSplit reads =
-        shape.paged
-            ? splitRanges(shape.kv_reads)
-            : splitKvRange(0.0, shape.kv_resident_tokens * per_token);
+    // Decode attention re-reads every resident KV byte: the step's read
+    // ranges. Positions encode placement, so under the paged layout holes
+    // left by retired requests (fragmentation) keep live pages in the
+    // spill tiers.
+    const KvTierSplit reads = splitRanges(shape.kv_reads);
     // HBM-tier KV is read at on-package bandwidth — not a modeled
     // bottleneck, so no task. Spilled tiers become real flows that start
     // with the step and contend with the parameter stream.
@@ -138,17 +134,10 @@ InferenceBuilder::buildKvFlows(const StepShape &shape, int step_index,
         ctx_.traffic.kv_spill_read += reads.csd;
     }
 
-    // The step's new KV: contiguous appends land at
-    // [resident, resident + appended); paged appends land wherever the
-    // allocator placed the written pages. Bytes crossing a tier boundary
-    // are written through to that tier. Writes carry data produced by
-    // the pass, so they depend on its last compute.
-    const Bytes resident = shape.kv_resident_tokens * per_token;
-    const KvTierSplit writes =
-        shape.paged
-            ? splitRanges(shape.kv_writes)
-            : splitKvRange(resident,
-                           resident + shape.kv_new_tokens * per_token);
+    // The step's new KV lands in its write ranges. Bytes crossing a tier
+    // boundary are written through to that tier. Writes carry data
+    // produced by the pass, so they depend on its last compute.
+    const KvTierSplit writes = splitRanges(shape.kv_writes);
     if (writes.host > 0.0) {
         const TaskId w = ctx_.transfer(gpuUp(), writes.host,
                                        {"srv.kvwrite.host", step_index, 0});
@@ -239,17 +228,19 @@ InferenceBuilder::buildForwardPass(const StepShape &shape, int step_index)
     std::vector<TaskId> kv_tasks;
     if (serve_.kv.enabled) {
         buildKvFlows(shape, step_index, computes[layers - 1], kv_tasks);
-        if (ctx_.obs && !shape.paged) {
-            // Occupancy after this step's appends land: the tier split of
-            // the full resident range [0, resident + new). Paged steps
-            // skip this — the scheduler reports occupancy (and allocator
-            // gauges) straight from KvSpace, which knows true placement.
-            const Bytes total =
-                (shape.kv_resident_tokens + shape.kv_new_tokens) *
-                kvBytesPerToken();
-            const KvTierSplit occ = splitKvRange(0.0, total);
-            ctx_.obs->kvOccupancy(prefix_, occ.hbm, occ.host, occ.csd,
-                                  ctx_.sim.now());
+        if (ctx_.obs && !serve_.kv.paged()) {
+            // Contiguous occupancy after this step's appends land: the
+            // tier split of [0, end of the last write range). The paged
+            // layout's scheduler reports occupancy (and allocator gauges)
+            // straight from KvSpace, which knows true placement.
+            const std::int64_t end =
+                shape.kv_writes.empty() ? 0 : shape.kv_writes.back().hi;
+            const KvTierSplit occ = splitKvRange(
+                0.0, static_cast<double>(end) * kvBytesPerToken());
+            // Series scope: the node prefix without its '.' ("n<k>", as
+            // the paged scheduler names it; "" on one node).
+            ctx_.obs->kvOccupancy(prefix_.substr(0, prefix_.find('.')),
+                                  occ.hbm, occ.host, occ.csd, ctx_.sim.now());
         }
     }
     if (kv_tasks.empty())

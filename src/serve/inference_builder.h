@@ -52,38 +52,25 @@ namespace smartinf::serve {
 /**
  * The aggregate shape of one scheduler step, in tokens. The scheduler
  * derives it from per-request state; the builder turns it into bytes,
- * splits it over the KV tiers, and issues the flows. Two declaration
- * forms, selected by @c paged:
- *  - contiguous (legacy, default): the scalar fields — resident KV is one
- *    admission-order range from offset 0;
- *  - paged: kv_reads/kv_writes carry the KvSpace step plan, arena token
- *    ranges whose *positions* (page slots) encode placement, so the same
- *    tier split rules price fragmentation and spill.
- * KV fields are zero/empty whenever KV modeling is disabled.
+ * splits it over the KV tiers, and issues the flows. Both KV layouts
+ * declare their working set the same way, as token ranges whose
+ * *positions* encode placement (HBM fills first, then host, then CSD):
+ *  - contiguous: resident KV is one admission-order range from offset 0,
+ *    so reads are [0, resident) (omitted when empty) and the write is
+ *    [resident, resident + new);
+ *  - paged: the KvSpace step plan, arena ranges whose page slots carry
+ *    fragmentation and prefix sharing.
+ * The KV ranges are empty whenever KV modeling is disabled.
  */
 struct StepShape {
     /** Forward-pass tokens: full prompts of newly admitted requests
      *  (minus any shared-prefix hit) + one decode token per already-
      *  running request. */
     double compute_tokens = 0.0;
-    /**
-     * KV tokens resident *before* the step — all of it owned by
-     * already-prefilled requests, whose decode attention re-reads it this
-     * step. Placement: the resident range starts at tier offset 0 (HBM
-     * fills first). Contiguous layout only. */
-    double kv_resident_tokens = 0.0;
-    /** KV tokens this step appends (prompt + first token for prefills,
-     *  one per decode). Lands at [resident, resident + new).
-     *  Contiguous layout only. */
-    double kv_new_tokens = 0.0;
-
-    /** True when the kv range lists below describe the step (paged
-     *  layout); the scalar fields above are then unused. */
-    bool paged = false;
-    /** Pre-append resident working set, in arena token ranges (merged:
-     *  shared pages read once per step). */
+    /** Pre-append resident working set, in token ranges (merged: shared
+     *  pages read once per step). Decode attention re-reads all of it. */
     std::vector<kv::KvTokenRange> kv_reads;
-    /** This step's appended tokens, in arena token ranges. */
+    /** This step's appended tokens, in token ranges. */
     std::vector<kv::KvTokenRange> kv_writes;
 };
 
@@ -140,6 +127,8 @@ class InferenceBuilder : public train::PhaseBuilder
         Bytes csd = 0.0;  ///< crosses storage media + shared interconnect
     };
     KvTierSplit splitKvRange(Bytes lo, Bytes hi) const;
+    /** The summed tier split of token @p ranges. */
+    KvTierSplit splitRanges(const std::vector<kv::KvTokenRange> &ranges) const;
 
     /** Issue the step's KV spill flows; appends their task ids (reads
      *  gate nothing, writes depend on @p after) to @p kv_tasks. */

@@ -10,6 +10,8 @@
 #ifndef SMARTINF_TRAIN_CALIBRATION_H
 #define SMARTINF_TRAIN_CALIBRATION_H
 
+#include <span>
+
 #include "common/units.h"
 
 namespace smartinf::train {
@@ -83,6 +85,23 @@ struct Calibration {
 
     static const Calibration &defaults();
 };
+
+/** One Calibration field: its name, member, and legal range [lo, hi]
+ *  (NaN fails it), with the rule as validation reports it. */
+struct CalibrationField {
+    const char *name;
+    double Calibration::*member;
+    double lo;
+    double hi;
+    const char *rule;
+};
+
+/**
+ * Every Calibration field, in declaration order: the one list that
+ * validation (SystemConfig::validate), the RunSpec hash and the result
+ * JSON walk, so a new field joins all three at once.
+ */
+std::span<const CalibrationField> calibrationFields();
 
 } // namespace smartinf::train
 

@@ -1,6 +1,5 @@
 #include "train/system_config.h"
 
-#include <limits>
 #include <sstream>
 
 #include "common/enum_names.h"
@@ -45,45 +44,6 @@ joinErrors(const std::vector<std::string> &errors)
     return out;
 }
 
-namespace {
-
-/** One Calibration field's legal range, [lo, hi]; NaN fails it. */
-struct CalibRange {
-    const char *name;
-    double Calibration::*member;
-    double lo;
-    double hi;
-    const char *rule;
-};
-
-constexpr double kTiny = std::numeric_limits<double>::denorm_min();
-constexpr double kMax = std::numeric_limits<double>::max();
-constexpr const char *kRate = "finite and > 0";
-constexpr const char *kLatency = "finite and >= 0";
-constexpr const char *kFraction = "in (0, 1]";
-
-constexpr CalibRange kCalibRanges[] = {
-    {"ssd_read", &Calibration::ssd_read, kTiny, kMax, kRate},
-    {"ssd_write", &Calibration::ssd_write, kTiny, kMax, kRate},
-    {"raid_efficiency", &Calibration::raid_efficiency, kTiny, 1.0, kFraction},
-    {"device_link", &Calibration::device_link, kTiny, kMax, kRate},
-    {"host_shared", &Calibration::host_shared, kTiny, kMax, kRate},
-    {"host_memory", &Calibration::host_memory, kTiny, kMax, kRate},
-    {"gpu_link", &Calibration::gpu_link, kTiny, kMax, kRate},
-    {"p2p_read", &Calibration::p2p_read, kTiny, kMax, kRate},
-    {"p2p_write", &Calibration::p2p_write, kTiny, kMax, kRate},
-    {"cpu_update", &Calibration::cpu_update, kTiny, kMax, kRate},
-    {"gpu_compress", &Calibration::gpu_compress, kTiny, kMax, kRate},
-    {"fpga_updater", &Calibration::fpga_updater, kTiny, kMax, kRate},
-    {"fpga_decomp", &Calibration::fpga_decomp, kTiny, kMax, kRate},
-    {"transfer_latency", &Calibration::transfer_latency, 0.0, kMax, kLatency},
-    {"kernel_launch", &Calibration::kernel_launch, 0.0, kMax, kLatency},
-    {"fpga_dram_usable", &Calibration::fpga_dram_usable, kTiny, 1.0,
-     kFraction},
-};
-
-} // namespace
-
 std::vector<std::string>
 SystemConfig::validate() const
 {
@@ -109,16 +69,16 @@ SystemConfig::validate() const
     }
     // Engine's constructor runs this inside the timed set-up, so the
     // all-valid case is one branch-free pass of plain comparisons.
-    auto inRange = [this](const CalibRange &field) {
+    auto inRange = [this](const CalibrationField &field) {
         const double v = calib.*field.member;
         return (v >= field.lo) & (v <= field.hi);
     };
     bool all_in_range = true;
-    for (const CalibRange &field : kCalibRanges)
+    for (const CalibrationField &field : calibrationFields())
         all_in_range &= inRange(field);
     if (all_in_range)
         return errors;
-    for (const CalibRange &field : kCalibRanges) {
+    for (const CalibrationField &field : calibrationFields()) {
         if (inRange(field))
             continue;
         std::ostringstream oss;

@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "serve/inference_workload.h"
 #include "serve/metrics.h"
 #include "train/engine.h"
@@ -167,6 +170,54 @@ TEST(KvCache, BytesPerTokenDerivesFromTheModel)
     custom.kv.bytes_per_token = 12345.0;
     serve::InferenceBuilder builder2(model, system, custom, ctx, "x.");
     EXPECT_EQ(builder2.kvBytesPerToken(), 12345.0);
+}
+
+/** Spill bytes (read, write) one forward pass declaring @p reads and
+ *  @p writes ledgers on a builder with 1000-byte tokens, a 10-token HBM
+ *  tier and a 20-token host tier (so tokens [10, 30) are host, 30+ CSD). */
+std::pair<Bytes, Bytes>
+spillOfOnePass(std::vector<kv::KvTokenRange> reads,
+               std::vector<kv::KvTokenRange> writes)
+{
+    train::SystemConfig system;
+    system.strategy = train::Strategy::SmartUpdateOpt;
+    system.num_devices = 4;
+    train::SimContext ctx(system);
+    serve::ServeConfig config = kvServe();
+    config.kv.enabled = true;
+    config.kv.bytes_per_token = 1000.0;
+    config.kv.hbm_budget = 10000.0;
+    config.kv.host_budget = 20000.0;
+    const auto model = smallModel(); // the builder keeps a reference
+    serve::InferenceBuilder builder(model, system, config, ctx);
+
+    serve::StepShape shape;
+    shape.compute_tokens = 1.0;
+    shape.kv_reads = std::move(reads);
+    shape.kv_writes = std::move(writes);
+    builder.buildForwardPass(shape, 0);
+    ctx.graph.start();
+    ctx.sim.run();
+    EXPECT_TRUE(ctx.graph.done());
+    return {ctx.traffic.kv_spill_read, ctx.traffic.kv_spill_write};
+}
+
+TEST(KvCache, TierSplitOfDeclaredRangesIsExact)
+{
+    // Contiguous declaration: reads [0, 40) straddle both tier
+    // boundaries (10 HBM + 20 host + 10 CSD tokens); the write [40, 45)
+    // lies wholly in the CSD tier.
+    const auto contiguous = spillOfOnePass({{0, 40}}, {{40, 45}});
+    EXPECT_EQ(contiguous.first, (20.0 + 10.0) * 1000.0);
+    EXPECT_EQ(contiguous.second, 5.0 * 1000.0);
+
+    // Paged-style plan: reads with holes at [8, 12) and [20, 28) —
+    // [0, 8) HBM, [12, 20) host, [28, 36) 2 host + 6 CSD; writes in two
+    // disjoint ranges — [8, 12) 2 HBM + 2 host, [36, 40) CSD.
+    const auto paged =
+        spillOfOnePass({{0, 8}, {12, 20}, {28, 36}}, {{8, 12}, {36, 40}});
+    EXPECT_EQ(paged.first, (8.0 + 2.0 + 6.0) * 1000.0);
+    EXPECT_EQ(paged.second, (2.0 + 4.0) * 1000.0);
 }
 
 TEST(KvCache, ValidateRejectsNonsensicalConfigs)

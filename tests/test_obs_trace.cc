@@ -264,5 +264,28 @@ TEST(ObsTrace, MetricsSeriesAccumulateUnderObservation)
     EXPECT_TRUE(saw_link);
 }
 
+TEST(ObsTrace, MultiNodeContiguousKvSeriesAreNamedPerNode)
+{
+    // Each replica's builder reports contiguous KV occupancy under its
+    // node scope: "kv n<k>.hbm_bytes", the names the paged layout uses.
+    Session session;
+    train::SystemConfig system;
+    system.strategy = train::Strategy::SmartUpdateOptComp;
+    system.num_devices = 4;
+    system.num_nodes = 2;
+    auto engine = train::makeEngine(smallModel(), {}, system);
+    serve::InferenceWorkload workload(smallModel(), smallServe());
+    engine->run(workload);
+
+    std::set<std::string> kv_series;
+    for (const auto &s : session->counters().series())
+        if (s.name.find(": kv") != std::string::npos)
+            kv_series.insert(s.name.substr(s.name.find(": kv") + 2));
+    EXPECT_EQ(kv_series, (std::set<std::string>{
+                             "kv n0.hbm_bytes", "kv n0.host_bytes",
+                             "kv n0.csd_bytes", "kv n1.hbm_bytes",
+                             "kv n1.host_bytes", "kv n1.csd_bytes"}));
+}
+
 } // namespace
 } // namespace smartinf
