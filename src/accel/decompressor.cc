@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "csd/smartssd.h"
 
 namespace smartinf::accel {
 
@@ -50,8 +51,8 @@ class TopKDecompressor final : public DecompressorModule
     BytesPerSec
     modelThroughput() const override
     {
-        // Fig 14: decompressor slightly surpasses SSD read (~3.2 GB/s).
-        return GBps(3.6);
+        // Fig 14: decompressor slightly surpasses SSD read.
+        return csd::smartssd::kTopKDecompressor;
     }
 };
 

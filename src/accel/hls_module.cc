@@ -8,7 +8,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "storage/block_device.h"
+#include "csd/smartssd.h"
 
 namespace smartinf::accel {
 
@@ -130,8 +130,7 @@ analyzeUpdater(const UpdaterModule &module, std::size_t n)
     PerfReport report;
     report.modeled_throughput = module.modelThroughput();
     report.keeps_up_with_ssd =
-        report.modeled_throughput >=
-        storage::SsdSpec::smartSsdNvme().read_bandwidth;
+        report.modeled_throughput >= csd::smartssd::kSsdRead;
 
     Rng rng(99);
     const int aux = optim::auxStateCount(module.kind());
@@ -159,8 +158,7 @@ analyzeDecompressor(const DecompressorModule &module, double keep_fraction,
     PerfReport report;
     report.modeled_throughput = module.modelThroughput();
     report.keeps_up_with_ssd =
-        report.modeled_throughput >=
-        storage::SsdSpec::smartSsdNvme().read_bandwidth;
+        report.modeled_throughput >= csd::smartssd::kSsdRead;
 
     Rng rng(99);
     std::vector<float> dense(n), out(n);

@@ -1,6 +1,7 @@
 #include "accel/updater.h"
 
 #include "common/logging.h"
+#include "csd/smartssd.h"
 
 namespace smartinf::accel {
 
@@ -59,7 +60,7 @@ class BuiltinUpdater final : public UpdaterModule
         switch (kind()) {
           case optim::OptimizerKind::Adam:
             // Fig 14: Adam updater sustains > 7 GB/s of state stream.
-            return GBps(7.2);
+            return csd::smartssd::kAdamUpdater;
           case optim::OptimizerKind::AdamW: return GBps(7.0);
           case optim::OptimizerKind::SgdMomentum: return GBps(8.4);
           case optim::OptimizerKind::AdaGrad: return GBps(7.9);

@@ -124,7 +124,7 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
         train::ShardLayout layout{len, aux};
 
         auto device = std::make_unique<csd::Csd>(
-            "csd" + std::to_string(d), config_.csd_spec, layout.totalBytes());
+            "csd" + std::to_string(d), layout.totalBytes());
         // Install the "device binary" (Fig 8): updater + decompressor.
         device->installUpdater(
             accel::makeUpdater(config_.optimizer, config_.hyperparams));

@@ -37,7 +37,8 @@
 
 namespace smartinf {
 
-/** Configuration of a functional Smart-Infinity cluster. */
+/** Configuration of a functional Smart-Infinity cluster. Every CSD is a
+ *  SmartSSD, whose numbers (csd/smartssd.h) are not settable. */
 struct ClusterConfig {
     /** Number of CSDs; parameters are distributed equally (§IV-D). */
     int num_csds = 2;
@@ -51,8 +52,6 @@ struct ClusterConfig {
     double keep_fraction = 0.01;
     /** Elements per subgroup/tasklet streamed through the FPGA. */
     std::size_t subgroup_elems = 1 << 14;
-    /** Device characteristics (defaults to a Samsung SmartSSD). */
-    csd::CsdSpec csd_spec = csd::CsdSpec::smartSsd();
 
     /**
      * Check the configuration for user errors. Returns every violated

@@ -1,24 +1,13 @@
 #include "csd/csd.h"
 
 #include "common/logging.h"
-#include "common/units.h"
+#include "csd/smartssd.h"
 
 namespace smartinf::csd {
 
-CsdSpec
-CsdSpec::smartSsd()
-{
-    // Internal path is PCIe Gen3 x4 (~3.94 GB/s raw, ~3.3 GB/s effective);
-    // reads out of the SSD are further capped by the NVMe itself.
-    return CsdSpec{storage::SsdSpec::smartSsdNvme(), GBps(3.3), GiB(4.0),
-                   30e-6};
-}
-
-Csd::Csd(std::string name, const CsdSpec &spec,
-         std::size_t functional_capacity)
-    : name_(std::move(name)), spec_(spec),
-      ssd_(name_ + ".ssd", functional_capacity),
-      fpga_memory_(static_cast<std::size_t>(spec.fpga_dram))
+Csd::Csd(std::string name, std::size_t functional_capacity)
+    : name_(std::move(name)), ssd_(name_ + ".ssd", functional_capacity),
+      fpga_memory_(static_cast<std::size_t>(smartssd::kFpgaDram))
 {
 }
 

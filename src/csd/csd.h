@@ -3,8 +3,9 @@
  * A computational storage device (paper Fig 2): an NVMe SSD and a
  * lightweight FPGA joined by an internal PCIe switch, so SSD<->FPGA peer-to-
  * peer traffic never touches the host's shared interconnect. This class is
- * the *functional* composition (contents + device memory + kernels); the
- * timing layer sizes per-CSD links from CsdSpec.
+ * the *functional* composition (contents + device memory + kernels); its
+ * FPGA memory is the SmartSSD's DRAM (csd/smartssd.h), the same number the
+ * timing layer sizes SmartUpdate subgroups against.
  */
 #ifndef SMARTINF_CSD_CSD_H
 #define SMARTINF_CSD_CSD_H
@@ -20,33 +21,17 @@
 
 namespace smartinf::csd {
 
-/** Timing/topology characteristics of one CSD. */
-struct CsdSpec {
-    storage::SsdSpec ssd;
-    /** SSD<->FPGA path through the internal switch (PCIe Gen3 x4). */
-    BytesPerSec internal_bandwidth;
-    /** FPGA DDR4 capacity. */
-    Bytes fpga_dram;
-    /** Fixed latency of issuing one P2P pread/pwrite. */
-    Seconds p2p_latency;
-
-    /** A Samsung SmartSSD: 4 TB NVMe + KU15P with 4 GB DDR4. */
-    static CsdSpec smartSsd();
-};
-
 /** One CSD instance: functional SSD contents + FPGA memory + kernels. */
 class Csd
 {
   public:
     /**
      * @param name diagnostic identifier ("csd0", ...)
-     * @param spec timing/capacity characteristics
      * @param functional_capacity bytes to actually back in memory for the
      *        emulated SSD contents (experiments only touch what they use,
-     *        so this is much smaller than spec.ssd.capacity)
+     *        so this is much smaller than the device's 4 TB)
      */
-    Csd(std::string name, const CsdSpec &spec,
-        std::size_t functional_capacity);
+    Csd(std::string name, std::size_t functional_capacity);
 
     /**
      * Install the updater kernel (the "device binary" of paper Fig 8).
@@ -59,7 +44,6 @@ class Csd
     installDecompressor(std::unique_ptr<accel::DecompressorModule> decomp);
 
     const std::string &name() const { return name_; }
-    const CsdSpec &spec() const { return spec_; }
 
     storage::BlockDevice &ssd() { return ssd_; }
     const storage::BlockDevice &ssd() const { return ssd_; }
@@ -80,7 +64,6 @@ class Csd
     void replaceModules();
 
     std::string name_;
-    CsdSpec spec_;
     storage::BlockDevice ssd_;
     DeviceMemory fpga_memory_;
     std::unique_ptr<accel::UpdaterModule> updater_;

@@ -11,19 +11,21 @@ pickJoinShortestQueue(const std::vector<int> &candidates,
                       const std::vector<int> &loads, Rng &rng)
 {
     int best_load = loads[0];
-    for (std::size_t i = 1; i < loads.size(); ++i)
-        if (loads[i] < best_load)
-            best_load = loads[i];
-    // Collect the tied minimum set; a single winner costs no draw, so a
-    // heterogeneous fleet consumes the stream only when it is genuinely
-    // ambiguous.
-    std::vector<int> tied;
-    for (std::size_t i = 0; i < loads.size(); ++i)
-        if (loads[i] == best_load)
-            tied.push_back(candidates[i]);
-    if (tied.size() == 1)
-        return tied[0];
-    return tied[rng.uniformInt(static_cast<std::uint64_t>(tied.size()))];
+    std::uint64_t tied = 0;
+    for (const int load : loads) {
+        if (load < best_load) {
+            best_load = load;
+            tied = 0;
+        }
+        tied += load == best_load;
+    }
+    // Draw among the tied minimum set, in candidate order; a single
+    // winner costs no draw, so a heterogeneous fleet consumes the stream
+    // only when it is genuinely ambiguous.
+    std::uint64_t pick = tied == 1 ? 0 : rng.uniformInt(tied);
+    for (std::size_t i = 0;; ++i)
+        if (loads[i] == best_load && pick-- == 0)
+            return candidates[i];
 }
 
 int

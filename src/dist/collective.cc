@@ -113,7 +113,7 @@ scheduleRingCollective(train::SimContext &ctx, CollectiveKind kind, int nodes,
                 [route = &ctx.ring_routes[i],
                  chunk](std::function<void()> done) {
                     train::SimContext &c = *route->ctx;
-                    c.net.startFlow(route->links, chunk, std::move(done),
+                    c.startTaskFlow(route->links, chunk, std::move(done),
                                     c.system.nic_latency);
                 },
                 {"sync.hop", s, i});

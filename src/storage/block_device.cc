@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/units.h"
 
 namespace smartinf::storage {
 
@@ -60,14 +59,6 @@ BlockDevice::resetStats()
     bytes_written_.reset();
     read_ops_ = 0;
     write_ops_ = 0;
-}
-
-SsdSpec
-SsdSpec::smartSsdNvme()
-{
-    // Calibrated against Fig 14: read ~3.2 GB/s sustained, write ~1.35 GB/s;
-    // PCIe Gen3 x4 caps both at ~3.9 GB/s. 4 TB namespace.
-    return SsdSpec{GBps(3.2), GBps(1.35), 80e-6, GB(4000.0)};
 }
 
 } // namespace smartinf::storage

@@ -4,7 +4,9 @@
  * an SSD: the Smart-Infinity data path (gradients, optimizer states, FP16
  * parameters) actually moves bytes through these devices in tests and
  * examples, with pread/pwrite semantics mirroring the Linux system calls the
- * paper uses for SmartSSD P2P transfers.
+ * paper uses for SmartSSD P2P transfers. A block device has no timing: the
+ * SmartSSD's NVMe rates live in csd/smartssd.h, where the performance
+ * layer's per-device links read them.
  */
 #ifndef SMARTINF_STORAGE_BLOCK_DEVICE_H
 #define SMARTINF_STORAGE_BLOCK_DEVICE_H
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "common/units.h"
 
 namespace smartinf::storage {
 
@@ -59,22 +60,6 @@ class BlockDevice
     Counter bytes_written_;
     mutable uint64_t read_ops_ = 0;
     uint64_t write_ops_ = 0;
-};
-
-/**
- * Timing characteristics of an NVMe SSD, used by the performance layer to
- * size per-device links. Read and write bandwidths differ substantially on
- * real devices — the paper leans on this ("the write bandwidth is often far
- * lower than that of the read", Section IV-C).
- */
-struct SsdSpec {
-    BytesPerSec read_bandwidth;
-    BytesPerSec write_bandwidth;
-    Seconds access_latency;
-    Bytes capacity;
-
-    /** The 4TB NVMe inside a Samsung SmartSSD (calibrated to Fig 14). */
-    static SsdSpec smartSsdNvme();
 };
 
 } // namespace smartinf::storage

@@ -4,8 +4,8 @@
  * measurement the paper reports. Absolute seconds are not the goal (our
  * substrate is a simulator, not the authors' testbed); these constants are
  * chosen so the *shapes* hold: update >= ~75-80% of baseline iteration time
- * (Fig 3a), RAID0 saturating around 4 SSDs (Fig 3b), updater > 7 GB/s and
- * decompressor ~ SSD read (Fig 14), and the Fig 9/11 speedup bands.
+ * (Fig 3a), RAID0 saturating around 4 SSDs (Fig 3b), and the Fig 9/11
+ * speedup bands. The SmartSSD's own rates (Fig 14) name csd/smartssd.h.
  */
 #ifndef SMARTINF_TRAIN_CALIBRATION_H
 #define SMARTINF_TRAIN_CALIBRATION_H
@@ -13,15 +13,16 @@
 #include <span>
 
 #include "common/units.h"
+#include "csd/smartssd.h"
 
 namespace smartinf::train {
 
 /** Tunable bandwidth/latency constants of the modeled system. */
 struct Calibration {
     /** Sequential read of one SmartSSD NVMe (Fig 14 "SSD Read"). */
-    BytesPerSec ssd_read = GBps(3.2);
+    BytesPerSec ssd_read = csd::smartssd::kSsdRead;
     /** Sequential write of one SmartSSD NVMe (Fig 14 "SSD Write"). */
-    BytesPerSec ssd_write = GBps(2.0);
+    BytesPerSec ssd_write = csd::smartssd::kSsdWrite;
 
     /**
      * Per-member efficiency of the baseline's software RAID0 (mdadm chunk
@@ -70,10 +71,10 @@ struct Calibration {
     /** GPU-side Top-K compression throughput (sort + pack), bytes/s. */
     BytesPerSec gpu_compress = GBps(80.0);
 
-    /** FPGA updater throughput in state-stream bytes/s (Fig 14: > 7 GB/s). */
-    BytesPerSec fpga_updater = GBps(7.2);
+    /** FPGA updater throughput in state-stream bytes/s (Fig 14 Adam). */
+    BytesPerSec fpga_updater = csd::smartssd::kAdamUpdater;
     /** FPGA Top-K decompressor throughput in output bytes/s (Fig 14). */
-    BytesPerSec fpga_decomp = GBps(3.6);
+    BytesPerSec fpga_decomp = csd::smartssd::kTopKDecompressor;
 
     /** Fixed latency per bulk transfer (syscall + DMA setup). */
     Seconds transfer_latency = 150e-6;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "csd/smartssd.h"
 #include "train/gpu_model.h"
 
 namespace smartinf::train {
@@ -267,7 +268,8 @@ IterationBuilder::buildSmartUpdate(TaskId ready)
     const double resident_bytes_per_elem = kBytesFp32 * (2.0 + aux);
     const bool optimized = system_.strategy != Strategy::SmartUpdate;
     const double usable =
-        GiB(4.0) * cal.fpga_dram_usable / (optimized ? 2.0 : 1.0);
+        csd::smartssd::kFpgaDram * cal.fpga_dram_usable /
+        (optimized ? 2.0 : 1.0);
     const double subgroup_elems =
         std::max(1.0, std::floor(usable / resident_bytes_per_elem));
     const int num_subgroups =

@@ -12,21 +12,26 @@ SimContext::transfer(const ResolvedRoute &route, Bytes bytes,
     return graph.add(
         [r = &route, bytes](std::function<void()> done) {
             SimContext &ctx = *r->ctx;
-            const Seconds latency = ctx.system.calib.transfer_latency;
-            if (ctx.faults_armed) {
-                // Revocation seam: remember how to pull this flow back
-                // out of the network if the launching task's domain is
-                // revoked (node crash mid-transfer).
-                const sim::TaskGraph::TaskId tid = ctx.graph.launchingTask();
-                const net::FlowId fid = ctx.net.startFlow(
-                    r->links, bytes, std::move(done), latency);
-                ctx.graph.setCanceller(
-                    tid, [&ctx, fid]() { ctx.net.cancelFlow(fid); });
-                return;
-            }
-            ctx.net.startFlow(r->links, bytes, std::move(done), latency);
+            ctx.startTaskFlow(r->links, bytes, std::move(done),
+                              ctx.system.calib.transfer_latency);
         },
         label);
+}
+
+void
+SimContext::startTaskFlow(const net::Route &links, Bytes bytes,
+                          std::function<void()> done, Seconds latency)
+{
+    if (!faults_armed) {
+        net.startFlow(links, bytes, std::move(done), latency);
+        return;
+    }
+    // Revocation seam: pull this flow back out of the network if the
+    // launching task's domain is revoked (node crash mid-transfer).
+    const sim::TaskGraph::TaskId tid = graph.launchingTask();
+    const net::FlowId fid =
+        net.startFlow(links, bytes, std::move(done), latency);
+    graph.setCanceller(tid, [this, fid]() { net.cancelFlow(fid); });
 }
 
 } // namespace smartinf::train

@@ -9,6 +9,7 @@
 #ifndef SMARTINF_TRAIN_SIM_CONTEXT_H
 #define SMARTINF_TRAIN_SIM_CONTEXT_H
 
+#include <functional>
 #include <vector>
 
 #include "net/flow_network.h"
@@ -65,10 +66,10 @@ struct SimContext {
 
     /**
      * True while a fault-injecting workload drives this context. When set,
-     * transfer() registers a canceller with the task graph for every flow
-     * it starts, so revoking a domain pulls its in-flight flows out of the
-     * network. Off by default: fault-free runs pay nothing (one branch per
-     * flow start, no canceller storage) and stay bit-identical.
+     * startTaskFlow() registers a canceller with the task graph for every
+     * flow it starts, so revoking a domain pulls its in-flight flows out of
+     * the network. Off by default: fault-free runs pay nothing (one branch
+     * per flow start, no canceller storage) and stay bit-identical.
      */
     bool faults_armed = false;
 
@@ -83,6 +84,11 @@ struct SimContext {
      *  run (see ResolvedRoute). */
     sim::TaskGraph::TaskId transfer(const ResolvedRoute &route, Bytes bytes,
                                     sim::TaskLabel label = {});
+
+    /** Start the flow of the task being launched (call it from a task
+     *  action): transfer() and the ring hops start every flow here. */
+    void startTaskFlow(const net::Route &links, Bytes bytes,
+                       std::function<void()> done, Seconds latency);
 };
 
 } // namespace smartinf::train

@@ -68,14 +68,5 @@ TEST(BlockDevice, TrafficCountersTrackOps)
     EXPECT_EQ(dev.readOps(), 0u);
 }
 
-TEST(SsdSpec, SmartSsdDefaultsMatchPaperAnchors)
-{
-    const SsdSpec spec = SsdSpec::smartSsdNvme();
-    // Fig 14: read ~3.2 GB/s, write well below read.
-    EXPECT_NEAR(spec.read_bandwidth, 3.2e9, 1e8);
-    EXPECT_LT(spec.write_bandwidth, spec.read_bandwidth);
-    EXPECT_GT(spec.capacity, 3.9e12); // 4 TB class.
-}
-
 } // namespace
 } // namespace smartinf::storage

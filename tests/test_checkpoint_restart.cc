@@ -4,15 +4,20 @@
  * writes on the configured cadence, a node crash rewinds to the last
  * durable checkpoint and replays the lost iterations (restart latency
  * includes the repair window and the read-back flows), stalls and link
- * degradation only ever delay, and every fault-mode run is bit-identical
- * across repeats. Also pins the inertness contract: arming the fault
+ * degradation only ever delay, a crash mid-sync cancels the ring's
+ * in-flight hop flows, and every fault-mode run is bit-identical across
+ * repeats. Also pins the inertness contract: arming the fault
  * machinery with no fault category enabled changes nothing, and a one-
  * iteration job stages exactly the iteration runIteration() simulates.
  */
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "fault/checkpoint_workload.h"
+#include "net/flow_network.h"
 #include "train/engine.h"
+#include "train/sim_context.h"
 
 namespace smartinf {
 namespace {
@@ -280,6 +285,80 @@ TEST(CheckpointRestart, DistributedJobSurvivesCrashes)
     const auto repeat = runJob(config, 2);
     EXPECT_EQ(result.iteration_time, repeat.iteration_time);
     EXPECT_EQ(result.events_executed, repeat.events_executed);
+}
+
+/** Counts the cancelled flows whose route crosses a NIC link. */
+struct NicCancels : net::FlowObserver {
+    std::set<net::FlowId> nic_flows;
+    int cancelled = 0;
+
+    void
+    flowStarted(net::FlowId id, const net::Route &route, Bytes,
+                Seconds) override
+    {
+        for (const net::Link *link : route)
+            if (link->name().find("nic.") != std::string::npos)
+                nic_flows.insert(id);
+    }
+    void
+    flowCancelled(net::FlowId id, Seconds) override
+    {
+        cancelled += static_cast<int>(nic_flows.count(id));
+    }
+};
+
+/** Runs @p inner with @p observer watching the run's flow network. */
+class WatchedWorkload final : public train::Workload
+{
+  public:
+    WatchedWorkload(train::Workload &inner, net::FlowObserver &observer)
+        : inner_(inner), observer_(observer)
+    {
+    }
+    std::string name() const override { return inner_.name(); }
+    train::WorkloadKind kind() const override { return inner_.kind(); }
+    void
+    build(train::SimContext &ctx) override
+    {
+        ctx.net.setObserver(&observer_);
+        inner_.build(ctx);
+    }
+    void
+    collect(const train::SimContext &ctx,
+            train::WorkloadResult &out) override
+    {
+        inner_.collect(ctx, out);
+    }
+
+  private:
+    train::Workload &inner_;
+    net::FlowObserver &observer_;
+};
+
+TEST(CheckpointRestart, CrashMidSyncCancelsTheRingHopFlows)
+{
+    // A crash revokes the iteration's domain; the ring all-reduce hops in
+    // flight are part of it, so their NIC-route flows must leave the
+    // network instead of contending through repair and restore. Across
+    // these seeds, crashes land mid-sync on seeds 3, 4 and 5.
+    const auto clean = runJob(baseFault(), 2);
+    int crashes = 0;
+    int cancelled = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        fault::FaultConfig config = baseFault();
+        config.enabled = true;
+        config.seed = seed;
+        config.node_mtbf = clean.iteration_time / 2.0;
+        auto engine = train::makeEngine(smallModel(), {}, smallSystem(2));
+        fault::CheckpointedTrainingWorkload job(smallModel(), {}, config);
+        NicCancels watch;
+        WatchedWorkload watched(job, watch);
+        const auto result = engine->run(watched);
+        crashes += result.fault.node_crashes;
+        cancelled += watch.cancelled;
+    }
+    EXPECT_GT(crashes, 0);
+    EXPECT_GT(cancelled, 0);
 }
 
 } // namespace

@@ -3,31 +3,24 @@
 
 #include "accel/hls_module.h"
 #include "csd/csd.h"
+#include "csd/smartssd.h"
 
 namespace smartinf::csd {
 namespace {
 
-TEST(Csd, SmartSsdSpecDefaults)
-{
-    const auto spec = CsdSpec::smartSsd();
-    EXPECT_NEAR(spec.internal_bandwidth, 3.3e9, 1e8);
-    EXPECT_NEAR(spec.fpga_dram, 4.0 * (1ull << 30), 1e6);
-    EXPECT_GT(spec.ssd.read_bandwidth, spec.ssd.write_bandwidth);
-}
-
 TEST(Csd, ComposesSsdAndFpgaMemory)
 {
-    Csd csd("csd0", CsdSpec::smartSsd(), 4096);
+    Csd csd("csd0", 4096);
     EXPECT_EQ(csd.ssd().capacity(), 4096u);
     EXPECT_EQ(csd.fpgaMemory().capacity(),
-              static_cast<std::size_t>(CsdSpec::smartSsd().fpga_dram));
+              static_cast<std::size_t>(smartssd::kFpgaDram));
     EXPECT_EQ(csd.updater(), nullptr);
     EXPECT_EQ(csd.decompressor(), nullptr);
 }
 
 TEST(Csd, InstallUpdaterPlacesResources)
 {
-    Csd csd("csd0", CsdSpec::smartSsd(), 1024);
+    Csd csd("csd0", 1024);
     csd.installUpdater(accel::makeUpdater(optim::OptimizerKind::Adam,
                                           optim::Hyperparams{}));
     EXPECT_NE(csd.updater(), nullptr);
@@ -36,7 +29,7 @@ TEST(Csd, InstallUpdaterPlacesResources)
 
 TEST(Csd, InstallDecompressorAddsFootprint)
 {
-    Csd csd("csd0", CsdSpec::smartSsd(), 1024);
+    Csd csd("csd0", 1024);
     csd.installUpdater(accel::makeUpdater(optim::OptimizerKind::Adam,
                                           optim::Hyperparams{}));
     const double lut_before = csd.resources().lutUtilization();
@@ -47,7 +40,7 @@ TEST(Csd, InstallDecompressorAddsFootprint)
 
 TEST(Csd, ReinstallReplacesFootprint)
 {
-    Csd csd("csd0", CsdSpec::smartSsd(), 1024);
+    Csd csd("csd0", 1024);
     csd.installUpdater(accel::makeUpdater(optim::OptimizerKind::Adam,
                                           optim::Hyperparams{}));
     const double adam_lut = csd.resources().lutUtilization();
@@ -59,14 +52,14 @@ TEST(Csd, ReinstallReplacesFootprint)
 
 TEST(Csd, NullModuleIsFatal)
 {
-    Csd csd("csd0", CsdSpec::smartSsd(), 1024);
+    Csd csd("csd0", 1024);
     EXPECT_THROW(csd.installUpdater(nullptr), std::runtime_error);
     EXPECT_THROW(csd.installDecompressor(nullptr), std::runtime_error);
 }
 
 TEST(Csd, SsdContentsPersistAcrossKernelSwaps)
 {
-    Csd csd("csd0", CsdSpec::smartSsd(), 64);
+    Csd csd("csd0", 64);
     const float v = 1.25f;
     csd.ssd().writeFloats(&v, 1, 0);
     csd.installUpdater(accel::makeUpdater(optim::OptimizerKind::Adam,

@@ -2,9 +2,13 @@
  *  run end to end through the SweepRunner (the smartinf_bench path). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
+#include "csd/smartssd.h"
 #include "exp/scenario.h"
+#include "train/calibration.h"
 
 namespace smartinf::exp {
 namespace {
@@ -86,6 +90,45 @@ TEST(ScenarioRegistry, DuplicateNamesAreFatal)
                           return ScenarioResult{};
                       }}),
                  std::runtime_error);
+}
+
+TEST(Fig14, SmartSsdConstantsMatchThePaper)
+{
+    EXPECT_EQ(csd::smartssd::kSsdRead, 3.2e9);
+    EXPECT_EQ(csd::smartssd::kSsdWrite, 2.0e9);
+    EXPECT_EQ(csd::smartssd::kFpgaDram, 4.0 * 1024 * 1024 * 1024);
+    EXPECT_EQ(csd::smartssd::kAdamUpdater, 7.2e9);
+    EXPECT_EQ(csd::smartssd::kTopKDecompressor, 3.6e9);
+}
+
+TEST(Fig14, ModeledTablePrintsTheRatesTheSimulatorRunsOn)
+{
+    registerBuiltinScenarios();
+    const auto *scenario = ScenarioRegistry::instance().find("fig14");
+    ASSERT_NE(scenario, nullptr);
+    SweepRunner runner;
+    ScenarioContext ctx{runner};
+    const auto result = scenario->run(ctx);
+    ASSERT_FALSE(result.tables.empty());
+    const Table &modeled = result.tables[0];
+
+    const auto &cal = train::Calibration::defaults();
+    const std::pair<const char *, double> expected[] = {
+        {"SSD read", cal.ssd_read},
+        {"SSD write", cal.ssd_write},
+        {"updater", cal.fpga_updater},
+        {"decomp+update path", cal.fpga_decomp},
+    };
+    const auto &header = modeled.header();
+    ASSERT_GT(modeled.rowCount(), 0u);
+    for (const auto &[column, rate] : expected) {
+        const auto it = std::find(header.begin(), header.end(), column);
+        ASSERT_NE(it, header.end()) << column;
+        const auto col = static_cast<std::size_t>(it - header.begin());
+        for (const auto &row : modeled.rows())
+            EXPECT_EQ(row[col], Table::num(rate / 1e9, 2))
+                << column << " in row " << row[0];
+    }
 }
 
 } // namespace

@@ -23,7 +23,7 @@ struct Fixture {
 
     explicit Fixture(std::size_t elems, uint64_t seed = 3)
         : layout{elems, 2},
-          device("csd0", csd::CsdSpec::smartSsd(), layout.totalBytes())
+          device("csd0", layout.totalBytes())
     {
         device.installUpdater(accel::makeUpdater(optim::OptimizerKind::Adam,
                                                  optim::Hyperparams{}));
@@ -213,7 +213,7 @@ TEST(TransferHandler, MismatchedUpdaterStateCountIsFatal)
 {
     // SGD updater (1 aux state) against an Adam-shaped shard (2 states).
     ShardLayout layout{128, 2};
-    csd::Csd device("csd0", csd::CsdSpec::smartSsd(), layout.totalBytes());
+    csd::Csd device("csd0", layout.totalBytes());
     device.installUpdater(accel::makeUpdater(
         optim::OptimizerKind::SgdMomentum, optim::Hyperparams{}));
     TransferHandler handler(device, layout, {64, true});
