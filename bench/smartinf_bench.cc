@@ -12,6 +12,7 @@
  *   smartinf_bench --scenario fig09 --format json --jobs 8
  *   smartinf_bench --all --format csv --out results.csv
  */
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -130,7 +131,8 @@ main(int argc, char **argv)
             } catch (const std::exception &) {
                 obs_options.metrics_window = 0.0;
             }
-            if (obs_options.metrics_window <= 0.0) {
+            if (!std::isfinite(obs_options.metrics_window) ||
+                obs_options.metrics_window <= 0.0) {
                 std::cerr << "bad --metrics-window value: " << v << "\n";
                 return usage(std::cerr, 2);
             }

@@ -2,9 +2,9 @@
  * @file
  * Customization flow (paper §VI, Fig 8): users plug their own optimizer
  * logic into the framework as an "HLS module". This example implements a
- * signSGD-with-momentum updater, registers it, runs the template's sanity
- * checker and performance analyzer, and then trains through it near
- * storage — exercising the same path the built-in Adam kernel uses.
+ * signSGD-with-momentum updater, runs the template's performance analyzer
+ * on it, and then trains through it near storage — exercising the same
+ * path the built-in Adam kernel uses.
  */
 #include <cmath>
 #include <iostream>
@@ -66,22 +66,16 @@ class SignSgdUpdater final : public accel::UpdaterModule
 int
 main()
 {
-    // 1. Register the custom kernel like a user-supplied HLS template.
-    auto &registry = accel::ModuleRegistry::instance();
-    registry.registerUpdater("signsgd", [](const optim::Hyperparams &hp) {
-        return std::make_unique<SignSgdUpdater>(hp);
-    });
-
-    // 2. Template tooling: performance analyzer + resource fit. (The
+    // 1. Template tooling: performance analyzer + resource fit. (The
     // bundled sanity checker compares against the stock SGD reference, so
     // a genuinely new algorithm is validated by training instead.)
     optim::Hyperparams hp;
     hp.lr = 0.002f;
     hp.momentum = 0.9f;
-    auto module = registry.makeUpdater("signsgd", hp);
-    const auto perf = accel::analyzeUpdater(*module);
+    const SignSgdUpdater module(hp);
+    const auto perf = accel::analyzeUpdater(module);
     accel::FpgaResourceModel fpga;
-    fpga.place(module->footprint());
+    fpga.place(module.footprint());
     std::cout << "signSGD updater: modeled "
               << perf.modeled_throughput / 1e9 << " GB/s ("
               << (perf.keeps_up_with_ssd ? "keeps up with SSD read"
@@ -89,7 +83,7 @@ main()
               << "), LUT utilization " << fpga.lutUtilization() * 100.0
               << "%\n";
 
-    // 3. Train near-storage with the custom kernel installed manually.
+    // 2. Train near-storage with the custom kernel installed manually.
     const auto ds = nn::makeTask(nn::TaskId::MnliLike, 2048, 512, 16, 77);
     nn::Mlp model({16, 48, 3}, nn::Activation::ReLU, 31);
 
@@ -100,7 +94,7 @@ main()
     SmartInfinityCluster cluster(config);
     cluster.initialize(model.params(), model.paramCount());
     for (int d = 0; d < cluster.numCsds(); ++d)
-        cluster.csd(d).installUpdater(registry.makeUpdater("signsgd", hp));
+        cluster.csd(d).installUpdater(std::make_unique<SignSgdUpdater>(hp));
 
     nn::Trainer::Config tconfig;
     tconfig.epochs = 10;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "common/logging.h"
 #include "common/random.h"
 #include "csd/smartssd.h"
 
@@ -172,64 +171,6 @@ analyzeDecompressor(const DecompressorModule &module, double keep_fraction,
     const double secs = std::chrono::duration<double>(end - begin).count();
     report.emulation_elems_per_sec = secs > 0.0 ? n / secs : 0.0;
     return report;
-}
-
-ModuleRegistry &
-ModuleRegistry::instance()
-{
-    static ModuleRegistry registry;
-    return registry;
-}
-
-ModuleRegistry::ModuleRegistry()
-{
-    registerUpdater("adam", [](const optim::Hyperparams &hp) {
-        return accel::makeUpdater(optim::OptimizerKind::Adam, hp);
-    });
-    registerUpdater("adamw", [](const optim::Hyperparams &hp) {
-        return accel::makeUpdater(optim::OptimizerKind::AdamW, hp);
-    });
-    registerUpdater("sgd", [](const optim::Hyperparams &hp) {
-        return accel::makeUpdater(optim::OptimizerKind::SgdMomentum, hp);
-    });
-    registerUpdater("adagrad", [](const optim::Hyperparams &hp) {
-        return accel::makeUpdater(optim::OptimizerKind::AdaGrad, hp);
-    });
-    registerDecompressor("topk",
-                         []() { return makeTopKDecompressor(); });
-}
-
-void
-ModuleRegistry::registerUpdater(const std::string &name,
-                                UpdaterFactory factory)
-{
-    updaters_[name] = std::move(factory);
-}
-
-void
-ModuleRegistry::registerDecompressor(const std::string &name,
-                                     DecompressorFactory factory)
-{
-    decompressors_[name] = std::move(factory);
-}
-
-std::unique_ptr<UpdaterModule>
-ModuleRegistry::makeUpdater(const std::string &name,
-                            const optim::Hyperparams &hp) const
-{
-    auto it = updaters_.find(name);
-    if (it == updaters_.end())
-        fatal("unknown updater module: ", name);
-    return it->second(hp);
-}
-
-std::unique_ptr<DecompressorModule>
-ModuleRegistry::makeDecompressor(const std::string &name) const
-{
-    auto it = decompressors_.find(name);
-    if (it == decompressors_.end())
-        fatal("unknown decompressor module: ", name);
-    return it->second();
 }
 
 } // namespace smartinf::accel

@@ -3,16 +3,14 @@
  * The user-facing customization surface of the accelerator (paper §VI,
  * Fig 8 "User Level"): Smart-Infinity ships HLS templates for custom
  * updaters/decompressors, each with a sanity checker (logic vs. the host
- * reference) and a performance analyzer. This module reproduces that flow:
- * a registry of named module factories plus verification and throughput
- * analysis utilities.
+ * reference) and a performance analyzer. This module reproduces the two
+ * tools: a user kernel subclasses UpdaterModule or DecompressorModule, is
+ * checked and analyzed here, and is installed on a CSD directly (see
+ * examples/custom_updater.cc).
  */
 #ifndef SMARTINF_ACCEL_HLS_MODULE_H
 #define SMARTINF_ACCEL_HLS_MODULE_H
 
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 
 #include "accel/decompressor.h"
@@ -68,39 +66,6 @@ PerfReport analyzeUpdater(const UpdaterModule &module,
 PerfReport analyzeDecompressor(const DecompressorModule &module,
                                double keep_fraction = 0.01,
                                std::size_t n = 1 << 16);
-
-/**
- * Registry of named module factories, so user-defined kernels plug into the
- * framework exactly like the built-ins ("adam", "adamw", "sgd", "adagrad";
- * decompressor "topk").
- */
-class ModuleRegistry
-{
-  public:
-    using UpdaterFactory = std::function<std::unique_ptr<UpdaterModule>(
-        const optim::Hyperparams &)>;
-    using DecompressorFactory =
-        std::function<std::unique_ptr<DecompressorModule>()>;
-
-    /** Process-wide registry preloaded with the built-in modules. */
-    static ModuleRegistry &instance();
-
-    void registerUpdater(const std::string &name, UpdaterFactory factory);
-    void registerDecompressor(const std::string &name,
-                              DecompressorFactory factory);
-
-    /** Instantiate by name; fatal() on unknown names. */
-    std::unique_ptr<UpdaterModule> makeUpdater(const std::string &name,
-                                               const optim::Hyperparams &hp) const;
-    std::unique_ptr<DecompressorModule>
-    makeDecompressor(const std::string &name) const;
-
-  private:
-    ModuleRegistry();
-
-    std::map<std::string, UpdaterFactory> updaters_;
-    std::map<std::string, DecompressorFactory> decompressors_;
-};
 
 } // namespace smartinf::accel
 

@@ -167,6 +167,7 @@ SmartInfinityCluster::step(const float *grads, std::size_t n, uint64_t t)
     requireInitialized();
     SI_REQUIRE(n == master_cache_.size(), "gradient size mismatch: ", n,
                " vs ", master_cache_.size());
+    SI_REQUIRE(t >= 1, "optimizer steps are 1-based");
 
     // Every CSD updates its shard at once (§IV-D): release the workers,
     // run shard 0 here, then wait for all of them.

@@ -1,6 +1,5 @@
 #include "ctrl/ctrl_config.h"
 
-#include "common/enum_names.h"
 #include "common/validation.h"
 
 namespace smartinf::ctrl {
@@ -14,12 +13,6 @@ dispatchPolicyName(DispatchPolicy policy)
       case DispatchPolicy::PowerOfTwoChoices: return "p2c";
     }
     return "?";
-}
-
-std::optional<DispatchPolicy>
-dispatchPolicyFromName(const std::string &name)
-{
-    return enumFromName(allDispatchPolicies(), dispatchPolicyName, name);
 }
 
 std::vector<DispatchPolicy>
@@ -38,12 +31,6 @@ admissionModeName(AdmissionMode mode)
       case AdmissionMode::Defer: return "defer";
     }
     return "?";
-}
-
-std::optional<AdmissionMode>
-admissionModeFromName(const std::string &name)
-{
-    return enumFromName(allAdmissionModes(), admissionModeName, name);
 }
 
 std::vector<AdmissionMode>

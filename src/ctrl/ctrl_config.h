@@ -36,7 +36,6 @@
 #define SMARTINF_CTRL_CTRL_CONFIG_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,6 @@ enum class DispatchPolicy {
 };
 
 const char *dispatchPolicyName(DispatchPolicy policy);
-std::optional<DispatchPolicy> dispatchPolicyFromName(const std::string &name);
 std::vector<DispatchPolicy> allDispatchPolicies();
 
 /** What SLO admission control does with a predicted-miss request. */
@@ -63,7 +61,6 @@ enum class AdmissionMode {
 };
 
 const char *admissionModeName(AdmissionMode mode);
-std::optional<AdmissionMode> admissionModeFromName(const std::string &name);
 std::vector<AdmissionMode> allAdmissionModes();
 
 /**

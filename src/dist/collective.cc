@@ -10,58 +10,19 @@ namespace smartinf::dist {
 // ---- analytic wire-byte accounting ------------------------------------------
 
 Bytes
-ringReduceScatterTxBytesPerNode(Bytes buffer, int nodes)
-{
-    SI_REQUIRE(nodes >= 1, "need at least one node");
-    return (nodes - 1) * (buffer / nodes);
-}
-
-Bytes
-ringAllGatherTxBytesPerNode(Bytes buffer, int nodes)
-{
-    SI_REQUIRE(nodes >= 1, "need at least one node");
-    return (nodes - 1) * (buffer / nodes);
-}
-
-Bytes
 ringAllReduceTxBytesPerNode(Bytes buffer, int nodes)
 {
-    return ringReduceScatterTxBytesPerNode(buffer, nodes) +
-           ringAllGatherTxBytesPerNode(buffer, nodes);
-}
-
-const char *
-collectiveName(CollectiveKind kind)
-{
-    switch (kind) {
-      case CollectiveKind::ReduceScatter: return "reduce-scatter";
-      case CollectiveKind::AllGather: return "all-gather";
-      case CollectiveKind::AllReduce: return "all-reduce";
-    }
-    return "?";
-}
-
-Bytes
-collectiveTxBytesPerNode(CollectiveKind kind, Bytes buffer, int nodes)
-{
-    switch (kind) {
-      case CollectiveKind::ReduceScatter:
-        return ringReduceScatterTxBytesPerNode(buffer, nodes);
-      case CollectiveKind::AllGather:
-        return ringAllGatherTxBytesPerNode(buffer, nodes);
-      case CollectiveKind::AllReduce:
-        return ringAllReduceTxBytesPerNode(buffer, nodes);
-    }
-    return 0.0;
+    SI_REQUIRE(nodes >= 1, "need at least one node");
+    // Reduce-scatter then all-gather, each (N-1)/N of the buffer.
+    return 2.0 * ((nodes - 1) * (buffer / nodes));
 }
 
 // ---- performance layer: flow schedules --------------------------------------
 
 CollectiveSchedule
-scheduleRingCollective(train::SimContext &ctx, CollectiveKind kind, int nodes,
-                       Bytes bytes,
-                       const std::vector<sim::TaskGraph::TaskId> &deps,
-                       sim::TaskLabel label)
+scheduleRingAllReduce(train::SimContext &ctx, int nodes, Bytes bytes,
+                      const std::vector<sim::TaskGraph::TaskId> &deps,
+                      sim::TaskLabel label)
 {
     using TaskId = sim::TaskGraph::TaskId;
     SI_REQUIRE(nodes >= 1, "need at least one node");
@@ -79,8 +40,7 @@ scheduleRingCollective(train::SimContext &ctx, CollectiveKind kind, int nodes,
         return out;
     }
 
-    out.steps = kind == CollectiveKind::AllReduce ? 2 * (nodes - 1)
-                                                  : nodes - 1;
+    out.steps = 2 * (nodes - 1);
     const Bytes chunk = bytes / nodes;
 
     // One flow per (step, sender) over the sender's hop route. It crosses
@@ -107,8 +67,8 @@ scheduleRingCollective(train::SimContext &ctx, CollectiveKind kind, int nodes,
     std::vector<TaskId> cur_step(nodes, sim::TaskGraph::kInvalidTask);
     for (int s = 0; s < out.steps; ++s) {
         for (int i = 0; i < nodes; ++i) {
-            // Hop labels carry (step, sender); which collective they
-            // belong to is the enclosing label's concern.
+            // Hop labels carry (step, sender); which bucket they belong
+            // to is the enclosing label's concern.
             TaskId hop = ctx.graph.add(
                 [route = &ctx.ring_routes[i],
                  chunk](std::function<void()> done) {

@@ -31,26 +31,6 @@ ExperimentBuilder::base(const train::SystemConfig &system)
 }
 
 ExperimentBuilder &
-ExperimentBuilder::train(const train::TrainConfig &tc)
-{
-    return trains({tc});
-}
-
-ExperimentBuilder &
-ExperimentBuilder::trains(std::vector<train::TrainConfig> tcs)
-{
-    return sweep(kTrains, "trains", std::move(tcs),
-                 [](RunSpec &s) -> auto & { return s.train; });
-}
-
-ExperimentBuilder &
-ExperimentBuilder::workload(train::WorkloadKind kind)
-{
-    workload_ = kind;
-    return *this;
-}
-
-ExperimentBuilder &
 ExperimentBuilder::serving(const serve::ServeConfig &config)
 {
     workload_ = train::WorkloadKind::Serving;

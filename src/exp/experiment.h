@@ -46,16 +46,9 @@ class ExperimentBuilder
      * override their own field.
      */
     ExperimentBuilder &base(const train::SystemConfig &system);
-    /** Per-iteration workload(s); defaults to one default TrainConfig. */
-    ExperimentBuilder &train(const train::TrainConfig &tc);
-    ExperimentBuilder &trains(std::vector<train::TrainConfig> tcs);
-
-    /** Select the workload kind every generated spec runs (default:
-     *  Training). serving() below is the usual way to set Serving. */
-    ExperimentBuilder &workload(train::WorkloadKind kind);
     /**
      * Declare a serving sweep: every spec runs @p config's request stream
-     * (workload = Serving). The serving axes below override their own
+     * (workload = Serving; the default is Training). The serving axes below override their own
      * field of this base config.
      */
     ExperimentBuilder &serving(const serve::ServeConfig &config);
@@ -127,7 +120,7 @@ class ExperimentBuilder
 
     /**
      * Expand the cross product. Deterministic nesting order (outermost to
-     * innermost): models, trains, strategies, devices, gpus, numGpus,
+     * innermost): models, strategies, devices, gpus, numGpus,
      * optimizers, compressionFractions, nodes, overlapGradSync,
      * calibrations, schedulers, arrivalRates, maxBatches,
      * weightWireFractions, outputTokenCounts, hbmBudgets, concurrencies,
@@ -140,7 +133,7 @@ class ExperimentBuilder
   private:
     /** Axis slots, in the nesting order documented on build(). */
     enum Slot : std::size_t {
-        kModels, kTrains, kStrategies, kDevices, kGpus, kNumGpus,
+        kModels, kStrategies, kDevices, kGpus, kNumGpus,
         kOptimizers, kCompressionFractions, kNodes, kOverlapGradSync,
         kCalibrations, kSchedulers, kArrivalRates, kMaxBatches,
         kWeightWireFractions, kOutputTokenCounts, kHbmBudgets,

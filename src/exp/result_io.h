@@ -18,9 +18,6 @@
 
 namespace smartinf::exp {
 
-/** Escape a string for inclusion in a JSON document (adds no quotes). */
-std::string jsonEscape(const std::string &s);
-
 /** Format a double round-trippably ("1e99"-safe, max_digits10). */
 std::string jsonNumber(double v);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "exp/result_io.h"
 

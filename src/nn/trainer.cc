@@ -26,6 +26,7 @@ void
 HostBackend::step(const float *grads, std::size_t n, uint64_t t)
 {
     SI_REQUIRE(n == master_.size(), "gradient size mismatch");
+    SI_REQUIRE(t >= 1, "optimizer steps are 1-based");
     std::vector<float *> ptrs;
     for (auto &state : states_)
         ptrs.push_back(state.data());

@@ -30,7 +30,8 @@ class UpdateBackend
     /** Load the initial FP32 master parameters. */
     virtual void initialize(const float *params, std::size_t n) = 0;
 
-    /** Apply one optimizer step with dense FP32 gradients. */
+    /** Apply one optimizer step with dense FP32 gradients; @p t is the
+     *  1-based step number (Adam's bias correction), so 0 is fatal. */
     virtual void step(const float *grads, std::size_t n, uint64_t t) = 0;
 
     /** Current FP32 master parameters (after the latest step). */

@@ -12,7 +12,8 @@ namespace smartinf::obs {
 CounterSampler::CounterSampler(Seconds window_seconds)
     : window_(window_seconds)
 {
-    SI_REQUIRE(window_seconds > 0.0, "counter window must be positive");
+    SI_REQUIRE(std::isfinite(window_seconds) && window_seconds > 0.0,
+               "counter window must be finite and positive");
 }
 
 CounterId

@@ -57,7 +57,7 @@ class CounterSampler
         std::vector<Window> windows;
     };
 
-    /** @param window_seconds window width; must be > 0. */
+    /** @param window_seconds window width; must be finite and > 0. */
     explicit CounterSampler(Seconds window_seconds);
 
     /** Intern @p name; stable id for the sampler's lifetime. */

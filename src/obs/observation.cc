@@ -389,8 +389,7 @@ RunObservation::sloAttainment(int node, bool attained, Seconds now)
 Observation::Observation(ObservationOptions options)
     : options_(std::move(options)), counters_(options_.metrics_window)
 {
-    SI_REQUIRE(options_.metrics_window > 0.0,
-               "metrics window must be positive");
+    // counters_ rejects a non-finite or non-positive window.
 }
 
 Observation::~Observation()

@@ -1,9 +1,9 @@
 #include "obs/trace_sink.h"
 
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace smartinf::obs {
@@ -13,31 +13,6 @@ namespace {
 constexpr double kUsPerSecond = 1e6;
 
 } // namespace
-
-std::string
-TraceSink::jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 uint32_t
 TraceSink::process(const std::string &name)

@@ -94,9 +94,6 @@ class TraceSink
     /** Serialize the full document (metadata + events). */
     void write(std::ostream &os) const;
 
-    /** Escape a string for direct embedding inside JSON quotes. */
-    static std::string jsonEscape(const std::string &s);
-
   private:
     /** Per-process track names ("process_name"/"thread_name" metadata). */
     struct TrackNames {

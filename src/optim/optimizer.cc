@@ -33,14 +33,6 @@ auxStateCount(OptimizerKind kind)
     return 0;
 }
 
-double
-optimizerStateVolumeInM(OptimizerKind kind)
-{
-    // (1 master + aux) FP32 variables, each 4 B = 2M per variable where
-    // M counts FP16 bytes (2 B/param).
-    return 2.0 * (1 + auxStateCount(kind));
-}
-
 namespace {
 
 /** Elements per block of adamBlocks(): the roots live in a stack buffer

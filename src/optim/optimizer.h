@@ -30,14 +30,6 @@ const char *optimizerName(OptimizerKind kind);
  */
 int auxStateCount(OptimizerKind kind);
 
-/**
- * Bytes of optimizer state per parameter in units of M (the FP16 model
- * size). Adam: master+mmt+var in FP32 = 12 B/elem = 6M; SGD/AdaGrad:
- * master+one state = 8 B/elem = 4M. Used by the traffic model (Table I,
- * Fig 12 discussion: SGD/AdaGrad move 3/4 of Adam's volume).
- */
-double optimizerStateVolumeInM(OptimizerKind kind);
-
 /** Flat-array optimizer: updates params in place from grads and states. */
 class Optimizer
 {

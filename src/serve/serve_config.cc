@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/enum_names.h"
 #include "common/validation.h"
 
 namespace smartinf::serve {
@@ -15,12 +14,6 @@ schedulerPolicyName(SchedulerPolicy policy)
       case SchedulerPolicy::Continuous: return "continuous";
     }
     return "?";
-}
-
-std::optional<SchedulerPolicy>
-schedulerPolicyFromName(const std::string &name)
-{
-    return enumFromName(allSchedulerPolicies(), schedulerPolicyName, name);
 }
 
 std::vector<SchedulerPolicy>
@@ -39,18 +32,6 @@ clientModeName(ClientMode mode)
     return "?";
 }
 
-std::optional<ClientMode>
-clientModeFromName(const std::string &name)
-{
-    return enumFromName(allClientModes(), clientModeName, name);
-}
-
-std::vector<ClientMode>
-allClientModes()
-{
-    return {ClientMode::OpenLoop, ClientMode::ClosedLoop};
-}
-
 const char *
 lengthDistKindName(LengthDistKind kind)
 {
@@ -62,19 +43,6 @@ lengthDistKindName(LengthDistKind kind)
     return "?";
 }
 
-std::optional<LengthDistKind>
-lengthDistKindFromName(const std::string &name)
-{
-    return enumFromName(allLengthDistKinds(), lengthDistKindName, name);
-}
-
-std::vector<LengthDistKind>
-allLengthDistKinds()
-{
-    return {LengthDistKind::Fixed, LengthDistKind::Uniform,
-            LengthDistKind::Lognormal};
-}
-
 const char *
 kvLayoutName(KvLayout layout)
 {
@@ -83,18 +51,6 @@ kvLayoutName(KvLayout layout)
       case KvLayout::Paged: return "paged";
     }
     return "?";
-}
-
-std::optional<KvLayout>
-kvLayoutFromName(const std::string &name)
-{
-    return enumFromName(allKvLayouts(), kvLayoutName, name);
-}
-
-std::vector<KvLayout>
-allKvLayouts()
-{
-    return {KvLayout::Contiguous, KvLayout::Paged};
 }
 
 std::vector<std::string>
@@ -270,9 +226,10 @@ ServeConfig::validate() const
                  "record_cap must be >= 0 (0 keeps every record)",
                  record_cap);
     if (record_cap > 0)
-        requireField(errors, stream_window_s > 0.0,
-                     "stream_window_s must be positive when record_cap "
-                     "bounds the retained records",
+        requireField(errors,
+                     std::isfinite(stream_window_s) && stream_window_s > 0.0,
+                     "stream_window_s must be finite and positive when "
+                     "record_cap bounds the retained records",
                      stream_window_s);
     requireField(errors, max_batch >= 1, "max_batch must be >= 1",
                  max_batch);

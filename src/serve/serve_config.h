@@ -21,7 +21,6 @@
 #define SMARTINF_SERVE_SERVE_CONFIG_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,14 +45,7 @@ enum class SchedulerPolicy {
 /** Stable lowercase name ("fifo"/"continuous"); never allocates. */
 const char *schedulerPolicyName(SchedulerPolicy policy);
 
-/**
- * Inverse of schedulerPolicyName() ("fifo"/"continuous",
- * case-insensitive). Returns nullopt for unknown names.
- */
-std::optional<SchedulerPolicy>
-schedulerPolicyFromName(const std::string &name);
-
-/** Every policy, in declaration order (sweep axes, exhaustive tests). */
+/** Every policy, in declaration order (sweep axes). */
 std::vector<SchedulerPolicy> allSchedulerPolicies();
 
 /** How requests are offered to the cluster. */
@@ -81,15 +73,6 @@ enum class ClientMode {
 /** Stable lowercase name ("open-loop"/"closed-loop"); never allocates. */
 const char *clientModeName(ClientMode mode);
 
-/**
- * Inverse of clientModeName() ("open-loop"/"closed-loop",
- * case-insensitive). Returns nullopt for unknown names.
- */
-std::optional<ClientMode> clientModeFromName(const std::string &name);
-
-/** Every client mode, in declaration order (sweep axes, tests). */
-std::vector<ClientMode> allClientModes();
-
 /** Family of a per-request token-length distribution. */
 enum class LengthDistKind {
     /** Every request uses the ServeConfig scalar (prompt_tokens /
@@ -105,13 +88,6 @@ enum class LengthDistKind {
 
 /** Stable lowercase name ("fixed"/"uniform"/"lognormal"). */
 const char *lengthDistKindName(LengthDistKind kind);
-
-/** Inverse of lengthDistKindName() (case-insensitive); nullopt when
- *  unknown. */
-std::optional<LengthDistKind> lengthDistKindFromName(const std::string &name);
-
-/** Every kind, in declaration order (sweep axes, exhaustive tests). */
-std::vector<LengthDistKind> allLengthDistKinds();
 
 /**
  * A per-request token-length distribution (prompt or output). All samples
@@ -156,12 +132,6 @@ enum class KvLayout {
 
 /** Stable lowercase name ("contiguous"/"paged"); never allocates. */
 const char *kvLayoutName(KvLayout layout);
-
-/** Inverse of kvLayoutName() (case-insensitive); nullopt when unknown. */
-std::optional<KvLayout> kvLayoutFromName(const std::string &name);
-
-/** Every layout, in declaration order (sweep axes, exhaustive tests). */
-std::vector<KvLayout> allKvLayouts();
 
 /**
  * The shared-prompt mix: which requests carry a shared system prompt

@@ -75,8 +75,8 @@ struct SimContext {
 
     /**
      * Hop routes of the inter-node ring (node i -> i + 1), resolved by the
-     * first ring collective scheduled on this context and reused by every
-     * later one (dist::scheduleRingCollective).
+     * first ring all-reduce scheduled on this context and reused by every
+     * later one (dist::scheduleRingAllReduce).
      */
     std::vector<ResolvedRoute> ring_routes;
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/enum_names.h"
 #include "common/validation.h"
 
 namespace smartinf::train {
@@ -17,12 +16,6 @@ strategyName(Strategy strategy)
       case Strategy::SmartUpdateOptComp: return "SU+O+C";
     }
     return "?";
-}
-
-std::optional<Strategy>
-strategyFromName(const std::string &name)
-{
-    return enumFromName(allStrategies(), strategyName, name);
 }
 
 std::vector<Strategy>

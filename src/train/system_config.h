@@ -8,7 +8,6 @@
 #ifndef SMARTINF_TRAIN_SYSTEM_CONFIG_H
 #define SMARTINF_TRAIN_SYSTEM_CONFIG_H
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,13 +28,7 @@ enum class Strategy {
 
 const char *strategyName(Strategy strategy);
 
-/**
- * Inverse of strategyName(): parses the paper notation ("BASE", "SU",
- * "SU+O", "SU+O+C", case-insensitive). Returns nullopt for unknown names.
- */
-std::optional<Strategy> strategyFromName(const std::string &name);
-
-/** Every strategy, in declaration order (sweep axes, exhaustive tests). */
+/** Every strategy, in declaration order (sweep axes). */
 std::vector<Strategy> allStrategies();
 
 /** Join a validate() error list into one "a; b; c" message. */

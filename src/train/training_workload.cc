@@ -54,18 +54,16 @@ stageIteration(SimContext &ctx, const NodeBuilders &builders)
             std::vector<TaskId> deps(nodes);
             for (int i = 0; i < nodes; ++i)
                 deps[i] = builders[i]->gradToHostTask(b);
-            const dist::CollectiveSchedule cs = dist::scheduleRingCollective(
-                ctx, dist::CollectiveKind::AllReduce, nodes, bucket, deps,
-                {"sync.done", b});
+            const dist::CollectiveSchedule cs = dist::scheduleRingAllReduce(
+                ctx, nodes, bucket, deps, {"sync.done", b});
             for (int i = 0; i < nodes; ++i)
                 ctx.graph.dependsOn(builders[i]->gradOffloadGateTask(b),
                                     cs.done);
         }
     } else if (nodes > 1) {
         // Ablation: one monolithic all-reduce strictly after backward.
-        const dist::CollectiveSchedule cs = dist::scheduleRingCollective(
-            ctx, dist::CollectiveKind::AllReduce, nodes,
-            model.gradientBytes(), ends.backward, {"sync.all"});
+        const dist::CollectiveSchedule cs = dist::scheduleRingAllReduce(
+            ctx, nodes, model.gradientBytes(), ends.backward, {"sync.all"});
         sync_done = cs.done;
     }
 

@@ -1,7 +1,5 @@
 #include "train/workload.h"
 
-#include "common/enum_names.h"
-
 namespace smartinf::train {
 
 const char *
@@ -12,18 +10,6 @@ workloadKindName(WorkloadKind kind)
       case WorkloadKind::Serving: return "serving";
     }
     return "?";
-}
-
-std::optional<WorkloadKind>
-workloadKindFromName(const std::string &name)
-{
-    return enumFromName(allWorkloadKinds(), workloadKindName, name);
-}
-
-std::vector<WorkloadKind>
-allWorkloadKinds()
-{
-    return {WorkloadKind::Training, WorkloadKind::Serving};
 }
 
 void

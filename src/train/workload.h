@@ -12,7 +12,6 @@
 #define SMARTINF_TRAIN_WORKLOAD_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,15 +31,6 @@ enum class WorkloadKind {
 };
 
 const char *workloadKindName(WorkloadKind kind);
-
-/**
- * Inverse of workloadKindName() ("training"/"serving", case-insensitive).
- * Returns nullopt for unknown names.
- */
-std::optional<WorkloadKind> workloadKindFromName(const std::string &name);
-
-/** Every workload kind, in declaration order (sweep axes, tests). */
-std::vector<WorkloadKind> allWorkloadKinds();
 
 /** Wall-clock split of one training iteration into the paper's three
  *  phases. Serving workloads leave it zero. */

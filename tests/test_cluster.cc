@@ -338,6 +338,33 @@ TEST(Cluster, WorkerKernelExceptionIsRethrownOnTheCaller)
     }
 }
 
+TEST(Cluster, StepZeroIsRejectedBeforeAnyParameterMoves)
+{
+    // Adam's bias correction divides by 1 - beta^t: a step at t = 0 would
+    // turn every parameter into NaN. Both backends refuse it up front.
+    const std::size_t n = 1024;
+    const auto params = randomVector(n, 31);
+    const auto grads = randomVector(n, 32, 0.01);
+    auto expectUntouched = [&](const float *master) {
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(std::bit_cast<uint32_t>(master[i]),
+                      std::bit_cast<uint32_t>(params[i]))
+                << i;
+    };
+
+    nn::HostBackend host(optim::OptimizerKind::Adam, optim::Hyperparams{});
+    host.initialize(params.data(), n);
+    EXPECT_THROW(host.step(grads.data(), n, 0), std::runtime_error);
+    expectUntouched(host.masterParams());
+
+    ClusterConfig config;
+    config.num_csds = 2;
+    SmartInfinityCluster cluster(config);
+    cluster.initialize(params.data(), n);
+    EXPECT_THROW(cluster.step(grads.data(), n, 0), std::runtime_error);
+    expectUntouched(cluster.masterParams());
+}
+
 TEST(Cluster, UsageErrorsAreFatal)
 {
     ClusterConfig config;

@@ -1,5 +1,5 @@
-/** @file Tests for the dist/ collective primitives: analytic wire-byte
- *  formulas and the flow-schedule performance layer. */
+/** @file Tests for the dist/ ring all-reduce: the analytic wire-byte
+ *  formula and the flow-schedule performance layer. */
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -23,37 +23,9 @@ TEST(CollectiveBytes, RingAllReduceFormula)
     }
 }
 
-TEST(CollectiveBytes, ReduceScatterPlusAllGatherEqualsAllReduce)
-{
-    const Bytes buffer = 3.7e8;
-    for (int nodes : {2, 3, 5, 8}) {
-        EXPECT_DOUBLE_EQ(ringReduceScatterTxBytesPerNode(buffer, nodes) +
-                             ringAllGatherTxBytesPerNode(buffer, nodes),
-                         ringAllReduceTxBytesPerNode(buffer, nodes))
-            << nodes;
-    }
-}
-
 TEST(CollectiveBytes, SingleNodeMovesNothing)
 {
     EXPECT_DOUBLE_EQ(ringAllReduceTxBytesPerNode(1e9, 1), 0.0);
-    EXPECT_DOUBLE_EQ(ringReduceScatterTxBytesPerNode(1e9, 1), 0.0);
-    EXPECT_DOUBLE_EQ(ringAllGatherTxBytesPerNode(1e9, 1), 0.0);
-}
-
-TEST(CollectiveBytes, KindDispatch)
-{
-    const Bytes buffer = 64.0;
-    EXPECT_DOUBLE_EQ(
-        collectiveTxBytesPerNode(CollectiveKind::AllReduce, buffer, 4),
-        ringAllReduceTxBytesPerNode(buffer, 4));
-    EXPECT_DOUBLE_EQ(
-        collectiveTxBytesPerNode(CollectiveKind::ReduceScatter, buffer, 4),
-        ringReduceScatterTxBytesPerNode(buffer, 4));
-    EXPECT_DOUBLE_EQ(
-        collectiveTxBytesPerNode(CollectiveKind::AllGather, buffer, 4),
-        ringAllGatherTxBytesPerNode(buffer, 4));
-    EXPECT_STREQ(collectiveName(CollectiveKind::AllReduce), "all-reduce");
 }
 
 // ---- performance layer ------------------------------------------------------
@@ -85,8 +57,8 @@ TEST(CollectiveSchedule, AccountsRingAllReduceTraffic)
     const int nodes = 4;
     const Bytes bytes = GB(1.0);
     Fabric f(nodes);
-    const CollectiveSchedule cs = scheduleRingCollective(
-        f.ctx, CollectiveKind::AllReduce, nodes, bytes, {}, "ar");
+    const CollectiveSchedule cs =
+        scheduleRingAllReduce(f.ctx, nodes, bytes, {}, "ar");
     f.ctx.graph.start();
     f.ctx.sim.run();
     ASSERT_TRUE(f.ctx.graph.done());
@@ -100,34 +72,6 @@ TEST(CollectiveSchedule, AccountsRingAllReduceTraffic)
     EXPECT_GT(f.ctx.graph.finishTime(cs.done), 0.0);
 }
 
-TEST(CollectiveSchedule, ReduceScatterPlusAllGatherMovesAllReduceBytes)
-{
-    const int nodes = 3;
-    const Bytes bytes = GB(0.5);
-    Fabric rs_ag(nodes);
-    const auto rs = scheduleRingCollective(
-        rs_ag.ctx, CollectiveKind::ReduceScatter, nodes, bytes, {}, "rs");
-    const auto ag = scheduleRingCollective(
-        rs_ag.ctx, CollectiveKind::AllGather, nodes, bytes,
-        std::vector<sim::TaskGraph::TaskId>(nodes, rs.done), "ag");
-    rs_ag.ctx.graph.start();
-    rs_ag.ctx.sim.run();
-    ASSERT_TRUE(rs_ag.ctx.graph.done());
-    EXPECT_EQ(rs.steps + ag.steps, 2 * (nodes - 1));
-
-    Fabric ar(nodes);
-    const auto all = scheduleRingCollective(
-        ar.ctx, CollectiveKind::AllReduce, nodes, bytes, {}, "ar");
-    ar.ctx.graph.start();
-    ar.ctx.sim.run();
-    ASSERT_TRUE(ar.ctx.graph.done());
-
-    EXPECT_DOUBLE_EQ(rs_ag.ctx.traffic.internode_tx,
-                     ar.ctx.traffic.internode_tx);
-    EXPECT_DOUBLE_EQ(rs.tx_bytes_per_node + ag.tx_bytes_per_node,
-                     all.tx_bytes_per_node);
-}
-
 TEST(CollectiveSchedule, GatingDependenciesDelayTheRing)
 {
     const int nodes = 2;
@@ -136,8 +80,7 @@ TEST(CollectiveSchedule, GatingDependenciesDelayTheRing)
     std::vector<sim::TaskGraph::TaskId> deps;
     for (int i = 0; i < nodes; ++i)
         deps.push_back(f.ctx.graph.delay(gate, "gate"));
-    const auto cs = scheduleRingCollective(f.ctx, CollectiveKind::AllReduce,
-                                           nodes, MB(64.0), deps, "ar");
+    const auto cs = scheduleRingAllReduce(f.ctx, nodes, MB(64.0), deps, "ar");
     f.ctx.graph.start();
     f.ctx.sim.run();
     ASSERT_TRUE(f.ctx.graph.done());
@@ -148,12 +91,10 @@ TEST(CollectiveSchedule, BiggerBuffersTakeLonger)
 {
     const int nodes = 4;
     Fabric small(nodes), big(nodes);
-    const auto s = scheduleRingCollective(small.ctx, CollectiveKind::AllReduce,
-                                          nodes, GB(0.5), {}, "s");
+    const auto s = scheduleRingAllReduce(small.ctx, nodes, GB(0.5), {}, "s");
     small.ctx.graph.start();
     small.ctx.sim.run();
-    const auto b = scheduleRingCollective(big.ctx, CollectiveKind::AllReduce,
-                                          nodes, GB(2.0), {}, "b");
+    const auto b = scheduleRingAllReduce(big.ctx, nodes, GB(2.0), {}, "b");
     big.ctx.graph.start();
     big.ctx.sim.run();
     EXPECT_GT(big.ctx.graph.finishTime(b.done),
@@ -163,8 +104,7 @@ TEST(CollectiveSchedule, BiggerBuffersTakeLonger)
 TEST(CollectiveSchedule, SingleNodeIsANoOp)
 {
     Fabric f(1);
-    const auto cs = scheduleRingCollective(f.ctx, CollectiveKind::AllReduce, 1,
-                                           GB(1.0), {}, "ar");
+    const auto cs = scheduleRingAllReduce(f.ctx, 1, GB(1.0), {}, "ar");
     f.ctx.graph.start();
     f.ctx.sim.run();
     ASSERT_TRUE(f.ctx.graph.done());
@@ -176,12 +116,11 @@ TEST(CollectiveSchedule, SingleNodeIsANoOp)
 TEST(CollectiveSchedule, RejectsBadArguments)
 {
     Fabric f(2);
-    EXPECT_THROW(scheduleRingCollective(f.ctx, CollectiveKind::AllReduce, 0,
-                                        1.0, {}, "x"),
+    EXPECT_THROW(scheduleRingAllReduce(f.ctx, 0, 1.0, {}, "x"),
                  std::runtime_error);
-    EXPECT_THROW(scheduleRingCollective(f.ctx, CollectiveKind::AllReduce, 2,
-                                        1.0, {f.ctx.graph.barrier()}, "x"),
-                 std::runtime_error);
+    EXPECT_THROW(
+        scheduleRingAllReduce(f.ctx, 2, 1.0, {f.ctx.graph.barrier()}, "x"),
+        std::runtime_error);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * CtrlConfig contracts: enum name round-trips, validation (including the
- * disabled-plane contradictions and the cross-field couplings), the
- * drawsRandomness() seed-revival predicate, and the fifth derived stream's
- * distinctness from the other four.
+ * CtrlConfig contracts: validation (including the disabled-plane
+ * contradictions and the cross-field couplings), the drawsRandomness()
+ * seed-revival predicate, and the fifth derived stream's distinctness from
+ * the other four.
  */
 #include <gtest/gtest.h>
 
@@ -13,24 +13,6 @@
 
 namespace smartinf {
 namespace {
-
-TEST(CtrlConfig, EnumNamesRoundTrip)
-{
-    for (const ctrl::DispatchPolicy p : ctrl::allDispatchPolicies()) {
-        const auto back =
-            ctrl::dispatchPolicyFromName(ctrl::dispatchPolicyName(p));
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(*back, p);
-    }
-    for (const ctrl::AdmissionMode m : ctrl::allAdmissionModes()) {
-        const auto back =
-            ctrl::admissionModeFromName(ctrl::admissionModeName(m));
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(*back, m);
-    }
-    EXPECT_FALSE(ctrl::dispatchPolicyFromName("nope").has_value());
-    EXPECT_FALSE(ctrl::admissionModeFromName("nope").has_value());
-}
 
 TEST(CtrlConfig, DefaultIsDisabledAndValid)
 {

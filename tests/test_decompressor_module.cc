@@ -123,13 +123,5 @@ TEST(Decompressor, ThroughputClearsSsdRead)
     EXPECT_LT(perf.modeled_throughput, 7e9); // But below the updater.
 }
 
-TEST(Decompressor, RegistryServesTopK)
-{
-    auto &registry = ModuleRegistry::instance();
-    auto module = registry.makeDecompressor("topk");
-    EXPECT_NE(module, nullptr);
-    EXPECT_THROW(registry.makeDecompressor("lowrank"), std::runtime_error);
-}
-
 } // namespace
 } // namespace smartinf::accel

@@ -1,6 +1,7 @@
 /** @file Tests for the windowed, mergeable counter sampler. */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -142,6 +143,10 @@ TEST(CounterSampler, CsvShapeIsStable)
 TEST(CounterSampler, RejectsNonPositiveWindow)
 {
     EXPECT_THROW(CounterSampler(0.0), std::runtime_error);
+    EXPECT_THROW(CounterSampler(std::numeric_limits<double>::quiet_NaN()),
+                 std::runtime_error);
+    EXPECT_THROW(CounterSampler(std::numeric_limits<double>::infinity()),
+                 std::runtime_error);
 }
 
 /** The semigroup contract at streaming scale: 10^6 samples split over

@@ -16,6 +16,7 @@
 #include <string>
 #include <utility>
 
+#include "common/json.h"
 #include "obs/observation.h"
 #include "serve/inference_workload.h"
 #include "train/engine.h"
@@ -226,6 +227,29 @@ TEST(ObsTrace, WrittenJsonIsWellFormed)
     // Track-name metadata present for Perfetto's group labels.
     EXPECT_NE(doc.find("\"process_name\""), std::string::npos);
     EXPECT_NE(doc.find("\"thread_name\""), std::string::npos);
+}
+
+TEST(ObsTrace, TrackAndEventNamesUseTheSharedEscaper)
+{
+    const std::string specials = std::string("\"\\\n\r") + '\x01';
+    obs::TraceSink sink;
+    const uint32_t pid = sink.process("run" + specials);
+    const uint32_t tid = sink.thread(pid, "track" + specials);
+    sink.instant(pid, tid, "event" + specials, 1.0);
+    std::ostringstream os;
+    sink.write(os);
+    const std::string doc = os.str();
+
+    for (const std::string &name :
+         {"run" + specials, "track" + specials, "event" + specials}) {
+        EXPECT_NE(doc.find('"' + jsonEscape(name) + '"'), std::string::npos)
+            << jsonEscape(name);
+    }
+    // Every control character was escaped: only the writer's own
+    // line breaks remain raw.
+    for (const char c : doc)
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << static_cast<int>(c);
 }
 
 TEST(ObsTrace, SweepRunsMergeIntoDistinctProcessGroups)

@@ -287,15 +287,6 @@ TEST(Optimizer, StateCountsMatchFamily)
     EXPECT_EQ(auxStateCount(OptimizerKind::AdaGrad), 1);
 }
 
-TEST(Optimizer, StateVolumeInM)
-{
-    // Adam: master+mmt+var FP32 = 6M; SGD/AdaGrad: 4M (the paper's 3/4x
-    // offloading-volume discussion, SVII-F).
-    EXPECT_DOUBLE_EQ(optimizerStateVolumeInM(OptimizerKind::Adam), 6.0);
-    EXPECT_DOUBLE_EQ(optimizerStateVolumeInM(OptimizerKind::SgdMomentum), 4.0);
-    EXPECT_DOUBLE_EQ(optimizerStateVolumeInM(OptimizerKind::AdaGrad), 4.0);
-}
-
 TEST(Optimizer, NamesAreStable)
 {
     EXPECT_STREQ(optimizerName(OptimizerKind::Adam), "Adam");

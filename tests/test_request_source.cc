@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "exp/run_spec.h"
 #include "serve/inference_workload.h"
@@ -393,6 +394,11 @@ TEST(RequestSource, RecordCapValidation)
     config = smallServe();
     config.record_cap = 16;
     config.stream_window_s = 0.0;
+    EXPECT_FALSE(config.validate().empty());
+
+    config = smallServe();
+    config.record_cap = 16;
+    config.stream_window_s = std::numeric_limits<double>::infinity();
     EXPECT_FALSE(config.validate().empty());
 
     // window_s is inert while the cap is off.

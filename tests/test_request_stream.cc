@@ -240,15 +240,5 @@ TEST(RequestStream, ExtremeLognormalTailClampsToTheCeiling)
         EXPECT_EQ(r.output_tokens, 8192);
 }
 
-TEST(RequestStream, EnumNamesRoundTrip)
-{
-    for (const ClientMode mode : allClientModes())
-        EXPECT_EQ(clientModeFromName(clientModeName(mode)), mode);
-    EXPECT_FALSE(clientModeFromName("nope").has_value());
-    for (const LengthDistKind kind : allLengthDistKinds())
-        EXPECT_EQ(lengthDistKindFromName(lengthDistKindName(kind)), kind);
-    EXPECT_FALSE(lengthDistKindFromName("gaussianish").has_value());
-}
-
 } // namespace
 } // namespace smartinf::serve

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "common/json.h"
 #include "common/table.h"
 #include "exp/result_io.h"
 #include "exp/sweep_runner.h"
@@ -27,6 +28,7 @@ TEST(ResultIo, JsonEscapeHandlesSpecials)
     EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
     EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
     EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+    EXPECT_EQ(jsonEscape("a\rb"), "a\\rb");
     EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 

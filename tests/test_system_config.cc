@@ -1,5 +1,5 @@
-/** @file Tests for strategy name round-tripping and the actionable
- *  config validation added with the unified experiment API. */
+/** @file Tests for the strategy list and the actionable config validation
+ *  added with the unified experiment API. */
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -11,15 +11,6 @@
 namespace smartinf::train {
 namespace {
 
-TEST(StrategyName, RoundTripsExhaustively)
-{
-    for (Strategy s : allStrategies()) {
-        const auto parsed = strategyFromName(strategyName(s));
-        ASSERT_TRUE(parsed.has_value()) << strategyName(s);
-        EXPECT_EQ(*parsed, s);
-    }
-}
-
 TEST(StrategyName, AllStrategiesCoversTheEnum)
 {
     // Exhaustiveness guard: update allStrategies() when the enum grows.
@@ -27,21 +18,6 @@ TEST(StrategyName, AllStrategiesCoversTheEnum)
     EXPECT_EQ(all.size(), 4u);
     EXPECT_EQ(all.front(), Strategy::Baseline);
     EXPECT_EQ(all.back(), Strategy::SmartUpdateOptComp);
-}
-
-TEST(StrategyName, ParsingIsCaseInsensitive)
-{
-    EXPECT_EQ(strategyFromName("base"), Strategy::Baseline);
-    EXPECT_EQ(strategyFromName("su"), Strategy::SmartUpdate);
-    EXPECT_EQ(strategyFromName("su+o"), Strategy::SmartUpdateOpt);
-    EXPECT_EQ(strategyFromName("Su+O+c"), Strategy::SmartUpdateOptComp);
-}
-
-TEST(StrategyName, RejectsUnknownNames)
-{
-    EXPECT_FALSE(strategyFromName("").has_value());
-    EXPECT_FALSE(strategyFromName("SU+").has_value());
-    EXPECT_FALSE(strategyFromName("zero-infinity").has_value());
 }
 
 TEST(SystemConfigValidate, DefaultIsValid)

@@ -182,27 +182,5 @@ TEST(UpdaterModule, FootprintsFitTheKu15p)
     EXPECT_NO_THROW(fpga.place(module->footprint()));
 }
 
-TEST(UpdaterModule, RegistryServesAllBuiltins)
-{
-    auto &registry = ModuleRegistry::instance();
-    for (const auto &name : {"adam", "adamw", "sgd", "adagrad"}) {
-        auto module = registry.makeUpdater(name, optim::Hyperparams{});
-        EXPECT_NE(module, nullptr);
-    }
-    EXPECT_THROW(registry.makeUpdater("nonexistent", optim::Hyperparams{}),
-                 std::runtime_error);
-}
-
-TEST(UpdaterModule, CustomModuleRegistration)
-{
-    auto &registry = ModuleRegistry::instance();
-    registry.registerUpdater("custom-adam", [](const optim::Hyperparams &hp) {
-        return makeUpdater(OptimizerKind::Adam, hp);
-    });
-    auto module = registry.makeUpdater("custom-adam", optim::Hyperparams{});
-    const auto report = sanityCheckUpdater(*module, 1024, 2, 3);
-    EXPECT_TRUE(report.passed);
-}
-
 } // namespace
 } // namespace smartinf::accel

@@ -2,8 +2,7 @@
  * @file
  * Tests of the Workload API: Engine::run(TrainingWorkload) is the same
  * computation runIteration() always performed (bit-identical, single- and
- * multi-node), the workload/scheduler enums round-trip through their
- * name helpers, and serving workloads run end to end through makeEngine.
+ * multi-node), and serving workloads run end to end through makeEngine.
  */
 #include <gtest/gtest.h>
 
@@ -82,44 +81,6 @@ TEST(WorkloadApi, RepeatedRunsOfOneEngineAreBitIdentical)
     system.strategy = train::Strategy::SmartUpdateOptComp;
     auto engine = train::makeEngine(model, tc, system);
     expectBitIdentical(engine->runIteration(), engine->runIteration());
-}
-
-// ---- enum round-trips (mirrors the strategyFromName pattern) ----------------
-
-TEST(WorkloadApi, WorkloadKindNamesRoundTrip)
-{
-    const auto all = train::allWorkloadKinds();
-    EXPECT_EQ(all.size(), 2u);
-    for (const train::WorkloadKind kind : all) {
-        const auto back = train::workloadKindFromName(
-            train::workloadKindName(kind));
-        ASSERT_TRUE(back.has_value()) << train::workloadKindName(kind);
-        EXPECT_EQ(*back, kind);
-    }
-    // Case-insensitive, unknowns rejected.
-    EXPECT_EQ(train::workloadKindFromName("SERVING"),
-              train::WorkloadKind::Serving);
-    EXPECT_EQ(train::workloadKindFromName("Training"),
-              train::WorkloadKind::Training);
-    EXPECT_FALSE(train::workloadKindFromName("batch").has_value());
-    EXPECT_FALSE(train::workloadKindFromName("").has_value());
-}
-
-TEST(WorkloadApi, SchedulerPolicyNamesRoundTrip)
-{
-    const auto all = serve::allSchedulerPolicies();
-    EXPECT_EQ(all.size(), 2u);
-    for (const serve::SchedulerPolicy policy : all) {
-        const auto back = serve::schedulerPolicyFromName(
-            serve::schedulerPolicyName(policy));
-        ASSERT_TRUE(back.has_value()) << serve::schedulerPolicyName(policy);
-        EXPECT_EQ(*back, policy);
-    }
-    EXPECT_EQ(serve::schedulerPolicyFromName("FIFO"),
-              serve::SchedulerPolicy::Fifo);
-    EXPECT_EQ(serve::schedulerPolicyFromName("Continuous"),
-              serve::SchedulerPolicy::Continuous);
-    EXPECT_FALSE(serve::schedulerPolicyFromName("lifo").has_value());
 }
 
 // ---- serving end to end through the factory ---------------------------------
