@@ -1,5 +1,7 @@
 #include "ctrl/ctrl_config.h"
 
+#include <cmath>
+
 #include "common/validation.h"
 
 namespace smartinf::ctrl {
@@ -50,10 +52,11 @@ SloConfig::validate() const
                  "control is armed (it is the SLO being admitted against)",
                  target_p99_s);
     if (admission == AdmissionMode::Defer) {
-        requireField(errors, defer_delay_s > 0.0,
-                     "ctrl.slo.defer_delay_s must be positive under Defer "
-                     "(a zero delay would re-try admission in the same "
-                     "instant it just failed)",
+        requireField(errors,
+                     std::isfinite(defer_delay_s) && defer_delay_s > 0.0,
+                     "ctrl.slo.defer_delay_s must be finite and positive "
+                     "under Defer (a zero delay would re-try admission in "
+                     "the same instant it just failed)",
                      defer_delay_s);
         requireField(errors, max_defers >= 1,
                      "ctrl.slo.max_defers must be >= 1 under Defer (use "

@@ -215,14 +215,11 @@ writeRecordJson(std::ostream &os, const RunRecord &record)
     const train::FaultStats &f = record.result.fault;
     if (f.enabled) {
         os << ",\"fault\":{\"node_crashes\":" << f.node_crashes
-           << ",\"csd_failures\":" << f.csd_failures
-           << ",\"link_degrades\":" << f.link_degrades
-           << ",\"stalls\":" << f.stalls;
+           << ",\"link_degrades\":" << f.link_degrades;
         if (record.result.kind == train::WorkloadKind::Serving)
             os << ",\"requests_displaced\":" << f.requests_displaced
                << ",\"retries_dispatched\":" << f.retries_dispatched
-               << ",\"requests_shed\":" << f.requests_shed
-               << ",\"reprefills\":" << f.reprefills;
+               << ",\"requests_shed\":" << f.requests_shed;
         else
             os << ",\"checkpoints_written\":" << f.checkpoints_written
                << ",\"restarts\":" << f.restarts

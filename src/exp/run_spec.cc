@@ -252,15 +252,9 @@ hashAppend(HashStream &hs, const fault::FaultConfig &f,
     hs << f.nodeFaults();
     if (f.nodeFaults())
         hs << f.node_mtbf << f.repair_time;
-    hs << f.csdFaults();
-    if (f.csdFaults())
-        hs << f.csd_mtbf << f.csd_fail_factor << f.repair_time;
     hs << f.degradeFaults();
     if (f.degradeFaults())
         hs << f.degrade_mtbf << f.degrade_factor << f.degrade_duration;
-    hs << f.stallFaults();
-    if (f.stallFaults())
-        hs << f.stall_mtbf << f.stall_duration;
     if (training) {
         // Checkpoint knobs shape only the checkpointed training workload;
         // the job length is part of the workload shape as well.
@@ -418,12 +412,8 @@ RunSpec::describe() const
     if (fault.enabled) {
         if (fault.nodeFaults())
             oss << "/mtbf" << fault.node_mtbf;
-        if (fault.csdFaults())
-            oss << "/csd" << fault.csd_mtbf;
         if (fault.degradeFaults())
             oss << "/deg" << fault.degrade_mtbf;
-        if (fault.stallFaults())
-            oss << "/stall" << fault.stall_mtbf;
         if (workload == train::WorkloadKind::Training)
             oss << "/i" << fault.num_iterations << "/ckpt"
                 << fault.checkpoint_interval;

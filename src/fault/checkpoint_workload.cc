@@ -1,6 +1,5 @@
 #include "fault/checkpoint_workload.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -41,8 +40,7 @@ CheckpointedTrainingWorkload::build(train::SimContext &ctx)
         stats_.enabled = true;
         ctx.faults_armed = true;
         links_.emplace(ctx);
-        events_ = generateFaultSchedule(fault_, fault_.seed, nodes,
-                                        ctx.system.num_devices);
+        events_ = generateFaultSchedule(fault_, fault_.seed, nodes);
         for (const FaultEvent &event : events_)
             ctx.sim.at(event.time, [this, event]() { onFault(event); });
     }
@@ -59,13 +57,6 @@ CheckpointedTrainingWorkload::beginIteration()
     if (dead_ || in_iteration_ || iterations_done_ >= target_)
         return;
     train::SimContext &ctx = *ctx_;
-    const Seconds now = ctx.sim.now();
-    if (now < stall_until_) {
-        // Straggler: defer this iteration; re-enter when the stall lifts
-        // (the guard above makes duplicate wake-ups harmless).
-        ctx.sim.at(stall_until_, [this]() { beginIteration(); });
-        return;
-    }
     in_iteration_ = true;
 
     // One revocation domain per iteration: a crash abandons the whole
@@ -225,20 +216,6 @@ CheckpointedTrainingWorkload::onFault(const FaultEvent &event)
         ctx.sim.at(now + event.duration, [this]() { beginRestore(); });
         break;
       }
-      case FaultKind::CsdFailure: {
-        ++stats_.csd_failures;
-        // The failed device's media links run at the rebuild rate until it
-        // is repaired; parameter/gradient/checkpoint flows crossing it
-        // re-share mid-flight.
-        links_->begin(event);
-        ctx.sim.at(now + event.duration, [this, event]() {
-            links_->end(event);
-            if (ctx_->obs)
-                ctx_->obs->recoveryAction("csd-restore", event.node,
-                                          ctx_->sim.now());
-        });
-        break;
-      }
       case FaultKind::LinkDegrade: {
         ++stats_.link_degrades;
         links_->begin(event);
@@ -248,11 +225,6 @@ CheckpointedTrainingWorkload::onFault(const FaultEvent &event)
                 ctx_->obs->recoveryAction("link-restore", event.node,
                                           ctx_->sim.now());
         });
-        break;
-      }
-      case FaultKind::Stall: {
-        ++stats_.stalls;
-        stall_until_ = std::max(stall_until_, now + event.duration);
         break;
       }
     }

@@ -18,9 +18,9 @@
  *    read-back flows (striped CSD reads + host->GPU upload) before the lost
  *    iterations are recomputed. Restart latency is therefore an emergent
  *    cost: repair + read-back + replay.
- *  - CSD failures and link degradation multiply link capacities for the
- *    repair/episode window (fault::LinkEpisodes; the incremental max-min
- *    scheduler re-shares mid-flow); stalls defer the next iteration.
+ *  - Link degradation multiplies host-link capacities for the episode
+ *    window (fault::LinkEpisodes; the incremental max-min scheduler
+ *    re-shares mid-flow).
  *
  * Determinism: the fault schedule is drawn pre-sim from the fourth derived
  * stream (fault::faultSeed(FaultConfig::seed) — training runs have no client
@@ -93,9 +93,8 @@ class CheckpointedTrainingWorkload final : public train::Workload
 
     // -- fault state -------------------------------------------------------
     bool dead_ = false; ///< crashed; repair + read-back in progress
-    Seconds stall_until_ = 0.0;
     train::FaultStats stats_;
-    /** CSD-failure and link-degradation episodes (set when enabled). */
+    /** Link-degradation episodes (set when enabled). */
     std::optional<LinkEpisodes> links_;
 };
 

@@ -21,24 +21,10 @@ FaultConfig::validate() const
                  "fault.node_mtbf must be positive (use FaultConfig::kNever "
                  "to disable node crashes)",
                  node_mtbf);
-    requireField(errors, csd_mtbf > 0.0,
-                 "fault.csd_mtbf must be positive (use FaultConfig::kNever "
-                 "to disable CSD failures)",
-                 csd_mtbf);
     requireField(errors, degrade_mtbf > 0.0,
                  "fault.degrade_mtbf must be positive (use "
                  "FaultConfig::kNever to disable link degradation)",
                  degrade_mtbf);
-    requireField(errors, stall_mtbf > 0.0,
-                 "fault.stall_mtbf must be positive (use FaultConfig::kNever "
-                 "to disable stalls)",
-                 stall_mtbf);
-    if (csdFaults())
-        requireField(errors,
-                     csd_fail_factor > 0.0 && csd_fail_factor <= 1.0,
-                     "fault.csd_fail_factor must be in (0, 1] (a zero "
-                     "capacity would starve the max-min scheduler)",
-                     csd_fail_factor);
     if (degradeFaults()) {
         requireField(errors, degrade_factor > 0.0 && degrade_factor <= 1.0,
                      "fault.degrade_factor must be in (0, 1] (a zero "
@@ -48,20 +34,18 @@ FaultConfig::validate() const
                      "fault.degrade_duration must be positive",
                      degrade_duration);
     }
-    if (stallFaults())
-        requireField(errors, stall_duration > 0.0,
-                     "fault.stall_duration must be positive", stall_duration);
-    if (nodeFaults() || csdFaults())
-        requireField(errors, repair_time > 0.0,
-                     "fault.repair_time must be positive (how long a "
-                     "crashed node / failed CSD stays down)",
+    if (nodeFaults())
+        requireField(errors, std::isfinite(repair_time) && repair_time > 0.0,
+                     "fault.repair_time must be finite and positive (how "
+                     "long a crashed node stays down)",
                      repair_time);
     requireField(errors, retry_limit >= 0,
                  "fault.retry_limit must be >= 0 (0 = shed displaced "
                  "requests immediately)",
                  retry_limit);
-    requireField(errors, retry_backoff >= 0.0,
-                 "fault.retry_backoff must be >= 0", retry_backoff);
+    requireField(errors, std::isfinite(retry_backoff) && retry_backoff >= 0.0,
+                 "fault.retry_backoff must be finite and >= 0",
+                 retry_backoff);
     requireField(errors, retry_timeout > 0.0,
                  "fault.retry_timeout must be positive (displaced requests "
                  "older than this are shed)",

@@ -58,26 +58,15 @@ struct FaultConfig {
     std::uint64_t seed = 0x5eedu;
     /** Mean time between whole-node crashes (exponential gaps). */
     Seconds node_mtbf = kNever;
-    /** Mean time between CSD/device failures. A failed CSD takes its
-     *  parameter shard and KV spill tier down for repair_time: its media
-     *  links degrade to csd_fail_factor and resident KV forces re-prefill. */
-    Seconds csd_mtbf = kNever;
-    /** Media-link capacity multiplier while a CSD is failed (rebuild /
-     *  degraded-replica reads), in (0, 1]. */
-    double csd_fail_factor = 0.1;
     /** Mean time between NIC/link degradation episodes. */
     Seconds degrade_mtbf = kNever;
     /** Interconnect capacity multiplier during an episode, in (0, 1]. */
     double degrade_factor = 0.5;
     /** Length of one degradation episode. */
     Seconds degrade_duration = 30.0;
-    /** Mean time between transient stalls (stragglers). */
-    Seconds stall_mtbf = kNever;
-    /** Length of one stall: the node defers its next step/iteration. */
-    Seconds stall_duration = 5.0;
 
     // -- recovery: common -----------------------------------------------------
-    /** A crashed node / failed CSD is restored this long after the fault. */
+    /** A crashed node is restored this long after the fault. */
     Seconds repair_time = 30.0;
 
     // -- recovery: serving ----------------------------------------------------
@@ -101,14 +90,8 @@ struct FaultConfig {
 
     /** @name Category switches (finite MTBF = armed). @{ */
     bool nodeFaults() const { return node_mtbf < kNever; }
-    bool csdFaults() const { return csd_mtbf < kNever; }
     bool degradeFaults() const { return degrade_mtbf < kNever; }
-    bool stallFaults() const { return stall_mtbf < kNever; }
-    bool anyFaults() const
-    {
-        return nodeFaults() || csdFaults() || degradeFaults() ||
-               stallFaults();
-    }
+    bool anyFaults() const { return nodeFaults() || degradeFaults(); }
     /** @} */
 
     /** Actionable error list; empty means usable. Skipped when disabled

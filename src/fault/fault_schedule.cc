@@ -16,9 +16,7 @@ faultKindName(FaultKind kind)
 {
     switch (kind) {
       case FaultKind::NodeCrash: return "node-crash";
-      case FaultKind::CsdFailure: return "csd-failure";
       case FaultKind::LinkDegrade: return "link-degrade";
-      case FaultKind::Stall: return "stall";
     }
     return "?";
 }
@@ -35,17 +33,16 @@ faultSeed(std::uint64_t seed)
 namespace {
 
 /** Arm one category: exponential gaps at @p mtbf until the horizon. Each
- *  category draws from its own sub-derived stream so arming one never
- *  moves another's events. */
+ *  category draws from its own sub-derived stream, keyed by @p stream, so
+ *  arming one never moves another's events. */
 void
 drawCategory(std::vector<FaultEvent> &out, const FaultConfig &config,
-             std::uint64_t base, FaultKind kind, Seconds mtbf,
-             double factor, Seconds duration, int num_nodes, int num_devices)
+             std::uint64_t base, std::uint64_t stream, FaultKind kind,
+             Seconds mtbf, double factor, Seconds duration, int num_nodes)
 {
     if (!(mtbf < FaultConfig::kNever))
         return;
-    Rng rng(base ^
-            (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(kind) + 1)));
+    Rng rng(base ^ (0x9e3779b97f4a7c15ull * stream));
     Seconds t = 0.0;
     for (;;) {
         t += -mtbf * std::log(1.0 - rng.uniform());
@@ -56,9 +53,6 @@ drawCategory(std::vector<FaultEvent> &out, const FaultConfig &config,
         event.kind = kind;
         event.node = static_cast<int>(
             rng.uniformInt(static_cast<std::uint64_t>(num_nodes)));
-        if (kind == FaultKind::CsdFailure)
-            event.device = static_cast<int>(
-                rng.uniformInt(static_cast<std::uint64_t>(num_devices)));
         event.factor = factor;
         event.duration = duration;
         out.push_back(event);
@@ -69,26 +63,22 @@ drawCategory(std::vector<FaultEvent> &out, const FaultConfig &config,
 
 std::vector<FaultEvent>
 generateFaultSchedule(const FaultConfig &config, std::uint64_t seed,
-                      int num_nodes, int num_devices)
+                      int num_nodes)
 {
     std::vector<FaultEvent> events;
     if (!config.enabled || !config.anyFaults())
         return events;
     SI_REQUIRE(num_nodes >= 1, "fault schedule needs at least one node");
-    SI_REQUIRE(num_devices >= 1, "fault schedule needs at least one device");
 
+    // The sub-stream keys are fixed literals, not derived from FaultKind: a
+    // key selects a category's whole draw sequence, and every pinned
+    // schedule and fault-mode result was drawn with crash 1, degrade 3.
     const std::uint64_t base = faultSeed(seed);
-    drawCategory(events, config, base, FaultKind::NodeCrash,
-                 config.node_mtbf, 1.0, config.repair_time, num_nodes,
-                 num_devices);
-    drawCategory(events, config, base, FaultKind::CsdFailure,
-                 config.csd_mtbf, config.csd_fail_factor, config.repair_time,
-                 num_nodes, num_devices);
-    drawCategory(events, config, base, FaultKind::LinkDegrade,
+    drawCategory(events, config, base, 1, FaultKind::NodeCrash,
+                 config.node_mtbf, 1.0, config.repair_time, num_nodes);
+    drawCategory(events, config, base, 3, FaultKind::LinkDegrade,
                  config.degrade_mtbf, config.degrade_factor,
-                 config.degrade_duration, num_nodes, num_devices);
-    drawCategory(events, config, base, FaultKind::Stall, config.stall_mtbf,
-                 1.0, config.stall_duration, num_nodes, num_devices);
+                 config.degrade_duration, num_nodes);
 
     std::stable_sort(events.begin(), events.end(),
                      [](const FaultEvent &a, const FaultEvent &b) {
@@ -96,9 +86,7 @@ generateFaultSchedule(const FaultConfig &config, std::uint64_t seed,
                              return a.time < b.time;
                          if (a.kind != b.kind)
                              return a.kind < b.kind;
-                         if (a.node != b.node)
-                             return a.node < b.node;
-                         return a.device < b.device;
+                         return a.node < b.node;
                      });
     return events;
 }
@@ -106,15 +94,10 @@ generateFaultSchedule(const FaultConfig &config, std::uint64_t seed,
 std::array<net::Link *, 2>
 LinkEpisodes::targets(const FaultEvent &event) const
 {
+    SI_ASSERT(event.kind == FaultKind::LinkDegrade,
+              "only link degradation degrades links");
     const std::string prefix =
         train::linkPrefix(event.node, ctx_.system.num_nodes);
-    if (event.kind == FaultKind::CsdFailure) {
-        const std::string ssd = prefix + "ssd" + std::to_string(event.device);
-        return {&ctx_.topo.link(ssd + ".read"),
-                &ctx_.topo.link(ssd + ".write")};
-    }
-    SI_ASSERT(event.kind == FaultKind::LinkDegrade,
-              "only CSD failures and link degradation degrade links");
     return {&ctx_.topo.link(prefix + "host.up"),
             &ctx_.topo.link(prefix + "host.down")};
 }

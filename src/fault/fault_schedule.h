@@ -6,11 +6,11 @@
  * (lengthSeed) and prefix (prefixSeed) streams, pinned by the same kind of
  * tests: enabling faults never moves an arrival, a sampled length, or a
  * prefix assignment, and each fault *category* draws from its own derived
- * sub-stream, so arming stalls never moves a node crash.
+ * sub-stream, so arming link degradation never moves a node crash.
  *
  * Also the link side of a fault episode, shared by the training and
- * serving fault paths: LinkEpisodes degrades the links a CSD failure or a
- * link degradation targets and restores them when the episode ends.
+ * serving fault paths: LinkEpisodes degrades the host links a link
+ * degradation targets and restores them when the episode ends.
  */
 #ifndef SMARTINF_FAULT_FAULT_SCHEDULE_H
 #define SMARTINF_FAULT_FAULT_SCHEDULE_H
@@ -33,26 +33,23 @@ namespace smartinf::fault {
 
 /** What failed (declaration order is the schedule's tie-break order). */
 enum class FaultKind {
-    NodeCrash,   ///< whole replica/node down for repair_time
-    CsdFailure,  ///< one CSD down: media links degraded, KV tier lost
-    LinkDegrade, ///< interconnect capacity × degrade_factor for a while
-    Stall        ///< transient straggler: next step/iteration deferred
+    NodeCrash,  ///< whole replica/node down for repair_time
+    LinkDegrade ///< interconnect capacity × degrade_factor for a while
 };
 
-/** Stable lowercase name ("node-crash"/"csd-failure"/...). */
+/** Stable lowercase name ("node-crash"/"link-degrade"). */
 const char *faultKindName(FaultKind kind);
 
 /** One timed fault event, fully determined pre-sim. */
 struct FaultEvent {
     Seconds time = 0.0;
     FaultKind kind = FaultKind::NodeCrash;
-    int node = 0;    ///< target node in [0, num_nodes)
-    int device = -1; ///< target CSD on the node (CsdFailure only)
-    /** Capacity multiplier while the fault holds (LinkDegrade and
-     *  CsdFailure; 1.0 otherwise). */
+    int node = 0; ///< target node in [0, num_nodes)
+    /** Capacity multiplier while the fault holds (LinkDegrade; 1.0
+     *  otherwise). */
     double factor = 1.0;
     /** How long the fault holds before the matching restore: episode
-     *  length for LinkDegrade/Stall, repair_time for crashes/failures. */
+     *  length for LinkDegrade, repair_time for crashes. */
     Seconds duration = 0.0;
 };
 
@@ -64,20 +61,19 @@ std::uint64_t faultSeed(std::uint64_t seed);
  * Draw the full fault schedule for one run: per category (in FaultKind
  * order, each from its own sub-derived stream) exponential inter-fault gaps
  * at the category's MTBF until config.horizon, each event targeting a
- * uniformly drawn node (and device, for CSD failures). The result is
- * stable-sorted by (time, kind, node, device) — the deterministic order
+ * uniformly drawn node. The result is stable-sorted by (time, kind,
+ * node) — the deterministic order
  * drivers arm their sim events in. Empty when disabled or no category is
  * armed.
  */
 std::vector<FaultEvent> generateFaultSchedule(const FaultConfig &config,
                                               std::uint64_t seed,
-                                              int num_nodes, int num_devices);
+                                              int num_nodes);
 
 /**
  * The capacity multipliers of the fault episodes active on one run's links.
- * A CsdFailure degrades its device's media links (ssd<d>.read/.write), a
- * LinkDegrade its node's host interconnect (host.up/host.down), each by
- * event.factor until the matching end(). Episodes may overlap on a link and
+ * A LinkDegrade degrades its node's host interconnect (host.up/host.down)
+ * by event.factor until the matching end(). Episodes may overlap on a link and
  * end in any order: the link's factor is always the exact product of the
  * active multipliers (never divided back out: x * f / f need not round-trip
  * in IEEE), and the flow network re-shares in-flight flows on every change.

@@ -110,8 +110,8 @@ BatchScheduler::maybeBeginStep()
 {
     if (step_in_flight_)
         return;
-    if (dead_ || ctx_.sim.now() < stalled_until_)
-        return; // crashed, or stalled (stallUntil armed the wake event)
+    if (dead_)
+        return; // crashed: revive() restarts stepping
     if (running_.empty() && queue_.empty())
         return; // idle until the next arrival
     // A non-empty batch always continues decoding under both policies;
@@ -382,45 +382,6 @@ BatchScheduler::revive()
 {
     dead_ = false;
     maybeBeginStep();
-}
-
-void
-BatchScheduler::stallUntil(Seconds t)
-{
-    if (t <= stalled_until_)
-        return; // already stalled at least that long
-    stalled_until_ = t;
-    // Wake event: re-enter the scheduler when the stall lifts (no-op if a
-    // step is then already in flight or nothing is waiting).
-    ctx_.sim.at(t, [this]() { maybeBeginStep(); });
-}
-
-int
-BatchScheduler::forceReprefill()
-{
-    const bool step_was_in_flight = step_in_flight_;
-    if (step_in_flight_) {
-        ctx_.graph.revokeDomain(step_domain_);
-        step_in_flight_ = false;
-    }
-    int lost = 0;
-    for (Active &a : running_) {
-        // Progress lost: resident KV (prefilled), or a revoked in-flight
-        // step (its partial prefill/decode compute is discarded).
-        if (a.prefilled || a.produced > 0 || step_was_in_flight)
-            ++lost;
-        if (kv_) {
-            // The block table is gone with the tier; re-admit without a
-            // prefix (the cached prefix pages were lost too).
-            kv_->retire(a.spec.id);
-            kv_->admit(a.spec.id, -1, 0);
-        }
-        a.prefilled = false;
-        a.produced = 0;
-        a.shared_tokens = 0;
-    }
-    maybeBeginStep();
-    return lost;
 }
 
 void

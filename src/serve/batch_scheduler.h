@@ -116,9 +116,9 @@ class BatchScheduler
 
     /** @name Fault seam (called only by fault-injecting workloads).
      *
-     * All four entry points run inside deterministic simulator events
-     * armed from the pre-drawn fault schedule. Fault-free runs never call
-     * any of them (and beginStep opens no revocation domain unless
+     * Both entry points (failNode, revive) run inside deterministic
+     * simulator events armed from the pre-drawn fault schedule. Fault-free
+     * runs never call either (and beginStep opens no revocation domain unless
      * ctx.faults_armed), so the scheduler's fault-free behavior is
      * bit-identical to the pre-fault build.
      * @{ */
@@ -136,17 +136,6 @@ class BatchScheduler
      *  queued up while dead — it cannot have, since dispatch skips dead
      *  replicas, but the call is harmlessly idempotent). */
     void revive();
-    /** Transient straggler: defer the *next* step until @p t (the
-     *  in-flight step, if any, completes normally). */
-    void stallUntil(Seconds t);
-    /**
-     * The node's KV spill tier was lost (CSD failure): revoke the
-     * in-flight step and reset every running request to the unprefilled
-     * state — its prompt must be recomputed from scratch (a real re-prefill
-     * step, contending like any other). Queued requests are unaffected.
-     * Returns how many requests lost progress.
-     */
-    int forceReprefill();
     /** True while crashed (between failNode() and revive()). */
     bool dead() const { return dead_; }
     /** Requests on this node (queued + running) — the admission-shedding
@@ -210,7 +199,6 @@ class BatchScheduler
 
     /** @name Fault state (inert defaults in fault-free runs). @{ */
     bool dead_ = false;
-    Seconds stalled_until_ = 0.0;
     /** The in-flight step's revocation domain (kNoDomain unless
      *  ctx.faults_armed). */
     sim::TaskGraph::Domain step_domain_ = sim::TaskGraph::kNoDomain;

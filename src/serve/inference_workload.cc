@@ -218,22 +218,6 @@ InferenceWorkload::onFault(train::SimContext &ctx,
         });
         break;
       }
-      case fault::FaultKind::CsdFailure: {
-        ++fault_stats_.csd_failures;
-        // The failed device's media links degrade to the rebuild rate,
-        // and the KV pages resident on that tier are gone: the node's
-        // running batch re-prefills from scratch.
-        fault_links_->begin(event);
-        fault_stats_.reprefills +=
-            schedulers_[event.node]->forceReprefill();
-        ctx.sim.at(now + event.duration, [this, &ctx, event]() {
-            fault_links_->end(event);
-            if (ctx.obs)
-                ctx.obs->recoveryAction("csd-restore", event.node,
-                                        ctx.sim.now());
-        });
-        break;
-      }
       case fault::FaultKind::LinkDegrade: {
         ++fault_stats_.link_degrades;
         // The node's host interconnect (the trunk every storage and KV
@@ -246,11 +230,6 @@ InferenceWorkload::onFault(train::SimContext &ctx,
                 ctx.obs->recoveryAction("link-restore", event.node,
                                         ctx.sim.now());
         });
-        break;
-      }
-      case fault::FaultKind::Stall: {
-        ++fault_stats_.stalls;
-        schedulers_[event.node]->stallUntil(now + event.duration);
         break;
       }
     }
@@ -292,7 +271,7 @@ InferenceWorkload::build(train::SimContext &ctx)
         fault_stats_.enabled = true;
         fault_links_.emplace(ctx);
         for (const fault::FaultEvent &event : fault::generateFaultSchedule(
-                 config_.fault, config_.seed, nodes, ctx.system.num_devices))
+                 config_.fault, config_.seed, nodes))
             armFault(ctx, event);
     }
 

@@ -112,7 +112,7 @@ class InferenceWorkload final : public train::Workload
     /** @name Failover path (config.fault.enabled only). @{ */
     /** Arm one pre-drawn fault event as a timed simulator event. */
     void armFault(train::SimContext &ctx, const fault::FaultEvent &event);
-    /** Apply @p event now: crash/degrade/stall, plus the matching restore
+    /** Apply @p event now: crash or degrade, plus the matching restore
      *  event at time + duration. */
     void onFault(train::SimContext &ctx, const fault::FaultEvent &event);
     /** Re-dispatch a displaced request: bump attempt, wait the linear
@@ -144,7 +144,7 @@ class InferenceWorkload final : public train::Workload
 
     /** @name Failover state (empty/zero in fault-free runs). @{ */
     train::FaultStats fault_stats_;
-    /** CSD-failure and link-degradation episodes (set when enabled). */
+    /** Link-degradation episodes (set when enabled). */
     std::optional<fault::LinkEpisodes> fault_links_;
     /** @} */
 };

@@ -143,8 +143,8 @@ ServeConfig::validate() const
         requireField(errors, concurrency >= 1,
                      "concurrency must be >= 1 in closed-loop mode",
                      concurrency);
-        requireField(errors, think_time >= 0.0,
-                     "think_time must be >= 0", think_time);
+        requireField(errors, std::isfinite(think_time) && think_time >= 0.0,
+                     "think_time must be finite and >= 0", think_time);
         requireField(errors, trace.empty(),
                      "a trace cannot drive closed-loop clients (arrivals "
                      "are reactive); clear trace or use open-loop mode",

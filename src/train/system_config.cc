@@ -1,5 +1,6 @@
 #include "train/system_config.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/validation.h"
@@ -57,8 +58,8 @@ SystemConfig::validate() const
         requireField(errors, nic_bandwidth > 0.0,
                      "nic_bandwidth must be positive for multi-node configs",
                      nic_bandwidth);
-        requireField(errors, nic_latency >= 0.0, "nic_latency must be >= 0",
-                     nic_latency);
+        requireField(errors, std::isfinite(nic_latency) && nic_latency >= 0.0,
+                     "nic_latency must be finite and >= 0", nic_latency);
     }
     // Engine's constructor runs this inside the timed set-up, so the
     // all-valid case is one branch-free pass of plain comparisons.

@@ -96,14 +96,11 @@ struct RequestRecord {
 struct FaultStats {
     bool enabled = false;
     int node_crashes = 0;  ///< whole-replica failures injected
-    int csd_failures = 0;  ///< device failures injected
     int link_degrades = 0; ///< NIC/link degradation episodes injected
-    int stalls = 0;        ///< transient stalls injected
     /** @name Serving recovery. @{ */
     int requests_displaced = 0; ///< pulled off a failed replica mid-service
     int retries_dispatched = 0; ///< re-dispatch attempts issued
     int requests_shed = 0;      ///< num_shed (limit/timeout/admission)
-    int reprefills = 0;         ///< re-prefills forced by lost KV tiers
     /** @} */
     /** @name Training recovery. @{ */
     int checkpoints_written = 0; ///< durable checkpoints committed

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ctrl/ctrl_config.h"
 #include "fault/fault_schedule.h"
 #include "serve/serve_config.h"
@@ -53,6 +55,8 @@ TEST(CtrlConfig, ValidationCatchesBadKnobs)
     // Defer needs a positive delay and at least one round.
     c.slo.admission = ctrl::AdmissionMode::Defer;
     c.slo.defer_delay_s = 0.0;
+    EXPECT_FALSE(c.validate().empty());
+    c.slo.defer_delay_s = std::numeric_limits<double>::infinity();
     EXPECT_FALSE(c.validate().empty());
     c.slo.defer_delay_s = 0.5;
     c.slo.max_defers = 0;

@@ -154,11 +154,11 @@ TEST(FlowFaults, DegradeSlowsAndRestoreSpeedsCompletion)
 
 TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
 {
-    // Two link-degradation episodes overlap on node 1's host interconnect
-    // while a CSD failure degrades one of its devices. The factor is the
-    // exact product of the active episodes, so ending them in either
-    // order leaves every link at exactly its nominal capacity (dividing
-    // the factors back out would not: 0.1 * 0.3 / 0.1 != 0.3 in IEEE).
+    // Two link-degradation episodes overlap on node 1's host interconnect.
+    // The factor is the exact product of the active episodes, so ending
+    // them in either order leaves every link at exactly its nominal
+    // capacity (dividing the factors back out would not:
+    // 0.1 * 0.3 / 0.1 != 0.3 in IEEE).
     const double cap = 123.456789;
     for (const bool first_in_first_out : {true, false}) {
         train::SystemConfig system;
@@ -170,10 +170,6 @@ TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
             const std::string n = node;
             topo.addLink(n + "host.up", cap);
             topo.addLink(n + "host.down", cap);
-            for (const char *ssd : {"ssd0", "ssd1"}) {
-                topo.addLink(n + ssd + ".read", cap);
-                topo.addLink(n + ssd + ".write", cap);
-            }
         }
         Link &up = topo.link("n1.host.up");
         net.startFlow({&up}, 1000.0, []() {});
@@ -186,21 +182,12 @@ TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
         a.factor = 0.1;
         fault::FaultEvent b = a;
         b.factor = 0.3;
-        fault::FaultEvent csd;
-        csd.kind = fault::FaultKind::CsdFailure;
-        csd.node = 1;
-        csd.device = 1;
-        csd.factor = 0.2;
         episodes.begin(a);
         episodes.begin(b);
-        episodes.begin(csd);
 
         EXPECT_EQ(up.effectiveCapacity(), cap * (0.1 * 0.3));
         EXPECT_EQ(topo.link("n1.host.down").effectiveCapacity(),
                   cap * (0.1 * 0.3));
-        EXPECT_EQ(topo.link("n1.ssd1.read").effectiveCapacity(), cap * 0.2);
-        EXPECT_EQ(topo.link("n1.ssd1.write").effectiveCapacity(), cap * 0.2);
-        EXPECT_EQ(topo.link("n1.ssd0.read").effectiveCapacity(), cap);
         EXPECT_EQ(topo.link("n0.host.up").effectiveCapacity(), cap);
         expectMatchesOracle(net);
 
@@ -208,10 +195,8 @@ TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
         EXPECT_EQ(up.effectiveCapacity(),
                   cap * (first_in_first_out ? 0.3 : 0.1));
         episodes.end(first_in_first_out ? b : a);
-        episodes.end(csd);
         expectMatchesOracle(net);
-        for (const char *name : {"n1.host.up", "n1.host.down",
-                                 "n1.ssd1.read", "n1.ssd1.write"})
+        for (const char *name : {"n1.host.up", "n1.host.down"})
             EXPECT_EQ(topo.link(name).effectiveCapacity(), cap) << name;
         EXPECT_EQ(net.currentRate(0), rate);
     }

@@ -188,7 +188,7 @@ TEST(FlowOracleWorkloads, ServeFailoverWithCrashesAndLinkDegrades)
     });
 }
 
-TEST(FlowOracleWorkloads, CheckpointedTrainingWithCsdFailures)
+TEST(FlowOracleWorkloads, CheckpointedTrainingWithCrashesAndDegrades)
 {
     const auto model = ModelSpec::gpt2(0.5);
     SystemConfig system;
@@ -199,7 +199,6 @@ TEST(FlowOracleWorkloads, CheckpointedTrainingWithCsdFailures)
     faults.enabled = true;
     faults.num_iterations = 4;
     faults.node_mtbf = 2.0;
-    faults.csd_mtbf = 1.0;
     faults.degrade_mtbf = 1.0;
     faults.repair_time = 2.0;
     faults.horizon = 40.0;

@@ -218,6 +218,9 @@ TEST(RequestStream, ClosedLoopValidation)
     config.client_mode = ClientMode::ClosedLoop;
     config.think_time = -1.0;
     EXPECT_FALSE(config.validate().empty());
+    // An infinite think time would stamp every later arrival at t = inf.
+    config.think_time = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.validate().empty());
 
     config = ServeConfig{};
     config.client_mode = ClientMode::ClosedLoop;

@@ -403,7 +403,6 @@ TEST(RunSpecHash, FaultKnobsAreInertWhileDisabled)
         b.fault.horizon *= 2.0;
         b.fault.seed += 1;
         b.fault.node_mtbf = 100.0;
-        b.fault.csd_mtbf = 50.0;
         b.fault.retry_limit += 2;
         b.fault.checkpoint_interval += 1;
         b.fault.num_iterations += 4;
@@ -458,19 +457,11 @@ TEST(RunSpecHash, TrainingFaultNormalization)
 
     // Each category's episode parameters key only while that category's
     // MTBF is finite.
-    RunSpec stall_shape = base;
-    stall_shape.fault.stall_duration *= 2.0;
-    stall_shape.fault.degrade_factor = 0.25;
-    stall_shape.fault.degrade_duration *= 2.0;
-    stall_shape.fault.csd_fail_factor = 0.5;
-    stall_shape.fault.repair_time *= 2.0;
-    EXPECT_EQ(base.hash(), stall_shape.hash());
-
-    RunSpec stalls = base;
-    stalls.fault.stall_mtbf = 60.0;
-    RunSpec stalls2 = stalls;
-    stalls2.fault.stall_duration *= 2.0;
-    EXPECT_NE(stalls.hash(), stalls2.hash());
+    RunSpec shape = base;
+    shape.fault.degrade_factor = 0.25;
+    shape.fault.degrade_duration *= 2.0;
+    shape.fault.repair_time *= 2.0;
+    EXPECT_EQ(base.hash(), shape.hash());
 
     RunSpec degrade = base;
     degrade.fault.degrade_mtbf = 60.0;
@@ -518,16 +509,6 @@ TEST(RunSpecHash, ServingFaultNormalization)
     mutated = armed;
     mutated.fault.shed_queue_depth += 8;
     EXPECT_TRUE(hashes.insert(mutated.hash()).second);
-
-    // CSD episodes key on their shape only once armed.
-    RunSpec csd = base;
-    csd.fault.csd_fail_factor = 0.5;
-    EXPECT_EQ(base.hash(), csd.hash());
-    RunSpec csd_armed = base;
-    csd_armed.fault.csd_mtbf = 90.0;
-    RunSpec csd_armed2 = csd_armed;
-    csd_armed2.fault.csd_fail_factor = 0.5;
-    EXPECT_NE(csd_armed.hash(), csd_armed2.hash());
 }
 
 TEST(RunSpecHash, DescribeTagsFaultSpecs)
@@ -558,13 +539,9 @@ TEST(RunSpecHash, DescribeTagsFaultSpecs)
 
     RunSpec episodes = servingSpec();
     episodes.fault.enabled = true;
-    episodes.fault.csd_mtbf = 90.0;
     episodes.fault.degrade_mtbf = 60.0;
-    episodes.fault.stall_mtbf = 45.0;
     const std::string elabel = episodes.describe();
-    EXPECT_NE(elabel.find("/csd90"), std::string::npos) << elabel;
     EXPECT_NE(elabel.find("/deg60"), std::string::npos) << elabel;
-    EXPECT_NE(elabel.find("/stall45"), std::string::npos) << elabel;
 }
 
 TEST(RunSpecHash, CtrlKnobsAreInertWhileDisabled)

@@ -60,6 +60,14 @@ TEST(SystemConfigValidate, ChecksNicSpecsOnlyForMultiNode)
     const auto errors = sc.validate();
     ASSERT_EQ(errors.size(), 1u);
     EXPECT_NE(errors[0].find("nic_bandwidth"), std::string::npos);
+
+    // An infinite NIC latency would make every multi-node iteration
+    // infinite.
+    sc.nic_bandwidth = SystemConfig{}.nic_bandwidth;
+    sc.nic_latency = std::numeric_limits<double>::infinity();
+    const auto latency_errors = sc.validate();
+    ASSERT_EQ(latency_errors.size(), 1u);
+    EXPECT_NE(latency_errors[0].find("nic_latency"), std::string::npos);
 }
 
 TEST(SystemConfigValidate, ChecksEveryCalibrationField)
