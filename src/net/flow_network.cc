@@ -1,6 +1,7 @@
 #include "net/flow_network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -85,7 +86,10 @@ FlowId
 FlowNetwork::startFlow(const Route &route, Bytes bytes,
                        std::function<void()> done, Seconds latency)
 {
-    SI_REQUIRE(bytes >= 0.0, "negative transfer size");
+    SI_REQUIRE(std::isfinite(bytes) && bytes >= 0.0,
+               "transfer size must be finite and non-negative, got ", bytes);
+    SI_REQUIRE(std::isfinite(latency) && latency >= 0.0,
+               "flow latency must be finite and non-negative, got ", latency);
     const FlowId id = next_id_++;
 
     const uint32_t slot = allocSlot();
@@ -132,6 +136,7 @@ FlowNetwork::beginBulk(uint32_t slot)
     f.active = true;
     f.remaining = f.pending_bytes;
     f.settled_at = now;
+    f.keyed = std::numeric_limits<double>::infinity(); // No entry yet.
     f.links.clear();
     for (Link *link : f.route) {
         trackLink(link);
@@ -407,6 +412,9 @@ FlowNetwork::recomputeComponent(Seconds now)
 
     // Refresh per-link aggregate rates (summed in id order so the oracle
     // reproduces the exact bit pattern) and re-key each flow's completion.
+    // A flow whose completion moved earlier (or that has no entry yet)
+    // pushes a new entry; a delayed one keeps its entry as a lower bound,
+    // which settleCompletionFront() re-keys only if it reaches the front.
     for (uint32_t li : comp_links_) {
         LinkState &ls = link_states_[li];
         ls.agg_rate = 0.0;
@@ -416,8 +424,9 @@ FlowNetwork::recomputeComponent(Seconds now)
     for (uint32_t s : comp_flows_) {
         FlowSlot &flow = slots_[s];
         SI_ASSERT(flow.rate > 0.0, "active flow with zero rate");
-        ++flow.stamp;
-        pushCompletion(s, now + flow.remaining / flow.rate);
+        flow.due = now + flow.remaining / flow.rate;
+        if (flow.due < flow.keyed)
+            pushCompletion(s);
     }
 
     if (observer_) {
@@ -448,10 +457,12 @@ FlowNetwork::heapEntryValid(const HeapEntry &e) const
 }
 
 void
-FlowNetwork::pushCompletion(uint32_t slot, Seconds when)
+FlowNetwork::pushCompletion(uint32_t slot)
 {
-    completion_heap_.push_back(
-        HeapEntry{when, slots_[slot].id, slot, slots_[slot].stamp});
+    FlowSlot &f = slots_[slot];
+    ++f.stamp; // The flow's previous entry, if any, becomes a tombstone.
+    f.keyed = f.due;
+    completion_heap_.push_back(HeapEntry{f.due, f.id, slot, f.stamp});
     std::push_heap(completion_heap_.begin(), completion_heap_.end(), heapLater);
     // Rate churn leaves one tombstone per superseded entry; compact before
     // the dead weight dominates.
@@ -473,15 +484,56 @@ FlowNetwork::compactCompletionHeap()
 }
 
 void
+FlowNetwork::settleCompletionFront(Seconds horizon)
+{
+    // Each pass pops a tombstone (each is popped at most once, ever) or
+    // makes a lower-bound entry exact, so the loop ends. Every live entry
+    // orders at or before its flow's (due, id), so an exact front is the
+    // earliest (due, id) of all flows, and a front keyed after the horizon
+    // puts every flow's due after it too.
+    while (!completion_heap_.empty()) {
+        HeapEntry &top = completion_heap_.front();
+        if (top.when > horizon)
+            return;
+        if (!heapEntryValid(top)) {
+            std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
+                          heapLater);
+            completion_heap_.pop_back();
+            continue;
+        }
+        FlowSlot &f = slots_[top.slot];
+        if (top.when == f.due)
+            return;
+        top.when = f.due;
+        f.keyed = f.due;
+        siftDownFront();
+    }
+}
+
+void
+FlowNetwork::siftDownFront()
+{
+    // std::pop_heap's layout: children of i at 2i+1 and 2i+2, and the
+    // earliest (when, id) on top under heapLater.
+    std::vector<HeapEntry> &heap = completion_heap_;
+    const HeapEntry moving = heap.front();
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+        if (child + 1 < n && heapLater(heap[child], heap[child + 1]))
+            ++child;
+        if (!heapLater(moving, heap[child]))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = moving;
+}
+
+void
 FlowNetwork::rescheduleCompletionEvent()
 {
-    // Drop superseded entries so the armed alarm always matches a live
-    // completion (each tombstone is popped at most once, ever).
-    while (!completion_heap_.empty() &&
-           !heapEntryValid(completion_heap_.front())) {
-        std::pop_heap(completion_heap_.begin(), completion_heap_.end(), heapLater);
-        completion_heap_.pop_back();
-    }
+    settleCompletionFront(std::numeric_limits<double>::infinity());
     auto &queue = sim_.queue();
     if (completion_heap_.empty()) {
         queue.disarm();
@@ -497,17 +549,15 @@ FlowNetwork::onCompletionEvent()
 {
     const Seconds now = sim_.now();
 
+    // Retire every flow due by now, in (due, id) order. Entries keyed after
+    // now stay as they are: the recompute below may make them stale.
     retiring_.clear();
-    while (!completion_heap_.empty()) {
-        const HeapEntry &top = completion_heap_.front();
-        if (heapEntryValid(top) && top.when > now)
-            break;
-        const bool due = heapEntryValid(top);
-        const uint32_t slot = top.slot;
+    for (settleCompletionFront(now);
+         !completion_heap_.empty() && completion_heap_.front().when <= now;
+         settleCompletionFront(now)) {
+        retiring_.push_back(completion_heap_.front().slot);
         std::pop_heap(completion_heap_.begin(), completion_heap_.end(), heapLater);
         completion_heap_.pop_back();
-        if (due)
-            retiring_.push_back(slot);
     }
     SI_ASSERT(!retiring_.empty(), "completion event with no due flow");
 

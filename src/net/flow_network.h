@@ -24,7 +24,13 @@
  * Completions: the network keeps its own heap of projected completion times
  * and mirrors the front into the event queue's single alarm, which it owns
  * (sim/event_queue.h). When the front time moves, the alarm is re-armed in
- * place.
+ * place. Each active flow has one live entry, keyed at or before its exact
+ * completion time. A recompute that moves a completion earlier pushes a new
+ * entry; one that only delays it (the common case) keeps the old entry as a
+ * lower bound, which is re-keyed in place only if it reaches the front. The
+ * front is settled to a live, exact entry before the alarm is armed and
+ * before each retirement, so alarm times and retirement order are those of
+ * a heap re-keyed on every recompute.
  *
  * Determinism: water-filling freezes flows in ascending FlowId order and
  * scans candidate bottleneck links in first-touch order (the order links are
@@ -188,7 +194,10 @@ class FlowNetwork
     /** Flow slots allocated (== peak concurrent flows, not total ever) —
      *  memory-bound introspection for tests. */
     std::size_t slotsAllocated() const { return slots_.size(); }
-    /** Completion-heap entries currently stored, live plus tombstones. */
+    /** Completion-heap entries currently stored: one live entry per active
+     *  flow plus tombstones of entries superseded by an earlier completion.
+     *  A flow whose completion is only delayed adds none
+     *  (FlowNetwork.DelayedCompletionsKeepTheirHeapEntry). */
     std::size_t completionHeapSize() const { return completion_heap_.size(); }
 
   private:
@@ -203,8 +212,11 @@ class FlowNetwork
         Bytes remaining = 0.0;
         BytesPerSec rate = 0.0;
         Seconds settled_at = 0.0; ///< time @c remaining refers to
+        Seconds due = 0.0;   ///< exact completion time at the current rate
+        Seconds keyed = 0.0; ///< time of the flow's live heap entry: a
+                             ///< lower bound on @c due (+inf: no entry)
         std::function<void()> done;
-        uint32_t stamp = 0;   ///< bumped on rate change/retire; guards heap
+        uint32_t stamp = 0;   ///< bumped on push/retire; guards heap
         uint64_t mark = 0;    ///< closure-visit / water-fill freeze epoch
         bool live = false;    ///< allocated to a flow (free slots: false)
         bool active = false;  ///< in bulk phase (delayed/free slots: false)
@@ -263,8 +275,18 @@ class FlowNetwork
      */
     void recomputeComponent(Seconds now);
     bool heapEntryValid(const HeapEntry &e) const;
-    void pushCompletion(uint32_t slot, Seconds when);
+    /** Push @p slot's entry at its @c due; its old entry goes stale. */
+    void pushCompletion(uint32_t slot);
     void compactCompletionHeap();
+    /**
+     * Pop stale entries off the heap front and re-key a lower-bound front
+     * to its flow's @c due, until the heap is empty, its front is live and
+     * exact (the earliest (due, id) of all flows), or its front is keyed
+     * after @p horizon (every flow is due after it).
+     */
+    void settleCompletionFront(Seconds horizon);
+    /** Restore heap order after the front entry's time grew. */
+    void siftDownFront();
     /** Arm the queue's alarm at the heap front's time (disarm when no
      *  completion is pending); re-arms only when that time moved. */
     void rescheduleCompletionEvent();

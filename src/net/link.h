@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.h"
 #include "common/units.h"
 
 namespace smartinf::net {
@@ -39,7 +40,13 @@ class Link
      * FlowNetwork::linkCapacityChanged() so in-flight rates are recomputed.
      * @{
      */
-    void setCapacityFactor(double factor) { factor_ = factor; }
+    void
+    setCapacityFactor(double factor)
+    {
+        SI_REQUIRE(factor > 0.0 && factor <= 1.0, "capacity factor of link ",
+                   name_, " must lie in (0, 1], got ", factor);
+        factor_ = factor;
+    }
     BytesPerSec effectiveCapacity() const { return capacity_ * factor_; }
     /** @} */
 

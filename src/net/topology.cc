@@ -1,5 +1,7 @@
 #include "net/topology.h"
 
+#include <cmath>
+
 #include "common/logging.h"
 
 namespace smartinf::net {
@@ -7,7 +9,8 @@ namespace smartinf::net {
 Link &
 Topology::addLink(const std::string &name, BytesPerSec capacity)
 {
-    SI_REQUIRE(capacity > 0.0, "link ", name, " needs positive capacity");
+    SI_REQUIRE(std::isfinite(capacity) && capacity > 0.0, "link ", name,
+               " needs a finite positive capacity, got ", capacity);
     SI_REQUIRE(!has(name), "duplicate link name: ", name);
     links_.emplace_back(static_cast<uint32_t>(links_.size()), name, capacity);
     Link &link = links_.back();

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,20 @@ TEST(FlowFaults, UnityFactorIsExactNoOp)
     EXPECT_EQ(net.currentRate(0), before);
     sim.run();
     EXPECT_TRUE(done);
+}
+
+TEST(FlowFaults, CapacityFactorOutsideUnitIntervalIsFatal)
+{
+    // A fault only ever scales a link down: a factor outside (0, 1] would
+    // starve the link or lift it past its nominal capacity.
+    Topology topo;
+    Link &link = topo.addLink("l", 100.0);
+    EXPECT_THROW(link.setCapacityFactor(0.0), std::runtime_error);
+    EXPECT_THROW(link.setCapacityFactor(1.5), std::runtime_error);
+    EXPECT_THROW(
+        link.setCapacityFactor(std::numeric_limits<double>::quiet_NaN()),
+        std::runtime_error);
+    EXPECT_EQ(link.effectiveCapacity(), 100.0);
 }
 
 TEST(FlowFaults, DegradeSlowsAndRestoreSpeedsCompletion)

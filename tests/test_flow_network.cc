@@ -1,6 +1,7 @@
 /** @file Tests for the max-min fair fluid-flow network. */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -182,6 +183,64 @@ TEST(FlowNetwork, LinksOfTwoTopologiesDoNotShareState)
     EXPECT_EQ(net.linkAggregateRate(&a), 100.0);
     EXPECT_THROW(net.linkAggregateRate(&b), std::logic_error);
     EXPECT_THROW(net.startFlow({&b}, 500.0, []() {}), std::logic_error);
+}
+
+TEST(FlowNetwork, NonFiniteOrNegativeInputsAreFatal)
+{
+    // A flow's size and latency set its event times: a negative, infinite
+    // or NaN latency would schedule an event in the past or one that never
+    // arrives, and an infinite size would deliver NaN bytes at t = inf.
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    Link &link = topo.addLink("l", 100.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(net.startFlow({&link}, inf, nullptr), std::runtime_error);
+    EXPECT_THROW(net.startFlow({&link}, 10.0, nullptr, nan),
+                 std::runtime_error);
+    EXPECT_THROW(net.startFlow({&link}, 10.0, nullptr, -1.0),
+                 std::runtime_error);
+    EXPECT_THROW(net.startFlow({&link}, 10.0, nullptr, inf),
+                 std::runtime_error);
+    EXPECT_EQ(net.activeFlows(), 0u);
+    EXPECT_TRUE(sim.queue().empty());
+}
+
+TEST(FlowNetwork, DelayedCompletionsKeepTheirHeapEntry)
+{
+    // Each flow joining link c delays the ones already on it. A delay keeps
+    // the flow's heap entry as a lower bound instead of pushing a new one,
+    // so the heap holds one entry per active flow; the completion times are
+    // those of a heap that re-keyed every flow on every recompute.
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    Link &a = topo.addLink("a", 100.0);
+    Link &c = topo.addLink("c", 100.0);
+    std::vector<double> done;
+    auto record = [&]() { done.push_back(sim.now()); };
+    net.startFlow({&a}, 100.0, record); // Alone on a: due at t = 1.
+    for (int i = 0; i < 8; ++i)
+        net.startFlow({&c}, 1000.0, record, 0.1 * i);
+
+    sim.runUntil([&]() { return net.activeFlows() == 9; });
+    EXPECT_DOUBLE_EQ(sim.now(), 0.7);
+    EXPECT_EQ(net.completionHeapSize(), net.activeFlows());
+
+    sim.run();
+    const std::vector<double> expected{
+        1.0,
+        78.625714285714281,
+        79.325714285714284,
+        79.625714285714295,
+        79.792380952380952,
+        79.892380952380961,
+        79.952380952380963,
+        79.985714285714295,
+        80.000000000000014,
+    };
+    EXPECT_EQ(done, expected);
 }
 
 TEST(FlowNetwork, UtilizationIntegralIsSane)

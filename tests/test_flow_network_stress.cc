@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -77,6 +79,29 @@ buildLinks(Topology &topo)
     return links;
 }
 
+/**
+ * A random route over buildLinks()' topology: one to three of a cluster's
+ * links, coupled to another cluster through a trunk 40% of the time.
+ */
+Route
+randomRoute(Rng &rng, const std::vector<Link *> &links)
+{
+    Route route;
+    const int cluster = static_cast<int>(rng.uniformInt(3));
+    const int len = 1 + static_cast<int>(rng.uniformInt(3));
+    for (int i = 0; i < len; ++i)
+        route.push_back(links[cluster * 3 + ((i + rng.uniformInt(2)) % 3)]);
+    if (rng.uniform() < 0.4) // Couple clusters through a trunk.
+        route.push_back(links[9 + rng.uniformInt(2)]);
+    // Dedup: routes are link sets in practice; multiplicity is exercised
+    // separately below.
+    Route unique;
+    for (Link *l : route)
+        if (std::find(unique.begin(), unique.end(), l) == unique.end())
+            unique.push_back(l);
+    return unique;
+}
+
 TEST(FlowNetworkStress, IncrementalMatchesOracleAfterEveryEvent)
 {
     sim::Simulator sim;
@@ -89,30 +114,13 @@ TEST(FlowNetworkStress, IncrementalMatchesOracleAfterEveryEvent)
     int churn_budget = 220; // Flows started from completion callbacks.
     double requested = 0.0;
 
-    auto random_route = [&]() {
-        Route route;
-        const int cluster = static_cast<int>(rng.uniformInt(3));
-        const int len = 1 + static_cast<int>(rng.uniformInt(3));
-        for (int i = 0; i < len; ++i)
-            route.push_back(links[cluster * 3 + ((i + rng.uniformInt(2)) % 3)]);
-        if (rng.uniform() < 0.4) // Couple clusters through a trunk.
-            route.push_back(links[9 + rng.uniformInt(2)]);
-        // Dedup: routes are link sets in practice; multiplicity is
-        // exercised separately below.
-        Route unique;
-        for (Link *l : route)
-            if (std::find(unique.begin(), unique.end(), l) == unique.end())
-                unique.push_back(l);
-        return unique;
-    };
-
     std::function<void(int)> launch = [&](int n) {
         for (int i = 0; i < n; ++i) {
             const double bytes = rng.uniform(50.0, 4000.0);
             const double latency =
                 rng.uniform() < 0.25 ? rng.uniform(0.01, 2.0) : 0.0;
             requested += bytes;
-            net.startFlow(random_route(), bytes,
+            net.startFlow(randomRoute(rng, links), bytes,
                           [&]() {
                               ++completed;
                               if (churn_budget > 0) {
@@ -138,6 +146,71 @@ TEST(FlowNetworkStress, IncrementalMatchesOracleAfterEveryEvent)
     EXPECT_EQ(completed, 60 + 220);
     // Lazy settlement must still conserve bytes end to end.
     EXPECT_NEAR(net.totalBytesDelivered(), requested, completed * 2.0);
+}
+
+TEST(FlowNetworkStress, CompletionSequenceIsPinned)
+{
+    // Completion-heap bookkeeping must not move a completion by one bit or
+    // one place: every callback, in run order, is hashed as (start index,
+    // bit pattern of its time) and compared with the sequence of a heap
+    // that pushed a fresh entry for every flow of every recompute.
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    const std::vector<Link *> links = buildLinks(topo);
+
+    Rng rng(20261018);
+    uint64_t digest = 14695981039346656037ull; // FNV-1a, 64-bit
+    auto mix = [&digest](uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            digest ^= (word >> (8 * byte)) & 0xffu;
+            digest *= 1099511628211ull;
+        }
+    };
+    int completed = 0;
+    int churn_budget = 150;
+    std::vector<FlowId> ids;
+
+    std::function<void(int)> launch = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            const uint64_t index = ids.size();
+            const double bytes = rng.uniform(50.0, 4000.0);
+            const double latency =
+                rng.uniform() < 0.25 ? rng.uniform(0.01, 2.0) : 0.0;
+            ids.push_back(net.startFlow(
+                randomRoute(rng, links), bytes,
+                [&, index]() {
+                    ++completed;
+                    mix(index);
+                    mix(std::bit_cast<uint64_t>(sim.now()));
+                    if (churn_budget > 0) {
+                        --churn_budget;
+                        launch(1);
+                    }
+                },
+                latency));
+        }
+    };
+    launch(50);
+
+    // Revoke a few flows mid-run, each the one started most recently, and
+    // degrade one trunk once.
+    int cancelled = 0;
+    for (const double at : {3.0, 40.0, 120.0, 250.0}) {
+        sim.at(at, [&]() {
+            cancelled += net.cancelFlow(ids.back()) ? 1 : 0;
+        });
+    }
+    sim.at(17.0, [&net, trunk = links[9]]() {
+        trunk->setCapacityFactor(0.4);
+        net.linkCapacityChanged(trunk);
+    });
+
+    sim.run();
+    EXPECT_EQ(net.activeFlows(), 0u);
+    EXPECT_EQ(cancelled, 4);
+    EXPECT_EQ(completed, 50 + 150 - cancelled);
+    EXPECT_EQ(digest, 4256841937246335102ull);
 }
 
 TEST(FlowNetworkStress, TiedSharesAndLateLowIdsMatchOracle)

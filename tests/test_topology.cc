@@ -1,6 +1,8 @@
 /** @file Tests for the named link registry. */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/topology.h"
 
 namespace smartinf::net {
@@ -50,6 +52,9 @@ TEST(Topology, NonPositiveCapacityIsFatal)
 {
     Topology topo;
     EXPECT_THROW(topo.addLink("bad", 0.0), std::runtime_error);
+    // Nor infinite: a flow on the link would complete in zero time.
+    EXPECT_THROW(topo.addLink("inf", std::numeric_limits<double>::infinity()),
+                 std::runtime_error);
 }
 
 TEST(Topology, PointerStabilityAcrossGrowth)
