@@ -2,8 +2,8 @@
  * @file
  * The queue-driven autoscale controller: windowed signal accumulation plus
  * the hysteretic scale-up/scale-down decision of AutoscaleConfig. Pure
- * decision state — the serve layer samples fleet load into it, reports
- * per-request SLO attainment, and asks for a verdict once per window tick;
+ * decision state — the serve layer samples fleet load into it and asks
+ * for a verdict once per window tick;
  * warming-up, draining, and retiring replicas are the caller's job (they
  * involve the simulator). Draw-free: autoscaling alone never consumes the
  * ctrl stream.
@@ -39,24 +39,10 @@ class Autoscaler {
         ++load_samples_;
     }
 
-    /** Accumulate one retired request's SLO verdict. */
-    void sampleAttainment(bool attained)
-    {
-        ++retired_;
-        if (attained)
-            ++attained_;
-    }
-
     /** Windowed mean load per active replica (0 with no samples). */
     double windowLoad() const
     {
         return load_samples_ ? load_sum_ / load_samples_ : 0.0;
-    }
-
-    /** Windowed SLO attainment rate (1 with no retirements). */
-    double windowAttainment() const
-    {
-        return retired_ ? static_cast<double>(attained_) / retired_ : 1.0;
     }
 
     /**
@@ -70,25 +56,17 @@ class Autoscaler {
     ScaleAction evaluate(Seconds now, int active, int warming)
     {
         const double load = windowLoad();
-        const double attainment = windowAttainment();
         load_sum_ = 0.0;
         load_samples_ = 0;
-        retired_ = 0;
-        attained_ = 0;
         if (!config_.enabled || now - last_action_ < config_.cooldown_s)
             return ScaleAction::None;
-        const bool pressure =
-            load > config_.scale_up_depth ||
-            (config_.min_attainment > 0.0 &&
-             attainment < config_.min_attainment);
-        if (pressure && active + warming < config_.max_replicas) {
+        if (load > config_.scale_up_depth &&
+            active + warming < config_.max_replicas) {
             last_action_ = now;
             return ScaleAction::ScaleUp;
         }
-        const bool idle = load < config_.scale_down_depth &&
-                          (config_.min_attainment <= 0.0 ||
-                           attainment >= config_.min_attainment);
-        if (idle && warming == 0 && active > config_.min_replicas) {
+        if (load < config_.scale_down_depth && warming == 0 &&
+            active > config_.min_replicas) {
             last_action_ = now;
             return ScaleAction::ScaleDown;
         }
@@ -100,8 +78,6 @@ class Autoscaler {
     Seconds last_action_ = 0.0;
     double load_sum_ = 0.0;
     int load_samples_ = 0;
-    int retired_ = 0;
-    int attained_ = 0;
 };
 
 } // namespace smartinf::ctrl

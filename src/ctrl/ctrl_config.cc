@@ -93,28 +93,6 @@ AutoscaleConfig::validate() const
     requireField(errors, scale_down_depth >= 0.0,
                  "ctrl.autoscale.scale_down_depth must be >= 0",
                  scale_down_depth);
-    requireField(errors,
-                 min_attainment >= 0.0 && min_attainment <= 1.0,
-                 "ctrl.autoscale.min_attainment must be in [0, 1]",
-                 min_attainment);
-    return errors;
-}
-
-std::vector<std::string>
-PriorityConfig::validate() const
-{
-    std::vector<std::string> errors;
-    requireField(errors, high_fraction >= 0.0 && high_fraction <= 1.0,
-                 "ctrl.priority.high_fraction must be in [0, 1] (the "
-                 "probability a request is high priority)",
-                 high_fraction);
-    if (!enabled())
-        requireField(errors, !preempt,
-                     "ctrl.priority.preempt requires a non-zero "
-                     "high_fraction (with one priority class there is "
-                     "nothing to preempt for; set high_fraction or clear "
-                     "preempt)",
-                     preempt);
     return errors;
 }
 
@@ -135,23 +113,12 @@ CtrlConfig::validate() const
         requireField(errors, !autoscale.enabled,
                      "ctrl.autoscale.enabled requires ctrl.enabled",
                      autoscale.enabled);
-        requireField(errors, !priority.enabled(),
-                     "ctrl.priority.high_fraction requires ctrl.enabled",
-                     priority.high_fraction);
         return errors;
     }
     for (auto &e : slo.validate())
         errors.push_back(std::move(e));
     for (auto &e : autoscale.validate())
         errors.push_back(std::move(e));
-    for (auto &e : priority.validate())
-        errors.push_back(std::move(e));
-    if (autoscale.enabled && autoscale.min_attainment > 0.0)
-        requireField(errors, slo.target_p99_s > 0.0,
-                     "ctrl.autoscale.min_attainment needs ctrl.slo."
-                     "target_p99_s to define attainment (set the SLO "
-                     "target or clear min_attainment)",
-                     autoscale.min_attainment);
     return errors;
 }
 

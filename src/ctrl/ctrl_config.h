@@ -2,7 +2,7 @@
  * @file
  * Configuration of the cluster control plane: the policy layer that sits
  * between the generated request stream and the per-replica batch schedulers
- * inside serve::InferenceWorkload. Four orthogonal features share one
+ * inside serve::InferenceWorkload. Three orthogonal features share one
  * master switch:
  *
  *  - dispatch policies  — which replica a request is routed to
@@ -10,12 +10,10 @@
  *                          power-of-two-choices),
  *  - SLO admission      — reject or defer requests whose predicted
  *                          completion misses a latency SLO,
- *  - replica autoscaling — grow/shrink the active replica set on windowed
- *                          queue-depth / SLO-attainment signals, paying a
- *                          real warm-up (parameter prefill) cost per
- *                          scale-up and draining before every retire,
- *  - priority classes   — a two-class request mix with optional preemption
- *                          of running decode batches.
+ *  - replica autoscaling — grow/shrink the active replica set on the
+ *                          windowed queue-depth signal, paying a real
+ *                          warm-up (parameter prefill) cost per scale-up
+ *                          and draining before every retire.
  *
  * Disabled by default — and inert by contract when disabled: no fifth
  * stream is drawn, no tick event is armed, requests shard exactly as
@@ -28,9 +26,8 @@
  * consumed *lazily inside deterministic event callbacks* (a dispatch
  * decision cannot be pre-drawn: it reads queue depths that exist only at
  * dispatch time). Event order is deterministic, so the draw sequence — and
- * every result — still is. RoundRobin and the all-zero priority mix draw
- * nothing at all, which is why they leave the seed dead in the RunSpec hash
- * (see drawsRandomness()).
+ * every result — still is. RoundRobin draws nothing at all, which is why
+ * it leaves the seed dead in the RunSpec hash (see drawsRandomness()).
  */
 #ifndef SMARTINF_CTRL_CTRL_CONFIG_H
 #define SMARTINF_CTRL_CTRL_CONFIG_H
@@ -81,7 +78,7 @@ struct SloConfig {
     AdmissionMode admission = AdmissionMode::Off;
     /** The latency SLO: predicted completion beyond arrival + target is a
      *  miss. Must be positive when admission is armed. Also the threshold
-     *  for the windowed SLO-attainment signal (autoscaling, metrics). */
+     *  of the per-node SLO-attainment observer series. */
     Seconds target_p99_s = 0.0;
     /** Defer mode: how long a deferred request waits before re-trying
      *  admission (hashed only under Defer). */
@@ -97,13 +94,10 @@ struct SloConfig {
  * Queue-driven replica autoscaling. The fleet is built at its maximum size
  * (hardware exists for every replica); autoscaling governs which replicas
  * are *active*. Every autoscale window the controller compares the
- * windowed mean load per active replica (and, when an SLO target is set,
- * the windowed attainment rate) against the thresholds:
+ * windowed mean load per active replica against the thresholds:
  *
- *  - scale UP   when mean load/replica > scale_up_depth, or attainment
- *               drops below min_attainment;
- *  - scale DOWN when mean load/replica < scale_down_depth and attainment
- *               is healthy.
+ *  - scale UP   when mean load/replica > scale_up_depth;
+ *  - scale DOWN when mean load/replica < scale_down_depth.
  *
  * Scale-up is not free: the new replica streams its full parameter set
  * (one warm-up prefill through serve::InferenceBuilder) before it joins
@@ -120,29 +114,7 @@ struct AutoscaleConfig {
     Seconds cooldown_s = 10.0; ///< minimum time between scaling decisions
     double scale_up_depth = 4.0;   ///< mean queued+running per active replica
     double scale_down_depth = 1.0; ///< idle threshold for draining a replica
-    /** Scale up when windowed SLO attainment falls below this (0 disables;
-     *  requires slo.target_p99_s to define attainment). */
-    double min_attainment = 0.0;
 
-    std::vector<std::string> validate() const;
-};
-
-/**
- * Two-class priority mix. A fraction of requests (drawn from the ctrl
- * stream, one uniform per request in id order, before any dispatch draw)
- * is tagged high priority. The batch scheduler admits the highest-priority
- * queued request first (FIFO among equals — with the default all-zero mix
- * this degenerates to exactly the old front-of-queue order), and with
- * `preempt` set a high-priority arrival at a full replica evicts the
- * lowest-priority running request: the in-flight step is revoked through
- * the TaskGraph revocation domain, the victim's KV is dropped, and it
- * re-enters the queue to pay a full re-prefill.
- */
-struct PriorityConfig {
-    double high_fraction = 0.0; ///< P(request is high priority), in [0, 1]
-    bool preempt = false;       ///< high arrivals may evict running low requests
-
-    bool enabled() const { return high_fraction > 0.0; }
     std::vector<std::string> validate() const;
 };
 
@@ -151,9 +123,8 @@ struct PriorityConfig {
  * field affects simulated results when the master switch is on and
  * therefore joins the RunSpec hash (src/exp/run_spec.cc) with semantic
  * normalization: nothing is hashed while disabled, SLO knobs only while
- * admission is armed (defer knobs only under Defer), autoscale knobs only
- * while autoscaling is on, and the preempt flag only while the priority
- * mix is non-degenerate.
+ * admission is armed (defer knobs only under Defer), and autoscale knobs
+ * only while autoscaling is on.
  */
 struct CtrlConfig {
     /** Master switch. Off ⇒ byte-inert: dispatch is `id % replicas`. */
@@ -161,18 +132,15 @@ struct CtrlConfig {
     DispatchPolicy policy = DispatchPolicy::RoundRobin;
     SloConfig slo;
     AutoscaleConfig autoscale;
-    PriorityConfig priority;
 
     /**
      * Does this configuration consume the fifth PRNG stream? JSQ/P2C draw
-     * tie-breaks/probes and the priority mix draws per-request classes;
-     * RoundRobin with an all-zero mix draws nothing. Gates seed revival in
+     * tie-breaks/probes; RoundRobin draws nothing. Gates seed revival in
      * the RunSpec hash exactly like samplesLengths()/sharesPrefixes().
      */
     bool drawsRandomness() const
     {
-        return enabled && (policy != DispatchPolicy::RoundRobin ||
-                           priority.enabled());
+        return enabled && policy != DispatchPolicy::RoundRobin;
     }
 
     std::vector<std::string> validate() const;
@@ -180,9 +148,9 @@ struct CtrlConfig {
 
 /**
  * The fifth derived PRNG stream (after arrivals, lengths, prefixes,
- * faults): every control-plane draw — priority classes pre-sim, dispatch
- * tie-breaks/probes in-sim — comes from one Rng(ctrlSeed(seed)), so
- * toggling control-plane knobs never moves the other four streams.
+ * faults): every control-plane draw — the dispatch tie-breaks/probes —
+ * comes from one Rng(ctrlSeed(seed)), so toggling control-plane knobs
+ * never moves the other four streams.
  */
 inline std::uint64_t
 ctrlSeed(std::uint64_t seed)

@@ -108,13 +108,8 @@ writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
                << ",\"scale_up_depth\":"
                << jsonNumber(c.ctrl.autoscale.scale_up_depth)
                << ",\"scale_down_depth\":"
-               << jsonNumber(c.ctrl.autoscale.scale_down_depth)
-               << ",\"min_attainment\":"
-               << jsonNumber(c.ctrl.autoscale.min_attainment);
-        os << "},\"priority\":{\"high_fraction\":"
-           << jsonNumber(c.ctrl.priority.high_fraction)
-           << ",\"preempt\":" << (c.ctrl.priority.preempt ? "true" : "false")
-           << "}";
+               << jsonNumber(c.ctrl.autoscale.scale_down_depth);
+        os << "}";
     }
     os << "},\"modulation\":{\"enabled\":"
        << (c.modulation.enabled ? "true" : "false");
@@ -123,9 +118,7 @@ writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
            << jsonNumber(c.modulation.diurnal_amplitude);
         if (c.modulation.diurnal())
             os << ",\"diurnal_period_s\":"
-               << jsonNumber(c.modulation.diurnal_period_s)
-               << ",\"diurnal_phase\":"
-               << jsonNumber(c.modulation.diurnal_phase);
+               << jsonNumber(c.modulation.diurnal_period_s);
         os << ",\"burst_rate_multiplier\":"
            << jsonNumber(c.modulation.burst_rate_multiplier);
         if (c.modulation.bursts())
@@ -264,7 +257,6 @@ writeRecordJson(std::ostream &os, const RunRecord &record)
         if (cs.enabled)
             os << ",\"ctrl\":{\"rejected\":" << cs.rejected
                << ",\"deferrals\":" << cs.deferrals
-               << ",\"preemptions\":" << cs.preemptions
                << ",\"scale_ups\":" << cs.scale_ups
                << ",\"scale_downs\":" << cs.scale_downs
                << ",\"warmups_completed\":" << cs.warmups_completed
@@ -300,8 +292,7 @@ writeRecordJson(std::ostream &os, const RunRecord &record)
                << ",\"retries\":" << r.retries
                << ",\"shed\":" << (r.shed ? "true" : "false")
                << ",\"rejected\":" << (r.rejected ? "true" : "false")
-               << ",\"deferrals\":" << r.deferrals
-               << ",\"priority\":" << r.priority << "}";
+               << ",\"deferrals\":" << r.deferrals << "}";
         }
         os << "]";
         // Streaming provenance (record_cap runs only): the record array

@@ -146,16 +146,13 @@ hashAppend(HashStream &hs, const serve::ServeConfig &c,
     }
     // Control plane: when disabled every knob is inert and stays out.
     // Within the plane the same normalization recurses: SLO knobs only
-    // under an armed admission mode (defer shape only under Defer), the
-    // p99 target also when autoscaling keys on attainment, autoscale
-    // knobs only when autoscaling, and the priority mix only when drawn.
+    // under an armed admission mode (defer shape only under Defer), and
+    // autoscale knobs only when autoscaling.
     hs << c.ctrl.enabled;
     if (c.ctrl.enabled) {
         hs << c.ctrl.policy;
         hs << c.ctrl.slo.admission;
-        if (c.ctrl.slo.enabled() ||
-            (c.ctrl.autoscale.enabled &&
-             c.ctrl.autoscale.min_attainment > 0.0))
+        if (c.ctrl.slo.enabled())
             hs << c.ctrl.slo.target_p99_s;
         if (c.ctrl.slo.admission == ctrl::AdmissionMode::Defer)
             hs << c.ctrl.slo.defer_delay_s << c.ctrl.slo.max_defers;
@@ -165,16 +162,12 @@ hashAppend(HashStream &hs, const serve::ServeConfig &c,
                << c.ctrl.autoscale.max_replicas << c.ctrl.autoscale.window_s
                << c.ctrl.autoscale.cooldown_s
                << c.ctrl.autoscale.scale_up_depth
-               << c.ctrl.autoscale.scale_down_depth
-               << c.ctrl.autoscale.min_attainment;
-        hs << c.ctrl.priority.high_fraction;
-        if (c.ctrl.priority.enabled())
-            hs << c.ctrl.priority.preempt;
+               << c.ctrl.autoscale.scale_down_depth;
     }
     // Client model. The seed feeds four independent streams: arrivals
     // (open-loop, non-trace only), sampled lengths (any mode with a
     // non-Fixed distribution), prefix assignment (paged KV with a
-    // shared-prefix mix), and the control plane's dispatch/priority draws
+    // shared-prefix mix), and the control plane's dispatch draws
     // (a policy that draws randomness) — it is hashed iff at least one
     // consumes it.
     const bool seed_shapes_requests =
@@ -199,8 +192,7 @@ hashAppend(HashStream &hs, const serve::ServeConfig &c,
         if (c.modulation.enabled) {
             hs << c.modulation.diurnal_amplitude;
             if (c.modulation.diurnal())
-                hs << c.modulation.diurnal_period_s
-                   << c.modulation.diurnal_phase;
+                hs << c.modulation.diurnal_period_s;
             hs << c.modulation.burst_rate_multiplier;
             if (c.modulation.bursts())
                 hs << c.modulation.burst_mean_gap_s
@@ -399,11 +391,6 @@ RunSpec::describe() const
             if (serve.ctrl.autoscale.enabled)
                 oss << "/as" << serve.ctrl.autoscale.min_replicas << "-"
                     << serve.ctrl.autoscale.max_replicas;
-            if (serve.ctrl.priority.enabled()) {
-                oss << "/prio" << serve.ctrl.priority.high_fraction;
-                if (serve.ctrl.priority.preempt)
-                    oss << "p";
-            }
         }
     }
     // Fault tags mirror the hash normalization: only knobs that can shape

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <utility>
 
@@ -30,7 +29,6 @@ dispositionRecord(const RequestSpec &spec, int node, Seconds start,
     record.first_token = first_token;
     record.finish = finish;
     record.retries = spec.attempt;
-    record.priority = spec.priority;
     record.deferrals = spec.deferrals;
     return record;
 }
@@ -87,14 +85,6 @@ BatchScheduler::noteQueueDepthChange()
 void
 BatchScheduler::submit(const RequestSpec &request)
 {
-    // Control-plane preemption: a high-priority arrival that would
-    // otherwise wait behind a full batch may evict a lower-priority
-    // running request first. Gated on the config so every other run
-    // never reaches the preemption path.
-    if (config_.ctrl.enabled && config_.ctrl.priority.preempt &&
-        request.priority > 0 &&
-        static_cast<int>(running_.size()) >= config_.max_batch)
-        maybePreemptFor(request);
     noteQueueDepthChange();
     queue_.push_back(request);
     peak_queue_depth_ =
@@ -135,19 +125,10 @@ BatchScheduler::beginStep()
         noteQueueDepthChange();
         while (!queue_.empty() &&
                static_cast<int>(running_.size()) < config_.max_batch) {
-            // Highest priority first, FIFO among equals: strict > keeps
-            // the first of a tie, so with the default all-zero priorities
-            // this selects queue_.front() — bit-identical to the
-            // pre-control-plane admission order.
-            auto pick = queue_.begin();
-            for (auto it = std::next(queue_.begin()); it != queue_.end();
-                 ++it)
-                if (it->priority > pick->priority)
-                    pick = it;
             Active a;
-            a.spec = *pick;
+            a.spec = queue_.front();
             a.start = now;
-            queue_.erase(pick);
+            queue_.pop_front();
             // Paged layout: create the block table now. A prefix hit maps
             // the cached pages and shrinks this request's prefill; a miss
             // makes it the producer (pages allocated here, in admission
@@ -301,51 +282,6 @@ BatchScheduler::onStepDone()
         idle_hook_(node_);
 
     maybeBeginStep();
-}
-
-void
-BatchScheduler::maybePreemptFor(const RequestSpec &incoming)
-{
-    // Victim: the lowest-priority running request; <= picks the latest
-    // admitted among ties (least sunk progress, deterministically).
-    auto victim = running_.end();
-    for (auto it = running_.begin(); it != running_.end(); ++it)
-        if (victim == running_.end() ||
-            it->spec.priority <= victim->spec.priority)
-            victim = it;
-    if (victim == running_.end() ||
-        victim->spec.priority >= incoming.priority)
-        return; // nobody outranked: the arrival waits its turn
-    ++preemptions_;
-    // Revoke the in-flight step as a unit (the same domain seam the crash
-    // path uses): every batch-mate redoes the current step, which is the
-    // collateral cost of preemption. The workload armed ctx.faults_armed
-    // when it enabled preemption, so the domain is always open here.
-    if (step_in_flight_) {
-        SI_ASSERT(step_domain_ != sim::TaskGraph::kNoDomain,
-                  "preempting an in-flight step without a revocation "
-                  "domain (preemption requires ctx.faults_armed)");
-        ctx_.graph.revokeDomain(step_domain_);
-        step_in_flight_ = false;
-    }
-    // The victim re-enters the queue with its KV evicted: it re-prefills
-    // from scratch when re-admitted (a real recomputation cost), and its
-    // priority keeps it behind the high class.
-    if (kv_)
-        kv_->retire(victim->spec.id);
-    RequestSpec spec = victim->spec;
-    running_.erase(victim);
-    noteQueueDepthChange();
-    queue_.push_back(spec);
-    peak_queue_depth_ =
-        std::max(peak_queue_depth_, static_cast<int>(queue_.size()));
-    if (ctx_.obs) {
-        const Seconds now = ctx_.sim.now();
-        ctx_.obs->ctrlDecision("preempt", node_, now);
-        ctx_.obs->queueDepth(node_, static_cast<int>(queue_.size()), now);
-        ctx_.obs->runningBatch(node_, static_cast<int>(running_.size()),
-                               now);
-    }
 }
 
 std::vector<RequestSpec>

@@ -146,10 +146,6 @@ class BatchScheduler
     }
     /** @} */
 
-    /** Running requests evicted for a higher-priority arrival (control
-     *  plane preemption only; always 0 otherwise). */
-    int preemptions() const { return preemptions_; }
-
   private:
     /** A request admitted into the running batch. */
     struct Active {
@@ -176,12 +172,6 @@ class BatchScheduler
     void beginStep();
     void onStepDone();
     void noteQueueDepthChange();
-    /** Control-plane preemption: a high-priority arrival at a full batch
-     *  evicts the lowest-priority running request (revoking the in-flight
-     *  step), sending it back to the queue with its KV dropped — it will
-     *  re-prefill from scratch. No-op when no running request outranks
-     *  @p incoming. */
-    void maybePreemptFor(const RequestSpec &incoming);
 
     train::SimContext &ctx_;
     InferenceBuilder &builder_;
@@ -195,7 +185,6 @@ class BatchScheduler
     bool step_in_flight_ = false;
     Seconds step_began_ = 0.0; ///< begin time of the in-flight step
     int next_step_index_ = 0;
-    int preemptions_ = 0;
 
     /** @name Fault state (inert defaults in fault-free runs). @{ */
     bool dead_ = false;

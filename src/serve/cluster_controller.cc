@@ -30,15 +30,6 @@ ClusterController::start(int expected)
     expected_ = expected;
     stats_.enabled = true;
 
-    // Priority classes are the first ctrl-stream draws — one uniform per
-    // request in id order, consumed at *generation* time by the
-    // RequestSource's own copy of the stream. Burn those draws here so
-    // every dispatch-time draw continues from the position it has always
-    // had.
-    if (config_.ctrl.priority.enabled())
-        for (int i = 0; i < expected; ++i)
-            rng_.uniform();
-
     const int nodes = static_cast<int>(schedulers_.size());
     const ctrl::AutoscaleConfig &as = config_.ctrl.autoscale;
     max_active_ = as.enabled ? std::min(as.max_replicas, nodes) : nodes;
@@ -108,13 +99,11 @@ ClusterController::noteDisposed(const train::RequestRecord &record,
     if (record.rejected) {
         if (ctx_.obs)
             ctx_.obs->ctrlDecision("reject", record.id, now);
-    } else if (!record.shed && config_.ctrl.slo.target_p99_s > 0.0) {
-        const bool attained =
-            record.latency() <= config_.ctrl.slo.target_p99_s;
-        if (config_.ctrl.autoscale.enabled)
-            autoscaler_.sampleAttainment(attained);
-        if (ctx_.obs)
-            ctx_.obs->sloAttainment(record.node, attained, now);
+    } else if (!record.shed && ctx_.obs &&
+               config_.ctrl.slo.target_p99_s > 0.0) {
+        ctx_.obs->sloAttainment(
+            record.node, record.latency() <= config_.ctrl.slo.target_p99_s,
+            now);
     }
 }
 

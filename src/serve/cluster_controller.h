@@ -39,12 +39,8 @@ class ClusterController
 
     /**
      * Pre-sim setup, called from InferenceWorkload::build() after the
-     * schedulers exist: burns the priority draws (the first ctrl-stream
-     * draws — one uniform per request, consumed at generation time by
-     * generateRequestStream()/RequestSource, so the dispatch draws below
-     * continue from the same stream position), activates the initial
-     * replica set, installs the step-time / idle hooks, and arms the
-     * first autoscale tick. @p expected is the total number of requests
+     * schedulers exist: activates the initial replica set, installs the
+     * step-time / idle hooks, and arms the first autoscale tick. @p expected is the total number of requests
      * the run will dispose (ticks stop re-arming once all are accounted
      * for).
      */
@@ -65,12 +61,12 @@ class ClusterController
 
     /** One request was disposed (served, shed, or rejected) at @p now:
      *  counts it toward tick termination, emits the reject instant, and
-     *  feeds a served request's latency to SLO attainment. */
+     *  reports a served request's SLO attainment to the observer. */
     void noteDisposed(const train::RequestRecord &record, Seconds now);
 
     /** Control-plane counters for WorkloadResult. The workload fills the
      *  disposition counts (rejected, deferrals) from its streaming
-     *  aggregates and sums the scheduler preemptions. */
+     *  aggregates. */
     train::CtrlStats stats() const;
 
   private:

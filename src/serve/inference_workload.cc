@@ -276,16 +276,10 @@ InferenceWorkload::build(train::SimContext &ctx)
     }
 
     // Control plane: built after the schedulers exist, started before any
-    // request is issued (priority classes are the first fifth-stream
-    // draws, consumed at generation time; start() burns them).
+    // request is issued.
     if (config_.ctrl.enabled) {
         ctrl_ = std::make_unique<ClusterController>(ctx, config_, builders_,
                                                     schedulers_);
-        // Preemption revokes in-flight decode steps through the same
-        // revocation-domain seam as node crashes; arming the flow
-        // cancellers is result-inert (pinned by the fault tests).
-        if (config_.ctrl.priority.preempt)
-            ctx.faults_armed = true;
         ctrl_->start(stream_total_);
     }
 
@@ -383,8 +377,6 @@ InferenceWorkload::collect(const train::SimContext &ctx,
         out.ctrl = ctrl_->stats();
         out.ctrl.rejected = static_cast<int>(ss.num_rejected);
         out.ctrl.deferrals = static_cast<int>(ss.total_deferrals);
-        for (const auto &scheduler : schedulers_)
-            out.ctrl.preemptions += scheduler->preemptions();
     }
     streaming_stats_.records_retained = static_cast<int>(out.requests.size());
     out.streaming = std::move(streaming_stats_);

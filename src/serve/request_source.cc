@@ -10,11 +10,8 @@ RequestSource::RequestSource(const ServeConfig &config)
     : config_(config), arrivals_(config),
       length_rng_(lengthSeed(config.seed)),
       prefix_rng_(prefixSeed(config.seed)),
-      priority_rng_(ctrl::ctrlSeed(config.seed)),
       samples_lengths_(config.samplesLengths()),
       shares_prefixes_(config.sharesPrefixes()),
-      draws_priorities_(config.ctrl.enabled &&
-                        config.ctrl.priority.enabled()),
       total_(config.streamSize())
 {
 }
@@ -28,7 +25,7 @@ RequestSource::next()
     request.prompt_tokens = config_.prompt_tokens;
     request.output_tokens = config_.output_tokens;
 
-    // The four per-request draws, in the reference generator's pass
+    // The three per-request draws, in the reference generator's pass
     // order. Each pass owns an independent derived stream, so per-request
     // interleaving across passes still consumes every stream in exactly
     // the per-pass order — the whole bit-identity argument in one line.
@@ -58,12 +55,6 @@ RequestSource::next()
                 std::min(prefix.prefix_tokens, request.prompt_tokens);
         }
     }
-
-    if (draws_priorities_)
-        request.priority =
-            priority_rng_.uniform() < config_.ctrl.priority.high_fraction
-                ? 1
-                : 0;
     return request;
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Lazy request generation, and the only way a serving run obtains its
  * requests: a pull iterator over the derived PRNG streams. Because each
- * generation pass (arrivals, lengths, prefixes, priorities) draws from
- * its *own* seeded Rng, drawing all four per-request — in id order, one
+ * generation pass (arrivals, lengths, prefixes) draws from its *own*
+ * seeded Rng, drawing all three per-request — in id order, one
  * request at a time — consumes each stream in exactly the order the
  * reference generateRequestStream() passes do, so the sequence of
  * RequestSpecs is bit-identical to that vector by construction (and
@@ -47,10 +47,8 @@ class RequestSource
     ArrivalProcess arrivals_;
     Rng length_rng_;
     Rng prefix_rng_;
-    Rng priority_rng_;
     bool samples_lengths_ = false;
     bool shares_prefixes_ = false;
-    bool draws_priorities_ = false;
     int total_ = 0;
     int next_id_ = 0;
 };

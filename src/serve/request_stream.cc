@@ -85,8 +85,7 @@ ArrivalProcess::rateAt(Seconds t)
     if (modulation_.diurnal())
         rate *= 1.0 +
                 modulation_.diurnal_amplitude *
-                    std::sin(2.0 * M_PI * t / modulation_.diurnal_period_s +
-                             modulation_.diurnal_phase);
+                    std::sin(2.0 * M_PI * t / modulation_.diurnal_period_s);
     advanceBurst(t);
     if (in_burst_)
         rate *= modulation_.burst_rate_multiplier;
@@ -195,19 +194,6 @@ generateRequestStream(const ServeConfig &config)
             request.prefix_tokens =
                 std::min(prefix.prefix_tokens, request.prompt_tokens);
         }
-    }
-
-    // Priority classes fourth, from the ctrl stream: one uniform per
-    // request in id order, before any dispatch draw (the controller's
-    // dispatch randomness continues from the same Rng after exactly
-    // streamSize() priority draws — see ClusterController::start()).
-    // Stamping at generation keeps the lazy source's per-request state
-    // self-contained: a RequestSpec is complete the moment it is drawn.
-    if (config.ctrl.enabled && config.ctrl.priority.enabled()) {
-        Rng rng(ctrl::ctrlSeed(config.seed));
-        for (RequestSpec &request : stream)
-            request.priority =
-                rng.uniform() < config.ctrl.priority.high_fraction ? 1 : 0;
     }
     return stream;
 }

@@ -46,10 +46,6 @@ struct RequestSpec {
      *  time a displaced request is re-dispatched; always 0 without
      *  faults. */
     int attempt = 0;
-    /** Priority class (0 = normal, 1 = high). Assigned pre-sim by the
-     *  control plane from the ctrl stream when a priority mix is
-     *  configured; always 0 otherwise. */
-    int priority = 0;
     /** SLO-admission defers this request has consumed (control plane
      *  only; always 0 otherwise). */
     int deferrals = 0;
@@ -127,9 +123,8 @@ int sampleLength(Rng &rng, const LengthDistribution &dist, int fixed_tokens);
  * ClientMode::ClosedLoop). Lengths: per-request samples from the
  * prompt/output distributions (prompt drawn before output for each id, in
  * id order, from Rng(lengthSeed(config.seed))). Prefix participation from
- * the prefix stream; priority classes (when the control plane runs a
- * priority mix) from the ctrl stream, one uniform per request in id
- * order. Arrivals are non-decreasing; ids are stream positions.
+ * the prefix stream. Arrivals are non-decreasing; ids are stream
+ * positions.
  */
 std::vector<RequestSpec> generateRequestStream(const ServeConfig &config);
 

@@ -117,18 +117,22 @@ KvCacheConfig::validate() const
                          prefix.prefix_tokens);
         }
     }
-    requireField(errors, bytes_per_token >= 0.0,
-                 "kv.bytes_per_token must be >= 0 (0 derives it from the "
-                 "model)",
+    // A non-finite size models nothing sensible: +inf bytes/token moves no
+    // KV traffic at all, and an infinite budget has no whole-page count.
+    requireField(errors,
+                 std::isfinite(bytes_per_token) && bytes_per_token >= 0.0,
+                 "kv.bytes_per_token must be finite and >= 0 (0 derives "
+                 "it from the model)",
                  bytes_per_token);
-    requireField(errors, hbm_budget > 0.0,
-                 "kv.hbm_budget must be positive when KV modeling is "
-                 "enabled: a zero budget cannot hold even one decode "
-                 "step's working set (disable kv instead)",
+    requireField(errors, std::isfinite(hbm_budget) && hbm_budget > 0.0,
+                 "kv.hbm_budget must be finite and positive when KV "
+                 "modeling is enabled: a zero budget cannot hold even one "
+                 "decode step's working set (disable kv instead)",
                  hbm_budget);
-    requireField(errors, host_budget > 0.0,
-                 "kv.host_budget must be positive when KV modeling is "
-                 "enabled (use a large budget to disable CSD spill)",
+    requireField(errors, std::isfinite(host_budget) && host_budget > 0.0,
+                 "kv.host_budget must be finite and positive when KV "
+                 "modeling is enabled (use a large budget to disable CSD "
+                 "spill)",
                  host_budget);
     return errors;
 }
@@ -152,8 +156,9 @@ ServeConfig::validate() const
     } else if (trace.empty()) {
         requireField(errors, num_requests >= 1,
                      "num_requests must be >= 1", num_requests);
-        requireField(errors, arrival_rate > 0.0,
-                     "arrival_rate must be positive", arrival_rate);
+        requireField(errors, std::isfinite(arrival_rate) && arrival_rate > 0.0,
+                     "arrival_rate must be finite and positive",
+                     arrival_rate);
     } else {
         for (std::size_t i = 0; i < trace.size(); ++i) {
             // A NaN slips past both comparisons and +inf past all of them;
@@ -207,9 +212,14 @@ ServeConfig::validate() const
                          "modulation.diurnal_period_s must be positive "
                          "when the diurnal component is armed",
                          modulation.diurnal_period_s);
-        requireField(errors, modulation.burst_rate_multiplier >= 1.0,
-                     "modulation.burst_rate_multiplier must be >= 1 "
-                     "(bursts raise the rate; 1 disables them)",
+        // Thinning accepts a candidate with probability rate/envelope: an
+        // infinite multiplier makes that ratio 0 or NaN, and generation
+        // would never end.
+        requireField(errors,
+                     std::isfinite(modulation.burst_rate_multiplier) &&
+                         modulation.burst_rate_multiplier >= 1.0,
+                     "modulation.burst_rate_multiplier must be finite and "
+                     ">= 1 (bursts raise the rate; 1 disables them)",
                      modulation.burst_rate_multiplier);
         if (modulation.burst_rate_multiplier > 1.0) {
             requireField(errors, modulation.burst_mean_gap_s > 0.0,

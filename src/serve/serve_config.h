@@ -228,15 +228,14 @@ struct ArrivalModulationConfig {
      *  rejects that contradiction. */
     bool enabled = false;
     /** Relative swing of the sinusoidal component: the instantaneous base
-     *  rate is arrival_rate * (1 + amplitude * sin(2*pi*t/period + phase)).
+     *  rate is arrival_rate * (1 + amplitude * sin(2*pi*t/period)), which
+     *  starts at the mean rate, rising.
      *  Must be in [0, 1) so the rate stays positive; 0 disables the
      *  diurnal component. */
     double diurnal_amplitude = 0.0;
     /** Period of the sinusoid in simulated seconds (an hour-long "day"
      *  by default — scenario time, not wall time). */
     Seconds diurnal_period_s = 3600.0;
-    /** Phase offset in radians (0 starts at the mean rate, rising). */
-    double diurnal_phase = 0.0;
     /** Rate multiplier during a burst episode (1 disables bursts). */
     double burst_rate_multiplier = 1.0;
     /** Mean gap between burst episodes (exponentially distributed, drawn
@@ -305,7 +304,7 @@ struct ServeConfig {
     fault::FaultConfig fault;
     /**
      * Cluster control plane: dispatch policy, SLO admission, replica
-     * autoscaling, priority classes (disabled by default, and byte-inert
+     * autoscaling (disabled by default, and byte-inert
      * when disabled — requests shard exactly as id % replicas). Its
      * randomness comes from a fifth derived stream, ctrlSeed(seed), so
      * enabling it never perturbs arrivals, lengths, prefixes, or faults.

@@ -69,8 +69,6 @@ struct RequestRecord {
      *  shed decision time; they keep the requested prompt_tokens and
      *  report output_tokens 0 (nothing was delivered). */
     bool shed = false;
-    /** Priority class (control-plane priority mix; 0 otherwise). */
-    int priority = 0;
     /** SLO-admission defer rounds this request went through before its
      *  disposition (control plane only; always 0 otherwise). */
     int deferrals = 0;
@@ -119,7 +117,6 @@ struct CtrlStats {
     bool enabled = false;
     int rejected = 0;    ///< streaming num_rejected (SLO admission)
     int deferrals = 0;   ///< streaming total_deferrals (defer rounds)
-    int preemptions = 0; ///< running requests evicted for a higher priority
     int scale_ups = 0;   ///< replica warm-ups initiated
     int scale_downs = 0; ///< replica drains initiated
     int warmups_completed = 0; ///< warm-up prefills that finished

@@ -2,13 +2,14 @@
  * @file
  * CtrlConfig contracts: validation (including the disabled-plane
  * contradictions and the cross-field couplings), the drawsRandomness()
- * seed-revival predicate, and the fifth derived stream's distinctness from
- * the other four.
+ * seed-revival predicate, the fifth derived stream's distinctness from
+ * the other four, and the autoscaler's windowed load rule.
  */
 #include <gtest/gtest.h>
 
 #include <limits>
 
+#include "ctrl/autoscaler.h"
 #include "ctrl/ctrl_config.h"
 #include "fault/fault_schedule.h"
 #include "serve/serve_config.h"
@@ -34,10 +35,6 @@ TEST(CtrlConfig, DisabledPlaneRejectsArmedFeatures)
     ctrl::CtrlConfig a;
     a.autoscale.enabled = true;
     EXPECT_FALSE(a.validate().empty());
-
-    ctrl::CtrlConfig p;
-    p.priority.high_fraction = 0.5;
-    EXPECT_FALSE(p.validate().empty());
 }
 
 TEST(CtrlConfig, ValidationCatchesBadKnobs)
@@ -74,27 +71,9 @@ TEST(CtrlConfig, ValidationCatchesBadKnobs)
     c.autoscale.scale_up_depth = 4.0;
     c.autoscale.scale_down_depth = 1.0;
     EXPECT_TRUE(c.validate().empty());
-
-    // min_attainment needs a target to define attainment against.
-    ctrl::CtrlConfig att;
-    att.enabled = true;
-    att.autoscale.enabled = true;
-    att.autoscale.max_replicas = 2;
-    att.autoscale.min_attainment = 0.9;
-    EXPECT_FALSE(att.validate().empty());
-    att.slo.target_p99_s = 2.0; // admission still Off: target is allowed
-    EXPECT_TRUE(att.validate().empty());
-
-    // Preemption with a single priority class is a contradiction.
-    ctrl::CtrlConfig pre;
-    pre.enabled = true;
-    pre.priority.preempt = true;
-    EXPECT_FALSE(pre.validate().empty());
-    pre.priority.high_fraction = 0.25;
-    EXPECT_TRUE(pre.validate().empty());
 }
 
-TEST(CtrlConfig, DrawsRandomnessTracksPolicyAndPriorities)
+TEST(CtrlConfig, DrawsRandomnessTracksPolicy)
 {
     ctrl::CtrlConfig c;
     c.enabled = true;
@@ -104,10 +83,6 @@ TEST(CtrlConfig, DrawsRandomnessTracksPolicyAndPriorities)
     c.policy = ctrl::DispatchPolicy::JoinShortestQueue;
     EXPECT_TRUE(c.drawsRandomness());
     c.policy = ctrl::DispatchPolicy::PowerOfTwoChoices;
-    EXPECT_TRUE(c.drawsRandomness());
-    // Priority classes draw one uniform per request even under RR.
-    c.policy = ctrl::DispatchPolicy::RoundRobin;
-    c.priority.high_fraction = 0.5;
     EXPECT_TRUE(c.drawsRandomness());
 }
 
@@ -133,6 +108,63 @@ TEST(CtrlConfig, ServeConfigValidatesCtrlBlock)
     EXPECT_FALSE(config.validate().empty());
     config.ctrl.slo.target_p99_s = 2.0;
     EXPECT_TRUE(config.validate().empty());
+}
+
+TEST(Autoscaler, LoadBandCooldownAndCeiling)
+{
+    ctrl::AutoscaleConfig config;
+    config.enabled = true;
+    config.min_replicas = 1;
+    config.max_replicas = 3;
+    config.cooldown_s = 10.0;
+    config.scale_up_depth = 4.0;
+    config.scale_down_depth = 1.0;
+    ctrl::Autoscaler scaler(config);
+    using ctrl::ScaleAction;
+
+    // An empty window reads load 0; the load is the mean of per-replica
+    // samples.
+    EXPECT_EQ(scaler.windowLoad(), 0.0);
+    scaler.sampleLoad(6, 2);
+    scaler.sampleLoad(10, 2);
+    EXPECT_EQ(scaler.windowLoad(), 4.0);
+
+    // The first window may act, even at t=0, but only above the band:
+    // a mean load of exactly scale_up_depth is not pressure.
+    EXPECT_EQ(scaler.evaluate(0.0, 1, 0), ScaleAction::None);
+    EXPECT_EQ(scaler.windowLoad(), 0.0); // every evaluate resets the window
+    scaler.sampleLoad(10, 1);
+    EXPECT_EQ(scaler.evaluate(0.0, 1, 0), ScaleAction::ScaleUp);
+    EXPECT_EQ(scaler.windowLoad(), 0.0);
+
+    // No action inside the cooldown, however loaded; the window still
+    // resets.
+    scaler.sampleLoad(20, 1);
+    EXPECT_EQ(scaler.evaluate(9.5, 1, 1), ScaleAction::None);
+    EXPECT_EQ(scaler.windowLoad(), 0.0);
+
+    // Scale-up is capped: warming replicas count against the ceiling.
+    scaler.sampleLoad(20, 1);
+    EXPECT_EQ(scaler.evaluate(10.0, 1, 2), ScaleAction::None);
+    scaler.sampleLoad(20, 2);
+    EXPECT_EQ(scaler.evaluate(10.0, 2, 0), ScaleAction::ScaleUp);
+
+    // Below the band it drains, but never while a replica is warming...
+    scaler.sampleLoad(1, 2);
+    EXPECT_EQ(scaler.evaluate(20.0, 2, 1), ScaleAction::None);
+    scaler.sampleLoad(1, 2);
+    EXPECT_EQ(scaler.evaluate(20.0, 2, 0), ScaleAction::ScaleDown);
+    // ...and never to or below the floor. An empty window is idle.
+    EXPECT_EQ(scaler.evaluate(30.0, 1, 0), ScaleAction::None);
+    // Inside the band nothing happens.
+    scaler.sampleLoad(4, 2);
+    EXPECT_EQ(scaler.evaluate(40.0, 2, 0), ScaleAction::None);
+
+    // A disabled config never acts.
+    config.enabled = false;
+    ctrl::Autoscaler off(config);
+    off.sampleLoad(100, 1);
+    EXPECT_EQ(off.evaluate(0.0, 1, 0), ScaleAction::None);
 }
 
 } // namespace

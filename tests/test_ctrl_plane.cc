@@ -4,9 +4,8 @@
  * with every feature off is bit-identical to the legacy id % N front
  * door), policy determinism across repeats, SLO admission dispositions
  * (reject/defer) as first-class records under one cluster-wide record
- * cap, queue-driven autoscaling with real warm-up, priority preemption
- * through the revocation-domain seam, and the per-replica load accounting
- * behind the imbalance statistic.
+ * cap, queue-driven autoscaling with real warm-up, and the per-replica
+ * load accounting behind the imbalance statistic.
  */
 #include <gtest/gtest.h>
 
@@ -84,7 +83,6 @@ TEST(CtrlPlane, RoundRobinOracleIsBitIdenticalToLegacyFrontDoor)
     EXPECT_FALSE(legacy.ctrl.enabled);
     EXPECT_TRUE(oracle.ctrl.enabled);
     EXPECT_EQ(oracle.ctrl.rejected, 0);
-    EXPECT_EQ(oracle.ctrl.preemptions, 0);
     EXPECT_EQ(oracle.ctrl.scale_ups, 0);
 }
 
@@ -246,7 +244,6 @@ TEST(CtrlPlane, RecordCapKeepsTheFirstDispositionsAcrossTurnAways)
         EXPECT_EQ(r.finish, u.finish);
         EXPECT_EQ(r.retries, u.retries);
         EXPECT_EQ(r.shed, u.shed);
-        EXPECT_EQ(r.priority, u.priority);
         EXPECT_EQ(r.deferrals, u.deferrals);
         EXPECT_EQ(r.rejected, u.rejected);
         kept[static_cast<std::size_t>(r.id)] = true;
@@ -309,46 +306,6 @@ TEST(CtrlPlane, AutoscaleRunsAreBitIdenticalAcrossRepeats)
     EXPECT_EQ(a.ctrl.scale_ups, b.ctrl.scale_ups);
     EXPECT_EQ(a.ctrl.scale_downs, b.ctrl.scale_downs);
     EXPECT_EQ(a.ctrl.warmups_completed, b.ctrl.warmups_completed);
-}
-
-// ---- priority & preemption -------------------------------------------------
-
-TEST(CtrlPlane, PriorityClassesAreAssignedFromTheCtrlStream)
-{
-    serve::ServeConfig config = baseServe();
-    config.ctrl.enabled = true;
-    config.ctrl.priority.high_fraction = 0.5;
-    const auto result = runServe(config);
-    int high = 0;
-    for (const train::RequestRecord &r : result.requests)
-        high += r.priority > 0 ? 1 : 0;
-    // Pinned seed: the mix is deterministic and genuinely mixed.
-    EXPECT_GT(high, 0);
-    EXPECT_LT(high, 16);
-    const auto repeat = runServe(config);
-    for (std::size_t i = 0; i < result.requests.size(); ++i)
-        EXPECT_EQ(result.requests[i].priority,
-                  repeat.requests[i].priority);
-}
-
-TEST(CtrlPlane, PreemptionRevokesRunningStepsForHighPriority)
-{
-    serve::ServeConfig config = baseServe();
-    config.num_requests = 24;
-    config.arrival_rate = 4.0; // deep queues: decode steps in flight
-    config.output_tokens = 10;
-    config.max_batch = 1;
-    config.ctrl.enabled = true;
-    config.ctrl.priority.high_fraction = 0.4;
-    config.ctrl.priority.preempt = true;
-    const auto result = runServe(config);
-    EXPECT_GT(result.ctrl.preemptions, 0);
-    const auto m = serve::summarize(result);
-    // Preempted requests re-enter the queue and are eventually served:
-    // preemption costs a re-prefill, never loses work.
-    EXPECT_EQ(m.num_served, 24);
-    const auto repeat = runServe(config);
-    expectIdenticalRecords(result, repeat);
 }
 
 } // namespace

@@ -373,12 +373,11 @@ TEST(ExperimentBuilder, InertAxesAreRefused)
  *  of its values matter (partly inert axes alias only where they must). */
 TEST(ExperimentBuilder, AxesTheHashConsumesExpand)
 {
-    // The p99 target is consumed by autoscaling on attainment even with
-    // admission Off.
+    // The p99 target is consumed by armed admission control.
     serve::ServeConfig attainment;
     attainment.ctrl.enabled = true;
     attainment.ctrl.autoscale.enabled = true;
-    attainment.ctrl.autoscale.min_attainment = 0.9;
+    attainment.ctrl.slo.admission = ctrl::AdmissionMode::Reject;
     const auto slo = ExperimentBuilder()
                          .model(ModelSpec::gpt2(0.5))
                          .serving(attainment)

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -238,6 +239,21 @@ TEST(KvCache, ValidateRejectsNonsensicalConfigs)
     config = kvServe();
     config.kv.enabled = true;
     config.kv.bytes_per_token = -1.0;
+    EXPECT_FALSE(config.validate().empty());
+    // +inf bytes/token would silently model no KV traffic at all.
+    config.kv.bytes_per_token = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.validate().empty());
+
+    // An infinite budget has no whole-page count under the paged layout.
+    config = kvServe();
+    config.kv.enabled = true;
+    config.kv.layout = serve::KvLayout::Paged;
+    config.kv.hbm_budget = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.validate().empty());
+    config = kvServe();
+    config.kv.enabled = true;
+    config.kv.layout = serve::KvLayout::Paged;
+    config.kv.host_budget = std::numeric_limits<double>::infinity();
     EXPECT_FALSE(config.validate().empty());
 
     // Disabled KV leaves the other fields inert: no rejection.

@@ -3,8 +3,8 @@
  * Oracle tests of the streaming request pipeline: the lazy RequestSource
  * must be bit-identical, spec by spec, to the reference
  * generateRequestStream(). Every generation-consuming feature is toggled
- * across the suite: sampled lengths, shared prefixes, priority draws,
- * trace arrivals, closed loop, and arrival modulation. The record cap is
+ * across the suite: sampled lengths, shared prefixes, trace arrivals,
+ * closed loop, and arrival modulation. The record cap is
  * exercised through whole serving runs.
  */
 #include <gtest/gtest.h>
@@ -75,7 +75,6 @@ expectSpecsBitIdentical(const std::vector<RequestSpec> &a,
         EXPECT_EQ(a[i].output_tokens, b[i].output_tokens);
         EXPECT_EQ(a[i].prefix_id, b[i].prefix_id);
         EXPECT_EQ(a[i].prefix_tokens, b[i].prefix_tokens);
-        EXPECT_EQ(a[i].priority, b[i].priority);
     }
 }
 
@@ -97,7 +96,6 @@ expectRecordsBitIdentical(const std::vector<train::RequestRecord> &a,
         EXPECT_EQ(a[i].shed, b[i].shed);
         EXPECT_EQ(a[i].rejected, b[i].rejected);
         EXPECT_EQ(a[i].deferrals, b[i].deferrals);
-        EXPECT_EQ(a[i].priority, b[i].priority);
     }
 }
 
@@ -135,15 +133,6 @@ TEST(RequestSource, MatchesWithSharedPrefixes)
     config.kv.prefix.share_fraction = 0.5;
     config.kv.prefix.num_prefixes = 4;
     config.kv.prefix.prefix_tokens = 32;
-    expectSpecsBitIdentical(drain(config), generateRequestStream(config));
-}
-
-TEST(RequestSource, MatchesWithPriorityDraws)
-{
-    ServeConfig config = smallServe();
-    config.num_requests = 256;
-    config.ctrl.enabled = true;
-    config.ctrl.priority.high_fraction = 0.3;
     expectSpecsBitIdentical(drain(config), generateRequestStream(config));
 }
 
@@ -356,6 +345,18 @@ TEST(RequestSource, ModulationValidation)
     config = smallServe();
     config.modulation.enabled = true;
     config.modulation.burst_rate_multiplier = 0.5;
+    EXPECT_FALSE(config.validate().empty());
+    // An infinite multiplier makes thinning accept nothing: generation
+    // would never end.
+    config.modulation.burst_rate_multiplier =
+        std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.validate().empty());
+
+    // So does an infinite base rate (an infinite envelope).
+    config = smallServe();
+    config.modulation.enabled = true;
+    config.modulation.diurnal_amplitude = 0.5;
+    config.arrival_rate = std::numeric_limits<double>::infinity();
     EXPECT_FALSE(config.validate().empty());
 
     // Armed bursts need positive gap/duration means.

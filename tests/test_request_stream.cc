@@ -83,6 +83,8 @@ TEST(RequestStream, ValidationCatchesBadConfigs)
     EXPECT_TRUE(config.validate().empty());
     config.arrival_rate = 0.0;
     EXPECT_FALSE(config.validate().empty());
+    config.arrival_rate = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.validate().empty());
 
     ServeConfig bad_trace;
     bad_trace.trace = {1.0, 0.5}; // decreasing

@@ -570,7 +570,6 @@ TEST(RunSpecHash, EveryArmedCtrlKnobChangesTheHash)
     base.serve.ctrl.slo.target_p99_s = 2.0;
     base.serve.ctrl.autoscale.enabled = true;
     base.serve.ctrl.autoscale.max_replicas = 3;
-    base.serve.ctrl.priority.high_fraction = 0.25;
 
     struct Mutation {
         const char *field;
@@ -607,12 +606,6 @@ TEST(RunSpecHash, EveryArmedCtrlKnobChangesTheHash)
          [](RunSpec &s) {
              s.serve.ctrl.autoscale.scale_down_depth += 0.25;
          }},
-        {"ctrl.autoscale.min_attainment",
-         [](RunSpec &s) { s.serve.ctrl.autoscale.min_attainment = 0.9; }},
-        {"ctrl.priority.high_fraction",
-         [](RunSpec &s) { s.serve.ctrl.priority.high_fraction = 0.5; }},
-        {"ctrl.priority.preempt",
-         [](RunSpec &s) { s.serve.ctrl.priority.preempt = true; }},
     };
     std::set<std::uint64_t> hashes{base.hash()};
     for (const Mutation &m : mutations) {
@@ -647,24 +640,22 @@ TEST(RunSpecHash, CtrlNormalizesUnarmedFeatureShapes)
     reject2.serve.ctrl.slo.max_defers = 7;
     EXPECT_EQ(reject.hash(), reject2.hash());
 
-    // The p99 target revives under admission Off when autoscaling keys
-    // attainment on it (the min_attainment > 0 coupling).
+    // With admission Off the p99 target is inert even under autoscaling:
+    // the autoscaler keys on load alone.
     RunSpec att = base;
     att.serve.ctrl.autoscale.enabled = true;
     att.serve.ctrl.autoscale.max_replicas = 3;
-    att.serve.ctrl.autoscale.min_attainment = 0.9;
     att.serve.ctrl.slo.target_p99_s = 2.0;
     RunSpec att2 = att;
     att2.serve.ctrl.slo.target_p99_s = 4.0;
-    EXPECT_NE(att.hash(), att2.hash());
+    EXPECT_EQ(att.hash(), att2.hash());
 }
 
 TEST(RunSpecHash, CtrlRandomnessRevivesTheSeedLikeSampledLengths)
 {
     // Closed loop + Fixed lengths: the seed is normally dead. Enabled
-    // round-robin with no priorities draws nothing — still dead. A
-    // tie-breaking policy or a priority mix consumes the ctrl stream, so
-    // the seed must revive.
+    // round-robin draws nothing — still dead. A tie-breaking policy
+    // consumes the ctrl stream, so the seed must revive.
     RunSpec dead = servingSpec();
     dead.serve.client_mode = serve::ClientMode::ClosedLoop;
     dead.serve.ctrl.enabled = true;
@@ -677,12 +668,6 @@ TEST(RunSpecHash, CtrlRandomnessRevivesTheSeedLikeSampledLengths)
     RunSpec jsq2 = jsq;
     jsq2.serve.seed += 1;
     EXPECT_NE(jsq.hash(), jsq2.hash());
-
-    RunSpec prio = dead;
-    prio.serve.ctrl.priority.high_fraction = 0.5;
-    RunSpec prio2 = prio;
-    prio2.serve.seed += 1;
-    EXPECT_NE(prio.hash(), prio2.hash());
 }
 
 TEST(RunSpecHash, DescribeTagsCtrlSpecs)
@@ -699,13 +684,10 @@ TEST(RunSpecHash, DescribeTagsCtrlSpecs)
     full.serve.ctrl.autoscale.enabled = true;
     full.serve.ctrl.autoscale.min_replicas = 1;
     full.serve.ctrl.autoscale.max_replicas = 3;
-    full.serve.ctrl.priority.high_fraction = 0.25;
-    full.serve.ctrl.priority.preempt = true;
     const std::string label = full.describe();
     EXPECT_NE(label.find("/ctrl-jsq"), std::string::npos) << label;
     EXPECT_NE(label.find("/slo-reject2"), std::string::npos) << label;
     EXPECT_NE(label.find("/as1-3"), std::string::npos) << label;
-    EXPECT_NE(label.find("/prio0.25p"), std::string::npos) << label;
 
     RunSpec bare = servingSpec();
     bare.serve.ctrl.enabled = true;
@@ -714,7 +696,6 @@ TEST(RunSpecHash, DescribeTagsCtrlSpecs)
         << blabel;
     EXPECT_EQ(blabel.find("/slo-"), std::string::npos) << blabel;
     EXPECT_EQ(blabel.find("/as"), std::string::npos) << blabel;
-    EXPECT_EQ(blabel.find("/prio"), std::string::npos) << blabel;
 }
 
 TEST(RunSpecHash, ModulationKnobsAreInertWhileDisabled)
@@ -752,8 +733,6 @@ TEST(RunSpecHash, EveryArmedModulationKnobChangesTheHash)
          [](RunSpec &s) { s.serve.modulation.diurnal_amplitude = 0.25; }},
         {"diurnal_period_s",
          [](RunSpec &s) { s.serve.modulation.diurnal_period_s = 60.0; }},
-        {"diurnal_phase",
-         [](RunSpec &s) { s.serve.modulation.diurnal_phase = 1.0; }},
         {"burst_rate_multiplier",
          [](RunSpec &s) {
              s.serve.modulation.burst_rate_multiplier = 2.0;
@@ -784,7 +763,6 @@ TEST(RunSpecHash, ModulationNormalizesUnarmedComponentShapes)
     bursts.serve.modulation.burst_rate_multiplier = 3.0;
     RunSpec bursts2 = bursts;
     bursts2.serve.modulation.diurnal_period_s = 7.0;
-    bursts2.serve.modulation.diurnal_phase = 2.0;
     EXPECT_EQ(bursts.hash(), bursts2.hash());
 
     // Sinusoid armed, multiplier 1: the burst shape knobs are inert,
