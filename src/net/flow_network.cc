@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "common/logging.h"
 #include "obs/profiler.h"
@@ -157,7 +158,8 @@ FlowNetwork::beginBulk(uint32_t slot)
     if (observer_)
         observer_->flowStarted(id, f.route, f.remaining, now);
 
-    markComponent({&slot, 1});
+    joinComponents(slot);
+    collectComponents({&slot, 1});
     recomputeComponent(now);
     rescheduleCompletionEvent();
 }
@@ -185,17 +187,14 @@ FlowNetwork::cancelFlow(FlowId id)
 
     // Bulk phase: settle what actually moved (aborted transfers keep their
     // partial delivery), then retire the flow exactly like a completion —
-    // component marked before detaching — except the callback is dropped.
-    markComponent({&slot, 1});
+    // component collected before detaching — except the callback is
+    // dropped.
+    collectComponents({&slot, 1});
     settleFlow(f, now);
     f.rate = 0.0;
     if (observer_)
         observer_->flowCancelled(f.id, now);
-    for (uint32_t li : f.links) {
-        auto &lf = link_states_[li].flows;
-        lf.erase(std::find(lf.begin(), lf.end(), slot));
-    }
-    f.active = false;
+    detachFlow(slot);
     active_.erase(std::find(active_.begin(), active_.end(), slot));
     freeSlot(slot);
 
@@ -220,7 +219,7 @@ FlowNetwork::linkCapacityChanged(Link *link)
     ls.capacity = effective;
     if (ls.flows.empty())
         return;
-    markComponent(ls.flows);
+    collectComponents({&ls.flows.front(), 1});
     recomputeComponent(now);
     rescheduleCompletionEvent();
 }
@@ -266,41 +265,200 @@ FlowNetwork::flushLink(LinkState &ls, Seconds now)
 
 // ---- incremental scheduling -------------------------------------------------
 
+template <class Member>
 void
-FlowNetwork::markComponent(std::span<const uint32_t> seeds)
+FlowNetwork::enterComponent(std::vector<uint32_t> &list,
+                            std::vector<Member> &members, uint32_t comp,
+                            uint32_t idx)
 {
-    // Flood-fill the "shares a link" relation from the seed flows. Work is
-    // proportional to the component (plus a sort of its few links
-    // downstream), so a flow that shares no links costs O(route length),
-    // independent of how many other flows are active.
-    const uint64_t epoch = ++epoch_;
-    bfs_stack_.clear();
-    comp_links_.clear();
-    comp_flows_.clear();
-    for (uint32_t s : seeds) {
-        if (slots_[s].mark != epoch) {
-            slots_[s].mark = epoch;
-            comp_flows_.push_back(s);
-            bfs_stack_.push_back(s);
-        }
+    members[idx].comp = comp;
+    members[idx].comp_pos = static_cast<uint32_t>(list.size());
+    list.push_back(idx);
+}
+
+template <class Member>
+void
+FlowNetwork::leaveComponent(std::vector<uint32_t> &list,
+                            std::vector<Member> &members, uint32_t idx)
+{
+    const uint32_t pos = members[idx].comp_pos;
+    const uint32_t last = list.back();
+    list[pos] = last;
+    members[last].comp_pos = pos;
+    list.pop_back();
+    members[idx].comp = kNoSlot;
+}
+
+uint32_t
+FlowNetwork::allocComponent()
+{
+    if (!free_components_.empty()) {
+        const uint32_t comp = free_components_.back();
+        free_components_.pop_back();
+        return comp;
     }
-    while (!bfs_stack_.empty()) {
-        const uint32_t s = bfs_stack_.back();
-        bfs_stack_.pop_back();
-        for (uint32_t li : slots_[s].links) {
-            LinkState &ls = link_states_[li];
-            if (ls.mark == epoch)
-                continue;
-            ls.mark = epoch;
-            comp_links_.push_back(li);
-            for (uint32_t other : ls.flows) {
-                if (slots_[other].mark != epoch) {
-                    slots_[other].mark = epoch;
-                    comp_flows_.push_back(other);
-                    bfs_stack_.push_back(other);
+    components_.emplace_back();
+    return static_cast<uint32_t>(components_.size() - 1);
+}
+
+void
+FlowNetwork::joinComponents(uint32_t slot)
+{
+    // A start is a union, so the merged partition stays exact. Merging the
+    // smaller components into the largest moves each member O(log n) times
+    // over its life.
+    auto size = [this](uint32_t comp) {
+        return components_[comp].flows.size() + components_[comp].links.size();
+    };
+    uint32_t into = kNoSlot;
+    for (uint32_t li : slots_[slot].links) {
+        const uint32_t comp = link_states_[li].comp;
+        if (comp != kNoSlot && (into == kNoSlot || size(comp) > size(into)))
+            into = comp;
+    }
+    if (into == kNoSlot)
+        into = allocComponent();
+    for (uint32_t li : slots_[slot].links) {
+        const uint32_t comp = link_states_[li].comp;
+        if (comp == kNoSlot)
+            enterComponent(components_[into].links, link_states_, into, li);
+        else if (comp != into)
+            mergeComponent(into, comp);
+    }
+    enterComponent(components_[into].flows, slots_, into, slot);
+}
+
+void
+FlowNetwork::mergeComponent(uint32_t into, uint32_t from)
+{
+    Component &dst = components_[into];
+    Component &src = components_[from];
+    for (uint32_t s : src.flows)
+        enterComponent(dst.flows, slots_, into, s);
+    for (uint32_t li : src.links)
+        enterComponent(dst.links, link_states_, into, li);
+    src.flows.clear();
+    src.links.clear();
+    free_components_.push_back(from);
+}
+
+void
+FlowNetwork::detachFlow(uint32_t slot)
+{
+    FlowSlot &f = slots_[slot];
+    const uint32_t comp = f.comp;
+    Component &c = components_[comp];
+    for (uint32_t li : f.links) {
+        auto &lf = link_states_[li].flows;
+        lf.erase(std::find(lf.begin(), lf.end(), slot));
+        if (lf.empty())
+            leaveComponent(c.links, link_states_, li);
+    }
+    leaveComponent(c.flows, slots_, slot);
+    f.active = false;
+    if (c.flows.empty()) {
+        SI_ASSERT(c.links.empty(), "component links outlived its flows");
+        free_components_.push_back(comp);
+    } else if (!staysConnected(f)) {
+        resplitComponent(comp);
+    }
+}
+
+bool
+FlowNetwork::staysConnected(const FlowSlot &flow) const
+{
+    // A path between two survivors that ran through the retired flow
+    // entered and left it on two distinct links that still carry flows.
+    // With at most one such link (a leaf) there is no such path; if one
+    // survivor crosses all of them (a cover), it bridges every such path.
+    const auto &links = flow.links;
+    auto shared = [&](std::size_t i) {
+        return !link_states_[links[i]].flows.empty() &&
+               std::find(links.begin(), links.begin() + i, links[i]) ==
+                   links.begin() + i;
+    };
+    std::size_t n_shared = 0;
+    uint32_t fewest = kNoSlot; // The shared link with the fewest flows.
+    for (std::size_t i = 0; i < links.size(); ++i) {
+        if (!shared(i))
+            continue;
+        ++n_shared;
+        if (fewest == kNoSlot || link_states_[links[i]].flows.size() <
+                                     link_states_[fewest].flows.size())
+            fewest = links[i];
+    }
+    if (n_shared <= 1)
+        return true;
+    for (uint32_t s : link_states_[fewest].flows) {
+        const auto &crossed = slots_[s].links;
+        const bool covers = std::all_of(
+            links.begin(), links.end(), [&](uint32_t li) {
+                return link_states_[li].flows.empty() ||
+                       std::find(crossed.begin(), crossed.end(), li) !=
+                           crossed.end();
+            });
+        if (covers)
+            return true;
+    }
+    return false;
+}
+
+void
+FlowNetwork::resplitComponent(uint32_t comp)
+{
+    // The fallback flood fill, over this component's members only. An
+    // unassigned back-link marks a member not yet reached; the first piece
+    // keeps the component's index.
+    Component &c = components_[comp];
+    split_flows_.assign(c.flows.begin(), c.flows.end());
+    for (uint32_t s : c.flows)
+        slots_[s].comp = kNoSlot;
+    for (uint32_t li : c.links)
+        link_states_[li].comp = kNoSlot;
+    c.flows.clear();
+    c.links.clear();
+    uint32_t piece = comp;
+    for (uint32_t seed : split_flows_) {
+        if (slots_[seed].comp != kNoSlot)
+            continue;
+        if (piece == kNoSlot)
+            piece = allocComponent();
+        Component &p = components_[piece];
+        enterComponent(p.flows, slots_, piece, seed);
+        bfs_stack_.assign(1, seed);
+        while (!bfs_stack_.empty()) {
+            const uint32_t s = bfs_stack_.back();
+            bfs_stack_.pop_back();
+            for (uint32_t li : slots_[s].links) {
+                LinkState &ls = link_states_[li];
+                if (ls.comp != kNoSlot)
+                    continue;
+                enterComponent(p.links, link_states_, piece, li);
+                for (uint32_t other : ls.flows) {
+                    if (slots_[other].comp == kNoSlot) {
+                        enterComponent(p.flows, slots_, piece, other);
+                        bfs_stack_.push_back(other);
+                    }
                 }
             }
         }
+        piece = kNoSlot;
+    }
+}
+
+void
+FlowNetwork::collectComponents(std::span<const uint32_t> seeds)
+{
+    const uint64_t epoch = ++epoch_;
+    comp_flows_.clear();
+    comp_links_.clear();
+    for (uint32_t s : seeds) {
+        Component &c = components_[slots_[s].comp];
+        if (c.mark == epoch)
+            continue;
+        c.mark = epoch;
+        comp_flows_.insert(comp_flows_.end(), c.flows.begin(), c.flows.end());
+        comp_links_.insert(comp_links_.end(), c.links.begin(), c.links.end());
     }
 }
 
@@ -309,42 +467,38 @@ FlowNetwork::recomputeComponent(Seconds now)
 {
     const obs::Profiler::Scoped probe(obs::Section::FlowRecompute);
 
+    // Drop retired seeds and settle the survivors' progress to now. Each
+    // flow settles on its own, so the flows stay in component order.
+    std::size_t n_flows = 0;
+    for (uint32_t s : comp_flows_) {
+        if (!slots_[s].active)
+            continue;
+        settleFlow(slots_[s], now);
+        comp_flows_[n_flows++] = s;
+    }
+    comp_flows_.resize(n_flows);
+
     // Per-link statistics must be flushed against the rates that held since
     // the last account point, before any rate in the component changes.
-    // Then zero every closure link's aggregate: links whose last flow just
-    // retired drop out of the re-keyed link set below and must not keep a
-    // stale positive rate (it would flush phantom bytes later).
-    for (uint32_t li : comp_links_) {
-        flushLink(link_states_[li], now);
-        link_states_[li].agg_rate = 0.0;
-        // A link whose last flow just retired never re-enters the re-keyed
-        // set below, so its rate drop is only visible here.
-        if (observer_)
-            observer_->linkRateChanged(*link_states_[li].link, 0.0, now);
-    }
-
-    // Drop retired seeds and settle the survivors' progress to now. Each
-    // flow settles on its own, so the flows stay in flood-fill order.
-    comp_flows_.erase(std::remove_if(comp_flows_.begin(), comp_flows_.end(),
-                                     [this](uint32_t s) {
-                                         return !slots_[s].active;
-                                     }),
-                      comp_flows_.end());
-    for (uint32_t s : comp_flows_)
-        settleFlow(slots_[s], now);
-
-    // Re-key the component's links and initialise the water-fill scratch.
-    // Each link's flow list holds exactly its active flows, one entry per
-    // route occurrence (a route listing a link twice claims two shares), so
-    // it gives the unfixed count directly; links whose last flow retired
-    // drop out. The oracle scans links in first-touch order (walking flows
-    // by ascending id, each route in order). A link is first touched by
-    // its lowest-id flow, the front of its id-ordered list, at its first
-    // position in that flow's route, so sorting on that pair reproduces the
-    // order without sorting the flows.
+    // Then zero every link's aggregate: links whose last flow just retired
+    // drop out of the re-keyed link set and must not keep a stale positive
+    // rate (it would flush phantom bytes later), and their rate drop is
+    // only visible here. The others are re-keyed and initialise the
+    // water-fill scratch. Each link's flow list holds exactly its active
+    // flows, one entry per route occurrence (a route listing a link twice
+    // claims two shares), so it gives the unfixed count directly. The
+    // oracle scans links in first-touch order (walking flows by ascending
+    // id, each route in order). A link is first touched by its lowest-id
+    // flow, the front of its id-ordered list, at its first position in that
+    // flow's route, so sorting on that pair reproduces the order without
+    // sorting the flows.
     std::size_t n_links = 0;
     for (uint32_t li : comp_links_) {
         LinkState &ls = link_states_[li];
+        flushLink(ls, now);
+        ls.agg_rate = 0.0;
+        if (observer_)
+            observer_->linkRateChanged(*ls.link, 0.0, now);
         if (ls.flows.empty())
             continue;
         const FlowSlot &first = slots_[ls.flows.front()];
@@ -372,34 +526,56 @@ FlowNetwork::recomputeComponent(Seconds now)
     // claims elsewhere. The bottleneck's own id-ordered list names exactly
     // the flows to freeze, in the ascending-id order the oracle freezes
     // them; flows frozen in an earlier round, and the repeat entries of a
-    // route that lists the link twice, carry this recompute's stamp.
+    // route that lists the link twice, carry this recompute's stamp. The
+    // scan list drops a link once its flows are all frozen (unfixed counts
+    // only fall), keeping the rest in first-touch order, so the first
+    // smallest share is the same link. A frozen flow's completion is
+    // re-keyed at once: one whose completion moved earlier (or that has no
+    // entry yet) pushes a new entry; a delayed one keeps its entry as a
+    // lower bound, which settleCompletionFront() re-keys only if it reaches
+    // the front.
     const uint64_t fill_epoch = ++epoch_;
+    scan_links_.assign(comp_links_.begin(), comp_links_.end());
     std::size_t n_unfixed = comp_flows_.size();
     while (n_unfixed > 0) {
         uint32_t bottleneck = kNoSlot;
         double best_share = std::numeric_limits<double>::infinity();
-        for (uint32_t li : comp_links_) {
+        std::size_t n_scan = 0;
+        for (uint32_t li : scan_links_) {
             const LinkState &ls = link_states_[li];
             if (ls.unfixed <= 0)
                 continue;
+            scan_links_[n_scan++] = li;
             const double share = ls.residual / ls.unfixed;
             if (share < best_share) {
                 best_share = share;
                 bottleneck = li;
             }
         }
+        scan_links_.resize(n_scan);
         SI_ASSERT(bottleneck != kNoSlot, "no bottleneck among active flows");
+        SI_ASSERT(best_share > 0.0, "active flow with zero rate");
 
         // Freeze every unfixed flow crossing the bottleneck at best_share.
-        const std::size_t before = n_unfixed;
+        frozen_.clear();
         for (uint32_t s : link_states_[bottleneck].flows) {
             FlowSlot &flow = slots_[s];
             if (flow.mark == fill_epoch)
                 continue;
             flow.mark = fill_epoch;
             flow.rate = best_share;
-            --n_unfixed;
-            for (uint32_t li : flow.links) {
+            flow.due = now + flow.remaining / best_share;
+            if (flow.due < flow.keyed)
+                pushCompletion(s);
+            frozen_.push_back(s);
+        }
+        SI_ASSERT(!frozen_.empty(), "water-filling failed to make progress");
+        n_unfixed -= frozen_.size();
+        if (n_unfixed == 0)
+            break; // Nothing reads this round's residuals.
+        // Release their claims, in the same flow order as the freeze.
+        for (uint32_t s : frozen_) {
+            for (uint32_t li : slots_[s].links) {
                 LinkState &ls = link_states_[li];
                 ls.residual -= best_share;
                 if (ls.residual < 0.0)
@@ -407,26 +583,14 @@ FlowNetwork::recomputeComponent(Seconds now)
                 --ls.unfixed;
             }
         }
-        SI_ASSERT(n_unfixed < before, "water-filling failed to make progress");
     }
 
-    // Refresh per-link aggregate rates (summed in id order so the oracle
-    // reproduces the exact bit pattern) and re-key each flow's completion.
-    // A flow whose completion moved earlier (or that has no entry yet)
-    // pushes a new entry; a delayed one keeps its entry as a lower bound,
-    // which settleCompletionFront() re-keys only if it reaches the front.
+    // Refresh per-link aggregate rates, summed in id order so the oracle
+    // reproduces the exact bit pattern.
     for (uint32_t li : comp_links_) {
         LinkState &ls = link_states_[li];
-        ls.agg_rate = 0.0;
         for (uint32_t s : ls.flows)
             ls.agg_rate += slots_[s].rate;
-    }
-    for (uint32_t s : comp_flows_) {
-        FlowSlot &flow = slots_[s];
-        SI_ASSERT(flow.rate > 0.0, "active flow with zero rate");
-        flow.due = now + flow.remaining / flow.rate;
-        if (flow.due < flow.keyed)
-            pushCompletion(s);
     }
 
     if (observer_) {
@@ -561,9 +725,11 @@ FlowNetwork::onCompletionEvent()
     }
     SI_ASSERT(!retiring_.empty(), "completion event with no due flow");
 
-    // The contention component of the retiring flows: every survivor whose
-    // rate can change. Marked before the retiring flows leave the index.
-    markComponent(retiring_);
+    // The contention components of the retiring flows: every survivor whose
+    // rate can change, and every link whose aggregate does. Collected before
+    // the retiring flows leave them, so links whose last flow leaves are
+    // still flushed and zeroed.
+    collectComponents(retiring_);
 
     // Settle and detach the retiring flows; leftover sub-epsilon bytes are
     // credited so delivered totals match the requested sizes.
@@ -578,11 +744,7 @@ FlowNetwork::onCompletionEvent()
             observer_->flowFinished(f.id, now);
         obs::Profiler::instance().countFlowRetire();
         callbacks_.push_back(std::move(f.done));
-        for (uint32_t li : f.links) {
-            auto &lf = link_states_[li].flows;
-            lf.erase(std::find(lf.begin(), lf.end(), s));
-        }
-        f.active = false;
+        detachFlow(s);
     }
     active_.erase(std::remove_if(active_.begin(), active_.end(),
                                  [this](uint32_t s) {
@@ -693,6 +855,77 @@ FlowNetwork::oracleRates() const
     for (std::size_t li = 0; li < links.size(); ++li)
         snap.link_rates.emplace_back(links[li], agg[li]);
     return snap;
+}
+
+FlowNetwork::Partition
+FlowNetwork::components() const
+{
+    Partition parts;
+    for (uint32_t comp = 0; comp < components_.size(); ++comp) {
+        const Component &c = components_[comp];
+        if (c.flows.empty())
+            continue; // Free.
+        auto &ids = parts.emplace_back();
+        for (uint32_t pos = 0; pos < c.flows.size(); ++pos) {
+            const FlowSlot &f = slots_[c.flows[pos]];
+            SI_ASSERT(f.active && f.comp == comp && f.comp_pos == pos,
+                      "flow ", f.id, " lost its component back-link");
+            for (uint32_t li : f.links)
+                SI_ASSERT(link_states_[li].comp == comp, "link ",
+                          link_states_[li].link->name(), " of flow ", f.id,
+                          " sits in another component");
+            ids.push_back(f.id);
+        }
+        for (uint32_t pos = 0; pos < c.links.size(); ++pos) {
+            const LinkState &ls = link_states_[c.links[pos]];
+            SI_ASSERT(!ls.flows.empty() && ls.comp == comp &&
+                          ls.comp_pos == pos,
+                      "link ", ls.link->name(), " is a stale member");
+        }
+        std::sort(ids.begin(), ids.end());
+    }
+    std::sort(parts.begin(), parts.end());
+    return parts;
+}
+
+FlowNetwork::Partition
+FlowNetwork::oracleComponents() const
+{
+    // Flood fill from first principles: which flows each link carries,
+    // rebuilt from the routes, then a walk from each unreached flow in
+    // ascending-id order, so parts come out ordered by their lowest id.
+    std::vector<const FlowSlot *> flows;
+    for (uint32_t s : active_)
+        flows.push_back(&slots_[s]);
+    std::map<const Link *, std::vector<std::size_t>> carried;
+    for (std::size_t i = 0; i < flows.size(); ++i)
+        for (const Link *link : flows[i]->route)
+            carried[link].push_back(i);
+
+    Partition parts;
+    std::vector<bool> reached(flows.size(), false);
+    for (std::size_t seed = 0; seed < flows.size(); ++seed) {
+        if (reached[seed])
+            continue;
+        reached[seed] = true;
+        auto &ids = parts.emplace_back();
+        std::vector<std::size_t> stack{seed};
+        while (!stack.empty()) {
+            const std::size_t i = stack.back();
+            stack.pop_back();
+            ids.push_back(flows[i]->id);
+            for (const Link *link : flows[i]->route) {
+                for (std::size_t j : carried[link]) {
+                    if (!reached[j]) {
+                        reached[j] = true;
+                        stack.push_back(j);
+                    }
+                }
+            }
+        }
+        std::sort(ids.begin(), ids.end());
+    }
+    return parts;
 }
 
 } // namespace smartinf::net

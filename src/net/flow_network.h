@@ -14,12 +14,27 @@
  * rates, their progress is settled lazily, and per-link statistics are
  * accumulated from a per-link aggregate rate instead of a per-flow sweep.
  * A flow whose route shares no link with any active flow is a component of
- * size one, so the "no contention" fast path costs O(route length). Link
- * state is a vector indexed by Link::id(), flow slots keep their route
- * buffers across reuse, and all scratch state is epoch-stamped and reused
- * across events, so starting or retiring a flow allocates only while a
- * buffer grows past its high-water mark (tests/test_hot_path_allocs.cc
- * pins the whole serving event loop below 0.1 allocations per event).
+ * size one, so the "no contention" fast path costs O(route length).
+ *
+ * Components are kept across events, each a list of member flows and links
+ * that every member points back into. A starting flow joins the components
+ * of its links, and the largest absorbs the rest. A retiring flow leaves
+ * its component, which stays whole when a local test proves it cannot have
+ * split: at most one of the flow's links still carries flows (a leaf), or
+ * one other flow crosses every link it still shares (a cover). Only when
+ * both fail is that one component re-split by a flood fill over its own
+ * members. The partition must equal a from-scratch flood fill at every
+ * recompute, not merely cover it: the recompute set decides which flows
+ * settle, and settling at t1 and again at t2 rounds @c remaining (hence
+ * the completion time) differently from settling once at t2.
+ * oracleComponents() is that flood fill; the tests compare it with
+ * components() after every event.
+ *
+ * Link state is a vector indexed by Link::id(), flow slots and components
+ * keep their buffers across reuse, and all scratch state is epoch-stamped
+ * and reused across events, so starting or retiring a flow allocates only
+ * while a buffer grows past its high-water mark (tests/test_hot_path_allocs.cc
+ * pins the serving and the training event loops).
  *
  * Completions: the network keeps its own heap of projected completion times
  * and mirrors the front into the event queue's single alarm, which it owns
@@ -35,9 +50,13 @@
  * Determinism: water-filling freezes flows in ascending FlowId order and
  * scans candidate bottleneck links in first-touch order (the order links are
  * first reached when walking flows by ascending id), so rates are a pure
- * function of the active flow set. oracleRates() recomputes that function
- * from scratch with none of the incremental bookkeeping; the stress tests
- * assert bit-identical agreement after every event.
+ * function of the active flow set. The scan drops a link for good once all
+ * its flows are frozen, keeping the others in order, and the round that
+ * freezes the last flows writes their rates (and completion times) only:
+ * the residuals it would update are never read again. oracleRates()
+ * recomputes that function from scratch with none of the incremental
+ * bookkeeping; the stress tests assert bit-identical agreement after every
+ * event.
  */
 #ifndef SMARTINF_NET_FLOW_NETWORK_H
 #define SMARTINF_NET_FLOW_NETWORK_H
@@ -191,6 +210,19 @@ class FlowNetwork
     };
     OracleSnapshot oracleRates() const;
 
+    /** Active flows grouped by contention component: each component's ids
+     *  ascending, components ordered by their lowest id. */
+    using Partition = std::vector<std::vector<FlowId>>;
+    /** The contention components the network keeps across events (checks
+     *  every member's back-link to its component on the way). */
+    Partition components() const;
+    /**
+     * Reference flood fill of the "shares a link" relation over the active
+     * flows' routes, with fresh containers and no incremental state. Test
+     * oracle: must equal components() after every event.
+     */
+    Partition oracleComponents() const;
+
     /** Flow slots allocated (== peak concurrent flows, not total ever) —
      *  memory-bound introspection for tests. */
     std::size_t slotsAllocated() const { return slots_.size(); }
@@ -217,7 +249,9 @@ class FlowNetwork
                              ///< lower bound on @c due (+inf: no entry)
         std::function<void()> done;
         uint32_t stamp = 0;   ///< bumped on push/retire; guards heap
-        uint64_t mark = 0;    ///< closure-visit / water-fill freeze epoch
+        uint64_t mark = 0;    ///< water-fill freeze epoch
+        uint32_t comp = kNoSlot; ///< component while active
+        uint32_t comp_pos = 0;   ///< index in that component's flows
         bool live = false;    ///< allocated to a flow (free slots: false)
         bool active = false;  ///< in bulk phase (delayed/free slots: false)
         bool cancelled = false; ///< revoked while in its latency phase
@@ -233,11 +267,20 @@ class FlowNetwork
                                      ///< multiplicity per route entry
         BytesPerSec agg_rate = 0.0;  ///< sum of crossing flows' rates
         Seconds accounted_at = 0.0;  ///< stats accumulated up to here
-        uint64_t mark = 0;           ///< closure/scratch epoch
+        uint32_t comp = kNoSlot;     ///< component while carrying flows
+        uint32_t comp_pos = 0;       ///< index in that component's links
         double residual = 0.0;       ///< water-fill scratch
         int unfixed = 0;             ///< water-fill scratch
         FlowId touch_id = 0;   ///< first-touch key: lowest crossing flow id
         uint32_t touch_pos = 0; ///< ... and the link's first route position
+    };
+
+    /** A contention component: the active flows connected through shared
+     *  links, and the links carrying them. A free component is empty. */
+    struct Component {
+        std::vector<uint32_t> flows; ///< slots, in no particular order
+        std::vector<uint32_t> links; ///< Link::id()s, in no particular order
+        uint64_t mark = 0;           ///< collection epoch
     };
 
     struct HeapEntry {
@@ -263,15 +306,42 @@ class FlowNetwork
     void settleFlow(FlowSlot &flow, Seconds now);
     /** Accumulate one link's stats to @p now from its aggregate rate. */
     void flushLink(LinkState &ls, Seconds now);
+    /** Add member @p idx (a flow slot or a link id) to component @p comp's
+     *  @p list, recording its back-link. */
+    template <class Member>
+    static void enterComponent(std::vector<uint32_t> &list,
+                               std::vector<Member> &members, uint32_t comp,
+                               uint32_t idx);
+    /** Remove member @p idx from its component's @p list in O(1): the last
+     *  member takes its place. */
+    template <class Member>
+    static void leaveComponent(std::vector<uint32_t> &list,
+                               std::vector<Member> &members, uint32_t idx);
+    uint32_t allocComponent();
+    /** Join the components of @p slot's links (the largest absorbs the
+     *  rest) and add the flow to the result. */
+    void joinComponents(uint32_t slot);
+    /** Move every member of component @p from into @p into. */
+    void mergeComponent(uint32_t into, uint32_t from);
     /**
-     * Collect the contention component reachable from @p seeds (slot
-     * indices) into comp_flows_ / comp_links_, in flood-fill order.
+     * Take @p slot out of the link index and its component (clearing its
+     * active flag), then re-split the component if staysConnected() cannot
+     * prove it whole.
      */
-    void markComponent(std::span<const uint32_t> seeds);
+    void detachFlow(uint32_t slot);
+    /** Leaf or cover test on a flow already out of the link index. */
+    bool staysConnected(const FlowSlot &flow) const;
+    /** Flood-fill component @p comp's members into connected pieces. */
+    void resplitComponent(uint32_t comp);
     /**
-     * Flush, settle, water-fill, and reschedule the collected component:
-     * the core incremental step. Seeds retired after markComponent() (their
-     * active flag cleared) are excluded from the recompute set.
+     * Collect the union of the components of @p seeds (slot indices) into
+     * comp_flows_ / comp_links_.
+     */
+    void collectComponents(std::span<const uint32_t> seeds);
+    /**
+     * Flush, settle, water-fill, and reschedule the collected components:
+     * the core incremental step. Seeds retired after collectComponents()
+     * (their active flag cleared) are excluded from the recompute set.
      */
     void recomputeComponent(Seconds now);
     bool heapEntryValid(const HeapEntry &e) const;
@@ -299,6 +369,8 @@ class FlowNetwork
     std::vector<uint32_t> active_; ///< bulk-phase slots, ascending id
     std::vector<LinkState> link_states_; ///< indexed by Link::id()
     std::vector<HeapEntry> completion_heap_; ///< min-heap on (when, id)
+    std::vector<Component> components_;
+    std::vector<uint32_t> free_components_;
     uint64_t epoch_ = 0;
     FlowId next_id_ = 0;
     Bytes total_delivered_ = 0.0;
@@ -306,6 +378,9 @@ class FlowNetwork
     // nothing).
     std::vector<uint32_t> comp_links_;
     std::vector<uint32_t> comp_flows_;
+    std::vector<uint32_t> scan_links_;
+    std::vector<uint32_t> frozen_;
+    std::vector<uint32_t> split_flows_;
     std::vector<uint32_t> bfs_stack_;
     std::vector<uint32_t> retiring_;
     std::vector<std::function<void()>> callbacks_;

@@ -32,7 +32,10 @@ namespace smartinf::obs {
 /** The fixed set of profiled subsystems (stable BENCH_*.json keys). */
 enum class Section : int {
     EventDispatch,  ///< EventQueue::runNext — everything inside an event
-    FlowRecompute,  ///< FlowNetwork mark+recompute (water-filling)
+    /** FlowNetwork::recomputeComponent: flush, settle, water-fill and
+     *  re-key one recompute set. Component upkeep (joins, detaches,
+     *  re-splits, collection) runs outside it, inside EventDispatch. */
+    FlowRecompute,
     FlowCallbacks,  ///< flow completion callbacks (downstream graph work)
     TaskComplete,   ///< TaskGraph completion cascades (dependent launches)
     SchedulerStep,  ///< serve::BatchScheduler step construction

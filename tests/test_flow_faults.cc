@@ -42,6 +42,7 @@ expectMatchesOracle(FlowNetwork &net)
         EXPECT_EQ(net.currentRate(id), rate) << "flow " << id;
     for (const auto &[link, agg] : snap.link_rates)
         EXPECT_EQ(net.linkAggregateRate(link), agg) << "link " << link->name();
+    EXPECT_EQ(net.components(), net.oracleComponents());
 }
 
 TEST(FlowFaults, CapacityChangeMatchesOracleAfterEveryEvent)

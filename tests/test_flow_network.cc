@@ -1,8 +1,10 @@
 /** @file Tests for the max-min fair fluid-flow network. */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/flow_network.h"
@@ -241,6 +243,121 @@ TEST(FlowNetwork, DelayedCompletionsKeepTheirHeapEntry)
         80.000000000000014,
     };
     EXPECT_EQ(done, expected);
+}
+
+/**
+ * The bridge shape: a alone on l1, b alone on l2, and the bridge c on
+ * both, so one contention component holds all three. Once c leaves, the
+ * component must split in two, and an event that touches only l1 must
+ * then settle only l1's flows. Settling b again would round its remaining
+ * bytes, and so its completion time, differently; the rate oracle cannot
+ * see that, so these tests pin every completion time bit for bit.
+ */
+struct Bridge {
+    sim::Simulator sim;
+    FlowNetwork net{sim};
+    Topology topo;
+    Link &l1 = topo.addLink("l1", 3.0);
+    Link &l2 = topo.addLink("l2", 7.0);
+    std::vector<std::pair<char, double>> done;
+
+    std::function<void()>
+    record(char name)
+    {
+        return [this, name]() { done.emplace_back(name, sim.now()); };
+    }
+    /** Flows d (t = 2.1) and e (t = 3.1) join l1 while b still runs. */
+    void
+    joinL1Later()
+    {
+        sim.at(2.1, [this]() { net.startFlow({&l1}, 5.3, record('d')); });
+        sim.at(3.1, [this]() { net.startFlow({&l1}, 2.2, record('e')); });
+    }
+};
+
+TEST(FlowNetwork, BridgeCompletionSplitsItsComponent)
+{
+    Bridge br;
+    br.net.startFlow({&br.l1}, 10.1, br.record('a'));
+    br.net.startFlow({&br.l2}, 29.3, br.record('b'));
+    br.net.startFlow({&br.l1, &br.l2}, 1.7, br.record('c'));
+    EXPECT_EQ(br.net.components(), (FlowNetwork::Partition{{0, 1, 2}}));
+    br.sim.runUntil([&]() { return br.net.activeFlows() == 2; });
+    EXPECT_EQ(br.net.components(), (FlowNetwork::Partition{{0}, {1}}));
+    br.joinL1Later();
+    br.sim.run();
+    const std::vector<std::pair<char, double>> expected{
+        {'c', 1.1333333333333333}, {'b', 4.4285714285714288},
+        {'e', 5.3000000000000007}, {'d', 6.3666666666666671},
+        {'a', 6.4333333333333336},
+    };
+    EXPECT_EQ(br.done, expected);
+}
+
+TEST(FlowNetwork, BridgeCancelledInBulkSplitsItsComponent)
+{
+    Bridge br;
+    br.net.startFlow({&br.l1}, 10.1, br.record('a'));
+    br.net.startFlow({&br.l2}, 29.3, br.record('b'));
+    const FlowId c = br.net.startFlow({&br.l1, &br.l2}, 100.0,
+                                      br.record('c'));
+    br.sim.at(0.9, [&]() {
+        EXPECT_TRUE(br.net.cancelFlow(c));
+        EXPECT_EQ(br.net.components(), (FlowNetwork::Partition{{0}, {1}}));
+    });
+    br.joinL1Later();
+    br.sim.run();
+    const std::vector<std::pair<char, double>> expected{
+        {'b', 4.378571428571429},  {'e', 5.3000000000000007},
+        {'a', 6.2666666666666666}, {'d', 6.3166666666666664},
+    };
+    EXPECT_EQ(br.done, expected);
+}
+
+TEST(FlowNetwork, CapacityChangeAfterASplitTouchesOneHalf)
+{
+    Bridge br;
+    br.net.startFlow({&br.l1}, 10.1, br.record('a'));
+    br.net.startFlow({&br.l2}, 29.3, br.record('b'));
+    br.net.startFlow({&br.l1, &br.l2}, 1.7, br.record('c'));
+    br.sim.at(2.1, [&]() {
+        EXPECT_EQ(br.net.components(), (FlowNetwork::Partition{{0}, {1}}));
+        br.l1.setCapacityFactor(0.5);
+        br.net.linkCapacityChanged(&br.l1);
+    });
+    br.sim.at(3.1, [&]() {
+        br.l1.setCapacityFactor(1.0);
+        br.net.linkCapacityChanged(&br.l1);
+    });
+    br.sim.run();
+    const std::vector<std::pair<char, double>> expected{
+        {'c', 1.1333333333333333},
+        {'b', 4.4285714285714288},
+        {'a', 4.4333333333333336},
+    };
+    EXPECT_EQ(br.done, expected);
+}
+
+TEST(FlowNetwork, BridgeListingALinkTwiceSplitsItsComponent)
+{
+    // The bridge crosses l1 twice and a crosses it twice: l1 is still one
+    // shared link, so c's departure leaves two links carrying flows that
+    // no single flow covers.
+    Bridge br;
+    br.net.startFlow({&br.l1, &br.l1}, 10.1, br.record('a'));
+    br.net.startFlow({&br.l2}, 29.3, br.record('b'));
+    br.net.startFlow({&br.l1, &br.l2, &br.l1}, 1.7, br.record('c'));
+    br.joinL1Later(); // d joins before c leaves, e after.
+    br.sim.runUntil([&]() { return br.done.size() == 1; });
+    EXPECT_EQ(br.done.front().first, 'c');
+    EXPECT_EQ(br.net.components(), (FlowNetwork::Partition{{0, 3}, {1}}));
+    br.sim.run();
+    const std::vector<std::pair<char, double>> expected{
+        {'c', 2.3083333333333331}, {'b', 4.4285714285714288},
+        {'e', 6.0333333333333332}, {'d', 8.2166666666666668},
+        {'a', 10.366666666666665},
+    };
+    EXPECT_EQ(br.done, expected);
 }
 
 TEST(FlowNetwork, UtilizationIntegralIsSane)

@@ -5,7 +5,9 @@
  * links, and retire over a clustered topology; after EVERY discrete event
  * the incremental engine's per-flow rates and per-link aggregate rates must
  * match FlowNetwork::oracleRates() — a from-scratch water-filling with none
- * of the incremental bookkeeping — bit for bit.
+ * of the incremental bookkeeping — bit for bit, and the contention
+ * components the network keeps across events must equal
+ * FlowNetwork::oracleComponents(), a from-scratch flood fill.
  */
 #include <gtest/gtest.h>
 
@@ -45,6 +47,9 @@ expectMatchesOracle(FlowNetwork &net,
     }
     for (const auto &[link, agg] : snap.link_rates)
         EXPECT_EQ(net.linkAggregateRate(link), agg) << "link " << link->name();
+    // The partition decides which flows a recompute settles, so it must be
+    // exactly the flood fill's: not a coarser one that never splits.
+    EXPECT_EQ(net.components(), net.oracleComponents());
     // Links absent from the oracle carry no flow: their aggregate must
     // have been reset when their last flow retired, not left stale.
     for (const Link *link : all_links) {

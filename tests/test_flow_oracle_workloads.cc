@@ -7,7 +7,8 @@
  * spilling beside the parameter stream, and crash and link-degrade
  * episodes) run through their own SimContext, and after every executed
  * event each flow's rate and each link's aggregate must equal the oracle's
- * bit for bit. Stepping the context by hand must also execute exactly the
+ * bit for bit, and the contention components the network keeps must equal
+ * FlowNetwork::oracleComponents(). Stepping the context by hand must also execute exactly the
  * events Engine::run does on the same workload.
  */
 #include <gtest/gtest.h>
@@ -45,6 +46,11 @@ matchesOracle(const SimContext &ctx, std::vector<char> &carried)
                           << " vs oracle " << rate;
             return false;
         }
+    }
+    if (net.components() != net.oracleComponents()) {
+        ADD_FAILURE() << "kept contention components differ from the "
+                         "flood fill's";
+        return false;
     }
     carried.assign(ctx.topo.linkCount(), 0);
     for (const auto &[link, agg] : snap.link_rates) {

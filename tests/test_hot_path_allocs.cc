@@ -1,24 +1,29 @@
 /**
  * @file
- * The serving event loop's allocation budget. A transfer's setup must not
- * touch the heap: its route is resolved once by its builder, link state is
- * indexed by Link::id(), a flow slot keeps its route buffer across reuse,
- * and every per-flow closure (transfer task, resource completion, task
- * completion) fits std::function's inline buffer. This binary replaces the
- * global operator new/delete with a counting pair, so it is a test of its
- * own, and counts only the calls made inside Engine::run (build, run and
- * collect) on a serve_stream_20k-shaped config of 1000 requests.
+ * The serving and training event loops' allocation budgets. A transfer's
+ * setup must not touch the heap: its route is resolved once by its
+ * builder, link state is indexed by Link::id(), a flow slot and a
+ * contention component keep their buffers across reuse, and every per-flow
+ * closure (transfer task, resource completion, task completion) fits
+ * std::function's inline buffer. This binary replaces the global operator
+ * new/delete with a counting pair, so it is a test of its own. The serving
+ * test counts the calls made inside Engine::run (build, run and collect)
+ * on a serve_stream_20k-shaped config of 1000 requests; the training test
+ * counts the event loop of a 4-node ring all-reduce iteration.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <new>
 
 #include "serve/inference_workload.h"
 #include "train/engine.h"
+#include "train/sim_context.h"
+#include "train/training_workload.h"
 
 namespace {
 
@@ -108,6 +113,40 @@ TEST(HotPathAllocs, ServingEventLoopAllocatesUnderATenthPerEvent)
               << result.events_executed << " events = " << per_event
               << " per event\n";
     EXPECT_LT(per_event, 0.1);
+}
+
+TEST(HotPathAllocs, TrainingRingAllReduceLoopStaysUnderItsBudget)
+{
+    // Every ring hop starts flows that join a contention component, and
+    // every completion leaves one. A training iteration builds its whole
+    // task graph up front, which would swamp the count, so only the event
+    // loop is counted. Measured at 0.37 allocations per event (769 over
+    // 2081 events, nearly all in the first 1000 events while buffers
+    // grow); one allocation per flow start would add about 0.5.
+    const auto model = train::ModelSpec::gpt2(0.5);
+    train::SystemConfig system;
+    system.strategy = train::Strategy::SmartUpdateOptComp;
+    system.num_devices = 4;
+    system.num_nodes = 4;
+
+    train::SimContext ctx(system);
+    train::TrainingWorkload workload(model, train::TrainConfig{});
+    workload.build(ctx);
+    ctx.graph.start();
+    g_allocations = 0;
+    g_counting = true;
+    ctx.sim.run();
+    g_counting = false;
+
+    const std::size_t allocations = g_allocations;
+    const uint64_t events = ctx.sim.eventsExecuted();
+    ASSERT_TRUE(ctx.graph.done());
+    ASSERT_GT(events, 0u);
+    const double per_event =
+        static_cast<double>(allocations) / static_cast<double>(events);
+    std::cout << allocations << " allocations over " << events
+              << " events = " << per_event << " per event\n";
+    EXPECT_LT(per_event, 0.45);
 }
 
 } // namespace
