@@ -81,34 +81,6 @@ StreamingPercentiles::record(double value)
     }
 }
 
-void
-StreamingPercentiles::merge(const StreamingPercentiles &other)
-{
-    SI_ASSERT(exact_cap_ == other.exact_cap_,
-              "merging StreamingPercentiles with different exact caps");
-    if (other.count_ == 0)
-        return;
-    if (bins_.empty())
-        bins_.assign(static_cast<std::size_t>(innerBins()) + 2, 0);
-    for (std::size_t i = 0; i < bins_.size(); ++i)
-        bins_[i] += other.bins_[i];
-    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-    max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-    count_ += other.count_;
-    sum_ += other.sum_;
-    // Exactness is a function of the combined population size alone, so
-    // any merge order of the same sampler set agrees on it (and on the
-    // percentiles: nearest-rank sorts, so sample order is immaterial).
-    if (exact_ && other.exact_ && count_ <= exact_cap_) {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-    } else {
-        exact_ = false;
-        samples_.clear();
-        samples_.shrink_to_fit();
-    }
-}
-
 std::vector<double>
 StreamingPercentiles::sortedSamples() const
 {

@@ -12,11 +12,7 @@
  * kMinValue report 0 with absolute error < kMinValue (one microsecond
  * for latency populations). Count, min, and max stay exact at every
  * size; above the cap the mean is the running sum over the count.
- *
- * merge() is a commutative, associative fold (bins add; exactness is a
- * function of the combined count only), the same semigroup contract as
- * obs::CounterSampler — per-shard percentile sketches can combine without
- * a global record vector. Deterministic: no randomness, no wall clock.
+ * Deterministic: no randomness, no wall clock.
  */
 #ifndef SMARTINF_COMMON_STREAMING_PERCENTILES_H
 #define SMARTINF_COMMON_STREAMING_PERCENTILES_H
@@ -49,10 +45,6 @@ class StreamingPercentiles
 
     /** Fold one sample in. */
     void record(double value);
-
-    /** Fold @p other in (commutative, associative; both sides must share
-     *  the same exact_cap). */
-    void merge(const StreamingPercentiles &other);
 
     /** True while percentile() is nearest-rank on the full population. */
     bool exact() const { return exact_; }

@@ -71,8 +71,7 @@ writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
        << ",\"think_time_s\":" << jsonNumber(c.think_time)
        << ",\"kv\":{\"enabled\":" << (c.kv.enabled ? "true" : "false");
     if (c.kv.enabled) {
-        os << ",\"bytes_per_token\":" << jsonNumber(c.kv.bytes_per_token)
-           << ",\"hbm_budget\":" << jsonNumber(c.kv.hbm_budget)
+        os << ",\"hbm_budget\":" << jsonNumber(c.kv.hbm_budget)
            << ",\"host_budget\":" << jsonNumber(c.kv.host_budget)
            << ",\"layout\":\"" << serve::kvLayoutName(c.kv.layout) << "\"";
         if (c.kv.paged()) {
@@ -125,9 +124,7 @@ writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
             os << ",\"burst_mean_gap_s\":"
                << jsonNumber(c.modulation.burst_mean_gap_s)
                << ",\"burst_mean_duration_s\":"
-               << jsonNumber(c.modulation.burst_mean_duration_s)
-               << ",\"burst_first_gap_s\":"
-               << jsonNumber(c.modulation.burst_first_gap_s);
+               << jsonNumber(c.modulation.burst_mean_duration_s);
     }
     os << "}";
     if (c.record_cap > 0)

@@ -136,8 +136,7 @@ hashAppend(HashStream &hs, const serve::ServeConfig &c,
     // paged run without prefix sharing ignores the prefix-pool shape.
     hs << c.kv.enabled;
     if (c.kv.enabled) {
-        hs << c.kv.bytes_per_token << c.kv.hbm_budget << c.kv.host_budget
-           << c.kv.layout;
+        hs << c.kv.hbm_budget << c.kv.host_budget << c.kv.layout;
         if (c.kv.layout == serve::KvLayout::Paged) {
             hs << c.kv.block_tokens << c.kv.prefix.share_fraction;
             if (c.kv.prefix.enabled())
@@ -186,8 +185,7 @@ hashAppend(HashStream &hs, const serve::ServeConfig &c,
         // (validate() rejects it anywhere else), so it is hashed only
         // here. Within it the usual normalization recurses: diurnal
         // shape only when the sinusoid is armed, burst shape only when
-        // the multiplier exceeds 1, and every negative first-gap means
-        // the same thing (draw it) so they normalize to -1.
+        // the multiplier exceeds 1.
         hs << c.modulation.enabled;
         if (c.modulation.enabled) {
             hs << c.modulation.diurnal_amplitude;
@@ -196,10 +194,7 @@ hashAppend(HashStream &hs, const serve::ServeConfig &c,
             hs << c.modulation.burst_rate_multiplier;
             if (c.modulation.bursts())
                 hs << c.modulation.burst_mean_gap_s
-                   << c.modulation.burst_mean_duration_s
-                   << (c.modulation.burst_first_gap_s < 0.0
-                         ? -1.0
-                         : c.modulation.burst_first_gap_s);
+                   << c.modulation.burst_mean_duration_s;
         }
     } else {
         // A trace fully determines the arrivals; the open-loop knobs are
@@ -252,11 +247,10 @@ hashAppend(HashStream &hs, const fault::FaultConfig &f,
         // the job length is part of the workload shape as well.
         hs << f.num_iterations << f.checkpoint_interval;
     } else if (f.nodeFaults()) {
-        // Retry/shed knobs shape only serving recovery, and only node
+        // The retry limit shapes only serving recovery, and only node
         // crashes displace requests — with no crash process armed the
         // whole failover path is unreachable.
-        hs << f.retry_limit << f.retry_backoff << f.retry_timeout
-           << f.shed_queue_depth;
+        hs << f.retry_limit;
     }
 }
 

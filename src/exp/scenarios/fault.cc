@@ -174,8 +174,8 @@ registerFaultScenarios()
          runTrainCheckpointSweep});
     ScenarioRegistry::instance().add(
         {"serve_failover",
-         "Serving: replica failover, retry/backoff and admission shedding "
-         "under node crashes",
+         "Serving: replica failover, retry/backoff and retry-limit "
+         "shedding under node crashes",
          runServeFailover});
 }
 

@@ -43,17 +43,6 @@ FaultConfig::validate() const
                  "fault.retry_limit must be >= 0 (0 = shed displaced "
                  "requests immediately)",
                  retry_limit);
-    requireField(errors, std::isfinite(retry_backoff) && retry_backoff >= 0.0,
-                 "fault.retry_backoff must be finite and >= 0",
-                 retry_backoff);
-    requireField(errors, retry_timeout > 0.0,
-                 "fault.retry_timeout must be positive (displaced requests "
-                 "older than this are shed)",
-                 retry_timeout);
-    requireField(errors, shed_queue_depth > 0,
-                 "fault.shed_queue_depth must be >= 1 (retries meeting a "
-                 "queue this deep are shed)",
-                 shed_queue_depth);
     requireField(errors, num_iterations > 0,
                  "fault.num_iterations must be >= 1 (iterations the "
                  "checkpointed training run completes)",

@@ -3,12 +3,12 @@
  * Configuration of the deterministic fault-injection + recovery model. One
  * FaultConfig drives both workload kinds: the training side consumes the
  * checkpoint/restart knobs (periodic checkpoint flows, crash → rewind to the
- * last durable checkpoint and replay), the serving side the failover knobs
- * (drain on replica failure, retry with backoff on survivors, admission
- * shedding). Disabled by default — and inert by contract when disabled: no
- * schedule is drawn, no sim event is armed, no canceller is registered, and
- * every pinned scenario's output stays bit-identical to the fault-free
- * build.
+ * last durable checkpoint and replay), the serving side the failover knob
+ * (drain on replica failure, retry on survivors with a fixed linear
+ * backoff, shed once retry_limit re-dispatches are spent). Disabled by
+ * default — and inert by contract when disabled: no schedule is drawn, no
+ * sim event is armed, no canceller is registered, and every pinned
+ * scenario's output stays bit-identical to the fault-free build.
  *
  * Determinism contract: all fault randomness is drawn *pre-sim* from a
  * fourth derived PRNG stream (fault_schedule.h faultSeed()), the same
@@ -32,7 +32,7 @@ namespace smartinf::fault {
  * Knobs of the fault process and of both recovery models. Every field here
  * affects simulated results when enabled and therefore joins the RunSpec
  * hash (src/exp/run_spec.cc) with semantic normalization: nothing is hashed
- * while disabled, retry knobs only under serving, checkpoint knobs only
+ * while disabled, the retry limit only under serving, checkpoint knobs only
  * under training, and each category's episode parameters only while that
  * category's MTBF is finite.
  */
@@ -70,16 +70,9 @@ struct FaultConfig {
     Seconds repair_time = 30.0;
 
     // -- recovery: serving ----------------------------------------------------
-    /** Re-dispatch attempts per displaced request before it is shed. */
+    /** Re-dispatch attempts per displaced request before it is shed (the
+     *  one shed rule; attempt k waits k * 0.5 s before re-dispatch). */
     int retry_limit = 3;
-    /** Linear backoff before re-dispatch: attempt k waits k * backoff. */
-    Seconds retry_backoff = 0.5;
-    /** A displaced request older than this (since original arrival) is
-     *  shed instead of retried. */
-    Seconds retry_timeout = 300.0;
-    /** Admission shedding: a retry routed to a replica whose queue is at
-     *  least this deep is shed (graceful degradation under recovery). */
-    int shed_queue_depth = 64;
 
     // -- recovery: training ---------------------------------------------------
     /** Iterations the checkpointed training workload runs to completion. */

@@ -138,8 +138,8 @@ class BatchScheduler
     void revive();
     /** True while crashed (between failNode() and revive()). */
     bool dead() const { return dead_; }
-    /** Requests on this node (queued + running) — the admission-shedding
-     *  load signal, and the control plane's JSQ/P2C dispatch signal. */
+    /** Requests on this node (queued + running) — the control plane's
+     *  JSQ/P2C dispatch and autoscaling load signal. */
     int load() const
     {
         return static_cast<int>(queue_.size() + running_.size());

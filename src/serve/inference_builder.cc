@@ -52,8 +52,6 @@ InferenceBuilder::prefetchWindow() const
 Bytes
 InferenceBuilder::kvBytesPerToken() const
 {
-    if (serve_.kv.bytes_per_token > 0.0)
-        return serve_.kv.bytes_per_token;
     // K and V, one fp16 hidden vector each, per layer.
     return 2.0 * model_.num_layers * model_.hidden_dim * kBytesFp16;
 }

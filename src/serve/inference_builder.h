@@ -112,9 +112,8 @@ class InferenceBuilder : public train::PhaseBuilder
     int prefetchWindow() const;
 
     /**
-     * KV bytes appended per processed token: the configured
-     * kv.bytes_per_token, or (when 0) the transformer-derived
-     * 2 * num_layers * hidden_dim * sizeof(fp16).
+     * KV bytes appended per processed token, derived from the model:
+     * 2 (K+V) * num_layers * hidden_dim * sizeof(fp16).
      */
     Bytes kvBytesPerToken() const;
 

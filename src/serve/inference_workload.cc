@@ -114,10 +114,11 @@ InferenceWorkload::turnAway(train::SimContext &ctx,
 void
 InferenceWorkload::redispatch(train::SimContext &ctx, RequestSpec request)
 {
+    constexpr Seconds kRetryBackoff = 0.5; // attempt k waits k times this
     request.attempt += 1;
     ++fault_stats_.retries_dispatched;
     const Seconds backoff =
-        static_cast<double>(request.attempt) * config_.fault.retry_backoff;
+        static_cast<double>(request.attempt) * kRetryBackoff;
     ctx.sim.at(ctx.sim.now() + backoff,
                [this, &ctx, request]() { dispatch(ctx, request); });
 }
@@ -126,14 +127,8 @@ void
 InferenceWorkload::dispatch(train::SimContext &ctx,
                             const RequestSpec &request)
 {
-    const fault::FaultConfig &f = config_.fault;
-    const Seconds now = ctx.sim.now();
-    if (config_.fault.enabled) {
-        if (request.attempt > f.retry_limit)
-            return turnAway(ctx, request, TurnAway::Shed);
-        if (request.attempt > 0 && now - request.arrival > f.retry_timeout)
-            return turnAway(ctx, request, TurnAway::Shed);
-    }
+    if (config_.fault.enabled && request.attempt > config_.fault.retry_limit)
+        return turnAway(ctx, request, TurnAway::Shed);
 
     std::size_t chosen;
     const std::size_t n = schedulers_.size();
@@ -167,14 +162,10 @@ InferenceWorkload::dispatch(train::SimContext &ctx,
         if (chosen == n)
             return redispatch(ctx, request); // whole fleet down: back off
     }
-    // Admission shedding: a retry routed into a replica already drowning
-    // in recovered load is rejected (graceful degradation).
-    if (config_.fault.enabled && request.attempt > 0 &&
-        schedulers_[chosen]->load() >= f.shed_queue_depth)
-        return turnAway(ctx, request, TurnAway::Shed);
-    // SLO admission (first attempts only — a retry already survived the
-    // failover path's own shedding rules).
+    // SLO admission (first attempts only — a retry already passed the
+    // failover path's retry limit).
     if (ctrl_ && request.attempt == 0) {
+        const Seconds now = ctx.sim.now();
         const ctrl::AdmissionDecision verdict =
             ctrl_->admit(now, request, static_cast<int>(chosen));
         if (verdict == ctrl::AdmissionDecision::Reject)

@@ -27,7 +27,7 @@
  *    graph protocol described in DESIGN.md "The Workload API".
  *
  * Every request leaves through one back door, dispose(): the schedulers'
- * retire hook and the turn-away path (failover shedding, SLO rejection)
+ * retire hook and the turn-away path (retry-limit shedding, SLO rejection)
  * both hand it the request's record, and it alone folds the record into
  * the streaming aggregates, keeps it under the record cap, notifies the
  * control plane, and releases a closed-loop client — in that order.
@@ -92,7 +92,7 @@ class InferenceWorkload final : public train::Workload
      */
     void dispose(train::SimContext &ctx, const train::RequestRecord &record);
     /**
-     * Dispose of @p request now without serving it: failover shedding or
+     * Dispose of @p request now without serving it: retry-limit shedding or
      * SLO-admission rejection. Either way it is a first-class record
      * (disposition, retries, deferrals, and the decision time).
      */
@@ -101,9 +101,9 @@ class InferenceWorkload final : public train::Workload
     /**
      * Route @p request to a live replica. Selection: the control plane's
      * dispatch policy when enabled, else the deterministic skip-dead scan
-     * from (id + attempt) % N. Faults add retry-limit / retry-timeout /
-     * admission-depth shedding for retries; the control plane adds SLO
-     * admission (reject/defer) for first attempts. Whole-fleet-down falls
+     * from (id + attempt) % N. Faults shed a request whose attempt
+     * exceeds the retry limit; the control plane adds SLO admission
+     * (reject/defer) for first attempts. Whole-fleet-down falls
      * back to another backoff round (bounded by the retry limit). Every
      * arrival, retry, and deferral enters here: the single dispatch seam.
      */
@@ -116,7 +116,7 @@ class InferenceWorkload final : public train::Workload
      *  event at time + duration. */
     void onFault(train::SimContext &ctx, const fault::FaultEvent &event);
     /** Re-dispatch a displaced request: bump attempt, wait the linear
-     *  backoff, then dispatch(). */
+     *  backoff (attempt * 0.5 s), then dispatch(). */
     void redispatch(train::SimContext &ctx, RequestSpec request);
     /** @} */
 

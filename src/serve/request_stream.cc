@@ -42,17 +42,10 @@ ArrivalProcess::ArrivalProcess(const ServeConfig &config)
         std::max(1.0, modulation_.burst_rate_multiplier);
     envelope_rate_ =
         base_rate_ * (1.0 + modulation_.diurnal_amplitude) * burst_ceiling;
-    if (modulation_.bursts() && modulation_.burst_first_gap_s >= 0.0) {
-        // Deterministic first episode start; 0 means a burst is already in
-        // progress at t=0 (the edge the stress tests pin).
-        burst_started_ = true;
-        if (modulation_.burst_first_gap_s == 0.0) {
-            in_burst_ = true;
-            next_toggle_ = burstExponential(modulation_.burst_mean_duration_s);
-        } else {
-            next_toggle_ = modulation_.burst_first_gap_s;
-        }
-    }
+    // The first episode starts one drawn gap in. The burst stream is the
+    // episodes' own, so drawing it up front moves no arrival.
+    if (modulation_.bursts())
+        next_toggle_ = burstExponential(modulation_.burst_mean_gap_s);
 }
 
 Seconds
@@ -66,10 +59,6 @@ ArrivalProcess::advanceBurst(Seconds t)
 {
     if (!modulation_.bursts())
         return;
-    if (!burst_started_) {
-        burst_started_ = true;
-        next_toggle_ = burstExponential(modulation_.burst_mean_gap_s);
-    }
     while (next_toggle_ <= t) {
         in_burst_ = !in_burst_;
         next_toggle_ += burstExponential(

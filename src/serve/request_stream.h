@@ -104,7 +104,6 @@ class ArrivalProcess
     Seconds t_ = 0.0;
     bool in_burst_ = false;
     Seconds next_toggle_ = 0.0;
-    bool burst_started_ = false; ///< first toggle not yet drawn
 };
 
 /**

@@ -66,10 +66,17 @@ LengthDistribution::validate(const std::string &prefix) const
                  (prefix + "_lengths.max_tokens must be >= min_tokens")
                      .c_str(),
                  max_tokens);
-    if (kind == LengthDistKind::Lognormal)
-        requireField(errors, log_sigma >= 0.0,
-                     (prefix + "_lengths.log_sigma must be >= 0").c_str(),
+    if (kind == LengthDistKind::Lognormal) {
+        // A non-finite parameter draws NaN or inf lengths, which the clamp
+        // silently turns into min_tokens or max_tokens.
+        requireField(errors, std::isfinite(log_mean),
+                     (prefix + "_lengths.log_mean must be finite").c_str(),
+                     log_mean);
+        requireField(errors, std::isfinite(log_sigma) && log_sigma >= 0.0,
+                     (prefix + "_lengths.log_sigma must be finite and >= 0")
+                         .c_str(),
                      log_sigma);
+    }
     return errors;
 }
 
@@ -117,13 +124,8 @@ KvCacheConfig::validate() const
                          prefix.prefix_tokens);
         }
     }
-    // A non-finite size models nothing sensible: +inf bytes/token moves no
-    // KV traffic at all, and an infinite budget has no whole-page count.
-    requireField(errors,
-                 std::isfinite(bytes_per_token) && bytes_per_token >= 0.0,
-                 "kv.bytes_per_token must be finite and >= 0 (0 derives "
-                 "it from the model)",
-                 bytes_per_token);
+    // A non-finite budget models nothing sensible: it has no whole-page
+    // count.
     requireField(errors, std::isfinite(hbm_budget) && hbm_budget > 0.0,
                  "kv.hbm_budget must be finite and positive when KV "
                  "modeling is enabled: a zero budget cannot hold even one "

@@ -171,12 +171,6 @@ struct KvCacheConfig {
      *  RunSpec hash normalizes them out). */
     bool enabled = false;
     /**
-     * KV bytes appended per processed token, summed over all layers.
-     * 0 (the default) derives the transformer value from the model:
-     * 2 (K+V) * num_layers * hidden_dim * sizeof(fp16).
-     */
-    Bytes bytes_per_token = 0.0;
-    /**
      * GPU HBM available for KV state (weights are streamed, not resident,
      * so most of HBM is KV budget). KV within this budget is read for
      * free — on-package bandwidth is not the bottleneck this model cares
@@ -238,15 +232,11 @@ struct ArrivalModulationConfig {
     Seconds diurnal_period_s = 3600.0;
     /** Rate multiplier during a burst episode (1 disables bursts). */
     double burst_rate_multiplier = 1.0;
-    /** Mean gap between burst episodes (exponentially distributed, drawn
-     *  from the burst stream). */
+    /** Mean gap between burst episodes, the first one included
+     *  (exponentially distributed, drawn from the burst stream). */
     Seconds burst_mean_gap_s = 600.0;
     /** Mean burst episode duration (exponentially distributed). */
     Seconds burst_mean_duration_s = 60.0;
-    /** First gap override: >= 0 pins the first episode start
-     *  deterministically (0 = burst in progress at t=0); negative (the
-     *  default) draws it like every later gap. */
-    Seconds burst_first_gap_s = -1.0;
 
     /** True when the sinusoidal component actually modulates. */
     bool diurnal() const { return enabled && diurnal_amplitude > 0.0; }
@@ -295,8 +285,8 @@ struct ServeConfig {
     /** KV-cache growth/tiering model (disabled by default). */
     KvCacheConfig kv;
     /**
-     * Fault injection + failover/retry/shedding model (disabled by
-     * default, and inert by contract when disabled). The fault stream is
+     * Fault injection + failover/retry model (disabled by default, and
+     * inert by contract when disabled). The fault stream is
      * derived from this config's @c seed — faultSeed(seed), the fourth
      * independent stream after arrivals, lengths, and prefixes — so
      * FaultConfig::seed is ignored for serving runs.

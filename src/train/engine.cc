@@ -7,23 +7,6 @@
 
 namespace smartinf::train {
 
-TrafficLedger &
-TrafficLedger::operator+=(const TrafficLedger &other)
-{
-    shared_opt_read += other.shared_opt_read;
-    shared_opt_write += other.shared_opt_write;
-    shared_grad_read += other.shared_grad_read;
-    shared_grad_write += other.shared_grad_write;
-    shared_param_up += other.shared_param_up;
-    internal_read += other.internal_read;
-    internal_write += other.internal_write;
-    internode_tx += other.internode_tx;
-    internode_rx += other.internode_rx;
-    kv_spill_read += other.kv_spill_read;
-    kv_spill_write += other.kv_spill_write;
-    return *this;
-}
-
 Engine::Engine(const ModelSpec &model, const TrainConfig &train,
                const SystemConfig &system)
     : model_(model), train_(train), system_(system)

@@ -47,8 +47,6 @@ struct TrafficLedger {
     }
     Bytes sharedWrite() const { return shared_opt_write + shared_grad_write; }
     Bytes sharedTotal() const { return sharedRead() + sharedWrite(); }
-
-    TrafficLedger &operator+=(const TrafficLedger &other);
 };
 
 } // namespace smartinf::train

@@ -63,9 +63,9 @@ struct RequestRecord {
     /** Failed dispatch attempts before this disposition (failover only;
      *  always 0 in fault-free runs). */
     int retries = 0;
-    /** True when the request was rejected (retries exhausted, timed out,
-     *  or admission-shed into an overloaded recovering fleet) instead of
-     *  served. Shed records keep their arrival and stamp finish with the
+    /** True when the failover path gave up on the request (its
+     *  re-dispatches exceeded fault.retry_limit) instead of serving it.
+     *  Shed records keep their arrival and stamp finish with the
      *  shed decision time; they keep the requested prompt_tokens and
      *  report output_tokens 0 (nothing was delivered). */
     bool shed = false;
@@ -98,7 +98,7 @@ struct FaultStats {
     /** @name Serving recovery. @{ */
     int requests_displaced = 0; ///< pulled off a failed replica mid-service
     int retries_dispatched = 0; ///< re-dispatch attempts issued
-    int requests_shed = 0;      ///< num_shed (limit/timeout/admission)
+    int requests_shed = 0;      ///< num_shed (retry limit exceeded)
     /** @} */
     /** @name Training recovery. @{ */
     int checkpoints_written = 0; ///< durable checkpoints committed

@@ -180,15 +180,6 @@ TEST(FaultConfigValidate, RejectsNonsensicalKnobs)
     EXPECT_NE(firstError(c).find("retry_limit"), std::string::npos);
 
     c = armedConfig();
-    // An infinite backoff would park every retry at t = inf.
-    c.retry_backoff = FaultConfig::kNever;
-    EXPECT_NE(firstError(c).find("retry_backoff"), std::string::npos);
-
-    c = armedConfig();
-    c.retry_timeout = 0.0;
-    EXPECT_NE(firstError(c).find("retry_timeout"), std::string::npos);
-
-    c = armedConfig();
     c.checkpoint_interval = 0;
     EXPECT_NE(firstError(c).find("checkpoint_interval"), std::string::npos);
 
@@ -205,10 +196,6 @@ TEST(FaultConfigValidate, RejectsNonsensicalKnobs)
     // An infinite horizon would draw an armed category's events forever.
     c.horizon = FaultConfig::kNever;
     EXPECT_NE(firstError(c).find("horizon"), std::string::npos);
-
-    c = armedConfig();
-    c.shed_queue_depth = 0;
-    EXPECT_NE(firstError(c).find("shed_queue_depth"), std::string::npos);
 }
 
 } // namespace

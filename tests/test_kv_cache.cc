@@ -166,16 +166,23 @@ TEST(KvCache, BytesPerTokenDerivesFromTheModel)
     // Default: K and V, one fp16 hidden vector per layer.
     EXPECT_EQ(builder.kvBytesPerToken(),
               2.0 * model.num_layers * model.hidden_dim * kBytesFp16);
+}
 
-    serve::ServeConfig custom = config;
-    custom.kv.bytes_per_token = 12345.0;
-    serve::InferenceBuilder builder2(model, system, custom, ctx, "x.");
-    EXPECT_EQ(builder2.kvBytesPerToken(), 12345.0);
+/** The model-derived KV bytes of one smallModel() token. */
+Bytes
+tokenBytes()
+{
+    train::SystemConfig system;
+    train::SimContext ctx(system);
+    const auto model = smallModel(); // the builder keeps a reference
+    const serve::ServeConfig config = kvServe();
+    return serve::InferenceBuilder(model, system, config, ctx)
+        .kvBytesPerToken();
 }
 
 /** Spill bytes (read, write) one forward pass declaring @p reads and
- *  @p writes ledgers on a builder with 1000-byte tokens, a 10-token HBM
- *  tier and a 20-token host tier (so tokens [10, 30) are host, 30+ CSD). */
+ *  @p writes ledgers on a builder with a 10-token HBM tier and a 20-token
+ *  host tier (so tokens [10, 30) are host, 30+ CSD). */
 std::pair<Bytes, Bytes>
 spillOfOnePass(std::vector<kv::KvTokenRange> reads,
                std::vector<kv::KvTokenRange> writes)
@@ -186,9 +193,8 @@ spillOfOnePass(std::vector<kv::KvTokenRange> reads,
     train::SimContext ctx(system);
     serve::ServeConfig config = kvServe();
     config.kv.enabled = true;
-    config.kv.bytes_per_token = 1000.0;
-    config.kv.hbm_budget = 10000.0;
-    config.kv.host_budget = 20000.0;
+    config.kv.hbm_budget = 10.0 * tokenBytes();
+    config.kv.host_budget = 20.0 * tokenBytes();
     const auto model = smallModel(); // the builder keeps a reference
     serve::InferenceBuilder builder(model, system, config, ctx);
 
@@ -208,17 +214,18 @@ TEST(KvCache, TierSplitOfDeclaredRangesIsExact)
     // Contiguous declaration: reads [0, 40) straddle both tier
     // boundaries (10 HBM + 20 host + 10 CSD tokens); the write [40, 45)
     // lies wholly in the CSD tier.
+    const Bytes token = tokenBytes();
     const auto contiguous = spillOfOnePass({{0, 40}}, {{40, 45}});
-    EXPECT_EQ(contiguous.first, (20.0 + 10.0) * 1000.0);
-    EXPECT_EQ(contiguous.second, 5.0 * 1000.0);
+    EXPECT_EQ(contiguous.first, (20.0 + 10.0) * token);
+    EXPECT_EQ(contiguous.second, 5.0 * token);
 
     // Paged-style plan: reads with holes at [8, 12) and [20, 28) —
     // [0, 8) HBM, [12, 20) host, [28, 36) 2 host + 6 CSD; writes in two
     // disjoint ranges — [8, 12) 2 HBM + 2 host, [36, 40) CSD.
     const auto paged =
         spillOfOnePass({{0, 8}, {12, 20}, {28, 36}}, {{8, 12}, {36, 40}});
-    EXPECT_EQ(paged.first, (8.0 + 2.0 + 6.0) * 1000.0);
-    EXPECT_EQ(paged.second, (2.0 + 4.0) * 1000.0);
+    EXPECT_EQ(paged.first, (8.0 + 2.0 + 6.0) * token);
+    EXPECT_EQ(paged.second, (2.0 + 4.0) * token);
 }
 
 TEST(KvCache, ValidateRejectsNonsensicalConfigs)
@@ -234,14 +241,6 @@ TEST(KvCache, ValidateRejectsNonsensicalConfigs)
     config = kvServe();
     config.kv.enabled = true;
     config.kv.host_budget = 0.0;
-    EXPECT_FALSE(config.validate().empty());
-
-    config = kvServe();
-    config.kv.enabled = true;
-    config.kv.bytes_per_token = -1.0;
-    EXPECT_FALSE(config.validate().empty());
-    // +inf bytes/token would silently model no KV traffic at all.
-    config.kv.bytes_per_token = std::numeric_limits<double>::infinity();
     EXPECT_FALSE(config.validate().empty());
 
     // An infinite budget has no whole-page count under the paged layout.

@@ -270,19 +270,17 @@ TEST(RequestSource, ModulationOffIsByteIdenticalToLegacyArrivals)
                             generateRequestStream(with_block));
 }
 
-TEST(RequestSource, BurstEpisodeAtTimeZero)
+TEST(RequestSource, BurstEpisodeRaisesRealizedRate)
 {
-    // burst_first_gap_s == 0 means the stream opens inside a burst:
-    // early arrivals run at burst rate. Compare mean spacing of the
-    // first requests against the no-burst baseline.
+    // A drawn first gap of about a millisecond opens a burst that never
+    // ends, so almost every arrival runs at the burst rate.
     ServeConfig config = smallServe();
     config.num_requests = 2048;
     config.arrival_rate = 2.0;
     config.modulation.enabled = true;
     config.modulation.burst_rate_multiplier = 8.0;
-    config.modulation.burst_mean_gap_s = 1e9; // one burst only
+    config.modulation.burst_mean_gap_s = 1e-3;
     config.modulation.burst_mean_duration_s = 1e9; // never ends
-    config.modulation.burst_first_gap_s = 0.0;
     const auto burst = generateRequestStream(config);
     // Entire stream inside the burst: realized rate ~ 8x base.
     const double mean_gap = burst.back().arrival /

@@ -197,6 +197,21 @@ TEST(RequestStream, LengthDistributionValidation)
     config.output_lengths.log_sigma = -0.5;
     EXPECT_FALSE(config.validate().empty());
 
+    // A non-finite lognormal parameter draws NaN or inf lengths, which the
+    // clamp would silently pin to a bound.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+        config = ServeConfig{};
+        config.output_lengths.kind = LengthDistKind::Lognormal;
+        config.output_lengths.log_mean = bad;
+        EXPECT_FALSE(config.validate().empty()) << "log_mean " << bad;
+    }
+    config = ServeConfig{};
+    config.prompt_lengths.kind = LengthDistKind::Lognormal;
+    config.prompt_lengths.log_sigma = kInf;
+    EXPECT_FALSE(config.validate().empty());
+
     // A non-Fixed distribution makes the scalar irrelevant: a zero
     // scalar must not be rejected.
     config = ServeConfig{};

@@ -5,7 +5,7 @@
  * cases, exact-mode equivalence with the nearest-rank reference, an
  * order-independent exact-mode mean, the histogram
  * mode's asserted relative-error bound across heavy-tailed populations,
- * and the merge semigroup (commutative, associative, shard-invariant).
+ * and a million-sample stress run.
  */
 #include <gtest/gtest.h>
 
@@ -187,73 +187,6 @@ TEST(StreamingPercentiles, OutOfRangeValuesClampInsteadOfMisbinning)
     EXPECT_EQ(p.percentile(100.0), StreamingPercentiles::kMaxValue);
     EXPECT_EQ(p.minValue(), -5.0); // scalar min/max stay exact
     EXPECT_EQ(p.maxValue(), 1e12);
-}
-
-TEST(StreamingPercentiles, MergeIsCommutativeAndAssociative)
-{
-    Rng rng(23);
-    std::vector<double> all;
-    std::vector<std::vector<double>> shards(3);
-    for (int s = 0; s < 3; ++s)
-        for (int i = 0; i < 900; ++i) {
-            const double v = std::exp(rng.normal(-1.0, 1.5));
-            shards[s].push_back(v);
-            all.push_back(v);
-        }
-    const auto sketch = [](const std::vector<double> &vs) {
-        StreamingPercentiles p(64);
-        for (const double v : vs)
-            p.record(v);
-        return p;
-    };
-    StreamingPercentiles whole = sketch(all);
-    // (a + b) + c
-    StreamingPercentiles left = sketch(shards[0]);
-    left.merge(sketch(shards[1]));
-    left.merge(sketch(shards[2]));
-    // a + (c + b)
-    StreamingPercentiles right = sketch(shards[2]);
-    right.merge(sketch(shards[1]));
-    right.merge(sketch(shards[0]));
-    for (const double pct : kPcts) {
-        EXPECT_EQ(left.percentile(pct), right.percentile(pct));
-        EXPECT_EQ(left.percentile(pct), whole.percentile(pct));
-    }
-    EXPECT_EQ(left.count(), whole.count());
-    // Bin counts merge exactly; the sum is float addition, so the mean
-    // agrees to rounding only.
-    EXPECT_NEAR(left.mean(), whole.mean(), whole.mean() * 1e-12);
-    EXPECT_EQ(left.minValue(), whole.minValue());
-    EXPECT_EQ(left.maxValue(), whole.maxValue());
-}
-
-TEST(StreamingPercentiles, MergeExactnessIsOrderIndependent)
-{
-    // Two exact sketches whose combined population exceeds the cap must
-    // report !exact() regardless of merge direction, and agree with the
-    // sketch that saw every sample directly.
-    const auto sketch = [](int lo, int hi) {
-        StreamingPercentiles p(100);
-        for (int i = lo; i < hi; ++i)
-            p.record(0.001 * (i + 1));
-        return p;
-    };
-    StreamingPercentiles a = sketch(0, 80);
-    StreamingPercentiles b = sketch(80, 160);
-    ASSERT_TRUE(a.exact());
-    ASSERT_TRUE(b.exact());
-    StreamingPercentiles ab = a;
-    ab.merge(b);
-    StreamingPercentiles ba = b;
-    ba.merge(a);
-    const StreamingPercentiles direct = sketch(0, 160);
-    EXPECT_FALSE(ab.exact());
-    EXPECT_FALSE(ba.exact());
-    EXPECT_FALSE(direct.exact());
-    for (const double pct : kPcts) {
-        EXPECT_EQ(ab.percentile(pct), ba.percentile(pct));
-        EXPECT_EQ(ab.percentile(pct), direct.percentile(pct));
-    }
 }
 
 TEST(StreamingPercentiles, MillionSampleStressStaysBounded)
