@@ -53,11 +53,13 @@ scheduleRingAllReduce(train::SimContext &ctx, int nodes, Bytes bytes,
             const std::string src = train::nodePrefix(i);
             const std::string dst = train::nodePrefix((i + 1) % nodes);
             ctx.ring_routes.push_back(
-                {&ctx,
+                {{},
+                 &ctx,
                  {&ctx.topo.link(src + "host.down"),
                   &ctx.topo.link(src + "nic.tx"),
                   &ctx.topo.link(dst + "nic.rx"),
-                  &ctx.topo.link(dst + "host.up")}});
+                  &ctx.topo.link(dst + "host.up")},
+                 ctx.system.nic_latency});
         }
     }
     SI_REQUIRE(static_cast<int>(ctx.ring_routes.size()) == nodes,
@@ -69,14 +71,8 @@ scheduleRingAllReduce(train::SimContext &ctx, int nodes, Bytes bytes,
         for (int i = 0; i < nodes; ++i) {
             // Hop labels carry (step, sender); which bucket they belong
             // to is the enclosing label's concern.
-            TaskId hop = ctx.graph.add(
-                [route = &ctx.ring_routes[i],
-                 chunk](std::function<void()> done) {
-                    train::SimContext &c = *route->ctx;
-                    c.startTaskFlow(route->links, chunk, std::move(done),
-                                    c.system.nic_latency);
-                },
-                {"sync.hop", s, i});
+            const TaskId hop =
+                ctx.transfer(ctx.ring_routes[i], chunk, {"sync.hop", s, i});
             if (s == 0) {
                 if (!deps.empty())
                     ctx.graph.dependsOn(hop, deps[i]);

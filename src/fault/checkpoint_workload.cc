@@ -34,7 +34,7 @@ CheckpointedTrainingWorkload::build(train::SimContext &ctx)
     builders_ = train::makeNodeBuilders(model_, train_, ctx);
 
     if (fault_.enabled) {
-        // Arm the fault machinery (flow cancellers, revocation domains)
+        // Arm the fault machinery (revocation domains)
         // whether or not any category draws events — the inertness contract
         // is that the machinery itself never perturbs a timestamp.
         stats_.enabled = true;

@@ -7,7 +7,7 @@
  * (drain on replica failure, retry on survivors with a fixed linear
  * backoff, shed once retry_limit re-dispatches are spent). Disabled by
  * default — and inert by contract when disabled: no schedule is drawn, no
- * sim event is armed, no canceller is registered, and every pinned
+ * sim event is armed, no revocation domain is opened, and every pinned
  * scenario's output stays bit-identical to the fault-free build.
  *
  * Determinism contract: all fault randomness is drawn *pre-sim* from a

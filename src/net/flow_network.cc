@@ -10,14 +10,6 @@
 
 namespace smartinf::net {
 
-bool
-FlowNetwork::heapLater(const HeapEntry &a, const HeapEntry &b)
-{
-    if (a.when != b.when)
-        return a.when > b.when;
-    return a.id > b.id;
-}
-
 // ---- slot / link bookkeeping ------------------------------------------------
 
 uint32_t
@@ -38,7 +30,7 @@ FlowNetwork::freeSlot(uint32_t slot)
     FlowSlot &f = slots_[slot];
     f.route.clear();
     f.links.clear();
-    f.done = nullptr;
+    f.done = {};
     f.live = false;
     f.active = false;
     f.cancelled = false;
@@ -84,8 +76,8 @@ FlowNetwork::trackLink(Link *link)
 // ---- public API -------------------------------------------------------------
 
 FlowId
-FlowNetwork::startFlow(const Route &route, Bytes bytes,
-                       std::function<void()> done, Seconds latency)
+FlowNetwork::startFlow(const Route &route, Bytes bytes, sim::Notify done,
+                       Seconds latency)
 {
     SI_REQUIRE(std::isfinite(bytes) && bytes >= 0.0,
                "transfer size must be finite and non-negative, got ", bytes);
@@ -97,7 +89,7 @@ FlowNetwork::startFlow(const Route &route, Bytes bytes,
     FlowSlot &f = slots_[slot];
     f.id = id;
     f.route.assign(route.begin(), route.end());
-    f.done = std::move(done);
+    f.done = done;
     f.rate = 0.0;
     f.pending_bytes = bytes;
     f.live = true;
@@ -106,11 +98,20 @@ FlowNetwork::startFlow(const Route &route, Bytes bytes,
         // Model propagation/setup latency as a delay before bandwidth
         // consumption begins; contention only applies to the bulk phase.
         // The flow keeps its id (and rate 0) through the delay.
-        sim_.after(latency, [this, slot]() { beginBulk(slot); });
+        sim_.after(latency, sim::Notify{this, slot});
         return id;
     }
     beginBulk(slot);
     return id;
+}
+
+void
+FlowNetwork::onNotify(uint64_t arg)
+{
+    if (arg == kAlarm)
+        onCompletionEvent();
+    else
+        beginBulk(static_cast<uint32_t>(arg));
 }
 
 void
@@ -121,15 +122,18 @@ FlowNetwork::beginBulk(uint32_t slot)
 
     if (f.cancelled) {
         // Revoked during its latency phase: the slot was kept alive so this
-        // delayed event could land somewhere valid. Drop the callback.
+        // delayed event could land somewhere valid.
         freeSlot(slot);
         return;
     }
     if (f.pending_bytes < kCompletionEpsilon || f.route.empty()) {
         // Degenerate flows complete on the next event boundary so callers
         // never observe re-entrant completion; the slot is freed at once.
+        // Without a completion to deliver there is no event, as in the bulk
+        // phase.
         total_delivered_ += f.pending_bytes;
-        sim_.after(0.0, std::move(f.done));
+        if (f.done)
+            sim_.after(0.0, f.done);
         freeSlot(slot);
         return;
     }
@@ -179,7 +183,8 @@ FlowNetwork::cancelFlow(FlowId id)
         // Latency phase: a delayed beginBulk event still references the
         // slot, so keep it allocated and let beginBulk() reap it.
         f.cancelled = true;
-        f.done = nullptr;
+        f.done.drop();
+        f.done = {};
         if (observer_)
             observer_->flowCancelled(f.id, now);
         return true;
@@ -192,6 +197,7 @@ FlowNetwork::cancelFlow(FlowId id)
     collectComponents({&slot, 1});
     settleFlow(f, now);
     f.rate = 0.0;
+    f.done.drop();
     if (observer_)
         observer_->flowCancelled(f.id, now);
     detachFlow(slot);
@@ -627,7 +633,8 @@ FlowNetwork::pushCompletion(uint32_t slot)
     ++f.stamp; // The flow's previous entry, if any, becomes a tombstone.
     f.keyed = f.due;
     completion_heap_.push_back(HeapEntry{f.due, f.id, slot, f.stamp});
-    std::push_heap(completion_heap_.begin(), completion_heap_.end(), heapLater);
+    std::push_heap(completion_heap_.begin(), completion_heap_.end(),
+                   HeapLater{});
     // Rate churn leaves one tombstone per superseded entry; compact before
     // the dead weight dominates.
     if (completion_heap_.size() > 64 &&
@@ -644,7 +651,8 @@ FlowNetwork::compactCompletionHeap()
                            return !heapEntryValid(e);
                        }),
         completion_heap_.end());
-    std::make_heap(completion_heap_.begin(), completion_heap_.end(), heapLater);
+    std::make_heap(completion_heap_.begin(), completion_heap_.end(),
+                   HeapLater{});
 }
 
 void
@@ -661,7 +669,7 @@ FlowNetwork::settleCompletionFront(Seconds horizon)
             return;
         if (!heapEntryValid(top)) {
             std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
-                          heapLater);
+                          HeapLater{});
             completion_heap_.pop_back();
             continue;
         }
@@ -678,15 +686,16 @@ void
 FlowNetwork::siftDownFront()
 {
     // std::pop_heap's layout: children of i at 2i+1 and 2i+2, and the
-    // earliest (when, id) on top under heapLater.
+    // earliest (when, id) on top under HeapLater.
+    const HeapLater later;
     std::vector<HeapEntry> &heap = completion_heap_;
     const HeapEntry moving = heap.front();
     const std::size_t n = heap.size();
     std::size_t i = 0;
     for (std::size_t child = 1; child < n; child = 2 * i + 1) {
-        if (child + 1 < n && heapLater(heap[child], heap[child + 1]))
+        if (child + 1 < n && later(heap[child], heap[child + 1]))
             ++child;
-        if (!heapLater(moving, heap[child]))
+        if (!later(moving, heap[child]))
             break;
         heap[i] = heap[child];
         i = child;
@@ -705,7 +714,7 @@ FlowNetwork::rescheduleCompletionEvent()
     }
     const Seconds when = completion_heap_.front().when;
     if (!queue.armedAt(when))
-        queue.arm(when, [this]() { onCompletionEvent(); });
+        queue.arm(when, sim::Notify{this, kAlarm});
 }
 
 void
@@ -720,7 +729,8 @@ FlowNetwork::onCompletionEvent()
          !completion_heap_.empty() && completion_heap_.front().when <= now;
          settleCompletionFront(now)) {
         retiring_.push_back(completion_heap_.front().slot);
-        std::pop_heap(completion_heap_.begin(), completion_heap_.end(), heapLater);
+        std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
+                      HeapLater{});
         completion_heap_.pop_back();
     }
     SI_ASSERT(!retiring_.empty(), "completion event with no due flow");
@@ -743,7 +753,7 @@ FlowNetwork::onCompletionEvent()
         if (observer_)
             observer_->flowFinished(f.id, now);
         obs::Profiler::instance().countFlowRetire();
-        callbacks_.push_back(std::move(f.done));
+        callbacks_.push_back(f.done);
         detachFlow(s);
     }
     active_.erase(std::remove_if(active_.begin(), active_.end(),
@@ -760,7 +770,7 @@ FlowNetwork::onCompletionEvent()
     // Callbacks run last: they may start new flows, which re-enter
     // startFlow() and recompute rates consistently.
     const obs::Profiler::Scoped probe(obs::Section::FlowCallbacks);
-    for (auto &callback : callbacks_) {
+    for (const sim::Notify &callback : callbacks_) {
         if (callback)
             callback();
     }

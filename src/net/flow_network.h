@@ -132,8 +132,12 @@ class FlowObserver
     }
 };
 
-/** Max-min fair fluid-flow transfer engine driven by the event queue. */
-class FlowNetwork
+/**
+ * Max-min fair fluid-flow transfer engine driven by the event queue. It
+ * receives its own typed events: a flow's latency expiry (its slot) and
+ * the completion alarm.
+ */
+class FlowNetwork : private sim::Receiver
 {
   public:
     /** Claims @p sim's event-queue alarm (see sim/event_queue.h): build
@@ -142,7 +146,7 @@ class FlowNetwork
     {
         sim_.queue().claimAlarm();
     }
-    /** The alarm's callback holds this network's address. */
+    /** Queued events and the alarm name this network's address. */
     FlowNetwork(const FlowNetwork &) = delete;
     FlowNetwork &operator=(const FlowNetwork &) = delete;
 
@@ -153,13 +157,22 @@ class FlowNetwork
 
     /**
      * Begin transferring @p bytes along @p route; @p done fires on
-     * completion. Zero-byte transfers complete on the next event. A flow may
-     * also carry a fixed propagation latency added before completion; the
-     * returned id tracks the flow through the delay phase (rate 0) and into
-     * the bulk phase.
+     * completion (a null @p done completes silently). Zero-byte transfers
+     * complete on the next event. A flow may also carry a fixed propagation
+     * latency added before completion; the returned id tracks the flow
+     * through the delay phase (rate 0) and into the bulk phase.
      */
-    FlowId startFlow(const Route &route, Bytes bytes,
-                     std::function<void()> done, Seconds latency = 0.0);
+    FlowId startFlow(const Route &route, Bytes bytes, sim::Notify done,
+                     Seconds latency = 0.0);
+
+    /** startFlow() with a closure, parked in the event queue's table. */
+    FlowId
+    startFlow(const Route &route, Bytes bytes, std::function<void()> done,
+              Seconds latency = 0.0)
+    {
+        return startFlow(route, bytes, sim_.queue().park(std::move(done)),
+                         latency);
+    }
 
     /**
      * Revoke an in-flight transfer (fault injection). Progress up to now is
@@ -247,7 +260,7 @@ class FlowNetwork
         Seconds due = 0.0;   ///< exact completion time at the current rate
         Seconds keyed = 0.0; ///< time of the flow's live heap entry: a
                              ///< lower bound on @c due (+inf: no entry)
-        std::function<void()> done;
+        sim::Notify done; ///< whom to tell on completion
         uint32_t stamp = 0;   ///< bumped on push/retire; guards heap
         uint64_t mark = 0;    ///< water-fill freeze epoch
         uint32_t comp = kNoSlot; ///< component while active
@@ -290,7 +303,19 @@ class FlowNetwork
         uint32_t stamp;
     };
     /** std::push_heap builds a max-heap; invert (when, id) for min-first. */
-    static bool heapLater(const HeapEntry &a, const HeapEntry &b);
+    struct HeapLater {
+        bool
+        operator()(const HeapEntry &a, const HeapEntry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.id > b.id;
+        }
+    };
+    /** The alarm's event argument; any other argument is a flow slot
+     *  whose latency phase expired. */
+    static constexpr uint64_t kAlarm = kNoSlot;
+    void onNotify(uint64_t arg) override;
 
     uint32_t allocSlot();
     void freeSlot(uint32_t slot);
@@ -383,7 +408,7 @@ class FlowNetwork
     std::vector<uint32_t> split_flows_;
     std::vector<uint32_t> bfs_stack_;
     std::vector<uint32_t> retiring_;
-    std::vector<std::function<void()>> callbacks_;
+    std::vector<sim::Notify> callbacks_;
 };
 
 } // namespace smartinf::net

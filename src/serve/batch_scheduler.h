@@ -124,7 +124,7 @@ class BatchScheduler
      * @{ */
     /**
      * Whole-replica crash: the in-flight step's domain is revoked (its
-     * flows are pulled out of the network by the cancellers; resource work
+     * transfer tasks' flows are pulled out of the network; resource work
      * drains as discarded no-ops), every running and queued request is
      * displaced, and resident KV is retired. Returns the displaced specs —
      * running requests first (admission order), then the queue — for the

@@ -255,8 +255,8 @@ InferenceWorkload::build(train::SimContext &ctx)
     // Fault injection: the schedule is drawn pre-sim from the fourth
     // derived stream of the *client* seed (enabling faults perturbs no
     // arrival, length, or prefix), then armed as timed events. faults_armed
-    // makes every transfer task register a flow canceller so revoked steps
-    // pull their in-flight flows out of the network.
+    // makes every step a revocation domain, so a revoked step's transfer
+    // tasks pull their in-flight flows out of the network.
     if (config_.fault.enabled) {
         ctx.faults_armed = true;
         fault_stats_.enabled = true;

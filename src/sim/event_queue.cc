@@ -6,28 +6,45 @@
 
 namespace smartinf::sim {
 
-bool
-EventQueue::entryLater(const Entry &a, const Entry &b)
+void
+EventQueue::Closures::onNotify(uint64_t slot)
 {
-    if (a.when != b.when)
-        return a.when > b.when;
-    return a.seq > b.seq; // FIFO among simultaneous events.
+    // Moved out and freed first, so the closure may park another.
+    std::function<void()> fn = std::move(slots[slot]);
+    onDrop(slot);
+    fn();
 }
 
 void
-EventQueue::schedule(Seconds when, std::function<void()> fn)
+EventQueue::Closures::onDrop(uint64_t slot)
+{
+    slots[slot] = nullptr;
+    free_slots.push_back(static_cast<uint32_t>(slot));
+}
+
+Notify
+EventQueue::park(std::function<void()> fn)
+{
+    if (!fn)
+        return {};
+    uint32_t slot = static_cast<uint32_t>(closures_.slots.size());
+    if (closures_.free_slots.empty()) {
+        closures_.slots.push_back(std::move(fn));
+    } else {
+        slot = closures_.free_slots.back();
+        closures_.free_slots.pop_back();
+        closures_.slots[slot] = std::move(fn);
+    }
+    return {&closures_, slot};
+}
+
+void
+EventQueue::schedule(Seconds when, Notify what)
 {
     SI_ASSERT(when >= 0.0, "event scheduled at negative time ", when);
-    uint32_t slot = static_cast<uint32_t>(slots_.size());
-    if (free_.empty()) {
-        slots_.push_back(std::move(fn));
-    } else {
-        slot = free_.back();
-        free_.pop_back();
-        slots_[slot] = std::move(fn);
-    }
-    heap_.push_back(Entry{when, next_seq_++, slot});
-    std::push_heap(heap_.begin(), heap_.end(), entryLater);
+    SI_ASSERT(what, "event scheduled without a receiver");
+    heap_.push_back(Entry{when, next_seq_++, what});
+    std::push_heap(heap_.begin(), heap_.end(), EntryLater{});
 }
 
 void
@@ -40,39 +57,42 @@ EventQueue::claimAlarm()
 }
 
 void
-EventQueue::arm(Seconds when, std::function<void()> fn)
+EventQueue::arm(Seconds when, Notify what)
 {
     SI_ASSERT(when >= 0.0, "alarm armed at negative time ", when);
-    alarm_ = Entry{when, next_seq_++, 0};
-    alarm_fn_ = std::move(fn);
+    disarm();
+    alarm_ = Entry{when, next_seq_++, what};
     alarm_armed_ = true;
+}
+
+void
+EventQueue::disarm()
+{
+    if (alarm_armed_)
+        alarm_.what.drop();
+    alarm_armed_ = false;
 }
 
 bool
 EventQueue::runNext(Seconds &now)
 {
-    std::function<void()> fn;
-    Seconds when = 0.0;
+    Entry entry;
     if (alarm_armed_ &&
-        (heap_.empty() || entryLater(heap_.front(), alarm_))) {
-        // Moved out so the callback may re-arm the alarm while it runs.
+        (heap_.empty() || EntryLater{}(heap_.front(), alarm_))) {
+        // Disarmed first so the receiver may re-arm the alarm.
         alarm_armed_ = false;
-        when = alarm_.when;
-        fn = std::move(alarm_fn_);
+        entry = alarm_;
     } else if (!heap_.empty()) {
-        const Entry entry = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), entryLater);
+        entry = heap_.front();
+        std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
         heap_.pop_back();
-        when = entry.when;
-        fn = std::move(slots_[entry.slot]);
-        slots_[entry.slot] = nullptr;
-        free_.push_back(entry.slot);
     } else {
         return false;
     }
-    SI_ASSERT(when >= now, "event time ", when, " precedes now ", now);
-    now = when;
-    fn();
+    SI_ASSERT(entry.when >= now, "event time ", entry.when, " precedes now ",
+              now);
+    now = entry.when;
+    entry.what();
     return true;
 }
 

@@ -1,12 +1,16 @@
 /**
  * @file
- * The discrete-event core: a time-ordered queue of callbacks. Ties are broken
+ * The discrete-event core: a time-ordered queue of events. Ties are broken
  * by insertion order so simulations are fully deterministic.
  *
- * Storage is allocation-light: heap entries are 24-byte PODs ordered on
- * (time, sequence); callbacks live in a recycled slot store, so memory is
- * bounded by the peak number of outstanding events rather than the total
- * ever scheduled. Scheduled events always run; nothing is cancelled.
+ * An event is typed: it names a Receiver and one integer for it (a task id,
+ * a flow slot), so the hot paths — resource finishes, delay tasks, flow
+ * latency expiries and the flow network's alarm — schedule 32-byte PODs and
+ * no closure. Ad-hoc callbacks (workload timers, tests) are parked in a
+ * recycled closure table and delivered as typed events of that table, so
+ * closure memory is bounded by the peak number of parked callbacks rather
+ * than the total ever scheduled. Scheduled events always run; nothing is
+ * cancelled.
  *
  * Beside the heap the queue keeps one re-armable alarm, the flow network's
  * next-completion event. arm() overwrites the alarm's (time, sequence) in
@@ -27,21 +31,78 @@
 
 namespace smartinf::sim {
 
-/** A priority queue of (time, sequence, callback) events plus one alarm. */
+/** The target of typed events and completions (see Notify). */
+class Receiver
+{
+  public:
+    /** A Notify naming this receiver and @p arg fired. */
+    virtual void onNotify(uint64_t arg) = 0;
+    /** A Notify naming this receiver and @p arg was dropped unfired
+     *  (a cancelled flow, a replaced alarm); free what @p arg holds. */
+    virtual void onDrop(uint64_t arg) { (void)arg; }
+
+  protected:
+    ~Receiver() = default;
+};
+
+/**
+ * A deferred call by value: receiver and integer. A Resource job and a
+ * flow slot store one to name whoever waits for them (a task graph and the
+ * task's id); the event queue stores one per event.
+ */
+struct Notify {
+    Receiver *to = nullptr;
+    uint64_t arg = 0;
+
+    explicit operator bool() const { return to != nullptr; }
+    void operator()() const { to->onNotify(arg); }
+    /** Give up on firing: lets the receiver free what it holds. */
+    void
+    drop() const
+    {
+        if (to)
+            to->onDrop(arg);
+    }
+};
+
+/** A priority queue of (time, sequence, Notify) events plus one alarm. */
 class EventQueue
 {
   public:
-    /** Schedule @p fn at absolute time @p when. */
-    void schedule(Seconds when, std::function<void()> fn);
+    /** Schedule @p what at absolute time @p when. */
+    void schedule(Seconds when, Notify what);
+
+    /** Schedule the closure @p fn at absolute time @p when. */
+    void
+    schedule(Seconds when, std::function<void()> fn)
+    {
+        schedule(when, park(std::move(fn)));
+    }
+
+    /**
+     * Park @p fn in the closure table: the returned Notify runs it once and
+     * frees its slot, and dropping the Notify frees the slot unrun. A null
+     * @p fn parks nothing and returns a null Notify.
+     */
+    Notify park(std::function<void()> fn);
 
     /** Take ownership of the alarm. Fatal if another owner holds it. */
     void claimAlarm();
 
-    /** (Re)arm the alarm to run @p fn at @p when, replacing any armed one. */
-    void arm(Seconds when, std::function<void()> fn);
+    /** (Re)arm the alarm to fire @p what at @p when, dropping any armed
+     *  one. */
+    void arm(Seconds when, Notify what);
+
+    /** arm() with a closure. */
+    void
+    arm(Seconds when, std::function<void()> fn)
+    {
+        disarm(); // Frees the old closure's slot before parking the new.
+        arm(when, park(std::move(fn)));
+    }
 
     /** Drop the armed alarm, if any. */
-    void disarm() { alarm_armed_ = false; }
+    void disarm();
 
     /** True when the alarm is armed for exactly @p when. */
     bool armedAt(Seconds when) const
@@ -61,9 +122,9 @@ class EventQueue
      */
     bool runNext(Seconds &now);
 
-    /** Callback slots allocated (== peak outstanding events, not the total
+    /** Closure slots allocated (== peak parked closures, not the total
      *  ever scheduled) — memory-bound introspection for tests. */
-    std::size_t slotsAllocated() const { return slots_.size(); }
+    std::size_t slotsAllocated() const { return closures_.slots.size(); }
 
     /** Heap entries currently stored (the alarm is never in the heap). */
     std::size_t heapSize() const { return heap_.size(); }
@@ -72,17 +133,31 @@ class EventQueue
     struct Entry {
         Seconds when;
         uint64_t seq; ///< FIFO among simultaneous events
-        uint32_t slot;
+        Notify what;
     };
     /** std::push_heap builds a max-heap; invert (when, seq) for min-first. */
-    static bool entryLater(const Entry &a, const Entry &b);
+    struct EntryLater {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq; // FIFO among simultaneous events.
+        }
+    };
+
+    /** The parked closures, delivered as typed events of this table. */
+    struct Closures final : Receiver {
+        std::vector<std::function<void()>> slots;
+        std::vector<uint32_t> free_slots;
+        void onNotify(uint64_t slot) override;
+        void onDrop(uint64_t slot) override;
+    };
 
     std::vector<Entry> heap_; ///< min-heap on (when, seq)
-    std::vector<std::function<void()>> slots_;
-    std::vector<uint32_t> free_;
+    Closures closures_;
     uint64_t next_seq_ = 0;
-    Entry alarm_{0.0, 0, 0}; ///< slot unused
-    std::function<void()> alarm_fn_;
+    Entry alarm_{0.0, 0, {}};
     bool alarm_armed_ = false;
     bool alarm_claimed_ = false;
 };

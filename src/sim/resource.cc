@@ -12,13 +12,14 @@ Resource::Resource(Simulator &sim, std::string name, double rate,
 {
     SI_REQUIRE(rate > 0.0, "resource ", name_, " needs positive rate");
     SI_REQUIRE(job_latency >= 0.0, "negative job latency");
+    queue_.reserve(kInitialJobs);
 }
 
 void
-Resource::submit(double work, std::function<void()> done)
+Resource::submit(double work, Notify done)
 {
     SI_ASSERT(work >= 0.0, "negative work submitted to ", name_);
-    queue_.push_back(Job{work, std::move(done)});
+    queue_.push_back(Job{work, done});
     if (!busy_)
         startNext();
 }
@@ -26,22 +27,33 @@ Resource::submit(double work, std::function<void()> done)
 void
 Resource::startNext()
 {
-    if (queue_.empty()) {
+    if (head_ == queue_.size()) {
         busy_ = false;
         return;
     }
     busy_ = true;
-    running_ = std::move(queue_.front());
-    queue_.pop_front();
+    running_ = queue_[head_++];
+    // Reclaim the taken prefix once the queue drains, or once it is most
+    // of a long backlog that never drains.
+    if (head_ == queue_.size()) {
+        queue_.clear();
+        head_ = 0;
+    } else if (head_ >= kReclaimAt && 2 * head_ >= queue_.size()) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
     const Seconds duration = job_latency_ + running_.work / rate_;
     if (SimObserver *observer = sim_.observer())
         observer->jobStarted(*this, running_.work, sim_.now());
-    sim_.after(duration, [this, duration]() { finishRunning(duration); });
+    sim_.after(duration, Notify{this, 0});
 }
 
 void
-Resource::finishRunning(Seconds duration)
+Resource::onNotify(uint64_t)
 {
+    // The same expression startNext() scheduled with, so the same bits.
+    const Seconds duration = job_latency_ + running_.work / rate_;
     work_done_.add(running_.work);
     busy_time_.add(duration);
     ++jobs_done_;
@@ -51,7 +63,7 @@ Resource::finishRunning(Seconds duration)
         observer->jobFinished(*this, running_.work, sim_.now());
     // Complete before starting the next job so dependents observing
     // idle() see a consistent state.
-    auto done = std::move(running_.done);
+    const Notify done = running_.done;
     startNext();
     if (done)
         done();

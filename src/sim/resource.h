@@ -7,9 +7,9 @@
 #ifndef SMARTINF_SIM_RESOURCE_H
 #define SMARTINF_SIM_RESOURCE_H
 
-#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "common/units.h"
@@ -22,7 +22,7 @@ namespace smartinf::sim {
  * bytes) consumed at @c rate units/second; each job may also carry a fixed
  * startup latency (kernel launch, syscall).
  */
-class Resource
+class Resource : private Receiver
 {
   public:
     /**
@@ -35,10 +35,17 @@ class Resource
              Seconds job_latency = 0.0);
 
     /** Enqueue @p work units; @p done fires when the job completes. */
-    void submit(double work, std::function<void()> done);
+    void submit(double work, Notify done);
+
+    /** submit() with a closure, parked in the event queue's table. */
+    void
+    submit(double work, std::function<void()> done)
+    {
+        submit(work, sim_.queue().park(std::move(done)));
+    }
 
     /** True when no job is running or queued. */
-    bool idle() const { return !busy_ && queue_.empty(); }
+    bool idle() const { return !busy_ && head_ == queue_.size(); }
 
     const std::string &name() const { return name_; }
     double rate() const { return rate_; }
@@ -53,21 +60,29 @@ class Resource
   private:
     struct Job {
         double work;
-        std::function<void()> done;
+        Notify done;
     };
 
     void startNext();
-    /** Account the running job, start the next, then run its callback. */
-    void finishRunning(Seconds duration);
+    /** The running job finished: account it, start the next, then fire
+     *  its completion. */
+    void onNotify(uint64_t) override;
 
     Simulator &sim_;
     std::string name_;
     double rate_;
     Seconds job_latency_;
-    std::deque<Job> queue_;
-    /** The one job in service. Kept here, not in the completion event's
-     *  closure, so that closure fits std::function's inline buffer. */
-    Job running_{0.0, nullptr};
+    /** Waiting jobs, oldest at head_. A vector keeps its capacity, so a
+     *  steady stream of jobs allocates nothing (a deque allocates a chunk
+     *  every few jobs); startNext() reclaims the taken prefix. */
+    std::vector<Job> queue_;
+    std::size_t head_ = 0;
+    /** Reserved up front, so a short queue never grows in the event loop
+     *  (a deque's first chunk held 21 jobs). */
+    static constexpr std::size_t kInitialJobs = 16;
+    static constexpr std::size_t kReclaimAt = 1024;
+    /** The one job in service; its finish event names only the resource. */
+    Job running_{0.0, {}};
     bool busy_ = false;
     Counter work_done_;
     Counter busy_time_;

@@ -36,6 +36,13 @@ class Simulator
         queue_.schedule(now_ + delay, std::move(fn));
     }
 
+    /** Schedule a typed event @p delay seconds from now. */
+    void
+    after(Seconds delay, Notify what)
+    {
+        queue_.schedule(now_ + delay, what);
+    }
+
     /** Schedule a callback at absolute time @p when (>= now). */
     void
     at(Seconds when, std::function<void()> fn)

@@ -9,6 +9,24 @@
 
 namespace smartinf::sim {
 
+namespace {
+
+/** Index of a free entry of @p pool, grown by one when none is free. */
+template <class T>
+uint32_t
+takeSlot(std::vector<T> &pool, std::vector<uint32_t> &free_slots)
+{
+    if (free_slots.empty()) {
+        pool.emplace_back();
+        return static_cast<uint32_t>(pool.size() - 1);
+    }
+    const uint32_t slot = free_slots.back();
+    free_slots.pop_back();
+    return slot;
+}
+
+} // namespace
+
 std::string
 TaskLabel::str() const
 {
@@ -41,7 +59,7 @@ TaskGraph::task(TaskId id) const
 }
 
 TaskGraph::TaskId
-TaskGraph::add(Action action, TaskLabel label)
+TaskGraph::append(Kind kind, TaskLabel label)
 {
     // Post-start additions stay dormant (released == false) until the
     // caller wires their dependencies and calls release().
@@ -49,36 +67,56 @@ TaskGraph::add(Action action, TaskLabel label)
         blocks_.push_back(spare_block_ ? std::move(spare_block_)
                                        : std::make_unique<Task[]>(kBlockSize));
     const TaskId id = total_added_++;
-    task(id) = Task{std::move(action), label, {}, 0, false, false,
-                    false, false, current_domain_, -1.0, -1.0};
+    Task &t = task(id);
+    t = Task{};
+    t.label = label;
+    t.domain = current_domain_;
+    t.kind = kind;
+    return id;
+}
+
+TaskGraph::TaskId
+TaskGraph::add(Action action, TaskLabel label)
+{
+    SI_ASSERT(action, "a custom task needs an action (see barrier())");
+    const uint32_t slot = takeSlot(actions_, free_actions_);
+    actions_[slot] = std::move(action);
+    const TaskId id = append(Kind::Custom, label);
+    task(id).slot = slot;
     return id;
 }
 
 TaskGraph::TaskId
 TaskGraph::barrier(TaskLabel label)
 {
-    return add(nullptr, label);
+    return append(Kind::Barrier, label);
 }
 
 TaskGraph::TaskId
 TaskGraph::compute(Resource &resource, double work, TaskLabel label)
 {
-    return add(
-        [&resource, work](std::function<void()> done) {
-            resource.submit(work, std::move(done));
-        },
-        label);
+    const TaskId id = append(Kind::Compute, label);
+    task(id).resource = &resource;
+    task(id).amount = work;
+    return id;
 }
 
 TaskGraph::TaskId
 TaskGraph::delay(Seconds duration, TaskLabel label)
 {
     SI_REQUIRE(duration >= 0.0, "negative delay");
-    return add(
-        [this, duration](std::function<void()> done) {
-            sim_.after(duration, std::move(done));
-        },
-        label);
+    const TaskId id = append(Kind::Delay, label);
+    task(id).amount = duration;
+    return id;
+}
+
+TaskGraph::TaskId
+TaskGraph::transfer(const TransferRoute &route, Bytes bytes, TaskLabel label)
+{
+    const TaskId id = append(Kind::Transfer, label);
+    task(id).route = &route;
+    task(id).amount = bytes;
+    return id;
 }
 
 std::string
@@ -106,8 +144,43 @@ TaskGraph::dependsOn(TaskId task_id, TaskId dep)
         SI_ASSERT(started_, "completed dependency before start()");
         return; // already satisfied
     }
-    d.dependents.push_back(task_id);
+    addDependent(d, task_id);
     ++t.pending_deps;
+}
+
+void
+TaskGraph::addDependent(Task &t, TaskId id)
+{
+    if (t.num_dependents < kInlineDependents) {
+        t.dependents[t.num_dependents++] = id;
+        return;
+    }
+    if (t.num_dependents == kInlineDependents) {
+        // The fan-out outgrows the inline pair: move it to a pooled list.
+        const uint32_t list = takeSlot(fanouts_, free_fanouts_);
+        fanouts_[list].assign(t.dependents, t.dependents + kInlineDependents);
+        t.dependents[0] = list;
+    }
+    fanouts_[t.dependents[0]].push_back(id);
+    ++t.num_dependents;
+}
+
+void
+TaskGraph::dropAction(const Task &t)
+{
+    actions_[t.slot] = nullptr;
+    free_actions_.push_back(static_cast<uint32_t>(t.slot));
+}
+
+void
+TaskGraph::recycleFanout(Task &t)
+{
+    if (t.num_dependents <= kInlineDependents)
+        return;
+    const auto list = static_cast<uint32_t>(t.dependents[0]);
+    fanouts_[list].clear();
+    free_fanouts_.push_back(list);
+    t.num_dependents = 0;
 }
 
 void
@@ -165,19 +238,34 @@ TaskGraph::launch(TaskId id)
     obs::Profiler::instance().countTaskLaunch();
     if (SimObserver *observer = sim_.observer())
         observer->taskStarted(id, t.label, sim_.now());
-    if (!t.action) {
+    const Notify done{this, id};
+    switch (t.kind) {
+    case Kind::Barrier:
         complete(id);
         return;
+    case Kind::Delay:
+        sim_.after(t.amount, done);
+        return;
+    case Kind::Compute:
+        t.resource->submit(t.amount, done);
+        return;
+    case Kind::Transfer:
+        SI_ASSERT(seam_ != nullptr, "transfer task ", id,
+                  " in a graph without a transfer seam");
+        // The bytes are read before the flow id takes their place.
+        t.flow = seam_->startTransfer(*t.route, t.amount, done);
+        return;
+    case Kind::Custom: {
+        // Moved out before invoking, so the slot (and whatever the closure
+        // captured) is free as soon as the action has run.
+        Action action = std::move(actions_[t.slot]);
+        dropAction(t);
+        ++callback_depth_;
+        action([this, id]() { complete(id); });
+        --callback_depth_;
+        return;
     }
-    // Move the action out before invoking it, so the task drops the
-    // closure (and whatever it captured) as soon as it has run.
-    Action action = std::move(t.action);
-    const TaskId prev_launching = launching_;
-    launching_ = id;
-    ++callback_depth_;
-    action([this, id]() { complete(id); });
-    --callback_depth_;
-    launching_ = prev_launching;
+    }
 }
 
 void
@@ -194,20 +282,19 @@ TaskGraph::complete(TaskId id)
     t.completed = true;
     t.finish_time = sim_.now();
     max_finish_ = std::max(max_finish_, t.finish_time);
-    if (!cancellers_.empty())
-        cancellers_.erase(id);
     if (SimObserver *observer = sim_.observer())
         observer->taskFinished(id, t.label, sim_.now());
     ++completed_;
     // A completed task's dependent list is frozen (dependsOn on a
     // completed dep is a no-op).
-    for (std::size_t i = 0; i < t.dependents.size(); ++i) {
-        const TaskId dep_id = t.dependents[i];
+    for (std::size_t i = 0; i < t.num_dependents; ++i) {
+        const TaskId dep_id = dependent(t, i);
         Task &dep = task(dep_id);
         SI_ASSERT(dep.pending_deps > 0, "dependency underflow");
         if (--dep.pending_deps == 0 && dep.released && !dep.abandoned)
             launch(dep_id);
     }
+    recycleFanout(t);
     --callback_depth_;
     // Trim only at the outermost frame: a nested trim would free the
     // storage an outer complete()'s dependent loop is still reading.
@@ -232,14 +319,6 @@ TaskGraph::maybeTrim()
     base_ += whole << kBlockShift;
 }
 
-void
-TaskGraph::setCanceller(TaskId id, std::function<void()> cancel)
-{
-    SI_ASSERT(!task(id).completed && !task(id).abandoned,
-              "canceller on a finished task");
-    cancellers_[id] = std::move(cancel);
-}
-
 bool
 TaskGraph::abandoned(TaskId id) const
 {
@@ -252,42 +331,41 @@ TaskGraph::revokeDomain(Domain d)
     SI_REQUIRE(d != kNoDomain, "cannot revoke the null domain");
     const Seconds now = sim_.now();
     std::size_t revoked = 0;
-    // Ascending id order is the determinism contract: cancellers (flow
-    // revocations) fire in the order the tasks were created. Trimmed
-    // tasks are completed/abandoned already, so starting at base_ scans
-    // exactly the candidates.
+    // Ascending id order is the determinism contract: flows are cancelled
+    // in the order their tasks were created. Trimmed tasks are
+    // completed/abandoned already, so starting at base_ scans exactly the
+    // candidates.
     for (TaskId id = base_; id < total_added_; ++id) {
-        if (task(id).domain != d || task(id).completed ||
-            task(id).abandoned)
+        Task &t = task(id);
+        if (t.domain != d || t.completed || t.abandoned)
             continue;
-        task(id).abandoned = true;
-        task(id).finish_time = now; // For makespan(); never "finished".
+        t.abandoned = true;
+        t.finish_time = now; // For makespan(); never "finished".
         max_finish_ = std::max(max_finish_, now);
         ++completed_;
         ++revoked;
-        const auto it = cancellers_.find(id);
-        if (it != cancellers_.end()) {
-            std::function<void()> canceller = std::move(it->second);
-            cancellers_.erase(it);
-            if (task(id).launched && canceller)
-                canceller();
+        if (t.launched && t.kind == Kind::Transfer) {
+            seam_->cancelTransfer(t.flow);
+        } else if (!t.launched && t.kind == Kind::Custom) {
+            dropAction(t);
         }
         if (SimObserver *observer = sim_.observer()) {
-            if (task(id).launched)
-                observer->taskAbandoned(id, task(id).label, now);
+            if (t.launched)
+                observer->taskAbandoned(id, t.label, now);
         }
     }
     // A revocable unit must be a closed sub-graph: anything downstream of an
     // abandoned task has to be gone too, or it would wait forever.
     for (TaskId id = base_; id < total_added_; ++id) {
-        if (task(id).domain != d || !task(id).abandoned)
+        Task &t = task(id);
+        if (t.domain != d || !t.abandoned)
             continue;
-        const Dependents &dependents = task(id).dependents;
-        for (std::size_t i = 0; i < dependents.size(); ++i)
-            SI_ASSERT(task(dependents[i]).abandoned ||
-                          task(dependents[i]).completed,
+        for (std::size_t i = 0; i < t.num_dependents; ++i)
+            SI_ASSERT(task(dependent(t, i)).abandoned ||
+                          task(dependent(t, i)).completed,
                       "revoked domain leaves dangling dependent ",
-                      dependents[i]);
+                      dependent(t, i));
+        recycleFanout(t);
     }
     return revoked;
 }

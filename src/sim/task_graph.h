@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/resource.h"
@@ -42,9 +41,42 @@ struct TaskLabel {
 };
 
 /**
- * Executes tasks respecting dependencies. A task is any asynchronous action:
- * it receives a completion callback and must invoke it exactly once (possibly
- * immediately). Barriers are tasks with no action.
+ * A route as the task graph sees it: opaque. The layer that owns the flow
+ * network derives its resolved route from this (train::ResolvedRoute) and
+ * implements the TransferSeam that starts flows over it.
+ */
+struct TransferRoute {
+};
+
+/**
+ * How transfer tasks reach the flow network, which sits above sim/ (DESIGN.md
+ * "Layering"). train::SimContext implements it.
+ */
+class TransferSeam
+{
+  public:
+    /** Start moving @p bytes over @p route; fire @p done when the last
+     *  byte lands. @return an id cancelTransfer() accepts. */
+    virtual uint64_t startTransfer(const TransferRoute &route, Bytes bytes,
+                                   Notify done) = 0;
+    /** Revoke transfer @p flow; @p done never fires. A no-op once the
+     *  transfer has completed. */
+    virtual void cancelTransfer(uint64_t flow) = 0;
+
+  protected:
+    ~TransferSeam() = default;
+};
+
+/**
+ * Executes tasks respecting dependencies. A task is data: its kind and its
+ * operands. A barrier completes as soon as its dependencies do, a delay
+ * after a fixed time, a compute task when its Resource finishes the work,
+ * and a transfer when the flow the TransferSeam starts delivers its last
+ * byte. Resources, flows and delay events complete a task by id (a
+ * Notify naming the graph), so no closure sits on that path. A custom task
+ * runs an asynchronous Action, which receives a completion callback and
+ * must invoke it exactly once (possibly immediately); its closure waits in
+ * a side table whose slot is freed when the action runs.
  *
  * Two phases of use:
  *  - Static (the training engines): add every task and dependency, then
@@ -57,7 +89,7 @@ struct TaskLabel {
  *    releases a contiguous id block (dynamic construction is append-only,
  *    so a sub-graph built in one callback is always one id range).
  */
-class TaskGraph
+class TaskGraph : private Receiver
 {
   public:
     using TaskId = std::size_t;
@@ -66,7 +98,12 @@ class TaskGraph
     /** An asynchronous action: call the argument when the task finishes. */
     using Action = std::function<void(std::function<void()> done)>;
 
-    explicit TaskGraph(Simulator &sim) : sim_(sim) {}
+    /** @p seam starts the flows of transfer tasks; a graph without one
+     *  must not launch any. */
+    explicit TaskGraph(Simulator &sim, TransferSeam *seam = nullptr)
+        : sim_(sim), seam_(seam)
+    {
+    }
 
     /** Add a task with an arbitrary asynchronous action. */
     TaskId add(Action action, TaskLabel label = {});
@@ -79,6 +116,11 @@ class TaskGraph
 
     /** Add a fixed-delay task (models constant latencies). */
     TaskId delay(Seconds duration, TaskLabel label = {});
+
+    /** Add a task moving @p bytes over @p route, which must outlive the
+     *  task; the graph's TransferSeam starts (and revokes) its flow. */
+    TaskId transfer(const TransferRoute &route, Bytes bytes,
+                    TaskLabel label = {});
 
     /**
      * Declare that @p task starts only after @p dep completes. After
@@ -133,14 +175,13 @@ class TaskGraph
      * step, a training iteration, an in-flight checkpoint. Tasks added while
      * a domain is current are stamped with it; revokeDomain() later abandons
      * every uncompleted task in the domain: the task counts toward done(),
-     * its completion callback becomes a no-op (a resource job already
-     * running drains as discarded work), and its registered canceller — if
-     * any — runs so side effects (an in-flight flow, a timer) are revoked
-     * too. Ordering contract: tasks are abandoned in ascending id order, and
+     * its completion becomes a no-op (a resource job already running
+     * drains as discarded work, a delay's event fires into nothing), and a
+     * launched transfer's flow is cancelled through the TransferSeam.
+     * Ordering contract: tasks are abandoned in ascending id order, and
      * every dependent of an abandoned task must itself be completed or
      * abandoned by the end of the call (revocable units are closed
-     * sub-graphs). Fault-free runs never open a domain, never register a
-     * canceller, and pay nothing.
+     * sub-graphs). Fault-free runs never open a domain and pay nothing.
      * @{
      */
     using Domain = std::uint32_t;
@@ -151,17 +192,6 @@ class TaskGraph
 
     /** Tasks added from now on are stamped with @p d (kNoDomain = none). */
     void setCurrentDomain(Domain d) { current_domain_ = d; }
-
-    /**
-     * Register a revocation hook for @p id, called (at most once) if the
-     * task is abandoned after launching. Typically called from inside the
-     * task's own action — launchingTask() names the task being launched.
-     */
-    void setCanceller(TaskId id, std::function<void()> cancel);
-
-    /** The task whose action is currently being invoked (kInvalidTask
-     *  outside launch). Lets an action register its own canceller. */
-    TaskId launchingTask() const { return launching_; }
 
     /** Abandon every uncompleted task in @p d. @return tasks revoked. */
     std::size_t revokeDomain(Domain d);
@@ -188,59 +218,81 @@ class TaskGraph
      *  trimmed: adding tasks never moves a task already added. */
     const TaskLabel &label(TaskId id) const { return task(id).label; }
 
-  private:
-    /**
-     * A task's dependents in dependsOn() order. Almost every task has one
-     * or two, so the first two live inline and only a wider fan-out
-     * spills to the heap.
-     */
-    class Dependents
-    {
-      public:
-        std::size_t size() const { return count_; }
-        TaskId
-        operator[](std::size_t i) const
-        {
-            return i < kInline ? inline_[i] : spill_[i - kInline];
-        }
-        void
-        push_back(TaskId id)
-        {
-            if (count_ < kInline)
-                inline_[count_] = id;
-            else
-                spill_.push_back(id);
-            ++count_;
-        }
+    /** @name Side-table introspection (memory-bound tests).
+     *  Each count is the peak number of entries live at once, not the
+     *  total ever used. @{ */
+    /** Pooled dependent lists (tasks with more than two dependents). */
+    std::size_t fanoutListsAllocated() const { return fanouts_.size(); }
+    /** Action slots (custom tasks added but not yet launched). */
+    std::size_t actionSlotsAllocated() const { return actions_.size(); }
+    /** @} */
 
-      private:
-        static constexpr std::size_t kInline = 2;
-        TaskId inline_[kInline] = {};
-        std::size_t count_ = 0;
-        std::vector<TaskId> spill_;
-    };
+  private:
+    enum class Kind : uint8_t { Barrier, Delay, Compute, Transfer, Custom };
+
+    /** Dependents stored inline; a wider fan-out moves to a pooled list. */
+    static constexpr uint32_t kInlineDependents = 2;
 
     struct Task {
-        Action action;
         TaskLabel label;
-        Dependents dependents;
-        std::size_t pending_deps = 0;
-        bool launched = false;
-        bool completed = false;
-        /** Armed to launch (start() arms the static graph; dynamic tasks
-         *  are armed individually via release()). */
-        bool released = false;
-        bool abandoned = false; ///< revoked; completion is a no-op
-        Domain domain = kNoDomain;
         Seconds start_time = -1.0;
         Seconds finish_time = -1.0;
+        /** Operands by kind: compute {resource, amount = work}; delay
+         *  {amount = duration}; transfer {route, amount = bytes, which
+         *  launch() overwrites with the flow id}; custom {slot = action
+         *  slot}. */
+        union {
+            Resource *resource = nullptr;
+            const TransferRoute *route;
+        };
+        union {
+            double amount = 0.0;
+            uint64_t flow;
+            uint64_t slot;
+        };
+        /** The dependents in dependsOn() order while there are at most
+         *  kInlineDependents; past that, dependents[0] indexes the pooled
+         *  list holding all of them (dependent() reads either form). */
+        TaskId dependents[kInlineDependents] = {};
+        uint32_t num_dependents = 0;
+        uint32_t pending_deps = 0;
+        Domain domain = kNoDomain;
+        Kind kind = Kind::Barrier;
+        bool launched : 1 = false;
+        bool completed : 1 = false;
+        /** Armed to launch (start() arms the static graph; dynamic tasks
+         *  are armed individually via release()). */
+        bool released : 1 = false;
+        bool abandoned : 1 = false; ///< revoked; completion is a no-op
     };
+    // One training iteration of train_scaleout_n32 holds ~147k tasks.
+    static_assert(sizeof(Task) <= 80, "a task is data: keep it small");
 
+    /** Delay, compute and transfer tasks complete here, by id. */
+    void onNotify(uint64_t id) override { complete(static_cast<TaskId>(id)); }
+
+    /** Append a task of @p kind with no operands set. */
+    TaskId append(Kind kind, TaskLabel label);
     void launch(TaskId id);
     void complete(TaskId id);
     /** Storage slot for global id @p id. */
     Task &task(TaskId id);
     const Task &task(TaskId id) const;
+    /** The @p i-th dependent of @p t. Re-reads the pool on every call:
+     *  launching a dependent may grow it. */
+    TaskId
+    dependent(const Task &t, std::size_t i) const
+    {
+        return t.num_dependents <= kInlineDependents
+                   ? t.dependents[i]
+                   : fanouts_[t.dependents[0]][i];
+    }
+    void addDependent(Task &t, TaskId id);
+    /** Free custom task @p t's action slot (its action ran or never
+     *  will). */
+    void dropAction(const Task &t);
+    /** Return @p t's pooled list, if any, for reuse; @p t keeps none. */
+    void recycleFanout(Task &t);
     /** Free every leading block whose tasks are all completed/abandoned.
      *  Only called from the outermost complete() frame (callback_depth_ ==
      *  0): a nested trim would free storage an outer frame's dependent
@@ -249,6 +301,7 @@ class TaskGraph
     void maybeTrim();
 
     Simulator &sim_;
+    TransferSeam *seam_;
     /** Tasks live in fixed blocks of kBlockSize, so a growing graph never
      *  reallocates or moves a task. One big doubling array would copy the
      *  whole graph on every growth step, and its large freed buffers
@@ -261,6 +314,16 @@ class TaskGraph
      *  graph then cycles through warm memory instead of allocating and
      *  constructing a fresh block every kBlockSize tasks. */
     std::unique_ptr<Task[]> spare_block_;
+    /** Pooled dependent lists and their free indices. A list is recycled
+     *  (cleared, capacity kept) when its task completes or is abandoned,
+     *  so a streaming graph reuses warm lists and allocates none in
+     *  steady state. */
+    std::vector<std::vector<TaskId>> fanouts_;
+    std::vector<uint32_t> free_fanouts_;
+    /** Custom tasks' actions and their free slots; a slot is freed when
+     *  its action runs or its task is abandoned unlaunched. */
+    std::vector<Action> actions_;
+    std::vector<uint32_t> free_actions_;
     std::size_t completed_ = 0;
     std::size_t total_added_ = 0; ///< size of the global id space
     bool started_ = false;
@@ -278,9 +341,6 @@ class TaskGraph
     Seconds max_finish_ = 0.0;
     Domain current_domain_ = kNoDomain;
     Domain last_domain_ = kNoDomain;
-    TaskId launching_ = kInvalidTask;
-    /** Sparse: only fault-armed tasks register (empty in fault-free runs). */
-    std::unordered_map<TaskId, std::function<void()>> cancellers_;
 };
 
 } // namespace smartinf::sim

@@ -23,7 +23,8 @@ PhaseBuilder::resolveRoutes()
     // Every transfer this node starts takes one of these routes; resolving
     // them here keeps link-name lookups off the per-flow path.
     const auto route = [this](net::Route links) {
-        return ResolvedRoute{&ctx_, std::move(links)};
+        return ResolvedRoute{{}, &ctx_, std::move(links),
+                             ctx_.system.calib.transfer_latency};
     };
     // Host memory <-> GPU. In the congested topology this shares the
     // expansion trunk with storage traffic (Fig 17).

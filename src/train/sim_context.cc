@@ -9,29 +9,22 @@ SimContext::transfer(const ResolvedRoute &route, Bytes bytes,
                      sim::TaskLabel label)
 {
     SI_ASSERT(route.ctx == this, "route resolved against another context");
-    return graph.add(
-        [r = &route, bytes](std::function<void()> done) {
-            SimContext &ctx = *r->ctx;
-            ctx.startTaskFlow(r->links, bytes, std::move(done),
-                              ctx.system.calib.transfer_latency);
-        },
-        label);
+    return graph.transfer(route, bytes, label);
+}
+
+uint64_t
+SimContext::startTransfer(const sim::TransferRoute &route, Bytes bytes,
+                          sim::Notify done)
+{
+    // Every route this context's graph carries came through transfer().
+    const auto &resolved = static_cast<const ResolvedRoute &>(route);
+    return net.startFlow(resolved.links, bytes, done, resolved.latency);
 }
 
 void
-SimContext::startTaskFlow(const net::Route &links, Bytes bytes,
-                          std::function<void()> done, Seconds latency)
+SimContext::cancelTransfer(uint64_t flow)
 {
-    if (!faults_armed) {
-        net.startFlow(links, bytes, std::move(done), latency);
-        return;
-    }
-    // Revocation seam: pull this flow back out of the network if the
-    // launching task's domain is revoked (node crash mid-transfer).
-    const sim::TaskGraph::TaskId tid = graph.launchingTask();
-    const net::FlowId fid =
-        net.startFlow(links, bytes, std::move(done), latency);
-    graph.setCanceller(tid, [this, fid]() { net.cancelFlow(fid); });
+    net.cancelFlow(flow);
 }
 
 } // namespace smartinf::train

@@ -9,7 +9,6 @@
 #ifndef SMARTINF_TRAIN_SIM_CONTEXT_H
 #define SMARTINF_TRAIN_SIM_CONTEXT_H
 
-#include <functional>
 #include <vector>
 
 #include "net/flow_network.h"
@@ -28,23 +27,28 @@ struct SimContext;
 
 /**
  * A route resolved once against a context's topology, for every transfer
- * that takes it. Its owner (a PhaseBuilder, or the context for the
- * inter-node ring) keeps it at a fixed address for the whole run, so a
- * transfer task captures only {route, bytes} and its closure stays inside
- * std::function's inline buffer.
+ * that takes it, with the fixed latency its transfers pay before moving
+ * bytes (`nic_latency` on the inter-node ring, `transfer_latency`
+ * elsewhere). Its owner (a PhaseBuilder, or the context for the inter-node
+ * ring) keeps it at a fixed address for the whole run, so a transfer task
+ * stores only a pointer to it and its byte count.
  */
-struct ResolvedRoute {
+struct ResolvedRoute : sim::TransferRoute {
     SimContext *ctx = nullptr;
     net::Route links;
+    Seconds latency = 0.0;
 };
 
-/** Shared simulation substrate for one workload run. */
-struct SimContext {
+/**
+ * Shared simulation substrate for one workload run. It is its task graph's
+ * TransferSeam: transfer tasks start and revoke their flows on its network.
+ */
+struct SimContext final : sim::TransferSeam {
     explicit SimContext(const SystemConfig &system)
-        : system(system), net(sim), graph(sim)
+        : system(system), net(sim), graph(sim, this)
     {
     }
-    /** Routes and in-flight closures hold this context's address. */
+    /** Routes and in-flight events hold this context's address. */
     SimContext(const SimContext &) = delete;
     SimContext &operator=(const SimContext &) = delete;
 
@@ -65,11 +69,10 @@ struct SimContext {
     obs::RunObservation *obs = nullptr;
 
     /**
-     * True while a fault-injecting workload drives this context. When set,
-     * startTaskFlow() registers a canceller with the task graph for every
-     * flow it starts, so revoking a domain pulls its in-flight flows out of
-     * the network. Off by default: fault-free runs pay nothing (one branch
-     * per flow start, no canceller storage) and stay bit-identical.
+     * True while a fault-injecting workload drives this context: the
+     * workload then opens a revocation domain per revocable unit of work,
+     * and revoking one cancels its in-flight flows. Off by default:
+     * fault-free runs open no domain and stay bit-identical.
      */
     bool faults_armed = false;
 
@@ -85,10 +88,10 @@ struct SimContext {
     sim::TaskGraph::TaskId transfer(const ResolvedRoute &route, Bytes bytes,
                                     sim::TaskLabel label = {});
 
-    /** Start the flow of the task being launched (call it from a task
-     *  action): transfer() and the ring hops start every flow here. */
-    void startTaskFlow(const net::Route &links, Bytes bytes,
-                       std::function<void()> done, Seconds latency);
+    /** sim::TransferSeam: a flow over a ResolvedRoute, on net. */
+    uint64_t startTransfer(const sim::TransferRoute &route, Bytes bytes,
+                           sim::Notify done) override;
+    void cancelTransfer(uint64_t flow) override;
 };
 
 } // namespace smartinf::train

@@ -80,9 +80,8 @@ TEST(CheckpointRestart, FaultFreeJobWritesCheckpointsOnCadence)
 TEST(CheckpointRestart, ArmedButUnusedFaultMachineryIsInert)
 {
     // fault.enabled=true with every MTBF at kNever draws no events but
-    // flips faults_armed (flow cancellers registered, one revocation
-    // domain per iteration/checkpoint). None of that may perturb a single
-    // timestamp or event count.
+    // flips faults_armed (one revocation domain per iteration/checkpoint).
+    // None of that may perturb a single timestamp or event count.
     const auto off = runJob(baseFault());
     fault::FaultConfig armed = baseFault();
     armed.enabled = true; // all categories still kNever

@@ -113,6 +113,25 @@ TEST(FlowNetwork, ZeroByteFlowCompletes)
     EXPECT_NEAR(sim.now(), 0.0, 1e-9);
 }
 
+TEST(FlowNetwork, NullCallbackCompletesSilentlyOnEveryPath)
+{
+    // Regression: a degenerate flow (zero bytes or an empty route) with a
+    // null callback scheduled the empty callback and threw out of run(),
+    // while a bulk-phase flow with a null callback completed silently.
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    Link &link = topo.addLink("l", 100.0);
+    net.startFlow({&link}, 0.0, nullptr);      // zero bytes
+    net.startFlow({}, 50.0, nullptr);          // empty route
+    net.startFlow({&link}, 0.0, nullptr, 1.0); // zero bytes after a delay
+    net.startFlow({&link}, 100.0, nullptr);    // bulk phase
+    EXPECT_NO_THROW(sim.run());
+    EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+    EXPECT_DOUBLE_EQ(net.totalBytesDelivered(), 150.0);
+    EXPECT_EQ(net.activeFlows(), 0u);
+}
+
 TEST(FlowNetwork, LatencyDelaysBulkPhase)
 {
     sim::Simulator sim;

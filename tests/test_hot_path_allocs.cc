@@ -3,13 +3,14 @@
  * The serving and training event loops' allocation budgets. A transfer's
  * setup must not touch the heap: its route is resolved once by its
  * builder, link state is indexed by Link::id(), a flow slot and a
- * contention component keep their buffers across reuse, and every per-flow
- * closure (transfer task, resource completion, task completion) fits
- * std::function's inline buffer. This binary replaces the global operator
- * new/delete with a counting pair, so it is a test of its own. The serving
- * test counts the calls made inside Engine::run (build, run and collect)
- * on a serve_stream_20k-shaped config of 1000 requests; the training test
- * counts the event loop of a 4-node ring all-reduce iteration.
+ * contention component keep their buffers across reuse, and a resource
+ * job, a flow or a delay event completes its task by id instead of
+ * holding a closure. This binary replaces the global operator new/delete
+ * with a counting pair, so it is a test of its own. The serving test
+ * counts the calls made inside Engine::run (build, run and collect) on a
+ * serve_stream_20k-shaped config of 1000 requests; the training test
+ * counts the event loop of a 4-node ring all-reduce iteration; the task
+ * test counts building and running 40,000 plain data tasks.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <iostream>
 #include <new>
 
+#include "net/topology.h"
 #include "serve/inference_workload.h"
 #include "train/engine.h"
 #include "train/sim_context.h"
@@ -147,6 +149,47 @@ TEST(HotPathAllocs, TrainingRingAllReduceLoopStaysUnderItsBudget)
     std::cout << allocations << " allocations over " << events
               << " events = " << per_event << " per event\n";
     EXPECT_LT(per_event, 0.45);
+}
+
+TEST(HotPathAllocs, DataTasksAllocateOnlyForBlockGrowth)
+{
+    // A task is data: adding and running compute, delay, transfer and
+    // barrier tasks allocates only when the graph grows a storage block
+    // of 1024 tasks (or a buffer first grows to its high-water mark). Each
+    // task depends on the two before it, so every task has two dependents
+    // stored inline and no fan-out list is used.
+    using TaskId = sim::TaskGraph::TaskId;
+    constexpr std::size_t kPerKind = 10000;
+    train::SystemConfig system;
+    train::SimContext ctx(system);
+    net::Link &link = ctx.topo.addLink("l", 1e9);
+    const train::ResolvedRoute route{{}, &ctx, {&link}, 1e-6};
+    sim::Resource gpu(ctx.sim, "gpu", 1e9);
+    sim::TaskGraph &graph = ctx.graph;
+
+    g_allocations = 0;
+    g_counting = true;
+    std::vector<TaskId> ids;
+    for (std::size_t i = 0; i < kPerKind; ++i) {
+        ids = {graph.compute(gpu, 1e3), graph.delay(1e-6),
+               ctx.transfer(route, 1e3), graph.barrier()};
+        for (const TaskId id : ids)
+            for (TaskId dep = id >= 2 ? id - 2 : 0; dep < id; ++dep)
+                graph.dependsOn(id, dep);
+    }
+    graph.start();
+    ctx.sim.run();
+    g_counting = false;
+
+    const std::size_t allocations = g_allocations;
+    const std::size_t tasks = 4 * kPerKind;
+    ASSERT_TRUE(graph.done());
+    ASSERT_EQ(graph.taskCount(), tasks);
+    EXPECT_EQ(graph.fanoutListsAllocated(), 0u);
+    const std::size_t blocks = (tasks + 1023) / 1024;
+    std::cout << allocations << " allocations for " << tasks << " tasks in "
+              << blocks << " blocks\n";
+    EXPECT_LE(allocations, blocks + 64); // One per task would be 40,000.
 }
 
 } // namespace

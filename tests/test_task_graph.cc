@@ -227,17 +227,21 @@ TEST(TaskGraph, StorageNeverMovesATaskAcrossGrowthAndTrim)
             g.enableTrim();
         std::vector<const TaskLabel *> stored;
         int moved = 0;
-        std::function<void(std::function<void()>)> step;
+        std::function<void(TaskGraph::TaskId, std::function<void()>)> step;
         auto add = [&](int i) {
-            const TaskGraph::TaskId id = g.add(step, {"chain", i});
+            // A task's id is the task count when it is added.
+            const TaskGraph::TaskId id = g.add(
+                [&step, id = g.taskCount()](std::function<void()> done) {
+                    step(id, std::move(done));
+                },
+                {"chain", i});
             EXPECT_EQ(id, static_cast<TaskGraph::TaskId>(i));
             stored.push_back(&g.label(id));
             if (i > 0)
                 g.dependsOn(id, id - 1);
             return id;
         };
-        step = [&](std::function<void()> done) {
-            const auto id = g.launchingTask();
+        step = [&](TaskGraph::TaskId id, std::function<void()> done) {
             sim.after(1.0, [&, id, done] {
                 const int i = static_cast<int>(id);
                 if (&g.label(id) != stored[id] || g.label(id).a != i)
@@ -340,11 +344,12 @@ TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
 
 TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
 {
-    // A task keeps its first two dependents inline and spills the rest;
-    // either way its dependents launch in the order dependsOn() named
-    // them. Fan-outs of 1, 2, 3 and 7 cross the boundary, in a static
-    // graph, in a trimming graph past its first reclaimed block, and in
-    // a revoked domain (where no dependent may be left dangling).
+    // A task keeps up to two dependents inline and moves a wider fan-out
+    // to a pooled list; either way its dependents launch in the order
+    // dependsOn() named them. Fan-outs of 1, 2, 3 and 7 cross the
+    // boundary, in a static graph, in a trimming graph past its first
+    // reclaimed block, and in a revoked domain (where no dependent may be
+    // left dangling).
     constexpr int kFanOuts[] = {1, 2, 3, 7};
     // Dependents named out of id order, so launch order shows which
     // order was kept.
@@ -361,14 +366,17 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
         Simulator sim;
         TaskGraph g(sim);
         std::vector<TaskGraph::TaskId> launched;
-        const auto record = [&](std::function<void()> done) {
-            launched.push_back(g.launchingTask());
-            done();
+        // Each dependent records its own id (the task count when added).
+        const auto record = [&] {
+            return [&launched, id = g.taskCount()](std::function<void()> done) {
+                launched.push_back(id);
+                done();
+            };
         };
         const auto root = g.delay(1.0);
         std::vector<TaskGraph::TaskId> deps;
         for (int i = 0; i < n; ++i)
-            deps.push_back(g.add(record));
+            deps.push_back(g.add(record()));
         std::vector<TaskGraph::TaskId> expected;
         for (const int i : order(n)) {
             g.dependsOn(deps[i], root);
@@ -392,14 +400,17 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
             g.release(g.barrier());
         EXPECT_THROW(g.finishTime(0), std::logic_error);
         std::vector<TaskGraph::TaskId> launched;
-        const auto record = [&](std::function<void()> done) {
-            launched.push_back(g.launchingTask());
-            done();
+        // Each dependent records its own id (the task count when added).
+        const auto record = [&] {
+            return [&launched, id = g.taskCount()](std::function<void()> done) {
+                launched.push_back(id);
+                done();
+            };
         };
         const auto root = g.delay(1.0);
         std::vector<TaskGraph::TaskId> deps;
         for (int i = 0; i < n; ++i)
-            deps.push_back(g.add(record));
+            deps.push_back(g.add(record()));
         std::vector<TaskGraph::TaskId> expected;
         for (const int i : order(n)) {
             g.dependsOn(deps[i], root);
@@ -440,6 +451,56 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
         for (const auto id : deps)
             EXPECT_TRUE(g.abandoned(id));
     }
+}
+
+TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
+{
+    // A serving-shaped stream through a trimming graph, past several trim
+    // chunks: each step is a root with a fan-out of three custom tasks
+    // (a pooled dependent list and three action slots), and one step is
+    // revoked before its root completes. Completion and abandonment both
+    // return their list and slots, so the side tables stay at what one
+    // step holds instead of growing with the stream.
+    constexpr int kSteps = 2000; // 8,000 tasks: ~7 trim chunks
+    constexpr int kRevoked = 1000;
+    Simulator sim;
+    TaskGraph g(sim);
+    g.enableTrim();
+    g.start();
+
+    int ran = 0;
+    TaskGraph::Domain revoked = TaskGraph::kNoDomain;
+    for (int i = 0; i < kSteps; ++i) {
+        sim.at(i, [&, i] {
+            if (i == kRevoked) {
+                revoked = g.openDomain();
+                g.setCurrentDomain(revoked);
+            }
+            const auto first = g.taskCount();
+            const auto root = g.delay(i == kRevoked ? 10.0 : 0.5, {"root", i});
+            for (int k = 0; k < 3; ++k) {
+                const auto leaf = g.add(
+                    [&ran](std::function<void()> done) {
+                        ++ran;
+                        done();
+                    },
+                    {"leaf", i, k});
+                g.dependsOn(leaf, root);
+            }
+            g.setCurrentDomain(TaskGraph::kNoDomain);
+            g.releaseRange(first, g.taskCount());
+        });
+    }
+    // Before the next step begins, so one step at a time is ever live.
+    sim.at(kRevoked + 0.75, [&] { EXPECT_EQ(g.revokeDomain(revoked), 4u); });
+    sim.run();
+
+    EXPECT_TRUE(g.done());
+    EXPECT_EQ(g.taskCount(), 4u * kSteps);
+    EXPECT_EQ(ran, 3 * (kSteps - 1));
+    EXPECT_THROW(g.finishTime(0), std::logic_error); // Trimmed.
+    EXPECT_EQ(g.fanoutListsAllocated(), 1u);
+    EXPECT_EQ(g.actionSlotsAllocated(), 3u);
 }
 
 TEST(TaskGraph, ReleaseBeforeStartIsFatal)

@@ -2,8 +2,8 @@
  * @file
  * Revocation-domain semantics in the task graph (the fault-injection seam):
  * abandoned tasks count toward done(), late resource completions drain as
- * no-ops, cancellers fire in ascending task-id order, and fault-free graphs
- * never pay for any of it.
+ * no-ops, launched transfers' flows are cancelled in ascending task-id
+ * order, and fault-free graphs never pay for any of it.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +15,26 @@
 
 namespace smartinf::sim {
 namespace {
+
+/** A transfer route over a bare network's links. */
+struct LinkRoute : TransferRoute {
+    explicit LinkRoute(net::Route links) : links(std::move(links)) {}
+    net::Route links;
+};
+
+/** Starts transfer tasks' flows on a bare network, as SimContext does. */
+struct NetSeam final : TransferSeam {
+    explicit NetSeam(net::FlowNetwork &net) : net(net) {}
+    uint64_t
+    startTransfer(const TransferRoute &route, Bytes bytes,
+                  Notify done) override
+    {
+        return net.startFlow(static_cast<const LinkRoute &>(route).links,
+                             bytes, done);
+    }
+    void cancelTransfer(uint64_t flow) override { net.cancelFlow(flow); }
+    net::FlowNetwork &net;
+};
 
 TEST(TaskRevocation, RevokedDomainCountsTowardDone)
 {
@@ -79,70 +99,79 @@ TEST(TaskRevocation, LateResourceCompletionIsNoOp)
     EXPECT_DOUBLE_EQ(g.makespan(), 10.0); // 8 (dead job drains) + 2.
 }
 
-TEST(TaskRevocation, CancellerRevokesInFlightFlow)
+TEST(TaskRevocation, RevokedTransferCancelsItsInFlightFlow)
 {
     Simulator sim;
     net::FlowNetwork net(sim);
     net::Topology topo;
     net::Link &link = topo.addLink("l", 100.0);
-    TaskGraph g(sim);
+    NetSeam seam(net);
+    TaskGraph g(sim, &seam);
     g.start();
 
     const TaskGraph::Domain d = g.openDomain();
     g.setCurrentDomain(d);
     const auto first = g.taskCount();
+    const LinkRoute route({&link});
+    const auto xfer = g.transfer(route, 1000.0, "xfer");
+    // Runs only if the transfer completes.
     bool transfer_done = false;
-    g.add(
-        [&](std::function<void()> done) {
-            const TaskGraph::TaskId tid = g.launchingTask();
-            const net::FlowId fid = net.startFlow(
-                {&link}, 1000.0,
-                [&transfer_done, done = std::move(done)]() {
-                    transfer_done = true;
-                    done();
-                });
-            g.setCanceller(tid, [&net, fid]() { net.cancelFlow(fid); });
+    const auto after = g.add(
+        [&transfer_done](std::function<void()> done) {
+            transfer_done = true;
+            done();
         },
-        "xfer");
+        "after");
+    g.dependsOn(after, xfer);
     g.setCurrentDomain(TaskGraph::kNoDomain);
     g.releaseRange(first, g.taskCount());
 
     sim.at(4.0, [&]() {
         EXPECT_EQ(net.activeFlows(), 1u);
         g.revokeDomain(d);
-        EXPECT_EQ(net.activeFlows(), 0u); // Canceller pulled the flow.
+        EXPECT_EQ(net.activeFlows(), 0u); // The revocation pulled the flow.
     });
     sim.run();
     EXPECT_FALSE(transfer_done);
     EXPECT_TRUE(g.done());
+    EXPECT_DOUBLE_EQ(net.totalBytesDelivered(), 400.0); // Settled at t=4.
 }
 
-TEST(TaskRevocation, CancellersFireInAscendingIdOrder)
+TEST(TaskRevocation, RevokedTransfersCancelInAscendingIdOrder)
 {
+    // A seam that never completes a transfer and hands out flow ids in
+    // descending order, so the cancel order shows the task order.
+    struct RecordingSeam final : TransferSeam {
+        uint64_t next = 100;
+        std::vector<uint64_t> cancelled;
+        uint64_t
+        startTransfer(const TransferRoute &, Bytes, Notify) override
+        {
+            return next--;
+        }
+        void
+        cancelTransfer(uint64_t flow) override
+        {
+            cancelled.push_back(flow);
+        }
+    };
     Simulator sim;
-    TaskGraph g(sim);
+    RecordingSeam seam;
+    TaskGraph g(sim, &seam);
     g.start();
 
     const TaskGraph::Domain d = g.openDomain();
     g.setCurrentDomain(d);
     const auto first = g.taskCount();
-    std::vector<int> order;
-    for (int i = 0; i < 4; ++i) {
-        g.add(
-            [&g, &order, i](std::function<void()>) {
-                // Never calls done (revoked before it would): register a
-                // canceller recording the revocation order.
-                g.setCanceller(g.launchingTask(),
-                               [&order, i]() { order.push_back(i); });
-            },
-            {"t", i});
-    }
+    const TransferRoute route;
+    for (int i = 0; i < 4; ++i)
+        g.transfer(route, 1.0, {"t", i});
     g.setCurrentDomain(TaskGraph::kNoDomain);
     g.releaseRange(first, g.taskCount());
 
     sim.at(1.0, [&]() { g.revokeDomain(d); });
     sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(seam.cancelled, (std::vector<uint64_t>{100, 99, 98, 97}));
     EXPECT_TRUE(g.done());
 }
 
@@ -173,7 +202,7 @@ TEST(TaskRevocation, UnlaunchedTasksAbandonWithoutCancellers)
 
 TEST(TaskRevocation, DomainlessGraphUnaffectedByForeignRevocation)
 {
-    // A fault-free graph (no domains, no cancellers) must behave exactly as
+    // A fault-free graph (no domains) must behave exactly as
     // before; revoking an empty domain is a no-op.
     Simulator sim;
     TaskGraph g(sim);
