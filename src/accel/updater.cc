@@ -18,12 +18,6 @@ class BuiltinUpdater final : public UpdaterModule
 
     optim::OptimizerKind kind() const override { return optimizer_.kind(); }
 
-    const optim::Hyperparams &
-    hyperparams() const override
-    {
-        return optimizer_.hyperparams();
-    }
-
     void
     processSubgroup(float *master, const float *grad, float *const *states,
                     std::size_t n, uint64_t step) const override

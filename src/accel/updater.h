@@ -34,9 +34,6 @@ class UpdaterModule
 
     virtual optim::OptimizerKind kind() const = 0;
 
-    /** Hyperparameters the kernel was synthesized with. */
-    virtual const optim::Hyperparams &hyperparams() const = 0;
-
     /**
      * Update a subgroup in accelerator memory. Semantics identical to
      * Optimizer::step. @p step is the 1-based global step (bias

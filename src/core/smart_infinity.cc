@@ -23,6 +23,8 @@ ClusterConfig::validate() const
                          std::to_string(keep_fraction));
     if (subgroup_elems == 0)
         errors.push_back("subgroup_elems must be >= 1, got 0");
+    for (auto &error : optim::hyperparamErrors(hyperparams))
+        errors.push_back(std::move(error));
     return errors;
 }
 
@@ -103,7 +105,9 @@ SmartInfinityCluster::shardLength(int idx) const
 void
 SmartInfinityCluster::initialize(const float *params, std::size_t n)
 {
-    SI_REQUIRE(n > 0, "cannot initialize with zero parameters");
+    const std::size_t csds = static_cast<std::size_t>(config_.num_csds);
+    SI_REQUIRE(n >= csds, "cannot shard ", n, " parameters over ", csds,
+               " CSDs; every CSD needs at least one");
     stopWorkers();
     initialized_ = false;
     // Handlers hold device buffers of their CSD, so they go first.
@@ -113,14 +117,12 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
     master_cache_.assign(params, params + n);
 
     const int aux = optim::auxStateCount(config_.optimizer);
-    const std::size_t per_csd =
-        (n + config_.num_csds - 1) / config_.num_csds;
+    const std::size_t per_csd = (n + csds - 1) / csds;
 
     std::size_t offset = 0;
-    for (int d = 0; d < config_.num_csds; ++d) {
-        const std::size_t len = std::min(per_csd, n - offset);
-        SI_REQUIRE(len > 0, "more CSDs than parameter shards; reduce "
-                            "num_csds for this model");
+    for (std::size_t d = 0; d < csds; ++d) {
+        // ceil(n/c) each, but leave one element for every later shard.
+        const std::size_t len = std::min(per_csd, n - offset - (csds - 1 - d));
         train::ShardLayout layout{len, aux};
 
         auto device = std::make_unique<csd::Csd>(
@@ -139,12 +141,8 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
         for (int a = 0; a < aux; ++a)
             device->ssd().writeFloats(zeros.data(), len, layout.auxOffset(a));
 
-        train::TransferHandler::Config handler_config;
-        handler_config.subgroup_elems =
-            std::min(config_.subgroup_elems, len);
-        handler_config.optimized = config_.optimized_handler;
         handlers_.push_back(std::make_unique<train::TransferHandler>(
-            *device, layout, handler_config));
+            *device, layout, std::min(config_.subgroup_elems, len)));
         layouts_.push_back(layout);
         csds_.push_back(std::move(device));
         offset += len;
@@ -235,35 +233,8 @@ SmartInfinityCluster::paramCount() const
 const char *
 SmartInfinityCluster::backendName() const
 {
-    if (config_.compression)
-        return "smart-infinity (SU+O+C)";
-    return config_.optimized_handler ? "smart-infinity (SU+O)"
-                                     : "smart-infinity (SU)";
-}
-
-bool
-SmartInfinityCluster::sanityCheckModules() const
-{
-    requireInitialized();
-    for (const auto &device : csds_) {
-        const auto updater_report =
-            accel::sanityCheckUpdater(*device->updater());
-        if (!updater_report.passed) {
-            warn("updater sanity check failed on ", device->name(), ": ",
-                 updater_report.detail);
-            return false;
-        }
-        if (device->decompressor() != nullptr) {
-            const auto decomp_report = accel::sanityCheckDecompressor(
-                *device->decompressor(), config_.keep_fraction);
-            if (!decomp_report.passed) {
-                warn("decompressor sanity check failed on ", device->name(),
-                     ": ", decomp_report.detail);
-                return false;
-            }
-        }
-    }
-    return true;
+    return config_.compression ? "smart-infinity (SU+O+C)"
+                               : "smart-infinity (SU+O)";
 }
 
 } // namespace smartinf

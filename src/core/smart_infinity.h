@@ -11,9 +11,9 @@
  *    compression. It implements nn::UpdateBackend, so any model training
  *    loop can run its optimizer steps "near storage" exactly as the
  *    paper's DeepSpeed integration does.
- *  - The *performance* layer (train::makeEngine / runWithSpeedup) — the
- *    calibrated discrete-event model reproducing the paper's timing
- *    results. Re-exported here for one-stop consumption.
+ *  - The *performance* layer (train::makeEngine) — the calibrated
+ *    discrete-event model reproducing the paper's timing results.
+ *    Re-exported here for one-stop consumption.
  *
  * Multi-node data-parallel scale-out is performance-layer only: the one
  * train::Engine extends the model across servers when num_nodes > 1, with
@@ -44,8 +44,6 @@ struct ClusterConfig {
     int num_csds = 2;
     optim::OptimizerKind optimizer = optim::OptimizerKind::Adam;
     optim::Hyperparams hyperparams;
-    /** Use the optimized internal transfer handler (§IV-B). */
-    bool optimized_handler = true;
     /** Enable SmartComp gradient compression (§IV-C). */
     bool compression = false;
     /** Fraction of gradient elements kept by Top-K (wire = 2x this). */
@@ -82,6 +80,8 @@ class SmartInfinityCluster final : public nn::UpdateBackend
     SmartInfinityCluster &operator=(const SmartInfinityCluster &) = delete;
 
     /** @name nn::UpdateBackend @{ */
+    /** Shard d holds ceil(n/num_csds) elements, or fewer where the later
+     *  shards would otherwise be empty; fatal() if n < num_csds. */
     void initialize(const float *params, std::size_t n) override;
     void step(const float *grads, std::size_t n, uint64_t t) override;
     const float *masterParams() const override;
@@ -103,9 +103,6 @@ class SmartInfinityCluster final : public nn::UpdateBackend
      * Table I "Gradients / Write" column).
      */
     double lastGradWireBytes() const { return last_wire_bytes_; }
-
-    /** Run the HLS-template sanity checkers on every installed kernel. */
-    bool sanityCheckModules() const;
 
     const ClusterConfig &config() const { return config_; }
 

@@ -78,16 +78,6 @@ ExperimentBuilder::devices(std::vector<int> ns)
 }
 
 ExperimentBuilder &
-ExperimentBuilder::deviceRange(int lo, int hi)
-{
-    SI_REQUIRE(lo >= 1 && hi >= lo, "bad device range");
-    std::vector<int> ns;
-    for (int n = lo; n <= hi; ++n)
-        ns.push_back(n);
-    return devices(std::move(ns));
-}
-
-ExperimentBuilder &
 ExperimentBuilder::gpu(train::GpuGrade g)
 {
     return gpus({g});
@@ -174,15 +164,6 @@ ExperimentBuilder::maxBatches(std::vector<int> bs)
 }
 
 ExperimentBuilder &
-ExperimentBuilder::weightWireFractions(std::vector<double> fs)
-{
-    return sweep(kWeightWireFractions, "weightWireFractions", std::move(fs),
-                 [](RunSpec &s) -> auto & {
-                     return s.serve.weight_wire_fraction;
-                 });
-}
-
-ExperimentBuilder &
 ExperimentBuilder::outputTokenCounts(std::vector<int> ts)
 {
     return sweep(kOutputTokenCounts, "outputTokenCounts", std::move(ts),
@@ -236,26 +217,10 @@ ExperimentBuilder::admissionModes(std::vector<ctrl::AdmissionMode> ms)
 }
 
 ExperimentBuilder &
-ExperimentBuilder::sloTargets(std::vector<double> ts)
-{
-    return sweep(kSloTargets, "sloTargets", std::move(ts),
-                 [](RunSpec &s) -> auto & {
-                     return s.serve.ctrl.slo.target_p99_s;
-                 });
-}
-
-ExperimentBuilder &
 ExperimentBuilder::faults(const fault::FaultConfig &config)
 {
     fault_base_ = config;
     return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::mtbfs(std::vector<double> ms)
-{
-    return sweep(kMtbfs, "mtbfs", std::move(ms),
-                 [](RunSpec &s) -> auto & { return s.fault.node_mtbf; });
 }
 
 ExperimentBuilder &

@@ -60,8 +60,6 @@ class ExperimentBuilder
     ExperimentBuilder &strategies(std::vector<train::Strategy> ss);
     ExperimentBuilder &devices(int n);
     ExperimentBuilder &devices(std::vector<int> ns);
-    /** Inclusive device range [lo, hi] (every integer count). */
-    ExperimentBuilder &deviceRange(int lo, int hi);
     ExperimentBuilder &gpu(train::GpuGrade g);
     ExperimentBuilder &gpus(std::vector<train::GpuGrade> gs);
     ExperimentBuilder &numGpus(std::vector<int> ns);
@@ -75,7 +73,6 @@ class ExperimentBuilder
     ExperimentBuilder &schedulers(std::vector<serve::SchedulerPolicy> ps);
     ExperimentBuilder &arrivalRates(std::vector<double> rs);
     ExperimentBuilder &maxBatches(std::vector<int> bs);
-    ExperimentBuilder &weightWireFractions(std::vector<double> fs);
     /** Sweep serve.output_tokens (sequence-length studies). */
     ExperimentBuilder &outputTokenCounts(std::vector<int> ts);
     /** Sweep serve.kv.hbm_budget (bytes). */
@@ -91,8 +88,6 @@ class ExperimentBuilder
     dispatchPolicies(std::vector<ctrl::DispatchPolicy> ps);
     /** Sweep serve.ctrl.slo.admission (SLO admission mode). */
     ExperimentBuilder &admissionModes(std::vector<ctrl::AdmissionMode> ms);
-    /** Sweep serve.ctrl.slo.target_p99_s (latency SLO, seconds). */
-    ExperimentBuilder &sloTargets(std::vector<double> ts);
     /** @} */
     /** @name Fault axes (sweep fields of the faults() base config). @{ */
     /**
@@ -101,8 +96,6 @@ class ExperimentBuilder
      * their own field.
      */
     ExperimentBuilder &faults(const fault::FaultConfig &config);
-    /** Sweep fault.node_mtbf (mean time between node crashes, seconds). */
-    ExperimentBuilder &mtbfs(std::vector<double> ms);
     /** Sweep fault.checkpoint_interval. */
     ExperimentBuilder &checkpointIntervals(std::vector<int> ks);
     /** Sweep fault.retry_limit. */
@@ -123,10 +116,10 @@ class ExperimentBuilder
      * innermost): models, strategies, devices, gpus, numGpus,
      * optimizers, compressionFractions, nodes, overlapGradSync,
      * calibrations, schedulers, arrivalRates, maxBatches,
-     * weightWireFractions, outputTokenCounts, hbmBudgets, concurrencies,
-     * blockTokens, prefixShareFractions, dispatchPolicies,
-     * admissionModes, sloTargets, mtbfs, checkpointIntervals,
-     * retryPolicies. Labels default to RunSpec::describe().
+     * outputTokenCounts, hbmBudgets, concurrencies, blockTokens,
+     * prefixShareFractions, dispatchPolicies, admissionModes,
+     * checkpointIntervals, retryPolicies. Labels default to
+     * RunSpec::describe().
      */
     std::vector<RunSpec> build() const;
 
@@ -136,9 +129,8 @@ class ExperimentBuilder
         kModels, kStrategies, kDevices, kGpus, kNumGpus,
         kOptimizers, kCompressionFractions, kNodes, kOverlapGradSync,
         kCalibrations, kSchedulers, kArrivalRates, kMaxBatches,
-        kWeightWireFractions, kOutputTokenCounts, kHbmBudgets,
-        kConcurrencies, kBlockTokens, kPrefixShareFractions,
-        kDispatchPolicies, kAdmissionModes, kSloTargets, kMtbfs,
+        kOutputTokenCounts, kHbmBudgets, kConcurrencies, kBlockTokens,
+        kPrefixShareFractions, kDispatchPolicies, kAdmissionModes,
         kCheckpointIntervals, kRetryPolicies, kSlots
     };
     /** One sweep axis. size 0 means untouched: the spec keeps its base

@@ -5,15 +5,14 @@
  * SmartSSD's rates from csd/smartssd.h, the constants the simulator's
  * Calibration defaults run on, so it is deterministic. A second table
  * measures the *behavioral emulation* throughput of the same kernels on
- * the host (real element processing, used by the sanity checkers) with
- * plain chrono timing — the one table in the suite whose numbers are
- * measured, not simulated.
+ * the host (real element processing, the code the functional cluster
+ * runs) with plain chrono timing — the one table in the suite whose
+ * numbers are measured, not simulated.
  */
 #include <chrono>
 #include <vector>
 
 #include "accel/decompressor.h"
-#include "accel/hls_module.h"
 #include "accel/updater.h"
 #include "common/random.h"
 #include "compress/topk.h"

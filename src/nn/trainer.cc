@@ -13,6 +13,9 @@ HostBackend::HostBackend(optim::OptimizerKind kind,
                          const optim::Hyperparams &hp)
     : optimizer_(optim::makeOptimizer(kind, hp))
 {
+    const auto errors = optim::hyperparamErrors(hp);
+    SI_REQUIRE(errors.empty(), "invalid optimizer hyperparameters: ",
+               errors.front());
 }
 
 void

@@ -45,6 +45,7 @@ class UpdateBackend
 class HostBackend final : public UpdateBackend
 {
   public:
+    /** fatal() on hyperparameters optim::hyperparamErrors() refuses. */
     HostBackend(optim::OptimizerKind kind, const optim::Hyperparams &hp);
 
     void initialize(const float *params, std::size_t n) override;

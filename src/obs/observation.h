@@ -131,7 +131,7 @@ class RunObservation final : public sim::SimObserver,
     /**
      * @name Control-plane hooks (called through SimContext::obs).
      * One counter track ("ctrl") accumulates replica-set state; each
-     * control decision (reject / defer / scale-up / scale-down / undrain /
+     * control decision (reject / defer / scale-up / scale-down /
      * warmup-done / retire-replica) lands as a trace instant on the ctrl
      * track and as a `ctrl.<kind>` metric sample.
      * @{

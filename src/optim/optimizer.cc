@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/validation.h"
 
 namespace smartinf::optim {
 
@@ -101,6 +102,29 @@ Optimizer::step(float *master, const float *grad, float *const *states,
       }
     }
     panic("unknown optimizer kind");
+}
+
+std::vector<std::string>
+hyperparamErrors(const Hyperparams &hp)
+{
+    std::vector<std::string> errors;
+    // Written so that NaN fails every check.
+    auto nonNegative = [](float x) { return x >= 0.0f && std::isfinite(x); };
+    auto fraction = [](float x) { return x >= 0.0f && x < 1.0f; };
+    requireField(errors, nonNegative(hp.lr),
+                 "hyperparams.lr must be finite and >= 0", hp.lr);
+    requireField(errors, fraction(hp.beta1),
+                 "hyperparams.beta1 must be in [0, 1)", hp.beta1);
+    requireField(errors, fraction(hp.beta2),
+                 "hyperparams.beta2 must be in [0, 1)", hp.beta2);
+    requireField(errors, hp.epsilon > 0.0f && std::isfinite(hp.epsilon),
+                 "hyperparams.epsilon must be finite and > 0", hp.epsilon);
+    requireField(errors, nonNegative(hp.weight_decay),
+                 "hyperparams.weight_decay must be finite and >= 0",
+                 hp.weight_decay);
+    requireField(errors, fraction(hp.momentum),
+                 "hyperparams.momentum must be in [0, 1)", hp.momentum);
+    return errors;
 }
 
 std::unique_ptr<Optimizer>

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "optim/update_math.h"
 
@@ -54,12 +55,18 @@ class Optimizer
     void step(float *master, const float *grad, float *const *states,
               std::size_t n, uint64_t step) const;
 
-    const Hyperparams &hyperparams() const { return hp_; }
-
   private:
     OptimizerKind kind_;
     Hyperparams hp_;
 };
+
+/**
+ * Check @p hp for values that turn every parameter non-finite: every field
+ * finite, lr and weight_decay >= 0, beta1, beta2 and momentum in [0, 1)
+ * (beta2 = 1 makes bias correction divide by zero), epsilon > 0. Returns
+ * one message per violation, naming the field; empty means usable.
+ */
+std::vector<std::string> hyperparamErrors(const Hyperparams &hp);
 
 /** Factory covering the paper's optimizer set (§VII-F). */
 std::unique_ptr<Optimizer> makeOptimizer(OptimizerKind kind,

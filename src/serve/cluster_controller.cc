@@ -174,23 +174,10 @@ ClusterController::onTick()
 void
 ClusterController::scaleUp()
 {
-    const Seconds now = ctx_.sim.now();
-    // A draining replica is still warm: un-draining it is free and beats
-    // paying a warm-up. Highest index first — the most recent drain.
-    for (std::size_t i = replicas_.size(); i-- > 0;) {
-        if (replicas_[i] != ReplicaState::Draining)
-            continue;
-        replicas_[i] = ReplicaState::Active;
-        ++stats_.scale_ups;
-        notePeakActive();
-        if (ctx_.obs)
-            ctx_.obs->ctrlDecision("undrain", static_cast<int>(i), now);
-        return;
-    }
-    // Otherwise warm up the lowest-index inactive replica: it must stream
-    // its full parameter set (one warm-up pass through its builder — real
-    // flows contending with the serving traffic) before it takes
-    // dispatches.
+    // Warm up the lowest-index inactive replica: it must stream its full
+    // parameter set (one warm-up pass through its builder — real flows
+    // contending with the serving traffic) before it takes dispatches. A
+    // draining replica is not reactivated; it retires as planned.
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
         if (replicas_[i] != ReplicaState::Inactive)
             continue;
@@ -198,7 +185,7 @@ ClusterController::scaleUp()
         replicas_[i] = ReplicaState::Warming;
         ++stats_.scale_ups;
         if (ctx_.obs)
-            ctx_.obs->ctrlDecision("scale-up", node, now);
+            ctx_.obs->ctrlDecision("scale-up", node, ctx_.sim.now());
         StepShape shape;
         shape.compute_tokens = 1.0;
         const TaskId first = ctx_.graph.taskCount();

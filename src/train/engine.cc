@@ -84,18 +84,4 @@ makeEngine(const ModelSpec &model, const TrainConfig &train,
     return std::make_unique<Engine>(model, train, system);
 }
 
-SpeedupResult
-runWithSpeedup(const ModelSpec &model, const TrainConfig &train,
-               const SystemConfig &system)
-{
-    SpeedupResult out;
-    out.result = makeEngine(model, train, system)->runIteration();
-
-    SystemConfig base = system;
-    base.strategy = Strategy::Baseline;
-    out.baseline = makeEngine(model, train, base)->runIteration();
-    out.speedup = out.baseline.iteration_time / out.result.iteration_time;
-    return out;
-}
-
 } // namespace smartinf::train

@@ -90,19 +90,6 @@ std::unique_ptr<Engine> makeEngine(const ModelSpec &model,
                                    const TrainConfig &train,
                                    const SystemConfig &system);
 
-/**
- * Thin wrapper over makeEngine(): run one iteration of @p system and of a
- * baseline with the same model/devices/nodes, returning
- * (result, speedup-over-baseline).
- */
-struct SpeedupResult {
-    IterationResult result;
-    IterationResult baseline;
-    double speedup = 1.0;
-};
-SpeedupResult runWithSpeedup(const ModelSpec &model, const TrainConfig &train,
-                             const SystemConfig &system);
-
 } // namespace smartinf::train
 
 #endif // SMARTINF_TRAIN_ENGINE_H

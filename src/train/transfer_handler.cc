@@ -14,19 +14,18 @@
 namespace smartinf::train {
 
 TransferHandler::TransferHandler(csd::Csd &csd, const ShardLayout &layout,
-                                 const Config &config)
-    : csd_(csd), layout_(layout), config_(config)
+                                 std::size_t subgroup_elems)
+    : csd_(csd), layout_(layout), subgroup_elems_(subgroup_elems)
 {
     SI_REQUIRE(layout.elems > 0, "empty shard");
-    SI_REQUIRE(config.subgroup_elems > 0, "subgroup size must be positive");
+    SI_REQUIRE(subgroup_elems > 0, "subgroup size must be positive");
     SI_REQUIRE(csd.ssd().capacity() >= layout.totalBytes(),
                "CSD functional capacity too small for shard");
 
     // Pre-allocate the device buffers once (the paper's buffer
     // pre-allocation: no per-tasklet or per-step allocation, and a fixed
-    // device-memory footprint). Double buffering when optimized.
-    const std::size_t bytes = config.subgroup_elems * sizeof(float);
-    slots_.resize(config.optimized ? 2 : 1);
+    // device-memory footprint).
+    const std::size_t bytes = subgroup_elems * sizeof(float);
     for (std::size_t k = 0; k < slots_.size(); ++k) {
         Buffers &slot = slots_[k];
         const std::string tag = "slot" + std::to_string(k);
@@ -43,8 +42,7 @@ TransferHandler::TransferHandler(csd::Csd &csd, const ShardLayout &layout,
 std::size_t
 TransferHandler::subgroupCount() const
 {
-    return (layout_.elems + config_.subgroup_elems - 1) /
-           config_.subgroup_elems;
+    return (layout_.elems + subgroup_elems_ - 1) / subgroup_elems_;
 }
 
 void
@@ -78,7 +76,7 @@ TransferHandler::process(const compress::SparseGradient *sparse,
     SI_REQUIRE(optim::auxStateCount(updater->kind()) == aux,
                "updater state count does not match shard layout");
 
-    const std::size_t chunk = config_.subgroup_elems;
+    const std::size_t chunk = subgroup_elems_;
     const std::size_t groups = subgroupCount();
     const std::size_t slots = slots_.size();
 
@@ -133,20 +131,11 @@ TransferHandler::process(const compress::SparseGradient *sparse,
         }
     };
 
-    if (!config_.optimized) {
-        // Naive handler (Fig 5a): strictly sequential tasklets.
-        for (std::size_t s = 0; s < groups; ++s) {
-            load_subgroup(s, slots_[0]);
-            compute_subgroup(s, slots_[0]);
-        }
-        return;
-    }
-
-    // Optimized handler (Fig 5b): thread 1 loads subgroup s+1 while
-    // thread 0 computes/writes subgroup s, alternating over two slots.
-    // If either side throws, it sets `failed` and releases the semaphore
-    // the other side may be blocked on; that side stops at its next
-    // acquire, and the exception is rethrown here after the join.
+    // Fig 5(b): thread 1 loads subgroup s+1 while thread 0 computes and
+    // writes subgroup s, alternating over the two slots. If either side
+    // throws, it sets `failed` and releases the semaphore the other side
+    // may be blocked on; that side stops at its next acquire, and the
+    // exception is rethrown here after the join.
     std::counting_semaphore<2> free_slots(slots);
     std::counting_semaphore<2> ready_slots(0);
     std::atomic<bool> failed{false};

@@ -5,11 +5,13 @@
  * subgroups SSD -> FPGA -> SSD. The urgent FP32 master parameters are
  * written back (and surfaced to the host) first; momentum/variance
  * writeback is deferred so the loader thread can begin the next subgroup.
- * A naive mode reproduces Fig 5(a): one buffer set, strict serialization.
+ * Fig 5(a)'s naive single-buffer handler is modelled only in the
+ * performance layer (the SU strategy).
  */
 #ifndef SMARTINF_TRAIN_TRANSFER_HANDLER_H
 #define SMARTINF_TRAIN_TRANSFER_HANDLER_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -49,24 +51,18 @@ struct ShardLayout {
 class TransferHandler
 {
   public:
-    struct Config {
-        /** Elements per subgroup/tasklet (the paper's D). */
-        std::size_t subgroup_elems = 1 << 16;
-        /** false reproduces the naive single-buffer handler (Fig 5a). */
-        bool optimized = true;
-    };
-
     /**
-     * Allocates the FPGA buffer slots (two when optimized, one when naive)
-     * once, here; every runUpdate call reuses them (the paper's buffer
-     * pre-allocation). fatal() if they do not fit in device memory.
+     * Allocates the two FPGA buffer slots once, here; every runUpdate call
+     * reuses them (the paper's buffer pre-allocation). fatal() if they do
+     * not fit in device memory.
      * @param csd target device; must have an updater installed (and a
      *        decompressor when compressed gradients are used), and must
      *        outlive the handler
      * @param layout shard layout on the CSD's SSD
+     * @param subgroup_elems elements per subgroup/tasklet (the paper's D)
      */
     TransferHandler(csd::Csd &csd, const ShardLayout &layout,
-                    const Config &config);
+                    std::size_t subgroup_elems);
 
     /**
      * Run the update for the whole shard. Dense FP32 gradients must already
@@ -74,7 +70,7 @@ class TransferHandler
      * kernel or an SSD access, on either handler thread, stops both and is
      * rethrown here. Subgroups already written back stay written: after a
      * kernel fault, exactly those before the faulting one; after a loader
-     * fault in the optimized handler, which ones depends on timing.
+     * fault, which ones depends on timing.
      * @param step 1-based global step (bias correction)
      * @param host_params_out optional FP32 buffer of layout.elems receiving
      *        the updated master parameters (the "upstream" transfer)
@@ -114,8 +110,9 @@ class TransferHandler
 
     csd::Csd &csd_;
     ShardLayout layout_;
-    Config config_;
-    std::vector<Buffers> slots_;
+    std::size_t subgroup_elems_;
+    /** The double buffer: the loader fills one while the other computes. */
+    std::array<Buffers, 2> slots_;
 };
 
 } // namespace smartinf::train

@@ -1,9 +1,12 @@
 /** @file Tests for the SmartInfinityCluster functional backend. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "compress/topk.h"
@@ -38,6 +41,72 @@ TEST(Cluster, ShardsCoverAllParameters)
     EXPECT_EQ(total, 1000u);
 }
 
+TEST(Cluster, ShardBoundariesFollowTheCeilRule)
+{
+    // Where every shard can take ceil(n/c) elements, the boundaries are
+    // the ceil rule's: shard d starts at d * ceil(n/c).
+    const std::size_t n = 10007;
+    const auto params = randomVector(n, 1);
+    for (int csds = 1; csds <= 8; ++csds) {
+        ClusterConfig config;
+        config.num_csds = csds;
+        SmartInfinityCluster cluster(config);
+        cluster.initialize(params.data(), n);
+        const std::size_t per = (n + csds - 1) / csds;
+        for (int d = 0; d < csds; ++d) {
+            const std::size_t offset = std::min(d * per, n);
+            EXPECT_EQ(cluster.shardOffset(d), offset) << csds << "/" << d;
+            EXPECT_EQ(cluster.shardLength(d), std::min(per, n - offset))
+                << csds << "/" << d;
+        }
+    }
+}
+
+TEST(Cluster, UnevenShardCountsMatchHost)
+{
+    // The ceil rule alone would leave a later shard empty here (9 on 4 is
+    // 3, 3, 3, 0); each shard instead keeps at least one element.
+    struct Case {
+        std::size_t n;
+        int csds;
+    };
+    for (const Case c : {Case{9, 4}, Case{6, 4}, Case{4, 3}}) {
+        SCOPED_TRACE(::testing::Message() << c.n << " on " << c.csds);
+        const auto params = randomVector(c.n, 41);
+        ClusterConfig config;
+        config.num_csds = c.csds;
+        SmartInfinityCluster cluster(config);
+        cluster.initialize(params.data(), c.n);
+        nn::HostBackend host(optim::OptimizerKind::Adam, optim::Hyperparams{});
+        host.initialize(params.data(), c.n);
+        for (uint64_t t = 1; t <= 3; ++t) {
+            const auto grads = randomVector(c.n, 50 + t, 0.01);
+            cluster.step(grads.data(), c.n, t);
+            host.step(grads.data(), c.n, t);
+        }
+        for (std::size_t i = 0; i < c.n; ++i)
+            EXPECT_EQ(std::bit_cast<uint32_t>(cluster.masterParams()[i]),
+                      std::bit_cast<uint32_t>(host.masterParams()[i]))
+                << i;
+    }
+}
+
+TEST(Cluster, FewerParametersThanCsdsAreRefused)
+{
+    const auto params = randomVector(3, 42);
+    ClusterConfig config;
+    config.num_csds = 4;
+    SmartInfinityCluster cluster(config);
+    try {
+        cluster.initialize(params.data(), params.size());
+        ADD_FAILURE() << "3 parameters on 4 CSDs were accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("3 parameters"), std::string::npos) << what;
+        EXPECT_NE(what.find("4 CSDs"), std::string::npos) << what;
+    }
+}
+
 TEST(Cluster, SmartUpdateIsAlgorithmicallyIdenticalToHost)
 {
     // The paper SVII-J: "SmartUpdate is algorithmically identical to the
@@ -61,26 +130,6 @@ TEST(Cluster, SmartUpdateIsAlgorithmicallyIdenticalToHost)
     }
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(cluster.masterParams()[i], host.masterParams()[i]) << i;
-}
-
-TEST(Cluster, NaiveHandlerGivesSameResults)
-{
-    const std::size_t n = 2000;
-    const auto params = randomVector(n, 3);
-    const auto grads = randomVector(n, 4, 0.01);
-
-    ClusterConfig opt_cfg;
-    opt_cfg.num_csds = 2;
-    ClusterConfig naive_cfg = opt_cfg;
-    naive_cfg.optimized_handler = false;
-
-    SmartInfinityCluster a(opt_cfg), b(naive_cfg);
-    a.initialize(params.data(), n);
-    b.initialize(params.data(), n);
-    a.step(grads.data(), n, 1);
-    b.step(grads.data(), n, 1);
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(a.masterParams()[i], b.masterParams()[i]);
 }
 
 TEST(Cluster, CompressionReducesWireBytes)
@@ -145,51 +194,47 @@ TEST(Cluster, CompressedStepMatchesPerShardHostReference)
     const std::size_t n = 10007; // divisible by none of the CSD counts
     const double keep = 0.05;
     for (int csds : {1, 3, 4, 7}) {
-        for (bool optimized : {true, false}) {
-            for (auto kind : {optim::OptimizerKind::Adam,
-                              optim::OptimizerKind::SgdMomentum}) {
-                SCOPED_TRACE(::testing::Message()
-                             << "csds=" << csds << " optimized=" << optimized
-                             << " " << optim::optimizerName(kind));
-                ClusterConfig config;
-                config.num_csds = csds;
-                config.optimizer = kind;
-                config.optimized_handler = optimized;
-                config.compression = true;
-                config.keep_fraction = keep;
-                config.subgroup_elems = 500;
-                SmartInfinityCluster cluster(config);
+        for (auto kind : {optim::OptimizerKind::Adam,
+                          optim::OptimizerKind::SgdMomentum}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "csds=" << csds << " "
+                         << optim::optimizerName(kind));
+            ClusterConfig config;
+            config.num_csds = csds;
+            config.optimizer = kind;
+            config.compression = true;
+            config.keep_fraction = keep;
+            config.subgroup_elems = 500;
+            SmartInfinityCluster cluster(config);
 
-                for (uint64_t init_seed : {20, 21}) {
-                    const auto params = randomVector(n, init_seed);
-                    cluster.initialize(params.data(), n);
-                    nn::HostBackend host(kind, optim::Hyperparams{});
-                    host.initialize(params.data(), n);
+            for (uint64_t init_seed : {20, 21}) {
+                const auto params = randomVector(n, init_seed);
+                cluster.initialize(params.data(), n);
+                nn::HostBackend host(kind, optim::Hyperparams{});
+                host.initialize(params.data(), n);
 
-                    for (uint64_t t = 1; t <= 3; ++t) {
-                        const auto grads = randomVector(n, 30 + t, 0.01);
-                        std::vector<float> dense(n);
-                        double wire = 0.0;
-                        for (int d = 0; d < csds; ++d) {
-                            const std::size_t off = cluster.shardOffset(d);
-                            const std::size_t len = cluster.shardLength(d);
-                            const auto sparse =
-                                compress::TopKCompressor(keep).compress(
-                                    grads.data() + off, len);
-                            compress::TopKCompressor::decompress(
-                                sparse, dense.data() + off, len);
-                            wire += static_cast<double>(sparse.wireBytes());
-                        }
-                        cluster.step(grads.data(), n, t);
-                        host.step(dense.data(), n, t);
-                        ASSERT_EQ(cluster.lastGradWireBytes(), wire);
-                        for (std::size_t i = 0; i < n; ++i)
-                            ASSERT_EQ(
-                                std::bit_cast<uint32_t>(
-                                    cluster.masterParams()[i]),
-                                std::bit_cast<uint32_t>(host.masterParams()[i]))
-                                << "step " << t << " param " << i;
+                for (uint64_t t = 1; t <= 3; ++t) {
+                    const auto grads = randomVector(n, 30 + t, 0.01);
+                    std::vector<float> dense(n);
+                    double wire = 0.0;
+                    for (int d = 0; d < csds; ++d) {
+                        const std::size_t off = cluster.shardOffset(d);
+                        const std::size_t len = cluster.shardLength(d);
+                        const auto sparse =
+                            compress::TopKCompressor(keep).compress(
+                                grads.data() + off, len);
+                        compress::TopKCompressor::decompress(
+                            sparse, dense.data() + off, len);
+                        wire += static_cast<double>(sparse.wireBytes());
                     }
+                    cluster.step(grads.data(), n, t);
+                    host.step(dense.data(), n, t);
+                    ASSERT_EQ(cluster.lastGradWireBytes(), wire);
+                    for (std::size_t i = 0; i < n; ++i)
+                        ASSERT_EQ(
+                            std::bit_cast<uint32_t>(cluster.masterParams()[i]),
+                            std::bit_cast<uint32_t>(host.masterParams()[i]))
+                            << "step " << t << " param " << i;
                 }
             }
         }
@@ -210,17 +255,6 @@ TEST(Cluster, InstallsDecompressorOnlyWhenCompressing)
     SmartInfinityCluster b(comp);
     b.initialize(params.data(), params.size());
     EXPECT_NE(b.csd(0).decompressor(), nullptr);
-}
-
-TEST(Cluster, SanityChecksPass)
-{
-    const auto params = randomVector(500, 10);
-    ClusterConfig config;
-    config.num_csds = 2;
-    config.compression = true;
-    SmartInfinityCluster cluster(config);
-    cluster.initialize(params.data(), params.size());
-    EXPECT_TRUE(cluster.sanityCheckModules());
 }
 
 TEST(Cluster, OtherOptimizersSupported)
@@ -299,7 +333,6 @@ class FaultyUpdater final : public accel::UpdaterModule
     {
         return optim::OptimizerKind::Adam;
     }
-    const optim::Hyperparams &hyperparams() const override { return hp_; }
     void
     processSubgroup(float *, const float *, float *const *, std::size_t,
                     uint64_t) const override
@@ -308,34 +341,27 @@ class FaultyUpdater final : public accel::UpdaterModule
     }
     accel::ModuleFootprint footprint() const override { return {}; }
     BytesPerSec modelThroughput() const override { return 0.0; }
-
-  private:
-    optim::Hyperparams hp_;
 };
 
 TEST(Cluster, WorkerKernelExceptionIsRethrownOnTheCaller)
 {
-    // A kernel fault on a worker's shard reaches step()'s caller in both
-    // handler modes; the workers stay parked, so later steps run and the
-    // cluster destructs cleanly.
+    // A kernel fault on a worker's shard reaches step()'s caller; the
+    // workers stay parked, so later steps run and the cluster destructs
+    // cleanly.
     const std::size_t n = 3000;
     const auto params = randomVector(n, 21);
     const auto grads = randomVector(n, 22, 0.01);
-    for (bool optimized : {true, false}) {
-        SCOPED_TRACE(::testing::Message() << "optimized=" << optimized);
-        ClusterConfig config;
-        config.num_csds = 3;
-        config.optimized_handler = optimized;
-        config.subgroup_elems = 256;
-        SmartInfinityCluster cluster(config);
-        cluster.initialize(params.data(), n);
-        cluster.csd(2).installUpdater(std::make_unique<FaultyUpdater>());
-        EXPECT_THROW(cluster.step(grads.data(), n, 1), std::runtime_error);
-        EXPECT_THROW(cluster.step(grads.data(), n, 2), std::runtime_error);
-        cluster.csd(2).installUpdater(
-            accel::makeUpdater(config.optimizer, config.hyperparams));
-        cluster.step(grads.data(), n, 3);
-    }
+    ClusterConfig config;
+    config.num_csds = 3;
+    config.subgroup_elems = 256;
+    SmartInfinityCluster cluster(config);
+    cluster.initialize(params.data(), n);
+    cluster.csd(2).installUpdater(std::make_unique<FaultyUpdater>());
+    EXPECT_THROW(cluster.step(grads.data(), n, 1), std::runtime_error);
+    EXPECT_THROW(cluster.step(grads.data(), n, 2), std::runtime_error);
+    cluster.csd(2).installUpdater(
+        accel::makeUpdater(config.optimizer, config.hyperparams));
+    cluster.step(grads.data(), n, 3);
 }
 
 TEST(Cluster, StepZeroIsRejectedBeforeAnyParameterMoves)
@@ -363,6 +389,55 @@ TEST(Cluster, StepZeroIsRejectedBeforeAnyParameterMoves)
     cluster.initialize(params.data(), n);
     EXPECT_THROW(cluster.step(grads.data(), n, 0), std::runtime_error);
     expectUntouched(cluster.masterParams());
+}
+
+TEST(Cluster, HyperparamsThatDestroyEveryParameterAreRefused)
+{
+    // Each of these would turn every parameter non-finite on the first
+    // step. Both backends refuse them up front, naming the field.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    struct Case {
+        const char *field;
+        optim::OptimizerKind kind;
+        float optim::Hyperparams::*member;
+        float value;
+    };
+    using K = optim::OptimizerKind;
+    using H = optim::Hyperparams;
+    const Case cases[] = {
+        {"lr", K::Adam, &H::lr, nan},
+        {"lr", K::Adam, &H::lr, inf},
+        {"beta1", K::Adam, &H::beta1, nan},
+        {"beta1", K::Adam, &H::beta1, 1.0f},
+        {"beta2", K::Adam, &H::beta2, 1.0f},
+        {"weight_decay", K::AdamW, &H::weight_decay, nan},
+        {"momentum", K::SgdMomentum, &H::momentum, nan},
+        {"epsilon", K::Adam, &H::epsilon, 0.0f},
+        {"epsilon", K::AdaGrad, &H::epsilon, 0.0f},
+    };
+    auto expectRefused = [](const auto &construct, const std::string &name) {
+        try {
+            construct();
+            ADD_FAILURE() << "accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message() << optim::optimizerName(c.kind)
+                                          << " " << c.field << " = "
+                                          << c.value);
+        optim::Hyperparams hp;
+        hp.*c.member = c.value;
+        const std::string name = std::string("hyperparams.") + c.field;
+        expectRefused([&] { nn::HostBackend host(c.kind, hp); }, name);
+        ClusterConfig config;
+        config.optimizer = c.kind;
+        config.hyperparams = hp;
+        expectRefused([&] { SmartInfinityCluster cluster(config); }, name);
+    }
 }
 
 TEST(Cluster, UsageErrorsAreFatal)

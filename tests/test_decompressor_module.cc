@@ -2,25 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "accel/decompressor.h"
-#include "accel/hls_module.h"
+#include "accel/updater.h"
 #include "common/random.h"
 #include "compress/topk.h"
+#include "csd/smartssd.h"
 
 namespace smartinf::accel {
 namespace {
-
-TEST(Decompressor, MatchesReferenceScatter)
-{
-    auto module = makeTopKDecompressor();
-    const auto report = sanityCheckDecompressor(*module, 0.01, 1 << 14, 9);
-    EXPECT_TRUE(report.passed) << report.detail;
-    EXPECT_EQ(report.max_abs_diff, 0.0);
-}
 
 TEST(Decompressor, IgnoresIndicesOutsideSubgroup)
 {
@@ -66,30 +57,6 @@ TEST(Decompressor, PartitionsReassembleTheDenseVector)
     EXPECT_EQ(tiled, reference);
 }
 
-/** A user kernel that writes quiet-NaN over the whole subgroup. */
-class NanDecompressor final : public DecompressorModule
-{
-  public:
-    void
-    decompressSubgroup(const compress::SparseGradient & /*sparse*/,
-                       std::size_t /*subgroup_base*/, float *out,
-                       std::size_t n) const override
-    {
-        std::fill(out, out + n, std::numeric_limits<float>::quiet_NaN());
-    }
-    ModuleFootprint footprint() const override { return {}; }
-    BytesPerSec modelThroughput() const override { return 0.0; }
-};
-
-TEST(Decompressor, SanityCheckerFailsNanOutput)
-{
-    const NanDecompressor module;
-    const auto report = sanityCheckDecompressor(module, 0.01, 4096, 9);
-    EXPECT_FALSE(report.passed) << report.detail;
-    EXPECT_EQ(report.mismatches, 4096u);
-    EXPECT_TRUE(std::isnan(report.max_abs_diff));
-}
-
 TEST(Decompressor, FootprintAndThroughputArePinned)
 {
     // Table III and Fig 14 calibration constants.
@@ -115,12 +82,13 @@ TEST(Decompressor, FootprintIsTinyRouting)
 
 TEST(Decompressor, ThroughputClearsSsdRead)
 {
-    auto module = makeTopKDecompressor();
-    const auto perf = analyzeDecompressor(*module);
-    // Fig 14: decompressor slightly surpasses SSD read throughput.
-    EXPECT_TRUE(perf.keeps_up_with_ssd);
-    EXPECT_GT(perf.modeled_throughput, 3.2e9);
-    EXPECT_LT(perf.modeled_throughput, 7e9); // But below the updater.
+    // Fig 14: the decompressor slightly surpasses SSD read throughput,
+    // but stays below the Adam updater's.
+    const auto module = makeTopKDecompressor();
+    const auto adam = makeUpdater(optim::OptimizerKind::Adam,
+                                  optim::Hyperparams{});
+    EXPECT_GE(module->modelThroughput(), csd::smartssd::kSsdRead);
+    EXPECT_LT(module->modelThroughput(), adam->modelThroughput());
 }
 
 } // namespace

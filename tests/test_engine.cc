@@ -246,20 +246,6 @@ TEST(Engine, CongestedTopologyReducesButKeepsSpeedup)
     EXPECT_LT(base / smart, 2.2);
 }
 
-TEST(Engine, RunWithSpeedupHelper)
-{
-    TrainConfig tc;
-    SystemConfig sc;
-    sc.strategy = Strategy::SmartUpdateOptComp;
-    sc.num_devices = 10;
-    const auto result = runWithSpeedup(ModelSpec::gpt2(4.0), tc, sc);
-    EXPECT_GT(result.speedup, 1.5);
-    EXPECT_NEAR(result.speedup,
-                result.baseline.iteration_time /
-                    result.result.iteration_time,
-                1e-9);
-}
-
 TEST(Engine, InvalidConfigsAreFatal)
 {
     TrainConfig tc;

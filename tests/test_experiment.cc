@@ -92,17 +92,6 @@ TEST(ExperimentBuilder, BaseConfigFieldsSurviveTheSweep)
     }
 }
 
-TEST(ExperimentBuilder, DeviceRangeIsInclusive)
-{
-    const auto specs = ExperimentBuilder()
-                           .model(ModelSpec::gpt2(1.0))
-                           .deviceRange(3, 6)
-                           .build();
-    ASSERT_EQ(specs.size(), 4u);
-    EXPECT_EQ(specs.front().system.num_devices, 3);
-    EXPECT_EQ(specs.back().system.num_devices, 6);
-}
-
 TEST(ExperimentBuilder, NeedsAtLeastOneModel)
 {
     EXPECT_THROW(ExperimentBuilder().devices({2}).build(),
@@ -242,23 +231,38 @@ TEST(ExperimentBuilder, FaultAxesSweepTheFaultConfig)
     const auto specs = ExperimentBuilder()
                            .model(ModelSpec::gpt2(0.5))
                            .faults(base)
-                           .mtbfs({120.0, 300.0})
+                           .devices({2, 4})
                            .checkpointIntervals({1, 2, 4})
                            .build();
     ASSERT_EQ(specs.size(), 6u);
-    // mtbfs outer, checkpointIntervals inner; the base survives.
-    EXPECT_DOUBLE_EQ(specs[0].fault.node_mtbf, 120.0);
+    // devices outer, checkpointIntervals inner; the base survives.
+    EXPECT_EQ(specs[0].system.num_devices, 2);
     EXPECT_EQ(specs[0].fault.checkpoint_interval, 1);
     EXPECT_EQ(specs[2].fault.checkpoint_interval, 4);
-    EXPECT_DOUBLE_EQ(specs[3].fault.node_mtbf, 300.0);
-    for (const auto &spec : specs)
+    EXPECT_EQ(specs[3].system.num_devices, 4);
+    for (const auto &spec : specs) {
         EXPECT_TRUE(spec.fault.enabled);
+        EXPECT_DOUBLE_EQ(spec.fault.node_mtbf, 300.0);
+    }
 
     // Every combination lands on its own cache entry.
     std::set<std::uint64_t> hashes;
     for (const auto &spec : specs)
         hashes.insert(spec.hash());
     EXPECT_EQ(hashes.size(), specs.size());
+
+    // retryPolicies writes fault.retry_limit of a serving sweep.
+    const auto serving = ExperimentBuilder()
+                             .model(ModelSpec::gpt2(0.5))
+                             .serving(serve::ServeConfig{})
+                             .faults(base)
+                             .retryPolicies({1, 3})
+                             .build();
+    ASSERT_EQ(serving.size(), 2u);
+    EXPECT_EQ(serving[0].fault.retry_limit, 1);
+    EXPECT_EQ(serving[1].fault.retry_limit, 3);
+    EXPECT_DOUBLE_EQ(serving[1].fault.node_mtbf, 300.0);
+    EXPECT_NE(serving[0].hash(), serving[1].hash());
 }
 
 TEST(ExperimentBuilder, FaultAxesNeedTheirModeEnabled)
@@ -267,7 +271,7 @@ TEST(ExperimentBuilder, FaultAxesNeedTheirModeEnabled)
     // duplicates (the hash normalizes everything out while disabled).
     auto no_base = ExperimentBuilder()
                        .model(ModelSpec::gpt2(0.5))
-                       .mtbfs({120.0, 300.0});
+                       .checkpointIntervals({1, 2});
     EXPECT_THROW(no_base.build(), std::runtime_error);
 
     fault::FaultConfig enabled;
@@ -294,12 +298,13 @@ TEST(ExperimentBuilder, FaultAxesNeedTheirModeEnabled)
                              .retryPolicies({1, 3});
     EXPECT_THROW(retry_unarmed.build(), std::runtime_error);
 
-    // The mtbfs() axis itself arms the crash process for retryPolicies.
+    // A base with node_mtbf set arms the crash process for retryPolicies.
+    fault::FaultConfig armed = enabled;
+    armed.node_mtbf = 120.0;
     EXPECT_EQ(ExperimentBuilder()
                   .model(ModelSpec::gpt2(0.5))
                   .serving(serve::ServeConfig{})
-                  .faults(enabled)
-                  .mtbfs({120.0})
+                  .faults(armed)
                   .retryPolicies({1, 3})
                   .build()
                   .size(),
@@ -322,13 +327,6 @@ TEST(ExperimentBuilder, InertAxesAreRefused)
         ExperimentBuilder builder;
     };
     const std::vector<Case> cases = {
-        // The stored-weight ratio only shapes SU+O+C serving.
-        {"weightWireFractions",
-         ExperimentBuilder()
-             .model(gpt2)
-             .serving(serve::ServeConfig{})
-             .strategy(Strategy::SmartUpdateOpt)
-             .weightWireFractions({0.25, 0.5})},
         // The gradient ratio only shapes SU+O+C training.
         {"compressionFractions",
          ExperimentBuilder()
@@ -373,15 +371,16 @@ TEST(ExperimentBuilder, InertAxesAreRefused)
  *  of its values matter (partly inert axes alias only where they must). */
 TEST(ExperimentBuilder, AxesTheHashConsumesExpand)
 {
-    // The p99 target is consumed by armed admission control.
+    // The admission mode is consumed once the control plane is on.
     serve::ServeConfig attainment;
     attainment.ctrl.enabled = true;
     attainment.ctrl.autoscale.enabled = true;
-    attainment.ctrl.slo.admission = ctrl::AdmissionMode::Reject;
+    attainment.ctrl.slo.target_p99_s = 0.5;
     const auto slo = ExperimentBuilder()
                          .model(ModelSpec::gpt2(0.5))
                          .serving(attainment)
-                         .sloTargets({0.5, 1.0})
+                         .admissionModes({ctrl::AdmissionMode::Reject,
+                                          ctrl::AdmissionMode::Defer})
                          .build();
     ASSERT_EQ(slo.size(), 2u);
     EXPECT_NE(slo[0].hash(), slo[1].hash());

@@ -168,18 +168,19 @@ TEST(SweepRunner, AliasedSpecsAreBitIdenticalUncached)
             .devices({2})
             .compressionFractions({0.02, 0.10})
             .build();
-    // Serving: the stored-weight ratio only shapes SU+O+C, so the two
-    // SU+O rows alias.
-    const auto serving =
-        ExperimentBuilder()
-            .model(ModelSpec::gpt2(0.34))
-            .serving(serve::ServeConfig{})
-            .strategies(
-                {Strategy::SmartUpdateOpt, Strategy::SmartUpdateOptComp})
-            .devices({2})
-            .weightWireFractions({0.25, 0.5})
-            .build();
-    specs.insert(specs.end(), serving.begin(), serving.end());
+    // Serving: the stored-weight ratio only shapes SU+O+C, so two SU+O
+    // specs whose base configs differ only in it alias.
+    for (double fraction : {0.25, 0.5}) {
+        serve::ServeConfig config;
+        config.weight_wire_fraction = fraction;
+        const auto serving = ExperimentBuilder()
+                                 .model(ModelSpec::gpt2(0.34))
+                                 .serving(config)
+                                 .strategy(Strategy::SmartUpdateOpt)
+                                 .devices({2})
+                                 .build();
+        specs.insert(specs.end(), serving.begin(), serving.end());
+    }
 
     SweepRunner runner(SweepRunner::Options{.jobs = 4, .cache = false});
     const auto records = runner.run(specs);

@@ -61,44 +61,16 @@ hostReference(const std::vector<float> &params, const std::vector<float> &grads,
 TEST(TransferHandler, OptimizedMatchesHostReference)
 {
     Fixture fx(10000);
-    TransferHandler::Config config;
-    config.subgroup_elems = 1024;
-    config.optimized = true;
-    TransferHandler handler(fx.device, fx.layout, config);
+    TransferHandler handler(fx.device, fx.layout, 1024);
     std::vector<float> upstream(10000, 0.0f);
     handler.runUpdate(1, upstream.data());
     EXPECT_EQ(upstream, hostReference(fx.init_params, fx.grads));
-}
-
-TEST(TransferHandler, NaiveMatchesHostReference)
-{
-    Fixture fx(10000);
-    TransferHandler::Config config;
-    config.subgroup_elems = 1024;
-    config.optimized = false;
-    TransferHandler handler(fx.device, fx.layout, config);
-    std::vector<float> upstream(10000, 0.0f);
-    handler.runUpdate(1, upstream.data());
-    EXPECT_EQ(upstream, hostReference(fx.init_params, fx.grads));
-}
-
-TEST(TransferHandler, NaiveAndOptimizedBitIdentical)
-{
-    Fixture fx1(7777, 11), fx2(7777, 11);
-    TransferHandler::Config naive{512, false};
-    TransferHandler::Config opt{512, true};
-    TransferHandler h1(fx1.device, fx1.layout, naive);
-    TransferHandler h2(fx2.device, fx2.layout, opt);
-    std::vector<float> u1(7777), u2(7777);
-    h1.runUpdate(1, u1.data());
-    h2.runUpdate(1, u2.data());
-    EXPECT_EQ(u1, u2);
 }
 
 TEST(TransferHandler, WritesStatesBackToSsd)
 {
     Fixture fx(512);
-    TransferHandler handler(fx.device, fx.layout, {128, true});
+    TransferHandler handler(fx.device, fx.layout, 128);
     handler.runUpdate(1, nullptr);
     // Momentum after one Adam step = (1-beta1) * grad.
     std::vector<float> mmt(512);
@@ -110,7 +82,7 @@ TEST(TransferHandler, WritesStatesBackToSsd)
 TEST(TransferHandler, MultipleStepsAccumulateState)
 {
     Fixture fx(2048);
-    TransferHandler handler(fx.device, fx.layout, {256, true});
+    TransferHandler handler(fx.device, fx.layout, 256);
     std::vector<float> upstream(2048);
     // Same gradients twice (they stay on the SSD between runs).
     handler.runUpdate(1, upstream.data());
@@ -121,7 +93,7 @@ TEST(TransferHandler, MultipleStepsAccumulateState)
 TEST(TransferHandler, SubgroupCountCeil)
 {
     Fixture fx(1000);
-    TransferHandler handler(fx.device, fx.layout, {300, true});
+    TransferHandler handler(fx.device, fx.layout, 300);
     EXPECT_EQ(handler.subgroupCount(), 4u); // ceil(1000/300).
 }
 
@@ -129,7 +101,7 @@ TEST(TransferHandler, DeviceMemoryBoundedByPreallocation)
 {
     Fixture fx(100000);
     const std::size_t chunk = 4096;
-    TransferHandler handler(fx.device, fx.layout, {chunk, true});
+    TransferHandler handler(fx.device, fx.layout, chunk);
     handler.runUpdate(1, nullptr);
     // Double-buffered: 2 slots x 4 variables x chunk floats.
     EXPECT_LE(handler.peakDeviceMemory(), 2 * 4 * chunk * sizeof(float));
@@ -140,20 +112,18 @@ TEST(TransferHandler, BuffersAllocatedOnceAndReused)
 {
     // The paper's pre-allocation: the slots exist from construction and
     // every update reuses them, so device memory never moves.
-    for (bool optimized : {true, false}) {
-        Fixture fx(100000);
-        const std::size_t chunk = 4096;
-        const std::size_t slots = optimized ? 2 : 1;
-        // grad + master + 2 Adam states per slot.
-        const std::size_t footprint = slots * 4 * chunk * sizeof(float);
-        TransferHandler handler(fx.device, fx.layout, {chunk, optimized});
+    Fixture fx(100000);
+    const std::size_t chunk = 4096;
+    const std::size_t slots = 2;
+    // grad + master + 2 Adam states per slot.
+    const std::size_t footprint = slots * 4 * chunk * sizeof(float);
+    TransferHandler handler(fx.device, fx.layout, chunk);
+    EXPECT_EQ(fx.device.fpgaMemory().allocated(), footprint);
+    for (uint64_t t = 1; t <= 3; ++t) {
+        handler.runUpdate(t, nullptr);
         EXPECT_EQ(fx.device.fpgaMemory().allocated(), footprint);
-        for (uint64_t t = 1; t <= 3; ++t) {
-            handler.runUpdate(t, nullptr);
-            EXPECT_EQ(fx.device.fpgaMemory().allocated(), footprint);
-        }
-        EXPECT_EQ(handler.peakDeviceMemory(), footprint);
     }
+    EXPECT_EQ(handler.peakDeviceMemory(), footprint);
 }
 
 TEST(TransferHandler, CompressedPathMatchesReferenceDecompression)
@@ -167,7 +137,7 @@ TEST(TransferHandler, CompressedPathMatchesReferenceDecompression)
     std::vector<float> dense(n);
     compress::TopKCompressor::decompress(sparse, dense.data(), n);
 
-    TransferHandler handler(fx.device, fx.layout, {1024, true});
+    TransferHandler handler(fx.device, fx.layout, 1024);
     std::vector<float> upstream(n);
     handler.runUpdateCompressed(sparse, 1, upstream.data());
     EXPECT_EQ(upstream, hostReference(fx.init_params, dense));
@@ -176,7 +146,7 @@ TEST(TransferHandler, CompressedPathMatchesReferenceDecompression)
 TEST(TransferHandler, CompressedWithoutDecompressorIsFatal)
 {
     Fixture fx(256);
-    TransferHandler handler(fx.device, fx.layout, {64, true});
+    TransferHandler handler(fx.device, fx.layout, 64);
     compress::SparseGradient sparse;
     sparse.dense_size = 256;
     EXPECT_THROW(handler.runUpdateCompressed(sparse, 1, nullptr),
@@ -190,7 +160,7 @@ TEST(TransferHandler, UnsortedSparseGradientIsRefused)
     // repeated index list is refused before any subgroup runs.
     Fixture fx(256);
     fx.device.installDecompressor(accel::makeTopKDecompressor());
-    TransferHandler handler(fx.device, fx.layout, {64, true});
+    TransferHandler handler(fx.device, fx.layout, 64);
     for (const std::vector<uint32_t> &indices :
          {std::vector<uint32_t>{10, 200, 70},
           std::vector<uint32_t>{10, 70, 70}}) {
@@ -216,7 +186,7 @@ TEST(TransferHandler, MismatchedUpdaterStateCountIsFatal)
     csd::Csd device("csd0", layout.totalBytes());
     device.installUpdater(accel::makeUpdater(
         optim::OptimizerKind::SgdMomentum, optim::Hyperparams{}));
-    TransferHandler handler(device, layout, {64, true});
+    TransferHandler handler(device, layout, 64);
     EXPECT_THROW(handler.runUpdate(1, nullptr), std::runtime_error);
 }
 
@@ -231,11 +201,6 @@ class ThrowingUpdater final : public accel::UpdaterModule
     }
 
     optim::OptimizerKind kind() const override { return reference_.kind(); }
-    const optim::Hyperparams &
-    hyperparams() const override
-    {
-        return reference_.hyperparams();
-    }
 
     void
     processSubgroup(float *master, const float *grad, float *const *states,
@@ -257,71 +222,63 @@ class ThrowingUpdater final : public accel::UpdaterModule
 
 TEST(TransferHandler, KernelExceptionReachesTheCaller)
 {
-    // A throwing kernel must surface as an exception on the caller, in
-    // both modes. Unwinding past a joinable std::thread terminates the
-    // process, so the optimized handler must stop and join its loader
-    // first. Subgroups are written back in order, so exactly the ones
-    // before the fault are updated.
+    // A throwing kernel must surface as an exception on the caller.
+    // Unwinding past a joinable std::thread terminates the process, so the
+    // handler must stop and join its loader first. Subgroups are written
+    // back in order, so exactly the ones before the fault are updated.
     const std::size_t n = 512, chunk = 64;
-    for (bool optimized : {true, false}) {
-        for (std::size_t fail_at : {0, 1, 4, 7}) {
-            SCOPED_TRACE(::testing::Message() << "optimized=" << optimized
-                                              << " fail_at=" << fail_at);
-            Fixture fx(n);
-            fx.device.installUpdater(
-                std::make_unique<ThrowingUpdater>(fail_at));
-            TransferHandler handler(fx.device, fx.layout, {chunk, optimized});
-            EXPECT_THROW(handler.runUpdate(1, nullptr), std::runtime_error);
+    for (std::size_t fail_at : {0, 1, 4, 7}) {
+        SCOPED_TRACE(::testing::Message() << "fail_at=" << fail_at);
+        Fixture fx(n);
+        fx.device.installUpdater(std::make_unique<ThrowingUpdater>(fail_at));
+        TransferHandler handler(fx.device, fx.layout, chunk);
+        EXPECT_THROW(handler.runUpdate(1, nullptr), std::runtime_error);
 
-            std::vector<float> master(n);
-            fx.device.ssd().readFloats(master.data(), n,
-                                       fx.layout.masterOffset());
-            const auto want = hostReference(fx.init_params, fx.grads);
-            const std::size_t done = fail_at * chunk;
-            for (std::size_t i = 0; i < n; ++i)
-                ASSERT_EQ(master[i], i < done ? want[i] : fx.init_params[i])
-                    << i;
+        std::vector<float> master(n);
+        fx.device.ssd().readFloats(master.data(), n,
+                                   fx.layout.masterOffset());
+        const auto want = hostReference(fx.init_params, fx.grads);
+        const std::size_t done = fail_at * chunk;
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(master[i], i < done ? want[i] : fx.init_params[i])
+                << i;
 
-            // The handler stays usable with a healthy kernel.
-            fx.device.installUpdater(accel::makeUpdater(
-                optim::OptimizerKind::Adam, optim::Hyperparams{}));
-            handler.runUpdate(2, nullptr);
-            EXPECT_EQ(fx.device.fpgaMemory().allocated(),
-                      (optimized ? 2 : 1) * 4 * chunk * sizeof(float));
-        }
+        // The handler stays usable with a healthy kernel.
+        fx.device.installUpdater(accel::makeUpdater(
+            optim::OptimizerKind::Adam, optim::Hyperparams{}));
+        handler.runUpdate(2, nullptr);
+        EXPECT_EQ(fx.device.fpgaMemory().allocated(),
+                  2 * 4 * chunk * sizeof(float));
     }
 }
 
 TEST(TransferHandler, LoaderExceptionReachesTheCaller)
 {
     // An SSD read that fails on the loader side must also reach the
-    // caller, in both modes. The layout claims 2^62 + 512 elements: its
+    // caller. The layout claims 2^62 + 512 elements: its
     // offsets wrap modulo 2^64 to those of the fixture's 512-element shard,
     // so the capacity check passes and subgroups 0-7 load real data, but
     // the dense-gradient read of subgroup 8 runs past the end of the SSD.
-    // Which subgroups the optimized handler wrote back before it stopped
-    // depends on timing, so only the exception and reuse are checked.
+    // Which subgroups the handler wrote back before it stopped depends on
+    // timing, so only the exception and reuse are checked.
     const std::size_t n = 512, chunk = 64;
     const ShardLayout wrapped{(std::size_t{1} << 62) + n, 2};
-    for (bool optimized : {true, false}) {
-        SCOPED_TRACE(::testing::Message() << "optimized=" << optimized);
-        Fixture fx(n);
-        ASSERT_EQ(wrapped.gradOffset(), fx.layout.gradOffset());
-        ASSERT_EQ(wrapped.totalBytes(), fx.layout.totalBytes());
-        TransferHandler handler(fx.device, wrapped, {chunk, optimized});
-        const std::size_t allocated = fx.device.fpgaMemory().allocated();
-        for (uint64_t step : {1, 2}) {
-            try {
-                handler.runUpdate(step, nullptr);
-                ADD_FAILURE() << "step " << step << " did not throw";
-            } catch (const std::runtime_error &e) {
-                EXPECT_NE(std::string(e.what()).find("exceeds capacity"),
-                          std::string::npos)
-                    << e.what();
-            }
+    Fixture fx(n);
+    ASSERT_EQ(wrapped.gradOffset(), fx.layout.gradOffset());
+    ASSERT_EQ(wrapped.totalBytes(), fx.layout.totalBytes());
+    TransferHandler handler(fx.device, wrapped, chunk);
+    const std::size_t allocated = fx.device.fpgaMemory().allocated();
+    for (uint64_t step : {1, 2}) {
+        try {
+            handler.runUpdate(step, nullptr);
+            ADD_FAILURE() << "step " << step << " did not throw";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("exceeds capacity"),
+                      std::string::npos)
+                << e.what();
         }
-        EXPECT_EQ(fx.device.fpgaMemory().allocated(), allocated);
     }
+    EXPECT_EQ(fx.device.fpgaMemory().allocated(), allocated);
 }
 
 /** Property: results are invariant to subgroup size (tasklet boundary). */
@@ -332,7 +289,7 @@ class HandlerChunking : public ::testing::TestWithParam<std::size_t>
 TEST_P(HandlerChunking, SubgroupSizeInvariant)
 {
     Fixture fx(5000, 99);
-    TransferHandler handler(fx.device, fx.layout, {GetParam(), true});
+    TransferHandler handler(fx.device, fx.layout, GetParam());
     std::vector<float> upstream(5000);
     handler.runUpdate(1, upstream.data());
     EXPECT_EQ(upstream, hostReference(fx.init_params, fx.grads));
