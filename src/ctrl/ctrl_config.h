@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/field_walk.h"
 #include "common/units.h"
 
 namespace smartinf::ctrl {
@@ -87,7 +88,6 @@ struct SloConfig {
     int max_defers = 4;
 
     bool enabled() const { return admission != AdmissionMode::Off; }
-    std::vector<std::string> validate() const;
 };
 
 /**
@@ -114,17 +114,12 @@ struct AutoscaleConfig {
     Seconds cooldown_s = 10.0; ///< minimum time between scaling decisions
     double scale_up_depth = 4.0;   ///< mean queued+running per active replica
     double scale_down_depth = 1.0; ///< idle threshold for draining a replica
-
-    std::vector<std::string> validate() const;
 };
 
 /**
  * The control-plane configuration carried by serve::ServeConfig. Every
- * field affects simulated results when the master switch is on and
- * therefore joins the RunSpec hash (src/exp/run_spec.cc) with semantic
- * normalization: nothing is hashed while disabled, SLO knobs only while
- * admission is armed (defer knobs only under Defer), and autoscale knobs
- * only while autoscaling is on.
+ * field affects simulated results when the master switch is on;
+ * walkFields() below says when.
  */
 struct CtrlConfig {
     /** Master switch. Off ⇒ byte-inert: dispatch is `id % replicas`. */
@@ -143,8 +138,73 @@ struct CtrlConfig {
         return enabled && policy != DispatchPolicy::RoundRobin;
     }
 
+    /** Actionable error list; empty means usable. */
     std::vector<std::string> validate() const;
 };
+
+/**
+ * The CtrlConfig walk (common/field_walk.h), in RunSpec hash order.
+ * Nothing matters while disabled; the SLO target only under an armed
+ * admission mode, the defer shape only under Defer, and the autoscale
+ * shape only while autoscaling. The feature switches are not inert when
+ * the plane is off: arming one there is a contradiction, not a no-op.
+ */
+template <typename V, FieldsOf<CtrlConfig> C>
+void
+walkFields(V &v, C &c)
+{
+    const bool on = c.enabled;
+    const bool slo = on && c.slo.enabled();
+    const bool defer = on && c.slo.admission == AdmissionMode::Defer;
+    const bool scale = on && c.autoscale.enabled;
+    field(v, "enabled", c.enabled, true);
+    field(v, "policy", c.policy, on, dispatchPolicyName);
+    v.rule(on || !c.slo.enabled(),
+           "slo.admission requires ctrl.enabled (admission control runs "
+           "inside the control plane; enable it or reset the admission "
+           "mode)",
+           admissionModeName(c.slo.admission));
+    v.rule(on || !c.autoscale.enabled,
+           "autoscale.enabled requires ctrl.enabled", c.autoscale.enabled);
+    v.enter("slo", on);
+    field(v, "admission", c.slo.admission, on, admissionModeName);
+    field(v, "target_p99_s", c.slo.target_p99_s, slo,
+          {kTiny, kUnbounded,
+           "positive when admission control is armed (it is the SLO being "
+           "admitted against)"});
+    field(v, "defer_delay_s", c.slo.defer_delay_s, defer,
+          {kTiny, kFiniteMax,
+           "finite and positive under Defer (a zero delay would re-try "
+           "admission in the same instant it just failed)"});
+    field(v, "max_defers", c.slo.max_defers, defer,
+          {1, kUnbounded,
+           ">= 1 under Defer (use AdmissionMode::Reject for zero defers)"});
+    v.leave();
+    v.enter("autoscale", on);
+    field(v, "enabled", c.autoscale.enabled, on);
+    field(v, "min_replicas", c.autoscale.min_replicas, scale,
+          {1, kUnbounded,
+           ">= 1 (the fleet cannot scale to zero replicas)"});
+    field(v, "max_replicas", c.autoscale.max_replicas, scale);
+    v.rule(!scale || c.autoscale.max_replicas >= c.autoscale.min_replicas,
+           "max_replicas must be >= min_replicas",
+           c.autoscale.max_replicas);
+    field(v, "window_s", c.autoscale.window_s, scale,
+          {kTiny, kUnbounded,
+           "positive (it is both the signal window and the evaluation "
+           "period)"});
+    field(v, "cooldown_s", c.autoscale.cooldown_s, scale,
+          {0.0, kUnbounded, ">= 0"});
+    field(v, "scale_up_depth", c.autoscale.scale_up_depth, scale);
+    v.rule(!scale ||
+               c.autoscale.scale_up_depth > c.autoscale.scale_down_depth,
+           "scale_up_depth must exceed scale_down_depth (a "
+           "non-hysteretic band would oscillate every window)",
+           c.autoscale.scale_up_depth);
+    field(v, "scale_down_depth", c.autoscale.scale_down_depth, scale,
+          {0.0, kUnbounded, ">= 0"});
+    v.leave();
+}
 
 /**
  * The fifth derived PRNG stream (after arrivals, lengths, prefixes,

@@ -1,10 +1,12 @@
 #include "exp/result_io.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/json.h"
 #include "common/streaming_percentiles.h"
@@ -25,32 +27,89 @@ jsonNumber(double v)
 
 namespace {
 
-void
-writeCalibrationJson(std::ostream &os, const train::Calibration &c)
+/**
+ * The field-walk visitor (common/field_walk.h) that writes one config
+ * block as a JSON object, keys in walk order. It keeps the rows that
+ * matter, or every row when @p every_row is set (the system block).
+ */
+class JsonFields
 {
-    const char *sep = "{";
-    for (const train::CalibrationField &field : train::calibrationFields()) {
-        os << sep << '"' << field.name
-           << "\":" << jsonNumber(c.*field.member);
-        sep = ",";
+  public:
+    JsonFields(std::ostream &os, bool every_row)
+        : os_(os), every_row_(every_row)
+    {}
+
+    template <typename T>
+    void
+    operator()(const FieldRow<T> &row)
+    {
+        if (!row.matters && !every_row_)
+            return;
+        os_ << sep_ << '"' << row.name << "\":";
+        sep_ = ",";
+        using V = std::remove_const_t<T>;
+        if constexpr (std::is_enum_v<V>)
+            os_ << '"' << row.label(row.value) << '"';
+        else if constexpr (std::is_same_v<V, bool>)
+            os_ << (row.value ? "true" : "false");
+        else if constexpr (std::is_floating_point_v<V>)
+            os_ << jsonNumber(row.value);
+        else
+            os_ << row.value;
     }
-    os << "}";
-}
 
+    void
+    enter(const char *key, bool open, const char * = nullptr)
+    {
+        open_[depth_++] = open;
+        if (open) {
+            os_ << sep_ << '"' << key << "\":";
+            sep_ = "{";
+        }
+    }
+
+    void
+    leave()
+    {
+        if (open_[--depth_]) {
+            os_ << "}";
+            sep_ = ",";
+        }
+    }
+
+    void gate(bool, bool) {}
+
+    template <typename T>
+    void rule(bool, const char *, const T &)
+    {}
+
+    void finish() { os_ << "}"; }
+
+  private:
+    std::ostream &os_;
+    bool every_row_;
+    const char *sep_ = "{";
+    std::array<bool, 4> open_{};
+    int depth_ = 0;
+};
+
+/** One config block as a JSON object, through its walk. */
+template <typename C, typename... Scope>
 void
-writeLengthDistributionJson(std::ostream &os,
-                            const serve::LengthDistribution &d)
+writeFieldsJson(std::ostream &os, const C &config, bool every_row,
+                const Scope &...scope)
 {
-    os << "{\"kind\":\"" << serve::lengthDistKindName(d.kind) << "\"";
-    if (d.kind != serve::LengthDistKind::Fixed)
-        os << ",\"min_tokens\":" << d.min_tokens
-           << ",\"max_tokens\":" << d.max_tokens;
-    if (d.kind == serve::LengthDistKind::Lognormal)
-        os << ",\"log_mean\":" << jsonNumber(d.log_mean)
-           << ",\"log_sigma\":" << jsonNumber(d.log_sigma);
-    os << "}";
+    JsonFields json(os, every_row);
+    walkFields(json, config, scope...);
+    json.finish();
 }
 
+/**
+ * The serve block. Its top level keeps a JSON key order of its own (the
+ * client knobs first, the arrival knobs in every client mode, the stream
+ * size as num_requests), so it is written by hand; its nested blocks walk
+ * their rows.
+ */
 void
 writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
 {
@@ -62,71 +121,19 @@ writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
        << ",\"prompt_tokens\":" << c.prompt_tokens
        << ",\"output_tokens\":" << c.output_tokens
        << ",\"prompt_lengths\":";
-    writeLengthDistributionJson(os, c.prompt_lengths);
+    writeFieldsJson(os, c.prompt_lengths, false);
     os << ",\"output_lengths\":";
-    writeLengthDistributionJson(os, c.output_lengths);
+    writeFieldsJson(os, c.output_lengths, false);
     os << ",\"max_batch\":" << c.max_batch
        << ",\"weight_wire_fraction\":" << jsonNumber(c.weight_wire_fraction)
        << ",\"concurrency\":" << c.concurrency
        << ",\"think_time_s\":" << jsonNumber(c.think_time)
-       << ",\"kv\":{\"enabled\":" << (c.kv.enabled ? "true" : "false");
-    if (c.kv.enabled) {
-        os << ",\"hbm_budget\":" << jsonNumber(c.kv.hbm_budget)
-           << ",\"host_budget\":" << jsonNumber(c.kv.host_budget)
-           << ",\"layout\":\"" << serve::kvLayoutName(c.kv.layout) << "\"";
-        if (c.kv.paged()) {
-            os << ",\"block_tokens\":" << c.kv.block_tokens
-               << ",\"prefix\":{\"share_fraction\":"
-               << jsonNumber(c.kv.prefix.share_fraction);
-            if (c.kv.prefix.enabled())
-                os << ",\"num_prefixes\":" << c.kv.prefix.num_prefixes
-                   << ",\"prefix_tokens\":" << c.kv.prefix.prefix_tokens;
-            os << "}";
-        }
-    }
-    os << "},\"ctrl\":{\"enabled\":" << (c.ctrl.enabled ? "true" : "false");
-    if (c.ctrl.enabled) {
-        os << ",\"policy\":\"" << ctrl::dispatchPolicyName(c.ctrl.policy)
-           << "\",\"slo\":{\"admission\":\""
-           << ctrl::admissionModeName(c.ctrl.slo.admission) << "\"";
-        if (c.ctrl.slo.enabled()) {
-            os << ",\"target_p99_s\":" << jsonNumber(c.ctrl.slo.target_p99_s);
-            if (c.ctrl.slo.admission == ctrl::AdmissionMode::Defer)
-                os << ",\"defer_delay_s\":"
-                   << jsonNumber(c.ctrl.slo.defer_delay_s)
-                   << ",\"max_defers\":" << c.ctrl.slo.max_defers;
-        }
-        os << "},\"autoscale\":{\"enabled\":"
-           << (c.ctrl.autoscale.enabled ? "true" : "false");
-        if (c.ctrl.autoscale.enabled)
-            os << ",\"min_replicas\":" << c.ctrl.autoscale.min_replicas
-               << ",\"max_replicas\":" << c.ctrl.autoscale.max_replicas
-               << ",\"window_s\":" << jsonNumber(c.ctrl.autoscale.window_s)
-               << ",\"cooldown_s\":"
-               << jsonNumber(c.ctrl.autoscale.cooldown_s)
-               << ",\"scale_up_depth\":"
-               << jsonNumber(c.ctrl.autoscale.scale_up_depth)
-               << ",\"scale_down_depth\":"
-               << jsonNumber(c.ctrl.autoscale.scale_down_depth);
-        os << "}";
-    }
-    os << "},\"modulation\":{\"enabled\":"
-       << (c.modulation.enabled ? "true" : "false");
-    if (c.modulation.enabled) {
-        os << ",\"diurnal_amplitude\":"
-           << jsonNumber(c.modulation.diurnal_amplitude);
-        if (c.modulation.diurnal())
-            os << ",\"diurnal_period_s\":"
-               << jsonNumber(c.modulation.diurnal_period_s);
-        os << ",\"burst_rate_multiplier\":"
-           << jsonNumber(c.modulation.burst_rate_multiplier);
-        if (c.modulation.bursts())
-            os << ",\"burst_mean_gap_s\":"
-               << jsonNumber(c.modulation.burst_mean_gap_s)
-               << ",\"burst_mean_duration_s\":"
-               << jsonNumber(c.modulation.burst_mean_duration_s);
-    }
-    os << "}";
+       << ",\"kv\":";
+    writeFieldsJson(os, c.kv, false);
+    os << ",\"ctrl\":";
+    writeFieldsJson(os, c.ctrl, false);
+    os << ",\"modulation\":";
+    writeFieldsJson(os, c.modulation, false, true);
     if (c.record_cap > 0)
         os << ",\"record_cap\":" << c.record_cap
            << ",\"stream_window_s\":" << jsonNumber(c.stream_window_s);
@@ -137,7 +144,6 @@ writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
 void
 writeSpecJson(std::ostream &os, const RunSpec &spec)
 {
-    const auto &sys = spec.system;
     os << "{\"label\":\"" << jsonEscape(spec.label) << "\""
        << ",\"workload\":\"" << train::workloadKindName(spec.workload)
        << "\"";
@@ -152,21 +158,9 @@ writeSpecJson(std::ostream &os, const RunSpec &spec)
        << ",\"hidden_dim\":" << spec.model.hidden_dim << "}"
        << ",\"train\":{\"batch_size\":" << spec.train.batch_size
        << ",\"seq_len\":" << spec.train.seq_len << "}"
-       << ",\"system\":{\"strategy\":\"" << train::strategyName(sys.strategy)
-       << "\",\"num_devices\":" << sys.num_devices << ",\"gpu\":\""
-       << train::gpuName(sys.gpu) << "\",\"num_gpus\":" << sys.num_gpus
-       << ",\"congested_topology\":"
-       << (sys.congested_topology ? "true" : "false") << ",\"optimizer\":\""
-       << optim::optimizerName(sys.optimizer)
-       << "\",\"compression_wire_fraction\":"
-       << jsonNumber(sys.compression_wire_fraction)
-       << ",\"num_nodes\":" << sys.num_nodes << ",\"nic_bandwidth\":"
-       << jsonNumber(sys.nic_bandwidth) << ",\"nic_latency\":"
-       << jsonNumber(sys.nic_latency) << ",\"overlap_grad_sync\":"
-       << (sys.overlap_grad_sync ? "true" : "false")
-       << ",\"calibration\":";
-    writeCalibrationJson(os, sys.calib);
-    os << "}}";
+       << ",\"system\":";
+    writeFieldsJson(os, spec.system, true, true);
+    os << "}";
 }
 
 void

@@ -24,17 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "common/field_walk.h"
 #include "common/units.h"
 
 namespace smartinf::fault {
 
 /**
  * Knobs of the fault process and of both recovery models. Every field here
- * affects simulated results when enabled and therefore joins the RunSpec
- * hash (src/exp/run_spec.cc) with semantic normalization: nothing is hashed
- * while disabled, the retry limit only under serving, checkpoint knobs only
- * under training, and each category's episode parameters only while that
- * category's MTBF is finite.
+ * affects simulated results when enabled; walkFields() below says when.
  */
 struct FaultConfig {
     /** An MTBF of kNever (the default) disables that fault category. */
@@ -91,6 +88,60 @@ struct FaultConfig {
      *  (every field is then inert). */
     std::vector<std::string> validate() const;
 };
+
+/**
+ * The FaultConfig walk (common/field_walk.h), in RunSpec hash order.
+ * Nothing matters while disabled; each category's episode parameters only
+ * while its MTBF is finite (an unarmed category draws no events);
+ * checkpoint knobs and the job length only under @p training; the retry
+ * limit only under serving with a crash process armed (only crashes
+ * displace requests). FaultConfig::seed feeds training runs only: serving
+ * draws its fault stream from ServeConfig::seed, whose row in the serve
+ * walk covers it. Validation checks the MTBFs, the job shape and the retry
+ * limit whenever the model is enabled.
+ */
+template <typename V, FieldsOf<FaultConfig> C>
+void
+walkFields(V &v, C &f, bool training)
+{
+    const bool on = f.enabled;
+    const bool node = on && f.nodeFaults();
+    const bool degrade = on && f.degradeFaults();
+    field(v, "enabled", f.enabled, true);
+    field(v, "horizon", f.horizon, on,
+          {kTiny, kFiniteMax,
+           "finite and positive (the window fault events are drawn over)"});
+    field(v, "seed", f.seed, on && training && f.anyFaults());
+    v.gate(on, f.nodeFaults());
+    field(v, "node_mtbf", f.node_mtbf, node,
+          {kTiny, kUnbounded,
+           "positive (use FaultConfig::kNever to disable node crashes)"},
+          on);
+    field(v, "repair_time", f.repair_time, node,
+          {kTiny, kFiniteMax,
+           "finite and positive (how long a crashed node stays down)"});
+    v.gate(on, f.degradeFaults());
+    field(v, "degrade_mtbf", f.degrade_mtbf, degrade,
+          {kTiny, kUnbounded,
+           "positive (use FaultConfig::kNever to disable link degradation)"},
+          on);
+    field(v, "degrade_factor", f.degrade_factor, degrade,
+          {kTiny, 1.0,
+           "in (0, 1] (a zero capacity would starve the max-min "
+           "scheduler)"});
+    field(v, "degrade_duration", f.degrade_duration, degrade,
+          {kTiny, kUnbounded, "positive"});
+    field(v, "num_iterations", f.num_iterations, on && training,
+          {1, kUnbounded,
+           ">= 1 (iterations the checkpointed training run completes)"},
+          on);
+    field(v, "checkpoint_interval", f.checkpoint_interval, on && training,
+          {1, kUnbounded, ">= 1 (iterations between durable checkpoints)"},
+          on);
+    field(v, "retry_limit", f.retry_limit, node && !training,
+          {0, kUnbounded, ">= 0 (0 = shed displaced requests immediately)"},
+          on);
+}
 
 } // namespace smartinf::fault
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/field_walk.h"
 #include "common/logging.h"
-#include "common/validation.h"
 
 namespace smartinf::optim {
 

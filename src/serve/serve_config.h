@@ -4,9 +4,10 @@
  * (open-loop Poisson arrivals, an explicit trace, or closed-loop clients
  * with think time), per-request token counts (fixed or sampled from seeded
  * length distributions), the batch-scheduling policy, and the KV-cache
- * tiering model. Every field here affects the simulated result and
- * therefore participates in the RunSpec hash (src/exp/run_spec.cc) — add
- * new knobs there too, or cached results alias.
+ * tiering model. Every field here can affect the simulated result; the
+ * walks at the end of this file say when, for validation, the RunSpec hash
+ * and the spec JSON at once — add new knobs there, or cached results
+ * alias.
  *
  * Determinism contract (applies to every knob in this file): configs are
  * consumed only (a) before the simulation starts, by
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/field_walk.h"
 #include "common/units.h"
 #include "ctrl/ctrl_config.h"
 #include "fault/fault_config.h"
@@ -107,9 +109,6 @@ struct LengthDistribution {
     double log_mean = 5.0;
     /** Stddev of the underlying normal, in ln-space (Lognormal only). */
     double log_sigma = 1.0;
-
-    /** Actionable error list (prefix names the field, e.g. "prompt"). */
-    std::vector<std::string> validate(const std::string &prefix) const;
 };
 
 /** How resident KV is laid out across the tiered byte space. */
@@ -195,10 +194,6 @@ struct KvCacheConfig {
 
     /** True when the paged allocator is active. */
     bool paged() const { return enabled && layout == KvLayout::Paged; }
-
-    /** Actionable error list; empty means usable. Mostly skipped when
-     *  disabled — but a paged layout on disabled KV is itself rejected. */
-    std::vector<std::string> validate() const;
 };
 
 /**
@@ -353,6 +348,200 @@ struct ServeConfig {
     /** Actionable error list; empty means the config is usable. */
     std::vector<std::string> validate() const;
 };
+
+/**
+ * The LengthDistribution walk (common/field_walk.h), in RunSpec hash
+ * order: only the parameters the kind consumes matter (a Fixed
+ * distribution uses the ServeConfig scalar, whose row follows this block
+ * in the ServeConfig walk).
+ */
+template <typename V, FieldsOf<LengthDistribution> C>
+void
+walkFields(V &v, C &d)
+{
+    const bool sampled = d.kind != LengthDistKind::Fixed;
+    const bool lognormal = d.kind == LengthDistKind::Lognormal;
+    field(v, "kind", d.kind, true, lengthDistKindName);
+    field(v, "min_tokens", d.min_tokens, sampled, {1, kUnbounded, ">= 1"});
+    field(v, "max_tokens", d.max_tokens, sampled);
+    v.rule(!sampled || d.max_tokens >= d.min_tokens,
+           "max_tokens must be >= min_tokens", d.max_tokens);
+    // A non-finite parameter draws NaN or inf lengths, which the clamp
+    // silently turns into min_tokens or max_tokens.
+    field(v, "log_mean", d.log_mean, lognormal,
+          {-kFiniteMax, kFiniteMax, "finite"});
+    field(v, "log_sigma", d.log_sigma, lognormal,
+          {0.0, kFiniteMax, "finite and >= 0"});
+}
+
+/**
+ * The KvCacheConfig walk (with its SharedPrefixConfig), in RunSpec hash
+ * order: nothing matters while disabled; the page size and the prefix mix
+ * only under the paged layout, and the prefix-pool shape only while a
+ * share fraction is set. The layout is not inert while disabled: asking
+ * for paged allocation with no KV model is a contradiction.
+ */
+template <typename V, FieldsOf<KvCacheConfig> C>
+void
+walkFields(V &v, C &kv)
+{
+    const bool on = kv.enabled;
+    const bool paged = kv.paged();
+    const bool shared = paged && kv.prefix.enabled();
+    field(v, "enabled", kv.enabled, true);
+    v.rule(on || kv.layout == KvLayout::Contiguous,
+           "layout=paged requires kv.enabled (the paged allocator models KV "
+           "placement; enable the KV model or drop the layout override)",
+           kvLayoutName(kv.layout));
+    // A non-finite budget models nothing sensible: it has no whole-page
+    // count.
+    field(v, "hbm_budget", kv.hbm_budget, on,
+          {kTiny, kFiniteMax,
+           "finite and positive when KV modeling is enabled: a zero budget "
+           "cannot hold even one decode step's working set (disable kv "
+           "instead)"});
+    field(v, "host_budget", kv.host_budget, on,
+          {kTiny, kFiniteMax,
+           "finite and positive when KV modeling is enabled (use a large "
+           "budget to disable CSD spill)"});
+    field(v, "layout", kv.layout, on, kvLayoutName);
+    field(v, "block_tokens", kv.block_tokens, paged,
+          {1, kUnbounded, ">= 1 under the paged layout (tokens per KV page)"});
+    v.rule(!on || !kv.prefix.enabled() || kv.layout == KvLayout::Paged,
+           "prefix sharing requires kv.layout=paged (only per-request block "
+           "tables can map shared pages; set kv.layout = KvLayout::Paged or "
+           "clear kv.prefix.share_fraction)",
+           kv.prefix.share_fraction);
+    v.enter("prefix", paged);
+    field(v, "share_fraction", kv.prefix.share_fraction, paged,
+          {0.0, 1.0,
+           "in [0, 1] (the probability a request carries a shared prefix)"});
+    field(v, "num_prefixes", kv.prefix.num_prefixes, shared,
+          {1, kUnbounded, ">= 1 when prefix sharing is enabled"});
+    field(v, "prefix_tokens", kv.prefix.prefix_tokens, shared,
+          {1, kUnbounded, ">= 1 when prefix sharing is enabled"});
+    v.leave();
+}
+
+/**
+ * The ArrivalModulationConfig walk, in RunSpec hash order. @p live: the
+ * run generates open-loop arrivals, the only ones modulation reshapes
+ * (ServeConfig's walk rejects it anywhere else). Within it the diurnal
+ * period matters only with the sinusoid armed and the burst shape only
+ * with a multiplier above 1. Validation does not depend on @p live.
+ */
+template <typename V, FieldsOf<ArrivalModulationConfig> C>
+void
+walkFields(V &v, C &m, bool live)
+{
+    const bool on = m.enabled;
+    const bool diurnal = m.diurnal();
+    const bool bursts = m.bursts();
+    field(v, "enabled", m.enabled, live);
+    field(v, "diurnal_amplitude", m.diurnal_amplitude, live && on,
+          {0.0, 0x1.fffffffffffffp-1, // the largest double below 1
+           "in [0, 1) (the instantaneous rate must stay positive)"},
+          on);
+    field(v, "diurnal_period_s", m.diurnal_period_s, live && diurnal,
+          {kTiny, kUnbounded, "positive when the diurnal component is armed"},
+          diurnal);
+    // Thinning accepts a candidate with probability rate/envelope: an
+    // infinite multiplier makes that ratio 0 or NaN, and generation would
+    // never end.
+    field(v, "burst_rate_multiplier", m.burst_rate_multiplier, live && on,
+          {1.0, kFiniteMax,
+           "finite and >= 1 (bursts raise the rate; 1 disables them)"},
+          on);
+    field(v, "burst_mean_gap_s", m.burst_mean_gap_s, live && bursts,
+          {kTiny, kUnbounded, "positive when bursts are armed"}, bursts);
+    field(v, "burst_mean_duration_s", m.burst_mean_duration_s,
+          live && bursts,
+          {kTiny, kUnbounded, "positive when bursts are armed"}, bursts);
+}
+
+/** What the ServeConfig walk reads outside the struct. */
+struct ServeScope {
+    /** The engine stores quantized weights (SU+O+C), so
+     *  weight_wire_fraction shapes the run. */
+    bool quantized_weights = false;
+    /** An armed fault model draws its schedule from faultSeed(seed). */
+    bool fault_stream = false;
+};
+
+/**
+ * The ServeConfig walk, in RunSpec hash order. The client mode decides
+ * which arrival knobs matter: closed-loop runs ignore the rate and the
+ * trace, a trace ignores the open-loop knobs. The seed feeds six streams:
+ * arrivals (open-loop, no trace), sampled lengths, prefix assignment,
+ * the control plane's dispatch draws, the fault schedule and burst
+ * episodes; it matters iff one of them draws. A record cap of 0 is the
+ * uncapped run no matter how stream_window_s is set. Trace ordering is
+ * checked by ServeConfig::validate(), outside the walk.
+ */
+template <typename V, FieldsOf<ServeConfig> C>
+void
+walkFields(V &v, C &c, const ServeScope &scope)
+{
+    const bool closed = c.client_mode == ClientMode::ClosedLoop;
+    const bool generated = !closed && c.trace.empty();
+    const bool capped = c.record_cap > 0;
+    const bool seeded = generated || c.samplesLengths() ||
+                        c.sharesPrefixes() || c.ctrl.drawsRandomness() ||
+                        scope.fault_stream;
+    field(v, "scheduler", c.scheduler, true, schedulerPolicyName);
+    field(v, "max_batch", c.max_batch, true, {1, kUnbounded, ">= 1"});
+    block(v, "prompt_lengths", c.prompt_lengths);
+    field(v, "prompt_tokens", c.prompt_tokens,
+          c.prompt_lengths.kind == LengthDistKind::Fixed,
+          {1, kUnbounded, ">= 1"});
+    block(v, "output_lengths", c.output_lengths);
+    field(v, "output_tokens", c.output_tokens,
+          c.output_lengths.kind == LengthDistKind::Fixed,
+          {1, kUnbounded, ">= 1"});
+    field(v, "weight_wire_fraction", c.weight_wire_fraction,
+          scope.quantized_weights, {kTiny, 1.0, "in (0, 1]"}, true);
+    block(v, "kv", c.kv);
+    block(v, "ctrl", c.ctrl);
+    field(v, "client_mode", c.client_mode, true, clientModeName);
+    field(v, "num_requests", c.num_requests, closed || c.trace.empty(),
+          {1, kUnbounded, ">= 1"});
+    field(v, "concurrency", c.concurrency, closed,
+          {1, kUnbounded, ">= 1 in closed-loop mode"});
+    field(v, "think_time", c.think_time, closed,
+          {0.0, kFiniteMax, "finite and >= 0"});
+    field(v, "arrival_rate", c.arrival_rate, generated,
+          {kTiny, kFiniteMax, "finite and positive"});
+    field(v, "trace", c.trace, !closed && !c.trace.empty());
+    v.rule(!closed || c.trace.empty(),
+           "a trace cannot drive closed-loop clients (arrivals are "
+           "reactive); clear trace or use open-loop mode",
+           c.trace.size());
+    field(v, "seed", c.seed, seeded);
+    block(v, "modulation", c.modulation, generated);
+    v.rule(!c.modulation.enabled || !closed,
+           "modulation requires open-loop arrivals (closed-loop issue "
+           "times are reactive, there is no arrival rate to modulate)",
+           clientModeName(c.client_mode));
+    v.rule(!c.modulation.enabled || c.trace.empty(),
+           "modulation cannot apply to an explicit trace (the trace "
+           "already is the arrival process); clear trace or drop "
+           "modulation",
+           c.trace.size());
+    v.rule(!c.modulation.enabled || c.modulation.diurnal_amplitude > 0.0 ||
+               c.modulation.burst_rate_multiplier > 1.0,
+           "modulation.enabled with neither a diurnal amplitude nor a "
+           "burst multiplier is a contradiction, not a no-op (thinning "
+           "changes the draw sequence); disable modulation or arm a "
+           "component",
+           c.modulation.diurnal_amplitude);
+    v.gate(true, capped);
+    field(v, "record_cap", c.record_cap, capped,
+          {0, kUnbounded, ">= 0 (0 keeps every record)"}, true);
+    field(v, "stream_window_s", c.stream_window_s, capped,
+          {kTiny, kFiniteMax,
+           "finite and positive when record_cap bounds the retained "
+           "records"});
+}
 
 } // namespace smartinf::serve
 

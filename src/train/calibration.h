@@ -10,8 +10,7 @@
 #ifndef SMARTINF_TRAIN_CALIBRATION_H
 #define SMARTINF_TRAIN_CALIBRATION_H
 
-#include <span>
-
+#include "common/field_walk.h"
 #include "common/units.h"
 #include "csd/smartssd.h"
 
@@ -87,22 +86,35 @@ struct Calibration {
     static const Calibration &defaults();
 };
 
-/** One Calibration field: its name, member, and legal range [lo, hi]
- *  (NaN fails it), with the rule as validation reports it. */
-struct CalibrationField {
-    const char *name;
-    double Calibration::*member;
-    double lo;
-    double hi;
-    const char *rule;
-};
-
 /**
- * Every Calibration field, in declaration order: the one list that
- * validation (SystemConfig::validate), the RunSpec hash and the result
- * JSON walk, so a new field joins all three at once.
+ * The Calibration walk (common/field_walk.h), in declaration order. Every
+ * field matters in every run; rates must be finite and positive,
+ * latencies finite and non-negative, fractions in (0, 1].
  */
-std::span<const CalibrationField> calibrationFields();
+template <typename V, FieldsOf<Calibration> C>
+void
+walkFields(V &v, C &c)
+{
+    constexpr FieldRange rate{kTiny, kFiniteMax, "finite and > 0"};
+    constexpr FieldRange latency{0.0, kFiniteMax, "finite and >= 0"};
+    constexpr FieldRange fraction{kTiny, 1.0, "in (0, 1]"};
+    field(v, "ssd_read", c.ssd_read, true, rate);
+    field(v, "ssd_write", c.ssd_write, true, rate);
+    field(v, "raid_efficiency", c.raid_efficiency, true, fraction);
+    field(v, "device_link", c.device_link, true, rate);
+    field(v, "host_shared", c.host_shared, true, rate);
+    field(v, "host_memory", c.host_memory, true, rate);
+    field(v, "gpu_link", c.gpu_link, true, rate);
+    field(v, "p2p_read", c.p2p_read, true, rate);
+    field(v, "p2p_write", c.p2p_write, true, rate);
+    field(v, "cpu_update", c.cpu_update, true, rate);
+    field(v, "gpu_compress", c.gpu_compress, true, rate);
+    field(v, "fpga_updater", c.fpga_updater, true, rate);
+    field(v, "fpga_decomp", c.fpga_decomp, true, rate);
+    field(v, "transfer_latency", c.transfer_latency, true, latency);
+    field(v, "kernel_launch", c.kernel_launch, true, latency);
+    field(v, "fpga_dram_usable", c.fpga_dram_usable, true, fraction);
+}
 
 } // namespace smartinf::train
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/field_walk.h"
 #include "common/units.h"
 #include "optim/optimizer.h"
 #include "train/calibration.h"
@@ -87,6 +88,42 @@ struct SystemConfig {
      */
     std::vector<std::string> validate() const;
 };
+
+/**
+ * The SystemConfig walk (common/field_walk.h), in RunSpec hash order.
+ * @p training: the config drives a training run. Serving skips the
+ * training-only knobs: the optimizer, the gradient compression ratio
+ * (serving keys on serve.weight_wire_fraction instead) and the
+ * gradient-sync NIC/overlap shape (replicas exchange no traffic). The
+ * compression ratio matters only under SU+O+C and the NIC shape only
+ * across nodes; validation checks both in either workload.
+ */
+template <typename V, FieldsOf<SystemConfig> C>
+void
+walkFields(V &v, C &s, bool training)
+{
+    const bool compressed = s.strategy == Strategy::SmartUpdateOptComp;
+    const bool multi_node = s.num_nodes > 1;
+    field(v, "strategy", s.strategy, true, strategyName);
+    field(v, "num_devices", s.num_devices, true, {1, kUnbounded, ">= 1"});
+    field(v, "gpu", s.gpu, true, gpuName);
+    field(v, "num_gpus", s.num_gpus, true, {1, kUnbounded, ">= 1"});
+    field(v, "congested_topology", s.congested_topology, true);
+    field(v, "optimizer", s.optimizer, training, optim::optimizerName);
+    field(v, "compression_wire_fraction", s.compression_wire_fraction,
+          training && compressed, {kTiny, 1.0, "in (0, 1]"}, compressed);
+    field(v, "num_nodes", s.num_nodes, true, {1, kUnbounded, ">= 1"});
+    field(v, "nic_bandwidth", s.nic_bandwidth, training && multi_node,
+          {kTiny, kUnbounded, "positive for multi-node configs"},
+          multi_node);
+    field(v, "nic_latency", s.nic_latency, training && multi_node,
+          {0.0, kFiniteMax, "finite and >= 0"}, multi_node);
+    field(v, "overlap_grad_sync", s.overlap_grad_sync,
+          training && multi_node);
+    v.enter("calibration", true, "calib");
+    walkFields(v, s.calib);
+    v.leave();
+}
 
 } // namespace smartinf::train
 

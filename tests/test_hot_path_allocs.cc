@@ -192,5 +192,35 @@ TEST(HotPathAllocs, DataTasksAllocateOnlyForBlockGrowth)
     EXPECT_LE(allocations, blocks + 64); // One per task would be 40,000.
 }
 
+TEST(HotPathAllocs, ValidConfigsValidateWithoutAllocating)
+{
+    // validate() runs inside the timed set-up (the InferenceWorkload and
+    // Engine constructors): a valid config builds no message.
+    ServeConfig config;
+    config.prompt_lengths.kind = LengthDistKind::Lognormal;
+    config.output_lengths.kind = LengthDistKind::Lognormal;
+    config.kv.enabled = true;
+    config.kv.layout = KvLayout::Paged;
+    config.kv.prefix.share_fraction = 0.5;
+    config.ctrl.enabled = true;
+    config.ctrl.policy = ctrl::DispatchPolicy::JoinShortestQueue;
+    config.ctrl.slo.admission = ctrl::AdmissionMode::Reject;
+    config.ctrl.slo.target_p99_s = 2.0;
+    config.ctrl.autoscale.enabled = true;
+    config.ctrl.autoscale.max_replicas = 4;
+    train::SystemConfig system;
+    system.num_nodes = 4;
+
+    g_allocations = 0;
+    g_counting = true;
+    const bool serve_valid = config.validate().empty();
+    const bool system_valid = system.validate().empty();
+    g_counting = false;
+
+    EXPECT_TRUE(serve_valid);
+    EXPECT_TRUE(system_valid);
+    EXPECT_EQ(g_allocations.load(), 0u);
+}
+
 } // namespace
 } // namespace smartinf::serve

@@ -9,10 +9,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <type_traits>
 #include <set>
 #include <vector>
 
+#include "exp/result_io.h"
 #include "exp/run_spec.h"
 
 namespace smartinf::exp {
@@ -804,6 +810,344 @@ TEST(RunSpecHash, DescribeTagsStreamingSpecs)
     EXPECT_NE(label.find("/cap4096"), std::string::npos) << label;
     EXPECT_NE(label.find("/diurnal0.6"), std::string::npos) << label;
     EXPECT_NE(label.find("/burst4"), std::string::npos) << label;
+}
+
+TEST(RunSpecHash, ArmedFaultsReviveTheSeedInEveryClientMode)
+{
+    // A serving run draws its fault schedule from faultSeed(serve.seed),
+    // so with faults armed two seeds are two runs even where nothing else
+    // reads the seed: closed-loop clients and trace-driven arrivals with
+    // fixed lengths, round-robin dispatch and no prefix mix.
+    RunSpec closed = servingSpec();
+    closed.serve.client_mode = serve::ClientMode::ClosedLoop;
+    closed.fault.enabled = true;
+    closed.fault.node_mtbf = 60.0;
+    RunSpec closed_seed = closed;
+    closed_seed.serve.seed += 1;
+    EXPECT_NE(closed.hash(), closed_seed.hash());
+
+    RunSpec traced = servingSpec();
+    traced.serve.trace = {0.0, 1.0, 2.0};
+    traced.fault.enabled = true;
+    traced.fault.degrade_mtbf = 30.0;
+    RunSpec traced_seed = traced;
+    traced_seed.serve.seed += 1;
+    EXPECT_NE(traced.hash(), traced_seed.hash());
+
+    // Enabled with no category armed draws no schedule: the seed stays
+    // inert.
+    RunSpec unarmed = closed;
+    unarmed.fault.node_mtbf = fault::FaultConfig::kNever;
+    RunSpec unarmed_seed = unarmed;
+    unarmed_seed.serve.seed += 1;
+    EXPECT_EQ(unarmed.hash(), unarmed_seed.hash());
+}
+
+/**
+ * Walks every row of a RunSpec's config structs in hash order (serve,
+ * system, fault), and reports or changes the row at one index. The block
+ * path is the one validation messages name ("kv.prefix", "calib").
+ */
+struct RowProbe {
+    enum class Act { Inspect, Perturb, Set };
+    enum class Part { Serve, System, Fault };
+
+    int target = -1;
+    Act act = Act::Inspect;
+    double set_to = 0.0;
+    /** The walk being visited; serve rows count only on serving specs
+     *  (the hash skips them). */
+    Part walking = Part::Serve;
+    bool serve_live = true;
+
+    int rows = 0;
+    std::string path;
+    Part part = Part::Serve;
+    bool matters = false;
+    bool checked = false;
+    bool has_range = false;
+    bool integral = false;
+    FieldRange range{};
+
+    std::vector<std::string> blocks;
+
+    template <typename T>
+    void
+    operator()(const FieldRow<T> &row)
+    {
+        if (rows++ != target)
+            return;
+        path.clear();
+        for (const std::string &b : blocks)
+            path += b + ".";
+        path += row.name;
+        part = walking;
+        matters = row.matters && (walking != Part::Serve || serve_live);
+        checked = row.checked;
+        has_range = row.range != nullptr;
+        if (has_range)
+            range = *row.range;
+        using V = std::remove_const_t<T>;
+        integral = std::is_integral_v<V>;
+        if constexpr (!std::is_const_v<T>) {
+            if (act == Act::Perturb)
+                perturb(row);
+            else if (act == Act::Set) {
+                if constexpr (std::is_arithmetic_v<V>)
+                    row.value = static_cast<V>(set_to);
+            }
+        }
+    }
+
+    template <typename T>
+    void
+    perturb(const FieldRow<T> &row)
+    {
+        using V = std::remove_const_t<T>;
+        V &v = row.value;
+        if constexpr (std::is_same_v<V, bool>) {
+            v = !v;
+        } else if constexpr (std::is_enum_v<V>) {
+            const auto next = static_cast<V>(static_cast<int>(v) + 1);
+            v = std::string(row.label(next)) != "?" ? next : V{};
+        } else if constexpr (std::is_same_v<V, std::vector<double>>) {
+            v.push_back(v.empty() ? 0.0 : v.back() + 1.0);
+        } else if constexpr (std::is_integral_v<V>) {
+            v = row.range && static_cast<double>(v) + 1 > row.range->hi
+                    ? v - 1
+                    : v + 1;
+        } else {
+            // The first candidate that stays in range and changes v (1 for
+            // an unarmed kNever MTBF, the midpoint for a 0 in [0, 1)).
+            const double mid =
+                row.range ? (row.range->lo + row.range->hi) / 2.0 : 1.0;
+            for (const double c : {v * 2.0, v / 2.0, v + 1.0, 1.0, mid}) {
+                if (c != v && std::isfinite(c) &&
+                    (!row.range ||
+                     (c >= row.range->lo && c <= row.range->hi))) {
+                    v = c;
+                    return;
+                }
+            }
+            ADD_FAILURE() << "no in-range perturbation for " << row.name;
+        }
+    }
+
+    void
+    enter(const char *key, bool, const char *alias = nullptr)
+    {
+        blocks.push_back(alias ? alias : key);
+    }
+    void leave() { blocks.pop_back(); }
+    void gate(bool, bool) {}
+    template <typename T>
+    void rule(bool, const char *, const T &)
+    {}
+
+    /** Walks @p spec with the scopes RunSpec::hash() uses. */
+    void
+    walk(RunSpec &spec)
+    {
+        const bool training = spec.workload == train::WorkloadKind::Training;
+        serve_live = !training;
+        walking = Part::Serve;
+        serve::walkFields(
+            *this, spec.serve,
+            {.quantized_weights = spec.system.strategy ==
+                                  train::Strategy::SmartUpdateOptComp,
+             .fault_stream = spec.fault.enabled && spec.fault.anyFaults()});
+        walking = Part::System;
+        train::walkFields(*this, spec.system, training);
+        walking = Part::Fault;
+        enter("fault", true);
+        fault::walkFields(*this, spec.fault, training);
+        leave();
+    }
+};
+
+RowProbe
+probe(RunSpec spec, int row)
+{
+    RowProbe p;
+    p.target = row;
+    p.walk(spec);
+    return p;
+}
+
+RunSpec
+perturbed(RunSpec spec, int row)
+{
+    RowProbe p;
+    p.target = row;
+    p.act = RowProbe::Act::Perturb;
+    p.walk(spec);
+    return spec;
+}
+
+RunSpec
+withValue(RunSpec spec, int row, double value)
+{
+    RowProbe p;
+    p.target = row;
+    p.act = RowProbe::Act::Set;
+    p.set_to = value;
+    p.walk(spec);
+    return spec;
+}
+
+std::string
+specJson(const RunSpec &spec)
+{
+    RunRecord record;
+    record.spec = spec;
+    record.result.kind = spec.workload;
+    std::ostringstream oss;
+    writeRecordJson(oss, record);
+    return oss.str();
+}
+
+/** Errors of the validate() that owns a row's walk. */
+std::vector<std::string>
+ownerErrors(const RunSpec &spec, RowProbe::Part part)
+{
+    switch (part) {
+      case RowProbe::Part::Serve: return spec.serve.validate();
+      case RowProbe::Part::System: return spec.system.validate();
+      case RowProbe::Part::Fault: return spec.fault.validate();
+    }
+    return {};
+}
+
+/** Specs that, between them, arm every row of every walk. */
+std::vector<RunSpec>
+armedSpecs()
+{
+    RunSpec training;
+    training.model = train::ModelSpec::gpt2(0.5);
+    training.system.strategy = train::Strategy::SmartUpdateOptComp;
+    training.system.num_nodes = 2;
+    training.fault.enabled = true;
+    training.fault.node_mtbf = 300.0;
+    training.fault.degrade_mtbf = 200.0;
+
+    RunSpec open = servingSpec();
+    open.serve.prompt_lengths.kind = serve::LengthDistKind::Lognormal;
+    open.serve.output_lengths.kind = serve::LengthDistKind::Uniform;
+    open.serve.output_lengths.max_tokens = 64;
+    open.serve.kv.enabled = true;
+    open.serve.kv.layout = serve::KvLayout::Paged;
+    open.serve.kv.prefix.share_fraction = 0.5;
+    open.serve.ctrl.enabled = true;
+    open.serve.ctrl.policy = ctrl::DispatchPolicy::JoinShortestQueue;
+    open.serve.ctrl.slo.admission = ctrl::AdmissionMode::Defer;
+    open.serve.ctrl.slo.target_p99_s = 2.0;
+    open.serve.ctrl.autoscale.enabled = true;
+    open.serve.ctrl.autoscale.max_replicas = 3;
+    open.serve.modulation.enabled = true;
+    open.serve.modulation.diurnal_amplitude = 0.5;
+    open.serve.modulation.burst_rate_multiplier = 3.0;
+    open.serve.record_cap = 100;
+    open.fault.enabled = true;
+    open.fault.node_mtbf = 300.0;
+
+    RunSpec closed = servingSpec();
+    closed.serve.client_mode = serve::ClientMode::ClosedLoop;
+    closed.serve.think_time = 0.5;
+
+    RunSpec traced = servingSpec();
+    traced.serve.trace = {0.0, 1.0, 2.0};
+    traced.serve.output_lengths.kind = serve::LengthDistKind::Lognormal;
+
+    for (const RunSpec *s : {&training, &open, &closed, &traced})
+        EXPECT_TRUE(s->system.validate().empty() &&
+                    s->serve.validate().empty() && s->fault.validate().empty())
+            << s->describe();
+    return {training, open, closed, traced};
+}
+
+TEST(RunSpecHash, EveryWalkedRowKeysExactlyWhereItMatters)
+{
+    const std::vector<RunSpec> armed = armedSpecs();
+    const int rows = probe(armed[0], -1).rows;
+    ASSERT_GT(rows, 80);
+
+    for (int row = 0; row < rows; ++row) {
+        // Where the row matters, perturbing it in range moves the hash
+        // and, for the blocks the spec JSON writes, the JSON.
+        bool mattered = false;
+        for (const RunSpec &spec : armed) {
+            const RowProbe p = probe(spec, row);
+            ASSERT_EQ(p.rows, rows);
+            if (!p.matters)
+                continue;
+            mattered = true;
+            const RunSpec moved = perturbed(spec, row);
+            EXPECT_NE(spec.hash(), moved.hash()) << p.path;
+            if (p.part != RowProbe::Part::Fault) // no fault block in JSON
+                EXPECT_NE(specJson(spec), specJson(moved)) << p.path;
+        }
+        EXPECT_TRUE(mattered) << probe(armed[0], row).path
+                              << " matters in no armed spec";
+
+        // Where it does not, the same perturbation is inert. trace and
+        // record_cap gate themselves: perturbing them arms them.
+        RunSpec serving;
+        serving.workload = train::WorkloadKind::Serving;
+        for (const RunSpec &spec : {RunSpec{}, serving}) {
+            const RowProbe p = probe(spec, row);
+            if (p.matters)
+                continue;
+            const RunSpec moved = perturbed(spec, row);
+            if (probe(moved, row).matters) {
+                EXPECT_TRUE(p.path == "trace" || p.path == "record_cap")
+                    << p.path;
+                continue;
+            }
+            EXPECT_EQ(spec.hash(), moved.hash()) << p.path;
+        }
+    }
+}
+
+TEST(RunSpecHash, EveryWalkedRangeRejectsBelowAboveAndNan)
+{
+    const std::vector<RunSpec> armed = armedSpecs();
+    const int rows = probe(armed[0], -1).rows;
+    const double inf = std::numeric_limits<double>::infinity();
+    int ranged = 0;
+    for (int row = 0; row < rows; ++row) {
+        const RowProbe info = probe(armed[0], row);
+        if (!info.has_range)
+            continue;
+        ++ranged;
+        const RunSpec *owner = nullptr;
+        for (const RunSpec &spec : armed) {
+            if (probe(spec, row).checked) {
+                owner = &spec;
+                break;
+            }
+        }
+        ASSERT_NE(owner, nullptr) << info.path << " is checked nowhere";
+        const FieldRange r = info.range;
+        std::vector<double> bad;
+        if (info.integral) {
+            bad.push_back(r.lo - 1);
+            if (r.hi < inf)
+                bad.push_back(r.hi + 1);
+        } else {
+            bad.push_back(std::nextafter(r.lo, -inf));
+            if (r.hi < inf)
+                bad.push_back(std::nextafter(r.hi, inf));
+            bad.push_back(std::numeric_limits<double>::quiet_NaN());
+        }
+        for (const double value : bad) {
+            const RunSpec broken = withValue(*owner, row, value);
+            bool named = false;
+            for (const std::string &e : ownerErrors(broken, info.part))
+                named |= e.find(info.path + " must be") != std::string::npos;
+            EXPECT_TRUE(named) << info.path << " = " << value;
+        }
+    }
+    EXPECT_GT(ranged, 50);
 }
 
 } // namespace
