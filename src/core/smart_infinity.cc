@@ -118,6 +118,10 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
 
     const int aux = optim::auxStateCount(config_.optimizer);
     const std::size_t per_csd = (n + csds - 1) / csds;
+    // One subgroup of zeros serves every aux state of every shard, so
+    // set-up holds no shard-sized buffer.
+    const std::vector<float> zeros(std::min(config_.subgroup_elems, per_csd),
+                                   0.0f);
 
     std::size_t offset = 0;
     for (std::size_t d = 0; d < csds; ++d) {
@@ -135,11 +139,17 @@ SmartInfinityCluster::initialize(const float *params, std::size_t n)
 
         // Optimizer states are initially stored in the storage (Fig 1):
         // master parameters at offset 0, aux states zeroed behind them.
+        // The SSD already reads zero there; the writes commit the state
+        // pages now, so no timed step pays their first-touch faults.
         device->ssd().writeFloats(params + offset, len,
                                   layout.masterOffset());
-        const std::vector<float> zeros(len, 0.0f);
-        for (int a = 0; a < aux; ++a)
-            device->ssd().writeFloats(zeros.data(), len, layout.auxOffset(a));
+        for (int a = 0; a < aux; ++a) {
+            for (std::size_t done = 0; done < len; done += zeros.size()) {
+                device->ssd().writeFloats(
+                    zeros.data(), std::min(zeros.size(), len - done),
+                    layout.auxOffset(a) + done * sizeof(float));
+            }
+        }
 
         handlers_.push_back(std::make_unique<train::TransferHandler>(
             *device, layout, std::min(config_.subgroup_elems, len)));

@@ -27,9 +27,9 @@ class Csd
   public:
     /**
      * @param name diagnostic identifier ("csd0", ...)
-     * @param functional_capacity bytes to actually back in memory for the
-     *        emulated SSD contents (experiments only touch what they use,
-     *        so this is much smaller than the device's 4 TB)
+     * @param functional_capacity addressable bytes of the emulated SSD
+     *        contents, costing new host memory only where written (sized
+     *        to the shard, so much smaller than the device's 4 TB)
      */
     Csd(std::string name, std::size_t functional_capacity);
 

@@ -16,13 +16,6 @@ sectionName(Section s)
     return "?";
 }
 
-Profiler &
-Profiler::instance()
-{
-    static Profiler profiler;
-    return profiler;
-}
-
 void
 Profiler::reset()
 {

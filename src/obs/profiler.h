@@ -55,8 +55,17 @@ const char *sectionName(Section s);
 class Profiler
 {
   public:
-    /** The process-wide instance every probe reports to. */
-    static Profiler &instance();
+    /**
+     * The process-wide instance every probe reports to. Inline, and the
+     * constructor is constexpr, so the static is constant-initialized: a
+     * probe's call needs no guard and no out-of-line call.
+     */
+    static Profiler &
+    instance()
+    {
+        static Profiler profiler;
+        return profiler;
+    }
 
     /** Turn measurement on/off. Off: probes cost one atomic load. */
     void enable(bool on) { enabled_.store(on, std::memory_order_relaxed); }
@@ -135,7 +144,7 @@ class Profiler
     };
 
   private:
-    Profiler() = default;
+    constexpr Profiler() = default;
 
     /** @return true when this is the outermost frame (records on leave). */
     bool enter(Section s, std::chrono::steady_clock::time_point &start);

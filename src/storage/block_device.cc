@@ -1,22 +1,29 @@
 #include "storage/block_device.h"
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "common/logging.h"
 
 namespace smartinf::storage {
 
 BlockDevice::BlockDevice(std::string name, std::size_t capacity)
-    : name_(std::move(name)), data_(capacity, 0)
+    : name_(std::move(name)), capacity_(capacity)
 {
+    if (capacity_ == 0)
+        return; // calloc(0) may return null or not; an empty device holds none
+    data_.reset(static_cast<uint8_t *>(std::calloc(capacity_, 1)));
+    if (!data_)
+        throw std::bad_alloc();
 }
 
 void
 BlockDevice::checkRange(std::size_t n, std::size_t offset, const char *op) const
 {
-    if (offset + n > data_.size() || offset + n < offset) {
+    if (offset + n > capacity_ || offset + n < offset) {
         fatal("block device ", name_, ": ", op, " of ", n, " bytes at offset ",
-              offset, " exceeds capacity ", data_.size());
+              offset, " exceeds capacity ", capacity_);
     }
 }
 
@@ -24,7 +31,8 @@ void
 BlockDevice::pread(void *dst, std::size_t n, std::size_t offset) const
 {
     checkRange(n, offset, "pread");
-    std::memcpy(dst, data_.data() + offset, n);
+    if (n > 0) // memcpy takes no null pointer, even for zero bytes
+        std::memcpy(dst, data_.get() + offset, n);
     bytes_read_.add(static_cast<double>(n));
     ++read_ops_;
 }
@@ -33,7 +41,8 @@ void
 BlockDevice::pwrite(const void *src, std::size_t n, std::size_t offset)
 {
     checkRange(n, offset, "pwrite");
-    std::memcpy(data_.data() + offset, src, n);
+    if (n > 0)
+        std::memcpy(data_.get() + offset, src, n);
     bytes_written_.add(static_cast<double>(n));
     ++write_ops_;
 }

@@ -7,14 +7,22 @@
  * paper uses for SmartSSD P2P transfers. A block device has no timing: the
  * SmartSSD's NVMe rates live in csd/smartssd.h, where the performance
  * layer's per-device links read them.
+ *
+ * The capacity comes from calloc, not a zero-filled vector: a fresh
+ * allocation of a device's size is an anonymous mapping the kernel commits
+ * page by page on first write, and a reused block is memory the process
+ * already holds. Never-written bytes read as zero either way, so a shard
+ * region a dataflow never touches (the dense-gradient region under
+ * SmartComp) costs no new memory.
  */
 #ifndef SMARTINF_STORAGE_BLOCK_DEVICE_H
 #define SMARTINF_STORAGE_BLOCK_DEVICE_H
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/stats.h"
 
@@ -26,8 +34,8 @@ class BlockDevice
   public:
     /**
      * @param name stable identifier for diagnostics
-     * @param capacity device size in bytes (allocated lazily page-by-page is
-     *        unnecessary here; experiments size devices to what they use)
+     * @param capacity addressable bytes; they cost new host memory only
+     *        where written (0 is a valid, empty device)
      */
     BlockDevice(std::string name, std::size_t capacity);
 
@@ -42,7 +50,7 @@ class BlockDevice
     void writeFloats(const float *src, std::size_t count, std::size_t byte_offset);
 
     const std::string &name() const { return name_; }
-    std::size_t capacity() const { return data_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** Cumulative traffic counters. */
     double bytesRead() const { return bytes_read_.value(); }
@@ -52,10 +60,15 @@ class BlockDevice
     void resetStats();
 
   private:
+    struct FreeBytes {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+
     void checkRange(std::size_t n, std::size_t offset, const char *op) const;
 
     std::string name_;
-    std::vector<uint8_t> data_;
+    std::size_t capacity_;
+    std::unique_ptr<uint8_t[], FreeBytes> data_; ///< null when capacity_ is 0
     mutable Counter bytes_read_;
     Counter bytes_written_;
     mutable uint64_t read_ops_ = 0;

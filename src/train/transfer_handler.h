@@ -38,7 +38,11 @@ struct ShardLayout {
         return (1 + static_cast<std::size_t>(aux_states)) * elems *
                sizeof(float);
     }
-    /** Bytes of SSD this shard occupies (states + dense gradients). */
+    /**
+     * Bytes of SSD this shard addresses (states + dense gradients). With
+     * SmartComp the gradient region is reserved but never written, so it
+     * costs the functional SSD no new host memory.
+     */
     std::size_t
     totalBytes() const
     {

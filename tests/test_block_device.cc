@@ -1,7 +1,11 @@
 /** @file Tests for the functional block device. */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <fstream>
+#include <stdexcept>
 #include <vector>
 
 #include "storage/block_device.h"
@@ -66,6 +70,53 @@ TEST(BlockDevice, TrafficCountersTrackOps)
     dev.resetStats();
     EXPECT_EQ(dev.bytesRead(), 0.0);
     EXPECT_EQ(dev.readOps(), 0u);
+}
+
+TEST(BlockDevice, EmptyDeviceAcceptsZeroLengthAccess)
+{
+    // An empty device has no backing at all; a zero-length access must
+    // not hand memcpy its null pointer.
+    BlockDevice dev("empty", 0);
+    EXPECT_EQ(dev.capacity(), 0u);
+    char buf[8] = {};
+    dev.pread(buf, 0, 0);
+    dev.pwrite(buf, 0, 0);
+    EXPECT_EQ(dev.readOps(), 1u);
+    EXPECT_EQ(dev.writeOps(), 1u);
+    EXPECT_EQ(dev.bytesRead(), 0.0);
+    EXPECT_THROW(dev.pread(buf, 1, 0), std::runtime_error);
+    EXPECT_THROW(dev.pwrite(buf, 0, 1), std::runtime_error);
+}
+
+/** Resident set size of this process in bytes (/proc/self/statm). */
+std::size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::size_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(BlockDevice, UnwrittenCapacityCostsNoResidentMemory)
+{
+    constexpr std::size_t kGiB = std::size_t{1} << 30;
+    constexpr std::size_t kPage = 4096;
+    const std::size_t ceiling = residentBytes() + (std::size_t{32} << 20);
+    BlockDevice dev("big", kGiB);
+    EXPECT_LT(residentBytes(), ceiling);
+
+    std::vector<uint8_t> page(kPage), back(kPage, 0);
+    for (std::size_t i = 0; i < kPage; ++i)
+        page[i] = static_cast<uint8_t>(i * 7 + 1);
+    dev.pwrite(page.data(), kPage, kGiB - 2 * kPage);
+    dev.pread(back.data(), kPage, kGiB - 2 * kPage);
+    EXPECT_EQ(back, page);
+
+    std::vector<uint8_t> unwritten(kPage, 0xff);
+    dev.pread(unwritten.data(), kPage, kGiB / 2);
+    EXPECT_EQ(unwritten, std::vector<uint8_t>(kPage, 0));
+    EXPECT_LT(residentBytes(), ceiling);
 }
 
 } // namespace

@@ -325,6 +325,47 @@ TEST(Cluster, FunctionalStepBitsArePinned)
     EXPECT_EQ(fnv1a(cluster.masterParams(), n), 0x152bf20066eddafeull);
 }
 
+/**
+ * With SmartComp the dense gradient never reaches the SSD: set-up writes
+ * the master parameters and the zeroed aux states, and every step reads
+ * and writes exactly those, so the shard's gradient region is never
+ * touched (and, being unwritten, costs no host memory).
+ */
+TEST(Cluster, CompressedStepsMoveOnlyStateBytes)
+{
+    const std::size_t n = 10007;
+    const auto params = randomVector(n, 21);
+    const auto grads = randomVector(n, 22, 0.01);
+    for (auto kind :
+         {optim::OptimizerKind::Adam, optim::OptimizerKind::SgdMomentum}) {
+        const double states = 1.0 + optim::auxStateCount(kind);
+        for (int csds : {1, 3}) {
+            ClusterConfig config;
+            config.num_csds = csds;
+            config.optimizer = kind;
+            config.compression = true;
+            config.subgroup_elems = 1000;
+            SmartInfinityCluster cluster(config);
+            cluster.initialize(params.data(), n);
+            for (uint64_t t = 0; t <= 3; ++t) {
+                if (t > 0)
+                    cluster.step(grads.data(), n, t);
+                for (int d = 0; d < csds; ++d) {
+                    const auto &ssd = cluster.csd(d).ssd();
+                    const double shard =
+                        states * cluster.shardLength(d) * sizeof(float);
+                    EXPECT_EQ(ssd.bytesWritten(), shard * (1 + t))
+                        << optim::optimizerName(kind) << " " << csds << "/"
+                        << d << " after step " << t;
+                    EXPECT_EQ(ssd.bytesRead(), shard * t)
+                        << optim::optimizerName(kind) << " " << csds << "/"
+                        << d << " after step " << t;
+                }
+            }
+        }
+    }
+}
+
 /** An updater kernel that always throws. */
 class FaultyUpdater final : public accel::UpdaterModule
 {
