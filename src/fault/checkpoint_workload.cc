@@ -41,14 +41,51 @@ CheckpointedTrainingWorkload::build(train::SimContext &ctx)
         ctx.faults_armed = true;
         links_.emplace(ctx);
         events_ = generateFaultSchedule(fault_, fault_.seed, nodes);
-        for (const FaultEvent &event : events_)
-            ctx.sim.at(event.time, [this, event]() { onFault(event); });
+        for (std::size_t i = 0; i < events_.size(); ++i)
+            ctx.sim.at(events_[i].time, notice(kFault, i));
     }
 
     // The job is reactive: each iteration is built into the running graph
     // when the previous one completes (so a crash can revoke exactly the
     // in-flight unit of work).
-    ctx.sim.at(0.0, [this]() { beginIteration(); });
+    ctx.sim.at(0.0, notice(kStart));
+}
+
+void
+CheckpointedTrainingWorkload::onNotify(uint64_t arg)
+{
+    const std::size_t index = arg >> 8;
+    switch (static_cast<Event>(arg & 0xff)) {
+      case kStart:
+        return beginIteration();
+      case kFault:
+        return onFault(index);
+      case kRepaired:
+        return beginRestore();
+      case kLinkRestore:
+        links_->end(events_[index]);
+        if (ctx_->obs)
+            ctx_->obs->recoveryAction("link-restore", events_[index].node,
+                                      ctx_->sim.now());
+        return;
+      case kIterationDone:
+        return onIterationDone();
+      case kCheckpointDone:
+        ckpt_in_flight_ = false;
+        ckpt_domain_ = TaskGraph::kNoDomain;
+        durable_iter_ = ckpt_iter_;
+        ++stats_.checkpoints_written;
+        if (ctx_->obs)
+            ctx_->obs->recoveryAction("checkpoint-commit", ckpt_iter_,
+                                      ctx_->sim.now());
+        return;
+      case kRestoreDone:
+        dead_ = false;
+        if (ctx_->obs)
+            ctx_->obs->recoveryAction("restart", durable_iter_,
+                                      ctx_->sim.now());
+        return beginIteration();
+    }
 }
 
 void
@@ -70,12 +107,8 @@ CheckpointedTrainingWorkload::beginIteration()
     const TaskId first = ctx.graph.taskCount();
     train::stageIteration(ctx, builders_);
 
-    const TaskId sentinel = ctx.graph.add(
-        [this](std::function<void()> done) {
-            onIterationDone();
-            done();
-        },
-        {"job.iter", iterations_done_});
+    const TaskId sentinel = ctx.graph.notify(notice(kIterationDone),
+                                             {"job.iter", iterations_done_});
     for (TaskId t = first; t < sentinel; ++t)
         ctx.graph.dependsOn(sentinel, t);
     if (ctx.faults_armed)
@@ -128,18 +161,8 @@ CheckpointedTrainingWorkload::beginCheckpoint(int snapshot_iter)
     // The checkpoint is durable only when its last stripe lands; a crash
     // before this task runs revokes the whole domain and the snapshot
     // never commits.
-    const TaskId commit = ctx.graph.add(
-        [this](std::function<void()> done) {
-            ckpt_in_flight_ = false;
-            ckpt_domain_ = TaskGraph::kNoDomain;
-            durable_iter_ = ckpt_iter_;
-            ++stats_.checkpoints_written;
-            if (ctx_->obs)
-                ctx_->obs->recoveryAction("checkpoint-commit", ckpt_iter_,
-                                          ctx_->sim.now());
-            done();
-        },
-        {"ckpt.commit", snapshot_iter});
+    const TaskId commit = ctx.graph.notify(notice(kCheckpointDone),
+                                           {"ckpt.commit", snapshot_iter});
     ctx.graph.dependsOn(commit, stripes);
     if (ctx.faults_armed)
         ctx.graph.setCurrentDomain(TaskGraph::kNoDomain);
@@ -168,24 +191,17 @@ CheckpointedTrainingWorkload::beginRestore()
         ctx.graph.dependsOn(upload, join);
         loaded.push_back(upload);
     }
-    const TaskId resume = ctx.graph.add(
-        [this](std::function<void()> done) {
-            dead_ = false;
-            if (ctx_->obs)
-                ctx_->obs->recoveryAction("restart", durable_iter_,
-                                          ctx_->sim.now());
-            beginIteration();
-            done();
-        },
-        {"ckpt.restart", durable_iter_});
+    const TaskId resume = ctx.graph.notify(notice(kRestoreDone),
+                                           {"ckpt.restart", durable_iter_});
     ctx.graph.dependsOn(resume, loaded);
     ctx.graph.releaseRange(first, ctx.graph.taskCount());
 }
 
 void
-CheckpointedTrainingWorkload::onFault(const FaultEvent &event)
+CheckpointedTrainingWorkload::onFault(std::size_t index)
 {
     train::SimContext &ctx = *ctx_;
+    const FaultEvent &event = events_[index];
     const Seconds now = ctx.sim.now();
     if (ctx.obs)
         ctx.obs->faultInjected(faultKindName(event.kind), event.node, now);
@@ -213,18 +229,13 @@ CheckpointedTrainingWorkload::onFault(const FaultEvent &event)
         ++stats_.restarts;
         stats_.iterations_replayed += iterations_done_ - durable_iter_;
         iterations_done_ = durable_iter_;
-        ctx.sim.at(now + event.duration, [this]() { beginRestore(); });
+        ctx.sim.at(now + event.duration, notice(kRepaired));
         break;
       }
       case FaultKind::LinkDegrade: {
         ++stats_.link_degrades;
         links_->begin(event);
-        ctx.sim.at(now + event.duration, [this, event]() {
-            links_->end(event);
-            if (ctx_->obs)
-                ctx_->obs->recoveryAction("link-restore", event.node,
-                                          ctx_->sim.now());
-        });
+        ctx.sim.at(now + event.duration, notice(kLinkRestore, index));
         break;
       }
     }

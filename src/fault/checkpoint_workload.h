@@ -40,7 +40,8 @@
 namespace smartinf::fault {
 
 /** N training iterations + periodic checkpoints + fault recovery. */
-class CheckpointedTrainingWorkload final : public train::Workload
+class CheckpointedTrainingWorkload final : public train::Workload,
+                                           private sim::Receiver
 {
   public:
     CheckpointedTrainingWorkload(const train::ModelSpec &model,
@@ -65,11 +66,29 @@ class CheckpointedTrainingWorkload final : public train::Workload
      *  of a checkpoint is the GPU/host-resident replica.) */
     Bytes checkpointBytes() const { return model_.modelBytes(); }
 
+    /**
+     * What a typed event naming this workload asks of it: the low byte of
+     * the event's argument. Fault and link-restore events carry the
+     * event's index into events_ above that byte; the rest carry nothing.
+     * The last three are the "job.iter", "ckpt.commit" and "ckpt.restart"
+     * notify tasks.
+     */
+    enum Event : uint64_t {
+        kStart, kFault, kRepaired, kLinkRestore,
+        kIterationDone, kCheckpointDone, kRestoreDone,
+    };
+    sim::Notify
+    notice(Event what, std::size_t fault = 0)
+    {
+        return {this, what | uint64_t{fault} << 8};
+    }
+    void onNotify(uint64_t arg) override;
+
     void beginIteration();
     void onIterationDone();
     void beginCheckpoint(int snapshot_iter);
     void beginRestore();
-    void onFault(const FaultEvent &event);
+    void onFault(std::size_t index);
 
     const train::ModelSpec model_;
     const train::TrainConfig train_;

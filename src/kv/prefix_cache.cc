@@ -63,15 +63,6 @@ PrefixCache::evictLru()
     return blocks;
 }
 
-int
-PrefixCache::cachedBlocks() const
-{
-    int count = 0;
-    for (const auto &[id, entry] : entries_)
-        count += static_cast<int>(entry.blocks.size());
-    return count;
-}
-
 double
 PrefixCache::hitRate() const
 {

@@ -67,8 +67,6 @@ class PrefixCache
      */
     std::optional<std::vector<BlockId>> evictLru();
 
-    /** Pages currently held by cached entries (any refcount). */
-    int cachedBlocks() const;
     /** Cached entries (any refcount). */
     int entryCount() const { return static_cast<int>(entries_.size()); }
     /** All cached entries, keyed by prefix_id (gauges, tests). */

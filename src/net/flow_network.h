@@ -62,7 +62,6 @@
 #define SMARTINF_NET_FLOW_NETWORK_H
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -164,15 +163,6 @@ class FlowNetwork : private sim::Receiver
      */
     FlowId startFlow(const Route &route, Bytes bytes, sim::Notify done,
                      Seconds latency = 0.0);
-
-    /** startFlow() with a closure, parked in the event queue's table. */
-    FlowId
-    startFlow(const Route &route, Bytes bytes, std::function<void()> done,
-              Seconds latency = 0.0)
-    {
-        return startFlow(route, bytes, sim_.queue().park(std::move(done)),
-                         latency);
-    }
 
     /**
      * Revoke an in-flight transfer (fault injection). Progress up to now is

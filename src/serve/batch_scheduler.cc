@@ -210,12 +210,8 @@ BatchScheduler::beginStep()
     const TaskId first = ctx_.graph.taskCount();
     const TaskId pass_done =
         builder_.buildForwardPass(shape, next_step_index_);
-    const TaskId sentinel = ctx_.graph.add(
-        [this](std::function<void()> done) {
-            onStepDone();
-            done();
-        },
-        {"srv.step", next_step_index_, node_});
+    const TaskId sentinel = ctx_.graph.notify(
+        {this, 0}, {"srv.step", next_step_index_, node_});
     ctx_.graph.dependsOn(sentinel, pass_done);
     if (ctx_.faults_armed)
         ctx_.graph.setCurrentDomain(sim::TaskGraph::kNoDomain);

@@ -63,8 +63,11 @@ train::RequestRecord dispositionRecord(const RequestSpec &spec, int node,
                                        Seconds start, Seconds first_token,
                                        Seconds finish, int output_tokens);
 
-/** Per-node batch scheduler (see file comment). */
-class BatchScheduler
+/**
+ * Per-node batch scheduler (see file comment). Each step ends in a
+ * "srv.step" notify task naming the scheduler; its argument is unused.
+ */
+class BatchScheduler : private sim::Receiver
 {
   public:
     /** Called once per retired request, inside the retirement event
@@ -170,6 +173,8 @@ class BatchScheduler
 
     void maybeBeginStep();
     void beginStep();
+    /** The step sentinel fired: the in-flight step completed. */
+    void onNotify(uint64_t) override { onStepDone(); }
     void onStepDone();
     void noteQueueDepthChange();
 

@@ -140,10 +140,19 @@ ClusterController::emitReplicas() const
 }
 
 void
+ClusterController::onNotify(uint64_t arg)
+{
+    if (arg == kTick)
+        onTick();
+    else
+        onWarmupDone(static_cast<int>(arg));
+}
+
+void
 ClusterController::armTick()
 {
     ctx_.sim.at(ctx_.sim.now() + config_.ctrl.autoscale.window_s,
-                [this]() { onTick(); });
+                {this, kTick});
 }
 
 void
@@ -192,12 +201,8 @@ ClusterController::scaleUp()
         const TaskId pass = builders_[i]->buildForwardPass(
             shape, 1000000 + warmup_seq_); // step index disjoint from the
                                            // scheduler's (labels only)
-        const TaskId sentinel = ctx_.graph.add(
-            [this, node](std::function<void()> done) {
-                onWarmupDone(node);
-                done();
-            },
-            {"ctrl.warmup", warmup_seq_, node});
+        const TaskId sentinel = ctx_.graph.notify(
+            {this, i}, {"ctrl.warmup", warmup_seq_, node});
         ctx_.graph.dependsOn(sentinel, pass);
         ctx_.graph.releaseRange(first, ctx_.graph.taskCount());
         ++warmup_seq_;

@@ -29,8 +29,13 @@
 
 namespace smartinf::serve {
 
-/** The control plane of one serving fleet (see file comment). */
-class ClusterController
+/**
+ * The control plane of one serving fleet (see file comment). Its two
+ * typed events name the controller: the autoscale tick carries kTick, and
+ * the "ctrl.warmup" notify task that closes a warm-up pass carries the
+ * warming replica's index.
+ */
+class ClusterController : private sim::Receiver
 {
   public:
     ClusterController(train::SimContext &ctx, const ServeConfig &config,
@@ -72,6 +77,9 @@ class ClusterController
   private:
     enum class ReplicaState { Inactive, Warming, Active, Draining };
 
+    /** The argument of the autoscale tick (any other is a replica). */
+    static constexpr uint64_t kTick = ~uint64_t{0};
+    void onNotify(uint64_t arg) override;
     void armTick();
     void onTick();
     void scaleUp();

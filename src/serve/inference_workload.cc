@@ -20,14 +20,63 @@ InferenceWorkload::InferenceWorkload(const train::ModelSpec &model,
 }
 
 void
-InferenceWorkload::issueSpec(train::SimContext &ctx, RequestSpec request,
-                             Seconds at)
+InferenceWorkload::issueSpec(RequestSpec request, Seconds at)
 {
     // Stamp the actual issue time (it is reactive) so the record's
     // queueDelay/latency measure from submission. The replica is chosen
     // when the event fires, against the fleet's state at that moment.
     request.arrival = at;
-    ctx.sim.at(at, [this, &ctx, request]() { dispatch(ctx, request); });
+    dispatchAt(at, request);
+}
+
+void
+InferenceWorkload::dispatchAt(Seconds at, const RequestSpec &request)
+{
+    std::size_t slot = parked_.size();
+    if (free_parked_.empty()) {
+        parked_.push_back(request);
+    } else {
+        slot = free_parked_.back();
+        free_parked_.pop_back();
+        parked_[slot] = request;
+    }
+    ctx_->sim.at(at, notice(kDispatch, slot));
+}
+
+void
+InferenceWorkload::onNotify(uint64_t arg)
+{
+    train::SimContext &ctx = *ctx_;
+    const std::size_t payload = arg >> 8;
+    switch (static_cast<Event>(arg & 0xff)) {
+      case kArrival: {
+        // Chain the next arrival before delivering this one, so an exactly
+        // tied successor still fires ahead of anything the delivery
+        // schedules.
+        const RequestSpec request = next_arrival_;
+        scheduleNextArrival(ctx);
+        return dispatch(ctx, request);
+      }
+      case kDispatch: {
+        const RequestSpec request = parked_[payload];
+        free_parked_.push_back(static_cast<uint32_t>(payload));
+        return dispatch(ctx, request);
+      }
+      case kFault:
+        return onFault(ctx, payload);
+      case kLinkRestore:
+        fault_links_->end(faults_[payload]);
+        if (ctx.obs)
+            ctx.obs->recoveryAction("link-restore", faults_[payload].node,
+                                    ctx.sim.now());
+        return;
+      case kRevive:
+        schedulers_[payload]->revive();
+        if (ctx.obs)
+            ctx.obs->recoveryAction("revive", static_cast<int>(payload),
+                                    ctx.sim.now());
+        return;
+    }
 }
 
 void
@@ -35,15 +84,11 @@ InferenceWorkload::scheduleNextArrival(train::SimContext &ctx)
 {
     if (source_->done())
         return;
-    const RequestSpec request = source_->next();
-    // One timed event per arrival. The callback chains the next arrival
-    // before delivering this one, so an exactly-tied successor still fires
-    // ahead of anything the delivery schedules, and at most one undelivered
-    // spec exists at any simulated moment.
-    ctx.sim.at(request.arrival, [this, &ctx, request]() {
-        scheduleNextArrival(ctx);
-        dispatch(ctx, request);
-    });
+    // One timed event per arrival. The event chains the next arrival
+    // before delivering this one, so at most one undelivered spec exists
+    // at any simulated moment.
+    next_arrival_ = source_->next();
+    ctx.sim.at(next_arrival_.arrival, notice(kArrival));
 }
 
 RequestSpec
@@ -66,8 +111,7 @@ InferenceWorkload::takeSpec(int id)
 }
 
 void
-InferenceWorkload::releaseClient(train::SimContext &ctx,
-                                 const train::RequestRecord &record)
+InferenceWorkload::releaseClient(const train::RequestRecord &record)
 {
     const std::size_t clients = client_next_.size();
     const std::size_t client =
@@ -77,7 +121,7 @@ InferenceWorkload::releaseClient(train::SimContext &ctx,
         return; // this client's slice is exhausted
     client_next_[client] = next + clients;
     const Seconds at = record.finish + config_.think_time;
-    issueSpec(ctx, takeSpec(static_cast<int>(next)), at);
+    issueSpec(takeSpec(static_cast<int>(next)), at);
 }
 
 void
@@ -94,7 +138,7 @@ InferenceWorkload::dispose(train::SimContext &ctx,
     // exactly as it does on completion — otherwise the population would
     // deadlock.
     if (config_.client_mode == ClientMode::ClosedLoop)
-        releaseClient(ctx, record);
+        releaseClient(record);
 }
 
 void
@@ -119,8 +163,7 @@ InferenceWorkload::redispatch(train::SimContext &ctx, RequestSpec request)
     ++fault_stats_.retries_dispatched;
     const Seconds backoff =
         static_cast<double>(request.attempt) * kRetryBackoff;
-    ctx.sim.at(ctx.sim.now() + backoff,
-               [this, &ctx, request]() { dispatch(ctx, request); });
+    dispatchAt(ctx.sim.now() + backoff, request);
 }
 
 void
@@ -175,8 +218,7 @@ InferenceWorkload::dispatch(train::SimContext &ctx,
             deferred.deferrals += 1;
             if (ctx.obs)
                 ctx.obs->ctrlDecision("defer", request.id, now);
-            ctx.sim.at(now + config_.ctrl.slo.defer_delay_s,
-                       [this, &ctx, deferred]() { dispatch(ctx, deferred); });
+            dispatchAt(now + config_.ctrl.slo.defer_delay_s, deferred);
             return;
         }
     }
@@ -184,9 +226,9 @@ InferenceWorkload::dispatch(train::SimContext &ctx,
 }
 
 void
-InferenceWorkload::onFault(train::SimContext &ctx,
-                           const fault::FaultEvent &event)
+InferenceWorkload::onFault(train::SimContext &ctx, std::size_t index)
 {
+    const fault::FaultEvent &event = faults_[index];
     const Seconds now = ctx.sim.now();
     if (ctx.obs)
         ctx.obs->faultInjected(fault::faultKindName(event.kind), event.node,
@@ -202,11 +244,8 @@ InferenceWorkload::onFault(train::SimContext &ctx,
             static_cast<int>(displaced.size());
         for (RequestSpec &spec : displaced)
             redispatch(ctx, std::move(spec));
-        ctx.sim.at(now + event.duration, [this, &ctx, node = event.node]() {
-            schedulers_[node]->revive();
-            if (ctx.obs)
-                ctx.obs->recoveryAction("revive", node, ctx.sim.now());
-        });
+        ctx.sim.at(now + event.duration,
+                   notice(kRevive, static_cast<std::size_t>(event.node)));
         break;
       }
       case fault::FaultKind::LinkDegrade: {
@@ -215,29 +254,17 @@ InferenceWorkload::onFault(train::SimContext &ctx,
         // flow crosses) runs at a fraction of its capacity for a while;
         // the incremental max-min scheduler re-shares mid-flow.
         fault_links_->begin(event);
-        ctx.sim.at(now + event.duration, [this, &ctx, event]() {
-            fault_links_->end(event);
-            if (ctx.obs)
-                ctx.obs->recoveryAction("link-restore", event.node,
-                                        ctx.sim.now());
-        });
+        ctx.sim.at(now + event.duration, notice(kLinkRestore, index));
         break;
       }
     }
 }
 
 void
-InferenceWorkload::armFault(train::SimContext &ctx,
-                            const fault::FaultEvent &event)
-{
-    ctx.sim.at(event.time,
-               [this, &ctx, event]() { onFault(ctx, event); });
-}
-
-void
 InferenceWorkload::build(train::SimContext &ctx)
 {
     SI_ASSERT(builders_.empty(), "InferenceWorkload::build called twice");
+    ctx_ = &ctx;
     const int nodes = ctx.system.num_nodes;
     stream_total_ = config_.streamSize();
     source_ = std::make_unique<RequestSource>(config_);
@@ -261,9 +288,10 @@ InferenceWorkload::build(train::SimContext &ctx)
         ctx.faults_armed = true;
         fault_stats_.enabled = true;
         fault_links_.emplace(ctx);
-        for (const fault::FaultEvent &event : fault::generateFaultSchedule(
-                 config_.fault, config_.seed, nodes))
-            armFault(ctx, event);
+        faults_ = fault::generateFaultSchedule(config_.fault, config_.seed,
+                                               nodes);
+        for (std::size_t i = 0; i < faults_.size(); ++i)
+            ctx.sim.at(faults_[i].time, notice(kFault, i));
     }
 
     // Control plane: built after the schedulers exist, started before any
@@ -311,7 +339,7 @@ InferenceWorkload::build(train::SimContext &ctx)
         client_next_.assign(clients, 0);
         for (std::size_t c = 0; c < clients; ++c) {
             client_next_[c] = c + clients;
-            issueSpec(ctx, takeSpec(static_cast<int>(c)), 0.0);
+            issueSpec(takeSpec(static_cast<int>(c)), 0.0);
         }
     } else {
         // Open loop and trace: chain arrivals one ahead — the arrival

@@ -50,7 +50,8 @@
 namespace smartinf::serve {
 
 /** A finite request stream served on ctx.system.num_nodes replicas. */
-class InferenceWorkload final : public train::Workload
+class InferenceWorkload final : public train::Workload,
+                                private sim::Receiver
 {
   public:
     InferenceWorkload(const train::ModelSpec &model, ServeConfig config);
@@ -71,9 +72,30 @@ class InferenceWorkload final : public train::Workload
     /** Why a request was turned away without service. */
     enum class TurnAway { Shed, Reject };
 
+    /**
+     * What a timed event naming this workload asks of it: the low byte of
+     * the event's argument, with a payload above it. An arrival carries
+     * nothing (the one undelivered spec waits in next_arrival_); a
+     * dispatch carries a slot of parked_ (retry, deferral, closed-loop
+     * issue); a fault or link restore carries the event's index into
+     * faults_; a revive carries the node.
+     */
+    enum Event : uint64_t {
+        kArrival, kDispatch, kFault, kLinkRestore, kRevive,
+    };
+    sim::Notify
+    notice(Event what, std::size_t payload = 0)
+    {
+        return {this, what | uint64_t{payload} << 8};
+    }
+    void onNotify(uint64_t arg) override;
+    /** Dispatch @p request at simulated time @p at, parked in parked_
+     *  until then. */
+    void dispatchAt(Seconds at, const RequestSpec &request);
+
     /** Closed loop: issue @p request at simulated time @p at (stamps the
      *  record's arrival, then dispatch() when the event fires). */
-    void issueSpec(train::SimContext &ctx, RequestSpec request, Seconds at);
+    void issueSpec(RequestSpec request, Seconds at);
     /** Open loop: draw the next request and arm its arrival event, which
      *  first chains the one after it (one timed event per arrival). */
     void scheduleNextArrival(train::SimContext &ctx);
@@ -82,8 +104,7 @@ class InferenceWorkload final : public train::Workload
     RequestSpec takeSpec(int id);
     /** Closed loop: schedule the owning client's next request
      *  think_time after @p record.finish. */
-    void releaseClient(train::SimContext &ctx,
-                       const train::RequestRecord &record);
+    void releaseClient(const train::RequestRecord &record);
     /**
      * The one disposition path (served, shed, or rejected): fold
      * @p record into the streaming aggregates, keep it while fewer than
@@ -110,11 +131,9 @@ class InferenceWorkload final : public train::Workload
     void dispatch(train::SimContext &ctx, const RequestSpec &request);
 
     /** @name Failover path (config.fault.enabled only). @{ */
-    /** Arm one pre-drawn fault event as a timed simulator event. */
-    void armFault(train::SimContext &ctx, const fault::FaultEvent &event);
-    /** Apply @p event now: crash or degrade, plus the matching restore
-     *  event at time + duration. */
-    void onFault(train::SimContext &ctx, const fault::FaultEvent &event);
+    /** Apply faults_[@p index] now: crash or degrade, plus the matching
+     *  restore event at time + duration. */
+    void onFault(train::SimContext &ctx, std::size_t index);
     /** Re-dispatch a displaced request: bump attempt, wait the linear
      *  backoff (attempt * 0.5 s), then dispatch(). */
     void redispatch(train::SimContext &ctx, RequestSpec request);
@@ -122,6 +141,7 @@ class InferenceWorkload final : public train::Workload
 
     train::ModelSpec model_;
     ServeConfig config_;
+    train::SimContext *ctx_ = nullptr;
     /** Lazy generator: the only source of request specs. */
     std::unique_ptr<RequestSource> source_;
     /** Total requests this run disposes (== ServeConfig::streamSize()). */
@@ -130,6 +150,12 @@ class InferenceWorkload final : public train::Workload
      *  that client asks for them (bounded by the spread between the
      *  fastest and slowest client, not the stream). */
     std::map<int, RequestSpec> pending_;
+    /** Open loop: the drawn spec whose arrival event is scheduled. */
+    RequestSpec next_arrival_;
+    /** Specs waiting in a scheduled dispatch event, by slot, and the free
+     *  slots (reused, so the table holds the peak number waiting). */
+    std::vector<RequestSpec> parked_;
+    std::vector<uint32_t> free_parked_;
     std::vector<std::unique_ptr<InferenceBuilder>> builders_;
     std::vector<std::unique_ptr<BatchScheduler>> schedulers_;
     /** The cluster control plane (null unless config.ctrl.enabled). */
@@ -144,6 +170,8 @@ class InferenceWorkload final : public train::Workload
 
     /** @name Failover state (empty/zero in fault-free runs). @{ */
     train::FaultStats fault_stats_;
+    /** The pre-drawn fault schedule. */
+    std::vector<fault::FaultEvent> faults_;
     /** Link-degradation episodes (set when enabled). */
     std::optional<fault::LinkEpisodes> fault_links_;
     /** @} */

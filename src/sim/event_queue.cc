@@ -7,38 +7,6 @@
 namespace smartinf::sim {
 
 void
-EventQueue::Closures::onNotify(uint64_t slot)
-{
-    // Moved out and freed first, so the closure may park another.
-    std::function<void()> fn = std::move(slots[slot]);
-    onDrop(slot);
-    fn();
-}
-
-void
-EventQueue::Closures::onDrop(uint64_t slot)
-{
-    slots[slot] = nullptr;
-    free_slots.push_back(static_cast<uint32_t>(slot));
-}
-
-Notify
-EventQueue::park(std::function<void()> fn)
-{
-    if (!fn)
-        return {};
-    uint32_t slot = static_cast<uint32_t>(closures_.slots.size());
-    if (closures_.free_slots.empty()) {
-        closures_.slots.push_back(std::move(fn));
-    } else {
-        slot = closures_.free_slots.back();
-        closures_.free_slots.pop_back();
-        closures_.slots[slot] = std::move(fn);
-    }
-    return {&closures_, slot};
-}
-
-void
 EventQueue::schedule(Seconds when, Notify what)
 {
     SI_ASSERT(when >= 0.0, "event scheduled at negative time ", when);

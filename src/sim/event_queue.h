@@ -4,13 +4,12 @@
  * by insertion order so simulations are fully deterministic.
  *
  * An event is typed: it names a Receiver and one integer for it (a task id,
- * a flow slot), so the hot paths — resource finishes, delay tasks, flow
- * latency expiries and the flow network's alarm — schedule 32-byte PODs and
- * no closure. Ad-hoc callbacks (workload timers, tests) are parked in a
- * recycled closure table and delivered as typed events of that table, so
- * closure memory is bounded by the peak number of parked callbacks rather
- * than the total ever scheduled. Scheduled events always run; nothing is
- * cancelled.
+ * a flow slot, a workload's encoded timer), so every event — resource
+ * finishes, delay tasks, flow latency expiries, the flow network's alarm
+ * and the workloads' own timers — is a 32-byte POD and no closure. A
+ * receiver that needs more than one integer of payload keeps the rest in a
+ * table of its own and sends the index. Scheduled events always run;
+ * nothing is cancelled.
  *
  * Beside the heap the queue keeps one re-armable alarm, the flow network's
  * next-completion event. arm() overwrites the alarm's (time, sequence) in
@@ -24,7 +23,6 @@
 #define SMARTINF_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/units.h"
@@ -48,7 +46,8 @@ class Receiver
 /**
  * A deferred call by value: receiver and integer. A Resource job and a
  * flow slot store one to name whoever waits for them (a task graph and the
- * task's id); the event queue stores one per event.
+ * task's id), a notify task stores the one it fires, and the event queue
+ * stores one per event.
  */
 struct Notify {
     Receiver *to = nullptr;
@@ -72,34 +71,12 @@ class EventQueue
     /** Schedule @p what at absolute time @p when. */
     void schedule(Seconds when, Notify what);
 
-    /** Schedule the closure @p fn at absolute time @p when. */
-    void
-    schedule(Seconds when, std::function<void()> fn)
-    {
-        schedule(when, park(std::move(fn)));
-    }
-
-    /**
-     * Park @p fn in the closure table: the returned Notify runs it once and
-     * frees its slot, and dropping the Notify frees the slot unrun. A null
-     * @p fn parks nothing and returns a null Notify.
-     */
-    Notify park(std::function<void()> fn);
-
     /** Take ownership of the alarm. Fatal if another owner holds it. */
     void claimAlarm();
 
     /** (Re)arm the alarm to fire @p what at @p when, dropping any armed
      *  one. */
     void arm(Seconds when, Notify what);
-
-    /** arm() with a closure. */
-    void
-    arm(Seconds when, std::function<void()> fn)
-    {
-        disarm(); // Frees the old closure's slot before parking the new.
-        arm(when, park(std::move(fn)));
-    }
 
     /** Drop the armed alarm, if any. */
     void disarm();
@@ -122,10 +99,6 @@ class EventQueue
      */
     bool runNext(Seconds &now);
 
-    /** Closure slots allocated (== peak parked closures, not the total
-     *  ever scheduled) — memory-bound introspection for tests. */
-    std::size_t slotsAllocated() const { return closures_.slots.size(); }
-
     /** Heap entries currently stored (the alarm is never in the heap). */
     std::size_t heapSize() const { return heap_.size(); }
 
@@ -146,16 +119,7 @@ class EventQueue
         }
     };
 
-    /** The parked closures, delivered as typed events of this table. */
-    struct Closures final : Receiver {
-        std::vector<std::function<void()>> slots;
-        std::vector<uint32_t> free_slots;
-        void onNotify(uint64_t slot) override;
-        void onDrop(uint64_t slot) override;
-    };
-
     std::vector<Entry> heap_; ///< min-heap on (when, seq)
-    Closures closures_;
     uint64_t next_seq_ = 0;
     Entry alarm_{0.0, 0, {}};
     bool alarm_armed_ = false;

@@ -7,7 +7,6 @@
 #ifndef SMARTINF_SIM_RESOURCE_H
 #define SMARTINF_SIM_RESOURCE_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,15 +33,9 @@ class Resource : private Receiver
     Resource(Simulator &sim, std::string name, double rate,
              Seconds job_latency = 0.0);
 
-    /** Enqueue @p work units; @p done fires when the job completes. */
+    /** Enqueue @p work units; @p done fires when the job completes (a
+     *  null @p done completes silently). */
     void submit(double work, Notify done);
-
-    /** submit() with a closure, parked in the event queue's table. */
-    void
-    submit(double work, std::function<void()> done)
-    {
-        submit(work, sim_.queue().park(std::move(done)));
-    }
 
     /** True when no job is running or queued. */
     bool idle() const { return !busy_ && head_ == queue_.size(); }

@@ -29,13 +29,6 @@ class Simulator
     /** Current simulated time in seconds. */
     Seconds now() const { return now_; }
 
-    /** Schedule a callback @p delay seconds from now. */
-    void
-    after(Seconds delay, std::function<void()> fn)
-    {
-        queue_.schedule(now_ + delay, std::move(fn));
-    }
-
     /** Schedule a typed event @p delay seconds from now. */
     void
     after(Seconds delay, Notify what)
@@ -43,11 +36,11 @@ class Simulator
         queue_.schedule(now_ + delay, what);
     }
 
-    /** Schedule a callback at absolute time @p when (>= now). */
+    /** Schedule a typed event at absolute time @p when (>= now). */
     void
-    at(Seconds when, std::function<void()> fn)
+    at(Seconds when, Notify what)
     {
-        queue_.schedule(when, std::move(fn));
+        queue_.schedule(when, what);
     }
 
     /** Run until no events remain. @return final simulated time. */

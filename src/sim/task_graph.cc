@@ -9,24 +9,6 @@
 
 namespace smartinf::sim {
 
-namespace {
-
-/** Index of a free entry of @p pool, grown by one when none is free. */
-template <class T>
-uint32_t
-takeSlot(std::vector<T> &pool, std::vector<uint32_t> &free_slots)
-{
-    if (free_slots.empty()) {
-        pool.emplace_back();
-        return static_cast<uint32_t>(pool.size() - 1);
-    }
-    const uint32_t slot = free_slots.back();
-    free_slots.pop_back();
-    return slot;
-}
-
-} // namespace
-
 std::string
 TaskLabel::str() const
 {
@@ -76,13 +58,12 @@ TaskGraph::append(Kind kind, TaskLabel label)
 }
 
 TaskGraph::TaskId
-TaskGraph::add(Action action, TaskLabel label)
+TaskGraph::notify(Notify what, TaskLabel label)
 {
-    SI_ASSERT(action, "a custom task needs an action (see barrier())");
-    const uint32_t slot = takeSlot(actions_, free_actions_);
-    actions_[slot] = std::move(action);
-    const TaskId id = append(Kind::Custom, label);
-    task(id).slot = slot;
+    SI_ASSERT(what, "a notify task needs a receiver (see barrier())");
+    const TaskId id = append(Kind::Notify, label);
+    task(id).receiver = what.to;
+    task(id).arg = what.arg;
     return id;
 }
 
@@ -157,19 +138,18 @@ TaskGraph::addDependent(Task &t, TaskId id)
     }
     if (t.num_dependents == kInlineDependents) {
         // The fan-out outgrows the inline pair: move it to a pooled list.
-        const uint32_t list = takeSlot(fanouts_, free_fanouts_);
+        uint32_t list = static_cast<uint32_t>(fanouts_.size());
+        if (free_fanouts_.empty()) {
+            fanouts_.emplace_back();
+        } else {
+            list = free_fanouts_.back();
+            free_fanouts_.pop_back();
+        }
         fanouts_[list].assign(t.dependents, t.dependents + kInlineDependents);
         t.dependents[0] = list;
     }
     fanouts_[t.dependents[0]].push_back(id);
     ++t.num_dependents;
-}
-
-void
-TaskGraph::dropAction(const Task &t)
-{
-    actions_[t.slot] = nullptr;
-    free_actions_.push_back(static_cast<uint32_t>(t.slot));
 }
 
 void
@@ -195,9 +175,9 @@ TaskGraph::start()
 {
     SI_REQUIRE(!started_, "start() called twice");
     started_ = true;
-    // Launching a static task may already grow the graph (its action can
-    // add + release dynamic tasks); those manage their own release, so
-    // only the pre-start prefix is released here.
+    // Launching a static task may already grow the graph (a notify task's
+    // receiver can add + release dynamic tasks); those manage their own
+    // release, so only the pre-start prefix is released here.
     const TaskId static_tasks = total_added_;
     for (TaskId id = 0; id < static_tasks; ++id) {
         Task &t = task(id);
@@ -255,16 +235,14 @@ TaskGraph::launch(TaskId id)
         // The bytes are read before the flow id takes their place.
         t.flow = seam_->startTransfer(*t.route, t.amount, done);
         return;
-    case Kind::Custom: {
-        // Moved out before invoking, so the slot (and whatever the closure
-        // captured) is free as soon as the action has run.
-        Action action = std::move(actions_[t.slot]);
-        dropAction(t);
+    case Kind::Notify:
+        // One bracket around the receiver and the completion, so neither
+        // trims storage an outer frame is still reading.
         ++callback_depth_;
-        action([this, id]() { complete(id); });
+        Notify{t.receiver, t.arg}();
+        complete(id);
         --callback_depth_;
         return;
-    }
     }
 }
 
@@ -346,8 +324,8 @@ TaskGraph::revokeDomain(Domain d)
         ++revoked;
         if (t.launched && t.kind == Kind::Transfer) {
             seam_->cancelTransfer(t.flow);
-        } else if (!t.launched && t.kind == Kind::Custom) {
-            dropAction(t);
+        } else if (!t.launched && t.kind == Kind::Notify) {
+            Notify{t.receiver, t.arg}.drop();
         }
         if (SimObserver *observer = sim_.observer()) {
             if (t.launched)

@@ -4,12 +4,14 @@
  * training engines express one iteration (block loads, GPU compute, gradient
  * offloads, CSD-internal swaps, FPGA updates, ...) as a TaskGraph; overlap
  * falls out of the dependency structure instead of hand-written schedules.
+ * A reactive workload re-enters its own code through a notify task: a
+ * sentinel that depends on a unit of work and fires a typed event
+ * (sim::Notify) at the workload when that unit completes.
  */
 #ifndef SMARTINF_SIM_TASK_GRAPH_H
 #define SMARTINF_SIM_TASK_GRAPH_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,21 +75,21 @@ class TransferSeam
  * after a fixed time, a compute task when its Resource finishes the work,
  * and a transfer when the flow the TransferSeam starts delivers its last
  * byte. Resources, flows and delay events complete a task by id (a
- * Notify naming the graph), so no closure sits on that path. A custom task
- * runs an asynchronous Action, which receives a completion callback and
- * must invoke it exactly once (possibly immediately); its closure waits in
- * a side table whose slot is freed when the action runs.
+ * Notify naming the graph), so no closure sits on that path. A notify task
+ * fires the Notify it stores when it launches and completes at once; that
+ * is how a workload learns that a unit of work it built has finished.
  *
  * Two phases of use:
  *  - Static (the training engines): add every task and dependency, then
  *    start() once; dependency-free tasks launch immediately.
  *  - Dynamic (reactive workloads, e.g. the serving batch scheduler): after
- *    start(), tasks may still be added from inside running actions. A
- *    post-start task stays dormant until release() is called on it, so the
- *    caller can wire its dependencies first; dependsOn() with an
- *    already-completed dependency is a satisfied no-op. releaseRange()
- *    releases a contiguous id block (dynamic construction is append-only,
- *    so a sub-graph built in one callback is always one id range).
+ *    start(), tasks may still be added from inside any event, a notify
+ *    task's receiver included. A post-start task stays dormant until
+ *    release() is called on it, so the caller can wire its dependencies
+ *    first; dependsOn() with an already-completed dependency is a
+ *    satisfied no-op. releaseRange() releases a contiguous id block
+ *    (dynamic construction is append-only, so a sub-graph built in one
+ *    event is always one id range).
  */
 class TaskGraph : private Receiver
 {
@@ -95,8 +97,6 @@ class TaskGraph : private Receiver
     using TaskId = std::size_t;
     /** Sentinel for "no task" (e.g. the predecessor of the first block). */
     static constexpr TaskId kInvalidTask = static_cast<TaskId>(-1);
-    /** An asynchronous action: call the argument when the task finishes. */
-    using Action = std::function<void(std::function<void()> done)>;
 
     /** @p seam starts the flows of transfer tasks; a graph without one
      *  must not launch any. */
@@ -105,8 +105,12 @@ class TaskGraph : private Receiver
     {
     }
 
-    /** Add a task with an arbitrary asynchronous action. */
-    TaskId add(Action action, TaskLabel label = {});
+    /**
+     * Add a task that fires @p what when it launches, then completes. The
+     * receiver may add and release tasks; a dependent of this task
+     * launches only after the receiver returns.
+     */
+    TaskId notify(Notify what, TaskLabel label = {});
 
     /** Add a no-op barrier task (completes as soon as its deps do). */
     TaskId barrier(TaskLabel label = {});
@@ -223,12 +227,10 @@ class TaskGraph : private Receiver
      *  total ever used. @{ */
     /** Pooled dependent lists (tasks with more than two dependents). */
     std::size_t fanoutListsAllocated() const { return fanouts_.size(); }
-    /** Action slots (custom tasks added but not yet launched). */
-    std::size_t actionSlotsAllocated() const { return actions_.size(); }
     /** @} */
 
   private:
-    enum class Kind : uint8_t { Barrier, Delay, Compute, Transfer, Custom };
+    enum class Kind : uint8_t { Barrier, Delay, Compute, Transfer, Notify };
 
     /** Dependents stored inline; a wider fan-out moves to a pooled list. */
     static constexpr uint32_t kInlineDependents = 2;
@@ -239,16 +241,16 @@ class TaskGraph : private Receiver
         Seconds finish_time = -1.0;
         /** Operands by kind: compute {resource, amount = work}; delay
          *  {amount = duration}; transfer {route, amount = bytes, which
-         *  launch() overwrites with the flow id}; custom {slot = action
-         *  slot}. */
+         *  launch() overwrites with the flow id}; notify {receiver, arg}. */
         union {
             Resource *resource = nullptr;
             const TransferRoute *route;
+            Receiver *receiver;
         };
         union {
             double amount = 0.0;
             uint64_t flow;
-            uint64_t slot;
+            uint64_t arg;
         };
         /** The dependents in dependsOn() order while there are at most
          *  kInlineDependents; past that, dependents[0] indexes the pooled
@@ -288,9 +290,6 @@ class TaskGraph : private Receiver
                    : fanouts_[t.dependents[0]][i];
     }
     void addDependent(Task &t, TaskId id);
-    /** Free custom task @p t's action slot (its action ran or never
-     *  will). */
-    void dropAction(const Task &t);
     /** Return @p t's pooled list, if any, for reuse; @p t keeps none. */
     void recycleFanout(Task &t);
     /** Free every leading block whose tasks are all completed/abandoned.
@@ -320,10 +319,6 @@ class TaskGraph : private Receiver
      *  steady state. */
     std::vector<std::vector<TaskId>> fanouts_;
     std::vector<uint32_t> free_fanouts_;
-    /** Custom tasks' actions and their free slots; a slot is freed when
-     *  its action runs or its task is abandoned unlaunched. */
-    std::vector<Action> actions_;
-    std::vector<uint32_t> free_actions_;
     std::size_t completed_ = 0;
     std::size_t total_added_ = 0; ///< size of the global id space
     bool started_ = false;

@@ -6,18 +6,19 @@
  * abandonment (hook, task id, label stem by content plus its two
  * qualifiers, and the bits of the simulated time) and each resource job
  * start and finish (resource name by content, never by address, plus the
- * work and time bits). Two runs with the same digest launched, finished
- * and revoked the same tasks and ran the same jobs at the same instants in
- * the same order; moving a tie between two same-time events moves the
- * digest even when every reported figure stays put.
+ * work and time bits). Two runs with equal digests (barring a hash
+ * collision) launched, finished and revoked the same tasks and ran the
+ * same jobs at the same instants in the same order. A tie broken the
+ * other way shows whenever it changes which task or job went first, even
+ * when every reported figure stays put.
  *
- * The pinned values were taken before the workload timers and sentinels
- * became typed events, and any change that moves one is a change of the
- * event order that has to be explained. The runs are the five shapes of
- * test_flow_oracle_workloads, a small failover run with crashes, link
- * degradation and shedding, a control-plane run (join-shortest-queue
- * dispatch, SLO deferral and autoscaling) and a closed-loop client run.
- * Each also checks that attaching the observer changes no output.
+ * A change that moves a pinned value changed the event order and must
+ * say why; a refactor of the event core moves none. The runs are the five
+ * shapes of test_flow_oracle_workloads, a small failover run with
+ * crashes, link degradation and shedding, a control-plane run
+ * (join-shortest-queue dispatch, SLO deferral and autoscaling) and a
+ * closed-loop client run. Each also checks that attaching the observer
+ * changes no output.
  */
 #include <gtest/gtest.h>
 

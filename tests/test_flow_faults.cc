@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "callbacks.h"
 #include "common/random.h"
 #include "fault/fault_schedule.h"
 #include "net/flow_network.h"
@@ -24,6 +25,8 @@
 
 namespace smartinf::net {
 namespace {
+
+using test::Callbacks;
 
 bool
 stepOne(sim::Simulator &sim)
@@ -47,6 +50,7 @@ expectMatchesOracle(FlowNetwork &net)
 
 TEST(FlowFaults, CapacityChangeMatchesOracleAfterEveryEvent)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -66,13 +70,13 @@ TEST(FlowFaults, CapacityChangeMatchesOracleAfterEveryEvent)
             const double latency =
                 rng.uniform() < 0.2 ? rng.uniform(0.01, 1.0) : 0.0;
             net.startFlow(std::move(route), rng.uniform(100.0, 3000.0),
-                          [&]() {
+                          cb.park([&]() {
                               ++completed;
                               if (churn > 0) {
                                   --churn;
                                   launch(1);
                               }
-                          },
+                          }),
                           latency);
         }
     };
@@ -82,14 +86,14 @@ TEST(FlowFaults, CapacityChangeMatchesOracleAfterEveryEvent)
     // interleaved with the flow churn. Each episode flips the factor and
     // notifies the network mid-run.
     auto episode = [&](Link *link, double factor, double at, double duration) {
-        sim.at(at, [&net, link, factor]() {
+        sim.at(at, cb.park([&net, link, factor]() {
             link->setCapacityFactor(factor);
             net.linkCapacityChanged(link);
-        });
-        sim.at(at + duration, [&net, link]() {
+        }));
+        sim.at(at + duration, cb.park([&net, link]() {
             link->setCapacityFactor(1.0);
             net.linkCapacityChanged(link);
-        });
+        }));
     };
     for (int e = 0; e < 6; ++e) {
         episode(&trunk, 0.25 + 0.1 * e, 2.0 + 7.0 * e, 3.5);
@@ -110,6 +114,7 @@ TEST(FlowFaults, UnityFactorIsExactNoOp)
 {
     // factor = 1.0 must leave the cached capacity bit-identical, so a
     // notification with an unchanged factor recomputes nothing.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -119,7 +124,7 @@ TEST(FlowFaults, UnityFactorIsExactNoOp)
     EXPECT_EQ(link.effectiveCapacity(), link.capacity());
 
     bool done = false;
-    net.startFlow({&link}, 1000.0, [&]() { done = true; });
+    net.startFlow({&link}, 1000.0, cb.park([&]() { done = true; }));
     const double before = net.currentRate(0);
     net.linkCapacityChanged(&link); // No-op: factor unchanged.
     EXPECT_EQ(net.currentRate(0), before);
@@ -143,23 +148,24 @@ TEST(FlowFaults, CapacityFactorOutsideUnitIntervalIsFatal)
 
 TEST(FlowFaults, DegradeSlowsAndRestoreSpeedsCompletion)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
 
     double finish = -1.0;
-    net.startFlow({&link}, 1000.0, [&]() { finish = sim.now(); });
+    net.startFlow({&link}, 1000.0, cb.park([&]() { finish = sim.now(); }));
     // Halve capacity over t=[2,6]: 2 s at 100 B/s + 4 s at 50 B/s moves
     // 400 B; the remaining 600 B at 100 B/s lands at t = 12.
-    sim.at(2.0, [&]() {
+    sim.at(2.0, cb.park([&]() {
         link.setCapacityFactor(0.5);
         net.linkCapacityChanged(&link);
-    });
-    sim.at(6.0, [&]() {
+    }));
+    sim.at(6.0, cb.park([&]() {
         link.setCapacityFactor(1.0);
         net.linkCapacityChanged(&link);
-    });
+    }));
     sim.run();
     EXPECT_NEAR(finish, 12.0, 1e-9);
     // Utilization integrates fraction-of-effective-capacity: busy the whole
@@ -175,6 +181,7 @@ TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
     // them in either order leaves every link at exactly its nominal
     // capacity (dividing the factors back out would not:
     // 0.1 * 0.3 / 0.1 != 0.3 in IEEE).
+    Callbacks cb;
     const double cap = 123.456789;
     for (const bool first_in_first_out : {true, false}) {
         train::SystemConfig system;
@@ -188,7 +195,7 @@ TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
             topo.addLink(n + "host.down", cap);
         }
         Link &up = topo.link("n1.host.up");
-        net.startFlow({&up}, 1000.0, []() {});
+        net.startFlow({&up}, 1000.0, cb.park([]() {}));
         const double rate = net.currentRate(0);
 
         fault::LinkEpisodes episodes(ctx);
@@ -220,6 +227,7 @@ TEST(FlowFaults, OverlappingEpisodesRestoreExactlyInEitherOrder)
 
 TEST(FlowFaults, CancelBulkFlowDropsCallbackAndSpeedsSurvivor)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -228,16 +236,18 @@ TEST(FlowFaults, CancelBulkFlowDropsCallbackAndSpeedsSurvivor)
     bool cancelled_ran = false;
     double survivor_finish = -1.0;
     const FlowId victim =
-        net.startFlow({&link}, 1000.0, [&]() { cancelled_ran = true; });
-    net.startFlow({&link}, 1000.0, [&]() { survivor_finish = sim.now(); });
+        net.startFlow({&link}, 1000.0,
+                      cb.park([&]() { cancelled_ran = true; }));
+    net.startFlow({&link}, 1000.0,
+                  cb.park([&]() { survivor_finish = sim.now(); }));
 
-    sim.at(4.0, [&]() {
+    sim.at(4.0, cb.park([&]() {
         EXPECT_TRUE(net.cancelFlow(victim));
         expectMatchesOracle(net);
         EXPECT_EQ(net.activeFlows(), 1u);
         // Survivor inherits the full link.
         EXPECT_EQ(net.currentRate(1), 100.0);
-    });
+    }));
     sim.run();
     EXPECT_FALSE(cancelled_ran);
     // Survivor: 4 s at 50 B/s (200 B) + 800 B at 100 B/s → t = 12.
@@ -248,6 +258,7 @@ TEST(FlowFaults, CancelBulkFlowDropsCallbackAndSpeedsSurvivor)
 
 TEST(FlowFaults, CancelLatencyPhaseFlowNeverContends)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -255,8 +266,9 @@ TEST(FlowFaults, CancelLatencyPhaseFlowNeverContends)
 
     bool ran = false;
     const FlowId id =
-        net.startFlow({&link}, 500.0, [&]() { ran = true; }, /*latency=*/5.0);
-    sim.at(1.0, [&]() { EXPECT_TRUE(net.cancelFlow(id)); });
+        net.startFlow({&link}, 500.0,
+                      cb.park([&]() { ran = true; }), /*latency=*/5.0);
+    sim.at(1.0, cb.park([&]() { EXPECT_TRUE(net.cancelFlow(id)); }));
     sim.run();
     EXPECT_FALSE(ran);
     EXPECT_EQ(net.activeFlows(), 0u);
@@ -268,6 +280,7 @@ TEST(FlowFaults, SecondCancelOfLatencyPhaseFlowReportsNothing)
     // A latency-phase flow keeps its slot until its delayed start lands,
     // but once revoked it cannot be revoked again: the second call
     // returns false and the observer hears of one cancellation.
+    Callbacks cb;
     struct Cancels : FlowObserver {
         int count = 0;
         void flowCancelled(FlowId, Seconds) override { ++count; }
@@ -280,12 +293,13 @@ TEST(FlowFaults, SecondCancelOfLatencyPhaseFlowReportsNothing)
 
     bool ran = false;
     const FlowId id =
-        net.startFlow({&link}, 500.0, [&]() { ran = true; }, /*latency=*/5.0);
-    sim.at(1.0, [&]() {
+        net.startFlow({&link}, 500.0,
+                      cb.park([&]() { ran = true; }), /*latency=*/5.0);
+    sim.at(1.0, cb.park([&]() {
         EXPECT_TRUE(net.cancelFlow(id));
         EXPECT_FALSE(net.cancelFlow(id));
-    });
-    sim.at(6.0, [&]() { EXPECT_FALSE(net.cancelFlow(id)); });
+    }));
+    sim.at(6.0, cb.park([&]() { EXPECT_FALSE(net.cancelFlow(id)); }));
     sim.run();
     EXPECT_FALSE(ran);
     EXPECT_EQ(cancels.count, 1);
@@ -294,13 +308,14 @@ TEST(FlowFaults, SecondCancelOfLatencyPhaseFlowReportsNothing)
 
 TEST(FlowFaults, CancelCompletedFlowReturnsFalse)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
 
     int done = 0;
-    const FlowId id = net.startFlow({&link}, 100.0, [&]() { ++done; });
+    const FlowId id = net.startFlow({&link}, 100.0, cb.park([&]() { ++done; }));
     sim.run();
     EXPECT_EQ(done, 1);
     EXPECT_FALSE(net.cancelFlow(id));

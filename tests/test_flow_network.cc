@@ -7,20 +7,24 @@
 #include <utility>
 #include <vector>
 
+#include "callbacks.h"
 #include "net/flow_network.h"
 #include "net/topology.h"
 
 namespace smartinf::net {
 namespace {
 
+using test::Callbacks;
+
 TEST(FlowNetwork, SingleFlowUsesFullCapacity)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
     double done_at = -1.0;
-    net.startFlow({&link}, 500.0, [&]() { done_at = sim.now(); });
+    net.startFlow({&link}, 500.0, cb.park([&]() { done_at = sim.now(); }));
     sim.run();
     EXPECT_NEAR(done_at, 5.0, 1e-6);
     EXPECT_NEAR(link.bytesCarried(), 500.0, 1.0);
@@ -38,13 +42,16 @@ TEST(FlowNetwork, OneNetworkPerSimulator)
 
 TEST(FlowNetwork, TwoFlowsShareFairly)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
     std::vector<double> done;
-    net.startFlow({&link}, 500.0, [&]() { done.push_back(sim.now()); });
-    net.startFlow({&link}, 500.0, [&]() { done.push_back(sim.now()); });
+    net.startFlow({&link}, 500.0,
+                  cb.park([&]() { done.push_back(sim.now()); }));
+    net.startFlow({&link}, 500.0,
+                  cb.park([&]() { done.push_back(sim.now()); }));
     sim.run();
     ASSERT_EQ(done.size(), 2u);
     // Equal shares: both complete at t=10 (500/(100/2)).
@@ -54,13 +61,14 @@ TEST(FlowNetwork, TwoFlowsShareFairly)
 
 TEST(FlowNetwork, ShortFlowFinishesThenLongSpeedsUp)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
     double short_done = -1.0, long_done = -1.0;
-    net.startFlow({&link}, 100.0, [&]() { short_done = sim.now(); });
-    net.startFlow({&link}, 500.0, [&]() { long_done = sim.now(); });
+    net.startFlow({&link}, 100.0, cb.park([&]() { short_done = sim.now(); }));
+    net.startFlow({&link}, 500.0, cb.park([&]() { long_done = sim.now(); }));
     sim.run();
     // Short: 100 bytes at 50 B/s -> t=2. Long: 100 bytes by t=2, then
     // 400 bytes at full 100 B/s -> t=6.
@@ -72,14 +80,16 @@ TEST(FlowNetwork, MaxMinRespectsPerFlowBottleneck)
 {
     // Flow A crosses narrow+wide, flow B only wide. A is limited to 10 by
     // its narrow link; B gets the leftover 90 of the wide link.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &narrow = topo.addLink("narrow", 10.0);
     Link &wide = topo.addLink("wide", 100.0);
     double a_done = -1.0, b_done = -1.0;
-    net.startFlow({&narrow, &wide}, 100.0, [&]() { a_done = sim.now(); });
-    net.startFlow({&wide}, 900.0, [&]() { b_done = sim.now(); });
+    net.startFlow({&narrow, &wide}, 100.0,
+                  cb.park([&]() { a_done = sim.now(); }));
+    net.startFlow({&wide}, 900.0, cb.park([&]() { b_done = sim.now(); }));
     sim.run();
     EXPECT_NEAR(a_done, 10.0, 1e-6); // 100 / 10.
     EXPECT_NEAR(b_done, 10.0, 1e-6); // 900 / 90.
@@ -88,13 +98,14 @@ TEST(FlowNetwork, MaxMinRespectsPerFlowBottleneck)
 TEST(FlowNetwork, RoutesWithMultipleSharedLinks)
 {
     // Three flows through one 60 B/s link: each gets 20 B/s.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 60.0);
     int completed = 0;
     for (int i = 0; i < 3; ++i)
-        net.startFlow({&link}, 200.0, [&]() { ++completed; });
+        net.startFlow({&link}, 200.0, cb.park([&]() { ++completed; }));
     sim.run();
     EXPECT_EQ(completed, 3);
     EXPECT_NEAR(sim.now(), 10.0, 1e-6);
@@ -102,12 +113,13 @@ TEST(FlowNetwork, RoutesWithMultipleSharedLinks)
 
 TEST(FlowNetwork, ZeroByteFlowCompletes)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 10.0);
     bool done = false;
-    net.startFlow({&link}, 0.0, [&]() { done = true; });
+    net.startFlow({&link}, 0.0, cb.park([&]() { done = true; }));
     sim.run();
     EXPECT_TRUE(done);
     EXPECT_NEAR(sim.now(), 0.0, 1e-9);
@@ -122,10 +134,10 @@ TEST(FlowNetwork, NullCallbackCompletesSilentlyOnEveryPath)
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
-    net.startFlow({&link}, 0.0, nullptr);      // zero bytes
-    net.startFlow({}, 50.0, nullptr);          // empty route
-    net.startFlow({&link}, 0.0, nullptr, 1.0); // zero bytes after a delay
-    net.startFlow({&link}, 100.0, nullptr);    // bulk phase
+    net.startFlow({&link}, 0.0, {});      // zero bytes
+    net.startFlow({}, 50.0, {});          // empty route
+    net.startFlow({&link}, 0.0, {}, 1.0); // zero bytes after a delay
+    net.startFlow({&link}, 100.0, {});    // bulk phase
     EXPECT_NO_THROW(sim.run());
     EXPECT_DOUBLE_EQ(sim.now(), 1.0);
     EXPECT_DOUBLE_EQ(net.totalBytesDelivered(), 150.0);
@@ -134,12 +146,13 @@ TEST(FlowNetwork, NullCallbackCompletesSilentlyOnEveryPath)
 
 TEST(FlowNetwork, LatencyDelaysBulkPhase)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
     double done_at = -1.0;
-    net.startFlow({&link}, 100.0, [&]() { done_at = sim.now(); }, 2.0);
+    net.startFlow({&link}, 100.0, cb.park([&]() { done_at = sim.now(); }), 2.0);
     sim.run();
     EXPECT_NEAR(done_at, 3.0, 1e-6);
 }
@@ -153,7 +166,7 @@ TEST(FlowNetwork, LatencyFlowKeepsItsIdThroughTheDelay)
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
-    const FlowId id = net.startFlow({&link}, 400.0, nullptr, 2.0);
+    const FlowId id = net.startFlow({&link}, 400.0, {}, 2.0);
 
     EXPECT_DOUBLE_EQ(net.currentRate(id), 0.0); // Still in the delay phase.
     sim.runUntil([&]() { return sim.now() >= 2.0; });
@@ -165,14 +178,16 @@ TEST(FlowNetwork, LatencyFlowKeepsItsIdThroughTheDelay)
 
 TEST(FlowNetwork, CallbackCanStartNewFlow)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
     double second_done = -1.0;
-    net.startFlow({&link}, 100.0, [&]() {
-        net.startFlow({&link}, 200.0, [&]() { second_done = sim.now(); });
-    });
+    net.startFlow({&link}, 100.0, cb.park([&]() {
+        net.startFlow({&link}, 200.0,
+                      cb.park([&]() { second_done = sim.now(); }));
+    }));
     sim.run();
     EXPECT_NEAR(second_done, 3.0, 1e-6);
 }
@@ -183,8 +198,8 @@ TEST(FlowNetwork, DeliveredBytesAccumulate)
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
-    net.startFlow({&link}, 123.0, nullptr);
-    net.startFlow({&link}, 77.0, nullptr);
+    net.startFlow({&link}, 123.0, {});
+    net.startFlow({&link}, 77.0, {});
     sim.run();
     EXPECT_NEAR(net.totalBytesDelivered(), 200.0, 2.0);
 }
@@ -194,16 +209,18 @@ TEST(FlowNetwork, LinksOfTwoTopologiesDoNotShareState)
     // Link state is indexed by Link::id(), which is dense per topology:
     // a second topology's link 0 must not silently reuse the first's
     // state, so the network refuses it.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology first, second;
     Link &a = first.addLink("a", 100.0);
     Link &b = second.addLink("b", 100.0);
     ASSERT_EQ(a.id(), b.id());
-    net.startFlow({&a}, 500.0, []() {});
+    net.startFlow({&a}, 500.0, cb.park([]() {}));
     EXPECT_EQ(net.linkAggregateRate(&a), 100.0);
     EXPECT_THROW(net.linkAggregateRate(&b), std::logic_error);
-    EXPECT_THROW(net.startFlow({&b}, 500.0, []() {}), std::logic_error);
+    EXPECT_THROW(net.startFlow({&b}, 500.0, cb.park([]() {})),
+                 std::logic_error);
 }
 
 TEST(FlowNetwork, NonFiniteOrNegativeInputsAreFatal)
@@ -217,12 +234,12 @@ TEST(FlowNetwork, NonFiniteOrNegativeInputsAreFatal)
     Link &link = topo.addLink("l", 100.0);
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(net.startFlow({&link}, inf, nullptr), std::runtime_error);
-    EXPECT_THROW(net.startFlow({&link}, 10.0, nullptr, nan),
+    EXPECT_THROW(net.startFlow({&link}, inf, {}), std::runtime_error);
+    EXPECT_THROW(net.startFlow({&link}, 10.0, {}, nan),
                  std::runtime_error);
-    EXPECT_THROW(net.startFlow({&link}, 10.0, nullptr, -1.0),
+    EXPECT_THROW(net.startFlow({&link}, 10.0, {}, -1.0),
                  std::runtime_error);
-    EXPECT_THROW(net.startFlow({&link}, 10.0, nullptr, inf),
+    EXPECT_THROW(net.startFlow({&link}, 10.0, {}, inf),
                  std::runtime_error);
     EXPECT_EQ(net.activeFlows(), 0u);
     EXPECT_TRUE(sim.queue().empty());
@@ -234,6 +251,7 @@ TEST(FlowNetwork, DelayedCompletionsKeepTheirHeapEntry)
     // the flow's heap entry as a lower bound instead of pushing a new one,
     // so the heap holds one entry per active flow; the completion times are
     // those of a heap that re-keyed every flow on every recompute.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -241,9 +259,9 @@ TEST(FlowNetwork, DelayedCompletionsKeepTheirHeapEntry)
     Link &c = topo.addLink("c", 100.0);
     std::vector<double> done;
     auto record = [&]() { done.push_back(sim.now()); };
-    net.startFlow({&a}, 100.0, record); // Alone on a: due at t = 1.
+    net.startFlow({&a}, 100.0, cb.park(record)); // Alone on a: due at t = 1.
     for (int i = 0; i < 8; ++i)
-        net.startFlow({&c}, 1000.0, record, 0.1 * i);
+        net.startFlow({&c}, 1000.0, cb.park(record), 0.1 * i);
 
     sim.runUntil([&]() { return net.activeFlows() == 9; });
     EXPECT_DOUBLE_EQ(sim.now(), 0.7);
@@ -279,18 +297,21 @@ struct Bridge {
     Link &l1 = topo.addLink("l1", 3.0);
     Link &l2 = topo.addLink("l2", 7.0);
     std::vector<std::pair<char, double>> done;
+    Callbacks cb;
 
-    std::function<void()>
+    sim::Notify
     record(char name)
     {
-        return [this, name]() { done.emplace_back(name, sim.now()); };
+        return cb.park([this, name]() { done.emplace_back(name, sim.now()); });
     }
     /** Flows d (t = 2.1) and e (t = 3.1) join l1 while b still runs. */
     void
     joinL1Later()
     {
-        sim.at(2.1, [this]() { net.startFlow({&l1}, 5.3, record('d')); });
-        sim.at(3.1, [this]() { net.startFlow({&l1}, 2.2, record('e')); });
+        sim.at(2.1,
+               cb.park([this]() { net.startFlow({&l1}, 5.3, record('d')); }));
+        sim.at(3.1,
+               cb.park([this]() { net.startFlow({&l1}, 2.2, record('e')); }));
     }
 };
 
@@ -315,15 +336,16 @@ TEST(FlowNetwork, BridgeCompletionSplitsItsComponent)
 
 TEST(FlowNetwork, BridgeCancelledInBulkSplitsItsComponent)
 {
+    Callbacks cb;
     Bridge br;
     br.net.startFlow({&br.l1}, 10.1, br.record('a'));
     br.net.startFlow({&br.l2}, 29.3, br.record('b'));
     const FlowId c = br.net.startFlow({&br.l1, &br.l2}, 100.0,
                                       br.record('c'));
-    br.sim.at(0.9, [&]() {
+    br.sim.at(0.9, cb.park([&]() {
         EXPECT_TRUE(br.net.cancelFlow(c));
         EXPECT_EQ(br.net.components(), (FlowNetwork::Partition{{0}, {1}}));
-    });
+    }));
     br.joinL1Later();
     br.sim.run();
     const std::vector<std::pair<char, double>> expected{
@@ -335,19 +357,20 @@ TEST(FlowNetwork, BridgeCancelledInBulkSplitsItsComponent)
 
 TEST(FlowNetwork, CapacityChangeAfterASplitTouchesOneHalf)
 {
+    Callbacks cb;
     Bridge br;
     br.net.startFlow({&br.l1}, 10.1, br.record('a'));
     br.net.startFlow({&br.l2}, 29.3, br.record('b'));
     br.net.startFlow({&br.l1, &br.l2}, 1.7, br.record('c'));
-    br.sim.at(2.1, [&]() {
+    br.sim.at(2.1, cb.park([&]() {
         EXPECT_EQ(br.net.components(), (FlowNetwork::Partition{{0}, {1}}));
         br.l1.setCapacityFactor(0.5);
         br.net.linkCapacityChanged(&br.l1);
-    });
-    br.sim.at(3.1, [&]() {
+    }));
+    br.sim.at(3.1, cb.park([&]() {
         br.l1.setCapacityFactor(1.0);
         br.net.linkCapacityChanged(&br.l1);
-    });
+    }));
     br.sim.run();
     const std::vector<std::pair<char, double>> expected{
         {'c', 1.1333333333333333},
@@ -385,7 +408,7 @@ TEST(FlowNetwork, UtilizationIntegralIsSane)
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
-    net.startFlow({&link}, 1000.0, nullptr); // Saturates for 10 s.
+    net.startFlow({&link}, 1000.0, {}); // Saturates for 10 s.
     sim.run();
     EXPECT_NEAR(link.busyIntegral(), 10.0, 1e-6);
     EXPECT_NEAR(link.utilization(10.0), 1.0, 1e-6);
@@ -398,6 +421,7 @@ class FlowConservation : public ::testing::TestWithParam<int>
 
 TEST_P(FlowConservation, BytesConserved)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -417,7 +441,7 @@ TEST_P(FlowConservation, BytesConserved)
             route = {&b, &c};
         else
             route = {&a, &c};
-        net.startFlow(std::move(route), bytes, [&]() { ++completed; });
+        net.startFlow(std::move(route), bytes, cb.park([&]() { ++completed; }));
     }
     sim.run();
     EXPECT_EQ(completed, flows);

@@ -18,12 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "callbacks.h"
 #include "common/random.h"
 #include "net/flow_network.h"
 #include "net/topology.h"
 
 namespace smartinf::net {
 namespace {
+
+using test::Callbacks;
 
 /** Run exactly one event. @return false when the queue had drained. */
 bool
@@ -109,6 +112,7 @@ randomRoute(Rng &rng, const std::vector<Link *> &links)
 
 TEST(FlowNetworkStress, IncrementalMatchesOracleAfterEveryEvent)
 {
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -126,13 +130,13 @@ TEST(FlowNetworkStress, IncrementalMatchesOracleAfterEveryEvent)
                 rng.uniform() < 0.25 ? rng.uniform(0.01, 2.0) : 0.0;
             requested += bytes;
             net.startFlow(randomRoute(rng, links), bytes,
-                          [&]() {
+                          cb.park([&]() {
                               ++completed;
                               if (churn_budget > 0) {
                                   --churn_budget;
                                   launch(1);
                               }
-                          },
+                          }),
                           latency);
         }
     };
@@ -159,6 +163,7 @@ TEST(FlowNetworkStress, CompletionSequenceIsPinned)
     // one place: every callback, in run order, is hashed as (start index,
     // bit pattern of its time) and compared with the sequence of a heap
     // that pushed a fresh entry for every flow of every recompute.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -184,7 +189,7 @@ TEST(FlowNetworkStress, CompletionSequenceIsPinned)
                 rng.uniform() < 0.25 ? rng.uniform(0.01, 2.0) : 0.0;
             ids.push_back(net.startFlow(
                 randomRoute(rng, links), bytes,
-                [&, index]() {
+                cb.park([&, index]() {
                     ++completed;
                     mix(index);
                     mix(std::bit_cast<uint64_t>(sim.now()));
@@ -192,7 +197,7 @@ TEST(FlowNetworkStress, CompletionSequenceIsPinned)
                         --churn_budget;
                         launch(1);
                     }
-                },
+                }),
                 latency));
         }
     };
@@ -202,14 +207,14 @@ TEST(FlowNetworkStress, CompletionSequenceIsPinned)
     // degrade one trunk once.
     int cancelled = 0;
     for (const double at : {3.0, 40.0, 120.0, 250.0}) {
-        sim.at(at, [&]() {
+        sim.at(at, cb.park([&]() {
             cancelled += net.cancelFlow(ids.back()) ? 1 : 0;
-        });
+        }));
     }
-    sim.at(17.0, [&net, trunk = links[9]]() {
+    sim.at(17.0, cb.park([&net, trunk = links[9]]() {
         trunk->setCapacityFactor(0.4);
         net.linkCapacityChanged(trunk);
-    });
+    }));
 
     sim.run();
     EXPECT_EQ(net.activeFlows(), 0u);
@@ -227,6 +232,7 @@ TEST(FlowNetworkStress, TiedSharesAndLateLowIdsMatchOracle)
     // list their links in random order (sometimes one twice), so a link's
     // first route position varies between flows. Equal sizes make
     // completions coincide too.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -261,7 +267,7 @@ TEST(FlowNetworkStress, TiedSharesAndLateLowIdsMatchOracle)
             const double latency = rng.uniform() < 0.25 ? 0.0 : stagger;
             ++started;
             net.startFlow(random_route(), bytes,
-                          [&]() {
+                          cb.park([&]() {
                               ++completed;
                               if (churn_budget > 0) {
                                   const int more = std::min(
@@ -270,7 +276,7 @@ TEST(FlowNetworkStress, TiedSharesAndLateLowIdsMatchOracle)
                                   churn_budget -= more;
                                   burst(more);
                               }
-                          },
+                          }),
                           latency);
         }
     };
@@ -292,6 +298,7 @@ TEST(FlowNetworkStress, DuplicateLinkRouteMatchesOracle)
 {
     // A route listing the same link twice claims two shares on it; the
     // incremental index must agree with the oracle about that accounting.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -300,8 +307,9 @@ TEST(FlowNetworkStress, DuplicateLinkRouteMatchesOracle)
 
     int completed = 0;
     const std::vector<Link *> all = {&shared, &side};
-    net.startFlow({&shared, &side, &shared}, 600.0, [&]() { ++completed; });
-    net.startFlow({&shared}, 600.0, [&]() { ++completed; });
+    net.startFlow({&shared, &side, &shared}, 600.0,
+                  cb.park([&]() { ++completed; }));
+    net.startFlow({&shared}, 600.0, cb.park([&]() { ++completed; }));
     expectMatchesOracle(net, all);
     // The oracle is the specification; pin equality after every event.
     while (stepOne(sim))
@@ -314,20 +322,21 @@ TEST(FlowNetworkStress, IdleLinkAccruesNoPhantomBytes)
     // Regression: a link whose last flow retired must drop its aggregate
     // rate to zero; otherwise the idle gap is accounted at the dead flow's
     // rate when the next flow arrives.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
     Link &link = topo.addLink("l", 100.0);
 
-    net.startFlow({&link}, 100.0, nullptr); // Done at t=1.
+    net.startFlow({&link}, 100.0, {}); // Done at t=1.
     sim.run();
     EXPECT_EQ(net.linkAggregateRate(&link), 0.0);
 
     bool second_started = false;
-    sim.after(4.0, [&]() { // Link sat idle over t=[1,5].
+    sim.after(4.0, cb.park([&]() { // Link sat idle over t=[1,5].
         second_started = true;
-        net.startFlow({&link}, 100.0, nullptr);
-    });
+        net.startFlow({&link}, 100.0, {});
+    }));
     sim.run();
     EXPECT_TRUE(second_started);
     EXPECT_NEAR(net.totalBytesDelivered(), 200.0, 2.0);
@@ -339,6 +348,7 @@ TEST(FlowNetworkStress, RepeatedStartStopKeepsIndexesBounded)
 {
     // Long churn of short-lived flows: the slot store and heap must recycle
     // rather than grow with the total flow count.
+    Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
     Topology topo;
@@ -350,11 +360,11 @@ TEST(FlowNetworkStress, RepeatedStartStopKeepsIndexesBounded)
     std::function<void()> chain = [&]() {
         ++chains_done;
         if (chains_done < 3000)
-            net.startFlow({&a, &b}, 100.0, chain);
+            net.startFlow({&a, &b}, 100.0, cb.park(chain));
     };
-    net.startFlow({&a, &b}, 100.0, chain);
+    net.startFlow({&a, &b}, 100.0, cb.park(chain));
     net.startFlow({&b}, 150000.0,
-                  [&]() { coupler_done = true; }); // Long coupler.
+                  cb.park([&]() { coupler_done = true; })); // Long coupler.
     sim.run();
     EXPECT_EQ(chains_done, 3000);
     EXPECT_TRUE(coupler_done);

@@ -3,17 +3,21 @@
 
 #include <vector>
 
+#include "callbacks.h"
 #include "sim/resource.h"
 
 namespace smartinf::sim {
 namespace {
 
+using test::Callbacks;
+
 TEST(Resource, SingleJobDuration)
 {
+    Callbacks cb;
     Simulator sim;
     Resource r(sim, "gpu", 10.0); // 10 units/s.
     double done_at = -1.0;
-    r.submit(50.0, [&]() { done_at = sim.now(); });
+    r.submit(50.0, cb.park([&]() { done_at = sim.now(); }));
     sim.run();
     EXPECT_DOUBLE_EQ(done_at, 5.0);
     EXPECT_DOUBLE_EQ(r.workDone(), 50.0);
@@ -22,12 +26,13 @@ TEST(Resource, SingleJobDuration)
 
 TEST(Resource, JobsRunSerially)
 {
+    Callbacks cb;
     Simulator sim;
     Resource r(sim, "cpu", 1.0);
     std::vector<double> completion;
-    r.submit(1.0, [&]() { completion.push_back(sim.now()); });
-    r.submit(2.0, [&]() { completion.push_back(sim.now()); });
-    r.submit(3.0, [&]() { completion.push_back(sim.now()); });
+    r.submit(1.0, cb.park([&]() { completion.push_back(sim.now()); }));
+    r.submit(2.0, cb.park([&]() { completion.push_back(sim.now()); }));
+    r.submit(3.0, cb.park([&]() { completion.push_back(sim.now()); }));
     sim.run();
     ASSERT_EQ(completion.size(), 3u);
     EXPECT_DOUBLE_EQ(completion[0], 1.0);
@@ -37,22 +42,24 @@ TEST(Resource, JobsRunSerially)
 
 TEST(Resource, JobLatencyAddsFixedOverhead)
 {
+    Callbacks cb;
     Simulator sim;
     Resource r(sim, "fpga", 100.0, 0.5);
     double done_at = -1.0;
-    r.submit(100.0, [&]() { done_at = sim.now(); });
+    r.submit(100.0, cb.park([&]() { done_at = sim.now(); }));
     sim.run();
     EXPECT_DOUBLE_EQ(done_at, 1.5);
 }
 
 TEST(Resource, SubmitFromCompletionCallback)
 {
+    Callbacks cb;
     Simulator sim;
     Resource r(sim, "x", 1.0);
     double second_done = -1.0;
-    r.submit(1.0, [&]() {
-        r.submit(2.0, [&]() { second_done = sim.now(); });
-    });
+    r.submit(1.0, cb.park([&]() {
+        r.submit(2.0, cb.park([&]() { second_done = sim.now(); }));
+    }));
     sim.run();
     EXPECT_DOUBLE_EQ(second_done, 3.0);
 }
@@ -62,7 +69,7 @@ TEST(Resource, IdleReflectsState)
     Simulator sim;
     Resource r(sim, "y", 1.0);
     EXPECT_TRUE(r.idle());
-    r.submit(1.0, nullptr);
+    r.submit(1.0, {});
     EXPECT_FALSE(r.idle());
     sim.run();
     EXPECT_TRUE(r.idle());
@@ -72,18 +79,19 @@ TEST(Resource, BusyTimeAccumulates)
 {
     Simulator sim;
     Resource r(sim, "z", 2.0);
-    r.submit(2.0, nullptr); // 1s
-    r.submit(4.0, nullptr); // 2s
+    r.submit(2.0, {}); // 1s
+    r.submit(4.0, {}); // 2s
     sim.run();
     EXPECT_DOUBLE_EQ(r.busyTime(), 3.0);
 }
 
 TEST(Resource, ZeroWorkCompletesAfterLatencyOnly)
 {
+    Callbacks cb;
     Simulator sim;
     Resource r(sim, "w", 1.0, 0.25);
     double done_at = -1.0;
-    r.submit(0.0, [&]() { done_at = sim.now(); });
+    r.submit(0.0, cb.park([&]() { done_at = sim.now(); }));
     sim.run();
     EXPECT_DOUBLE_EQ(done_at, 0.25);
 }

@@ -5,10 +5,13 @@
 #include <functional>
 #include <vector>
 
+#include "callbacks.h"
 #include "sim/task_graph.h"
 
 namespace smartinf::sim {
 namespace {
+
+using test::Callbacks;
 
 TEST(TaskGraph, LinearChainOnResource)
 {
@@ -94,18 +97,6 @@ TEST(TaskGraph, MultiDependencyWaitsForAll)
     EXPECT_DOUBLE_EQ(g.finishTime(c), 4.5);
 }
 
-TEST(TaskGraph, CustomAsyncAction)
-{
-    Simulator sim;
-    TaskGraph g(sim);
-    auto a = g.add(
-        [&sim](std::function<void()> done) { sim.after(7.0, std::move(done)); },
-        "custom");
-    g.start();
-    sim.run();
-    EXPECT_DOUBLE_EQ(g.finishTime(a), 7.0);
-}
-
 TEST(TaskGraph, SelfDependencyIsRejected)
 {
     Simulator sim;
@@ -127,18 +118,20 @@ TEST(TaskGraph, DoubleStartIsFatal)
 
 TEST(TaskGraph, DynamicTaskAddedAfterStartLaunchesOnRelease)
 {
+    Callbacks cb;
     Simulator sim;
     TaskGraph g(sim);
     auto head = g.delay(1.0, "head");
     g.start();
     // Grow the graph from inside the running simulation.
     double dynamic_finish = -1.0;
-    sim.at(0.5, [&] {
+    sim.at(0.5, cb.park([&] {
         auto tail = g.delay(2.0, "tail");
         g.dependsOn(tail, head); // head not yet complete: real dependency
         g.release(tail);
-        sim.at(3.5, [&, tail] { dynamic_finish = g.finishTime(tail); });
-    });
+        sim.at(3.5,
+               cb.park([&, tail] { dynamic_finish = g.finishTime(tail); }));
+    }));
     sim.run();
     EXPECT_TRUE(g.done());
     EXPECT_DOUBLE_EQ(dynamic_finish, 3.0); // 1.0 (head) + 2.0
@@ -147,15 +140,16 @@ TEST(TaskGraph, DynamicTaskAddedAfterStartLaunchesOnRelease)
 
 TEST(TaskGraph, DynamicDependencyOnCompletedTaskIsSatisfied)
 {
+    Callbacks cb;
     Simulator sim;
     TaskGraph g(sim);
     auto head = g.delay(1.0, "head");
     g.start();
-    sim.at(5.0, [&] {
+    sim.at(5.0, cb.park([&] {
         auto tail = g.delay(1.0, "tail");
         g.dependsOn(tail, head); // completed at t=1: no-op, already satisfied
         g.release(tail);
-    });
+    }));
     sim.run();
     EXPECT_TRUE(g.done());
     EXPECT_DOUBLE_EQ(g.startTime(head), 0.0); // head launched at start
@@ -164,12 +158,13 @@ TEST(TaskGraph, DynamicDependencyOnCompletedTaskIsSatisfied)
 
 TEST(TaskGraph, ReleaseRangeArmsOneDynamicSubgraph)
 {
+    Callbacks cb;
     Simulator sim;
     Resource r(sim, "r", 1.0);
     TaskGraph g(sim);
     auto head = g.delay(1.0, "head");
     g.start();
-    sim.at(1.0, [&] {
+    sim.at(1.0, cb.park([&] {
         const TaskGraph::TaskId first = g.taskCount();
         auto a = g.compute(r, 1.0, "a");
         auto b = g.compute(r, 1.0, "b");
@@ -178,30 +173,31 @@ TEST(TaskGraph, ReleaseRangeArmsOneDynamicSubgraph)
         g.dependsOn(join, {a, b});
         g.releaseRange(first, g.taskCount());
         (void)head;
-        sim.at(4.0, [&, join] { EXPECT_DOUBLE_EQ(g.finishTime(join), 3.0); });
-    });
+        sim.at(4.0, cb.park([&, join] {
+            EXPECT_DOUBLE_EQ(g.finishTime(join), 3.0);
+        }));
+    }));
     sim.run();
     EXPECT_TRUE(g.done());
 }
 
 TEST(TaskGraph, DynamicGrowthFromCompletionCallbackSurvivesReallocation)
 {
-    // A chain grown one link at a time from inside task actions: each
-    // action appends the next task while complete() is iterating its
+    // A chain grown one link at a time from inside notify tasks: each
+    // receiver appends the next task while complete() is iterating its
     // dependents, exercising the growth-safety of the task storage.
+    Callbacks cb;
     Simulator sim;
     TaskGraph g(sim);
     int hops = 0;
-    std::function<void(std::function<void()>)> grow =
-        [&](std::function<void()> done) {
-            ++hops;
-            if (hops < 200) {
-                auto next = g.add(grow, {"hop"});
-                g.release(next);
-            }
-            done();
-        };
-    auto seed = g.add(grow, {"hop"});
+    std::function<void()> grow = [&]() {
+        ++hops;
+        if (hops < 200) {
+            auto next = g.notify(cb.park(grow), {"hop"});
+            g.release(next);
+        }
+    };
+    auto seed = g.notify(cb.park(grow), {"hop"});
     (void)seed;
     g.start();
     sim.run();
@@ -214,9 +210,10 @@ TEST(TaskGraph, StorageNeverMovesATaskAcrossGrowthAndTrim)
 {
     // A one-second chain far longer than a storage block: the first part
     // is added before start(), the rest one task at a time from inside
-    // completion callbacks, wired to the still-running predecessor. With
+    // timer events, wired to the still-running predecessor. With
     // and without trimming, every task keeps its id, its times and its
     // address while it is stored; adding tasks never relocates one.
+    Callbacks cb;
     constexpr int kStatic = 2500;
     constexpr int kTotal = 5000;
     for (const bool trim : {false, true}) {
@@ -227,37 +224,35 @@ TEST(TaskGraph, StorageNeverMovesATaskAcrossGrowthAndTrim)
             g.enableTrim();
         std::vector<const TaskLabel *> stored;
         int moved = 0;
-        std::function<void(TaskGraph::TaskId, std::function<void()>)> step;
         auto add = [&](int i) {
             // A task's id is the task count when it is added.
-            const TaskGraph::TaskId id = g.add(
-                [&step, id = g.taskCount()](std::function<void()> done) {
-                    step(id, std::move(done));
-                },
-                {"chain", i});
+            const TaskGraph::TaskId id = g.delay(1.0, {"chain", i});
             EXPECT_EQ(id, static_cast<TaskGraph::TaskId>(i));
             stored.push_back(&g.label(id));
             if (i > 0)
                 g.dependsOn(id, id - 1);
             return id;
         };
-        step = [&](TaskGraph::TaskId id, std::function<void()> done) {
-            sim.after(1.0, [&, id, done] {
-                const int i = static_cast<int>(id);
-                if (&g.label(id) != stored[id] || g.label(id).a != i)
-                    ++moved;
-                EXPECT_DOUBLE_EQ(g.startTime(id), i);
-                if (!trim && i > 0) {
-                    EXPECT_DOUBLE_EQ(g.finishTime(id - 1), i);
-                }
-                if (static_cast<int>(g.taskCount()) < kTotal)
-                    g.release(add(static_cast<int>(g.taskCount())));
-                done();
-            });
+        // Halfway through each link, while it runs: check it, then grow
+        // the chain by one link wired to the still-running tail.
+        TaskGraph::TaskId id = 0;
+        std::function<void()> step = [&] {
+            const int i = static_cast<int>(id);
+            if (&g.label(id) != stored[id] || g.label(id).a != i)
+                ++moved;
+            EXPECT_DOUBLE_EQ(g.startTime(id), i);
+            if (!trim && i > 0) {
+                EXPECT_DOUBLE_EQ(g.finishTime(id - 1), i);
+            }
+            if (static_cast<int>(g.taskCount()) < kTotal)
+                g.release(add(static_cast<int>(g.taskCount())));
+            if (++id < static_cast<TaskGraph::TaskId>(kTotal))
+                sim.after(1.0, cb.park(step));
         };
         for (int i = 0; i < kStatic; ++i)
             add(i);
         g.start();
+        sim.at(0.5, cb.park(step));
         sim.run();
 
         EXPECT_EQ(moved, 0);
@@ -283,6 +278,7 @@ TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
     // simulated second, so completed prefixes are reclaimed in
     // 1024-task chunks while ids, makespan, dependencies on trimmed ids,
     // and revocation of later domains keep working.
+    Callbacks cb;
     constexpr int kStream = 3000;  // > 2 x the 1024-task trim chunk
     constexpr int kLongTask = 1500; // finishes last, after everything
     Simulator sim;
@@ -293,28 +289,20 @@ TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
     Seconds latest = 0.0;
     for (int i = 0; i < kStream; ++i) {
         const Seconds duration = i == kLongTask ? 5000.0 : 0.5;
-        sim.at(i, [&, duration] {
-            const auto id = g.add([&, duration](std::function<void()> done) {
-                sim.after(duration, [&, done] {
-                    latest = std::max(latest, sim.now());
-                    done();
-                });
-            });
-            g.release(id);
-        });
+        sim.at(i, cb.park([&, i, duration] {
+            latest = std::max(latest, i + duration);
+            g.release(g.delay(duration));
+        }));
     }
 
     Seconds late_launch = -1.0;
     TaskGraph::TaskId late = TaskGraph::kInvalidTask;
     TaskGraph::Domain domain = TaskGraph::kNoDomain;
     TaskGraph::TaskId head = 0, tail = 0, bystander = 0;
-    sim.at(2000.25, [&] {
+    sim.at(2000.25, cb.park([&] {
         // Ids [0, 1024) were reclaimed at the first chunk boundary.
         EXPECT_THROW(g.finishTime(0), std::logic_error);
-        late = g.add([&](std::function<void()> done) {
-            late_launch = sim.now();
-            done();
-        });
+        late = g.notify(cb.park([&] { late_launch = sim.now(); }));
         g.dependsOn(late, 0); // trimmed: already satisfied
         g.release(late);
 
@@ -326,13 +314,13 @@ TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
         g.setCurrentDomain(TaskGraph::kNoDomain);
         bystander = g.delay(100.0);
         g.releaseRange(head, g.taskCount());
-    });
-    sim.at(2050.25, [&] {
+    }));
+    sim.at(2050.25, cb.park([&] {
         EXPECT_EQ(g.revokeDomain(domain), 2u);
         EXPECT_TRUE(g.abandoned(head));
         EXPECT_TRUE(g.abandoned(tail));
         EXPECT_FALSE(g.abandoned(bystander));
-    });
+    }));
     sim.run();
 
     EXPECT_DOUBLE_EQ(late_launch, 2000.25);
@@ -350,6 +338,7 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
     // boundary, in a static graph, in a trimming graph past its first
     // reclaimed block, and in a revoked domain (where no dependent may be
     // left dangling).
+    Callbacks cb;
     constexpr int kFanOuts[] = {1, 2, 3, 7};
     // Dependents named out of id order, so launch order shows which
     // order was kept.
@@ -368,15 +357,14 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
         std::vector<TaskGraph::TaskId> launched;
         // Each dependent records its own id (the task count when added).
         const auto record = [&] {
-            return [&launched, id = g.taskCount()](std::function<void()> done) {
+            return cb.park([&launched, id = g.taskCount()] {
                 launched.push_back(id);
-                done();
-            };
+            });
         };
         const auto root = g.delay(1.0);
         std::vector<TaskGraph::TaskId> deps;
         for (int i = 0; i < n; ++i)
-            deps.push_back(g.add(record()));
+            deps.push_back(g.notify(record()));
         std::vector<TaskGraph::TaskId> expected;
         for (const int i : order(n)) {
             g.dependsOn(deps[i], root);
@@ -402,15 +390,14 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
         std::vector<TaskGraph::TaskId> launched;
         // Each dependent records its own id (the task count when added).
         const auto record = [&] {
-            return [&launched, id = g.taskCount()](std::function<void()> done) {
+            return cb.park([&launched, id = g.taskCount()] {
                 launched.push_back(id);
-                done();
-            };
+            });
         };
         const auto root = g.delay(1.0);
         std::vector<TaskGraph::TaskId> deps;
         for (int i = 0; i < n; ++i)
-            deps.push_back(g.add(record()));
+            deps.push_back(g.notify(record()));
         std::vector<TaskGraph::TaskId> expected;
         for (const int i : order(n)) {
             g.dependsOn(deps[i], root);
@@ -433,18 +420,15 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
         int ran = 0;
         std::vector<TaskGraph::TaskId> deps;
         for (int i = 0; i < n; ++i) {
-            deps.push_back(g.add([&](std::function<void()> done) {
-                ++ran;
-                done();
-            }));
+            deps.push_back(g.notify(cb.park([&] { ++ran; })));
             g.dependsOn(deps.back(), root);
         }
         g.setCurrentDomain(TaskGraph::kNoDomain);
         g.releaseRange(root, g.taskCount());
-        sim.at(1.0, [&] {
+        sim.at(1.0, cb.park([&] {
             EXPECT_EQ(g.revokeDomain(domain),
                       static_cast<std::size_t>(n) + 1);
-        });
+        }));
         sim.run();
         EXPECT_TRUE(g.done());
         EXPECT_EQ(ran, 0);
@@ -456,11 +440,13 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
 TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
 {
     // A serving-shaped stream through a trimming graph, past several trim
-    // chunks: each step is a root with a fan-out of three custom tasks
-    // (a pooled dependent list and three action slots), and one step is
+    // chunks: each step is a root with a fan-out of three notify tasks
+    // (a pooled dependent list and three parked closures), and one step is
     // revoked before its root completes. Completion and abandonment both
-    // return their list and slots, so the side tables stay at what one
-    // step holds instead of growing with the stream.
+    // return their list and slots (an abandoned notify task drops its
+    // Notify), so the side tables stay at what one step holds instead of
+    // growing with the stream.
+    Callbacks cb;
     constexpr int kSteps = 2000; // 8,000 tasks: ~7 trim chunks
     constexpr int kRevoked = 1000;
     Simulator sim;
@@ -468,10 +454,11 @@ TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
     g.enableTrim();
     g.start();
 
+    Callbacks leaves;
     int ran = 0;
     TaskGraph::Domain revoked = TaskGraph::kNoDomain;
     for (int i = 0; i < kSteps; ++i) {
-        sim.at(i, [&, i] {
+        sim.at(i, cb.park([&, i] {
             if (i == kRevoked) {
                 revoked = g.openDomain();
                 g.setCurrentDomain(revoked);
@@ -479,20 +466,17 @@ TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
             const auto first = g.taskCount();
             const auto root = g.delay(i == kRevoked ? 10.0 : 0.5, {"root", i});
             for (int k = 0; k < 3; ++k) {
-                const auto leaf = g.add(
-                    [&ran](std::function<void()> done) {
-                        ++ran;
-                        done();
-                    },
-                    {"leaf", i, k});
+                const auto leaf = g.notify(
+                    leaves.park([&ran] { ++ran; }), {"leaf", i, k});
                 g.dependsOn(leaf, root);
             }
             g.setCurrentDomain(TaskGraph::kNoDomain);
             g.releaseRange(first, g.taskCount());
-        });
+        }));
     }
     // Before the next step begins, so one step at a time is ever live.
-    sim.at(kRevoked + 0.75, [&] { EXPECT_EQ(g.revokeDomain(revoked), 4u); });
+    sim.at(kRevoked + 0.75,
+           cb.park([&] { EXPECT_EQ(g.revokeDomain(revoked), 4u); }));
     sim.run();
 
     EXPECT_TRUE(g.done());
@@ -500,7 +484,7 @@ TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
     EXPECT_EQ(ran, 3 * (kSteps - 1));
     EXPECT_THROW(g.finishTime(0), std::logic_error); // Trimmed.
     EXPECT_EQ(g.fanoutListsAllocated(), 1u);
-    EXPECT_EQ(g.actionSlotsAllocated(), 3u);
+    EXPECT_EQ(leaves.slotsAllocated(), 3u);
 }
 
 TEST(TaskGraph, ReleaseBeforeStartIsFatal)

@@ -9,12 +9,15 @@
 
 #include <vector>
 
+#include "callbacks.h"
 #include "net/flow_network.h"
 #include "net/topology.h"
 #include "sim/task_graph.h"
 
 namespace smartinf::sim {
 namespace {
+
+using test::Callbacks;
 
 /** A transfer route over a bare network's links. */
 struct LinkRoute : TransferRoute {
@@ -38,6 +41,7 @@ struct NetSeam final : TransferSeam {
 
 TEST(TaskRevocation, RevokedDomainCountsTowardDone)
 {
+    Callbacks cb;
     Simulator sim;
     TaskGraph g(sim);
     g.start();
@@ -51,7 +55,7 @@ TEST(TaskRevocation, RevokedDomainCountsTowardDone)
     g.setCurrentDomain(TaskGraph::kNoDomain);
     g.releaseRange(first, g.taskCount());
 
-    sim.at(2.0, [&]() { EXPECT_EQ(g.revokeDomain(d), 2u); });
+    sim.at(2.0, cb.park([&]() { EXPECT_EQ(g.revokeDomain(d), 2u); }));
     sim.run();
     EXPECT_TRUE(g.done());
     EXPECT_TRUE(g.abandoned(a));
@@ -63,6 +67,7 @@ TEST(TaskRevocation, RevokedDomainCountsTowardDone)
 
 TEST(TaskRevocation, LateResourceCompletionIsNoOp)
 {
+    Callbacks cb;
     Simulator sim;
     Resource r(sim, "r", 1.0);
     TaskGraph g(sim);
@@ -79,20 +84,16 @@ TEST(TaskRevocation, LateResourceCompletionIsNoOp)
     // the same resource: the dead job drains first (discarded), then this
     // one runs — "the GPU finishes its current kernel, results dropped".
     bool survivor_done = false;
-    sim.at(3.0, [&]() {
+    sim.at(3.0, cb.park([&]() {
         g.revokeDomain(d);
-        const auto t = g.add(
-            [&r, &survivor_done](std::function<void()> done) {
-                r.submit(2.0, [&survivor_done, done = std::move(done)]() {
-                    survivor_done = true;
-                    done();
-                });
-            },
-            "survivor");
-        g.release(t);
+        const auto t = g.compute(r, 2.0, "survivor");
+        const auto seen =
+            g.notify(cb.park([&survivor_done]() { survivor_done = true; }));
+        g.dependsOn(seen, t);
+        g.releaseRange(t, g.taskCount());
         EXPECT_TRUE(g.abandoned(job));
         EXPECT_FALSE(g.done()); // survivor still pending
-    });
+    }));
     sim.run();
     EXPECT_TRUE(survivor_done);
     EXPECT_TRUE(g.done());
@@ -101,6 +102,7 @@ TEST(TaskRevocation, LateResourceCompletionIsNoOp)
 
 TEST(TaskRevocation, RevokedTransferCancelsItsInFlightFlow)
 {
+    Callbacks cb;
     Simulator sim;
     net::FlowNetwork net(sim);
     net::Topology topo;
@@ -116,21 +118,18 @@ TEST(TaskRevocation, RevokedTransferCancelsItsInFlightFlow)
     const auto xfer = g.transfer(route, 1000.0, "xfer");
     // Runs only if the transfer completes.
     bool transfer_done = false;
-    const auto after = g.add(
-        [&transfer_done](std::function<void()> done) {
-            transfer_done = true;
-            done();
-        },
-        "after");
+    const auto after =
+        g.notify(cb.park([&transfer_done]() { transfer_done = true; }),
+                 "after");
     g.dependsOn(after, xfer);
     g.setCurrentDomain(TaskGraph::kNoDomain);
     g.releaseRange(first, g.taskCount());
 
-    sim.at(4.0, [&]() {
+    sim.at(4.0, cb.park([&]() {
         EXPECT_EQ(net.activeFlows(), 1u);
         g.revokeDomain(d);
         EXPECT_EQ(net.activeFlows(), 0u); // The revocation pulled the flow.
-    });
+    }));
     sim.run();
     EXPECT_FALSE(transfer_done);
     EXPECT_TRUE(g.done());
@@ -141,6 +140,7 @@ TEST(TaskRevocation, RevokedTransfersCancelInAscendingIdOrder)
 {
     // A seam that never completes a transfer and hands out flow ids in
     // descending order, so the cancel order shows the task order.
+    Callbacks cb;
     struct RecordingSeam final : TransferSeam {
         uint64_t next = 100;
         std::vector<uint64_t> cancelled;
@@ -169,7 +169,7 @@ TEST(TaskRevocation, RevokedTransfersCancelInAscendingIdOrder)
     g.setCurrentDomain(TaskGraph::kNoDomain);
     g.releaseRange(first, g.taskCount());
 
-    sim.at(1.0, [&]() { g.revokeDomain(d); });
+    sim.at(1.0, cb.park([&]() { g.revokeDomain(d); }));
     sim.run();
     EXPECT_EQ(seam.cancelled, (std::vector<uint64_t>{100, 99, 98, 97}));
     EXPECT_TRUE(g.done());
@@ -177,6 +177,7 @@ TEST(TaskRevocation, RevokedTransfersCancelInAscendingIdOrder)
 
 TEST(TaskRevocation, UnlaunchedTasksAbandonWithoutCancellers)
 {
+    Callbacks cb;
     Simulator sim;
     TaskGraph g(sim);
     g.start();
@@ -190,11 +191,11 @@ TEST(TaskRevocation, UnlaunchedTasksAbandonWithoutCancellers)
     g.setCurrentDomain(TaskGraph::kNoDomain);
     g.releaseRange(first, g.taskCount());
 
-    sim.at(1.0, [&]() {
+    sim.at(1.0, cb.park([&]() {
         EXPECT_EQ(g.revokeDomain(d), 2u);
         // Re-revoking is idempotent: everything is already gone.
         EXPECT_EQ(g.revokeDomain(d), 0u);
-    });
+    }));
     sim.run();
     EXPECT_TRUE(g.done());
     EXPECT_TRUE(g.abandoned(blocked));
