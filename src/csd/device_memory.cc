@@ -55,21 +55,26 @@ DeviceBuffer::release()
 DeviceBuffer
 DeviceMemory::allocate(std::size_t bytes, const std::string &tag)
 {
-    if (allocated_ + bytes > capacity_) {
+    // Against the headroom, not allocated_ + bytes: that sum wraps for a
+    // huge request and would let it through.
+    if (bytes > capacity_ - allocated_) {
         fatal("FPGA device memory OOM allocating '", tag, "' (", bytes,
               " B): ", allocated_, " B of ", capacity_,
               " B already in use. The internal transfer handler exists to "
               "avoid exactly this (see Smart-Infinity paper, Section IV-B).");
     }
+    // Count the bytes only once the buffer exists, so a host allocation
+    // failure leaves the pool's accounting untouched.
+    DeviceBuffer buffer(this, bytes, tag);
     allocated_ += bytes;
     peak_ = std::max(peak_, allocated_);
-    return DeviceBuffer(this, bytes, tag);
+    return buffer;
 }
 
 bool
 DeviceMemory::wouldFit(std::size_t bytes) const
 {
-    return allocated_ + bytes <= capacity_;
+    return bytes <= capacity_ - allocated_;
 }
 
 void

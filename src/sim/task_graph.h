@@ -11,6 +11,7 @@
 #ifndef SMARTINF_SIM_TASK_GRAPH_H
 #define SMARTINF_SIM_TASK_GRAPH_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -177,7 +178,7 @@ class TaskGraph : private Receiver
      *
      * A *domain* groups the tasks of one revocable unit of work — a serving
      * step, a training iteration, an in-flight checkpoint. Tasks added while
-     * a domain is current are stamped with it; revokeDomain() later abandons
+     * a domain is current belong to it; revokeDomain() later abandons
      * every uncompleted task in the domain: the task counts toward done(),
      * its completion becomes a no-op (a resource job already running
      * drains as discarded work, a delay's event fires into nothing), and a
@@ -186,6 +187,9 @@ class TaskGraph : private Receiver
      * every dependent of an abandoned task must itself be completed or
      * abandoned by the end of the call (revocable units are closed
      * sub-graphs). Fault-free runs never open a domain and pay nothing.
+     * Tasks added in one stretch under one domain form a contiguous id run;
+     * the graph records runs, not a per-task stamp, and revokeDomain()
+     * walks only the revoked domain's runs.
      * @{
      */
     using Domain = std::uint32_t;
@@ -194,7 +198,7 @@ class TaskGraph : private Receiver
     /** Mint a fresh domain id (never reused). */
     Domain openDomain() { return ++last_domain_; }
 
-    /** Tasks added from now on are stamped with @p d (kNoDomain = none). */
+    /** Tasks added from now on belong to @p d (kNoDomain = none). */
     void setCurrentDomain(Domain d) { current_domain_ = d; }
 
     /** Abandon every uncompleted task in @p d. @return tasks revoked. */
@@ -227,6 +231,8 @@ class TaskGraph : private Receiver
      *  total ever used. @{ */
     /** Pooled dependent lists (tasks with more than two dependents). */
     std::size_t fanoutListsAllocated() const { return fanouts_.size(); }
+    /** Domain runs (contiguous id runs added under one domain). */
+    std::size_t domainRunsAllocated() const { return peak_domain_runs_; }
     /** @} */
 
   private:
@@ -234,8 +240,13 @@ class TaskGraph : private Receiver
 
     /** Dependents stored inline; a wider fan-out moves to a pooled list. */
     static constexpr uint32_t kInlineDependents = 2;
+    /** Ids and pooled-list indices are stored in 32 bits. */
+    static constexpr std::size_t kMaxTasks = std::size_t{1} << 32;
+    /** num_dependents is a 24-bit field. */
+    static constexpr uint32_t kMaxDependents = (uint32_t{1} << 24) - 1;
 
-    struct Task {
+    /** One cache line per task: 64 bytes, 64-byte aligned. */
+    struct alignas(64) Task {
         TaskLabel label;
         Seconds start_time = -1.0;
         Seconds finish_time = -1.0;
@@ -255,11 +266,10 @@ class TaskGraph : private Receiver
         /** The dependents in dependsOn() order while there are at most
          *  kInlineDependents; past that, dependents[0] indexes the pooled
          *  list holding all of them (dependent() reads either form). */
-        TaskId dependents[kInlineDependents] = {};
-        uint32_t num_dependents = 0;
+        uint32_t dependents[kInlineDependents] = {};
         uint32_t pending_deps = 0;
-        Domain domain = kNoDomain;
-        Kind kind = Kind::Barrier;
+        uint32_t num_dependents : 24 = 0;
+        Kind kind : 3 = Kind::Barrier;
         bool launched : 1 = false;
         bool completed : 1 = false;
         /** Armed to launch (start() arms the static graph; dynamic tasks
@@ -268,7 +278,14 @@ class TaskGraph : private Receiver
         bool abandoned : 1 = false; ///< revoked; completion is a no-op
     };
     // One training iteration of train_scaleout_n32 holds ~147k tasks.
-    static_assert(sizeof(Task) <= 80, "a task is data: keep it small");
+    static_assert(sizeof(Task) == 64, "a task is one cache line");
+
+    /** Tasks with ids from @c first until the next run's first belong to
+     *  @c domain; ids below the first run belong to none. */
+    struct DomainRun {
+        TaskId first;
+        Domain domain;
+    };
 
     /** Delay, compute and transfer tasks complete here, by id. */
     void onNotify(uint64_t id) override { complete(static_cast<TaskId>(id)); }
@@ -280,16 +297,25 @@ class TaskGraph : private Receiver
     /** Storage slot for global id @p id. */
     Task &task(TaskId id);
     const Task &task(TaskId id) const;
-    /** The @p i-th dependent of @p t. Re-reads the pool on every call:
-     *  launching a dependent may grow it. */
+    /** The @p i-th of the @p fanout dependents of @p t. Re-reads the
+     *  pool on every call: launching a dependent may grow it. */
     TaskId
-    dependent(const Task &t, std::size_t i) const
+    dependent(const Task &t, std::size_t fanout, std::size_t i) const
     {
-        return t.num_dependents <= kInlineDependents
-                   ? t.dependents[i]
-                   : fanouts_[t.dependents[0]][i];
+        return fanout <= kInlineDependents ? t.dependents[i]
+                                           : fanouts_[t.dependents[0]][i];
     }
     void addDependent(Task &t, TaskId id);
+    /** Call @p fn(id, task) on every stored task of domain @p d, in
+     *  ascending id order. */
+    template <typename Fn> void forEachInDomain(Domain d, Fn &&fn);
+    /** End of domain_runs_[i]'s id range (exclusive). */
+    TaskId
+    runEnd(std::size_t i) const
+    {
+        return i + 1 < domain_runs_.size() ? domain_runs_[i + 1].first
+                                           : total_added_;
+    }
     /** Return @p t's pooled list, if any, for reuse; @p t keeps none. */
     void recycleFanout(Task &t);
     /** Free every leading block whose tasks are all completed/abandoned.
@@ -308,16 +334,24 @@ class TaskGraph : private Receiver
      *  in one process. blocks_[0] holds ids [base_, base_ + kBlockSize). */
     static constexpr std::size_t kBlockShift = 10;
     static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
-    std::vector<std::unique_ptr<Task[]>> blocks_;
+    /** Frees a block's buffer; the tasks sit at a 64-byte boundary in
+     *  it (see newBlock()). */
+    struct FreeBlock {
+        std::byte *buffer;
+        void operator()(Task *) const { delete[] buffer; }
+    };
+    using Block = std::unique_ptr<Task[], FreeBlock>;
+    static Block newBlock();
+    std::vector<Block> blocks_;
     /** The last block trim freed, kept for the next append: a streaming
      *  graph then cycles through warm memory instead of allocating and
      *  constructing a fresh block every kBlockSize tasks. */
-    std::unique_ptr<Task[]> spare_block_;
+    Block spare_block_;
     /** Pooled dependent lists and their free indices. A list is recycled
      *  (cleared, capacity kept) when its task completes or is abandoned,
      *  so a streaming graph reuses warm lists and allocates none in
      *  steady state. */
-    std::vector<std::vector<TaskId>> fanouts_;
+    std::vector<std::vector<uint32_t>> fanouts_;
     std::vector<uint32_t> free_fanouts_;
     std::size_t completed_ = 0;
     std::size_t total_added_ = 0; ///< size of the global id space
@@ -336,6 +370,12 @@ class TaskGraph : private Receiver
     Seconds max_finish_ = 0.0;
     Domain current_domain_ = kNoDomain;
     Domain last_domain_ = kNoDomain;
+    /** Domain runs in ascending id order. A run starts when a task is
+     *  added under a domain other than the last run's, so a graph that
+     *  never sets a domain holds none; trim drops runs wholly below
+     *  base_. */
+    std::vector<DomainRun> domain_runs_;
+    std::size_t peak_domain_runs_ = 0;
 };
 
 } // namespace smartinf::sim

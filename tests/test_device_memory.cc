@@ -1,6 +1,8 @@
 /** @file Tests for the FPGA device-memory allocator (OOM semantics). */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "csd/device_memory.h"
 
 namespace smartinf::csd {
@@ -34,6 +36,21 @@ TEST(DeviceMemory, OverCapacityIsOom)
     EXPECT_THROW(mem.allocate(400, "b"), std::runtime_error);
     // After the OOM, prior allocation is intact.
     EXPECT_EQ(mem.allocated(), 700u);
+}
+
+TEST(DeviceMemory, HugeRequestIsOomWithoutWrapping)
+{
+    // allocated + bytes wraps past SIZE_MAX for this request; the check
+    // must still refuse it and leave the pool's count alone.
+    DeviceMemory mem(1024);
+    auto held = mem.allocate(16, "held");
+    const std::size_t huge = SIZE_MAX - 15;
+    EXPECT_FALSE(mem.wouldFit(huge));
+    EXPECT_THROW(mem.allocate(huge, "huge"), std::runtime_error);
+    EXPECT_EQ(mem.allocated(), 16u);
+    EXPECT_EQ(mem.peakAllocated(), 16u);
+    held.release();
+    EXPECT_EQ(mem.allocated(), 0u);
 }
 
 TEST(DeviceMemory, WouldFitProbe)

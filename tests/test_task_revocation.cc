@@ -39,6 +39,19 @@ struct NetSeam final : TransferSeam {
     net::FlowNetwork &net;
 };
 
+/** A seam that never completes a transfer; flow ids count up from
+ *  @c next in launch order, and cancellations are recorded. */
+struct CountingSeam final : TransferSeam {
+    uint64_t next = 0;
+    std::vector<uint64_t> cancelled;
+    uint64_t
+    startTransfer(const TransferRoute &, Bytes, Notify) override
+    {
+        return next++;
+    }
+    void cancelTransfer(uint64_t flow) override { cancelled.push_back(flow); }
+};
+
 TEST(TaskRevocation, RevokedDomainCountsTowardDone)
 {
     Callbacks cb;
@@ -199,6 +212,145 @@ TEST(TaskRevocation, UnlaunchedTasksAbandonWithoutCancellers)
     sim.run();
     EXPECT_TRUE(g.done());
     EXPECT_TRUE(g.abandoned(blocked));
+}
+
+TEST(TaskRevocation, InterleavedDomainRunsRevokeExactlyTheirTasks)
+{
+    // Domain A, no domain, B, then A again: A's tasks form two id runs.
+    // Every task is a transfer launched in id order, so its flow id is its
+    // task id and the cancel order shows the revocation order.
+    Callbacks cb;
+    Simulator sim;
+    CountingSeam seam;
+    TaskGraph g(sim, &seam);
+    g.start();
+
+    const TaskGraph::Domain a = g.openDomain();
+    const TaskGraph::Domain b = g.openDomain();
+    const TransferRoute route;
+    std::vector<TaskGraph::TaskId> in_a, in_b, unstamped;
+    const auto add = [&](TaskGraph::Domain d, int n,
+                         std::vector<TaskGraph::TaskId> &ids) {
+        g.setCurrentDomain(d);
+        for (int i = 0; i < n; ++i)
+            ids.push_back(g.transfer(route, 1.0));
+    };
+    add(a, 3, in_a);
+    add(TaskGraph::kNoDomain, 2, unstamped);
+    add(b, 2, in_b);
+    add(a, 2, in_a);
+    g.setCurrentDomain(TaskGraph::kNoDomain);
+    g.releaseRange(0, g.taskCount());
+    EXPECT_EQ(seam.next, g.taskCount()); // Flow id == task id.
+    EXPECT_EQ(g.domainRunsAllocated(), 4u);
+
+    sim.at(1.0, cb.park([&]() {
+        EXPECT_EQ(g.revokeDomain(a), in_a.size());
+        EXPECT_EQ(seam.cancelled,
+                  std::vector<uint64_t>(in_a.begin(), in_a.end()));
+        for (const auto id : in_a)
+            EXPECT_TRUE(g.abandoned(id));
+        for (const auto id : in_b)
+            EXPECT_FALSE(g.abandoned(id));
+        for (const auto id : unstamped)
+            EXPECT_FALSE(g.abandoned(id));
+        EXPECT_EQ(g.revokeDomain(a), 0u);
+        EXPECT_EQ(g.revokeDomain(b), in_b.size());
+        for (const auto id : unstamped)
+            EXPECT_FALSE(g.abandoned(id));
+        seam.cancelled.clear();
+        // What is left: the unstamped pair, still in flight.
+        EXPECT_FALSE(g.done());
+    }));
+    sim.run();
+    EXPECT_TRUE(seam.cancelled.empty());
+}
+
+TEST(TaskRevocation, RevokingAPartlyTrimmedDomainSkipsTheTrimmedTasks)
+{
+    // A domain's first tasks complete and are trimmed while it stays
+    // current; revoking it then abandons only its stored, live tasks.
+    Callbacks cb;
+    Simulator sim;
+    TaskGraph g(sim);
+    g.enableTrim();
+    g.start();
+
+    const TaskGraph::Domain d = g.openDomain();
+    g.setCurrentDomain(d);
+    for (int i = 0; i < 3000; ++i)
+        g.release(g.barrier());
+    const auto live = g.delay(10.0, "live");
+    g.release(live);
+    g.setCurrentDomain(TaskGraph::kNoDomain);
+    const auto bystander = g.delay(10.0, "bystander");
+    g.release(bystander);
+    EXPECT_THROW(g.finishTime(0), std::logic_error); // Trimmed.
+
+    sim.at(1.0, cb.park([&]() {
+        EXPECT_EQ(g.revokeDomain(d), 1u);
+        EXPECT_TRUE(g.abandoned(live));
+        EXPECT_FALSE(g.abandoned(bystander));
+    }));
+    sim.run();
+    EXPECT_TRUE(g.done());
+    EXPECT_DOUBLE_EQ(g.makespan(), 10.0);
+}
+
+TEST(TaskRevocation, TrimmedStreamOfDomainsKeepsRunTableBounded)
+{
+    // 10^4 serving-shaped steps, each a root and a notify leaf in its own
+    // domain: one run per step. Trim drops the runs wholly below its
+    // front, so the table holds only the runs of the untrimmed tail, not
+    // one per step ever taken. That tail is at most a partial 1024-task
+    // block plus the 1024 completions between trims: ~2048 tasks, ~1024
+    // steps.
+    Callbacks cb;
+    constexpr int kSteps = 10000;
+    constexpr int kRevoked = 5000;
+    Simulator sim;
+    TaskGraph g(sim);
+    g.enableTrim();
+    g.start();
+
+    int ran = 0;
+    TaskGraph::Domain revoked = TaskGraph::kNoDomain;
+    for (int i = 0; i < kSteps; ++i) {
+        sim.at(i, cb.park([&, i] {
+            const TaskGraph::Domain d = g.openDomain();
+            if (i == kRevoked)
+                revoked = d;
+            g.setCurrentDomain(d);
+            const auto root = g.delay(i == kRevoked ? 10.0 : 0.5);
+            const auto leaf = g.notify(cb.park([&ran] { ++ran; }));
+            g.dependsOn(leaf, root);
+            g.setCurrentDomain(TaskGraph::kNoDomain);
+            g.releaseRange(root, g.taskCount());
+        }));
+    }
+    sim.at(kRevoked + 0.75,
+           cb.park([&] { EXPECT_EQ(g.revokeDomain(revoked), 2u); }));
+    sim.run();
+
+    EXPECT_TRUE(g.done());
+    EXPECT_EQ(g.taskCount(), 2u * kSteps);
+    EXPECT_EQ(ran, kSteps - 1);
+    EXPECT_THROW(g.finishTime(0), std::logic_error); // Trimmed.
+    EXPECT_LE(g.domainRunsAllocated(), 1100u);
+}
+
+TEST(TaskRevocation, FaultFreeGraphRecordsNoDomainRuns)
+{
+    Simulator sim;
+    TaskGraph g(sim);
+    const auto a = g.delay(1.0);
+    g.dependsOn(g.barrier(), a);
+    g.setCurrentDomain(TaskGraph::kNoDomain);
+    g.barrier();
+    g.start();
+    sim.run();
+    EXPECT_TRUE(g.done());
+    EXPECT_EQ(g.domainRunsAllocated(), 0u);
 }
 
 TEST(TaskRevocation, DomainlessGraphUnaffectedByForeignRevocation)
