@@ -34,7 +34,6 @@ FlowNetwork::freeSlot(uint32_t slot)
     f.live = false;
     f.active = false;
     f.cancelled = false;
-    ++f.stamp; // Invalidate any heap entries still referencing the slot.
     free_slots_.push_back(slot);
 }
 
@@ -45,6 +44,20 @@ FlowNetwork::findSlot(FlowId id) const
         if (slots_[s].live && slots_[s].id == id)
             return s;
     return kNoSlot;
+}
+
+std::vector<const FlowNetwork::FlowSlot *>
+FlowNetwork::activeById() const
+{
+    std::vector<const FlowSlot *> flows;
+    for (const FlowSlot &f : slots_)
+        if (f.active)
+            flows.push_back(&f);
+    std::sort(flows.begin(), flows.end(),
+              [](const FlowSlot *a, const FlowSlot *b) {
+                  return a->id < b->id;
+              });
+    return flows;
 }
 
 const FlowNetwork::LinkState *
@@ -141,19 +154,17 @@ FlowNetwork::beginBulk(uint32_t slot)
     f.active = true;
     f.remaining = f.pending_bytes;
     f.settled_at = now;
-    f.keyed = std::numeric_limits<double>::infinity(); // No entry yet.
     f.links.clear();
     for (Link *link : f.route) {
         trackLink(link);
         f.links.push_back(link->id());
     }
 
-    // Register in the id-ordered indexes. A latency-delayed flow can carry
-    // a smaller id than already-active flows, so insert sorted.
+    // Register in the id-ordered link index. A latency-delayed flow can
+    // carry a smaller id than already-active flows, so insert sorted.
     const FlowId id = f.id;
     auto by_id = [this](uint32_t s, FlowId v) { return slots_[s].id < v; };
-    active_.insert(std::lower_bound(active_.begin(), active_.end(), id, by_id),
-                   slot);
+    ++n_active_;
     for (uint32_t li : f.links) {
         auto &lf = link_states_[li].flows;
         lf.insert(std::lower_bound(lf.begin(), lf.end(), id, by_id), slot);
@@ -201,7 +212,7 @@ FlowNetwork::cancelFlow(FlowId id)
     if (observer_)
         observer_->flowCancelled(f.id, now);
     detachFlow(slot);
-    active_.erase(std::find(active_.begin(), active_.end(), slot));
+    --n_active_;
     freeSlot(slot);
 
     recomputeComponent(now);
@@ -345,6 +356,7 @@ FlowNetwork::mergeComponent(uint32_t into, uint32_t from)
         enterComponent(dst.links, link_states_, into, li);
     src.flows.clear();
     src.links.clear();
+    dropCompletion(from);
     free_components_.push_back(from);
 }
 
@@ -364,6 +376,7 @@ FlowNetwork::detachFlow(uint32_t slot)
     f.active = false;
     if (c.flows.empty()) {
         SI_ASSERT(c.links.empty(), "component links outlived its flows");
+        dropCompletion(comp);
         free_components_.push_back(comp);
     } else if (!staysConnected(f)) {
         resplitComponent(comp);
@@ -474,13 +487,23 @@ FlowNetwork::recomputeComponent(Seconds now)
     const obs::Profiler::Scoped probe(obs::Section::FlowRecompute);
 
     // Drop retired seeds and settle the survivors' progress to now. Each
-    // flow settles on its own, so the flows stay in component order.
+    // flow settles on its own, so the flows stay in component order. The
+    // survivors' components are the ones to refill: a retirement may have
+    // re-split a collected component, and each piece is filled alone.
+    const uint64_t fill_epoch = ++epoch_;
+    fill_comps_.clear();
     std::size_t n_flows = 0;
     for (uint32_t s : comp_flows_) {
-        if (!slots_[s].active)
+        FlowSlot &f = slots_[s];
+        if (!f.active)
             continue;
-        settleFlow(slots_[s], now);
+        settleFlow(f, now);
         comp_flows_[n_flows++] = s;
+        Component &c = components_[f.comp];
+        if (c.mark != fill_epoch) {
+            c.mark = fill_epoch;
+            fill_comps_.push_back(f.comp);
+        }
     }
     comp_flows_.resize(n_flows);
 
@@ -517,16 +540,55 @@ FlowNetwork::recomputeComponent(Seconds now)
         comp_links_[n_links++] = li;
     }
     comp_links_.resize(n_links);
-    std::sort(comp_links_.begin(), comp_links_.end(),
-              [this](uint32_t a, uint32_t b) {
-                  const LinkState &la = link_states_[a];
-                  const LinkState &lb = link_states_[b];
-                  if (la.touch_id != lb.touch_id)
-                      return la.touch_id < lb.touch_id;
-                  return la.touch_pos < lb.touch_pos;
-              });
 
-    // Progressive water-filling over the component. Repeatedly find the
+    for (uint32_t comp : fill_comps_)
+        fillComponent(comp, now, fill_epoch);
+
+    // Refresh per-link aggregate rates, summed in id order so the oracle
+    // reproduces the exact bit pattern.
+    for (uint32_t li : comp_links_) {
+        LinkState &ls = link_states_[li];
+        for (uint32_t s : ls.flows)
+            ls.agg_rate += slots_[s].rate;
+    }
+
+    if (observer_) {
+        // Witnesses see links in first-touch order and rate changes by
+        // ascending id, as the oracle lists them; unobserved runs skip the
+        // sorts.
+        std::sort(comp_links_.begin(), comp_links_.end(),
+                  [this](uint32_t a, uint32_t b) {
+                      return touchedBefore(a, b);
+                  });
+        std::sort(comp_flows_.begin(), comp_flows_.end(),
+                  [this](uint32_t a, uint32_t b) {
+                      return slots_[a].id < slots_[b].id;
+                  });
+        for (uint32_t li : comp_links_)
+            observer_->linkRateChanged(*link_states_[li].link,
+                                       link_states_[li].agg_rate, now);
+        for (uint32_t s : comp_flows_)
+            observer_->flowRateChanged(slots_[s].id, slots_[s].rate, now);
+    }
+    auto &profiler = obs::Profiler::instance();
+    profiler.addFlowsTouched(comp_flows_.size());
+    profiler.addLinksTouched(comp_links_.size());
+}
+
+bool
+FlowNetwork::touchedBefore(uint32_t a, uint32_t b) const
+{
+    const LinkState &la = link_states_[a];
+    const LinkState &lb = link_states_[b];
+    if (la.touch_id != lb.touch_id)
+        return la.touch_id < lb.touch_id;
+    return la.touch_pos < lb.touch_pos;
+}
+
+void
+FlowNetwork::fillComponent(uint32_t comp, Seconds now, uint64_t fill_epoch)
+{
+    // Progressive water-filling over one component. Repeatedly find the
     // most-constrained link (smallest residual capacity per unfixed flow),
     // freeze its flows at that fair share, and release their capacity
     // claims elsewhere. The bottleneck's own id-ordered list names exactly
@@ -535,14 +597,16 @@ FlowNetwork::recomputeComponent(Seconds now)
     // route that lists the link twice, carry this recompute's stamp. The
     // scan list drops a link once its flows are all frozen (unfixed counts
     // only fall), keeping the rest in first-touch order, so the first
-    // smallest share is the same link. A frozen flow's completion is
-    // re-keyed at once: one whose completion moved earlier (or that has no
-    // entry yet) pushes a new entry; a delayed one keeps its entry as a
-    // lower bound, which settleCompletionFront() re-keys only if it reaches
-    // the front.
-    const uint64_t fill_epoch = ++epoch_;
-    scan_links_.assign(comp_links_.begin(), comp_links_.end());
-    std::size_t n_unfixed = comp_flows_.size();
+    // smallest share is the same link. Another component's rounds never
+    // touch these links, so the oracle's global fill picks the same
+    // bottlenecks here in the same order. Every member is frozen, so the
+    // earliest (due, id) seen is the component's exact completion key.
+    Component &c = components_[comp];
+    scan_links_.assign(c.links.begin(), c.links.end());
+    std::sort(scan_links_.begin(), scan_links_.end(),
+              [this](uint32_t a, uint32_t b) { return touchedBefore(a, b); });
+    const FlowSlot *earliest = nullptr;
+    std::size_t n_unfixed = c.flows.size();
     while (n_unfixed > 0) {
         uint32_t bottleneck = kNoSlot;
         double best_share = std::numeric_limits<double>::infinity();
@@ -571,8 +635,8 @@ FlowNetwork::recomputeComponent(Seconds now)
             flow.mark = fill_epoch;
             flow.rate = best_share;
             flow.due = now + flow.remaining / best_share;
-            if (flow.due < flow.keyed)
-                pushCompletion(s);
+            if (earliest == nullptr || dueBefore(flow, *earliest))
+                earliest = &flow;
             frozen_.push_back(s);
         }
         SI_ASSERT(!frozen_.empty(), "water-filling failed to make progress");
@@ -590,129 +654,90 @@ FlowNetwork::recomputeComponent(Seconds now)
             }
         }
     }
-
-    // Refresh per-link aggregate rates, summed in id order so the oracle
-    // reproduces the exact bit pattern.
-    for (uint32_t li : comp_links_) {
-        LinkState &ls = link_states_[li];
-        for (uint32_t s : ls.flows)
-            ls.agg_rate += slots_[s].rate;
+    c.due = earliest->due;
+    c.due_id = earliest->id;
+    if (c.heap_pos == kNoSlot) {
+        c.heap_pos = static_cast<uint32_t>(completion_heap_.size());
+        completion_heap_.push_back(comp);
     }
-
-    if (observer_) {
-        // Witnesses see rate changes by ascending id, as the oracle lists
-        // them; unobserved runs skip the sort.
-        std::sort(comp_flows_.begin(), comp_flows_.end(),
-                  [this](uint32_t a, uint32_t b) {
-                      return slots_[a].id < slots_[b].id;
-                  });
-        for (uint32_t li : comp_links_)
-            observer_->linkRateChanged(*link_states_[li].link,
-                                       link_states_[li].agg_rate, now);
-        for (uint32_t s : comp_flows_)
-            observer_->flowRateChanged(slots_[s].id, slots_[s].rate, now);
-    }
-    auto &profiler = obs::Profiler::instance();
-    profiler.addFlowsTouched(comp_flows_.size());
-    profiler.addLinksTouched(comp_links_.size());
+    siftCompletion(c.heap_pos);
 }
 
 // ---- completion heap --------------------------------------------------------
 
 bool
-FlowNetwork::heapEntryValid(const HeapEntry &e) const
+FlowNetwork::dueBefore(const FlowSlot &a, const FlowSlot &b)
 {
-    const FlowSlot &f = slots_[e.slot];
-    return f.active && f.stamp == e.stamp && f.id == e.id;
+    if (a.due != b.due)
+        return a.due < b.due;
+    return a.id < b.id;
+}
+
+bool
+FlowNetwork::keyedBefore(uint32_t a, uint32_t b) const
+{
+    const Component &ca = components_[a];
+    const Component &cb = components_[b];
+    if (ca.due != cb.due)
+        return ca.due < cb.due;
+    return ca.due_id < cb.due_id;
 }
 
 void
-FlowNetwork::pushCompletion(uint32_t slot)
+FlowNetwork::siftCompletion(std::size_t pos)
 {
-    FlowSlot &f = slots_[slot];
-    ++f.stamp; // The flow's previous entry, if any, becomes a tombstone.
-    f.keyed = f.due;
-    completion_heap_.push_back(HeapEntry{f.due, f.id, slot, f.stamp});
-    std::push_heap(completion_heap_.begin(), completion_heap_.end(),
-                   HeapLater{});
-    // Rate churn leaves one tombstone per superseded entry; compact before
-    // the dead weight dominates.
-    if (completion_heap_.size() > 64 &&
-        completion_heap_.size() > 4 * active_.size())
-        compactCompletionHeap();
-}
-
-void
-FlowNetwork::compactCompletionHeap()
-{
-    completion_heap_.erase(
-        std::remove_if(completion_heap_.begin(), completion_heap_.end(),
-                       [this](const HeapEntry &e) {
-                           return !heapEntryValid(e);
-                       }),
-        completion_heap_.end());
-    std::make_heap(completion_heap_.begin(), completion_heap_.end(),
-                   HeapLater{});
-}
-
-void
-FlowNetwork::settleCompletionFront(Seconds horizon)
-{
-    // Each pass pops a tombstone (each is popped at most once, ever) or
-    // makes a lower-bound entry exact, so the loop ends. Every live entry
-    // orders at or before its flow's (due, id), so an exact front is the
-    // earliest (due, id) of all flows, and a front keyed after the horizon
-    // puts every flow's due after it too.
-    while (!completion_heap_.empty()) {
-        HeapEntry &top = completion_heap_.front();
-        if (top.when > horizon)
-            return;
-        if (!heapEntryValid(top)) {
-            std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
-                          HeapLater{});
-            completion_heap_.pop_back();
-            continue;
-        }
-        FlowSlot &f = slots_[top.slot];
-        if (top.when == f.due)
-            return;
-        top.when = f.due;
-        f.keyed = f.due;
-        siftDownFront();
+    // Binary-heap layout: children of i at 2i+1 and 2i+2, the earliest key
+    // on top. Every component records its position, so a re-keyed one
+    // moves from where it sits.
+    std::vector<uint32_t> &heap = completion_heap_;
+    const uint32_t moving = heap[pos];
+    auto place = [&](uint32_t comp, std::size_t at) {
+        heap[at] = comp;
+        components_[comp].heap_pos = static_cast<uint32_t>(at);
+    };
+    while (pos > 0 && keyedBefore(moving, heap[(pos - 1) / 2])) {
+        place(heap[(pos - 1) / 2], pos);
+        pos = (pos - 1) / 2;
     }
-}
-
-void
-FlowNetwork::siftDownFront()
-{
-    // std::pop_heap's layout: children of i at 2i+1 and 2i+2, and the
-    // earliest (when, id) on top under HeapLater.
-    const HeapLater later;
-    std::vector<HeapEntry> &heap = completion_heap_;
-    const HeapEntry moving = heap.front();
     const std::size_t n = heap.size();
-    std::size_t i = 0;
-    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
-        if (child + 1 < n && later(heap[child], heap[child + 1]))
+    for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+        if (child + 1 < n && keyedBefore(heap[child + 1], heap[child]))
             ++child;
-        if (!later(moving, heap[child]))
+        if (!keyedBefore(heap[child], moving))
             break;
-        heap[i] = heap[child];
-        i = child;
+        place(heap[child], pos);
+        pos = child;
     }
-    heap[i] = moving;
+    place(moving, pos);
+}
+
+void
+FlowNetwork::dropCompletion(uint32_t comp)
+{
+    // A retiring component left the heap before its flows detached, and a
+    // piece re-split off by one retirement was never keyed.
+    Component &c = components_[comp];
+    if (c.heap_pos == kNoSlot)
+        return;
+    const std::size_t pos = c.heap_pos;
+    c.heap_pos = kNoSlot;
+    const uint32_t last = completion_heap_.back();
+    completion_heap_.pop_back();
+    if (pos < completion_heap_.size()) {
+        completion_heap_[pos] = last;
+        siftCompletion(pos);
+    }
 }
 
 void
 FlowNetwork::rescheduleCompletionEvent()
 {
-    settleCompletionFront(std::numeric_limits<double>::infinity());
     auto &queue = sim_.queue();
     if (completion_heap_.empty()) {
         queue.disarm();
         return;
     }
-    const Seconds when = completion_heap_.front().when;
+    const Seconds when = components_[completion_heap_.front()].due;
     if (!queue.armedAt(when))
         queue.arm(when, sim::Notify{this, kAlarm});
 }
@@ -722,18 +747,23 @@ FlowNetwork::onCompletionEvent()
 {
     const Seconds now = sim_.now();
 
-    // Retire every flow due by now, in (due, id) order. Entries keyed after
-    // now stay as they are: the recompute below may make them stale.
+    // Retire every flow due by now, in (due, id) order: the members due by
+    // now of the components keyed by now. Those components leave the heap;
+    // the recompute below re-keys the ones that keep flows.
     retiring_.clear();
-    for (settleCompletionFront(now);
-         !completion_heap_.empty() && completion_heap_.front().when <= now;
-         settleCompletionFront(now)) {
-        retiring_.push_back(completion_heap_.front().slot);
-        std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
-                      HeapLater{});
-        completion_heap_.pop_back();
+    while (!completion_heap_.empty() &&
+           components_[completion_heap_.front()].due <= now) {
+        const uint32_t comp = completion_heap_.front();
+        for (uint32_t s : components_[comp].flows)
+            if (slots_[s].due <= now)
+                retiring_.push_back(s);
+        dropCompletion(comp);
     }
     SI_ASSERT(!retiring_.empty(), "completion event with no due flow");
+    std::sort(retiring_.begin(), retiring_.end(),
+              [this](uint32_t a, uint32_t b) {
+                  return dueBefore(slots_[a], slots_[b]);
+              });
 
     // The contention components of the retiring flows: every survivor whose
     // rate can change, and every link whose aggregate does. Collected before
@@ -742,7 +772,8 @@ FlowNetwork::onCompletionEvent()
     collectComponents(retiring_);
 
     // Settle and detach the retiring flows; leftover sub-epsilon bytes are
-    // credited so delivered totals match the requested sizes.
+    // credited so delivered totals match the requested sizes. Each still
+    // counts in activeFlows() while its hook fires.
     callbacks_.clear();
     for (uint32_t s : retiring_) {
         FlowSlot &f = slots_[s];
@@ -756,11 +787,7 @@ FlowNetwork::onCompletionEvent()
         callbacks_.push_back(f.done);
         detachFlow(s);
     }
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [this](uint32_t s) {
-                                     return !slots_[s].active;
-                                 }),
-                  active_.end());
+    n_active_ -= retiring_.size();
     for (uint32_t s : retiring_)
         freeSlot(s);
 
@@ -786,10 +813,7 @@ FlowNetwork::oracleRates() const
     // none of the incremental bookkeeping — this is the specification the
     // incremental scheduler must match bit for bit.
     OracleSnapshot snap;
-    std::vector<const FlowSlot *> flows;
-    flows.reserve(active_.size());
-    for (uint32_t s : active_)
-        flows.push_back(&slots_[s]);
+    const std::vector<const FlowSlot *> flows = activeById();
 
     std::vector<Link *> links;
     std::vector<double> residual;
@@ -870,12 +894,26 @@ FlowNetwork::oracleRates() const
 FlowNetwork::Partition
 FlowNetwork::components() const
 {
+    // Each non-free component sits in the completion heap exactly once, at
+    // its stored position, keyed at its earliest member (due, id); free
+    // ones are absent, and the heap order holds.
+    for (std::size_t pos = 1; pos < completion_heap_.size(); ++pos)
+        SI_ASSERT(!keyedBefore(completion_heap_[pos],
+                               completion_heap_[(pos - 1) / 2]),
+                  "completion heap out of order at ", pos);
     Partition parts;
     for (uint32_t comp = 0; comp < components_.size(); ++comp) {
         const Component &c = components_[comp];
-        if (c.flows.empty())
-            continue; // Free.
+        if (c.flows.empty()) {
+            SI_ASSERT(c.heap_pos == kNoSlot, "free component ", comp,
+                      " left in the completion heap");
+            continue;
+        }
+        SI_ASSERT(c.heap_pos < completion_heap_.size() &&
+                      completion_heap_[c.heap_pos] == comp,
+                  "component ", comp, " lost its completion heap slot");
         auto &ids = parts.emplace_back();
+        const FlowSlot *earliest = nullptr;
         for (uint32_t pos = 0; pos < c.flows.size(); ++pos) {
             const FlowSlot &f = slots_[c.flows[pos]];
             SI_ASSERT(f.active && f.comp == comp && f.comp_pos == pos,
@@ -884,8 +922,12 @@ FlowNetwork::components() const
                 SI_ASSERT(link_states_[li].comp == comp, "link ",
                           link_states_[li].link->name(), " of flow ", f.id,
                           " sits in another component");
+            if (earliest == nullptr || dueBefore(f, *earliest))
+                earliest = &f;
             ids.push_back(f.id);
         }
+        SI_ASSERT(c.due == earliest->due && c.due_id == earliest->id,
+                  "component ", comp, " is not keyed at flow ", earliest->id);
         for (uint32_t pos = 0; pos < c.links.size(); ++pos) {
             const LinkState &ls = link_states_[c.links[pos]];
             SI_ASSERT(!ls.flows.empty() && ls.comp == comp &&
@@ -894,6 +936,9 @@ FlowNetwork::components() const
         }
         std::sort(ids.begin(), ids.end());
     }
+    SI_ASSERT(parts.size() == completion_heap_.size(),
+              "completion heap holds ", completion_heap_.size(),
+              " entries for ", parts.size(), " components");
     std::sort(parts.begin(), parts.end());
     return parts;
 }
@@ -904,9 +949,7 @@ FlowNetwork::oracleComponents() const
     // Flood fill from first principles: which flows each link carries,
     // rebuilt from the routes, then a walk from each unreached flow in
     // ascending-id order, so parts come out ordered by their lowest id.
-    std::vector<const FlowSlot *> flows;
-    for (uint32_t s : active_)
-        flows.push_back(&slots_[s]);
+    const std::vector<const FlowSlot *> flows = activeById();
     std::map<const Link *, std::vector<std::size_t>> carried;
     for (std::size_t i = 0; i < flows.size(); ++i)
         for (const Link *link : flows[i]->route)

@@ -36,23 +36,25 @@
  * while a buffer grows past its high-water mark (tests/test_hot_path_allocs.cc
  * pins the serving and the training event loops).
  *
- * Completions: the network keeps its own heap of projected completion times
- * and mirrors the front into the event queue's single alarm, which it owns
- * (sim/event_queue.h). When the front time moves, the alarm is re-armed in
- * place. Each active flow has one live entry, keyed at or before its exact
- * completion time. A recompute that moves a completion earlier pushes a new
- * entry; one that only delays it (the common case) keeps the old entry as a
- * lower bound, which is re-keyed in place only if it reaches the front. The
- * front is settled to a live, exact entry before the alarm is armed and
- * before each retirement, so alarm times and retirement order are those of
- * a heap re-keyed on every recompute.
+ * Completions: each component carries one key, the earliest (due, id) of
+ * its members, where @c due is a flow's exact completion time at its
+ * current rate. A recompute always covers whole components and rewrites
+ * every member's @c due, so the key it records is exact, never a bound. The
+ * network keeps its components in a min-heap on that key and mirrors the
+ * front into the event queue's single alarm, which it owns
+ * (sim/event_queue.h); when the front time moves, the alarm is re-armed in
+ * place. A completion event retires every flow due by now, from the
+ * components keyed by now, in (due, id) order.
  *
  * Determinism: water-filling freezes flows in ascending FlowId order and
  * scans candidate bottleneck links in first-touch order (the order links are
  * first reached when walking flows by ascending id), so rates are a pure
- * function of the active flow set. The scan drops a link for good once all
- * its flows are frozen, keeping the others in order, and the round that
- * freezes the last flows writes their rates (and completion times) only:
+ * function of the active flow set. Each component is filled on its own:
+ * disjoint components share no link, so a freeze in one never moves
+ * another's residuals, and each sees the bottlenecks and shares of one
+ * global fill. The scan drops a link for good once all its flows are
+ * frozen, keeping the others in order, and the round that freezes a
+ * component's last flows writes their rates (and completion times) only:
  * the residuals it would update are never read again. oracleRates()
  * recomputes that function from scratch with none of the incremental
  * bookkeeping; the stress tests assert bit-identical agreement after every
@@ -187,7 +189,7 @@ class FlowNetwork : private sim::Receiver
 
     /** Number of in-flight bulk-phase flows (latency-phase flows excluded,
      *  matching the contention set). */
-    std::size_t activeFlows() const { return active_.size(); }
+    std::size_t activeFlows() const { return n_active_; }
 
     /** Instantaneous rate of a flow; 0 if completed or still in its
      *  latency phase. Scans the live slots (tests and diagnostics). */
@@ -217,7 +219,8 @@ class FlowNetwork : private sim::Receiver
      *  ascending, components ordered by their lowest id. */
     using Partition = std::vector<std::vector<FlowId>>;
     /** The contention components the network keeps across events (checks
-     *  every member's back-link to its component on the way). */
+     *  every member's back-link to its component, and each component's
+     *  completion key and heap slot, on the way). */
     Partition components() const;
     /**
      * Reference flood fill of the "shares a link" relation over the active
@@ -229,10 +232,8 @@ class FlowNetwork : private sim::Receiver
     /** Flow slots allocated (== peak concurrent flows, not total ever) —
      *  memory-bound introspection for tests. */
     std::size_t slotsAllocated() const { return slots_.size(); }
-    /** Completion-heap entries currently stored: one live entry per active
-     *  flow plus tombstones of entries superseded by an earlier completion.
-     *  A flow whose completion is only delayed adds none
-     *  (FlowNetwork.DelayedCompletionsKeepTheirHeapEntry). */
+    /** Completion-heap entries currently stored: one per contention
+     *  component (FlowNetwork.DelayedCompletionsKeepTheirHeapEntry). */
     std::size_t completionHeapSize() const { return completion_heap_.size(); }
 
   private:
@@ -247,11 +248,8 @@ class FlowNetwork : private sim::Receiver
         Bytes remaining = 0.0;
         BytesPerSec rate = 0.0;
         Seconds settled_at = 0.0; ///< time @c remaining refers to
-        Seconds due = 0.0;   ///< exact completion time at the current rate
-        Seconds keyed = 0.0; ///< time of the flow's live heap entry: a
-                             ///< lower bound on @c due (+inf: no entry)
+        Seconds due = 0.0; ///< exact completion time at the current rate
         sim::Notify done; ///< whom to tell on completion
-        uint32_t stamp = 0;   ///< bumped on push/retire; guards heap
         uint64_t mark = 0;    ///< water-fill freeze epoch
         uint32_t comp = kNoSlot; ///< component while active
         uint32_t comp_pos = 0;   ///< index in that component's flows
@@ -279,28 +277,15 @@ class FlowNetwork : private sim::Receiver
     };
 
     /** A contention component: the active flows connected through shared
-     *  links, and the links carrying them. A free component is empty. */
+     *  links, and the links carrying them. A free component is empty and
+     *  out of the completion heap. */
     struct Component {
         std::vector<uint32_t> flows; ///< slots, in no particular order
         std::vector<uint32_t> links; ///< Link::id()s, in no particular order
-        uint64_t mark = 0;           ///< collection epoch
-    };
-
-    struct HeapEntry {
-        Seconds when;
-        FlowId id;      ///< tie-break + validation
-        uint32_t slot;
-        uint32_t stamp;
-    };
-    /** std::push_heap builds a max-heap; invert (when, id) for min-first. */
-    struct HeapLater {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.id > b.id;
-        }
+        uint64_t mark = 0;           ///< collection / fill epoch
+        Seconds due = 0.0;  ///< completion key: the earliest member (due,
+        FlowId due_id = 0;  ///< id), exact since the last fill
+        uint32_t heap_pos = kNoSlot; ///< index in completion_heap_
     };
     /** The alarm's event argument; any other argument is a flow slot
      *  whose latency phase expired. */
@@ -311,6 +296,8 @@ class FlowNetwork : private sim::Receiver
     void freeSlot(uint32_t slot);
     /** The live slot carrying flow @p id, or kNoSlot. */
     uint32_t findSlot(FlowId id) const;
+    /** The bulk-phase flows by ascending id (the oracles' walk order). */
+    std::vector<const FlowSlot *> activeById() const;
     /** Fill @p link's state the first time the network sees it. */
     void trackLink(Link *link);
     /** @p link's state if it ever carried a flow, else nullptr. */
@@ -359,19 +346,19 @@ class FlowNetwork : private sim::Receiver
      * (their active flag cleared) are excluded from the recompute set.
      */
     void recomputeComponent(Seconds now);
-    bool heapEntryValid(const HeapEntry &e) const;
-    /** Push @p slot's entry at its @c due; its old entry goes stale. */
-    void pushCompletion(uint32_t slot);
-    void compactCompletionHeap();
-    /**
-     * Pop stale entries off the heap front and re-key a lower-bound front
-     * to its flow's @c due, until the heap is empty, its front is live and
-     * exact (the earliest (due, id) of all flows), or its front is keyed
-     * after @p horizon (every flow is due after it).
-     */
-    void settleCompletionFront(Seconds horizon);
-    /** Restore heap order after the front entry's time grew. */
-    void siftDownFront();
+    /** Oracle first-touch order of two links (keys set by the recompute). */
+    bool touchedBefore(uint32_t a, uint32_t b) const;
+    /** Water-fill component @p comp alone, freezing with @p fill_epoch,
+     *  and key it in the completion heap at its earliest (due, id). */
+    void fillComponent(uint32_t comp, Seconds now, uint64_t fill_epoch);
+    /** (due, id) order of two flows. */
+    static bool dueBefore(const FlowSlot &a, const FlowSlot &b);
+    /** Completion-heap order: component @p a's key before @p b's. */
+    bool keyedBefore(uint32_t a, uint32_t b) const;
+    /** Move the heap entry at @p pos up or down to its place. */
+    void siftCompletion(std::size_t pos);
+    /** Take @p comp out of the heap (no-op if it was never keyed). */
+    void dropCompletion(uint32_t comp);
     /** Arm the queue's alarm at the heap front's time (disarm when no
      *  completion is pending); re-arms only when that time moved. */
     void rescheduleCompletionEvent();
@@ -381,9 +368,10 @@ class FlowNetwork : private sim::Receiver
     FlowObserver *observer_ = nullptr;
     std::vector<FlowSlot> slots_;
     std::vector<uint32_t> free_slots_;
-    std::vector<uint32_t> active_; ///< bulk-phase slots, ascending id
+    std::size_t n_active_ = 0; ///< bulk-phase flows
     std::vector<LinkState> link_states_; ///< indexed by Link::id()
-    std::vector<HeapEntry> completion_heap_; ///< min-heap on (when, id)
+    /** Non-free components, a min-heap on (due, due_id). */
+    std::vector<uint32_t> completion_heap_;
     std::vector<Component> components_;
     std::vector<uint32_t> free_components_;
     uint64_t epoch_ = 0;
@@ -393,6 +381,7 @@ class FlowNetwork : private sim::Receiver
     // nothing).
     std::vector<uint32_t> comp_links_;
     std::vector<uint32_t> comp_flows_;
+    std::vector<uint32_t> fill_comps_;
     std::vector<uint32_t> scan_links_;
     std::vector<uint32_t> frozen_;
     std::vector<uint32_t> split_flows_;

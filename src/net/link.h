@@ -69,18 +69,6 @@ class Link
         bytes_carried_ += bytes;
         busy_integral_ += rate_fraction * elapsed;
     }
-    /**
-     * @warning FlowNetwork settles link statistics lazily (at rate
-     * changes), so reset only while no flow crosses this link — e.g.
-     * after the simulation drains — or the pending un-flushed interval
-     * will be re-credited after the reset.
-     */
-    void
-    resetStats()
-    {
-        bytes_carried_ = 0.0;
-        busy_integral_ = 0.0;
-    }
     /** @} */
 
   private:

@@ -57,11 +57,4 @@ Topology::forEachLink(const std::function<void(const Link &)> &visit) const
         visit(link);
 }
 
-void
-Topology::resetStats()
-{
-    for (auto &link : links_)
-        link.resetStats();
-}
-
 } // namespace smartinf::net

@@ -47,10 +47,6 @@ class Topology
     /** Visit every link (stats dumping). */
     void forEachLink(const std::function<void(const Link &)> &visit) const;
 
-    /** Clear per-link statistics (between measurement windows). Call only
-     *  while no flows are active — see Link::resetStats(). */
-    void resetStats();
-
     std::size_t linkCount() const { return links_.size(); }
 
   private:

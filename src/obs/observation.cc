@@ -234,6 +234,10 @@ RunObservation::flowCancelled(net::FlowId id, Seconds now)
     if (name != flow_names_.end()) {
         trace_.asyncEnd(pid_, "flow", name->second, id, now);
         flow_names_.erase(name);
+        // A bulk-phase flow leaves the contention set; activeFlows() still
+        // counts it while this hook fires, as in flowFinished().
+        metric("flows.active", now,
+               static_cast<double>(net_.activeFlows()) - 1.0);
     }
     flow_rate_throttle_.erase(id);
     metric("flows.cancelled", now, 1.0);

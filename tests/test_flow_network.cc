@@ -247,10 +247,11 @@ TEST(FlowNetwork, NonFiniteOrNegativeInputsAreFatal)
 
 TEST(FlowNetwork, DelayedCompletionsKeepTheirHeapEntry)
 {
-    // Each flow joining link c delays the ones already on it. A delay keeps
-    // the flow's heap entry as a lower bound instead of pushing a new one,
-    // so the heap holds one entry per active flow; the completion times are
-    // those of a heap that re-keyed every flow on every recompute.
+    // Each flow joining link c delays the ones already on it. The heap
+    // holds one entry per contention component, re-keyed in place at its
+    // earliest member's completion, so a delay adds no entry; the
+    // completion times are those of a heap that re-keyed every flow on
+    // every recompute.
     Callbacks cb;
     sim::Simulator sim;
     FlowNetwork net(sim);
@@ -265,7 +266,7 @@ TEST(FlowNetwork, DelayedCompletionsKeepTheirHeapEntry)
 
     sim.runUntil([&]() { return net.activeFlows() == 9; });
     EXPECT_DOUBLE_EQ(sim.now(), 0.7);
-    EXPECT_EQ(net.completionHeapSize(), net.activeFlows());
+    EXPECT_EQ(net.completionHeapSize(), net.components().size());
 
     sim.run();
     const std::vector<double> expected{
@@ -280,6 +281,72 @@ TEST(FlowNetwork, DelayedCompletionsKeepTheirHeapEntry)
         80.000000000000014,
     };
     EXPECT_EQ(done, expected);
+}
+
+TEST(FlowNetwork, DisjointComponentsFinishingTogetherRetireInIdOrder)
+{
+    // Three disjoint components all finish at t = 10, with integer sizes
+    // so every completion time is exact:
+    //  - x/y: p crosses x (100) and y (300), q only x, r only y. x is the
+    //    first bottleneck (p and q at 50), then y gives r the other 250: two
+    //    fill rounds.
+    //  - b (40): s and t at 20 each.
+    //  - c (100): u alone until the latency-delayed flow d, which holds the
+    //    lowest id, enters at t = 5; then both run at 50.
+    // One completion event retires all seven flows, each component keyed
+    // at its own earliest (due, id), and their callbacks run by ascending
+    // id, not component by component.
+    Callbacks cb;
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    Link &x = topo.addLink("x", 100.0);
+    Link &y = topo.addLink("y", 300.0);
+    Link &b = topo.addLink("b", 40.0);
+    Link &c = topo.addLink("c", 100.0);
+    std::vector<std::pair<FlowId, double>> done;
+    auto record = [&](FlowId id) {
+        return cb.park([&, id]() { done.emplace_back(id, sim.now()); });
+    };
+    const std::vector<FlowId> ids{
+        net.startFlow({&c}, 250.0, record(0), 5.0),  // d
+        net.startFlow({&b}, 200.0, record(1)),       // s
+        net.startFlow({&x, &y}, 500.0, record(2)),   // p
+        net.startFlow({&c}, 750.0, record(3)),       // u
+        net.startFlow({&b}, 200.0, record(4)),       // t
+        net.startFlow({&x}, 500.0, record(5)),       // q
+        net.startFlow({&y}, 2500.0, record(6)),      // r
+    };
+    EXPECT_EQ(ids, (std::vector<FlowId>{0, 1, 2, 3, 4, 5, 6}));
+
+    auto check = [&]() {
+        const auto snap = net.oracleRates();
+        ASSERT_EQ(snap.rates.size(), net.activeFlows());
+        for (const auto &[id, rate] : snap.rates)
+            EXPECT_EQ(net.currentRate(id), rate) << "flow " << id;
+        for (const auto &[link, agg] : snap.link_rates)
+            EXPECT_EQ(net.linkAggregateRate(link), agg) << link->name();
+        const FlowNetwork::Partition parts = net.components();
+        EXPECT_EQ(parts, net.oracleComponents());
+        EXPECT_EQ(net.completionHeapSize(), parts.size());
+    };
+    check();
+    EXPECT_EQ(net.components(),
+              (FlowNetwork::Partition{{1, 4}, {2, 5, 6}, {3}}));
+    EXPECT_EQ(net.currentRate(0), 0.0); // Still in its latency phase.
+    EXPECT_EQ(net.currentRate(2), 50.0);
+    EXPECT_EQ(net.currentRate(6), 250.0);
+    for (int budget = 1; !sim.queue().empty(); budget = 1) {
+        sim.runUntil([&budget]() { return budget-- <= 0; });
+        check();
+    }
+    const std::vector<std::pair<FlowId, double>> expected{
+        {0, 10.0}, {1, 10.0}, {2, 10.0}, {3, 10.0},
+        {4, 10.0}, {5, 10.0}, {6, 10.0},
+    };
+    EXPECT_EQ(done, expected);
+    EXPECT_EQ(net.activeFlows(), 0u);
+    EXPECT_EQ(net.completionHeapSize(), 0u);
 }
 
 /**

@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "common/json.h"
+#include "net/topology.h"
 #include "obs/observation.h"
 #include "serve/inference_workload.h"
 #include "train/engine.h"
@@ -286,6 +287,26 @@ TEST(ObsTrace, MetricsSeriesAccumulateUnderObservation)
     EXPECT_TRUE(saw_queue);
     EXPECT_TRUE(saw_kv);
     EXPECT_TRUE(saw_link);
+}
+
+TEST(ObsTrace, BulkCancelLowersTheActiveFlowSeries)
+{
+    // A flow cancelled in its bulk phase leaves the contention set, so the
+    // flows.active series drops with it, as it does on a completion.
+    sim::Simulator sim;
+    net::FlowNetwork net(sim);
+    net::Topology topo;
+    net::Link &link = topo.addLink("l", 100.0);
+    obs::RunObservation run("r", {}, sim, net);
+    net.startFlow({&link}, 1000.0, {});
+    const net::FlowId victim = net.startFlow({&link}, 1000.0, {});
+    ASSERT_TRUE(net.cancelFlow(victim));
+    EXPECT_EQ(net.activeFlows(), 1u);
+
+    const auto *active = run.counters().find("r: flows.active");
+    ASSERT_NE(active, nullptr);
+    ASSERT_FALSE(active->windows.empty());
+    EXPECT_EQ(active->windows.back().last, 1.0);
 }
 
 TEST(ObsTrace, MultiNodeContiguousKvSeriesAreNamedPerNode)

@@ -66,17 +66,6 @@ TEST(Topology, PointerStabilityAcrossGrowth)
     EXPECT_EQ(&topo.link("first"), &first);
 }
 
-TEST(Topology, ResetStatsClearsAllLinks)
-{
-    Topology topo;
-    Link &link = topo.addLink("l", 10.0);
-    link.account(100.0, 0.5, 2.0);
-    EXPECT_GT(link.bytesCarried(), 0.0);
-    topo.resetStats();
-    EXPECT_EQ(link.bytesCarried(), 0.0);
-    EXPECT_EQ(link.busyIntegral(), 0.0);
-}
-
 TEST(Topology, ForEachLinkVisitsAll)
 {
     Topology topo;
