@@ -469,14 +469,12 @@ void
 FlowNetwork::collectComponents(std::span<const uint32_t> seeds)
 {
     const uint64_t epoch = ++epoch_;
-    comp_flows_.clear();
     comp_links_.clear();
     for (uint32_t s : seeds) {
         Component &c = components_[slots_[s].comp];
         if (c.mark == epoch)
             continue;
         c.mark = epoch;
-        comp_flows_.insert(comp_flows_.end(), c.flows.begin(), c.flows.end());
         comp_links_.insert(comp_links_.end(), c.links.begin(), c.links.end());
     }
 }
@@ -486,41 +484,17 @@ FlowNetwork::recomputeComponent(Seconds now)
 {
     const obs::Profiler::Scoped probe(obs::Section::FlowRecompute);
 
-    // Drop retired seeds and settle the survivors' progress to now. Each
-    // flow settles on its own, so the flows stay in component order. The
-    // survivors' components are the ones to refill: a retirement may have
-    // re-split a collected component, and each piece is filled alone.
-    const uint64_t fill_epoch = ++epoch_;
-    fill_comps_.clear();
-    std::size_t n_flows = 0;
-    for (uint32_t s : comp_flows_) {
-        FlowSlot &f = slots_[s];
-        if (!f.active)
-            continue;
-        settleFlow(f, now);
-        comp_flows_[n_flows++] = s;
-        Component &c = components_[f.comp];
-        if (c.mark != fill_epoch) {
-            c.mark = fill_epoch;
-            fill_comps_.push_back(f.comp);
-        }
-    }
-    comp_flows_.resize(n_flows);
-
     // Per-link statistics must be flushed against the rates that held since
     // the last account point, before any rate in the component changes.
     // Then zero every link's aggregate: links whose last flow just retired
-    // drop out of the re-keyed link set and must not keep a stale positive
-    // rate (it would flush phantom bytes later), and their rate drop is
-    // only visible here. The others are re-keyed and initialise the
-    // water-fill scratch. Each link's flow list holds exactly its active
-    // flows, one entry per route occurrence (a route listing a link twice
-    // claims two shares), so it gives the unfixed count directly. The
-    // oracle scans links in first-touch order (walking flows by ascending
-    // id, each route in order). A link is first touched by its lowest-id
-    // flow, the front of its id-ordered list, at its first position in that
-    // flow's route, so sorting on that pair reproduces the order without
-    // sorting the flows.
+    // drop out of the link set and must not keep a stale positive rate (it
+    // would flush phantom bytes later), and their rate drop is only visible
+    // here. The links that still carry flows name the components to refill:
+    // every surviving flow crosses one, and a retirement may have re-split a
+    // collected component, whose pieces are filled alone.
+    const uint64_t fill_epoch = ++epoch_;
+    fill_comps_.clear();
+    std::size_t n_flows = 0;
     std::size_t n_links = 0;
     for (uint32_t li : comp_links_) {
         LinkState &ls = link_states_[li];
@@ -530,32 +504,35 @@ FlowNetwork::recomputeComponent(Seconds now)
             observer_->linkRateChanged(*ls.link, 0.0, now);
         if (ls.flows.empty())
             continue;
-        const FlowSlot &first = slots_[ls.flows.front()];
+        // Water-fill scratch: each link's flow list holds exactly its active
+        // flows, one entry per route occurrence (a route listing a link
+        // twice claims two shares), so it gives the unfixed count directly.
         ls.residual = ls.capacity;
         ls.unfixed = static_cast<int>(ls.flows.size());
-        ls.touch_id = first.id;
-        ls.touch_pos = static_cast<uint32_t>(
-            std::find(first.links.begin(), first.links.end(), li) -
-            first.links.begin());
         comp_links_[n_links++] = li;
+        Component &c = components_[ls.comp];
+        if (c.mark != fill_epoch) {
+            c.mark = fill_epoch;
+            fill_comps_.push_back(ls.comp);
+            n_flows += c.flows.size();
+        }
     }
     comp_links_.resize(n_links);
 
     for (uint32_t comp : fill_comps_)
         fillComponent(comp, now, fill_epoch);
 
-    // Refresh per-link aggregate rates, summed in id order so the oracle
-    // reproduces the exact bit pattern.
-    for (uint32_t li : comp_links_) {
-        LinkState &ls = link_states_[li];
-        for (uint32_t s : ls.flows)
-            ls.agg_rate += slots_[s].rate;
-    }
-
     if (observer_) {
         // Witnesses see links in first-touch order and rate changes by
         // ascending id, as the oracle lists them; unobserved runs skip the
-        // sorts.
+        // keys, the flow list and the sorts.
+        comp_flows_.clear();
+        for (uint32_t comp : fill_comps_)
+            comp_flows_.insert(comp_flows_.end(),
+                               components_[comp].flows.begin(),
+                               components_[comp].flows.end());
+        for (uint32_t li : comp_links_)
+            keyTouch(li);
         std::sort(comp_links_.begin(), comp_links_.end(),
                   [this](uint32_t a, uint32_t b) {
                       return touchedBefore(a, b);
@@ -571,8 +548,23 @@ FlowNetwork::recomputeComponent(Seconds now)
             observer_->flowRateChanged(slots_[s].id, slots_[s].rate, now);
     }
     auto &profiler = obs::Profiler::instance();
-    profiler.addFlowsTouched(comp_flows_.size());
-    profiler.addLinksTouched(comp_links_.size());
+    profiler.addFlowsTouched(n_flows);
+    profiler.addLinksTouched(n_links);
+}
+
+void
+FlowNetwork::keyTouch(uint32_t li)
+{
+    // The oracle scans links in first-touch order (walking flows by
+    // ascending id, each route in order). A link is first touched by its
+    // lowest-id flow, the front of its id-ordered list, at its first
+    // position in that flow's route.
+    LinkState &ls = link_states_[li];
+    const FlowSlot &first = slots_[ls.flows.front()];
+    ls.touch_id = first.id;
+    ls.touch_pos = static_cast<uint32_t>(
+        std::find(first.links.begin(), first.links.end(), li) -
+        first.links.begin());
 }
 
 bool
@@ -591,48 +583,50 @@ FlowNetwork::fillComponent(uint32_t comp, Seconds now, uint64_t fill_epoch)
     // Progressive water-filling over one component. Repeatedly find the
     // most-constrained link (smallest residual capacity per unfixed flow),
     // freeze its flows at that fair share, and release their capacity
-    // claims elsewhere. The bottleneck's own id-ordered list names exactly
-    // the flows to freeze, in the ascending-id order the oracle freezes
-    // them; flows frozen in an earlier round, and the repeat entries of a
-    // route that lists the link twice, carry this recompute's stamp. The
-    // scan list drops a link once its flows are all frozen (unfixed counts
-    // only fall), keeping the rest in first-touch order, so the first
-    // smallest share is the same link. Another component's rounds never
-    // touch these links, so the oracle's global fill picks the same
-    // bottlenecks here in the same order. Every member is frozen, so the
-    // earliest (due, id) seen is the component's exact completion key.
+    // claims elsewhere. The oracle scans links in first-touch order and
+    // keeps the first smallest share, so the bottleneck is the argmin with
+    // an exact tie going to the first-touched link; only tied links are
+    // keyed. Another component's rounds never touch these links, so the
+    // oracle's global fill picks the same bottlenecks here in the same
+    // order.
     Component &c = components_[comp];
-    scan_links_.assign(c.links.begin(), c.links.end());
-    std::sort(scan_links_.begin(), scan_links_.end(),
-              [this](uint32_t a, uint32_t b) { return touchedBefore(a, b); });
     const FlowSlot *earliest = nullptr;
-    std::size_t n_unfixed = c.flows.size();
-    while (n_unfixed > 0) {
+    std::size_t n_frozen = 0;
+    while (n_frozen < c.flows.size()) {
         uint32_t bottleneck = kNoSlot;
         double best_share = std::numeric_limits<double>::infinity();
-        std::size_t n_scan = 0;
-        for (uint32_t li : scan_links_) {
+        for (uint32_t li : c.links) {
             const LinkState &ls = link_states_[li];
             if (ls.unfixed <= 0)
                 continue;
-            scan_links_[n_scan++] = li;
             const double share = ls.residual / ls.unfixed;
-            if (share < best_share) {
+            if (share == best_share) {
+                keyTouch(li);
+                keyTouch(bottleneck);
+            }
+            if (share < best_share ||
+                (share == best_share && touchedBefore(li, bottleneck))) {
                 best_share = share;
                 bottleneck = li;
             }
         }
-        scan_links_.resize(n_scan);
         SI_ASSERT(bottleneck != kNoSlot, "no bottleneck among active flows");
         SI_ASSERT(best_share > 0.0, "active flow with zero rate");
 
-        // Freeze every unfixed flow crossing the bottleneck at best_share.
+        // The bottleneck's own id-ordered list names exactly the flows to
+        // freeze, in the ascending-id order the oracle freezes them; flows
+        // frozen in an earlier round, and the repeat entries of a route that
+        // lists the link twice, carry this recompute's stamp. A flow settles
+        // to now as it freezes, against the rate that held until now. Every
+        // member freezes once, so the earliest (due, id) seen is the
+        // component's exact completion key.
         frozen_.clear();
         for (uint32_t s : link_states_[bottleneck].flows) {
             FlowSlot &flow = slots_[s];
             if (flow.mark == fill_epoch)
                 continue;
             flow.mark = fill_epoch;
+            settleFlow(flow, now);
             flow.rate = best_share;
             flow.due = now + flow.remaining / best_share;
             if (earliest == nullptr || dueBefore(flow, *earliest))
@@ -640,10 +634,11 @@ FlowNetwork::fillComponent(uint32_t comp, Seconds now, uint64_t fill_epoch)
             frozen_.push_back(s);
         }
         SI_ASSERT(!frozen_.empty(), "water-filling failed to make progress");
-        n_unfixed -= frozen_.size();
-        if (n_unfixed == 0)
-            break; // Nothing reads this round's residuals.
-        // Release their claims, in the same flow order as the freeze.
+        n_frozen += frozen_.size();
+        if (n_frozen == c.flows.size())
+            break; // Nothing reads the last round's residuals.
+
+        // Release this round's claims, in the same flow order as its freeze.
         for (uint32_t s : frozen_) {
             for (uint32_t li : slots_[s].links) {
                 LinkState &ls = link_states_[li];
@@ -653,6 +648,17 @@ FlowNetwork::fillComponent(uint32_t comp, Seconds now, uint64_t fill_epoch)
                 --ls.unfixed;
             }
         }
+    }
+    // Settle-in-freeze and the exact key both rest on this.
+    SI_ASSERT(n_frozen == c.flows.size(), "water-filling froze ", n_frozen,
+              " flows of a ", c.flows.size(), "-flow component");
+
+    // Refresh the links' aggregate rates (zeroed by the recompute), summed
+    // in id order so the oracle reproduces the exact bit pattern.
+    for (uint32_t li : c.links) {
+        LinkState &ls = link_states_[li];
+        for (uint32_t s : ls.flows)
+            ls.agg_rate += slots_[s].rate;
     }
     c.due = earliest->due;
     c.due_id = earliest->id;

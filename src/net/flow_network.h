@@ -47,18 +47,20 @@
  * components keyed by now, in (due, id) order.
  *
  * Determinism: water-filling freezes flows in ascending FlowId order and
- * scans candidate bottleneck links in first-touch order (the order links are
- * first reached when walking flows by ascending id), so rates are a pure
- * function of the active flow set. Each component is filled on its own:
- * disjoint components share no link, so a freeze in one never moves
- * another's residuals, and each sees the bottlenecks and shares of one
- * global fill. The scan drops a link for good once all its flows are
- * frozen, keeping the others in order, and the round that freezes a
+ * takes as bottleneck the first link with the smallest share in first-touch
+ * order (the order links are first reached when walking flows by ascending
+ * id), so rates are a pure function of the active flow set. Each component
+ * is filled on its own: disjoint components share no link, so a freeze in
+ * one never moves another's residuals, and each sees the bottlenecks and
+ * shares of one global fill. No fill sorts its links: the bottleneck is
+ * the argmin of the shares, and an exact tie goes to the link with the
+ * smaller first-touch key (its lowest-id flow, then that flow's first route
+ * position), written only for the tied pair. The round that freezes a
  * component's last flows writes their rates (and completion times) only:
- * the residuals it would update are never read again. oracleRates()
- * recomputes that function from scratch with none of the incremental
- * bookkeeping; the stress tests assert bit-identical agreement after every
- * event.
+ * the residuals it would update are never read again. Each flow settles
+ * its progress as it freezes, once per recompute. oracleRates() recomputes
+ * that function from scratch with none of the incremental bookkeeping; the
+ * stress tests assert bit-identical agreement after every event.
  */
 #ifndef SMARTINF_NET_FLOW_NETWORK_H
 #define SMARTINF_NET_FLOW_NETWORK_H
@@ -250,7 +252,7 @@ class FlowNetwork : private sim::Receiver
         Seconds settled_at = 0.0; ///< time @c remaining refers to
         Seconds due = 0.0; ///< exact completion time at the current rate
         sim::Notify done; ///< whom to tell on completion
-        uint64_t mark = 0;    ///< water-fill freeze epoch
+        uint64_t mark = 0;    ///< water-fill freeze (and settle) epoch
         uint32_t comp = kNoSlot; ///< component while active
         uint32_t comp_pos = 0;   ///< index in that component's flows
         bool live = false;    ///< allocated to a flow (free slots: false)
@@ -270,10 +272,16 @@ class FlowNetwork : private sim::Receiver
         Seconds accounted_at = 0.0;  ///< stats accumulated up to here
         uint32_t comp = kNoSlot;     ///< component while carrying flows
         uint32_t comp_pos = 0;       ///< index in that component's links
-        double residual = 0.0;       ///< water-fill scratch
-        int unfixed = 0;             ///< water-fill scratch
+        /// @name Scratch, stale unless freshly written
+        /// The recompute's link pass writes @c residual and @c unfixed on
+        /// every link it refills; only a tie or an observed recompute
+        /// writes the first-touch key (keyTouch()).
+        /// @{
+        double residual = 0.0; ///< capacity left for unfixed flows
+        int unfixed = 0;       ///< crossing entries not yet frozen
         FlowId touch_id = 0;   ///< first-touch key: lowest crossing flow id
         uint32_t touch_pos = 0; ///< ... and the link's first route position
+        /// @}
     };
 
     /** A contention component: the active flows connected through shared
@@ -336,20 +344,28 @@ class FlowNetwork : private sim::Receiver
     /** Flood-fill component @p comp's members into connected pieces. */
     void resplitComponent(uint32_t comp);
     /**
-     * Collect the union of the components of @p seeds (slot indices) into
-     * comp_flows_ / comp_links_.
+     * Collect the links of the union of the components of @p seeds (slot
+     * indices) into comp_links_.
      */
     void collectComponents(std::span<const uint32_t> seeds);
     /**
-     * Flush, settle, water-fill, and reschedule the collected components:
-     * the core incremental step. Seeds retired after collectComponents()
-     * (their active flag cleared) are excluded from the recompute set.
+     * Flush and zero the collected links, then water-fill and reschedule
+     * the components that still carry flows: the core incremental step.
+     * The link pass names those components, so seeds retired after
+     * collectComponents() drop out, and each piece a retirement split off
+     * is filled alone.
      */
     void recomputeComponent(Seconds now);
-    /** Oracle first-touch order of two links (keys set by the recompute). */
+    /** Write link @p li's first-touch key from the front of its list. */
+    void keyTouch(uint32_t li);
+    /** Oracle first-touch order of two links (both keyed by keyTouch()). */
     bool touchedBefore(uint32_t a, uint32_t b) const;
-    /** Water-fill component @p comp alone, freezing with @p fill_epoch,
-     *  and key it in the completion heap at its earliest (due, id). */
+    /**
+     * Water-fill component @p comp alone, freezing with @p fill_epoch and
+     * settling each member to @p now as it freezes; refresh its links'
+     * aggregate rates, and key it in the completion heap at its earliest
+     * (due, id).
+     */
     void fillComponent(uint32_t comp, Seconds now, uint64_t fill_epoch);
     /** (due, id) order of two flows. */
     static bool dueBefore(const FlowSlot &a, const FlowSlot &b);
@@ -380,9 +396,8 @@ class FlowNetwork : private sim::Receiver
     // Reused per-event scratch (never shrunk; steady state allocates
     // nothing).
     std::vector<uint32_t> comp_links_;
-    std::vector<uint32_t> comp_flows_;
+    std::vector<uint32_t> comp_flows_; ///< observed recomputes only
     std::vector<uint32_t> fill_comps_;
-    std::vector<uint32_t> scan_links_;
     std::vector<uint32_t> frozen_;
     std::vector<uint32_t> split_flows_;
     std::vector<uint32_t> bfs_stack_;

@@ -203,8 +203,9 @@ void
 RunObservation::linkRateChanged(const net::Link &link, BytesPerSec aggregate,
                                 Seconds now)
 {
-    const double util =
-        link.capacity() > 0.0 ? aggregate / link.capacity() : 0.0;
+    // Against the capacity the flows share, as the link's own busy
+    // integral is: a saturated link reads 1 inside a degradation window.
+    const double util = aggregate / link.effectiveCapacity();
     traceCounter("link " + link.name(), now, "\"util\": " + coarse(util));
     metric("link." + link.name() + ".util", now, util);
 }

@@ -16,6 +16,33 @@ namespace {
 
 using test::Callbacks;
 
+/** Rates, link aggregates and components equal the from-scratch oracles
+ *  bit for bit, and the completion heap holds one entry per component. */
+void
+expectOracles(const FlowNetwork &net)
+{
+    const auto snap = net.oracleRates();
+    ASSERT_EQ(snap.rates.size(), net.activeFlows());
+    for (const auto &[id, rate] : snap.rates)
+        EXPECT_EQ(net.currentRate(id), rate) << "flow " << id;
+    for (const auto &[link, agg] : snap.link_rates)
+        EXPECT_EQ(net.linkAggregateRate(link), agg) << link->name();
+    const FlowNetwork::Partition parts = net.components();
+    EXPECT_EQ(parts, net.oracleComponents());
+    EXPECT_EQ(net.completionHeapSize(), parts.size());
+}
+
+/** Run @p sim to the end one event at a time, checking the oracles after
+ *  each. */
+void
+runCheckingEachEvent(sim::Simulator &sim, const FlowNetwork &net)
+{
+    for (int budget = 1; !sim.queue().empty(); budget = 1) {
+        sim.runUntil([&budget]() { return budget-- <= 0; });
+        expectOracles(net);
+    }
+}
+
 TEST(FlowNetwork, SingleFlowUsesFullCapacity)
 {
     Callbacks cb;
@@ -319,27 +346,13 @@ TEST(FlowNetwork, DisjointComponentsFinishingTogetherRetireInIdOrder)
     };
     EXPECT_EQ(ids, (std::vector<FlowId>{0, 1, 2, 3, 4, 5, 6}));
 
-    auto check = [&]() {
-        const auto snap = net.oracleRates();
-        ASSERT_EQ(snap.rates.size(), net.activeFlows());
-        for (const auto &[id, rate] : snap.rates)
-            EXPECT_EQ(net.currentRate(id), rate) << "flow " << id;
-        for (const auto &[link, agg] : snap.link_rates)
-            EXPECT_EQ(net.linkAggregateRate(link), agg) << link->name();
-        const FlowNetwork::Partition parts = net.components();
-        EXPECT_EQ(parts, net.oracleComponents());
-        EXPECT_EQ(net.completionHeapSize(), parts.size());
-    };
-    check();
+    expectOracles(net);
     EXPECT_EQ(net.components(),
               (FlowNetwork::Partition{{1, 4}, {2, 5, 6}, {3}}));
     EXPECT_EQ(net.currentRate(0), 0.0); // Still in its latency phase.
     EXPECT_EQ(net.currentRate(2), 50.0);
     EXPECT_EQ(net.currentRate(6), 250.0);
-    for (int budget = 1; !sim.queue().empty(); budget = 1) {
-        sim.runUntil([&budget]() { return budget-- <= 0; });
-        check();
-    }
+    runCheckingEachEvent(sim, net);
     const std::vector<std::pair<FlowId, double>> expected{
         {0, 10.0}, {1, 10.0}, {2, 10.0}, {3, 10.0},
         {4, 10.0}, {5, 10.0}, {6, 10.0},
@@ -347,6 +360,79 @@ TEST(FlowNetwork, DisjointComponentsFinishingTogetherRetireInIdOrder)
     EXPECT_EQ(done, expected);
     EXPECT_EQ(net.activeFlows(), 0u);
     EXPECT_EQ(net.completionHeapSize(), 0u);
+}
+
+TEST(FlowNetwork, RoundOneTieGoesToTheFirstTouchedLink)
+{
+    // p and q carry three flows each at 100 B/s once the latency-delayed
+    // flow 0 enters at t = 1, so round one ties at 100/3. The oracle's
+    // first-touch order puts q first (flow 0 crosses it), although p has
+    // the lower Link::id and comes first in the component's link list
+    // (flow 1 brought it in). Flow 2 crosses both, so the second round
+    // fills the loser's two other flows at (100 - 100/3) / 2, which
+    // rounds differently from 100/3: picking p would move four rates.
+    Callbacks cb;
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    Link &p = topo.addLink("p", 100.0);
+    Link &q = topo.addLink("q", 100.0);
+    ASSERT_LT(p.id(), q.id());
+    std::vector<std::pair<FlowId, double>> done;
+    auto record = [&](FlowId id) {
+        return cb.park([&, id]() { done.emplace_back(id, sim.now()); });
+    };
+    net.startFlow({&q}, 1000.0, record(0), 1.0);
+    net.startFlow({&p}, 1000.0, record(1));
+    net.startFlow({&p, &q}, 1000.0, record(2));
+    net.startFlow({&p}, 1000.0, record(3));
+    net.startFlow({&q}, 1000.0, record(4));
+    expectOracles(net);
+
+    sim.runUntil([&]() { return net.activeFlows() == 5; });
+    EXPECT_EQ(sim.now(), 1.0);
+    expectOracles(net);
+    const double share = 100.0 / 3;
+    const double rest = (100.0 - share) / 2;
+    ASSERT_NE(share, rest);
+    for (FlowId id : {0, 2, 4})
+        EXPECT_EQ(net.currentRate(id), share) << "flow " << id;
+    for (FlowId id : {1, 3})
+        EXPECT_EQ(net.currentRate(id), rest) << "flow " << id;
+
+    runCheckingEachEvent(sim, net);
+    EXPECT_EQ(done.size(), 5u);
+}
+
+TEST(FlowNetwork, SecondRoundFlowSettlesBeforeItsRateChanges)
+{
+    // r runs alone on y (300 B/s) from t = 0. At t = 2 p (x and y) and q
+    // (x) start: x is the bottleneck at 50 each, and r, 600 bytes in, takes
+    // y's other 250 in the second round. Its completion time holds only if
+    // those 600 bytes are settled before the new rate applies: 2000 bytes
+    // left at 250 B/s is t = 10 exactly.
+    Callbacks cb;
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    Topology topo;
+    Link &x = topo.addLink("x", 100.0);
+    Link &y = topo.addLink("y", 300.0);
+    std::vector<std::pair<char, double>> done;
+    auto record = [&](char name) {
+        return cb.park([&, name]() { done.emplace_back(name, sim.now()); });
+    };
+    net.startFlow({&y}, 2600.0, record('r'));
+    sim.at(2.0, cb.park([&]() {
+        net.startFlow({&x, &y}, 500.0, record('p'));
+        net.startFlow({&x}, 500.0, record('q'));
+        EXPECT_EQ(net.currentRate(0), 250.0);
+        EXPECT_EQ(net.components(), (FlowNetwork::Partition{{0, 1, 2}}));
+    }));
+    expectOracles(net);
+    runCheckingEachEvent(sim, net);
+    const std::vector<std::pair<char, double>> expected{
+        {'r', 10.0}, {'p', 12.0}, {'q', 12.0}};
+    EXPECT_EQ(done, expected);
 }
 
 /**

@@ -309,6 +309,27 @@ TEST(ObsTrace, BulkCancelLowersTheActiveFlowSeries)
     EXPECT_EQ(active->windows.back().last, 1.0);
 }
 
+TEST(ObsTrace, DegradedLinkReadsFullUtilization)
+{
+    // Utilization is the aggregate over the capacity the flows share: a
+    // link degraded to half its nominal capacity and saturated by its flow
+    // reads 1, as its own busy integral does, not 0.5.
+    sim::Simulator sim;
+    net::FlowNetwork net(sim);
+    net::Topology topo;
+    net::Link &link = topo.addLink("l", 100.0);
+    obs::RunObservation run("r", {}, sim, net);
+    net.startFlow({&link}, 1000.0, {});
+    link.setCapacityFactor(0.5);
+    net.linkCapacityChanged(&link);
+    EXPECT_EQ(net.linkAggregateRate(&link), 50.0);
+
+    const auto *util = run.counters().find("r: link.l.util");
+    ASSERT_NE(util, nullptr);
+    ASSERT_FALSE(util->windows.empty());
+    EXPECT_EQ(util->windows.back().last, 1.0);
+}
+
 TEST(ObsTrace, MultiNodeContiguousKvSeriesAreNamedPerNode)
 {
     // Each replica's builder reports contiguous KV occupancy under its
