@@ -194,8 +194,6 @@ FlowNetwork::cancelFlow(FlowId id)
         // Latency phase: a delayed beginBulk event still references the
         // slot, so keep it allocated and let beginBulk() reap it.
         f.cancelled = true;
-        f.done.drop();
-        f.done = {};
         if (observer_)
             observer_->flowCancelled(f.id, now);
         return true;
@@ -208,7 +206,6 @@ FlowNetwork::cancelFlow(FlowId id)
     collectComponents({&slot, 1});
     settleFlow(f, now);
     f.rate = 0.0;
-    f.done.drop();
     if (observer_)
         observer_->flowCancelled(f.id, now);
     detachFlow(slot);
@@ -547,9 +544,7 @@ FlowNetwork::recomputeComponent(Seconds now)
         for (uint32_t s : comp_flows_)
             observer_->flowRateChanged(slots_[s].id, slots_[s].rate, now);
     }
-    auto &profiler = obs::Profiler::instance();
-    profiler.addFlowsTouched(n_flows);
-    profiler.addLinksTouched(n_links);
+    obs::Profiler::instance().addFlowsTouched(n_flows);
 }
 
 void
@@ -789,7 +784,6 @@ FlowNetwork::onCompletionEvent()
         f.rate = 0.0;
         if (observer_)
             observer_->flowFinished(f.id, now);
-        obs::Profiler::instance().countFlowRetire();
         callbacks_.push_back(f.done);
         detachFlow(s);
     }

@@ -22,9 +22,7 @@ Profiler::reset()
     for (auto &bucket : buckets_)
         bucket = Bucket{};
     flows_touched_ = 0;
-    links_touched_ = 0;
     task_launches_ = 0;
-    flow_retires_ = 0;
 }
 
 double

@@ -90,27 +90,13 @@ class Profiler
             flows_touched_ += n;
     }
     void
-    addLinksTouched(uint64_t n)
-    {
-        if (enabled())
-            links_touched_ += n;
-    }
-    void
     countTaskLaunch()
     {
         if (enabled())
             ++task_launches_;
     }
-    void
-    countFlowRetire()
-    {
-        if (enabled())
-            ++flow_retires_;
-    }
     uint64_t flowsTouched() const { return flows_touched_; }
-    uint64_t linksTouched() const { return links_touched_; }
     uint64_t taskLaunches() const { return task_launches_; }
-    uint64_t flowRetires() const { return flow_retires_; }
     /** @} */
 
     /**
@@ -160,9 +146,7 @@ class Profiler
     std::atomic<bool> enabled_{false};
     Bucket buckets_[static_cast<int>(Section::kCount)];
     uint64_t flows_touched_ = 0;
-    uint64_t links_touched_ = 0;
     uint64_t task_launches_ = 0;
-    uint64_t flow_retires_ = 0;
 };
 
 } // namespace smartinf::obs

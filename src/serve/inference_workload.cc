@@ -268,9 +268,6 @@ InferenceWorkload::build(train::SimContext &ctx)
     const int nodes = ctx.system.num_nodes;
     stream_total_ = config_.streamSize();
     source_ = std::make_unique<RequestSource>(config_);
-    // Serving never reads per-task times, so the graph always trims its
-    // completed prefix: memory is O(in-flight tasks), not O(run length).
-    ctx.graph.enableTrim();
 
     for (int i = 0; i < nodes; ++i) {
         builders_.push_back(std::make_unique<InferenceBuilder>(

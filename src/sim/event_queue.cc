@@ -28,17 +28,8 @@ void
 EventQueue::arm(Seconds when, Notify what)
 {
     SI_ASSERT(when >= 0.0, "alarm armed at negative time ", when);
-    disarm();
     alarm_ = Entry{when, next_seq_++, what};
     alarm_armed_ = true;
-}
-
-void
-EventQueue::disarm()
-{
-    if (alarm_armed_)
-        alarm_.what.drop();
-    alarm_armed_ = false;
 }
 
 bool

@@ -35,9 +35,6 @@ class Receiver
   public:
     /** A Notify naming this receiver and @p arg fired. */
     virtual void onNotify(uint64_t arg) = 0;
-    /** A Notify naming this receiver and @p arg was dropped unfired
-     *  (a cancelled flow, a replaced alarm); free what @p arg holds. */
-    virtual void onDrop(uint64_t arg) { (void)arg; }
 
   protected:
     ~Receiver() = default;
@@ -55,13 +52,6 @@ struct Notify {
 
     explicit operator bool() const { return to != nullptr; }
     void operator()() const { to->onNotify(arg); }
-    /** Give up on firing: lets the receiver free what it holds. */
-    void
-    drop() const
-    {
-        if (to)
-            to->onDrop(arg);
-    }
 };
 
 /** A priority queue of (time, sequence, Notify) events plus one alarm. */
@@ -79,7 +69,7 @@ class EventQueue
     void arm(Seconds when, Notify what);
 
     /** Drop the armed alarm, if any. */
-    void disarm();
+    void disarm() { alarm_armed_ = false; }
 
     /** True when the alarm is armed for exactly @p when. */
     bool armedAt(Seconds when) const

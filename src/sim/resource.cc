@@ -52,11 +52,6 @@ Resource::startNext()
 void
 Resource::onNotify(uint64_t)
 {
-    // The same expression startNext() scheduled with, so the same bits.
-    const Seconds duration = job_latency_ + running_.work / rate_;
-    work_done_.add(running_.work);
-    busy_time_.add(duration);
-    ++jobs_done_;
     // Report completion before the next job starts so observers see this
     // occupancy slice closed before the next one opens.
     if (SimObserver *observer = sim_.observer())

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/units.h"
 #include "sim/simulator.h"
 
@@ -43,13 +42,6 @@ class Resource : private Receiver
     const std::string &name() const { return name_; }
     double rate() const { return rate_; }
 
-    /** Total work units processed. */
-    double workDone() const { return work_done_.value(); }
-    /** Total seconds the resource was busy (for utilization). */
-    Seconds busyTime() const { return busy_time_.value(); }
-    /** Number of completed jobs. */
-    uint64_t jobsDone() const { return jobs_done_; }
-
   private:
     struct Job {
         double work;
@@ -77,9 +69,6 @@ class Resource : private Receiver
     /** The one job in service; its finish event names only the resource. */
     Job running_{0.0, {}};
     bool busy_ = false;
-    Counter work_done_;
-    Counter busy_time_;
-    uint64_t jobs_done_ = 0;
 };
 
 } // namespace smartinf::sim

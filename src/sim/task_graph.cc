@@ -125,12 +125,6 @@ TaskGraph::transfer(const TransferRoute &route, Bytes bytes, TaskLabel label)
     return id;
 }
 
-std::string
-TaskGraph::labelString(TaskId id) const
-{
-    return task(id).label.str();
-}
-
 void
 TaskGraph::dependsOn(TaskId task_id, TaskId dep)
 {
@@ -242,7 +236,6 @@ TaskGraph::launch(TaskId id)
     SI_ASSERT(!t.launched, "task ", id, " launched twice");
     SI_ASSERT(!t.abandoned, "launching revoked task ", id);
     t.launched = true;
-    t.start_time = sim_.now();
     obs::Profiler::instance().countTaskLaunch();
     if (SimObserver *observer = sim_.observer())
         observer->taskStarted(id, t.label, sim_.now());
@@ -291,8 +284,7 @@ TaskGraph::complete(TaskId id)
     const std::size_t fanout = t.num_dependents;
     ++callback_depth_;
     t.completed = true;
-    t.finish_time = sim_.now();
-    max_finish_ = std::max(max_finish_, t.finish_time);
+    max_finish_ = std::max(max_finish_, sim_.now());
     if (SimObserver *observer = sim_.observer())
         observer->taskFinished(id, t.label, sim_.now());
     ++completed_;
@@ -307,8 +299,7 @@ TaskGraph::complete(TaskId id)
     --callback_depth_;
     // Trim only at the outermost frame: a nested trim would free the
     // storage an outer complete()'s dependent loop is still reading.
-    if (trim_enabled_ && callback_depth_ == 0 &&
-        completed_ - trim_checkpoint_ >= kTrimChunk)
+    if (callback_depth_ == 0 && completed_ - trim_checkpoint_ >= kTrimChunk)
         maybeTrim();
 }
 
@@ -370,15 +361,11 @@ TaskGraph::revokeDomain(Domain d)
         if (t.completed || t.abandoned)
             return;
         t.abandoned = true;
-        t.finish_time = now; // For makespan(); never "finished".
-        max_finish_ = std::max(max_finish_, now);
+        max_finish_ = std::max(max_finish_, now); // Never "finished".
         ++completed_;
         ++revoked;
-        if (t.launched && t.kind == Kind::Transfer) {
+        if (t.launched && t.kind == Kind::Transfer)
             seam_->cancelTransfer(t.flow);
-        } else if (!t.launched && t.kind == Kind::Notify) {
-            Notify{t.receiver, t.arg}.drop();
-        }
         if (SimObserver *observer = sim_.observer()) {
             if (t.launched)
                 observer->taskAbandoned(id, t.label, now);
@@ -398,20 +385,6 @@ TaskGraph::revokeDomain(Domain d)
         recycleFanout(t);
     });
     return revoked;
-}
-
-Seconds
-TaskGraph::finishTime(TaskId id) const
-{
-    SI_ASSERT(task(id).completed, "finishTime() on incomplete task");
-    return task(id).finish_time;
-}
-
-Seconds
-TaskGraph::startTime(TaskId id) const
-{
-    SI_ASSERT(task(id).launched, "startTime() on unlaunched task");
-    return task(id).start_time;
 }
 
 Seconds

@@ -91,6 +91,15 @@ class TransferSeam
  *    satisfied no-op. releaseRange() releases a contiguous id block
  *    (dynamic construction is append-only, so a sub-graph built in one
  *    event is always one id range).
+ *
+ * The storage of a completed (or abandoned) prefix of tasks is reclaimed a
+ * whole block at a time, so a workload that appends tasks forever — a
+ * serving stream runs millions, a checkpointed training job one iteration
+ * after another — holds O(live tasks) memory, not O(total tasks). Task ids
+ * stay global and stable. label() and abandoned() must not be asked about a
+ * trimmed id (they assert), and dependsOn() on a trimmed dependency counts
+ * as already satisfied. A task keeps no times: a workload that needs the
+ * instant a unit of work finished hangs a notify task off it.
  */
 class TaskGraph : private Receiver
 {
@@ -158,22 +167,6 @@ class TaskGraph : private Receiver
     bool done() const { return completed_ == total_added_ && started_; }
 
     /**
-     * Opt into prefix trimming: once enabled, the storage of a completed
-     * (or abandoned) prefix of tasks is periodically reclaimed, so a
-     * dynamic workload that appends tasks forever — the streaming serving
-     * scenarios run millions — holds O(live tasks) memory instead of
-     * O(total tasks). Task ids stay global and stable; storage is freed a
-     * whole block at a time.
-     * The trade: finishTime()/startTime()/labelString()/abandoned() must
-     * not be asked about trimmed ids (they assert), and dependsOn() on a
-     * trimmed dependency counts as already satisfied. Must be enabled
-     * before tasks complete. Every serving run enables it (serving never
-     * reads per-task times); training never does, because it reads
-     * per-task finish times after the run.
-     */
-    void enableTrim() { trim_enabled_ = true; }
-
-    /**
      * @name Revocation domains (fault injection).
      *
      * A *domain* groups the tasks of one revocable unit of work — a serving
@@ -208,19 +201,11 @@ class TaskGraph : private Receiver
     bool abandoned(TaskId id) const;
     /** @} */
 
-    /** Completion time of a task. @pre the task has completed. */
-    Seconds finishTime(TaskId id) const;
-    /** Start time of a task (when its dependencies were satisfied). */
-    Seconds startTime(TaskId id) const;
-
     /** Completion time of the latest-finishing task. @pre done(). */
     Seconds makespan() const;
 
     /** Total tasks ever added (ids are global: trim never shrinks this). */
     std::size_t taskCount() const { return total_added_; }
-
-    /** Materialised label of a task (debugging/tracing). */
-    std::string labelString(TaskId id) const;
 
     /** A task's stored label. The reference stays valid until the task is
      *  trimmed: adding tasks never moves a task already added. */
@@ -248,8 +233,6 @@ class TaskGraph : private Receiver
     /** One cache line per task: 64 bytes, 64-byte aligned. */
     struct alignas(64) Task {
         TaskLabel label;
-        Seconds start_time = -1.0;
-        Seconds finish_time = -1.0;
         /** Operands by kind: compute {resource, amount = work}; delay
          *  {amount = duration}; transfer {route, amount = bytes, which
          *  launch() overwrites with the flow id}; notify {receiver, arg}. */
@@ -357,16 +340,15 @@ class TaskGraph : private Receiver
     std::size_t total_added_ = 0; ///< size of the global id space
     bool started_ = false;
 
-    /** @name Trim mode (enableTrim()); all zero-cost when disabled. @{ */
+    /** @name Prefix trimming (see the class comment). @{ */
     static constexpr std::size_t kTrimChunk = 1024;
-    bool trim_enabled_ = false;
     std::size_t base_ = 0; ///< first untrimmed id (a block boundary)
     std::size_t trim_checkpoint_ = 0; ///< completed_ at the last scan
     std::size_t trim_front_ = 0; ///< ids below this are completed/abandoned
     int callback_depth_ = 0; ///< launch/complete nesting depth
     /** @} */
-    /** Latest finish_time seen so far; == makespan() once done(). Kept
-     *  incrementally because trim mode discards per-task times. */
+    /** Latest completion (or revocation) time so far; == makespan() once
+     *  done(). */
     Seconds max_finish_ = 0.0;
     Domain current_domain_ = kNoDomain;
     Domain last_domain_ = kNoDomain;

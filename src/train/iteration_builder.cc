@@ -62,6 +62,12 @@ IterationBuilder::gradOffloadGateTask(int block) const
     return grad_offload_gate_[block];
 }
 
+void
+IterationBuilder::onNotify(uint64_t phase)
+{
+    (phase == kForwardDone ? fw_end_ : bw_end_) = ctx_.sim.now();
+}
+
 // ---- forward ----------------------------------------------------------------
 
 TaskId
@@ -69,7 +75,7 @@ IterationBuilder::buildForward()
 {
     const double tokens = train_.tokensPerIteration();
     const Flops fw_flops_per_block = 2.0 * paramsPerBlock() * tokens;
-    TaskId fw_done = ctx_.graph.barrier({"fw.done"});
+    TaskId fw_done = ctx_.graph.notify({this, kForwardDone}, {"fw.done"});
 
     TaskId prev_compute = sim::TaskGraph::kInvalidTask;
     for (int b = 0; b < model_.num_layers; ++b) {
@@ -116,7 +122,7 @@ IterationBuilder::buildBackward(TaskId fw_done)
     const double tokens = train_.tokensPerIteration();
     const Flops bw_flops_per_block = 4.0 * paramsPerBlock() * tokens;
     const Bytes dense_grad = paramsPerBlock() * kBytesFp32;
-    TaskId bw_done = ctx_.graph.barrier({"bw.done"});
+    TaskId bw_done = ctx_.graph.notify({this, kBackwardDone}, {"bw.done"});
 
     TaskId prev_compute = sim::TaskGraph::kInvalidTask;
     for (int b = 0; b < model_.num_layers; ++b) {

@@ -28,16 +28,18 @@ namespace smartinf::train {
  * inter-node all-reduce by adding dependencies to gradOffloadGateTask(b)
  * before the graph starts.
  */
-class IterationBuilder : public PhaseBuilder
+class IterationBuilder : public PhaseBuilder, private sim::Receiver
 {
   public:
     IterationBuilder(const ModelSpec &model, const TrainConfig &train,
                      const SystemConfig &system, SimContext &ctx,
                      std::string prefix = {});
 
-    /** Build the forward phase; returns its completion barrier. */
+    /** Build the forward phase; returns its completion task, which
+     *  records forwardEnd(). */
     TaskId buildForward();
-    /** Build backward + gradient offload; returns its completion barrier. */
+    /** Build backward + gradient offload; returns its completion task,
+     *  which records backwardEnd(). */
     TaskId buildBackward(TaskId fw_done);
     /** Build the strategy-specific update phase gated on @p ready. */
     void buildUpdate(TaskId ready);
@@ -55,7 +57,16 @@ class IterationBuilder : public PhaseBuilder
      */
     TaskId gradOffloadGateTask(int block) const;
 
+    /** When the last staged iteration's forward / backward phase
+     *  completed on this node. */
+    Seconds forwardEnd() const { return fw_end_; }
+    Seconds backwardEnd() const { return bw_end_; }
+
   private:
+    /** The argument of the "fw.done" and "bw.done" notify tasks. */
+    enum Phase : uint64_t { kForwardDone, kBackwardDone };
+    void onNotify(uint64_t phase) override;
+
     Bytes activationBytesPerBlock() const;
     bool compressed() const;
     Bytes gradWireBytesPerBlock() const;
@@ -72,6 +83,8 @@ class IterationBuilder : public PhaseBuilder
     const TrainConfig &train_;
     std::vector<TaskId> grad_to_host_;
     std::vector<TaskId> grad_offload_gate_;
+    Seconds fw_end_ = 0.0;
+    Seconds bw_end_ = 0.0;
 };
 
 } // namespace smartinf::train

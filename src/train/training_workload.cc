@@ -28,15 +28,15 @@ makeNodeBuilders(const ModelSpec &model, const TrainConfig &train,
     return builders;
 }
 
-IterationEnds
+void
 stageIteration(SimContext &ctx, const NodeBuilders &builders)
 {
     const int nodes = static_cast<int>(builders.size());
-    IterationEnds ends{std::vector<TaskId>(nodes), std::vector<TaskId>(nodes)};
+    std::vector<TaskId> fw_done(nodes), bw_done(nodes);
     for (int i = 0; i < nodes; ++i)
-        ends.forward[i] = builders[i]->buildForward();
+        fw_done[i] = builders[i]->buildForward();
     for (int i = 0; i < nodes; ++i)
-        ends.backward[i] = builders[i]->buildBackward(ends.forward[i]);
+        bw_done[i] = builders[i]->buildBackward(fw_done[i]);
 
     // Gradient sync on 2+ nodes: ring all-reduce of the dense FP32
     // gradients. (SmartComp compresses the host->CSD wire only; inter-node
@@ -63,7 +63,7 @@ stageIteration(SimContext &ctx, const NodeBuilders &builders)
     } else if (nodes > 1) {
         // Ablation: one monolithic all-reduce strictly after backward.
         const dist::CollectiveSchedule cs = dist::scheduleRingAllReduce(
-            ctx, nodes, model.gradientBytes(), ends.backward, {"sync.all"});
+            ctx, nodes, model.gradientBytes(), bw_done, {"sync.all"});
         sync_done = cs.done;
     }
 
@@ -71,15 +71,14 @@ stageIteration(SimContext &ctx, const NodeBuilders &builders)
     // gated on its own backward (whose offloads already waited for the
     // bucketed sync) plus, in the monolithic case, the global sync.
     for (int i = 0; i < nodes; ++i) {
-        TaskId ready = ends.backward[i];
+        TaskId ready = bw_done[i];
         if (sync_done != TaskGraph::kInvalidTask) {
             ready = ctx.graph.barrier({"upd.ready", i});
-            ctx.graph.dependsOn(ready, ends.backward[i]);
+            ctx.graph.dependsOn(ready, bw_done[i]);
             ctx.graph.dependsOn(ready, sync_done);
         }
         builders[i]->buildUpdate(ready);
     }
-    return ends;
 }
 
 TrainingWorkload::TrainingWorkload(const ModelSpec &model,
@@ -93,7 +92,7 @@ TrainingWorkload::build(SimContext &ctx)
 {
     SI_ASSERT(builders_.empty(), "TrainingWorkload::build called twice");
     builders_ = makeNodeBuilders(model_, train_, ctx);
-    ends_ = stageIteration(ctx, builders_);
+    stageIteration(ctx, builders_);
 }
 
 void
@@ -102,9 +101,9 @@ TrainingWorkload::collect(const SimContext &ctx, WorkloadResult &out)
     // Nodes are symmetric but not lock-stepped; report the slowest node's
     // phase boundaries (the cluster advances at the straggler's pace).
     Seconds t_fw = 0.0, t_bw = 0.0;
-    for (std::size_t i = 0; i < builders_.size(); ++i) {
-        t_fw = std::max(t_fw, ctx.graph.finishTime(ends_.forward[i]));
-        t_bw = std::max(t_bw, ctx.graph.finishTime(ends_.backward[i]));
+    for (const auto &builder : builders_) {
+        t_fw = std::max(t_fw, builder->forwardEnd());
+        t_bw = std::max(t_bw, builder->backwardEnd());
     }
     const Seconds t_end = ctx.graph.makespan();
     out.phases.forward = t_fw;

@@ -29,17 +29,12 @@ using NodeBuilders = std::vector<std::unique_ptr<IterationBuilder>>;
 NodeBuilders makeNodeBuilders(const ModelSpec &model,
                               const TrainConfig &train, SimContext &ctx);
 
-/** Each node's forward and backward completion tasks of one iteration. */
-struct IterationEnds {
-    std::vector<sim::TaskGraph::TaskId> forward, backward;
-};
-
 /**
  * Stage one training iteration over @p builders: every node's forward,
  * then every node's backward, then (2+ nodes) the ring all-reduce of the
  * dense FP32 gradients, then every node's update.
  */
-IterationEnds stageIteration(SimContext &ctx, const NodeBuilders &builders);
+void stageIteration(SimContext &ctx, const NodeBuilders &builders);
 
 /** One steady-state training iteration on ctx.system.num_nodes nodes. */
 class TrainingWorkload final : public Workload
@@ -57,7 +52,6 @@ class TrainingWorkload final : public Workload
     ModelSpec model_;
     TrainConfig train_;
     NodeBuilders builders_;
-    IterationEnds ends_;
 };
 
 } // namespace smartinf::train

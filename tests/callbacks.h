@@ -4,8 +4,8 @@
  * events (sim::Notify); a test that wants to react with a lambda parks it
  * here and passes the returned Notify wherever an event, a resource job's
  * completion, a flow's completion or a notify task takes one. Slots are
- * recycled, so the table holds the peak number of closures parked at once,
- * not the total ever parked.
+ * recycled when their closure runs, so the table holds the peak number of
+ * closures parked at once, not the total ever parked.
  */
 #ifndef SMARTINF_TESTS_CALLBACKS_H
 #define SMARTINF_TESTS_CALLBACKS_H
@@ -24,8 +24,8 @@ class Callbacks final : public sim::Receiver
 {
   public:
     /**
-     * Park @p fn: the returned Notify runs it once and frees its slot, and
-     * dropping the Notify frees the slot unrun. A null @p fn parks nothing
+     * Park @p fn: the returned Notify runs it once and frees its slot. A
+     * Notify that never fires keeps its slot. A null @p fn parks nothing
      * and returns a null Notify.
      */
     sim::Notify
@@ -52,15 +52,9 @@ class Callbacks final : public sim::Receiver
     {
         // Moved out and freed first, so the closure may park another.
         std::function<void()> fn = std::move(slots_[slot]);
-        onDrop(slot);
-        fn();
-    }
-
-    void
-    onDrop(uint64_t slot) override
-    {
         slots_[slot] = nullptr;
         free_.push_back(slot);
+        fn();
     }
 
   private:

@@ -7,8 +7,9 @@
  * only ever delays, a crash mid-sync cancels the ring's
  * in-flight hop flows, and every fault-mode run is bit-identical across
  * repeats. Also pins the inertness contract: arming the fault
- * machinery with no fault category enabled changes nothing, and a one-
- * iteration job stages exactly the iteration runIteration() simulates.
+ * machinery with no fault category enabled changes nothing, a one-
+ * iteration job stages exactly the iteration runIteration() simulates,
+ * and a long job's revocation-domain table stays flat.
  */
 #include <gtest/gtest.h>
 
@@ -255,6 +256,28 @@ TEST(CheckpointRestart, DistributedJobSurvivesCrashes)
     const auto repeat = runJob(config, 2);
     EXPECT_EQ(result.iteration_time, repeat.iteration_time);
     EXPECT_EQ(result.events_executed, repeat.events_executed);
+}
+
+TEST(CheckpointRestart, LongJobsKeepTheDomainRunTableFlat)
+{
+    // Every iteration and every checkpoint opens a revocation domain, and
+    // each adds its own id runs. The graph trims its completed prefix, and
+    // the runs below it with it, so a long job holds the runs of the work
+    // in flight, not one per unit of work ever staged.
+    const auto runsAfter = [](int iterations) {
+        const train::SystemConfig system = smallSystem(1);
+        fault::FaultConfig config = baseFault();
+        config.enabled = true; // every MTBF stays kNever
+        config.num_iterations = iterations;
+        train::SimContext ctx(system);
+        fault::CheckpointedTrainingWorkload job(smallModel(), {}, config);
+        job.build(ctx);
+        ctx.graph.start();
+        ctx.sim.run();
+        EXPECT_TRUE(ctx.graph.done());
+        return ctx.graph.domainRunsAllocated();
+    };
+    EXPECT_LE(runsAfter(128), runsAfter(32));
 }
 
 /** Counts the cancelled flows whose route crosses a NIC link. */

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dist/collective.h"
+#include "task_times.h"
 #include "train/system_builder.h"
 
 namespace smartinf::dist {
@@ -50,6 +51,7 @@ struct Fabric {
 
     train::SystemConfig system;
     train::SimContext ctx;
+    test::TaskTimes times{ctx.sim};
 };
 
 TEST(CollectiveSchedule, AccountsRingAllReduceTraffic)
@@ -69,7 +71,7 @@ TEST(CollectiveSchedule, AccountsRingAllReduceTraffic)
     EXPECT_NEAR(f.ctx.traffic.internode_tx, nodes * expected,
                 1e-9 * nodes * bytes);
     EXPECT_DOUBLE_EQ(f.ctx.traffic.internode_rx, f.ctx.traffic.internode_tx);
-    EXPECT_GT(f.ctx.graph.finishTime(cs.done), 0.0);
+    EXPECT_GT(f.times.finish(cs.done), 0.0);
 }
 
 TEST(CollectiveSchedule, GatingDependenciesDelayTheRing)
@@ -84,7 +86,7 @@ TEST(CollectiveSchedule, GatingDependenciesDelayTheRing)
     f.ctx.graph.start();
     f.ctx.sim.run();
     ASSERT_TRUE(f.ctx.graph.done());
-    EXPECT_GT(f.ctx.graph.finishTime(cs.done), gate);
+    EXPECT_GT(f.times.finish(cs.done), gate);
 }
 
 TEST(CollectiveSchedule, BiggerBuffersTakeLonger)
@@ -97,8 +99,8 @@ TEST(CollectiveSchedule, BiggerBuffersTakeLonger)
     const auto b = scheduleRingAllReduce(big.ctx, nodes, GB(2.0), {}, "b");
     big.ctx.graph.start();
     big.ctx.sim.run();
-    EXPECT_GT(big.ctx.graph.finishTime(b.done),
-              small.ctx.graph.finishTime(s.done));
+    EXPECT_GT(big.times.finish(b.done),
+              small.times.finish(s.done));
 }
 
 TEST(CollectiveSchedule, SingleNodeIsANoOp)

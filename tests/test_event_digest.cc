@@ -15,9 +15,9 @@
  * A change that moves a pinned value changed the event order and must
  * say why; a refactor of the event core moves none. The runs are the five
  * shapes of test_flow_oracle_workloads, a small failover run with
- * crashes, link degradation and shedding, a control-plane run
- * (join-shortest-queue dispatch, SLO deferral and autoscaling) and a
- * closed-loop client run. Each also checks that attaching the observer
+ * crashes, link degradation and shedding, a two-node checkpointed
+ * training job with crashes, a control-plane run (join-shortest-queue
+ * dispatch, SLO deferral and autoscaling) and a closed-loop client run. Each also checks that attaching the observer
  * changes no output.
  */
 #include <gtest/gtest.h>
@@ -307,6 +307,31 @@ TEST(EventDigest, CheckpointedTrainingWithCrashesAndDegrades)
     EXPECT_GT(run.result.fault.checkpoints_written, 0);
     EXPECT_GT(run.result.fault.link_degrades, 0);
     EXPECT_EQ(run.digest, 0xb379a8f62555c794ULL);
+}
+
+TEST(EventDigest, DistributedCheckpointedTrainingWithCrashes)
+{
+    // Two nodes, so each iteration stages the ring all-reduce beside the
+    // checkpoint stream, which starts after every iteration. Crashes
+    // revoke the iteration in flight, and at least one also revokes a
+    // checkpoint before it commits, so an iteration is replayed; each
+    // restart reads the last commit back.
+    const auto model = ModelSpec::gpt2(0.5);
+    fault::FaultConfig faults;
+    faults.enabled = true;
+    faults.num_iterations = 4;
+    faults.checkpoint_interval = 1;
+    faults.node_mtbf = 1.0;
+    faults.repair_time = 1.0;
+    faults.horizon = 20.0;
+    const Digested run = digestOf(model, smartSystem(4, 2), [&]() {
+        return std::make_unique<fault::CheckpointedTrainingWorkload>(
+            model, TrainConfig{}, faults);
+    });
+    EXPECT_GT(run.result.fault.restarts, 0);
+    EXPECT_GT(run.result.fault.checkpoints_written, 0);
+    EXPECT_GT(run.result.fault.iterations_replayed, 0);
+    EXPECT_EQ(run.digest, 0x36b7faf29a05b444ULL);
 }
 
 TEST(EventDigest, ServeFailoverRetriesAndSheds)

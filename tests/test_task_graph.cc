@@ -8,15 +8,18 @@
 
 #include "callbacks.h"
 #include "sim/task_graph.h"
+#include "task_times.h"
 
 namespace smartinf::sim {
 namespace {
 
 using test::Callbacks;
+using test::TaskTimes;
 
 TEST(TaskGraph, LinearChainOnResource)
 {
     Simulator sim;
+    TaskTimes times(sim);
     Resource r(sim, "r", 1.0);
     TaskGraph g(sim);
     auto a = g.compute(r, 1.0, "a");
@@ -25,8 +28,8 @@ TEST(TaskGraph, LinearChainOnResource)
     g.start();
     sim.run();
     EXPECT_TRUE(g.done());
-    EXPECT_DOUBLE_EQ(g.finishTime(a), 1.0);
-    EXPECT_DOUBLE_EQ(g.finishTime(b), 3.0);
+    EXPECT_DOUBLE_EQ(times.finish(a), 1.0);
+    EXPECT_DOUBLE_EQ(times.finish(b), 3.0);
     EXPECT_DOUBLE_EQ(g.makespan(), 3.0);
 }
 
@@ -47,6 +50,7 @@ TEST(TaskGraph, IndependentTasksOverlapAcrossResources)
 TEST(TaskGraph, DiamondDependency)
 {
     Simulator sim;
+    TaskTimes times(sim);
     Resource r1(sim, "r1", 1.0), r2(sim, "r2", 1.0);
     TaskGraph g(sim);
     auto src = g.delay(1.0, "src");
@@ -58,36 +62,39 @@ TEST(TaskGraph, DiamondDependency)
     g.dependsOn(sink, {left, right});
     g.start();
     sim.run();
-    EXPECT_DOUBLE_EQ(g.finishTime(sink), 4.0); // 1 + max(2,3).
+    EXPECT_DOUBLE_EQ(times.finish(sink), 4.0); // 1 + max(2,3).
 }
 
 TEST(TaskGraph, BarrierCompletesImmediatelyWithoutDeps)
 {
     Simulator sim;
+    TaskTimes times(sim);
     TaskGraph g(sim);
     auto b = g.barrier("b");
     g.start();
     sim.run();
     EXPECT_TRUE(g.done());
-    EXPECT_DOUBLE_EQ(g.finishTime(b), 0.0);
+    EXPECT_DOUBLE_EQ(times.finish(b), 0.0);
 }
 
 TEST(TaskGraph, StartTimeReflectsDependencyRelease)
 {
     Simulator sim;
+    TaskTimes times(sim);
     TaskGraph g(sim);
     auto a = g.delay(2.0, "a");
     auto b = g.delay(1.0, "b");
     g.dependsOn(b, a);
     g.start();
     sim.run();
-    EXPECT_DOUBLE_EQ(g.startTime(b), 2.0);
-    EXPECT_DOUBLE_EQ(g.finishTime(b), 3.0);
+    EXPECT_DOUBLE_EQ(times.start(b), 2.0);
+    EXPECT_DOUBLE_EQ(times.finish(b), 3.0);
 }
 
 TEST(TaskGraph, MultiDependencyWaitsForAll)
 {
     Simulator sim;
+    TaskTimes times(sim);
     TaskGraph g(sim);
     auto a = g.delay(1.0);
     auto b = g.delay(4.0);
@@ -95,7 +102,7 @@ TEST(TaskGraph, MultiDependencyWaitsForAll)
     g.dependsOn(c, {a, b});
     g.start();
     sim.run();
-    EXPECT_DOUBLE_EQ(g.finishTime(c), 4.5);
+    EXPECT_DOUBLE_EQ(times.finish(c), 4.5);
 }
 
 TEST(TaskGraph, SelfDependencyIsRejected)
@@ -121,6 +128,7 @@ TEST(TaskGraph, DynamicTaskAddedAfterStartLaunchesOnRelease)
 {
     Callbacks cb;
     Simulator sim;
+    TaskTimes times(sim);
     TaskGraph g(sim);
     auto head = g.delay(1.0, "head");
     g.start();
@@ -131,7 +139,7 @@ TEST(TaskGraph, DynamicTaskAddedAfterStartLaunchesOnRelease)
         g.dependsOn(tail, head); // head not yet complete: real dependency
         g.release(tail);
         sim.at(3.5,
-               cb.park([&, tail] { dynamic_finish = g.finishTime(tail); }));
+               cb.park([&, tail] { dynamic_finish = times.finish(tail); }));
     }));
     sim.run();
     EXPECT_TRUE(g.done());
@@ -143,6 +151,7 @@ TEST(TaskGraph, DynamicDependencyOnCompletedTaskIsSatisfied)
 {
     Callbacks cb;
     Simulator sim;
+    TaskTimes times(sim);
     TaskGraph g(sim);
     auto head = g.delay(1.0, "head");
     g.start();
@@ -153,7 +162,7 @@ TEST(TaskGraph, DynamicDependencyOnCompletedTaskIsSatisfied)
     }));
     sim.run();
     EXPECT_TRUE(g.done());
-    EXPECT_DOUBLE_EQ(g.startTime(head), 0.0); // head launched at start
+    EXPECT_DOUBLE_EQ(times.start(head), 0.0); // head launched at start
     EXPECT_DOUBLE_EQ(g.makespan(), 6.0);      // released at 5, runs 1s
 }
 
@@ -161,6 +170,7 @@ TEST(TaskGraph, ReleaseRangeArmsOneDynamicSubgraph)
 {
     Callbacks cb;
     Simulator sim;
+    TaskTimes times(sim);
     Resource r(sim, "r", 1.0);
     TaskGraph g(sim);
     auto head = g.delay(1.0, "head");
@@ -175,7 +185,7 @@ TEST(TaskGraph, ReleaseRangeArmsOneDynamicSubgraph)
         g.releaseRange(first, g.taskCount());
         (void)head;
         sim.at(4.0, cb.park([&, join] {
-            EXPECT_DOUBLE_EQ(g.finishTime(join), 3.0);
+            EXPECT_DOUBLE_EQ(times.finish(join), 3.0);
         }));
     }));
     sim.run();
@@ -211,65 +221,56 @@ TEST(TaskGraph, StorageNeverMovesATaskAcrossGrowthAndTrim)
 {
     // A one-second chain far longer than a storage block: the first part
     // is added before start(), the rest one task at a time from inside
-    // timer events, wired to the still-running predecessor. With
-    // and without trimming, every task keeps its id, its times and its
+    // timer events, wired to the still-running predecessor. While the
+    // graph trims its completed prefix, every task keeps its id and its
     // address while it is stored; adding tasks never relocates one.
     Callbacks cb;
     constexpr int kStatic = 2500;
     constexpr int kTotal = 5000;
-    for (const bool trim : {false, true}) {
-        SCOPED_TRACE(trim ? "trim" : "no trim");
-        Simulator sim;
-        TaskGraph g(sim);
-        if (trim)
-            g.enableTrim();
-        std::vector<const TaskLabel *> stored;
-        int moved = 0;
-        auto add = [&](int i) {
-            // A task's id is the task count when it is added.
-            const TaskGraph::TaskId id = g.delay(1.0, {"chain", i});
-            EXPECT_EQ(id, static_cast<TaskGraph::TaskId>(i));
-            stored.push_back(&g.label(id));
-            if (i > 0)
-                g.dependsOn(id, id - 1);
-            return id;
-        };
-        // Halfway through each link, while it runs: check it, then grow
-        // the chain by one link wired to the still-running tail.
-        TaskGraph::TaskId id = 0;
-        std::function<void()> step = [&] {
-            const int i = static_cast<int>(id);
-            if (&g.label(id) != stored[id] || g.label(id).a != i)
-                ++moved;
-            EXPECT_DOUBLE_EQ(g.startTime(id), i);
-            if (!trim && i > 0) {
-                EXPECT_DOUBLE_EQ(g.finishTime(id - 1), i);
-            }
-            if (static_cast<int>(g.taskCount()) < kTotal)
-                g.release(add(static_cast<int>(g.taskCount())));
-            if (++id < static_cast<TaskGraph::TaskId>(kTotal))
-                sim.after(1.0, cb.park(step));
-        };
-        for (int i = 0; i < kStatic; ++i)
-            add(i);
-        g.start();
-        sim.at(0.5, cb.park(step));
-        sim.run();
+    Simulator sim;
+    TaskTimes times(sim);
+    TaskGraph g(sim);
+    std::vector<const TaskLabel *> stored;
+    int moved = 0;
+    auto add = [&](int i) {
+        // A task's id is the task count when it is added.
+        const TaskGraph::TaskId id = g.delay(1.0, {"chain", i});
+        EXPECT_EQ(id, static_cast<TaskGraph::TaskId>(i));
+        stored.push_back(&g.label(id));
+        if (i > 0)
+            g.dependsOn(id, id - 1);
+        return id;
+    };
+    // Halfway through each link, while it runs: check it, then grow the
+    // chain by one link wired to the still-running tail.
+    TaskGraph::TaskId id = 0;
+    std::function<void()> step = [&] {
+        const int i = static_cast<int>(id);
+        if (&g.label(id) != stored[id] || g.label(id).a != i)
+            ++moved;
+        EXPECT_DOUBLE_EQ(times.start(id), i);
+        if (i > 0) {
+            EXPECT_DOUBLE_EQ(times.finish(id - 1), i);
+        }
+        if (static_cast<int>(g.taskCount()) < kTotal)
+            g.release(add(static_cast<int>(g.taskCount())));
+        if (++id < static_cast<TaskGraph::TaskId>(kTotal))
+            sim.after(1.0, cb.park(step));
+    };
+    for (int i = 0; i < kStatic; ++i)
+        add(i);
+    g.start();
+    sim.at(0.5, cb.park(step));
+    sim.run();
 
-        EXPECT_EQ(moved, 0);
-        EXPECT_TRUE(g.done());
-        EXPECT_EQ(g.taskCount(), static_cast<std::size_t>(kTotal));
-        EXPECT_DOUBLE_EQ(g.makespan(), kTotal);
-        if (trim) {
-            EXPECT_THROW(g.finishTime(0), std::logic_error);
-            continue;
-        }
-        for (int i = 0; i < kTotal; ++i) {
-            const auto id = static_cast<TaskGraph::TaskId>(i);
-            ASSERT_EQ(&g.label(id), stored[id]) << "task " << i;
-            EXPECT_DOUBLE_EQ(g.startTime(id), i);
-            EXPECT_DOUBLE_EQ(g.finishTime(id), i + 1);
-        }
+    EXPECT_EQ(moved, 0);
+    EXPECT_TRUE(g.done());
+    EXPECT_EQ(g.taskCount(), static_cast<std::size_t>(kTotal));
+    EXPECT_DOUBLE_EQ(g.makespan(), kTotal);
+    EXPECT_THROW(g.label(0), std::logic_error);
+    for (int i = 0; i < kTotal; ++i) {
+        EXPECT_DOUBLE_EQ(times.start(i), i);
+        EXPECT_DOUBLE_EQ(times.finish(i), i + 1);
     }
 }
 
@@ -284,7 +285,6 @@ TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
     constexpr int kLongTask = 1500; // finishes last, after everything
     Simulator sim;
     TaskGraph g(sim);
-    g.enableTrim();
     g.start();
 
     Seconds latest = 0.0;
@@ -302,7 +302,7 @@ TEST(TaskGraph, TrimmingKeepsGlobalIdsDependenciesAndDomains)
     TaskGraph::TaskId head = 0, tail = 0, bystander = 0;
     sim.at(2000.25, cb.park([&] {
         // Ids [0, 1024) were reclaimed at the first chunk boundary.
-        EXPECT_THROW(g.finishTime(0), std::logic_error);
+        EXPECT_THROW(g.label(0), std::logic_error);
         late = g.notify(cb.park([&] { late_launch = sim.now(); }));
         g.dependsOn(late, 0); // trimmed: already satisfied
         g.release(late);
@@ -381,13 +381,12 @@ TEST(TaskGraph, FanOutLaunchesDependentsInDependsOnOrder)
         SCOPED_TRACE(n);
         Simulator sim;
         TaskGraph g(sim);
-        g.enableTrim();
         g.start();
         // Push the graph past a trimmed block first, so the fan-out lives
         // in reused storage.
         for (int i = 0; i < 3000; ++i)
             g.release(g.barrier());
-        EXPECT_THROW(g.finishTime(0), std::logic_error);
+        EXPECT_THROW(g.label(0), std::logic_error);
         std::vector<TaskGraph::TaskId> launched;
         // Each dependent records its own id (the task count when added).
         const auto record = [&] {
@@ -442,21 +441,22 @@ TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
 {
     // A serving-shaped stream through a trimming graph, past several trim
     // chunks: each step is a root with a fan-out of three notify tasks
-    // (a pooled dependent list and three parked closures), and one step is
-    // revoked before its root completes. Completion and abandonment both
-    // return their list and slots (an abandoned notify task drops its
-    // Notify), so the side tables stay at what one step holds instead of
-    // growing with the stream.
+    // (a pooled dependent list), and one step is revoked before its root
+    // completes. Completion and abandonment both return the list, so the
+    // pool stays at what one step holds instead of growing with the
+    // stream.
+    struct Leaves final : Receiver {
+        int ran = 0;
+        void onNotify(uint64_t) override { ++ran; }
+    };
     Callbacks cb;
     constexpr int kSteps = 2000; // 8,000 tasks: ~7 trim chunks
     constexpr int kRevoked = 1000;
     Simulator sim;
     TaskGraph g(sim);
-    g.enableTrim();
     g.start();
 
-    Callbacks leaves;
-    int ran = 0;
+    Leaves leaves;
     TaskGraph::Domain revoked = TaskGraph::kNoDomain;
     for (int i = 0; i < kSteps; ++i) {
         sim.at(i, cb.park([&, i] {
@@ -467,8 +467,8 @@ TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
             const auto first = g.taskCount();
             const auto root = g.delay(i == kRevoked ? 10.0 : 0.5, {"root", i});
             for (int k = 0; k < 3; ++k) {
-                const auto leaf = g.notify(
-                    leaves.park([&ran] { ++ran; }), {"leaf", i, k});
+                const auto leaf =
+                    g.notify(Notify{&leaves, 0}, {"leaf", i, k});
                 g.dependsOn(leaf, root);
             }
             g.setCurrentDomain(TaskGraph::kNoDomain);
@@ -482,10 +482,9 @@ TEST(TaskGraph, TrimmedStreamKeepsSideTablesBounded)
 
     EXPECT_TRUE(g.done());
     EXPECT_EQ(g.taskCount(), 4u * kSteps);
-    EXPECT_EQ(ran, 3 * (kSteps - 1));
-    EXPECT_THROW(g.finishTime(0), std::logic_error); // Trimmed.
+    EXPECT_EQ(leaves.ran, 3 * (kSteps - 1));
+    EXPECT_THROW(g.label(0), std::logic_error); // Trimmed.
     EXPECT_EQ(g.fanoutListsAllocated(), 1u);
-    EXPECT_EQ(leaves.slotsAllocated(), 3u);
 }
 
 TEST(TaskGraph, WideBarrierLaunchesDependentsInDependsOnOrder)
@@ -500,6 +499,7 @@ TEST(TaskGraph, WideBarrierLaunchesDependentsInDependsOnOrder)
     };
     constexpr std::size_t kFanOut = std::size_t{1} << 17;
     Simulator sim;
+    TaskTimes times(sim);
     TaskGraph g(sim);
     Recorder recorder;
     const auto gate = g.delay(1.0);
@@ -520,7 +520,7 @@ TEST(TaskGraph, WideBarrierLaunchesDependentsInDependsOnOrder)
     sim.run();
     EXPECT_TRUE(g.done());
     EXPECT_EQ(recorder.fired, expected);
-    EXPECT_DOUBLE_EQ(g.startTime(deps.back()), 1.0);
+    EXPECT_DOUBLE_EQ(times.start(deps.back()), 1.0);
 }
 
 TEST(TaskGraph, EveryTaskIsCacheLineAligned)
@@ -532,10 +532,8 @@ TEST(TaskGraph, EveryTaskIsCacheLineAligned)
         SCOPED_TRACE(trim ? "trim" : "no trim");
         Simulator sim;
         TaskGraph g(sim);
-        if (trim) {
-            g.enableTrim();
+        if (trim)
             g.start();
-        }
         std::size_t misaligned = 0;
         for (int i = 0; i < 5000; ++i) {
             const auto id = g.barrier({"t", i});
@@ -546,7 +544,7 @@ TEST(TaskGraph, EveryTaskIsCacheLineAligned)
         }
         EXPECT_EQ(misaligned, 0u);
         if (trim) {
-            EXPECT_THROW(g.finishTime(0), std::logic_error);
+            EXPECT_THROW(g.label(0), std::logic_error);
         }
     }
 }

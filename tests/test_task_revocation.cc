@@ -273,7 +273,6 @@ TEST(TaskRevocation, RevokingAPartlyTrimmedDomainSkipsTheTrimmedTasks)
     Callbacks cb;
     Simulator sim;
     TaskGraph g(sim);
-    g.enableTrim();
     g.start();
 
     const TaskGraph::Domain d = g.openDomain();
@@ -285,7 +284,7 @@ TEST(TaskRevocation, RevokingAPartlyTrimmedDomainSkipsTheTrimmedTasks)
     g.setCurrentDomain(TaskGraph::kNoDomain);
     const auto bystander = g.delay(10.0, "bystander");
     g.release(bystander);
-    EXPECT_THROW(g.finishTime(0), std::logic_error); // Trimmed.
+    EXPECT_THROW(g.label(0), std::logic_error); // Trimmed.
 
     sim.at(1.0, cb.park([&]() {
         EXPECT_EQ(g.revokeDomain(d), 1u);
@@ -310,7 +309,6 @@ TEST(TaskRevocation, TrimmedStreamOfDomainsKeepsRunTableBounded)
     constexpr int kRevoked = 5000;
     Simulator sim;
     TaskGraph g(sim);
-    g.enableTrim();
     g.start();
 
     int ran = 0;
@@ -335,7 +333,7 @@ TEST(TaskRevocation, TrimmedStreamOfDomainsKeepsRunTableBounded)
     EXPECT_TRUE(g.done());
     EXPECT_EQ(g.taskCount(), 2u * kSteps);
     EXPECT_EQ(ran, kSteps - 1);
-    EXPECT_THROW(g.finishTime(0), std::logic_error); // Trimmed.
+    EXPECT_THROW(g.label(0), std::logic_error); // Trimmed.
     EXPECT_LE(g.domainRunsAllocated(), 1100u);
 }
 
